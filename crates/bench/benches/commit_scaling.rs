@@ -16,7 +16,8 @@
 //!   --raw-txns N        commits for the raw (no-hold) t=1 runs (default 60000)
 //!   --check             assert the acceptance bar: >=2x at the largest t,
 //!                       <=5% regression at t=1 raw
-//!   --smoke             tiny run that only proves the bench executes
+//!   --smoke             seconds-long run (t = 1 and 8 only) that `--check`
+//!                       can still gate
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
@@ -66,10 +67,12 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        cfg.threads = vec![1, 2];
-        cfg.txns = 2;
-        cfg.hold_us = 500;
-        cfg.raw_txns = 2_000;
+        // Holds are sleeps, so even a 1-core runner overlaps eight striped
+        // commits; keeping t = 8 makes `--smoke --check` a real assertion.
+        cfg.threads = vec![1, 8];
+        cfg.txns = 8;
+        cfg.hold_us = 2_000;
+        cfg.raw_txns = 20_000;
     }
     cfg
 }
@@ -181,7 +184,7 @@ fn main() {
 
     // Raw single-thread commit cost, no injected hold: the striped path must
     // not tax the uncontended case.
-    let raw_reps = if cfg.smoke { 1 } else { 5 };
+    let raw_reps = if cfg.smoke { 3 } else { 5 };
     let raw_striped = best_of(raw_reps, || run(CommitPath::Striped, 1, cfg.raw_txns, 0));
     let raw_global = best_of(raw_reps, || run(CommitPath::GlobalLock, 1, cfg.raw_txns, 0));
     let raw_ratio = raw_striped / raw_global;

@@ -17,13 +17,14 @@
 //! between the two p99s is exactly the queueing delay the closed-loop view
 //! cannot see.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use autopn::{ApplyError, Config, SloKpi, SloTunableSystem, TunableSystem};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::{Condvar, Mutex};
 use pnstm::throttle::Permit;
 use pnstm::trace::{self, TraceEvent};
 use pnstm::{FaultKind, LatencyHistogram, LatencySnapshot, Stm, StmError};
@@ -112,6 +113,73 @@ impl Default for IngressConfig {
     }
 }
 
+/// Commit timestamps the front door keeps for the monitor: far beyond the
+/// largest window a monitor policy reads commit by commit (WPNOC-30; the
+/// adaptive policy slides over 15), so only the controller's own scheduling
+/// lag has to fit, and 0.5 MiB at most.
+pub const COMMIT_RING_CAP: usize = 1 << 16;
+
+/// The commit hook's timestamp stream: a drop-oldest ring. The tuner drains
+/// it only while a window is open, so an unbounded channel here grew by one
+/// `u64` per commit for as long as no tuner was attached.
+#[derive(Default)]
+struct CommitRing {
+    state: Mutex<RingState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct RingState {
+    stamps: VecDeque<u64>,
+    /// The consumer is parked on `arrived`; producers skip the notify (a
+    /// syscall per commit) otherwise.
+    parked: bool,
+}
+
+impl CommitRing {
+    /// Append `ts`; returns whether the oldest stamp was overwritten.
+    fn push(&self, ts: u64) -> bool {
+        let mut state = self.state.lock();
+        let full = state.stamps.len() == COMMIT_RING_CAP;
+        if full {
+            state.stamps.pop_front();
+        }
+        state.stamps.push_back(ts);
+        let parked = state.parked;
+        drop(state);
+        if parked {
+            self.arrived.notify_one();
+        }
+        full
+    }
+
+    fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock();
+        loop {
+            if let Some(ts) = state.stamps.pop_front() {
+                return Some(ts);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            state.parked = true;
+            self.arrived.wait_for(&mut state, left);
+            state.parked = false;
+        }
+    }
+
+    fn clear(&self) {
+        self.state.lock().stamps.clear();
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.state.lock().stamps.len()
+    }
+}
+
 /// Lock-free ingress counters and latency histograms.
 #[derive(Default)]
 pub struct IngressStats {
@@ -126,6 +194,9 @@ pub struct IngressStats {
     /// Requests that failed terminally (retries exhausted, body error,
     /// worker panic) or were abandoned by shutdown after acceptance.
     pub failed: AtomicU64,
+    /// Commit timestamps the bounded ring overwrote before a monitor read
+    /// them (grows whenever no tuner is attached; see [`COMMIT_RING_CAP`]).
+    pub commit_stamps_dropped: AtomicU64,
     /// Completion − intended arrival (coordinated-omission-free).
     pub intended: LatencyHistogram,
     /// Completion − dequeue (the closed-loop view, kept for comparison).
@@ -140,6 +211,7 @@ impl IngressStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
+            commit_stamps_dropped: self.commit_stamps_dropped.load(Ordering::Relaxed),
             intended: self.intended.snapshot(),
             dequeue: self.dequeue.snapshot(),
         }
@@ -154,6 +226,7 @@ pub struct IngressSnapshot {
     pub rejected: u64,
     pub completed: u64,
     pub failed: u64,
+    pub commit_stamps_dropped: u64,
     pub intended: LatencySnapshot,
     pub dequeue: LatencySnapshot,
 }
@@ -167,6 +240,9 @@ impl IngressSnapshot {
             rejected: self.rejected.saturating_sub(earlier.rejected),
             completed: self.completed.saturating_sub(earlier.completed),
             failed: self.failed.saturating_sub(earlier.failed),
+            commit_stamps_dropped: self
+                .commit_stamps_dropped
+                .saturating_sub(earlier.commit_stamps_dropped),
             intended: self.intended.delta_since(&earlier.intended),
             dequeue: self.dequeue.delta_since(&earlier.dequeue),
         }
@@ -205,7 +281,7 @@ pub struct Ingress {
     handles: Vec<thread::JoinHandle<()>>,
     panics: Arc<AtomicU64>,
     epoch: Instant,
-    commits: Receiver<u64>,
+    commits: Arc<CommitRing>,
     window: Option<(IngressSnapshot, u64)>,
 }
 
@@ -218,20 +294,23 @@ impl Ingress {
         config: IngressConfig,
     ) -> std::io::Result<Self> {
         let epoch = Instant::now();
-        let (tx, rx): (Sender<u64>, Receiver<u64>) = unbounded();
+        let commits = Arc::new(CommitRing::default());
+        let stats = Arc::new(IngressStats::default());
         {
             // Same commit-hook shape as `LiveStmSystem`: the monitor's
             // timestamp stream, with ClockJitter as a fault site.
             let fault = stm.fault_ctx().clone();
+            let (commits, stats) = (Arc::clone(&commits), Arc::clone(&stats));
             stm.stats().set_commit_hook(Some(Arc::new(move |ev: pnstm::CommitEvent| {
                 let mut ns = ev.at.duration_since(epoch).as_nanos() as u64;
                 if let Some(action) = fault.inject(FaultKind::ClockJitter) {
                     ns = ns.saturating_add_signed(action.signed_jitter_ns());
                 }
-                let _ = tx.send(ns);
+                if commits.push(ns) {
+                    stats.commit_stamps_dropped.fetch_add(1, Ordering::Relaxed);
+                }
             })));
         }
-        let stats = Arc::new(IngressStats::default());
         let queue = Arc::new(BoundedQueue::new(config.queue_cap));
         let stop = Arc::new(AtomicBool::new(false));
         let panics = Arc::new(AtomicU64::new(0));
@@ -244,7 +323,7 @@ impl Ingress {
             handles: Vec::new(),
             panics: Arc::clone(&panics),
             epoch,
-            commits: rx,
+            commits,
             window: None,
         };
         let spawn =
@@ -509,21 +588,18 @@ impl TunableSystem for Ingress {
     fn apply(&mut self, cfg: Config) {
         self.stm.set_degree(cfg.into());
         self.resize_scheduler(cfg);
-        while self.commits.try_recv().is_ok() {}
+        self.commits.clear();
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
         self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
         self.resize_scheduler(cfg);
-        while self.commits.try_recv().is_ok() {}
+        self.commits.clear();
         Ok(())
     }
 
     fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-        match self.commits.recv_timeout(Duration::from_nanos(max_wait_ns)) {
-            Ok(ts) => Some(ts),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.commits.pop_timeout(Duration::from_nanos(max_wait_ns))
     }
 
     fn now_ns(&self) -> u64 {
@@ -537,7 +613,7 @@ impl TunableSystem for Ingress {
         while self.stm.stats().snapshot().top_commits < target && Instant::now() < deadline {
             thread::sleep(Duration::from_micros(200));
         }
-        while self.commits.try_recv().is_ok() {}
+        self.commits.clear();
     }
 }
 
@@ -682,6 +758,35 @@ mod tests {
         })
         .unwrap();
         assert_eq!(stm.read_atomic(&b), 2);
+    }
+
+    #[test]
+    fn untuned_front_door_keeps_its_commit_stamps_bounded() {
+        // No tuner ever opens a window, so nothing drains the stamps: a
+        // million commits must leave the ring at its cap, the overwritten
+        // ones counted. (The hook is driven through the commit counter the
+        // commit path itself calls, so the test does not spend a million
+        // transactions' worth of time.)
+        let stm = stm();
+        let service = transfer_service(&stm);
+        let config = IngressConfig {
+            process: ArrivalProcess::Uniform { rate_hz: 1.0 },
+            ..IngressConfig::default()
+        };
+        let mut ing = Ingress::start(stm.clone(), service, config).unwrap();
+        const COMMITS: u64 = 1_000_000;
+        for _ in 0..COMMITS {
+            stm.stats().record_commit_top();
+        }
+        assert_eq!(ing.commits.len(), COMMIT_RING_CAP);
+        let dropped = ing.snapshot().commit_stamps_dropped;
+        // The idle generator may have slipped a real commit or two in.
+        assert!(dropped >= COMMITS - COMMIT_RING_CAP as u64, "dropped {dropped}");
+        // A tuner attaching later still gets the freshest stamps, in order.
+        let first = ing.wait_commit(1_000_000).expect("ring is full");
+        let second = ing.wait_commit(1_000_000).expect("ring is full");
+        assert!(first <= second);
+        ing.shutdown();
     }
 
     #[test]

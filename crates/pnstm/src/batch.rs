@@ -1,0 +1,441 @@
+//! The one child-batch execution core behind both scheduler rungs.
+//!
+//! [`crate::pool::ChildPool`] and [`crate::sched::WorkStealingPool`] are the
+//! same [`Pool`] over two [`Registry`] implementations: a rung only says how
+//! tasks are queued ([`TaskQueue`]) and how idle workers discover batches
+//! ([`Registry`]). Everything else — remaining/helper accounting, the finish
+//! guard, the join parker, worker supervision, resize, and the **hand-off
+//! decision** — lives here once.
+//!
+//! # Hand-off on demand
+//!
+//! Publishing a batch wakes a parked worker: a futex hand-off that costs the
+//! parent more than a batch of short children is worth. So a batch is
+//! published only when the predicted parallel saving `n · d̄ · (1 − 1/c)`
+//! exceeds the hand-off cost, where `d̄` is the pool-wide EWMA of the
+//! parent-observed per-child time (dispatch stalls included) and the cost is
+//! the EWMA of measured publish → first-helper-claim latencies, seeded by
+//! [`HANDOFF_SEED_NS`]. Invariants:
+//!
+//! * **Parent is always an executor** — the calling thread drains its own
+//!   batch whether or not anyone helps (deadlock freedom at any depth).
+//! * **No history ⇒ eager** — until a pool has observed one batch it
+//!   publishes immediately, exactly like the pre-policy schedulers.
+//! * **Bounded regret** — a withheld batch with tasks still queued is
+//!   published the moment the parent has spent more than one hand-off cost
+//!   in it, so a mis-predicted long batch loses at most that much.
+//! * **`helper_limit` still caps helpers**; `helper_limit == 0` runs inline
+//!   and never touches the pool or the clock.
+//!
+//! The items here are `pub` only because the two public pool aliases name
+//! them; the module itself is private to the crate.
+
+use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
+
+use crate::fault::{FaultCtx, FaultKind};
+use crate::sched::{Scheduler, Task};
+use crate::stats::Stats;
+use crate::trace::{self, TraceBus, TraceEvent};
+
+/// Backstop for every park in this module: a lost wake-up costs at most this.
+pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+/// Hand-off cost before any hand-off has been measured (a parked worker takes
+/// 50–80 µs to claim on the reference box), and the anchor of the clamp on
+/// measured samples: a helper busy in another tree must not teach the pool
+/// that hand-offs take milliseconds.
+const HANDOFF_SEED_NS: u64 = 50_000;
+const HANDOFF_MIN_NS: u64 = HANDOFF_SEED_NS / 4;
+const HANDOFF_MAX_NS: u64 = HANDOFF_SEED_NS * 16;
+
+/// Fold `sample` into the EWMA in `cell` (weight 1/8; 0 means "no sample
+/// yet"). A sample counts for at most twice the current estimate, so one
+/// preempted batch cannot flip the hand-off decision for the dozen batches
+/// after it, while a real regime change still gets through in a few dozen
+/// (each of which the late publish bounds). A racing update may be lost:
+/// both cells are heuristics' inputs.
+fn ewma(cell: &AtomicU64, sample: u64) {
+    let old = cell.load(Ordering::Relaxed);
+    let new = if old == 0 { sample } else { old - old / 8 + sample.min(2 * old) / 8 };
+    cell.store(new.max(1), Ordering::Relaxed);
+}
+
+/// Take the [`FaultKind::ChildStall`] dispatch stall, if one is drawn.
+pub(crate) fn dispatch_stall(fault: &FaultCtx) {
+    if let Some(action) = fault.inject(FaultKind::ChildStall) {
+        action.stall();
+    }
+}
+
+/// How one rung queues the tasks of a batch.
+pub trait TaskQueue: Send + Sync + 'static {
+    fn new(tasks: Vec<Task>) -> Self;
+
+    /// Take one task — the dispatch point, so the rung sites its
+    /// [`FaultKind::ChildStall`] consultation here. `helper` tells a rung
+    /// with two ends which one the taker is entitled to.
+    fn pop(&self, helper: bool, fault: &FaultCtx) -> Option<Task>;
+
+    /// Unclaimed tasks. May under-report (the parent drains those anyway),
+    /// never over-report: a helper must not be woken into a drained batch.
+    fn queued(&self) -> usize;
+
+    /// Tasks that did not fit the rung's fast structure at construction.
+    fn overflowed(&self) -> usize {
+        0
+    }
+}
+
+/// How idle workers of one rung discover published batches, and where they
+/// park when there are none.
+pub trait Registry: Default + Send + Sync + 'static {
+    type Queue: TaskQueue;
+    const WORKER_NAME: &'static str;
+
+    /// Make `batch` discoverable and wake idle workers. Returns the slot to
+    /// hand back to [`Registry::retract`].
+    fn publish(&self, batch: &Arc<Batch<Self::Queue>>) -> usize;
+    fn retract(&self, slot: usize, batch: &Arc<Batch<Self::Queue>>);
+    /// Some published batch that still wants helpers.
+    fn find(&self) -> Option<Arc<Batch<Self::Queue>>>;
+    /// Park until woken or [`IDLE_WAIT`] passes, unless work or `shutdown`
+    /// shows up on a re-check under the park lock.
+    fn park(&self, shutdown: &AtomicBool);
+    fn wake_all(&self);
+}
+
+/// One `parallel()` batch: the rung's queue plus the shared accounting.
+pub struct Batch<Q> {
+    pub(crate) queue: Q,
+    /// Tasks submitted but not yet finished executing.
+    remaining: AtomicUsize,
+    /// Pool workers currently helping; capped at `helper_limit` (`c − 1`) by
+    /// the CAS in [`Batch::try_claim_helper`] alone.
+    helpers: AtomicUsize,
+    helper_limit: usize,
+    /// Tasks executed by helpers, for `steal_count` and `sched_batch`.
+    stolen: AtomicUsize,
+    /// When the batch was published, until the first helper claims it (then
+    /// 0): the publish → first-claim sample of the hand-off cost.
+    published_ns: AtomicU64,
+    /// Set by the parent before it parks in [`Batch::join`]; finishers skip
+    /// the lock and the condvar while nobody waits.
+    waiting: AtomicBool,
+    done_mx: Mutex<()>,
+    done_cv: Condvar,
+}
+
+/// Marks one task finished on drop, so a panicking task still settles the
+/// batch's remaining count instead of hanging the join.
+struct Finish<'a, Q>(&'a Batch<Q>);
+
+impl<Q> Drop for Finish<'_, Q> {
+    fn drop(&mut self) {
+        let batch = self.0;
+        // SeqCst pairs with `join`: either this finisher sees `waiting`, or
+        // the parent's re-check under the lock sees `remaining == 0`.
+        if batch.remaining.fetch_sub(1, Ordering::SeqCst) == 1
+            && batch.waiting.load(Ordering::SeqCst)
+        {
+            let _g = batch.done_mx.lock();
+            batch.done_cv.notify_all();
+        }
+    }
+}
+
+impl<Q: TaskQueue> Batch<Q> {
+    pub(crate) fn new(tasks: Vec<Task>, helper_limit: usize) -> Arc<Self> {
+        Arc::new(Self {
+            remaining: AtomicUsize::new(tasks.len()),
+            queue: Q::new(tasks),
+            helpers: AtomicUsize::new(0),
+            helper_limit,
+            stolen: AtomicUsize::new(0),
+            published_ns: AtomicU64::new(0),
+            waiting: AtomicBool::new(false),
+            done_mx: Mutex::new(()),
+            done_cv: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn run(&self, task: Task) {
+        let _finish = Finish(self);
+        task();
+    }
+
+    fn is_done(&self) -> bool {
+        self.remaining.load(Ordering::SeqCst) == 0
+    }
+
+    /// Wait for helpers to finish the tasks they claimed. Syscall-free when
+    /// the parent ran everything itself.
+    fn join(&self) {
+        if self.is_done() {
+            return;
+        }
+        self.waiting.store(true, Ordering::SeqCst);
+        let mut g = self.done_mx.lock();
+        while !self.is_done() {
+            self.done_cv.wait_for(&mut g, IDLE_WAIT);
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn wants_helpers(&self) -> bool {
+        self.helpers.load(Ordering::Acquire) < self.helper_limit && self.queue.queued() > 0
+    }
+
+    /// Atomically claim a helper slot: CAS-increment bounded by
+    /// `helper_limit`, then re-check that work is still queued — a batch
+    /// drained between the scan and the increment is backed out of, so no
+    /// helper ever joins a drained batch.
+    pub(crate) fn try_claim_helper(&self) -> bool {
+        let claimed = self.helpers.fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
+            (cur < self.helper_limit).then_some(cur + 1)
+        });
+        if claimed.is_err() {
+            return false;
+        }
+        if self.queue.queued() > 0 {
+            return true;
+        }
+        self.helpers.fetch_sub(1, Ordering::AcqRel);
+        false
+    }
+}
+
+pub struct PoolShared<R> {
+    registry: R,
+    fault: FaultCtx,
+    stats: Arc<Stats>,
+    trace: TraceBus,
+    shutdown: AtomicBool,
+    target_size: AtomicUsize,
+    live_workers: AtomicUsize,
+    /// `d̄`: EWMA of the parent-observed per-child time in ns; 0 = no history.
+    child_ns: AtomicU64,
+    /// EWMA of publish → first-helper-claim in ns.
+    handoff_ns: AtomicU64,
+}
+
+impl<R> PoolShared<R> {
+    /// The hand-off rule: is `n · d̄ · (1 − 1/c)` worth one hand-off?
+    fn predicts_saving(&self, n: usize, helper_limit: usize) -> bool {
+        let child_ns = self.child_ns.load(Ordering::Relaxed);
+        if child_ns == 0 {
+            return true; // no history ⇒ eager
+        }
+        let c = (helper_limit + 1).min(n) as u64;
+        (n as u64).saturating_mul(child_ns) / c * (c - 1) > self.handoff_ns.load(Ordering::Relaxed)
+    }
+}
+
+/// A resizable pool of worker threads that help execute child batches; see
+/// the module docs. [`crate::pool::ChildPool`] and
+/// [`crate::sched::WorkStealingPool`] are its two instantiations.
+pub struct Pool<R: Registry> {
+    shared: Arc<PoolShared<R>>,
+    handles: Mutex<Vec<thread::JoinHandle<()>>>,
+}
+
+impl<R: Registry> Pool<R> {
+    /// Create a pool with `size` worker threads (0 is allowed: all batches
+    /// then run entirely on their calling threads).
+    pub fn new(size: usize) -> Self {
+        Self::with_instruments(size, FaultCtx::disabled(), Arc::new(Stats::new()), TraceBus::new())
+    }
+
+    /// A pool wired to the runtime's fault context (`ChildStall` dispatch
+    /// site), stats counters (`steal_count`, `sched_handoffs*`,
+    /// `deque_overflow`) and trace bus (`sched_batch` events).
+    pub fn with_instruments(
+        size: usize,
+        fault: FaultCtx,
+        stats: Arc<Stats>,
+        trace: TraceBus,
+    ) -> Self {
+        let shared = Arc::new(PoolShared {
+            registry: R::default(),
+            fault,
+            stats,
+            trace,
+            shutdown: AtomicBool::new(false),
+            target_size: AtomicUsize::new(size),
+            live_workers: AtomicUsize::new(0),
+            child_ns: AtomicU64::new(0),
+            handoff_ns: AtomicU64::new(HANDOFF_SEED_NS),
+        });
+        let pool = Self { shared, handles: Mutex::new(Vec::new()) };
+        pool.spawn_up_to(size);
+        pool
+    }
+
+    fn spawn_up_to(&self, size: usize) {
+        let mut handles = self.handles.lock();
+        while self.shared.live_workers.load(Ordering::Acquire) < size {
+            self.shared.live_workers.fetch_add(1, Ordering::AcqRel);
+            let shared = Arc::clone(&self.shared);
+            handles.push(
+                thread::Builder::new()
+                    .name(R::WORKER_NAME.into())
+                    .spawn(move || worker_loop(shared))
+                    .expect("failed to spawn pnstm worker thread"),
+            );
+        }
+        // Opportunistically reap finished handles to keep the vector bounded.
+        handles.retain(|h| !h.is_finished());
+    }
+
+    /// The withheld-or-published path of `run_batch` (`helper_limit > 0`):
+    /// records the batch in the stats and returns `(handed_off, stolen,
+    /// overflowed)` for the trace event.
+    fn run_shared(
+        &self,
+        tasks: Vec<Task>,
+        helper_limit: usize,
+        caller_panic: &mut Option<Box<dyn Any + Send>>,
+    ) -> (bool, usize, usize) {
+        let sh = &*self.shared;
+        let n = tasks.len();
+        let batch = Batch::<R::Queue>::new(tasks, helper_limit);
+        let publish = |at_ns: u64| {
+            batch.published_ns.store(at_ns.max(1), Ordering::Relaxed);
+            sh.registry.publish(&batch)
+        };
+        let (mut slot, mut start) = (None, trace::now_ns());
+        if n > 1 && sh.predicts_saving(n, helper_limit) {
+            slot = Some(publish(start));
+            start = trace::now_ns(); // the hand-off is not child time
+        }
+        let (mut now, mut mine) = (start, 0u64);
+        while let Some(task) = batch.queue.pop(false, &sh.fault) {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| batch.run(task))) {
+                caller_panic.get_or_insert(payload);
+            }
+            mine += 1;
+            now = trace::now_ns();
+            // Late publish: the prediction was wrong by a whole hand-off.
+            if slot.is_none()
+                && now - start > sh.handoff_ns.load(Ordering::Relaxed)
+                && batch.queue.queued() > 0
+            {
+                slot = Some(publish(now));
+            }
+        }
+        batch.join();
+        // Helpers that took every task leave the parent nothing to observe
+        // but the batch itself; skipping the sample would freeze `d̄` at
+        // whatever made the batch eager.
+        let (spent, ran) =
+            if mine > 0 { (now - start, mine) } else { (trace::now_ns() - start, n as u64) };
+        ewma(&sh.child_ns, spent / ran);
+        if let Some(slot) = slot {
+            sh.registry.retract(slot, &batch);
+        }
+        let (stolen, overflowed) = (batch.stolen.load(Ordering::Relaxed), batch.queue.overflowed());
+        sh.stats.record_handoff(slot.is_some());
+        sh.stats.record_steals(stolen as u64);
+        sh.stats.record_deque_overflow(overflowed as u64);
+        (slot.is_some(), stolen, overflowed)
+    }
+}
+
+impl<R: Registry> Scheduler for Pool<R> {
+    fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
+        let n = tasks.len();
+        if n == 0 {
+            return;
+        }
+        let sh = &*self.shared;
+        // The caller is always an executor. A panic in a caller-executed
+        // task is held and re-raised only after the batch has drained.
+        let mut caller_panic = None;
+        let (handed_off, stolen, overflowed) = if helper_limit == 0 {
+            for task in tasks {
+                dispatch_stall(&sh.fault);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+                    caller_panic.get_or_insert(payload);
+                }
+            }
+            (false, 0, 0)
+        } else {
+            self.run_shared(tasks, helper_limit, &mut caller_panic)
+        };
+        if sh.trace.is_enabled() {
+            sh.trace.emit(TraceEvent::SchedBatch {
+                tasks: n as u32,
+                stolen: stolen as u32,
+                overflowed: overflowed as u32,
+                handed_off,
+                at_ns: trace::now_ns(),
+            });
+        }
+        if let Some(payload) = caller_panic {
+            resume_unwind(payload);
+        }
+    }
+
+    fn resize(&self, size: usize) {
+        self.shared.target_size.store(size, Ordering::Release);
+        self.spawn_up_to(size);
+        // Wake idle workers so surplus ones can observe the shrink and exit.
+        self.shared.registry.wake_all();
+    }
+
+    fn size(&self) -> usize {
+        self.shared.target_size.load(Ordering::Acquire)
+    }
+
+    fn live_workers(&self) -> usize {
+        self.shared.live_workers.load(Ordering::Acquire)
+    }
+}
+
+impl<R: Registry> Drop for Pool<R> {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.registry.wake_all();
+        for h in self.handles.lock().drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
+    loop {
+        if sh.shutdown.load(Ordering::Acquire)
+            || sh.live_workers.load(Ordering::Acquire) > sh.target_size.load(Ordering::Acquire)
+        {
+            sh.live_workers.fetch_sub(1, Ordering::AcqRel);
+            return;
+        }
+        // The scan is only a hint; the claim is the CAS.
+        let Some(batch) = sh.registry.find().filter(|b| b.try_claim_helper()) else {
+            sh.registry.park(&sh.shutdown);
+            continue;
+        };
+        let published_ns = batch.published_ns.swap(0, Ordering::Relaxed);
+        if published_ns != 0 {
+            let took = trace::now_ns().saturating_sub(published_ns);
+            ewma(&sh.handoff_ns, took.clamp(HANDOFF_MIN_NS, HANDOFF_MAX_NS));
+        }
+        while let Some(task) = batch.queue.pop(true, &sh.fault) {
+            batch.stolen.fetch_add(1, Ordering::Relaxed);
+            // A panicking task must not kill the shared worker: absorb the
+            // unwind (the txn layer carries child panics in its result
+            // slots) and keep serving.
+            let _ = catch_unwind(AssertUnwindSafe(|| batch.run(task)));
+        }
+        batch.helpers.fetch_sub(1, Ordering::AcqRel);
+    }
+}

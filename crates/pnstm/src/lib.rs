@@ -92,6 +92,7 @@ pub mod trace;
 pub mod txn;
 pub mod vbox;
 
+mod batch;
 mod runtime;
 
 pub use cm::{AbortSite, CmMode, CmTx, ContentionManager, CM_POLICIES};

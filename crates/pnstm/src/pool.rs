@@ -1,331 +1,113 @@
-//! Shared worker pool executing nested-transaction tasks.
+//! The mutex-queue rung of the child-task scheduler.
 //!
 //! The paper's system model (§III-A): *"child transactions are executed by a
 //! shared thread pool that is under the direct control of the PN-STM
-//! run-time"*. This module implements that pool with two properties the
-//! tuning problem needs:
-//!
-//! 1. **Per-tree concurrency limits.** Each `parallel()` call forms a
-//!    [`Batch`] with a helper limit of `c - 1` pool workers; the calling
-//!    (parent) thread is the `c`-th executor. Having the parent participate
-//!    guarantees progress even when the pool is saturated by other trees —
-//!    and makes deep nesting deadlock-free, because a blocked parent always
-//!    drains its own children.
-//! 2. **Runtime resizability.** The pool can grow and shrink while batches
-//!    are in flight, so the actuator can reprovision worker threads when the
-//!    `(t, c)` configuration changes.
-//!
-//! This is the [`crate::sched::SchedMode::Mutex`] implementation of the
-//! [`Scheduler`] trait: every dispatch crosses the per-batch tasks mutex and
-//! batch discovery crosses the pool-wide batches lock. It is retained as the
-//! differential-testing oracle and bench baseline for the work-stealing
-//! scheduler in [`crate::sched`].
+//! run-time"*. The pool itself — per-tree concurrency limits (the parent is
+//! the `c`-th executor beside at most `c − 1` helpers), runtime
+//! resizability, and the on-demand hand-off — is `batch::Pool`,
+//! shared with the work-stealing rung. This module only supplies the
+//! [`crate::sched::SchedMode::Mutex`] structures: every dispatch crosses the
+//! per-batch tasks mutex and batch discovery crosses the pool-wide batches
+//! lock. They are retained as the differential-testing oracle and bench
+//! baseline for [`crate::sched::WorkStealingPool`].
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use crate::fault::{FaultCtx, FaultKind};
-use crate::sched::{Scheduler, Task};
+use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue, IDLE_WAIT};
+use crate::fault::FaultCtx;
+use crate::sched::Task;
 
-/// A batch of child-transaction tasks belonging to one `parallel()` call.
-pub(crate) struct Batch {
+/// One batch's tasks behind a mutex.
+pub struct MutexQueue {
     tasks: Mutex<VecDeque<Task>>,
-    /// Queue length mirror, so [`Batch::wants_helpers`] — called by idle
+    /// Queue length mirror, so [`TaskQueue::queued`] — called by idle
     /// workers while holding the pool's batches lock — never touches the
     /// tasks mutex. Decremented *before* the matching pop (both under the
-    /// tasks lock), so it only ever **under**-reports: a lock-free reader
-    /// can see fewer queued tasks than exist (the caller drains those
-    /// anyway) but never more, which is what used to wake idle workers into
-    /// taking the batches lock only to pop `None` from a drained batch.
+    /// tasks lock), so it only ever **under**-reports.
     queued: AtomicUsize,
-    /// Tasks submitted but not yet finished executing.
-    remaining: AtomicUsize,
-    /// Pool workers currently executing tasks of this batch.
-    helpers: AtomicUsize,
-    /// Maximum pool workers allowed on this batch (`c - 1`).
-    helper_limit: usize,
-    done_mx: Mutex<()>,
-    done_cv: Condvar,
 }
 
-impl Batch {
-    pub(crate) fn new(tasks: Vec<Task>, helper_limit: usize) -> Arc<Self> {
-        let remaining = tasks.len();
-        Arc::new(Self {
-            tasks: Mutex::new(tasks.into_iter().collect()),
-            queued: AtomicUsize::new(remaining),
-            remaining: AtomicUsize::new(remaining),
-            helpers: AtomicUsize::new(0),
-            helper_limit,
-            done_mx: Mutex::new(()),
-            done_cv: Condvar::new(),
-        })
+impl TaskQueue for MutexQueue {
+    fn new(tasks: Vec<Task>) -> Self {
+        Self { queued: AtomicUsize::new(tasks.len()), tasks: Mutex::new(tasks.into()) }
     }
 
-    /// Take one task off the queue. This is the dispatch point, so the
-    /// [`FaultKind::ChildStall`] site lives here — *inside* the critical
-    /// section, because under this scheduler a dispatch stall holds the
-    /// queue just like real dispatch cost does (the work-stealing scheduler
-    /// takes the same stall after its lock-free claim instead; the contrast
-    /// is what `sched_scaling` measures).
-    fn pop_task(&self, fault: &FaultCtx) -> Option<Task> {
+    /// The [`crate::FaultKind::ChildStall`] site sits *inside* the critical
+    /// section: under this rung a dispatch stall holds the queue just like
+    /// real dispatch cost does (the work-stealing rung takes the same stall
+    /// after its lock-free claim; the contrast is what `sched_scaling`
+    /// measures).
+    fn pop(&self, _helper: bool, fault: &FaultCtx) -> Option<Task> {
         let mut q = self.tasks.lock();
         if q.is_empty() {
             return None;
         }
-        // Mirror before pop: under-report only (see the `queued` docs).
         self.queued.fetch_sub(1, Ordering::AcqRel);
         let task = q.pop_front();
-        debug_assert!(task.is_some());
-        if let Some(action) = fault.inject(FaultKind::ChildStall) {
-            action.stall();
-        }
+        dispatch_stall(fault);
         task
     }
 
-    fn finish_task(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.done_mx.lock();
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    fn wants_helpers(&self) -> bool {
-        self.helpers.load(Ordering::Acquire) < self.helper_limit
-            && self.queued.load(Ordering::Acquire) > 0
-    }
-
-    /// Atomically claim a helper slot: CAS-increment bounded by
-    /// `helper_limit`, then re-check that work is still queued — a batch
-    /// drained between the scan and the increment is backed out of, so no
-    /// helper ever joins a drained batch.
-    fn try_claim_helper(&self) -> bool {
-        let mut cur = self.helpers.load(Ordering::Acquire);
-        loop {
-            if cur >= self.helper_limit {
-                return false;
-            }
-            match self.helpers.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if self.queued.load(Ordering::Acquire) > 0 {
-                        return true;
-                    }
-                    self.helpers.fetch_sub(1, Ordering::AcqRel);
-                    return false;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
+    fn queued(&self) -> usize {
+        self.queued.load(Ordering::Acquire)
     }
 }
 
-struct PoolShared {
-    /// Batches with queued tasks, in arrival order.
-    batches: Mutex<Vec<Arc<Batch>>>,
+/// Published batches in arrival order, behind one lock and one condvar.
+#[derive(Default)]
+pub struct MutexRegistry {
+    batches: Mutex<Vec<Arc<Batch<MutexQueue>>>>,
     work_cv: Condvar,
-    shutdown: AtomicBool,
-    target_size: AtomicUsize,
-    live_workers: AtomicUsize,
-    fault: FaultCtx,
 }
 
-/// Marks the task finished on drop, so a panicking task still decrements the
-/// batch's remaining count: without this, `execute` would wait forever on
-/// a batch whose task unwound past its `finish_task` call.
-struct FinishGuard<'a>(&'a Batch);
+impl Registry for MutexRegistry {
+    type Queue = MutexQueue;
+    const WORKER_NAME: &'static str = "pnstm-child-worker";
 
-impl Drop for FinishGuard<'_> {
-    fn drop(&mut self) {
-        self.0.finish_task();
+    fn publish(&self, batch: &Arc<Batch<MutexQueue>>) -> usize {
+        self.batches.lock().push(Arc::clone(batch));
+        self.work_cv.notify_all();
+        0
     }
-}
 
-/// Execute one task of `batch`, guaranteeing the batch accounting survives a
-/// panic. (The [`FaultKind::ChildStall`] site moved to [`Batch::pop_task`],
-/// the dispatch point.)
-fn run_task(batch: &Batch, task: Task) {
-    let _finish = FinishGuard(batch);
-    task();
+    fn retract(&self, _slot: usize, batch: &Arc<Batch<MutexQueue>>) {
+        self.batches.lock().retain(|b| !Arc::ptr_eq(b, batch));
+    }
+
+    fn find(&self) -> Option<Arc<Batch<MutexQueue>>> {
+        self.batches.lock().iter().find(|b| b.wants_helpers()).map(Arc::clone)
+    }
+
+    fn park(&self, _shutdown: &AtomicBool) {
+        let mut batches = self.batches.lock();
+        if !batches.iter().any(|b| b.wants_helpers()) {
+            self.work_cv.wait_for(&mut batches, IDLE_WAIT);
+        }
+    }
+
+    fn wake_all(&self) {
+        let _g = self.batches.lock();
+        self.work_cv.notify_all();
+    }
 }
 
 /// Resizable pool of worker threads that help execute nested-transaction
-/// batches.
-pub struct ChildPool {
-    shared: Arc<PoolShared>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl ChildPool {
-    /// Create a pool with `size` worker threads (0 is allowed: all batches
-    /// then run entirely on their calling threads).
-    pub fn new(size: usize) -> Self {
-        Self::with_instruments(size, FaultCtx::disabled())
-    }
-
-    /// A pool whose task dispatch consults the given fault context.
-    pub fn with_instruments(size: usize, fault: FaultCtx) -> Self {
-        let shared = Arc::new(PoolShared {
-            batches: Mutex::new(Vec::new()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            target_size: AtomicUsize::new(size),
-            live_workers: AtomicUsize::new(0),
-            fault,
-        });
-        let pool = Self { shared, handles: Mutex::new(Vec::new()) };
-        pool.spawn_up_to(size);
-        pool
-    }
-
-    fn spawn_up_to(&self, size: usize) {
-        let mut handles = self.handles.lock();
-        while self.shared.live_workers.load(Ordering::Acquire) < size {
-            self.shared.live_workers.fetch_add(1, Ordering::AcqRel);
-            let shared = Arc::clone(&self.shared);
-            handles.push(
-                thread::Builder::new()
-                    .name("pnstm-child-worker".into())
-                    .spawn(move || worker_loop(shared))
-                    .expect("failed to spawn pnstm worker thread"),
-            );
-        }
-        // Opportunistically reap finished handles to keep the vector bounded.
-        handles.retain(|h| !h.is_finished());
-    }
-
-    /// Execute `batch` to completion. The calling thread works on the batch
-    /// alongside at most `helper_limit` pool workers and returns when every
-    /// task has finished.
-    pub(crate) fn execute(&self, batch: Arc<Batch>) {
-        if batch.is_done() {
-            return; // empty batch
-        }
-        // Publish the batch so idle workers can pick it up.
-        if batch.helper_limit > 0 {
-            let mut batches = self.shared.batches.lock();
-            batches.push(Arc::clone(&batch));
-            self.shared.work_cv.notify_all();
-        }
-        // The caller is always an executor: guarantees progress with c = 1 or
-        // an exhausted pool, and makes nested `parallel()` deadlock-free.
-        // A panicking caller-executed task must not abandon the rest of the
-        // batch mid-flight: hold the first panic and re-raise it only after
-        // the batch has fully drained (mirrors `Txn::parallel`).
-        let mut caller_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        while let Some(task) = batch.pop_task(&self.shared.fault) {
-            if let Err(payload) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_task(&batch, task)))
-            {
-                caller_panic.get_or_insert(payload);
-            }
-        }
-        // Wait for helpers to drain the tasks they already claimed.
-        {
-            let mut g = batch.done_mx.lock();
-            while !batch.is_done() {
-                batch.done_cv.wait_for(&mut g, Duration::from_millis(50));
-            }
-        }
-        if batch.helper_limit > 0 {
-            let mut batches = self.shared.batches.lock();
-            batches.retain(|b| !Arc::ptr_eq(b, &batch));
-        }
-        if let Some(payload) = caller_panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Scheduler for ChildPool {
-    fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
-        self.execute(Batch::new(tasks, helper_limit));
-    }
-
-    fn resize(&self, size: usize) {
-        self.shared.target_size.store(size, Ordering::Release);
-        self.spawn_up_to(size);
-        // Wake idle workers so surplus ones can observe the shrink and exit.
-        let _g = self.shared.batches.lock();
-        self.shared.work_cv.notify_all();
-    }
-
-    fn size(&self) -> usize {
-        self.shared.target_size.load(Ordering::Acquire)
-    }
-
-    fn live_workers(&self) -> usize {
-        self.shared.live_workers.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for ChildPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.shared.batches.lock();
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire)
-            || shared.live_workers.load(Ordering::Acquire)
-                > shared.target_size.load(Ordering::Acquire)
-        {
-            shared.live_workers.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        // Claim a helper slot on some batch that still has queued tasks. The
-        // claim itself is the CAS in `try_claim_helper`, not the scan — the
-        // scan is only a hint.
-        let claimed: Option<Arc<Batch>> = {
-            let batches = shared.batches.lock();
-            batches.iter().find(|b| b.wants_helpers()).map(Arc::clone)
-        };
-        match claimed.filter(|b| b.try_claim_helper()) {
-            Some(batch) => {
-                while let Some(task) = batch.pop_task(&shared.fault) {
-                    // A panicking task must not kill the shared worker:
-                    // absorb the unwind (the txn layer has its own panic
-                    // channel; see `Txn::parallel`) and keep serving.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_task(&batch, task)
-                    }));
-                }
-                batch.helpers.fetch_sub(1, Ordering::AcqRel);
-            }
-            None => {
-                let mut batches = shared.batches.lock();
-                if !batches.iter().any(|b| b.wants_helpers()) {
-                    shared.work_cv.wait_for(&mut batches, Duration::from_millis(50));
-                }
-            }
-        }
-    }
-}
+/// batches through one mutex-held queue per batch
+/// ([`crate::sched::SchedMode::Mutex`]).
+pub type ChildPool = Pool<MutexRegistry>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
+    use crate::sched::Scheduler;
+    use crate::stats::Stats;
     use std::sync::atomic::AtomicI64;
+    use std::thread;
+    use std::time::Duration;
 
     fn make_tasks(n: usize, counter: &Arc<AtomicI64>) -> Vec<Task> {
         (0..n)
@@ -342,8 +124,7 @@ mod tests {
     fn caller_runs_everything_with_no_helpers() {
         let pool = ChildPool::new(0);
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = Batch::new(make_tasks(10, &counter), 0);
-        pool.execute(batch);
+        pool.run_batch(make_tasks(10, &counter), 0);
         assert_eq!(counter.load(Ordering::SeqCst), 10);
     }
 
@@ -351,16 +132,14 @@ mod tests {
     fn helpers_participate() {
         let pool = ChildPool::new(3);
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = Batch::new(make_tasks(64, &counter), 3);
-        pool.execute(batch);
+        pool.run_batch(make_tasks(64, &counter), 3);
         assert_eq!(counter.load(Ordering::SeqCst), 64);
     }
 
     #[test]
     fn empty_batch_returns_immediately() {
         let pool = ChildPool::new(1);
-        let batch = Batch::new(vec![], 1);
-        pool.execute(batch);
+        pool.run_batch(vec![], 1);
     }
 
     #[test]
@@ -380,8 +159,7 @@ mod tests {
             })
             .collect();
         // helper_limit 1 + the caller = at most 2 concurrent executors.
-        let batch = Batch::new(tasks, 1);
-        pool.execute(batch);
+        pool.run_batch(tasks, 1);
         assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
     }
 
@@ -393,7 +171,7 @@ mod tests {
         assert_eq!(pool.size(), 4);
         // Give spawned workers a moment, then shrink.
         let counter = Arc::new(AtomicI64::new(0));
-        pool.execute(Batch::new(make_tasks(16, &counter), 3));
+        pool.run_batch(make_tasks(16, &counter), 3);
         assert_eq!(counter.load(Ordering::SeqCst), 16);
         pool.resize(1);
         assert_eq!(pool.size(), 1);
@@ -416,17 +194,15 @@ mod tests {
         let mut tasks = make_tasks(8, &counter);
         tasks.push(Box::new(|| panic!("injected task panic")) as Task);
         tasks.extend(make_tasks(8, &counter));
-        let batch = Batch::new(tasks, 2);
-        // Must return (FinishGuard settles the count even on unwind). The
-        // panic either lands on a pool worker (absorbed) or the caller; run
-        // inside catch_unwind so both outcomes pass.
+        // Must return (the finish guard settles the count even on unwind).
+        // The panic either lands on a pool worker (absorbed) or the caller;
+        // run inside catch_unwind so both outcomes pass.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.execute(batch);
+            pool.run_batch(tasks, 2);
         }));
         assert_eq!(counter.load(Ordering::SeqCst), 16);
         // The pool still works afterwards.
-        let batch = Batch::new(make_tasks(8, &counter), 2);
-        pool.execute(batch);
+        pool.run_batch(make_tasks(8, &counter), 2);
         assert_eq!(counter.load(Ordering::SeqCst), 24);
         assert!(pool.live_workers() >= 1, "workers must survive task panics");
     }
@@ -439,10 +215,14 @@ mod tests {
         let plan = Arc::new(
             FaultPlan::new(4).with_rule(FaultKind::ChildStall, FaultRule::with_probability(1.0)),
         );
-        let pool =
-            ChildPool::with_instruments(0, FaultCtx::new(Some(Arc::clone(&plan)), TraceBus::new()));
+        let pool = ChildPool::with_instruments(
+            0,
+            FaultCtx::new(Some(Arc::clone(&plan)), TraceBus::new()),
+            Arc::new(Stats::new()),
+            TraceBus::new(),
+        );
         let counter = Arc::new(AtomicI64::new(0));
-        pool.execute(Batch::new(make_tasks(5, &counter), 0));
+        pool.run_batch(make_tasks(5, &counter), 0);
         assert_eq!(counter.load(Ordering::SeqCst), 5);
         assert_eq!(plan.injected(FaultKind::ChildStall), 5);
     }
@@ -457,8 +237,7 @@ mod tests {
             let counter = Arc::clone(&counter);
             joins.push(thread::spawn(move || {
                 for _ in 0..5 {
-                    let batch = Batch::new(make_tasks(8, &counter), 2);
-                    pool.execute(batch);
+                    pool.run_batch(make_tasks(8, &counter), 2);
                 }
             }));
         }
@@ -478,9 +257,9 @@ mod tests {
         // drained batch.
         let fault = FaultCtx::disabled();
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = Batch::new(make_tasks(4, &counter), 3);
-        while let Some(t) = batch.pop_task(&fault) {
-            run_task(&batch, t);
+        let batch = Batch::<MutexQueue>::new(make_tasks(4, &counter), 3);
+        while let Some(t) = batch.queue.pop(false, &fault) {
+            batch.run(t);
         }
         assert!(!batch.wants_helpers());
         let mut joins = vec![];
@@ -495,7 +274,7 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(batch.helpers.load(Ordering::SeqCst), 0);
+        assert_eq!(batch.helpers(), 0);
     }
 
     #[test]
@@ -515,12 +294,12 @@ mod tests {
         ));
         let fault = FaultCtx::new(Some(plan), TraceBus::new());
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = Batch::new(make_tasks(1, &counter), 4);
+        let batch = Batch::<MutexQueue>::new(make_tasks(1, &counter), 4);
         let popper = {
             let batch = Arc::clone(&batch);
             thread::spawn(move || {
-                let task = batch.pop_task(&fault).expect("one task queued");
-                run_task(&batch, task);
+                let task = batch.queue.pop(false, &fault).expect("one task queued");
+                batch.run(task);
             })
         };
         // Let the popper reach the stall window with the task claimed.

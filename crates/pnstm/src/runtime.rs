@@ -454,7 +454,12 @@ impl Stm {
         // as a pair, mirroring the commit-path and read-path mode switches.
         let (pool, gate): (Arc<dyn Scheduler>, Arc<dyn Admission>) = match config.sched_mode {
             SchedMode::Mutex => (
-                Arc::new(ChildPool::with_instruments(config.worker_threads, fault.clone())),
+                Arc::new(ChildPool::with_instruments(
+                    config.worker_threads,
+                    fault.clone(),
+                    Arc::clone(&stats),
+                    trace.clone(),
+                )),
                 Arc::new(ResizableSemaphore::new(config.degree.top_level)),
             ),
             SchedMode::WorkStealing => (

@@ -15,25 +15,23 @@
 //! * [`SchedMode::WorkStealing`] selects [`WorkStealingPool`] — per-batch
 //!   lock-free deques (the owning parent pops LIFO from one end, helper
 //!   threads steal FIFO from the other), batch handles registered in a
-//!   sharded injector so idle workers discover work without one global lock,
-//!   and the per-tree `helper_limit` enforced by an atomic helper counter —
-//!   plus the packed-atomic [`crate::throttle::PackedGate`] admission gate.
+//!   sharded injector so idle workers discover work without one global lock
+//!   — plus the packed-atomic [`crate::throttle::PackedGate`] admission gate.
 //!
-//! Both schedulers preserve the deadlock-freedom argument of
-//! [`crate::pool`]: the thread that submits a batch is always the `c`-th
-//! executor, so a blocked parent drains its own children even when every
-//! pool worker is busy in other trees, at any nesting depth.
+//! Both child-task rungs are the one `batch::Pool`: batch
+//! accounting, the helper cap, the join, worker supervision and the
+//! on-demand hand-off rule are shared, and with them the deadlock-freedom
+//! argument — the thread that submits a batch is always the `c`-th executor,
+//! so a blocked parent drains its own children even when every pool worker
+//! is busy in other trees, at any nesting depth.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use crate::fault::{FaultCtx, FaultKind};
-use crate::stats::Stats;
-use crate::trace::{self, TraceBus, TraceEvent};
+use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue, IDLE_WAIT};
+use crate::fault::FaultCtx;
 
 /// One child-transaction task as submitted by `Txn::parallel`.
 pub type Task = Box<dyn FnOnce() + Send>;
@@ -64,9 +62,12 @@ pub enum SchedMode {
 ///   `helper_limit` pool workers — this is what makes deep nesting
 ///   deadlock-free (a blocked parent drains its own children) and what lets
 ///   `helper_limit = 0` degenerate to sequential execution.
+/// * Helpers are woken on demand: a batch whose predicted parallel saving
+///   does not cover one hand-off is run by the caller alone, and handed off
+///   late if it outlasts that prediction (see `batch.rs`).
 /// * A panic in a caller-executed task is re-raised on the caller only after
 ///   the batch has fully drained; a panic on a worker is absorbed (the txn
-///   layer carries its own panic channel).
+///   layer carries child panics in its result slots).
 /// * `resize` may be called concurrently with in-flight batches; shrinking
 ///   lets surplus workers retire between tasks and never strands a batch.
 pub trait Scheduler: Send + Sync {
@@ -233,51 +234,20 @@ impl StealDeque {
     }
 }
 
-/// One `parallel()` batch under the work-stealing scheduler.
-struct WsBatch {
+/// One batch's tasks under the work-stealing rung: the lock-free deque plus
+/// a mutex-held spill for fan-outs beyond `DEQUE_CAP`.
+pub struct StealQueue {
     deque: StealDeque,
     /// Overflow tasks beyond [`DEQUE_CAP`], drained after the deque.
     spill: Mutex<Vec<Task>>,
     /// Length mirror of `spill`, decremented *before* the pop so it only
-    /// ever under-reports (the same discipline as the mutex pool's queued
-    /// mirror after its over-report fix — an under-reporting mirror can at
-    /// worst make a helper skip a batch the caller will drain anyway).
+    /// ever under-reports (the same discipline as the mutex rung's mirror).
     spilled: AtomicUsize,
     /// Tasks spilled at construction (immutable; for stats/trace).
     overflowed: usize,
-    /// Tasks submitted but not yet finished executing.
-    remaining: AtomicUsize,
-    /// Pool workers currently helping on this batch. The `helper_limit` cap
-    /// is enforced by the CAS claim in [`WsBatch::try_claim_helper`] alone —
-    /// no batches lock is involved, unlike the mutex pool.
-    helpers: AtomicUsize,
-    helper_limit: usize,
-    /// Tasks executed by helpers (stolen), for `steal_count` and the
-    /// `sched_batch` trace event.
-    stolen: AtomicUsize,
-    done_mx: Mutex<()>,
-    done_cv: Condvar,
 }
 
-impl WsBatch {
-    fn new(mut tasks: Vec<Task>, helper_limit: usize) -> Arc<Self> {
-        let n = tasks.len();
-        let spill = if n > DEQUE_CAP { tasks.split_off(DEQUE_CAP) } else { Vec::new() };
-        let overflowed = spill.len();
-        Arc::new(Self {
-            deque: StealDeque::new(tasks),
-            spilled: AtomicUsize::new(overflowed),
-            spill: Mutex::new(spill),
-            overflowed,
-            remaining: AtomicUsize::new(n),
-            helpers: AtomicUsize::new(0),
-            helper_limit,
-            stolen: AtomicUsize::new(0),
-            done_mx: Mutex::new(()),
-            done_cv: Condvar::new(),
-        })
-    }
-
+impl StealQueue {
     fn spill_pop(&self) -> Option<Task> {
         if self.spilled.load(Ordering::Acquire) == 0 {
             return None;
@@ -286,353 +256,132 @@ impl WsBatch {
         if s.is_empty() {
             return None;
         }
-        // Decrement the mirror before removing the task: under-report only.
         self.spilled.fetch_sub(1, Ordering::AcqRel);
         s.pop()
     }
+}
 
-    /// Owner-side take: LIFO from the deque, then the spill.
-    fn pop_owner(&self) -> Option<Task> {
-        self.deque.pop().or_else(|| self.spill_pop())
+impl TaskQueue for StealQueue {
+    fn new(mut tasks: Vec<Task>) -> Self {
+        let spill = if tasks.len() > DEQUE_CAP { tasks.split_off(DEQUE_CAP) } else { Vec::new() };
+        Self {
+            deque: StealDeque::new(tasks),
+            spilled: AtomicUsize::new(spill.len()),
+            overflowed: spill.len(),
+            spill: Mutex::new(spill),
+        }
     }
 
-    /// Helper-side take: FIFO steal from the deque, then the spill.
-    fn pop_thief(&self) -> Option<Task> {
-        self.deque.steal().or_else(|| self.spill_pop())
+    /// The owning parent pops LIFO, helpers steal FIFO; both fall back to
+    /// the spill. The [`crate::FaultKind::ChildStall`] stall is taken
+    /// *after* the lock-free claim, so stalled dispatches overlap instead of
+    /// serializing.
+    fn pop(&self, helper: bool, fault: &FaultCtx) -> Option<Task> {
+        let claimed = if helper { self.deque.steal() } else { self.deque.pop() };
+        let task = claimed.or_else(|| self.spill_pop())?;
+        dispatch_stall(fault);
+        Some(task)
     }
 
+    /// Exact for the deque (one atomic load of the control word).
     fn queued(&self) -> usize {
         self.deque.len() + self.spilled.load(Ordering::Acquire)
     }
 
-    fn finish_task(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.done_mx.lock();
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    fn wants_helpers(&self) -> bool {
-        self.helpers.load(Ordering::Acquire) < self.helper_limit && self.queued() > 0
-    }
-
-    /// Atomically claim a helper slot: CAS-increment bounded by
-    /// `helper_limit`, then re-check that work is still queued — a batch
-    /// drained between the scan and the increment is backed out of, so no
-    /// helper ever joins a drained batch.
-    fn try_claim_helper(&self) -> bool {
-        let mut cur = self.helpers.load(Ordering::Acquire);
-        loop {
-            if cur >= self.helper_limit {
-                return false;
-            }
-            match self.helpers.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if self.queued() > 0 {
-                        return true;
-                    }
-                    self.helpers.fetch_sub(1, Ordering::AcqRel);
-                    return false;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    fn release_helper(&self) {
-        self.helpers.fetch_sub(1, Ordering::AcqRel);
+    fn overflowed(&self) -> usize {
+        self.overflowed
     }
 }
 
-/// Marks the task finished on drop, so a panicking task still decrements the
-/// batch's remaining count (mirrors `pool::FinishGuard`).
-struct WsFinishGuard<'a>(&'a WsBatch);
+type StealBatch = Arc<Batch<StealQueue>>;
 
-impl Drop for WsFinishGuard<'_> {
-    fn drop(&mut self) {
-        self.0.finish_task();
-    }
-}
-
-/// Sharded registry of in-flight batches that still want helpers. Dispatch
+/// Sharded registry of published batches plus idle-worker parking. Dispatch
 /// registers round-robin; idle workers scan the shards. Only batch
 /// *discovery* takes these short locks — task claims are lock-free on the
-/// batch itself.
-struct Injector {
-    shards: Box<[Mutex<Vec<Arc<WsBatch>>>]>,
+/// batch itself. `sleepers` is checked by `publish` before taking the wake
+/// lock, so publishing while every worker is busy costs two atomic ops and
+/// no lock; a registration racing a worker's pre-sleep re-scan is recovered
+/// by the park timeout at worst.
+pub struct StealRegistry {
+    shards: Box<[Mutex<Vec<StealBatch>>]>,
     next: AtomicUsize,
-}
-
-impl Injector {
-    fn new() -> Self {
-        Self {
-            shards: (0..INJECTOR_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    /// Register `batch`, returning the shard index for unregistration.
-    fn register(&self, batch: &Arc<WsBatch>) -> usize {
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].lock().push(Arc::clone(batch));
-        shard
-    }
-
-    fn unregister(&self, shard: usize, batch: &Arc<WsBatch>) {
-        self.shards[shard].lock().retain(|b| !Arc::ptr_eq(b, batch));
-    }
-
-    /// Find some registered batch that still wants helpers.
-    fn find_wanting(&self) -> Option<Arc<WsBatch>> {
-        for shard in self.shards.iter() {
-            let g = shard.lock();
-            if let Some(b) = g.iter().find(|b| b.wants_helpers()) {
-                return Some(Arc::clone(b));
-            }
-        }
-        None
-    }
-}
-
-struct WsShared {
-    injector: Injector,
-    /// Idle-worker parking. `sleepers` is checked by dispatch before taking
-    /// the wake lock, so publishing a batch while every worker is busy costs
-    /// two atomic ops and no lock. A registration racing a worker's
-    /// pre-sleep re-scan is recovered by the 50 ms wait timeout at worst.
     idle_mx: Mutex<()>,
     idle_cv: Condvar,
     sleepers: AtomicUsize,
-    shutdown: AtomicBool,
-    target_size: AtomicUsize,
-    live_workers: AtomicUsize,
-    fault: FaultCtx,
-    stats: Arc<Stats>,
-    trace: TraceBus,
 }
 
-impl WsShared {
-    fn wake_idle(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.idle_mx.lock();
-            self.idle_cv.notify_all();
+impl Default for StealRegistry {
+    fn default() -> Self {
+        Self {
+            shards: (0..INJECTOR_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            next: AtomicUsize::new(0),
+            idle_mx: Mutex::new(()),
+            idle_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
         }
+    }
+}
+
+impl Registry for StealRegistry {
+    type Queue = StealQueue;
+    const WORKER_NAME: &'static str = "pnstm-ws-worker";
+
+    fn publish(&self, batch: &StealBatch) -> usize {
+        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.shards[shard].lock().push(Arc::clone(batch));
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.wake_all();
+        }
+        shard
+    }
+
+    fn retract(&self, shard: usize, batch: &StealBatch) {
+        self.shards[shard].lock().retain(|b| !Arc::ptr_eq(b, batch));
+    }
+
+    fn find(&self) -> Option<StealBatch> {
+        self.shards
+            .iter()
+            .find_map(|shard| shard.lock().iter().find(|b| b.wants_helpers()).map(Arc::clone))
+    }
+
+    fn park(&self, shutdown: &AtomicBool) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut g = self.idle_mx.lock();
+        // Re-scan under the wake lock: a batch registered after the worker's
+        // scan but before the sleeper increment would notify nobody.
+        if self.find().is_none() && !shutdown.load(Ordering::Acquire) {
+            self.idle_cv.wait_for(&mut g, IDLE_WAIT);
+        }
+        drop(g);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn wake_all(&self) {
+        let _g = self.idle_mx.lock();
+        self.idle_cv.notify_all();
     }
 }
 
 /// Work-stealing child-task scheduler ([`SchedMode::WorkStealing`]).
 ///
-/// Dispatching a batch registers it in the sharded injector and wakes idle
-/// workers; the dispatching (parent) thread immediately starts executing
-/// from the lock-free deque's owner end while helpers steal from the other.
-/// Task claims never take a lock, the helper cap is a CAS on the batch's
-/// helper counter, and cross-tree dispatch spreads over injector shards —
-/// the three serialization points of the mutex pool, removed in order.
-pub struct WorkStealingPool {
-    shared: Arc<WsShared>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl WorkStealingPool {
-    /// Create a pool with `size` worker threads (0 is allowed: batches then
-    /// run entirely on their calling threads).
-    pub fn new(size: usize) -> Self {
-        Self::with_instruments(size, FaultCtx::disabled(), Arc::new(Stats::new()), TraceBus::new())
-    }
-
-    /// A pool wired to the runtime's fault context, stats counters
-    /// (`steal_count` / `deque_overflow`) and trace bus (`sched_batch`
-    /// events).
-    pub fn with_instruments(
-        size: usize,
-        fault: FaultCtx,
-        stats: Arc<Stats>,
-        trace: TraceBus,
-    ) -> Self {
-        let shared = Arc::new(WsShared {
-            injector: Injector::new(),
-            idle_mx: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            target_size: AtomicUsize::new(size),
-            live_workers: AtomicUsize::new(0),
-            fault,
-            stats,
-            trace,
-        });
-        let pool = Self { shared, handles: Mutex::new(Vec::new()) };
-        pool.spawn_up_to(size);
-        pool
-    }
-
-    fn spawn_up_to(&self, size: usize) {
-        let mut handles = self.handles.lock();
-        while self.shared.live_workers.load(Ordering::Acquire) < size {
-            self.shared.live_workers.fetch_add(1, Ordering::AcqRel);
-            let shared = Arc::clone(&self.shared);
-            handles.push(
-                thread::Builder::new()
-                    .name("pnstm-ws-worker".into())
-                    .spawn(move || ws_worker_loop(shared))
-                    .expect("failed to spawn pnstm worker thread"),
-            );
-        }
-        handles.retain(|h| !h.is_finished());
-    }
-}
-
-/// Run one claimed task: consult the dispatch fault site
-/// ([`FaultKind::ChildStall`]; under this scheduler the stall is taken
-/// *after* the lock-free claim, so stalled dispatches overlap instead of
-/// serializing), then execute under a finish guard so panics keep the batch
-/// accounting intact.
-fn ws_run_task(batch: &WsBatch, task: Task, fault: &FaultCtx) {
-    if let Some(action) = fault.inject(FaultKind::ChildStall) {
-        action.stall();
-    }
-    let _finish = WsFinishGuard(batch);
-    task();
-}
-
-impl Scheduler for WorkStealingPool {
-    fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        let batch = WsBatch::new(tasks, helper_limit);
-        if batch.overflowed > 0 {
-            self.shared.stats.record_deque_overflow(batch.overflowed as u64);
-        }
-        let registered = (helper_limit > 0).then(|| {
-            let shard = self.shared.injector.register(&batch);
-            self.shared.wake_idle();
-            shard
-        });
-        // The caller is always an executor (deadlock freedom; see the trait
-        // contract). A caller-side panic is held and re-raised after the
-        // batch drains, exactly like the mutex pool.
-        let mut caller_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        while let Some(task) = batch.pop_owner() {
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ws_run_task(&batch, task, &self.shared.fault)
-            })) {
-                caller_panic.get_or_insert(payload);
-            }
-        }
-        {
-            let mut g = batch.done_mx.lock();
-            while !batch.is_done() {
-                batch.done_cv.wait_for(&mut g, Duration::from_millis(50));
-            }
-        }
-        if let Some(shard) = registered {
-            self.shared.injector.unregister(shard, &batch);
-        }
-        let stolen = batch.stolen.load(Ordering::Relaxed);
-        if stolen > 0 {
-            self.shared.stats.record_steals(stolen as u64);
-        }
-        if self.shared.trace.is_enabled() {
-            self.shared.trace.emit(TraceEvent::SchedBatch {
-                tasks: n as u32,
-                stolen: stolen as u32,
-                overflowed: batch.overflowed as u32,
-                at_ns: trace::now_ns(),
-            });
-        }
-        if let Some(payload) = caller_panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    fn resize(&self, size: usize) {
-        self.shared.target_size.store(size, Ordering::Release);
-        self.spawn_up_to(size);
-        // Wake idle workers so surplus ones can observe the shrink and exit.
-        let _g = self.shared.idle_mx.lock();
-        self.shared.idle_cv.notify_all();
-    }
-
-    fn size(&self) -> usize {
-        self.shared.target_size.load(Ordering::Acquire)
-    }
-
-    fn live_workers(&self) -> usize {
-        self.shared.live_workers.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for WorkStealingPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.shared.idle_mx.lock();
-            self.shared.idle_cv.notify_all();
-        }
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn ws_worker_loop(shared: Arc<WsShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire)
-            || shared.live_workers.load(Ordering::Acquire)
-                > shared.target_size.load(Ordering::Acquire)
-        {
-            shared.live_workers.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        let claimed = shared.injector.find_wanting().filter(|b| b.try_claim_helper());
-        match claimed {
-            Some(batch) => {
-                while let Some(task) = batch.pop_thief() {
-                    batch.stolen.fetch_add(1, Ordering::Relaxed);
-                    // A panicking task must not kill the shared worker:
-                    // absorb the unwind (the txn layer has its own panic
-                    // channel) and keep serving.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ws_run_task(&batch, task, &shared.fault)
-                    }));
-                }
-                batch.release_helper();
-            }
-            None => {
-                shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                let mut g = shared.idle_mx.lock();
-                // Re-scan under the wake lock: a batch registered after the
-                // first scan but before the sleeper increment would notify
-                // nobody. A registration racing this re-scan is caught by
-                // `wake_idle` (it sees the incremented sleeper count) or, at
-                // worst, by the wait timeout.
-                if shared.injector.find_wanting().is_none()
-                    && !shared.shutdown.load(Ordering::Acquire)
-                {
-                    shared.idle_cv.wait_for(&mut g, Duration::from_millis(50));
-                }
-                drop(g);
-                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
+/// A handed-off batch is registered in the sharded injector and idle workers
+/// are woken; the dispatching (parent) thread executes from the lock-free
+/// deque's owner end while helpers steal from the other. Task claims never
+/// take a lock, the helper cap is a CAS on the batch's helper counter, and
+/// cross-tree dispatch spreads over injector shards — the three
+/// serialization points of the mutex pool, removed in order.
+pub type WorkStealingPool = Pool<StealRegistry>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
+    use crate::stats::Stats;
+    use crate::trace::{TraceBus, TraceEvent};
     use std::sync::atomic::AtomicI64;
+    use std::thread;
+    use std::time::Duration;
 
     fn make_tasks(n: usize, counter: &Arc<AtomicI64>) -> Vec<Task> {
         (0..n)
@@ -832,10 +581,9 @@ mod tests {
         // zero. The CAS claim re-checks `queued` after publishing the
         // increment, so a drained batch can never hold a claimed helper.
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = WsBatch::new(make_tasks(4, &counter), 3);
-        while let Some(t) = batch.pop_owner() {
-            let _g = WsFinishGuard(&batch);
-            t();
+        let batch = Batch::<StealQueue>::new(make_tasks(4, &counter), 3);
+        while let Some(t) = batch.queue.pop(false, &FaultCtx::disabled()) {
+            batch.run(t);
         }
         assert!(!batch.wants_helpers());
         let mut joins = vec![];
@@ -850,7 +598,7 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(batch.helpers.load(Ordering::SeqCst), 0);
+        assert_eq!(batch.helpers(), 0);
     }
 
     #[test]
@@ -892,16 +640,17 @@ mod tests {
         let batch_events: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::SchedBatch { tasks, stolen, overflowed, .. } => {
-                    Some((*tasks, *stolen, *overflowed))
+                TraceEvent::SchedBatch { tasks, stolen, overflowed, handed_off, .. } => {
+                    Some((*tasks, *stolen, *overflowed, *handed_off))
                 }
                 _ => None,
             })
             .collect();
         assert_eq!(batch_events.len(), 1);
-        let (tasks, stolen, overflowed) = batch_events[0];
+        let (tasks, stolen, overflowed, handed_off) = batch_events[0];
         assert_eq!(tasks, 6);
         assert!(stolen <= 6);
         assert_eq!(overflowed, 0);
+        assert!(handed_off, "a pool without history hands off eagerly");
     }
 }

@@ -62,6 +62,8 @@ pub struct Stats {
     read_slow_path: AtomicU64,
     steal_count: AtomicU64,
     deque_overflow: AtomicU64,
+    sched_handoffs: AtomicU64,
+    sched_handoffs_elided: AtomicU64,
     park_count: AtomicU64,
     cm_policy_waits: [AtomicU64; CM_POLICIES],
     cm_wait_total_ns: AtomicU64,
@@ -109,6 +111,8 @@ impl Default for Stats {
             read_slow_path: AtomicU64::new(0),
             steal_count: AtomicU64::new(0),
             deque_overflow: AtomicU64::new(0),
+            sched_handoffs: AtomicU64::new(0),
+            sched_handoffs_elided: AtomicU64::new(0),
             park_count: AtomicU64::new(0),
             cm_policy_waits: std::array::from_fn(|_| AtomicU64::new(0)),
             cm_wait_total_ns: AtomicU64::new(0),
@@ -207,8 +211,16 @@ impl Stats {
         }
     }
 
-    /// Record `n` batch tasks executed by stealing helpers (work-stealing
-    /// scheduler; flushed once per batch, not per steal).
+    /// Record the hand-off decision of one child batch that was allowed
+    /// helpers (`c > 1`): published to the pool, or run by its parent alone
+    /// because the predicted saving did not cover a hand-off.
+    pub fn record_handoff(&self, handed_off: bool) {
+        let counter = if handed_off { &self.sched_handoffs } else { &self.sched_handoffs_elided };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `n` batch tasks executed by helper workers (either scheduler
+    /// rung; flushed once per batch, not per task).
     pub fn record_steals(&self, n: u64) {
         if n > 0 {
             self.steal_count.fetch_add(n, Ordering::Relaxed);
@@ -353,6 +365,8 @@ impl Stats {
             read_slow_path: self.read_slow_path.load(Ordering::Relaxed),
             steal_count: self.steal_count.load(Ordering::Relaxed),
             deque_overflow: self.deque_overflow.load(Ordering::Relaxed),
+            sched_handoffs: self.sched_handoffs.load(Ordering::Relaxed),
+            sched_handoffs_elided: self.sched_handoffs_elided.load(Ordering::Relaxed),
             park_count: self.park_count.load(Ordering::Relaxed),
             cm_policy_waits: std::array::from_fn(|i| {
                 self.cm_policy_waits[i].load(Ordering::Relaxed)
@@ -430,12 +444,19 @@ pub struct StatsSnapshot {
     pub read_filter_misses: u64,
     /// Reads that performed at least one ancestor fallback lookup.
     pub read_slow_path: u64,
-    /// Batch tasks executed by stealing helpers (work-stealing scheduler
-    /// only; the mutex pool dispatches through its batch queue instead).
+    /// Batch tasks executed by helper workers rather than the batch's
+    /// parent (both scheduler rungs).
     pub steal_count: u64,
     /// Batch tasks that overflowed the fixed steal deque into the spill
     /// vector (fan-out larger than the deque capacity).
     pub deque_overflow: u64,
+    /// Child batches with `c > 1` that were published to the worker pool
+    /// (eagerly, or late once they outlasted the prediction).
+    pub sched_handoffs: u64,
+    /// Child batches with `c > 1` their parent ran alone because the
+    /// predicted parallel saving did not cover one hand-off: short children
+    /// no longer pay a worker wake-up for being allowed helpers.
+    pub sched_handoffs_elided: u64,
     /// Top-level admissions that parked on the lock-free gate (work-stealing
     /// mode only; the mutex semaphore blocks on its condvar instead).
     pub park_count: u64,
@@ -543,6 +564,10 @@ impl StatsSnapshot {
             read_slow_path: self.read_slow_path.saturating_sub(earlier.read_slow_path),
             steal_count: self.steal_count.saturating_sub(earlier.steal_count),
             deque_overflow: self.deque_overflow.saturating_sub(earlier.deque_overflow),
+            sched_handoffs: self.sched_handoffs.saturating_sub(earlier.sched_handoffs),
+            sched_handoffs_elided: self
+                .sched_handoffs_elided
+                .saturating_sub(earlier.sched_handoffs_elided),
             park_count: self.park_count.saturating_sub(earlier.park_count),
             cm_policy_waits: std::array::from_fn(|i| {
                 self.cm_policy_waits[i].saturating_sub(earlier.cm_policy_waits[i])
@@ -748,14 +773,19 @@ mod tests {
         s.record_deque_overflow(5);
         s.record_park();
         s.record_park();
+        s.record_handoff(true);
+        s.record_handoff(false);
+        s.record_handoff(false);
         let snap = s.snapshot();
         assert_eq!(snap.steal_count, 3);
         assert_eq!(snap.deque_overflow, 5);
         assert_eq!(snap.park_count, 2);
+        assert_eq!((snap.sched_handoffs, snap.sched_handoffs_elided), (1, 2));
         let d = snap.delta_since(&StatsSnapshot::default());
         assert_eq!(d.steal_count, 3);
         assert_eq!(d.deque_overflow, 5);
         assert_eq!(d.park_count, 2);
+        assert_eq!((d.sched_handoffs, d.sched_handoffs_elided), (1, 2));
     }
 
     #[test]

@@ -376,62 +376,50 @@ impl Txn {
         // the children's reads into its read set, so the transaction's own
         // sets always describe its complete tentative state.
         let nest = Arc::new(NestCtx::new());
-        let c = self.shared.throttle().nested_limit();
-        let helper_limit = c.saturating_sub(1);
+        let helper_limit = self.shared.throttle().nested_limit().saturating_sub(1);
 
-        // The scope a child sees: this transaction (with a fresh cap taken at
-        // child begin) followed by this transaction's own inherited scope.
-        // This is the suspend-point snapshot publication: children share the
+        // Everything the children share, behind one `Arc`. `parent` is the
+        // suspend-point snapshot publication: children share the write-set
         // `Arc` and its filter, and this transaction does not touch `ws`
         // again until the join.
-        let parent_entry_proto = ScopeEntry {
-            ws: Arc::clone(&self.ws),
-            ws_filter: self.ws.filter(),
-            nest: Arc::clone(&nest),
-            cap: 0,
-        };
-        let inherited: Vec<ScopeEntry> = self.scope.clone();
-
-        let n_tasks = tasks.len();
-        let (tx_results, rx_results) = crossbeam::channel::bounded(n_tasks);
-        let panic_payload: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
-
+        let family = Arc::new(Family {
+            shared: Arc::clone(&self.shared),
+            root_rv: self.root_read_version,
+            depth: self.depth + 1,
+            parent: ScopeEntry {
+                ws: Arc::clone(&self.ws),
+                ws_filter: self.ws.filter(),
+                nest: Arc::clone(&nest),
+                cap: 0,
+            },
+            inherited: self.scope.clone(),
+            evicted: self.evicted.clone(),
+            outcomes: tasks.iter().map(|_| Mutex::new(None)).collect(),
+        });
         let wrapped: Vec<crate::sched::Task> = tasks
             .into_iter()
             .enumerate()
             .map(|(idx, mut body)| {
-                let shared = Arc::clone(&self.shared);
-                let root_rv = self.root_read_version;
-                let depth = self.depth + 1;
-                let parent_proto = parent_entry_proto.clone();
-                let inherited = inherited.clone();
-                let results = tx_results.clone();
-                let panic_payload = Arc::clone(&panic_payload);
-                let evicted = self.evicted.clone();
+                let family = Arc::clone(&family);
                 Box::new(move || {
-                    let outcome = run_child(
-                        &shared,
-                        root_rv,
-                        depth,
-                        &parent_proto,
-                        &inherited,
-                        evicted,
-                        &mut body,
-                        &panic_payload,
-                    );
-                    // The receiver outlives the batch, so send cannot fail.
-                    let _ = results.send((idx, outcome));
+                    let outcome =
+                        panic::catch_unwind(AssertUnwindSafe(|| run_child(&family, &mut body)));
+                    *family.outcomes[idx].lock() = Some(outcome);
                 }) as crate::sched::Task
             })
             .collect();
-        drop(tx_results);
 
         self.shared.pool().run_batch(wrapped, helper_limit);
 
-        // The batch has drained: every child (and its scope clone) is gone.
-        // Drop our own snapshot handle so the fold below mutates the write
-        // set in place instead of cloning it.
-        drop(parent_entry_proto);
+        // The batch has drained: every child (and its handle on the family)
+        // is gone. Collect the outcomes and drop our own snapshot handle so
+        // the fold below mutates the write set in place instead of cloning.
+        let outcomes: Vec<_> = family
+            .outcomes
+            .iter()
+            .map(|slot| slot.lock().take().expect("every child task reports exactly once"))
+            .collect();
+        drop(family);
 
         // Join: fold the batch's effects into this transaction. The index is
         // quiescent now, so it is safe to iterate without the commit lock.
@@ -446,19 +434,18 @@ impl Txn {
             self.rs.merge_from(&nest.merged_rs.lock());
         }
 
-        if let Some(payload) = panic_payload.lock().take() {
-            panic::resume_unwind(payload);
+        // A child panic outranks any child error; otherwise the first error
+        // in task order.
+        let mut out = Vec::with_capacity(outcomes.len());
+        let mut first_err = None;
+        for outcome in outcomes {
+            match outcome {
+                Err(payload) => panic::resume_unwind(payload),
+                Ok(Ok(value)) => out.push(value),
+                Ok(Err(e)) => first_err = first_err.or(Some(e)),
+            }
         }
-
-        let mut slots: Vec<Option<TxResult<R>>> = (0..n_tasks).map(|_| None).collect();
-        for (idx, outcome) in rx_results.try_iter() {
-            slots[idx] = Some(outcome);
-        }
-        let mut out = Vec::with_capacity(n_tasks);
-        for slot in slots {
-            out.push(slot.expect("every child task reports exactly once")?);
-        }
-        Ok(out)
+        first_err.map_or(Ok(out), Err)
     }
 
     /// Commit a nested transaction into its parent. Returns
@@ -674,24 +661,38 @@ impl Drop for Txn {
     }
 }
 
+/// What the children of one `parallel()` batch share: the scope they inherit
+/// and the index-addressed slots they report into (child `i` writes slot `i`
+/// once; the parent reads them after the batch has drained, so the locks
+/// are never contended).
+struct Family<R> {
+    shared: Arc<StmShared>,
+    root_rv: u64,
+    depth: u32,
+    /// This transaction as the children's nearest scope level (each attempt
+    /// takes a fresh `cap`).
+    parent: ScopeEntry,
+    inherited: Vec<ScopeEntry>,
+    evicted: Option<Arc<AtomicBool>>,
+    outcomes: Box<[Mutex<Option<ChildOutcome<R>>>]>,
+}
+
+/// A child's result, or the payload of its panic.
+type ChildOutcome<R> = Result<TxResult<R>, Box<dyn Any + Send>>;
+
 /// Run one child task to completion: retry on sibling conflicts (with a fresh
-/// nest-clock cap each attempt), propagate user aborts, capture panics.
+/// nest-clock cap each attempt) and propagate user aborts; a panic unwinds to
+/// the task wrapper in [`Txn::parallel`], which reports it as the outcome.
 ///
 /// Between attempts the contention manager is consulted
 /// ([`crate::cm::AbortSite::Nested`]): under the backoff/karma/greedy rungs
 /// a losing child sleeps instead of hot-spinning its way through
 /// `max_nested_retries` immediate re-executions against the same winner.
-#[allow(clippy::too_many_arguments)]
 fn run_child<R>(
-    shared: &Arc<StmShared>,
-    root_rv: u64,
-    depth: u32,
-    parent_proto: &ScopeEntry,
-    inherited: &[ScopeEntry],
-    evicted: Option<Arc<AtomicBool>>,
+    family: &Family<R>,
     body: &mut (dyn FnMut(&mut Txn) -> TxResult<R> + Send),
-    panic_payload: &Arc<Mutex<Option<Box<dyn Any + Send>>>>,
 ) -> TxResult<R> {
+    let Family { shared, root_rv, depth, parent, inherited, evicted, .. } = family;
     let max_retries = shared.config().max_nested_retries;
     let trace = shared.trace();
     if trace.is_enabled() {
@@ -704,21 +705,13 @@ fn run_child<R>(
     let mut attempts: u64 = 0;
     loop {
         let mut scope = Vec::with_capacity(1 + inherited.len());
-        scope.push(ScopeEntry { cap: parent_proto.nest.now(), ..parent_proto.clone() });
+        scope.push(ScopeEntry { cap: parent.nest.now(), ..parent.clone() });
         scope.extend_from_slice(inherited);
-        let mut tx = Txn::nested(Arc::clone(shared), root_rv, scope, depth, evicted.clone());
+        let mut tx = Txn::nested(Arc::clone(shared), *root_rv, scope, *depth, evicted.clone());
 
-        let ran = panic::catch_unwind(AssertUnwindSafe(|| body(&mut tx)));
-        match ran {
-            Err(payload) => {
-                let mut slot = panic_payload.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                return Err(TxError::ChildPanic);
-            }
-            Ok(Err(e)) => return Err(e),
-            Ok(Ok(value)) => match tx.commit_nested() {
+        match body(&mut tx) {
+            Err(e) => return Err(e),
+            Ok(value) => match tx.commit_nested() {
                 Ok(()) => {
                     shared.stats().record_commit_nested();
                     if trace.is_enabled() {

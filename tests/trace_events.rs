@@ -182,6 +182,14 @@ fn live_session_emits_parseable_jsonl_trace() {
                 assert_eq!((t as usize, c as usize), (outcome.best.t, outcome.best.c));
                 saw_session_end = true;
             }
+            "sched_batch" => {
+                // The hand-off decision is part of the recorded session; only
+                // a published batch can have helper-executed tasks.
+                let handed_off = v.get("handed_off").and_then(|x| x.as_bool());
+                let stolen = v.get("stolen").and_then(|x| x.as_u64()).expect("sched_batch.stolen");
+                assert!(handed_off.is_some(), "sched_batch without handed_off: {line}");
+                assert!(handed_off == Some(true) || stolen == 0, "stolen from a withheld batch");
+            }
             _ => {}
         }
     }
