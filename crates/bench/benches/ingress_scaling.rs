@@ -174,19 +174,24 @@ fn main() {
     let mut rung_summaries = Vec::new();
     for &rate in &rate_ladder {
         let mut ing = start_ingress(&cfg, rate, 8, 2, None);
-        let (kpi, _) = measure(&ing, cfg.warmup_ms, cfg.measure_ms);
+        let (kpi, delta) = measure(&ing, cfg.warmup_ms, cfg.measure_ms);
         ing.publish_window(&ingress::IngressSnapshot::default(), kpi.window_ns);
         ing.shutdown();
+        // The last two fields say where the wait ahead of the dequeue went
+        // (reported, not gated): generator lateness vs. queue residence.
         println!(
             "{{\"mode\":\"rate\",\"rate_hz\":{rate:.0},\"offered\":{},\"completed\":{},\
-             \"rejected\":{},\"goodput\":{:.0},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{}}}",
+             \"rejected\":{},\"goodput\":{:.0},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\
+             \"gen_lag_p50_ns\":{},\"queue_wait_p50_ns\":{}}}",
             kpi.offered,
             kpi.completed,
             kpi.rejected,
             kpi.goodput,
             kpi.p50_ns,
             kpi.p99_ns,
-            kpi.p999_ns
+            kpi.p999_ns,
+            delta.gen_lag.quantile(50.0),
+            delta.queue_wait.quantile(50.0)
         );
         rung_summaries.push(format!(
             "rate={rate:.0}:goodput={:.0},p50={},p99={},p999={}",

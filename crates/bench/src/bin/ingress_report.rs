@@ -66,6 +66,10 @@ struct DriveResult {
     /// Open loop only: the worker-side (dequeue-timestamped) p99 — what a
     /// closed-loop probe inside the server would report.
     dequeue_p99_ns: u64,
+    /// Open loop only: (p50, p99) of push − intended arrival and of
+    /// dequeue − push — who the wait ahead of the dequeue belongs to.
+    gen_lag_ns: (u64, u64),
+    queue_wait_ns: (u64, u64),
 }
 
 /// Open loop: the ingress front door at `rate_hz`, measured over one
@@ -103,6 +107,8 @@ fn drive_open_loop(
         p99_ns: delta.intended.quantile(99.0),
         rejected: delta.rejected,
         dequeue_p99_ns: delta.dequeue.quantile(99.0),
+        gen_lag_ns: (delta.gen_lag.quantile(50.0), delta.gen_lag.quantile(99.0)),
+        queue_wait_ns: (delta.queue_wait.quantile(50.0), delta.queue_wait.quantile(99.0)),
     }
 }
 
@@ -177,6 +183,8 @@ fn drive_closed_loop(
         p99_ns: delta.quantile(99.0),
         rejected: 0, // a closed loop never rejects — it just never offers
         dequeue_p99_ns: 0,
+        gen_lag_ns: (0, 0),
+        queue_wait_ns: (0, 0),
     }
 }
 
@@ -246,6 +254,15 @@ fn main() {
             ms(open.dequeue_p99_ns),
             open.rejected,
             blind_spot,
+        );
+        println!(
+            "{:>9} | open-loop wait ahead of the dequeue: generator lag p50 {:.3} / p99 {:.3} ms, \
+             queue wait p50 {:.3} / p99 {:.3} ms",
+            "",
+            ms(open.gen_lag_ns.0),
+            ms(open.gen_lag_ns.1),
+            ms(open.queue_wait_ns.0),
+            ms(open.queue_wait_ns.1),
         );
     }
 

@@ -17,14 +17,18 @@
 //! * [`BoundedQueue`] — the bounded MPMC submission queue between the
 //!   generator and the execution workers. The producer never blocks: a full
 //!   queue is a typed [`PushError::Full`] rejection (backpressure), counted
-//!   as an SLO miss.
+//!   as an SLO miss. The consumer side wakes on demand: one idle worker
+//!   polls before it parks, for as long as polling has been paying off, and
+//!   a push notifies only a worker that is actually parked (see [`queue`]).
 //! * [`Ingress`] — the front door itself: workers drain the queue in
 //!   batches, amortize top-level admission via
 //!   [`pnstm::Throttle::admit_batch`] (one blocking acquire plus one CAS
 //!   per batch instead of one gate round-trip per request), execute through
 //!   [`pnstm::Stm::atomic_admitted`], and record per-request latency from
 //!   intended arrival into lock-free log2 histograms
-//!   ([`pnstm::LatencyHistogram`]).
+//!   ([`pnstm::LatencyHistogram`]) — the whole, and its division into
+//!   generator lag, queue wait and service. The generator sleeps only the
+//!   part of an arrival gap its measured sleep overshoot lets it keep.
 //! * SLO windows — per monitoring window the ingress publishes
 //!   p50/p99/p999 + goodput as a [`TraceEvent::IngressWindow`] and an
 //!   [`autopn::SloKpi`], and implements [`autopn::SloTunableSystem`] so the

@@ -1,4 +1,5 @@
-//! Bounded MPMC submission queue with typed backpressure.
+//! Bounded MPMC submission queue with typed backpressure and a
+//! wake-on-demand consumer side.
 //!
 //! The generator must never block (blocking would close the loop and
 //! reintroduce coordinated omission), so the producer side is `try_push`
@@ -7,13 +8,63 @@
 //! The consumer side pops *batches* so workers can amortize top-level
 //! admission over [`pnstm::Throttle::admit_batch`].
 //!
+//! # Wake protocol
+//!
+//! Waking a parked consumer is a futex hand-off that costs more than a short
+//! request does, and parking the last awake consumer guarantees the next
+//! request pays it. So an idle consumer *polls* before it parks, and a
+//! producer wakes nobody who does not need waking:
+//!
+//! * **At most one poller.** An idle consumer that wins the poll token
+//!   re-reads the lock-free mirror of `(len, closed)` — one word, stored
+//!   once per push — with `thread::yield_now()` between reads; every other
+//!   idle consumer parks at once.
+//! * **Poll budget ≤ measured wake cost × (1 + wakes avoided).** What a
+//!   poll replaces is notify → the woken consumer's pop; its EWMA is the
+//!   budget of a poller with no history — the 2-competitive spin-then-park
+//!   bound with the constant measured instead of set. No wake measured yet ⇒
+//!   no polling (park, and learn the cost from that wake). Every poll that
+//!   pays off has saved one such wake and extends the next budget by it; the
+//!   first poll to run its budget out resets the streak. So the time burnt in
+//!   a poll that ends in a park never exceeds the wakes polling has avoided
+//!   since the last such poll, plus one: an idle queue burns one wake cost per
+//!   park, and a live one keeps its last awake consumer awake. (The budget
+//!   without the streak sits on a cliff: with Poisson arrivals every 50 µs,
+//!   10 µs requests and a 20 µs wake, half the gaps outlast it and the median
+//!   request flips between finding a poller and paying a wake, run to run.)
+//! * **Notify only a parked consumer.** `try_push` and `pop_batch`'s "more
+//!   remains" hand-off call `notify_one` only when `parked > 0`, and skip it
+//!   while the poller holds the token — unless more than one item is queued
+//!   (**backlog > 1 always wakes**), so a pre-empted poller strands at most
+//!   one item, and that for no longer than it stays pre-empted.
+//! * **No lost wakeup.** The poller releases the token, *then* re-checks the
+//!   queue under the mutex, and only then counts itself parked (same
+//!   critical section as the wait). A push whose critical section comes
+//!   first is seen by the re-check; one that comes after sees `parked > 0`
+//!   and the token free — or held by a later poller, who is awake and reads
+//!   the mirror the push just stored.
+//! * **`close()` wakes everyone**: the mirror carries the closed bit (ends
+//!   the poll) and the condvar is notified (ends the parks).
+//!
 //! Hand-rolled on `parking_lot::{Mutex, Condvar}` because the vendored
 //! crossbeam shim's `bounded()` channel does not actually enforce its
 //! capacity.
 
 use parking_lot::{Condvar, Mutex};
+use pnstm::trace::now_ns;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::thread;
 use std::time::Duration;
+
+/// Fold `sample` into the running estimate `old` (EWMA, weight 1/8; 0 means
+/// "no sample yet"). A sample counts for at most twice the estimate, so one
+/// pre-empted measurement cannot set the policy for the dozen decisions
+/// after it, while a real regime change still gets through in a few dozen.
+pub(crate) fn ewma(old: u64, sample: u64) -> u64 {
+    let new = if old == 0 { sample } else { old - old / 8 + sample.min(2 * old) / 8 };
+    new.max(1)
+}
 
 /// Why a push was refused, carrying the rejected element back.
 #[derive(Debug, PartialEq, Eq)]
@@ -28,6 +79,8 @@ pub enum PushError<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers inside `not_empty.wait_for`.
+    parked: usize,
 }
 
 /// A bounded multi-producer/multi-consumer FIFO.
@@ -35,15 +88,38 @@ pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     capacity: usize,
+    /// `len << 1 | closed`, stored under the mutex after every change: what
+    /// the poller and the lock-free accessors read.
+    mirror: AtomicUsize,
+    /// The poll token.
+    polling: AtomicBool,
+    /// When the latest notify was sent, until a woken consumer samples it
+    /// (0 = nothing to sample).
+    notified_ns: AtomicU64,
+    /// EWMA of notify → the woken consumer's pop: what one poll that pays off
+    /// saves. 0 until the first wake has been measured.
+    wake_cost_ns: AtomicU64,
+    /// Polls that paid off (the poller saw the queue fill) since the last one
+    /// that ran its budget out.
+    streak: AtomicU64,
+    consumer_parks: AtomicU64,
+    wakes_sent: AtomicU64,
 }
 
 impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` elements (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
+            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, parked: 0 }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
+            mirror: AtomicUsize::new(0),
+            polling: AtomicBool::new(false),
+            notified_ns: AtomicU64::new(0),
+            wake_cost_ns: AtomicU64::new(0),
+            streak: AtomicU64::new(0),
+            consumer_parks: AtomicU64::new(0),
+            wakes_sent: AtomicU64::new(0),
         }
     }
 
@@ -52,7 +128,7 @@ impl<T> BoundedQueue<T> {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+        self.mirror.load(Ordering::Acquire) >> 1
     }
 
     pub fn is_empty(&self) -> bool {
@@ -60,7 +136,40 @@ impl<T> BoundedQueue<T> {
     }
 
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
+        self.mirror.load(Ordering::Acquire) & 1 != 0
+    }
+
+    /// Times a consumer parked on the condvar (it found the queue empty and
+    /// either lost the poll token or polled its budget out).
+    pub fn consumer_parks(&self) -> u64 {
+        self.consumer_parks.load(Ordering::Relaxed)
+    }
+
+    /// `notify_one` calls made by pushes and hand-offs (`close` not counted).
+    pub fn wakes_sent(&self) -> u64 {
+        self.wakes_sent.load(Ordering::Relaxed)
+    }
+
+    /// Release-store the mirror; pairs with the Acquire loads in the poller
+    /// and the accessors. Callers hold the mutex.
+    fn publish(&self, inner: &Inner<T>) {
+        self.mirror.store(inner.items.len() << 1 | inner.closed as usize, Ordering::Release);
+    }
+
+    /// Whether the queue as the caller leaves it (mutex still held) needs a
+    /// parked consumer woken: someone is parked, and either nobody is polling
+    /// or there is more queued than the one poller will take first.
+    fn must_wake(&self, inner: &Inner<T>) -> bool {
+        let len = inner.items.len();
+        // SeqCst like the token's other accesses; the no-lost-wakeup argument
+        // itself rests on the mutex (module docs).
+        len > 0 && inner.parked > 0 && (len > 1 || !self.polling.load(Ordering::SeqCst))
+    }
+
+    fn wake_one(&self) {
+        self.notified_ns.store(now_ns().max(1), Ordering::Relaxed);
+        self.wakes_sent.fetch_add(1, Ordering::Relaxed);
+        self.not_empty.notify_one();
     }
 
     /// Non-blocking enqueue: `Err(Full)` at the ceiling, `Err(Closed)` after
@@ -74,41 +183,103 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
+        self.publish(&inner);
+        let wake = self.must_wake(&inner);
         drop(inner);
-        self.not_empty.notify_one();
+        if wake {
+            self.wake_one();
+        }
         Ok(())
     }
 
-    /// Dequeue up to `max` elements, blocking up to `timeout` for the first.
+    /// Take the poll token if it is free and watch the mirror until the queue
+    /// is non-empty or closed, or the budget (module docs) runs out.
+    fn poll(&self, start_ns: u64, timeout: Duration) {
+        let wake_cost_ns = self.wake_cost_ns.load(Ordering::Relaxed);
+        if wake_cost_ns == 0
+            || self
+                .polling
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        // Relaxed: the streak is read and written by the token holder only,
+        // and the token's SeqCst hand-over orders one holder after the other.
+        let streak = self.streak.load(Ordering::Relaxed);
+        let timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        let budget = wake_cost_ns.saturating_mul(streak.saturating_add(1)).min(timeout_ns);
+        let deadline = start_ns.saturating_add(budget);
+        let paid_off = loop {
+            if self.mirror.load(Ordering::Acquire) != 0 {
+                break true;
+            }
+            if now_ns() >= deadline {
+                break false;
+            }
+            thread::yield_now();
+        };
+        self.streak.store(if paid_off { streak.saturating_add(1) } else { 0 }, Ordering::Relaxed);
+        self.polling.store(false, Ordering::SeqCst);
+    }
+
+    /// Dequeue up to `max` elements, waiting up to `timeout` for the first.
     ///
     /// Returns an empty vector on timeout or when the queue is closed *and*
     /// drained — a consumer loop can therefore use
     /// `batch.is_empty() && queue.is_closed()` as its exit condition without
     /// losing elements enqueued before the close.
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
-        let max = max.max(1);
         let mut inner = self.inner.lock();
-        if inner.items.is_empty() && !inner.closed {
-            let result = self.not_empty.wait_for(&mut inner, timeout);
-            if result.timed_out() && inner.items.is_empty() {
-                return Vec::new();
+        let mut woken = false;
+        if inner.items.is_empty() && !inner.closed && !timeout.is_zero() {
+            drop(inner);
+            let start_ns = now_ns();
+            self.poll(start_ns, timeout);
+            // Token released (or never held): re-check under the mutex, and
+            // count as parked in the same critical section as the wait.
+            inner = self.inner.lock();
+            if inner.items.is_empty() && !inner.closed {
+                let spent = Duration::from_nanos(now_ns().saturating_sub(start_ns));
+                inner.parked += 1;
+                self.consumer_parks.fetch_add(1, Ordering::Relaxed);
+                let wait = self.not_empty.wait_for(&mut inner, timeout.saturating_sub(spent));
+                inner.parked -= 1;
+                woken = !wait.timed_out();
             }
         }
-        let n = inner.items.len().min(max);
+        let n = inner.items.len().min(max.max(1));
         let batch: Vec<T> = inner.items.drain(..n).collect();
-        if !inner.items.is_empty() {
-            // More work remains: hand it to another parked consumer.
-            drop(inner);
-            self.not_empty.notify_one();
+        if n > 0 {
+            self.publish(&inner);
+        }
+        // More work remains: hand it to a parked consumer, if it needs one.
+        let wake = self.must_wake(&inner);
+        drop(inner);
+        if woken && n > 0 {
+            let sent_ns = self.notified_ns.swap(0, Ordering::Relaxed);
+            if sent_ns != 0 {
+                // A racing update may be lost: the budget is a heuristic's input.
+                let cost = ewma(
+                    self.wake_cost_ns.load(Ordering::Relaxed),
+                    now_ns().saturating_sub(sent_ns),
+                );
+                self.wake_cost_ns.store(cost, Ordering::Relaxed);
+            }
+        }
+        if wake {
+            self.wake_one();
         }
         batch
     }
 
-    /// Close the queue: further pushes fail with [`PushError::Closed`] and
-    /// every parked consumer wakes. Already-enqueued elements stay poppable.
+    /// Close the queue: further pushes fail with [`PushError::Closed`], the
+    /// poller stops polling and every parked consumer wakes. Already-enqueued
+    /// elements stay poppable.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
+        self.publish(&inner);
         drop(inner);
         self.not_empty.notify_all();
     }
@@ -117,8 +288,10 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU8;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Instant;
 
     #[test]
     fn full_queue_returns_the_item() {
@@ -192,5 +365,182 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(consumed.load(std::sync::atomic::Ordering::Relaxed), accepted);
+    }
+
+    /// Spin (politely) until `cond` holds; panics after `cap`.
+    fn wait_for(what: &str, cap: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + cap;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// A queue whose poller has history: a measured wake cost of `ns`.
+    fn queue_with_wake_cost<T>(capacity: usize, ns: u64) -> Arc<BoundedQueue<T>> {
+        let q = BoundedQueue::new(capacity);
+        q.wake_cost_ns.store(ns, Ordering::Relaxed);
+        Arc::new(q)
+    }
+
+    fn spawn_consumers(
+        q: &Arc<BoundedQueue<u32>>,
+        n: usize,
+        timeout: Duration,
+    ) -> Vec<thread::JoinHandle<Vec<u32>>> {
+        (0..n)
+            .map(|_| {
+                let q = Arc::clone(q);
+                thread::spawn(move || q.pop_batch(1, timeout))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn push_with_nobody_parked_sends_no_notify() {
+        let q = BoundedQueue::new(8);
+        for i in 0..5 {
+            q.try_push(i).unwrap();
+        }
+        assert_eq!(q.pop_batch(2, Duration::from_secs(1)), vec![0, 1]);
+        assert_eq!(q.pop_batch(8, Duration::from_secs(1)), vec![2, 3, 4]);
+        assert_eq!((q.wakes_sent(), q.consumer_parks()), (0, 0));
+    }
+
+    #[test]
+    fn never_two_pollers_and_the_poller_needs_no_notify() {
+        // A wake cost far beyond the test's length: whoever wins the token
+        // polls throughout, so every other idle consumer must park at once.
+        let q = queue_with_wake_cost(8, 30_000_000_000);
+        let consumers = spawn_consumers(&q, 3, Duration::from_secs(30));
+        wait_for("two of three consumers are parked", Duration::from_secs(10), || {
+            q.inner.lock().parked == 2
+        });
+        assert!(q.polling.load(Ordering::SeqCst), "the third consumer holds the token");
+        assert_eq!(q.consumer_parks(), 2);
+        // One item with the poller awake: no futex hand-off, the poller takes it.
+        q.try_push(7).unwrap();
+        wait_for("the poller took the item", Duration::from_secs(10), || q.is_empty());
+        assert_eq!(q.wakes_sent(), 0);
+        assert_eq!(q.inner.lock().parked, 2, "the parked consumers slept through it");
+        // A backlog beyond the one item a poller takes always wakes: the token
+        // is free again, so the first push wakes one consumer, and with both
+        // remaining consumers busy or gone the queue drains.
+        q.try_push(8).unwrap();
+        q.try_push(9).unwrap();
+        let mut got: Vec<u32> = consumers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![7, 8, 9]);
+        assert!(q.wakes_sent() >= 1);
+    }
+
+    #[test]
+    fn close_wakes_the_poller_and_the_parked_consumer() {
+        let q = queue_with_wake_cost(8, 30_000_000_000);
+        let consumers = spawn_consumers(&q, 2, Duration::from_secs(30));
+        wait_for("one consumer polls and one is parked", Duration::from_secs(10), || {
+            q.inner.lock().parked == 1 && q.polling.load(Ordering::SeqCst)
+        });
+        let start = Instant::now();
+        q.close();
+        for h in consumers {
+            assert!(h.join().unwrap().is_empty());
+        }
+        assert!(start.elapsed() < Duration::from_secs(10), "close must not wait out a timeout");
+        assert!(!q.polling.load(Ordering::SeqCst));
+        assert_eq!(q.try_push(1), Err(PushError::Closed(1)));
+    }
+
+    #[test]
+    fn an_idle_poller_burns_one_wake_cost_and_parks() {
+        // History says the door was live (a long streak); nothing arrives.
+        let q: Arc<BoundedQueue<u32>> = queue_with_wake_cost(8, 1_000_000);
+        q.streak.store(4, Ordering::Relaxed);
+        assert!(q.pop_batch(1, Duration::from_millis(50)).is_empty());
+        assert_eq!(q.consumer_parks(), 1, "the poll ran out before the timeout and parked");
+        assert_eq!(q.streak.load(Ordering::Relaxed), 0, "a poll that did not pay off resets");
+        // With no streak the next idle poll is one wake cost long.
+        assert!(q.pop_batch(1, Duration::from_millis(2)).is_empty());
+        assert_eq!(q.consumer_parks(), 2);
+    }
+
+    /// The protocol under fire: two consumers, 200 k items, and a producer that
+    /// keeps pausing for about as long as the current poll budget, so pushes
+    /// land on every side of the poll → park transition. Every item must be
+    /// delivered exactly once, and none may sit in the queue while both
+    /// consumers idle: after a probing push the producer watches the queue
+    /// drain, with a deadline of half the consumers' `pop_batch` timeout — a
+    /// lost wakeup would leave the item there until that timeout.
+    #[test]
+    fn stress_around_the_poll_to_park_transition_loses_and_strands_nothing() {
+        const ITEMS: u32 = 200_000;
+        const TIMEOUT: Duration = Duration::from_secs(4);
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(256));
+        let seen: Arc<Vec<AtomicU8>> = Arc::new((0..ITEMS).map(|_| AtomicU8::new(0)).collect());
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, seen) = (Arc::clone(&q), Arc::clone(&seen));
+                thread::spawn(move || loop {
+                    let batch = q.pop_batch(4, TIMEOUT);
+                    if batch.is_empty() && q.is_closed() {
+                        return;
+                    }
+                    for item in batch {
+                        seen[item as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut slowest_drain = Duration::ZERO;
+        for item in 0..ITEMS {
+            while q.try_push(item).is_err() {
+                thread::yield_now();
+            }
+            if next() % 16 != 0 {
+                continue;
+            }
+            let pushed = Instant::now();
+            while !q.is_empty() {
+                assert!(
+                    pushed.elapsed() < TIMEOUT / 2,
+                    "item {item} stranded with idle consumers (parks {}, wakes {})",
+                    q.consumer_parks(),
+                    q.wakes_sent()
+                );
+                thread::yield_now();
+            }
+            slowest_drain = slowest_drain.max(pushed.elapsed());
+            // Pause 0.5–1.5 budgets, so the poller gives up just before, while
+            // or just after the next push.
+            let budget = q.wake_cost_ns.load(Ordering::Relaxed)
+                * (1 + q.streak.load(Ordering::Relaxed)).min(8);
+            let pause = Duration::from_nanos(budget / 2 + next() % budget.max(1));
+            let until = Instant::now() + pause.min(Duration::from_millis(1));
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        }
+        wait_for("the queue drains", TIMEOUT, || q.is_empty());
+        q.close();
+        for h in consumers {
+            h.join().unwrap();
+        }
+        let wrong = seen.iter().filter(|c| c.load(Ordering::Relaxed) != 1).count();
+        assert_eq!(wrong, 0, "{wrong} items lost or duplicated");
+        assert!(q.consumer_parks() > 0 && q.wakes_sent() > 0, "the transition was never exercised");
+        println!(
+            "stress: parks {} wakes {} slowest probed drain {:?}",
+            q.consumer_parks(),
+            q.wakes_sent(),
+            slowest_drain
+        );
     }
 }

@@ -4,18 +4,27 @@
 //! blocking — a full queue is a typed rejection, not a stall), worker
 //! threads drain the queue in batches, amortize top-level admission over
 //! [`pnstm::Throttle::admit_batch`], and execute each request via
-//! [`pnstm::Stm::atomic_admitted`]. Every completed request records **two**
-//! latency samples into lock-free log2 histograms:
+//! [`pnstm::Stm::atomic_admitted`]. Every completed request carries four
+//! stamps — intended arrival ≤ push ≤ dequeue ≤ completion — and records
+//! into lock-free log2 histograms:
 //!
 //! * `intended`: completion − intended arrival (the open-loop,
-//!   coordinated-omission-free latency a client would see), and
+//!   coordinated-omission-free latency a client would see),
 //! * `dequeue`: completion − dequeue (the closed-loop number a worker-side
-//!   probe would report).
+//!   probe would report), and the two parts of the gap between them,
+//! * `gen_lag`: push − intended arrival (how late the generator offered),
+//! * `queue_wait`: dequeue − push (queue residence, consumer wake-up and
+//!   batch admission).
 //!
-//! The per-request invariant `intended ≥ dequeue` (a request is dequeued at
-//! or after its intended arrival) makes the blind spot measurable: the gap
-//! between the two p99s is exactly the queueing delay the closed-loop view
-//! cannot see.
+//! Per request `intended = gen_lag + queue_wait + dequeue`, so
+//! `intended ≥ dequeue` and the gap between the two p99s is exactly the
+//! delay the closed-loop view cannot see — now split by who caused it.
+//!
+//! Neither wait site sleeps through, or futex-wakes across, an interval
+//! shorter than the sleep or the wake costs. The generator keeps an estimate
+//! of its own sleep overshoot, sleeps only the part of a gap it can keep and
+//! covers the rest by re-reading the clock with `yield_now` between reads;
+//! the consumer side is [`crate::queue`]'s wake protocol.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +40,7 @@ use pnstm::{FaultKind, LatencyHistogram, LatencySnapshot, Stm, StmError};
 use workloads::transfer::{TransferRequest, TransferWorkload};
 
 use crate::arrival::ArrivalProcess;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{ewma, BoundedQueue, PushError};
 
 /// Default number of worker panics absorbed (worker restarted) before a
 /// panicking worker retires — mirrors `workloads::live`.
@@ -201,10 +210,16 @@ pub struct IngressStats {
     pub intended: LatencyHistogram,
     /// Completion − dequeue (the closed-loop view, kept for comparison).
     pub dequeue: LatencyHistogram,
+    /// Push − intended arrival of the completed requests: generator lateness.
+    pub gen_lag: LatencyHistogram,
+    /// Dequeue − push of the completed requests: queue residence, consumer
+    /// wake-up and batch admission.
+    pub queue_wait: LatencyHistogram,
 }
 
 impl IngressStats {
-    pub fn snapshot(&self) -> IngressSnapshot {
+    /// The counters and histograms, plus the wake counters `queue` keeps.
+    fn snapshot(&self, queue: &BoundedQueue<Request>) -> IngressSnapshot {
         IngressSnapshot {
             offered: self.offered.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -214,6 +229,10 @@ impl IngressStats {
             commit_stamps_dropped: self.commit_stamps_dropped.load(Ordering::Relaxed),
             intended: self.intended.snapshot(),
             dequeue: self.dequeue.snapshot(),
+            gen_lag: self.gen_lag.snapshot(),
+            queue_wait: self.queue_wait.snapshot(),
+            consumer_parks: queue.consumer_parks(),
+            wakes_sent: queue.wakes_sent(),
         }
     }
 }
@@ -229,6 +248,12 @@ pub struct IngressSnapshot {
     pub commit_stamps_dropped: u64,
     pub intended: LatencySnapshot,
     pub dequeue: LatencySnapshot,
+    pub gen_lag: LatencySnapshot,
+    pub queue_wait: LatencySnapshot,
+    /// Times a worker parked on the empty queue.
+    pub consumer_parks: u64,
+    /// `notify_one` calls the queue's pushes and hand-offs made.
+    pub wakes_sent: u64,
 }
 
 impl IngressSnapshot {
@@ -245,6 +270,10 @@ impl IngressSnapshot {
                 .saturating_sub(earlier.commit_stamps_dropped),
             intended: self.intended.delta_since(&earlier.intended),
             dequeue: self.dequeue.delta_since(&earlier.dequeue),
+            gen_lag: self.gen_lag.delta_since(&earlier.gen_lag),
+            queue_wait: self.queue_wait.delta_since(&earlier.queue_wait),
+            consumer_parks: self.consumer_parks.saturating_sub(earlier.consumer_parks),
+            wakes_sent: self.wakes_sent.saturating_sub(earlier.wakes_sent),
         }
     }
 
@@ -267,6 +296,7 @@ impl IngressSnapshot {
 struct Request {
     index: u64,
     intended_ns: u64,
+    pushed_ns: u64,
 }
 
 /// A running front door: one generator thread + `workers` executor threads
@@ -387,7 +417,7 @@ impl Ingress {
     }
 
     pub fn snapshot(&self) -> IngressSnapshot {
-        self.stats.snapshot()
+        self.stats.snapshot(&self.queue)
     }
 
     pub fn trace_bus(&self) -> &pnstm::TraceBus {
@@ -407,12 +437,8 @@ impl Ingress {
     /// [`Ingress::snapshot`] `window_ns` ago) and publish it as an
     /// `ingress_window` trace event.
     pub fn publish_window(&self, since: &IngressSnapshot, window_ns: u64) -> SloKpi {
-        let kpi = self.snapshot().delta_since(since).kpi(window_ns);
-        self.emit_window(&kpi);
-        kpi
-    }
-
-    fn emit_window(&self, kpi: &SloKpi) {
+        let delta = self.snapshot().delta_since(since);
+        let kpi = delta.kpi(window_ns);
         self.stm.trace_bus().emit(TraceEvent::IngressWindow {
             at_ns: trace::now_ns(),
             window_ns: kpi.window_ns,
@@ -423,7 +449,12 @@ impl Ingress {
             p50_ns: kpi.p50_ns,
             p99_ns: kpi.p99_ns,
             p999_ns: kpi.p999_ns,
+            gen_lag_p50_ns: delta.gen_lag.quantile(50.0),
+            gen_lag_p99_ns: delta.gen_lag.quantile(99.0),
+            queue_wait_p50_ns: delta.queue_wait.quantile(50.0),
+            queue_wait_p99_ns: delta.queue_wait.quantile(99.0),
         });
+        kpi
     }
 
     fn resize_scheduler(&self, cfg: Config) {
@@ -457,10 +488,34 @@ impl Drop for Ingress {
     }
 }
 
+/// Longest single sleep of the generator, so the stop flag stays responsive
+/// at low rates.
+const MAX_SLEEP_NS: u64 = 2_000_000;
+
+/// The generator's running estimate of its sleep overshoot tracks the upper
+/// envelope of the samples, because the two errors are not alike: too high
+/// polls the clock a little longer, too low sleeps through an arrival. It
+/// rises to a larger sample at once (by at most double, so one pre-empted
+/// sleep cannot turn the generator into a spin loop) and decays by eighths.
+fn fold_overshoot(estimate: u64, sample: u64) -> u64 {
+    if estimate != 0 && sample > estimate {
+        sample.min(2 * estimate)
+    } else {
+        ewma(estimate, sample)
+    }
+}
+
 /// Offer requests on the intended-arrival schedule. Never blocks on the
 /// queue: a full queue rejects (open loop), and when the generator falls
 /// behind schedule it offers immediately with the *past* intended timestamp
 /// — the backlog is charged to latency, not silently dropped from it.
+///
+/// It never sleeps a gap it cannot keep: `overshoot_ns` is the running
+/// estimate of how much later than asked its own sleeps return (timer slack
+/// plus a wake-up, measured on every sleep). A gap longer than that is slept
+/// short by it; the remainder, and every gap shorter than it, is covered by
+/// re-reading the clock with a `yield_now` between reads, so a runnable
+/// worker always gets the vCPU first.
 fn generator_loop(
     queue: Arc<BoundedQueue<Request>>,
     stats: Arc<IngressStats>,
@@ -469,25 +524,36 @@ fn generator_loop(
     seed: u64,
 ) {
     let start_ns = trace::now_ns();
+    let mut overshoot_ns = 0u64;
     for (index, offset) in process.schedule(seed).enumerate() {
         let intended_ns = start_ns + offset;
-        loop {
+        let pushed_ns = loop {
             if stop.load(Ordering::Acquire) {
                 return;
             }
             let now = trace::now_ns();
             if now >= intended_ns {
-                break;
+                break now;
             }
-            // Cap the sleep so the stop flag stays responsive at low rates.
-            thread::sleep(Duration::from_nanos((intended_ns - now).min(2_000_000)));
-        }
-        stats.offered.fetch_add(1, Ordering::Relaxed);
-        match queue.try_push(Request { index: index as u64, intended_ns }) {
+            let gap = intended_ns - now;
+            if gap > overshoot_ns {
+                let ask = (gap - overshoot_ns).min(MAX_SLEEP_NS);
+                thread::sleep(Duration::from_nanos(ask));
+                let slept = trace::now_ns().saturating_sub(now);
+                overshoot_ns = fold_overshoot(overshoot_ns, slept.saturating_sub(ask));
+            } else {
+                thread::yield_now();
+            }
+        };
+        // A request counts as offered together with its outcome: one the
+        // closed queue refused at shutdown was never offered.
+        match queue.try_push(Request { index: index as u64, intended_ns, pushed_ns }) {
             Ok(()) => {
+                stats.offered.fetch_add(1, Ordering::Relaxed);
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
             }
             Err(PushError::Full(_)) => {
+                stats.offered.fetch_add(1, Ordering::Relaxed);
                 stats.rejected.fetch_add(1, Ordering::Relaxed);
             }
             Err(PushError::Closed(_)) => return,
@@ -558,6 +624,8 @@ fn worker_loop(
                     stats.completed.fetch_add(1, Ordering::Relaxed);
                     stats.intended.record(done_ns.saturating_sub(req.intended_ns));
                     stats.dequeue.record(done_ns.saturating_sub(dequeue_ns));
+                    stats.gen_lag.record(req.pushed_ns.saturating_sub(req.intended_ns));
+                    stats.queue_wait.record(dequeue_ns.saturating_sub(req.pushed_ns));
                 }
                 Ok(Err(StmError::Shutdown)) => {
                     stats.failed.fetch_add(1 + batch.len() as u64, Ordering::Relaxed);
@@ -619,7 +687,7 @@ impl TunableSystem for Ingress {
 
 impl SloTunableSystem for Ingress {
     fn begin_slo_window(&mut self) {
-        self.window = Some((self.stats.snapshot(), trace::now_ns()));
+        self.window = Some((self.snapshot(), trace::now_ns()));
     }
 
     fn end_slo_window(&mut self) -> SloKpi {
@@ -678,6 +746,80 @@ mod tests {
             assert!(snap.intended.quantile(p) >= snap.dequeue.quantile(p));
         }
         assert!(snap.intended.quantile(50.0) <= snap.intended.quantile(99.9));
+    }
+
+    #[test]
+    fn the_wait_is_divided_between_generator_and_queue() {
+        let stm = stm();
+        let service = transfer_service(&stm);
+        let config = IngressConfig {
+            process: ArrivalProcess::Poisson { rate_hz: 2_000.0 },
+            ..IngressConfig::default()
+        };
+        let mut ing = Ingress::start(stm, service, config).unwrap();
+        run_for(&ing, 200, Duration::from_secs(10));
+        ing.shutdown();
+        let snap = ing.snapshot();
+        assert!(snap.completed >= 200, "fault-free run: {snap:?}");
+        for part in [&snap.gen_lag, &snap.queue_wait, &snap.dequeue, &snap.intended] {
+            assert_eq!(part.count, snap.completed);
+        }
+        // intended ≤ push ≤ dequeue ≤ completion on one monotonic clock, so
+        // over the completed set the three parts add up to the whole.
+        assert_eq!(
+            snap.intended.total_ns,
+            snap.gen_lag.total_ns + snap.queue_wait.total_ns + snap.dequeue.total_ns
+        );
+        assert!(snap.queue_wait.total_ns > 0);
+        // The queue's counters ride along, and a window sees their delta.
+        assert!(snap.consumer_parks > 0, "2 kHz leaves gaps long enough to park in: {snap:?}");
+        let delta = snap.delta_since(&snap);
+        assert_eq!((delta.consumer_parks, delta.wakes_sent, delta.gen_lag.count), (0, 0, 0));
+    }
+
+    #[test]
+    fn an_idle_front_door_parks_its_workers() {
+        // The politeness bound: at 200 Hz the gaps are hundreds of wake costs
+        // long, so polling must give way to parking — about once per request.
+        let stm = stm();
+        let service = transfer_service(&stm);
+        let config = IngressConfig {
+            process: ArrivalProcess::Uniform { rate_hz: 200.0 },
+            ..IngressConfig::default()
+        };
+        let mut ing = Ingress::start(stm, service, config).unwrap();
+        thread::sleep(Duration::from_millis(500));
+        ing.shutdown();
+        let snap = ing.snapshot();
+        assert!(snap.completed >= 50, "the door must still serve: {snap:?}");
+        assert!(
+            snap.consumer_parks >= snap.completed / 2,
+            "{} parks for {} requests: the workers are spinning",
+            snap.consumer_parks,
+            snap.completed
+        );
+    }
+
+    #[test]
+    fn shutdown_under_load_settles_every_request() {
+        let stm = stm();
+        let service = transfer_service(&stm);
+        for round in 0..50 {
+            // Far beyond capacity into a small queue: the generator is mid-push
+            // and the queue full whenever the shutdown lands.
+            let config = IngressConfig {
+                process: ArrivalProcess::Poisson { rate_hz: 500_000.0 },
+                seed: round,
+                queue_cap: 16,
+                ..IngressConfig::default()
+            };
+            let mut ing = Ingress::start(stm.clone(), service.clone(), config).unwrap();
+            thread::sleep(Duration::from_millis(2));
+            ing.shutdown();
+            let s = ing.snapshot();
+            assert_eq!(s.offered, s.accepted + s.rejected, "round {round}: {s:?}");
+            assert_eq!(s.accepted, s.completed + s.failed, "round {round}: {s:?}");
+        }
     }
 
     #[test]

@@ -238,7 +238,9 @@ pub enum TraceEvent {
     /// Latency percentiles are measured from *intended arrival* — the
     /// scheduled arrival instant, not the dequeue instant — so the figures
     /// are coordinated-omission-free. `goodput` is completed requests per
-    /// second over `window_ns`.
+    /// second over `window_ns`. `gen_lag_*` (push − intended arrival) and
+    /// `queue_wait_*` (dequeue − push) divide the wait ahead of the dequeue
+    /// between the generator and the queue.
     IngressWindow {
         at_ns: u64,
         window_ns: u64,
@@ -249,6 +251,10 @@ pub enum TraceEvent {
         p50_ns: u64,
         p99_ns: u64,
         p999_ns: u64,
+        gen_lag_p50_ns: u64,
+        gen_lag_p99_ns: u64,
+        queue_wait_p50_ns: u64,
+        queue_wait_p99_ns: u64,
     },
 }
 
@@ -464,14 +470,20 @@ impl TraceEvent {
                 p50_ns,
                 p99_ns,
                 p999_ns,
+                gen_lag_p50_ns,
+                gen_lag_p99_ns,
+                queue_wait_p50_ns,
+                queue_wait_p99_ns,
             } => {
                 let _ = write!(
                     out,
                     ",\"at_ns\":{at_ns},\"window_ns\":{window_ns},\"offered\":{offered},\"completed\":{completed},\"rejected\":{rejected},\"goodput\":"
                 );
                 push_f64(out, goodput);
-                let _ =
-                    write!(out, ",\"p50_ns\":{p50_ns},\"p99_ns\":{p99_ns},\"p999_ns\":{p999_ns}");
+                let _ = write!(
+                    out,
+                    ",\"p50_ns\":{p50_ns},\"p99_ns\":{p99_ns},\"p999_ns\":{p999_ns},\"gen_lag_p50_ns\":{gen_lag_p50_ns},\"gen_lag_p99_ns\":{gen_lag_p99_ns},\"queue_wait_p50_ns\":{queue_wait_p50_ns},\"queue_wait_p99_ns\":{queue_wait_p99_ns}"
+                );
             }
         }
         out.push('}');
@@ -833,6 +845,10 @@ mod tests {
                 p50_ns: 2_047,
                 p99_ns: 65_535,
                 p999_ns: 524_287,
+                gen_lag_p50_ns: 1_023,
+                gen_lag_p99_ns: 8_191,
+                queue_wait_p50_ns: 511,
+                queue_wait_p99_ns: 32_767,
             },
         ];
         for ev in evs {
@@ -942,9 +958,13 @@ mod tests {
                 p50_ns: 2_047,
                 p99_ns: 65_535,
                 p999_ns: 524_287,
+                gen_lag_p50_ns: 1_023,
+                gen_lag_p99_ns: 8_191,
+                queue_wait_p50_ns: 511,
+                queue_wait_p99_ns: 32_767,
             }
             .to_json(),
-            r#"{"ev":"ingress_window","at_ns":94,"window_ns":1000000,"offered":1000,"completed":990,"rejected":10,"goodput":990000,"p50_ns":2047,"p99_ns":65535,"p999_ns":524287}"#
+            r#"{"ev":"ingress_window","at_ns":94,"window_ns":1000000,"offered":1000,"completed":990,"rejected":10,"goodput":990000,"p50_ns":2047,"p99_ns":65535,"p999_ns":524287,"gen_lag_p50_ns":1023,"gen_lag_p99_ns":8191,"queue_wait_p50_ns":511,"queue_wait_p99_ns":32767}"#
         );
     }
 

@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use autopn::monitor::AdaptiveMonitor;
 use autopn::{
-    AutoPn, AutoPnConfig, Controller, JsonlSink, SearchSpace, TestSink, TraceBus, TraceEvent,
+    AutoPn, AutoPnConfig, Controller, JsonlSink, SearchSpace, SloTunableSystem, TestSink, TraceBus,
+    TraceEvent,
 };
+use ingress::{ArrivalProcess, Ingress, IngressConfig, TransferService};
 use pnstm::{ParallelismDegree, Stm, StmConfig};
 use simtm::{MachineParams, SimWorkload};
 use workloads::array::{ArrayParams, ArrayWorkload};
@@ -205,5 +207,50 @@ fn live_session_emits_parseable_jsonl_trace() {
         "tx_commit",
     ] {
         assert!(seen.contains(must), "no {must:?} event in the live trace; saw {seen:?}");
+    }
+}
+
+#[test]
+fn ingress_window_event_round_trips_through_jsonl() {
+    let path = std::env::temp_dir().join(format!("ingress-window-{}.jsonl", std::process::id()));
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(2, 1),
+        worker_threads: 2,
+        ..StmConfig::default()
+    });
+    stm.trace_bus().subscribe(Arc::new(JsonlSink::create(&path).expect("create trace file")));
+    let service = Arc::new(TransferService::new(&stm, 64, 10_000, 9, 64, 2, 100));
+    let config = IngressConfig {
+        process: ArrivalProcess::Poisson { rate_hz: 2_000.0 },
+        ..IngressConfig::default()
+    };
+    let mut ing = Ingress::start(stm.clone(), service, config).expect("spawn ingress");
+    ing.begin_slo_window();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while ing.snapshot().completed < 100 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let kpi = ing.end_slo_window();
+    ing.shutdown();
+    stm.trace_bus().flush();
+
+    let text = std::fs::read_to_string(&path).expect("read trace file");
+    let _ = std::fs::remove_file(&path);
+    let windows: Vec<_> = text
+        .lines()
+        .map(|line| serde_json::parse_value_str(line).expect("every line is valid JSON"))
+        .filter(|v| v.get("ev").and_then(|x| x.as_str()) == Some("ingress_window"))
+        .collect();
+    assert_eq!(windows.len(), 1, "one SLO window, one event");
+    let field = |name: &str| {
+        windows[0].get(name).and_then(|x| x.as_u64()).unwrap_or_else(|| panic!("no {name}"))
+    };
+    assert_eq!(field("completed"), kpi.completed);
+    assert_eq!(field("p99_ns"), kpi.p99_ns);
+    // The wait ahead of the dequeue, divided: both parts are inside the whole.
+    for part in ["gen_lag", "queue_wait"] {
+        let (p50, p99) = (field(&format!("{part}_p50_ns")), field(&format!("{part}_p99_ns")));
+        assert!(p50 <= p99, "{part}: p50 {p50} > p99 {p99}");
+        assert!(p99 <= field("p999_ns"), "{part} p99 {p99} exceeds the whole latency's p999");
     }
 }
