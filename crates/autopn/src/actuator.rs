@@ -1,29 +1,25 @@
-//! The actuator: applying `(t, c)` configurations to a running system (§VI),
-//! plus the [`AxisRegistry`] that extends actuation to the typed discrete
-//! axes of a [`ConfigSpace`].
+//! The actuator: applying configurations to a running system (§VI) —
+//! [`PnstmActuator`] for a live [`pnstm::Stm`], plus the [`AxisRegistry`]
+//! that extends actuation to the typed discrete axes of a [`ConfigSpace`].
+
+use std::time::{Duration, Instant};
 
 use crate::controller::ApplyError;
 use crate::space::{Axis, Config, ConfigSpace, SearchSpace, MAX_AXES};
 
-/// Anything that can enact a parallelism-degree configuration.
-pub trait Actuator {
-    /// Apply `cfg`; running transactions finish under their old admission,
-    /// new ones observe the new limits.
-    fn apply(&mut self, cfg: Config);
-
-    /// The configuration currently in force.
-    fn current(&self) -> Config;
-}
-
-/// Actuator over a live [`pnstm::Stm`] instance: reconfigures the admission
-/// throttle **and** reprovisions the shared child-task scheduler, mirroring
-/// the paper's transparent interception of transaction begins.
+/// The one place that knows how a [`Config`] maps onto a live
+/// [`pnstm::Stm`]: the discrete axes of an optional [`AxisRegistry`] first,
+/// then the `(t, c)` admission throttle, then the shared child-task
+/// scheduler — mirroring the paper's transparent interception of
+/// transaction begins. Live [`crate::TunableSystem`]s hold one and add only
+/// their own commit-stream flush.
 ///
 /// The "ad-hoc API" of §VI — letting applications query the tuned optimum —
 /// is [`PnstmActuator::current`] plus [`pnstm::Stm::degree`] on the wrapped
 /// instance.
 pub struct PnstmActuator {
     stm: pnstm::Stm,
+    registry: Option<AxisRegistry>,
 }
 
 /// Worker-thread demand of a `(t, c)` configuration: `t` trees, each with
@@ -34,7 +30,7 @@ pub fn helper_demand(cfg: Config) -> usize {
 
 impl PnstmActuator {
     pub fn new(stm: pnstm::Stm) -> Self {
-        Self { stm }
+        Self { stm, registry: None }
     }
 
     /// Access the wrapped STM.
@@ -42,39 +38,63 @@ impl PnstmActuator {
         &self.stm
     }
 
-    /// Switch the STM's contention-management policy. Like [`Actuator::apply`]
-    /// this takes effect for *subsequent* abort decisions; transactions
-    /// mid-backoff finish their current wait under the old policy.
-    pub fn set_policy(&self, policy: crate::space::CmPolicy) {
-        self.stm.set_cm_mode(policy.into());
+    /// Attach a live axis registry (e.g. [`stm_axis_registry`]): subsequent
+    /// applies enact the configuration's discrete-axis levels *before*
+    /// switching the degree, so the controller tunes the full N-dimensional
+    /// point through the same retry/degradation ladder and the resulting
+    /// `Reconfigure` trace events carry the whole point. Hand the tuner
+    /// `registry.space(n)` so proposals stay enactable.
+    pub fn attach_axes(&mut self, registry: AxisRegistry) {
+        self.registry = Some(registry);
     }
 
-    /// The contention-management policy currently in force.
-    pub fn policy(&self) -> crate::space::CmPolicy {
-        self.stm.cm_mode().into()
+    fn enact_axes(&mut self, cfg: Config) -> Result<(), ApplyError> {
+        match self.registry.as_mut() {
+            Some(reg) => reg.enact_noted(cfg, &self.stm),
+            None => Ok(()),
+        }
     }
 
-    /// Retarget the background collector's slice budget (boxes pruned per
-    /// slice before it yields). Takes effect from the collector's next slice.
-    pub fn set_gc_budget(&self, budget: crate::space::GcBudget) {
-        self.stm.set_gc_slice_boxes(budget.slice_boxes);
+    /// Apply `cfg` unconditionally: running transactions finish under their
+    /// old admission, new ones observe the new limits. Axis-setter failures
+    /// cannot surface here and are dropped; controller flows use
+    /// [`PnstmActuator::try_apply`].
+    pub fn apply(&mut self, cfg: Config) {
+        let _ = self.enact_axes(cfg);
+        self.stm.set_degree(cfg.into());
+        self.stm.resize_pool(helper_demand(cfg));
     }
 
-    /// The GC slice budget currently in force.
-    pub fn gc_budget(&self) -> crate::space::GcBudget {
-        crate::space::GcBudget::new(self.stm.gc_slice_boxes())
+    /// Fallibly apply `cfg`: axes first, degree last. The degree switch is
+    /// the veto point (reconfig-fail fault site); if it vetoes after the
+    /// axes were enacted, the controller's ladder re-applies the *full*
+    /// last-good point — its `Config` carries axis levels too — so the system
+    /// converges back to a consistent point. The scheduler is reprovisioned
+    /// only after the switch succeeds, so a veto leaves the worker pool as
+    /// it was.
+    pub fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
+        self.enact_axes(cfg)?;
+        self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
+        self.stm.resize_pool(helper_demand(cfg));
+        Ok(())
     }
 
-    /// Move the memory ladder's soft ceiling (retained versions above which
-    /// the runtime enters urgent collection and shortens snapshot leases).
-    /// Re-evaluates the ladder immediately against the new ceiling.
-    pub fn set_soft_ceiling(&self, versions: u64) {
-        self.stm.set_mem_soft_ceiling(versions);
+    /// The configuration currently in force.
+    pub fn current(&self) -> Config {
+        let d = self.stm.degree();
+        Config::new(d.top_level, d.nested_per_tree)
     }
 
-    /// The memory ladder's soft ceiling currently in force.
-    pub fn soft_ceiling(&self) -> u64 {
-        self.stm.mem_soft_ceiling()
+    /// Wait until as many top-level commits as there were admitted
+    /// transactions have passed — every transaction admitted under the
+    /// previous configuration has finished — capped at 100 ms.
+    pub fn quiesce(&self) {
+        let in_flight = self.stm.throttle().top_level_in_use() as u64;
+        let target = self.stm.stats().snapshot().top_commits + in_flight;
+        let deadline = Instant::now() + Duration::from_millis(100);
+        while self.stm.stats().snapshot().top_commits < target && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
     }
 }
 
@@ -88,12 +108,12 @@ struct AxisBinding {
 
 /// A registry of live discrete tuning axes, in actuation == feature order.
 ///
-/// Systems embed one of these in `try_apply`: enact the axes first, then
-/// switch the parallelism degree, so a full N-dimensional point rides the
-/// controller's apply-retry/degradation ladder atomically — an axis failure
-/// or degree veto parks the system on the *full* last-good point, because
-/// the fallback [`Config`] carries its axis levels and re-applying it
-/// re-enacts them.
+/// A [`PnstmActuator`] (or the ledger's live system) enacts one in
+/// `try_apply`: the axes first, then the parallelism degree, so a full
+/// N-dimensional point rides the controller's apply-retry/degradation
+/// ladder atomically — an axis failure or degree veto parks the system on
+/// the *full* last-good point, because the fallback [`Config`] carries its
+/// axis levels and re-applying it re-enacts them.
 #[derive(Default)]
 pub struct AxisRegistry {
     bindings: Vec<AxisBinding>,
@@ -180,6 +200,14 @@ impl AxisRegistry {
         Ok(())
     }
 
+    /// [`AxisRegistry::enact`], then stamp the upcoming `Reconfigure` event
+    /// on `stm`'s throttle with the full axis point.
+    pub fn enact_noted(&mut self, cfg: Config, stm: &pnstm::Stm) -> Result<(), ApplyError> {
+        self.enact(cfg)?;
+        stm.throttle().note_axes(self.axes_trace(cfg));
+        Ok(())
+    }
+
     /// Trace record of `cfg`'s axis point (defaults for a bare `(t, c)`
     /// point, empty when the arity is wrong) — for stamping `Reconfigure`
     /// events via `pnstm::Throttle::note_axes` before the degree switch.
@@ -197,37 +225,19 @@ impl AxisRegistry {
 /// the two discrete knobs switchable on a running [`pnstm::Stm`] without
 /// reconstruction.
 pub fn stm_axis_registry(stm: &pnstm::Stm) -> AxisRegistry {
-    use crate::space::CmPolicy;
     let cm_stm = stm.clone();
     let gc_stm = stm.clone();
     AxisRegistry::new()
         .bind(Axis::cm_policy(), move |value, _| {
-            let policy = *CmPolicy::ALL
-                .get(value as usize)
+            let mode = pnstm::CmMode::from_index(value as usize)
                 .ok_or_else(|| ApplyError::new(format!("unknown cm policy index {value}")))?;
-            cm_stm.set_cm_mode(policy.into());
+            cm_stm.set_cm_mode(mode);
             Ok(())
         })
         .bind(Axis::gc_budget(), move |value, _| {
             gc_stm.set_gc_slice_boxes(value as usize);
             Ok(())
         })
-}
-
-impl Actuator for PnstmActuator {
-    fn apply(&mut self, cfg: Config) {
-        self.stm.set_degree(cfg.into());
-        // Reprovision the execution layer to the new degree's worker demand:
-        // with the lock-free scheduler/admission pair this no longer
-        // quiesces in-flight batches through a lock, so it is safe to do on
-        // every apply.
-        self.stm.resize_pool(helper_demand(cfg));
-    }
-
-    fn current(&self) -> Config {
-        let d = self.stm.degree();
-        Config::new(d.top_level, d.nested_per_tree)
-    }
 }
 
 #[cfg(test)]
@@ -254,31 +264,38 @@ mod tests {
     }
 
     #[test]
-    fn policy_actuation_round_trips() {
-        use crate::space::CmPolicy;
-        let stm = Stm::new(StmConfig::default());
-        let act = PnstmActuator::new(stm.clone());
-        assert_eq!(act.policy(), CmPolicy::Immediate);
-        act.set_policy(CmPolicy::Karma);
-        assert_eq!(act.policy(), CmPolicy::Karma);
+    fn try_apply_enacts_axes_then_degree_then_pool() {
+        use crate::space::AxisLevels;
+        let stm = Stm::new(StmConfig { worker_threads: 1, ..StmConfig::default() });
+        let mut act = PnstmActuator::new(stm.clone());
+        act.attach_axes(stm_axis_registry(&stm));
+        let gc256 = Axis::gc_budget().level_of_value(256).unwrap();
+        let cfg =
+            Config::with_axes(2, 3, AxisLevels::from_slice(&[pnstm::CmMode::Karma.index(), gc256]));
+        act.try_apply(cfg).unwrap();
         assert_eq!(stm.cm_mode(), pnstm::CmMode::Karma);
-        act.set_policy(CmPolicy::Immediate);
-        assert_eq!(act.policy(), CmPolicy::Immediate);
+        assert_eq!(stm.gc_slice_boxes(), 256);
+        assert_eq!(act.current(), Config::new(2, 3));
+        assert_eq!(stm.pool_size(), 4);
+        assert_eq!(stm.throttle().noted_axes().get("cm").unwrap().label, "karma");
     }
 
     #[test]
-    fn mem_knob_actuation_round_trips() {
-        use crate::space::GcBudget;
-        let stm = Stm::new(StmConfig::default());
-        let act = PnstmActuator::new(stm.clone());
-        assert_eq!(act.gc_budget(), GcBudget::default());
-        act.set_gc_budget(GcBudget::new(256));
-        assert_eq!(act.gc_budget(), GcBudget::new(256));
-        assert_eq!(stm.gc_slice_boxes(), 256);
-        let soft = act.soft_ceiling();
-        act.set_soft_ceiling(soft / 2);
-        assert_eq!(act.soft_ceiling(), soft / 2);
-        act.set_soft_ceiling(soft);
+    fn vetoed_degree_leaves_degree_and_pool_in_place() {
+        use pnstm::{FaultKind, FaultPlan, FaultRule};
+        let plan =
+            FaultPlan::new(5).with_rule(FaultKind::ReconfigFail, FaultRule::with_probability(1.0));
+        let stm = Stm::new(StmConfig {
+            worker_threads: 1,
+            fault: Some(std::sync::Arc::new(plan)),
+            ..StmConfig::default()
+        });
+        let mut act = PnstmActuator::new(stm.clone());
+        act.apply(Config::new(2, 2)); // the unconditional path is not a veto site
+        assert!(act.try_apply(Config::new(4, 3)).is_err());
+        assert_eq!(act.current(), Config::new(2, 2));
+        assert_eq!(stm.pool_size(), 2);
+        act.quiesce(); // nothing in flight: returns at once
     }
 
     #[test]
@@ -340,13 +357,13 @@ mod tests {
 
     #[test]
     fn stm_registry_switches_live_knobs() {
-        use crate::space::{AxisLevels, CmPolicy};
+        use crate::space::AxisLevels;
         let stm = Stm::new(StmConfig::default());
         let mut reg = stm_axis_registry(&stm);
         let space = reg.space(4);
         assert_eq!(space.axes().len(), 2);
 
-        let karma = CmPolicy::ALL.iter().position(|&p| p == CmPolicy::Karma).unwrap();
+        let karma = pnstm::CmMode::Karma.index();
         let gc256 = space.axes()[1].level_of_value(256).unwrap();
         let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[karma, gc256]));
         reg.enact(cfg).unwrap();
@@ -355,8 +372,8 @@ mod tests {
 
         // Re-enacting a bare point restores both defaults.
         reg.enact(Config::new(1, 1)).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::from(CmPolicy::default()));
-        assert_eq!(stm.gc_slice_boxes(), crate::space::GcBudget::default().slice_boxes);
+        assert_eq!(stm.cm_mode(), pnstm::CmMode::default());
+        assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
     }
 
     #[test]

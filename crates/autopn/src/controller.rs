@@ -175,6 +175,18 @@ pub struct SupervisedOutcome {
     pub changes_detected: usize,
 }
 
+/// What [`Controller`]'s session loop hands back to the public entry point
+/// that shapes it into its outcome type.
+struct Session<E> {
+    /// Every exploration: configuration, measurement, the window's extra.
+    explored: Vec<(Config, Measurement, E)>,
+    best: Config,
+    /// The KPI the tuner observed for `best`.
+    best_kpi: f64,
+    elapsed_ns: u64,
+    degraded: bool,
+}
+
 /// Drives tuning sessions.
 pub struct Controller;
 
@@ -209,8 +221,8 @@ impl Controller {
 
     /// Core measurement loop; the second component reports whether the
     /// watchdog terminated the window (the session is then degraded).
-    fn measure_inner(
-        system: &mut dyn TunableSystem,
+    fn measure_inner<S: TunableSystem + ?Sized>(
+        system: &mut S,
         policy: &mut dyn MonitorPolicy,
         trace: &TraceBus,
         watchdog: &Watchdog,
@@ -268,11 +280,11 @@ impl Controller {
     ///
     /// Live systems reprovision the whole execution layer inside `try_apply`
     /// — admission capacity *and* scheduler worker count (see
-    /// `PnstmActuator::apply` / `LiveStmSystem`) — and do so only after the
+    /// [`crate::PnstmActuator::try_apply`]) — and do so only after the
     /// degree switch succeeds, so a failed attempt leaves both the `(t, c)`
     /// configuration and the worker pool exactly as they were.
-    fn apply_with_retry(
-        system: &mut dyn TunableSystem,
+    fn apply_with_retry<S: TunableSystem + ?Sized>(
+        system: &mut S,
         cfg: Config,
         opts: &TuneOptions,
     ) -> Result<(), ApplyError> {
@@ -336,72 +348,16 @@ impl Controller {
         trace: &TraceBus,
         opts: &TuneOptions,
     ) -> TuningOutcome {
-        tuner.attach_trace(trace.clone());
-        let started = system.now_ns();
-        trace.emit(TraceEvent::SessionStart { at_ns: started });
-        let mut explored = Vec::new();
-        let mut degraded = false;
-        let mut last_good: Option<Config> = None;
-        let park_on_last_good =
-            |system: &mut dyn TunableSystem, cfg: Config, last_good: Option<Config>| {
-                let fb = last_good.unwrap_or(Config::new(1, 1));
-                trace.emit(TraceEvent::ApplyDegraded {
-                    t: cfg.t as u32,
-                    c: cfg.c as u32,
-                    fb_t: fb.t as u32,
-                    fb_c: fb.c as u32,
-                    attempts: opts.apply_attempts.max(1),
-                });
-                // Best effort: the fallback has applied before, so this is
-                // expected to succeed; if the actuator is wedged enough that
-                // even this fails, the system simply keeps its current degree.
-                let _ = system.try_apply(fb);
-            };
-        while let Some(cfg) = tuner.propose() {
-            if Self::apply_with_retry(system, cfg, opts).is_err() {
-                degraded = true;
-                park_on_last_good(system, cfg, last_good);
-                // Teach the tuner the configuration is unusable (worst
-                // possible, known-noisy observation) so the search moves on
-                // instead of re-proposing it.
-                tuner.observe_noisy(cfg, 0.0, None, true);
-                continue;
-            }
-            last_good = Some(cfg);
-            system.quiesce();
-            let (m, watchdog_fired) = Self::measure_inner(system, policy, trace, &opts.watchdog);
-            degraded |= watchdog_fired;
-            policy.measurement_taken(cfg, &m);
-            tuner.observe_noisy(cfg, m.throughput, m.cv, m.timed_out);
-            explored.push((cfg, m));
-        }
-        // A tuner can finish without a single observation (empty search
-        // space, a zero-budget stop condition): fall back to the sequential
-        // configuration instead of panicking mid-session.
-        let (best, best_throughput, fallback) = match tuner.best() {
-            Some((cfg, kpi)) => (cfg, kpi, false),
-            None => (Config::new(1, 1), 0.0, true),
-        };
-        if Self::apply_with_retry(system, best, opts).is_err() {
-            degraded = true;
-            park_on_last_good(system, best, last_good);
-        }
-        trace.emit(TraceEvent::SessionEnd {
-            at_ns: system.now_ns(),
-            best_t: best.t as u32,
-            best_c: best.c as u32,
-            throughput: best_throughput,
-            explored: explored.len() as u64,
-            fallback,
-            degraded,
-            axes: tuner.config_space().map(|s| s.axes_trace(s.lift(best))).unwrap_or_default(),
+        let s = Self::session(system, tuner, policy, trace, opts, |system, measure| {
+            let m = measure(system);
+            (m.throughput, ())
         });
         TuningOutcome {
-            explored,
-            best,
-            best_throughput,
-            elapsed_ns: system.now_ns().saturating_sub(started),
-            degraded,
+            explored: s.explored.into_iter().map(|(cfg, m, ())| (cfg, m)).collect(),
+            best: s.best,
+            best_throughput: s.best_kpi,
+            elapsed_ns: s.elapsed_ns,
+            degraded: s.degraded,
         }
     }
 
@@ -438,42 +394,93 @@ impl Controller {
         trace: &TraceBus,
         opts: &TuneOptions,
     ) -> SloTuningOutcome {
+        let s = Self::session(system, tuner, policy, trace, opts, |system, measure| {
+            system.begin_slo_window();
+            measure(system);
+            let kpi = system.end_slo_window();
+            (kpi.score(p99_target_ns), kpi)
+        });
+        let meets_target = s
+            .explored
+            .iter()
+            .rev()
+            .find(|(cfg, _, _)| *cfg == s.best)
+            .is_some_and(|(_, _, kpi)| kpi.meets(p99_target_ns));
+        SloTuningOutcome {
+            explored: s.explored,
+            best: s.best,
+            best_score: s.best_kpi,
+            p99_target_ns,
+            meets_target,
+            elapsed_ns: s.elapsed_ns,
+            degraded: s.degraded,
+        }
+    }
+
+    /// The session loop behind every tuning entry point: propose → apply
+    /// (with retry) → park on last good when the apply fails → quiesce →
+    /// measure → observe, then apply the best point and emit `SessionEnd`.
+    ///
+    /// `window` runs one measurement window: it calls `measure` exactly once
+    /// (bracketing it as its KPI needs) and returns the scalar the tuner
+    /// observes plus a per-window extra kept in `explored`.
+    fn session<S: TunableSystem + ?Sized, E>(
+        system: &mut S,
+        tuner: &mut dyn Tuner,
+        policy: &mut dyn MonitorPolicy,
+        trace: &TraceBus,
+        opts: &TuneOptions,
+        mut window: impl FnMut(&mut S, &mut dyn FnMut(&mut S) -> Measurement) -> (f64, E),
+    ) -> Session<E> {
         tuner.attach_trace(trace.clone());
         let started = system.now_ns();
         trace.emit(TraceEvent::SessionStart { at_ns: started });
-        let mut explored: Vec<(Config, Measurement, SloKpi)> = Vec::new();
+        let mut explored = Vec::new();
         let mut degraded = false;
         let mut last_good: Option<Config> = None;
-        let park_on_last_good =
-            |system: &mut dyn TunableSystem, cfg: Config, last_good: Option<Config>| {
-                let fb = last_good.unwrap_or(Config::new(1, 1));
-                trace.emit(TraceEvent::ApplyDegraded {
-                    t: cfg.t as u32,
-                    c: cfg.c as u32,
-                    fb_t: fb.t as u32,
-                    fb_c: fb.c as u32,
-                    attempts: opts.apply_attempts.max(1),
-                });
-                let _ = system.try_apply(fb);
-            };
+        let park_on_last_good = |system: &mut S, cfg: Config, last_good: Option<Config>| {
+            let fb = last_good.unwrap_or(Config::new(1, 1));
+            trace.emit(TraceEvent::ApplyDegraded {
+                t: cfg.t as u32,
+                c: cfg.c as u32,
+                fb_t: fb.t as u32,
+                fb_c: fb.c as u32,
+                attempts: opts.apply_attempts.max(1),
+            });
+            // Best effort: the fallback has applied before, so this is
+            // expected to succeed; if the actuator is wedged enough that
+            // even this fails, the system simply keeps its current degree.
+            let _ = system.try_apply(fb);
+        };
         while let Some(cfg) = tuner.propose() {
             if Self::apply_with_retry(system, cfg, opts).is_err() {
                 degraded = true;
                 park_on_last_good(system, cfg, last_good);
+                // Teach the tuner the configuration is unusable (worst
+                // possible, known-noisy observation) so the search moves on
+                // instead of re-proposing it.
                 tuner.observe_noisy(cfg, 0.0, None, true);
                 continue;
             }
             last_good = Some(cfg);
             system.quiesce();
-            system.begin_slo_window();
-            let (m, watchdog_fired) = Self::measure_inner(system, policy, trace, &opts.watchdog);
-            let kpi = system.end_slo_window();
+            let mut measured = None;
+            let (kpi, extra) = window(system, &mut |system| {
+                let (m, watchdog_fired) =
+                    Self::measure_inner(system, policy, trace, &opts.watchdog);
+                measured = Some((m, watchdog_fired));
+                m
+            });
+            let (m, watchdog_fired) = measured.expect("a window measures once");
             degraded |= watchdog_fired;
             policy.measurement_taken(cfg, &m);
-            tuner.observe_noisy(cfg, kpi.score(p99_target_ns), m.cv, m.timed_out);
-            explored.push((cfg, m, kpi));
+            tuner.observe_noisy(cfg, kpi, m.cv, m.timed_out);
+            explored.push((cfg, m, extra));
         }
-        let (best, best_score, fallback) = match tuner.best() {
+        // A tuner can finish without a single observation (empty search
+        // space, a zero-budget stop condition): fall back to the sequential
+        // configuration instead of panicking mid-session.
+        let (best, best_kpi, fallback) = match tuner.best() {
             Some((cfg, kpi)) => (cfg, kpi, false),
             None => (Config::new(1, 1), 0.0, true),
         };
@@ -481,27 +488,20 @@ impl Controller {
             degraded = true;
             park_on_last_good(system, best, last_good);
         }
-        let meets_target = explored
-            .iter()
-            .rev()
-            .find(|(cfg, _, _)| *cfg == best)
-            .is_some_and(|(_, _, kpi)| kpi.meets(p99_target_ns));
         trace.emit(TraceEvent::SessionEnd {
             at_ns: system.now_ns(),
             best_t: best.t as u32,
             best_c: best.c as u32,
-            throughput: best_score,
+            throughput: best_kpi,
             explored: explored.len() as u64,
             fallback,
             degraded,
             axes: tuner.config_space().map(|s| s.axes_trace(s.lift(best))).unwrap_or_default(),
         });
-        SloTuningOutcome {
+        Session {
             explored,
             best,
-            best_score,
-            p99_target_ns,
-            meets_target,
+            best_kpi,
             elapsed_ns: system.now_ns().saturating_sub(started),
             degraded,
         }
@@ -890,6 +890,241 @@ mod tests {
         match events.last() {
             Some(TraceEvent::SessionEnd { degraded: true, fallback: false, .. }) => {}
             other => panic!("expected degraded SessionEnd, got {other:?}"),
+        }
+    }
+
+    /// Scriptable fake for the degradation-ladder transition table: the
+    /// `(t, c)` bowl of [`FakeSystem`], a veto rule over `(apply number,
+    /// config)` (every `try_apply` call counts, retries included), one
+    /// optional configuration whose clock freezes while it is in force (only
+    /// the wall watchdog can cut its window), and commit counting for an SLO
+    /// window.
+    struct LadderSystem {
+        inner: FakeSystem,
+        veto: fn(usize, Config) -> bool,
+        frozen: Option<Config>,
+        applies: usize,
+        parked: Config,
+        commits: u64,
+        slo_start: (u64, u64),
+    }
+
+    impl TunableSystem for LadderSystem {
+        fn apply(&mut self, cfg: Config) {
+            self.inner.apply(cfg);
+            self.parked = cfg;
+        }
+        fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
+            self.applies += 1;
+            if (self.veto)(self.applies, cfg) {
+                return Err(ApplyError::new("vetoed"));
+            }
+            self.apply(cfg);
+            Ok(())
+        }
+        fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
+            if Some(self.parked) == self.frozen {
+                std::thread::sleep(Duration::from_millis(1));
+                return None;
+            }
+            let ts = self.inner.wait_commit(max_wait_ns);
+            self.commits += ts.is_some() as u64;
+            ts
+        }
+        fn now_ns(&self) -> u64 {
+            self.inner.now_ns()
+        }
+    }
+
+    impl SloTunableSystem for LadderSystem {
+        fn begin_slo_window(&mut self) {
+            self.slo_start = (self.commits, self.now_ns());
+        }
+        fn end_slo_window(&mut self) -> SloKpi {
+            let completed = self.commits - self.slo_start.0;
+            let window_ns = (self.now_ns() - self.slo_start.1).max(1);
+            SloKpi {
+                goodput: completed as f64 * 1e9 / window_ns as f64,
+                offered: completed,
+                completed,
+                rejected: 0,
+                p50_ns: 1_000,
+                p99_ns: 2_000,
+                p999_ns: 4_000,
+                window_ns,
+            }
+        }
+    }
+
+    /// One row of the transition table: a scripted session and where the
+    /// ladder must leave it.
+    struct Row {
+        name: &'static str,
+        script: &'static [(usize, usize)],
+        veto: fn(usize, Config) -> bool,
+        frozen: Option<(usize, usize)>,
+        explored: usize,
+        degraded: bool,
+        fallback: bool,
+        /// `ApplyDegraded` events as `(t, c, fb_t, fb_c)`.
+        apply_degraded: &'static [(u32, u32, u32, u32)],
+        watchdog_fired: usize,
+        parked: (usize, usize),
+    }
+
+    /// The session loop's degradation ladder, row by row, under both KPIs:
+    /// the merged loop must take the same transitions whichever caller it
+    /// serves.
+    #[test]
+    fn session_ladder_transition_table() {
+        let rows = [
+            Row {
+                name: "every apply succeeds",
+                script: &[(2, 2), (6, 2)],
+                veto: |_, _| false,
+                frozen: None,
+                explored: 2,
+                degraded: false,
+                fallback: false,
+                apply_degraded: &[],
+                watchdog_fired: 0,
+                parked: (6, 2),
+            },
+            Row {
+                name: "one config vetoed parks on last good",
+                script: &[(2, 2), (4, 2)],
+                veto: |_, cfg| cfg == Config::new(4, 2),
+                frozen: None,
+                explored: 1,
+                degraded: true,
+                fallback: false,
+                apply_degraded: &[(4, 2, 2, 2)],
+                watchdog_fired: 0,
+                parked: (2, 2),
+            },
+            Row {
+                name: "every apply vetoed parks on (1,1)",
+                script: &[(2, 2), (4, 2)],
+                veto: |_, cfg| cfg != Config::new(1, 1),
+                frozen: None,
+                explored: 0,
+                degraded: true,
+                fallback: false,
+                // The vetoed configs were observed as unusable (KPI 0), so the
+                // tuner's best is the first of them — and its final apply is
+                // vetoed too.
+                apply_degraded: &[(2, 2, 1, 1), (4, 2, 1, 1), (2, 2, 1, 1)],
+                watchdog_fired: 0,
+                parked: (1, 1),
+            },
+            Row {
+                name: "watchdog cuts a frozen window",
+                script: &[(2, 2), (4, 2)],
+                veto: |_, _| false,
+                frozen: Some((4, 2)),
+                explored: 2,
+                degraded: true,
+                fallback: false,
+                apply_degraded: &[],
+                watchdog_fired: 1,
+                parked: (2, 2),
+            },
+            Row {
+                name: "tuner proposes nothing",
+                script: &[],
+                veto: |_, _| false,
+                frozen: None,
+                explored: 0,
+                degraded: false,
+                fallback: true,
+                apply_degraded: &[],
+                watchdog_fired: 0,
+                parked: (1, 1),
+            },
+            Row {
+                name: "final apply of best vetoed",
+                script: &[(6, 2), (2, 2)],
+                // Applies 1 and 2 are the proposals; from 3 on (the final
+                // apply of (6,2) and its retry) the winner is refused.
+                veto: |n, cfg| n >= 3 && cfg == Config::new(6, 2),
+                frozen: None,
+                explored: 2,
+                degraded: true,
+                fallback: false,
+                apply_degraded: &[(6, 2, 2, 2)],
+                watchdog_fired: 0,
+                parked: (2, 2),
+            },
+        ];
+        let opts = TuneOptions {
+            watchdog: Watchdog { wall: Duration::from_millis(30), ..Watchdog::default() },
+            apply_attempts: 2,
+            apply_backoff: Duration::ZERO,
+        };
+        for row in &rows {
+            for slo in [false, true] {
+                let mut sys = LadderSystem {
+                    inner: FakeSystem::new(),
+                    veto: row.veto,
+                    frozen: row.frozen.map(Config::from),
+                    applies: 0,
+                    parked: Config::new(3, 3),
+                    commits: 0,
+                    slo_start: (0, 0),
+                };
+                let mut tuner = ListTuner::new(row.script);
+                let mut policy = AdaptiveMonitor::default();
+                let sink = std::sync::Arc::new(pnstm::TestSink::default());
+                let trace = TraceBus::new();
+                trace.subscribe(sink.clone());
+                let (explored, degraded) = if slo {
+                    let o = Controller::tune_slo_traced_with(
+                        &mut sys,
+                        &mut tuner,
+                        &mut policy,
+                        1_000_000,
+                        &trace,
+                        &opts,
+                    );
+                    (o.explored.len(), o.degraded)
+                } else {
+                    let o = Controller::tune_traced_with(
+                        &mut sys,
+                        &mut tuner,
+                        &mut policy,
+                        &trace,
+                        &opts,
+                    );
+                    (o.explored.len(), o.degraded)
+                };
+                let ctx = format!("{} ({})", row.name, if slo { "slo" } else { "throughput" });
+                assert_eq!(explored, row.explored, "{ctx}: explored");
+                assert_eq!(degraded, row.degraded, "{ctx}: degraded");
+                assert_eq!(sys.parked, Config::from(row.parked), "{ctx}: parked");
+                let events = sink.events();
+                let apply_degraded: Vec<_> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::ApplyDegraded { t, c, fb_t, fb_c, attempts } => {
+                            assert_eq!(*attempts, 2, "{ctx}: attempts");
+                            Some((*t, *c, *fb_t, *fb_c))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(apply_degraded, row.apply_degraded, "{ctx}: ApplyDegraded");
+                let fired =
+                    events.iter().filter(|e| matches!(e, TraceEvent::WatchdogFired { .. })).count();
+                assert_eq!(fired, row.watchdog_fired, "{ctx}: WatchdogFired");
+                match events.last() {
+                    Some(TraceEvent::SessionEnd { explored: n, fallback, degraded, .. }) => {
+                        assert_eq!(*n as usize, row.explored, "{ctx}: SessionEnd.explored");
+                        assert_eq!(*fallback, row.fallback, "{ctx}: SessionEnd.fallback");
+                        assert_eq!(*degraded, row.degraded, "{ctx}: SessionEnd.degraded");
+                    }
+                    other => panic!("{ctx}: expected SessionEnd last, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -49,7 +49,6 @@ pub mod chaos;
 pub mod controller;
 pub mod hillclimb;
 pub mod kpi;
-pub mod legacy;
 pub mod model;
 pub mod monitor;
 pub mod multi;
@@ -60,7 +59,7 @@ pub mod smbo;
 pub mod space;
 pub mod stopping;
 
-pub use actuator::{stm_axis_registry, Actuator, AxisRegistry, PnstmActuator};
+pub use actuator::{stm_axis_registry, AxisRegistry, PnstmActuator};
 pub use change::CusumDetector;
 pub use chaos::FaultyTunable;
 pub use controller::{
@@ -76,13 +75,7 @@ pub use pnstm::{
     AxesTrace, AxisValue, JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink,
 };
 pub use pnstm::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
-pub use policy::{
-    sweep_block_sizes, sweep_gc_budgets, sweep_policies, BlockSizeSweepOutcome,
-    GcBudgetSweepOutcome, PolicySweepOutcome,
-};
+pub use policy::{sweep_axis, AxisSweepOutcome};
 pub use sampling::InitialSampling;
-pub use space::{
-    Axis, AxisKind, AxisLevels, BlockSize, CmPolicy, Config, ConfigSpace, GcBudget, SearchSpace,
-    MAX_AXES,
-};
+pub use space::{Axis, AxisKind, AxisLevels, Config, ConfigSpace, SearchSpace, MAX_AXES};
 pub use stopping::StopCondition;

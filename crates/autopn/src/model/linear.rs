@@ -5,7 +5,8 @@
 //! training samples carry (the config space's encoding width). At `d = 2`
 //! (the legacy `[t, c]` encoding) the accumulation order, the ridge term and
 //! the Gaussian elimination are arithmetic-identical to the original
-//! two-feature implementation, which `crate::legacy` pins bit-for-bit.
+//! two-feature implementation, which the `tests/support/legacy.rs` oracle pins
+//! bit-for-bit.
 
 use super::{common_dim, mean, Regressor, Sample};
 

@@ -6,7 +6,7 @@
 //! every model fits/predicts over `dim()` features. In the legacy 2-D
 //! `(t, c)` space the vector is exactly `[t, c]` and all arithmetic is
 //! bit-identical to the pre-generalization pipeline (pinned by
-//! `crate::legacy` and the legacy-projection proptest).
+//! the `tests/support/legacy.rs` oracle and the legacy-projection proptest).
 
 pub mod bagging;
 pub mod linear;

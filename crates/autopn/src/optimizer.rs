@@ -105,7 +105,7 @@ pub struct AutoPn {
 }
 
 impl AutoPn {
-    /// Build a tuner over `space` — a bare [`SearchSpace`] for the paper's
+    /// Build a tuner over `space` — a bare [`crate::SearchSpace`] for the paper's
     /// `(t, c)` problem, or a full [`ConfigSpace`] to co-tune discrete axes.
     pub fn new(space: impl Into<ConfigSpace>, cfg: AutoPnConfig) -> Self {
         let space = space.into();

@@ -1,185 +1,80 @@
-//! Co-tuning the contention-management policy with `(t, c)`.
+//! Co-tuning a discrete [`Axis`] with `(t, c)` by exhaustive sweep.
 //!
-//! The CM policy ([`CmPolicy`]) is a categorical axis: it has no numeric
-//! neighbourhood for the model-based `(t, c)` search to exploit, and the
-//! best `(t, c)` genuinely depends on the policy (backoff flattens the
-//! abort cliff at high `t`, so the throughput surface moves). The sweep
-//! therefore runs one *full* tuning session per policy — fresh tuner and
-//! fresh monitor each time, since AutoPN keeps no cross-workload knowledge
-//! by design (§V-B) and a policy switch is a workload change from the
-//! monitor's perspective — and picks the `(policy, t, c)` triple with the
-//! best measured throughput.
+//! [`sweep_axis`] runs one *full* tuning session per level of the axis —
+//! fresh tuner and fresh monitor each time, since AutoPN keeps no
+//! cross-workload knowledge by design (§V-B) and a knob switch is a workload
+//! change from the monitor's perspective — and picks the `(level, t, c)`
+//! triple with the best measured throughput. It is the baseline the
+//! in-model co-tuner (the axis folded into the [`crate::ConfigSpace`]) is
+//! measured against.
 
 use crate::controller::{Controller, TunableSystem, TuneOptions, TuningOutcome};
 use crate::monitor::MonitorPolicy;
 use crate::optimizer::Tuner;
-use crate::space::{BlockSize, CmPolicy, Config, GcBudget};
+use crate::space::{Axis, Config};
 use pnstm::TraceBus;
 
-/// One full `(t, c)` session per value of a categorical axis. Shared driver
-/// behind [`sweep_policies`] and [`sweep_gc_budgets`]: fresh tuner and
-/// monitor per session (a knob switch is a workload change from the
-/// monitor's perspective), winner by measured throughput with ties resolving
-/// to the earlier (ladder-ordered) value, winning pair re-enacted at the end.
-fn sweep_axis<K: Copy>(
+/// Outcome of an `{axis level} × (t, c)` sweep: every per-level session,
+/// plus the winning triple (re-applied to the system before returning).
+#[derive(Debug, Clone)]
+pub struct AxisSweepOutcome {
+    /// One completed tuning session per axis level, in ladder order.
+    pub sessions: Vec<TuningOutcome>,
+    /// The level of the winning session.
+    pub best_level: usize,
+    /// The winning session's best `(t, c)`.
+    pub best: Config,
+    /// Its measured throughput.
+    pub best_throughput: f64,
+    /// Any per-level session degraded (see [`TuningOutcome::degraded`]).
+    pub degraded: bool,
+}
+
+/// Run one `(t, c)` tuning session per level of `axis` and leave the system
+/// on the best `(level, t, c)`; ties go to the lower level.
+///
+/// `set(value, level)` enacts a level on the tuned system — the same shape
+/// as an [`crate::AxisRegistry::bind`] setter (live STM policy:
+/// `|v, _| stm.set_cm_mode(CmMode::from_index(v as usize).unwrap())`).
+/// `make_tuner` / `make_monitor` build a fresh optimizer and measurement
+/// policy per session, given the level.
+pub fn sweep_axis(
     system: &mut dyn TunableSystem,
-    values: &[K],
-    set: &mut dyn FnMut(K),
-    make_tuner: &mut dyn FnMut(K) -> Box<dyn Tuner>,
-    make_monitor: &mut dyn FnMut(K) -> Box<dyn MonitorPolicy>,
+    axis: &Axis,
+    set: &mut dyn FnMut(u32, usize),
+    make_tuner: &mut dyn FnMut(usize) -> Box<dyn Tuner>,
+    make_monitor: &mut dyn FnMut(usize) -> Box<dyn MonitorPolicy>,
     trace: &TraceBus,
     opts: &TuneOptions,
-) -> (Vec<(K, TuningOutcome)>, K, Config, f64, bool) {
-    assert!(!values.is_empty(), "axis sweep needs at least one value");
-    let mut sessions: Vec<(K, TuningOutcome)> = Vec::with_capacity(values.len());
+) -> AxisSweepOutcome {
+    let mut sessions: Vec<TuningOutcome> = Vec::with_capacity(axis.len());
     let mut degraded = false;
-    for &k in values {
-        set(k);
-        let mut tuner = make_tuner(k);
-        let mut monitor = make_monitor(k);
+    for level in 0..axis.len() {
+        set(axis.value_at(level), level);
+        let mut tuner = make_tuner(level);
+        let mut monitor = make_monitor(level);
         let outcome =
             Controller::tune_traced_with(system, tuner.as_mut(), monitor.as_mut(), trace, opts);
         degraded |= outcome.degraded;
-        sessions.push((k, outcome));
+        sessions.push(outcome);
     }
-    let (best_key, best, best_throughput) = sessions
-        .iter()
-        .map(|(k, o)| (*k, o.best, o.best_throughput))
-        .reduce(|a, b| if b.2 > a.2 { b } else { a })
-        .expect("at least one session ran");
+    let best_level = (1..sessions.len()).fold(0, |a, b| {
+        if sessions[b].best_throughput > sessions[a].best_throughput {
+            b
+        } else {
+            a
+        }
+    });
+    let (best, best_throughput) = (sessions[best_level].best, sessions[best_level].best_throughput);
     // Each session parks the system on its own best; re-enact the winning
-    // pair now that the whole sweep has finished. Best effort, as with the
+    // point now that the whole sweep has finished. Best effort, as with the
     // controller's own fallback path: a veto here leaves the last session's
     // configuration in force.
-    set(best_key);
+    set(axis.value_at(best_level), best_level);
     if system.try_apply(best).is_err() {
         degraded = true;
     }
-    (sessions, best_key, best, best_throughput, degraded)
-}
-
-/// Outcome of a `{policy} × (t, c)` sweep: every per-policy session, plus
-/// the winning triple (re-applied to the system before returning).
-#[derive(Debug, Clone)]
-pub struct PolicySweepOutcome {
-    /// One completed tuning session per swept policy, in sweep order.
-    pub sessions: Vec<(CmPolicy, TuningOutcome)>,
-    /// The policy of the winning session.
-    pub best_policy: CmPolicy,
-    /// The winning session's best `(t, c)`.
-    pub best: Config,
-    /// Its measured throughput.
-    pub best_throughput: f64,
-    /// Any per-policy session degraded (see [`TuningOutcome::degraded`]).
-    pub degraded: bool,
-}
-
-/// Run one `(t, c)` tuning session per policy in `policies` (the full
-/// ladder when empty) and leave the system on the best `(policy, t, c)`.
-///
-/// `set_policy` enacts a policy on the tuned system (live STM:
-/// `|p| stm.set_cm_mode(p.into())`, or [`crate::PnstmActuator::set_policy`]).
-/// `make_tuner` / `make_monitor` build a fresh optimizer and measurement
-/// policy per session.
-pub fn sweep_policies(
-    system: &mut dyn TunableSystem,
-    policies: &[CmPolicy],
-    set_policy: &mut dyn FnMut(CmPolicy),
-    make_tuner: &mut dyn FnMut(CmPolicy) -> Box<dyn Tuner>,
-    make_monitor: &mut dyn FnMut(CmPolicy) -> Box<dyn MonitorPolicy>,
-    trace: &TraceBus,
-    opts: &TuneOptions,
-) -> PolicySweepOutcome {
-    let policies: Vec<CmPolicy> =
-        if policies.is_empty() { CmPolicy::ALL.to_vec() } else { policies.to_vec() };
-    let (sessions, best_policy, best, best_throughput, degraded) =
-        sweep_axis(system, &policies, set_policy, make_tuner, make_monitor, trace, opts);
-    PolicySweepOutcome { sessions, best_policy, best, best_throughput, degraded }
-}
-
-/// Outcome of a `{gc budget} × (t, c)` sweep; see [`sweep_gc_budgets`].
-#[derive(Debug, Clone)]
-pub struct GcBudgetSweepOutcome {
-    /// One completed tuning session per swept budget, in sweep order.
-    pub sessions: Vec<(GcBudget, TuningOutcome)>,
-    /// The slice budget of the winning session.
-    pub best_budget: GcBudget,
-    /// The winning session's best `(t, c)`.
-    pub best: Config,
-    /// Its measured throughput.
-    pub best_throughput: f64,
-    /// Any per-budget session degraded (see [`TuningOutcome::degraded`]).
-    pub degraded: bool,
-}
-
-/// Run one `(t, c)` tuning session per GC slice budget in `budgets` (the
-/// default [`GcBudget::SWEEP`] ladder when empty) and leave the system on
-/// the best `(budget, t, c)`.
-///
-/// The budget trades commit-path interference against reclamation latency:
-/// a small slice keeps collector pauses between yields short but lets the
-/// version heap ride higher (more cache pressure on readers), a large slice
-/// reclaims eagerly at the cost of longer boxes-lock holds. The surface is
-/// workload-dependent, so like the CM policy it is swept as a categorical
-/// axis. `set_budget` enacts a budget on the tuned system (live STM:
-/// [`crate::PnstmActuator::set_gc_budget`]).
-pub fn sweep_gc_budgets(
-    system: &mut dyn TunableSystem,
-    budgets: &[GcBudget],
-    set_budget: &mut dyn FnMut(GcBudget),
-    make_tuner: &mut dyn FnMut(GcBudget) -> Box<dyn Tuner>,
-    make_monitor: &mut dyn FnMut(GcBudget) -> Box<dyn MonitorPolicy>,
-    trace: &TraceBus,
-    opts: &TuneOptions,
-) -> GcBudgetSweepOutcome {
-    let budgets: Vec<GcBudget> =
-        if budgets.is_empty() { GcBudget::SWEEP.to_vec() } else { budgets.to_vec() };
-    let (sessions, best_budget, best, best_throughput, degraded) =
-        sweep_axis(system, &budgets, set_budget, make_tuner, make_monitor, trace, opts);
-    GcBudgetSweepOutcome { sessions, best_budget, best, best_throughput, degraded }
-}
-
-/// Outcome of a `{block size} × (t, c)` sweep; see [`sweep_block_sizes`].
-#[derive(Debug, Clone)]
-pub struct BlockSizeSweepOutcome {
-    /// One completed tuning session per swept block size, in sweep order.
-    pub sessions: Vec<(BlockSize, TuningOutcome)>,
-    /// The block size of the winning session.
-    pub best_block_size: BlockSize,
-    /// The winning session's best `(t, c)`.
-    pub best: Config,
-    /// Its measured throughput.
-    pub best_throughput: f64,
-    /// Any per-size session degraded (see [`TuningOutcome::degraded`]).
-    pub degraded: bool,
-}
-
-/// Run one `(t, c)` tuning session per ledger block size in `sizes` (the
-/// default [`BlockSize::SWEEP`] ladder when empty) and leave the system on
-/// the best `(block size, t, c)`.
-///
-/// Block size trades per-block overhead against conflict exposure: a large
-/// block amortises the index-order install and keeps the execution wave
-/// saturated, but widens the window in which a hot-account write invalidates
-/// the suffix (more incarnation re-runs); a small block bounds the
-/// re-execution bill at the cost of more commits. The surface depends on the
-/// workload's conflict level, so it is swept as a categorical axis.
-/// `set_size` enacts a size on the tuned system (live ledger:
-/// `|b| cfg.block_size = b.txns` on the executor driving the loop).
-pub fn sweep_block_sizes(
-    system: &mut dyn TunableSystem,
-    sizes: &[BlockSize],
-    set_size: &mut dyn FnMut(BlockSize),
-    make_tuner: &mut dyn FnMut(BlockSize) -> Box<dyn Tuner>,
-    make_monitor: &mut dyn FnMut(BlockSize) -> Box<dyn MonitorPolicy>,
-    trace: &TraceBus,
-    opts: &TuneOptions,
-) -> BlockSizeSweepOutcome {
-    let sizes: Vec<BlockSize> =
-        if sizes.is_empty() { BlockSize::SWEEP.to_vec() } else { sizes.to_vec() };
-    let (sessions, best_block_size, best, best_throughput, degraded) =
-        sweep_axis(system, &sizes, set_size, make_tuner, make_monitor, trace, opts);
-    BlockSizeSweepOutcome { sessions, best_block_size, best, best_throughput, degraded }
+    AxisSweepOutcome { sessions, best_level, best, best_throughput, degraded }
 }
 
 #[cfg(test)]
@@ -188,6 +83,7 @@ mod tests {
     use crate::monitor::AdaptiveMonitor;
     use crate::optimizer::{AutoPn, AutoPnConfig};
     use crate::space::SearchSpace;
+    use pnstm::CmMode;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -203,11 +99,11 @@ mod tests {
 
     impl PolicyFakeSystem {
         fn policy_penalty(idx: usize) -> u64 {
-            match CmPolicy::ALL[idx] {
-                CmPolicy::Immediate => 600_000,
-                CmPolicy::ExpBackoff => 200_000,
-                CmPolicy::Karma => 0,
-                CmPolicy::Greedy => 300_000,
+            match CmMode::from_index(idx).expect("cm level") {
+                CmMode::Immediate => 600_000,
+                CmMode::ExpBackoff => 200_000,
+                CmMode::Karma => 0,
+                CmMode::Greedy => 300_000,
             }
         }
         fn period_for(cfg: Config, idx: usize) -> u64 {
@@ -250,19 +146,17 @@ mod tests {
             policy_idx: Arc::clone(&policy_idx),
         };
         let knob = Arc::clone(&policy_idx);
-        let outcome = sweep_policies(
+        let outcome = sweep_axis(
             &mut sys,
-            &CmPolicy::ALL,
-            &mut |p| {
-                knob.store(CmPolicy::ALL.iter().position(|&q| q == p).unwrap(), Ordering::Relaxed)
-            },
+            &Axis::cm_policy(),
+            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
             &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
             &mut |_| Box::new(AdaptiveMonitor::default()),
             &TraceBus::default(),
             &TuneOptions::default(),
         );
         assert_eq!(outcome.sessions.len(), 4, "one full session per policy");
-        assert_eq!(outcome.best_policy, CmPolicy::Karma);
+        assert_eq!(CmMode::from_index(outcome.best_level), Some(CmMode::Karma));
         assert!(
             (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
             "best {} too far from (6,2)",
@@ -273,9 +167,8 @@ mod tests {
         assert_eq!(policy_idx.load(Ordering::Relaxed), 2, "karma re-enacted after the sweep");
         assert_eq!(sys.cfg, outcome.best);
         // Throughputs actually separate the policies as constructed.
-        let tp =
-            |p: CmPolicy| outcome.sessions.iter().find(|(q, _)| *q == p).unwrap().1.best_throughput;
-        assert!(tp(CmPolicy::Karma) > tp(CmPolicy::Immediate));
+        let tp = |m: CmMode| outcome.sessions[m.index()].best_throughput;
+        assert!(tp(CmMode::Karma) > tp(CmMode::Immediate));
     }
 
     /// Deterministic fake for the GC-budget axis: commit period is parabolic
@@ -319,30 +212,30 @@ mod tests {
 
     #[test]
     fn gc_budget_sweep_finds_the_best_budget() {
-        let budget = Arc::new(AtomicUsize::new(GcBudget::default().slice_boxes));
+        let axis = Axis::gc_budget();
+        let budget = Arc::new(AtomicUsize::new(axis.value_at(axis.default_level()) as usize));
         let mut sys =
             BudgetFakeSystem { now: 0, cfg: Config::new(1, 1), budget: Arc::clone(&budget) };
         let knob = Arc::clone(&budget);
-        let outcome = sweep_gc_budgets(
+        let outcome = sweep_axis(
             &mut sys,
-            &[],
-            &mut |b| knob.store(b.slice_boxes, Ordering::Relaxed),
+            &axis,
+            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
             &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
             &mut |_| Box::new(AdaptiveMonitor::default()),
             &TraceBus::default(),
             &TuneOptions::default(),
         );
-        assert_eq!(outcome.sessions.len(), GcBudget::SWEEP.len(), "empty list sweeps the ladder");
-        assert_eq!(outcome.best_budget, GcBudget::new(128));
+        assert_eq!(outcome.sessions.len(), axis.len(), "one full session per level");
+        assert_eq!(axis.value_at(outcome.best_level), 128);
         assert_eq!(budget.load(Ordering::Relaxed), 128, "winner re-enacted after the sweep");
         assert!(
             (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
             "best {} too far from (6,2)",
             outcome.best
         );
-        let tp =
-            |b: GcBudget| outcome.sessions.iter().find(|(q, _)| *q == b).unwrap().1.best_throughput;
-        assert!(tp(GcBudget::new(128)) > tp(GcBudget::new(32)));
+        let tp = |b: u32| outcome.sessions[axis.level_of_value(b).unwrap()].best_throughput;
+        assert!(tp(128) > tp(32));
     }
 
     /// Deterministic fake for the block-size axis: commit period is
@@ -387,54 +280,28 @@ mod tests {
 
     #[test]
     fn block_size_sweep_finds_the_best_size() {
-        let block = Arc::new(AtomicUsize::new(BlockSize::default().txns));
+        let axis = Axis::block_size();
+        let block = Arc::new(AtomicUsize::new(axis.value_at(axis.default_level()) as usize));
         let mut sys = BlockFakeSystem { now: 0, cfg: Config::new(1, 1), block: Arc::clone(&block) };
         let knob = Arc::clone(&block);
-        let outcome = sweep_block_sizes(
+        let outcome = sweep_axis(
             &mut sys,
-            &[],
-            &mut |b| knob.store(b.txns, Ordering::Relaxed),
+            &axis,
+            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
             &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
             &mut |_| Box::new(AdaptiveMonitor::default()),
             &TraceBus::default(),
             &TuneOptions::default(),
         );
-        assert_eq!(outcome.sessions.len(), BlockSize::SWEEP.len(), "empty list sweeps the ladder");
-        assert_eq!(outcome.best_block_size, BlockSize::new(256));
+        assert_eq!(outcome.sessions.len(), axis.len(), "one full session per level");
+        assert_eq!(axis.value_at(outcome.best_level), 256);
         assert_eq!(block.load(Ordering::Relaxed), 256, "winner re-enacted after the sweep");
         assert!(
             (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
             "best {} too far from (6,2)",
             outcome.best
         );
-        let tp = |b: BlockSize| {
-            outcome.sessions.iter().find(|(q, _)| *q == b).unwrap().1.best_throughput
-        };
-        assert!(tp(BlockSize::new(256)) > tp(BlockSize::new(64)));
-    }
-
-    #[test]
-    fn empty_policy_list_defaults_to_the_full_ladder() {
-        let policy_idx = Arc::new(AtomicUsize::new(0));
-        let mut sys = PolicyFakeSystem {
-            now: 0,
-            period_ns: 1_000_000,
-            cfg: Config::new(1, 1),
-            policy_idx: Arc::clone(&policy_idx),
-        };
-        let knob = Arc::clone(&policy_idx);
-        let outcome = sweep_policies(
-            &mut sys,
-            &[],
-            &mut |p| {
-                knob.store(CmPolicy::ALL.iter().position(|&q| q == p).unwrap(), Ordering::Relaxed)
-            },
-            &mut |_| Box::new(AutoPn::new(SearchSpace::new(8), AutoPnConfig::default())),
-            &mut |_| Box::new(AdaptiveMonitor::default()),
-            &TraceBus::default(),
-            &TuneOptions::default(),
-        );
-        let swept: Vec<CmPolicy> = outcome.sessions.iter().map(|(p, _)| *p).collect();
-        assert_eq!(swept, CmPolicy::ALL.to_vec());
+        let tp = |b: u32| outcome.sessions[axis.level_of_value(b).unwrap()].best_throughput;
+        assert!(tp(256) > tp(64));
     }
 }

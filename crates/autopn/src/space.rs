@@ -9,143 +9,6 @@
 
 use serde::impl_serde;
 
-/// Typed discrete knob for the STM's contention-management policy — the
-/// tuner-facing mirror of [`pnstm::CmMode`]. Unlike `(t, c)` this axis is
-/// categorical (no neighbourhood structure), so the sweep driver
-/// ([`crate::policy`]) enumerates it exhaustively and runs a full `(t, c)`
-/// session per value rather than folding it into the numeric search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum CmPolicy {
-    /// Retry instantly on abort (the STM default).
-    #[default]
-    Immediate,
-    /// Jittered exponential backoff per failed attempt.
-    ExpBackoff,
-    /// Karma: aborted work accrues priority; poorer transactions wait.
-    Karma,
-    /// Greedy: timestamp seniority; juniors wait at most once.
-    Greedy,
-}
-
-impl CmPolicy {
-    /// Every policy, in ladder order (the sweep default).
-    pub const ALL: [CmPolicy; 4] =
-        [CmPolicy::Immediate, CmPolicy::ExpBackoff, CmPolicy::Karma, CmPolicy::Greedy];
-
-    /// Stable lower-case tag (matches [`pnstm::CmMode::tag`]).
-    pub fn tag(&self) -> &'static str {
-        pnstm::CmMode::from(*self).tag()
-    }
-}
-
-impl From<CmPolicy> for pnstm::CmMode {
-    fn from(p: CmPolicy) -> Self {
-        match p {
-            CmPolicy::Immediate => pnstm::CmMode::Immediate,
-            CmPolicy::ExpBackoff => pnstm::CmMode::ExpBackoff,
-            CmPolicy::Karma => pnstm::CmMode::Karma,
-            CmPolicy::Greedy => pnstm::CmMode::Greedy,
-        }
-    }
-}
-
-impl From<pnstm::CmMode> for CmPolicy {
-    fn from(m: pnstm::CmMode) -> Self {
-        match m {
-            pnstm::CmMode::Immediate => CmPolicy::Immediate,
-            pnstm::CmMode::ExpBackoff => CmPolicy::ExpBackoff,
-            pnstm::CmMode::Karma => CmPolicy::Karma,
-            pnstm::CmMode::Greedy => CmPolicy::Greedy,
-        }
-    }
-}
-
-impl std::fmt::Display for CmPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-/// Typed discrete knob for the STM's background-GC slice budget (boxes
-/// pruned per collector slice) — the tuner-facing mirror of
-/// [`pnstm::Stm::set_gc_slice_boxes`]. Like [`CmPolicy`] it is swept as a
-/// discrete axis rather than folded into the numeric `(t, c)` space: the
-/// throughput surface over slice budgets is a shallow trade (finer
-/// interleaving vs per-slice overhead) with workload-dependent optimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GcBudget {
-    /// Boxes pruned per GC slice before the collector yields.
-    pub slice_boxes: usize,
-}
-
-impl GcBudget {
-    /// The default sweep ladder, ascending (powers of two around the
-    /// [`pnstm::MemConfig`] default of 128).
-    pub const SWEEP: [GcBudget; 5] = [
-        GcBudget { slice_boxes: 32 },
-        GcBudget { slice_boxes: 64 },
-        GcBudget { slice_boxes: 128 },
-        GcBudget { slice_boxes: 256 },
-        GcBudget { slice_boxes: 512 },
-    ];
-
-    pub fn new(slice_boxes: usize) -> Self {
-        Self { slice_boxes: slice_boxes.max(1) }
-    }
-}
-
-impl Default for GcBudget {
-    fn default() -> Self {
-        Self { slice_boxes: pnstm::MemConfig::default().gc_slice_boxes }
-    }
-}
-
-impl std::fmt::Display for GcBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "gc:{}", self.slice_boxes)
-    }
-}
-
-/// The ledger-mode block-size axis: how many transactions a block batches
-/// before the deterministic index-order commit. Larger blocks amortise the
-/// per-block install and validation ramp-up; smaller ones shrink the
-/// conflict window (and the re-execution bill) under contention — another
-/// discrete knob co-tuned alongside `(t, c)`, like [`CmPolicy`] and
-/// [`GcBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockSize {
-    /// Transactions per block.
-    pub txns: usize,
-}
-
-impl BlockSize {
-    /// The default sweep ladder, ascending (powers of two around the ledger
-    /// default of 256).
-    pub const SWEEP: [BlockSize; 5] = [
-        BlockSize { txns: 64 },
-        BlockSize { txns: 128 },
-        BlockSize { txns: 256 },
-        BlockSize { txns: 512 },
-        BlockSize { txns: 1024 },
-    ];
-
-    pub fn new(txns: usize) -> Self {
-        Self { txns: txns.max(1) }
-    }
-}
-
-impl Default for BlockSize {
-    fn default() -> Self {
-        Self { txns: 256 }
-    }
-}
-
-impl std::fmt::Display for BlockSize {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "block:{}", self.txns)
-    }
-}
-
 /// Maximum number of discrete axes a [`ConfigSpace`] may carry. Matches
 /// [`pnstm::MAX_TRACE_AXES`] so every full configuration point fits in a
 /// `Copy` trace event.
@@ -491,29 +354,29 @@ impl Axis {
         Self { name, kind, levels, default_level }
     }
 
-    /// The contention-policy axis ([`CmPolicy`]), categorical over the
-    /// ladder order; level values are `CmPolicy::ALL` indices.
+    /// The contention-policy axis, categorical over [`pnstm::CmMode::ALL`]
+    /// with the runtime's default; level values are [`pnstm::CmMode::index`]es
+    /// (`CmMode::from_index` maps one back).
     pub fn cm_policy() -> Self {
-        let labels: Vec<&'static str> = CmPolicy::ALL.iter().map(|p| p.tag()).collect();
-        let default = CmPolicy::ALL
-            .iter()
-            .position(|&p| p == CmPolicy::default())
-            .expect("default policy in ALL");
-        Self::categorical("cm", &labels, default)
+        let labels: Vec<&'static str> = pnstm::CmMode::ALL.iter().map(|m| m.tag()).collect();
+        Self::categorical("cm", &labels, pnstm::CmMode::default().index())
     }
 
-    /// The background-GC slice-budget axis ([`GcBudget`]), log2-encoded
-    /// over the sweep ladder; level values are slice boxes.
+    /// The background-GC slice-budget axis (boxes pruned per collector
+    /// slice): powers of two around the [`pnstm::MemConfig`] default,
+    /// log2-encoded. A small slice keeps collector pauses short, a large one
+    /// reclaims eagerly.
     pub fn gc_budget() -> Self {
-        let values: Vec<u32> = GcBudget::SWEEP.iter().map(|g| g.slice_boxes as u32).collect();
-        Self::integer_log2("gc_boxes", &values, GcBudget::default().slice_boxes as u32)
+        let default = pnstm::MemConfig::default().gc_slice_boxes as u32;
+        Self::integer_log2("gc_boxes", &[32, 64, 128, 256, 512], default)
     }
 
-    /// The ledger block-size axis ([`BlockSize`]), log2-encoded over the
-    /// sweep ladder; level values are transactions per block.
+    /// The ledger block-size axis (transactions per block): powers of two
+    /// around the ledger default of 256, log2-encoded. A large block
+    /// amortises the index-order install, a small one shrinks the conflict
+    /// window.
     pub fn block_size() -> Self {
-        let values: Vec<u32> = BlockSize::SWEEP.iter().map(|b| b.txns as u32).collect();
-        Self::integer_log2("block", &values, BlockSize::default().txns as u32)
+        Self::integer_log2("block", &[64, 128, 256, 512, 1024], 256)
     }
 
     /// The scheduler-mode axis ([`pnstm::SchedMode`]), categorical; level 0
@@ -886,25 +749,32 @@ mod tests {
     }
 
     #[test]
-    fn gc_budget_axis_is_well_formed() {
-        assert_eq!(GcBudget::default().slice_boxes, pnstm::MemConfig::default().gc_slice_boxes);
-        assert_eq!(GcBudget::new(0).slice_boxes, 1, "budget clamps to 1");
-        assert_eq!(GcBudget::new(64).to_string(), "gc:64");
-        let mut sorted = GcBudget::SWEEP.to_vec();
-        sorted.sort();
-        assert_eq!(sorted, GcBudget::SWEEP.to_vec(), "sweep ladder is ascending");
-        assert!(GcBudget::SWEEP.contains(&GcBudget::default()), "sweep covers the default");
-    }
-
-    #[test]
-    fn block_size_axis_is_well_formed() {
-        assert_eq!(BlockSize::default().txns, 256);
-        assert_eq!(BlockSize::new(0).txns, 1, "block size clamps to 1");
-        assert_eq!(BlockSize::new(128).to_string(), "block:128");
-        let mut sorted = BlockSize::SWEEP.to_vec();
-        sorted.sort();
-        assert_eq!(sorted, BlockSize::SWEEP.to_vec(), "sweep ladder is ascending");
-        assert!(BlockSize::SWEEP.contains(&BlockSize::default()), "sweep covers the default");
+    fn axis_vocabulary_matches_the_runtime() {
+        // The cm axis *is* the runtime's policy ladder: same tags, same
+        // order, same default — so `CmMode::from_index(value)` enacts it.
+        let cm = Axis::cm_policy();
+        let labels: Vec<&str> = cm.levels().iter().map(|l| l.label).collect();
+        let tags: Vec<&str> = pnstm::CmMode::ALL.iter().map(|m| m.tag()).collect();
+        assert_eq!(labels, tags);
+        for (level, tag) in tags.iter().enumerate() {
+            assert_eq!(pnstm::CmMode::from_index(cm.value_at(level) as usize).unwrap().tag(), *tag);
+        }
+        assert_eq!(
+            pnstm::CmMode::from_index(cm.value_at(cm.default_level()) as usize),
+            Some(pnstm::CmMode::default())
+        );
+        // The GC axis defaults to the runtime's own slice budget. (The
+        // block axis's default is pinned to `LedgerConfig` in `workloads`,
+        // which sees both crates.)
+        let gc = Axis::gc_budget();
+        assert_eq!(
+            gc.value_at(gc.default_level()) as usize,
+            pnstm::MemConfig::default().gc_slice_boxes
+        );
+        for axis in [Axis::gc_budget(), Axis::block_size()] {
+            let values: Vec<u32> = axis.levels().iter().map(|l| l.value).collect();
+            assert!(values.windows(2).all(|w| w[0] < w[1]), "{} ladder ascends", axis.name());
+        }
     }
 
     #[test]
@@ -1029,17 +899,5 @@ mod tests {
             ("c".to_string(), 2usize.to_value()),
         ]);
         assert_eq!(Config::from_value(&legacy), Ok(Config::new(4, 2)));
-    }
-
-    #[test]
-    fn cm_policy_round_trips_through_cm_mode() {
-        assert_eq!(CmPolicy::ALL.len(), pnstm::CM_POLICIES);
-        for p in CmPolicy::ALL {
-            let mode: pnstm::CmMode = p.into();
-            assert_eq!(CmPolicy::from(mode), p);
-            assert_eq!(p.tag(), mode.tag());
-            assert_eq!(p.to_string(), mode.tag());
-        }
-        assert_eq!(CmPolicy::default(), CmPolicy::Immediate);
     }
 }

@@ -6,7 +6,13 @@
 //! outcome. Any arithmetic drift in the feature-vector rewrite of the
 //! model/SMBO/hill-climb layers shows up here as a bit-level divergence.
 
-use autopn::legacy::LegacyAutoPn;
+// The frozen oracle lives in test support, out of the shipped library.
+mod support {
+    pub mod legacy;
+}
+
+use support::legacy::LegacyAutoPn;
+
 use autopn::{
     AutoPn, AutoPnConfig, Config, ConfigSpace, InitialSampling, SearchSpace, StopCondition, Tuner,
 };

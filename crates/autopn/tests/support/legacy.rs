@@ -14,7 +14,7 @@
 //!
 //! Nothing in this module may change behaviour: [`LegacyAutoPn`] restricted
 //! to a `(t, c)`-only space must replay byte-identical proposal sequences
-//! against the generalized [`crate::AutoPn`] (see
+//! against the generalized [`autopn::AutoPn`] (see
 //! `tests/legacy_projection.rs`).
 
 use std::collections::{HashMap, VecDeque};
@@ -22,9 +22,9 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::optimizer::{AutoPnConfig, Tuner};
-use crate::smbo::{expected_improvement, Acquisition};
-use crate::space::{Config, SearchSpace};
+use autopn::optimizer::{AutoPnConfig, Tuner};
+use autopn::smbo::{expected_improvement, Acquisition};
+use autopn::space::{Config, SearchSpace};
 
 // ---------------------------------------------------------------------------
 // Samples (frozen 2-feature layout)
@@ -525,7 +525,7 @@ enum LPhase {
 }
 
 /// The pre-generalization AutoPN, frozen at its 2-D `(t, c)` form. Same
-/// ask–tell surface as [`crate::AutoPn`]; exists purely as the differential
+/// ask–tell surface as [`autopn::AutoPn`]; exists purely as the differential
 /// oracle (`tests/legacy_projection.rs`) and is not wired to any live path.
 pub struct LegacyAutoPn {
     space: SearchSpace,
@@ -556,7 +556,7 @@ impl LegacyAutoPn {
     }
 
     /// Which phase the optimizer is in, as a label (mirrors
-    /// [`crate::AutoPn::phase_name`] for the differential test).
+    /// [`autopn::AutoPn::phase_name`] for the differential test).
     pub fn phase_name(&self) -> &'static str {
         match self.phase {
             LPhase::InitialSampling => "initial-sampling",

@@ -32,10 +32,10 @@ use std::sync::Arc;
 
 use autopn::monitor::AdaptiveMonitor;
 use autopn::{
-    AutoPn, AutoPnConfig, Axis, AxisRegistry, BlockSize, CmPolicy, Config, Controller, SearchSpace,
-    TunableSystem, TuneOptions, TuningOutcome,
+    AutoPn, AutoPnConfig, Axis, AxisRegistry, Config, Controller, SearchSpace, TunableSystem,
+    TuneOptions, TuningOutcome,
 };
-use pnstm::TraceBus;
+use pnstm::{CmMode, TraceBus};
 
 struct BenchConfig {
     cores: usize,
@@ -85,11 +85,12 @@ impl RingFakeSystem {
     fn period(&self) -> u64 {
         let bowl = (self.cfg.t as f64 - 6.0).powi(2) * 1_000.0
             + (self.cfg.c as f64 - 2.0).powi(2) * 2_000.0;
-        let cm_penalty = match CmPolicy::ALL[self.cm_idx.load(Ordering::Relaxed)] {
-            CmPolicy::Karma => 0.0,
-            CmPolicy::ExpBackoff => 8_000.0,
-            CmPolicy::Greedy => 12_000.0,
-            CmPolicy::Immediate => 20_000.0,
+        let cm = CmMode::from_index(self.cm_idx.load(Ordering::Relaxed)).expect("cm axis level");
+        let cm_penalty = match cm {
+            CmMode::Karma => 0.0,
+            CmMode::ExpBackoff => 8_000.0,
+            CmMode::Greedy => 12_000.0,
+            CmMode::Immediate => 20_000.0,
         };
         let b = self.block_txns.load(Ordering::Relaxed).max(1) as f64;
         let block_penalty = (b.log2() - 9.0).powi(2) * 5_000.0; // optimum: 512
@@ -124,20 +125,25 @@ fn main() {
     let cfg = parse_args();
     println!("{{\"bench\":\"cotune_scaling\",\"cores\":{},\"smoke\":{}}}", cfg.cores, cfg.smoke);
 
-    let cm_idx = Arc::new(AtomicUsize::new(0));
-    let block_txns = Arc::new(AtomicUsize::new(BlockSize::default().txns));
+    let (cm_axis, block_axis) = (Axis::cm_policy(), Axis::block_size());
+    let default_cm = cm_axis.value_at(cm_axis.default_level()) as usize;
+    let default_block = block_axis.value_at(block_axis.default_level()) as usize;
+    let cm_idx = Arc::new(AtomicUsize::new(default_cm));
+    let block_txns = Arc::new(AtomicUsize::new(default_block));
 
     // --- Baseline: exhaustive {cm} × {block} sweep, one full (t, c)
-    // session per combination (the generalized space projected away).
+    // session per combination of axis levels (the generalized space
+    // projected away).
     let mut sweep_windows = 0usize;
     let mut sweep_best = f64::MIN;
-    let mut sweep_best_point = (CmPolicy::Immediate, BlockSize::default(), Config::new(1, 1));
+    let mut sweep_best_point =
+        (cm_axis.default_level(), block_axis.default_level(), Config::new(1, 1));
     {
         let mut sys = RingFakeSystem::new(Arc::clone(&cm_idx), Arc::clone(&block_txns));
-        for (ci, &policy) in CmPolicy::ALL.iter().enumerate() {
-            for &block in &BlockSize::SWEEP {
-                cm_idx.store(ci, Ordering::Relaxed);
-                block_txns.store(block.txns, Ordering::Relaxed);
+        for ci in 0..cm_axis.len() {
+            for bi in 0..block_axis.len() {
+                cm_idx.store(cm_axis.value_at(ci) as usize, Ordering::Relaxed);
+                block_txns.store(block_axis.value_at(bi) as usize, Ordering::Relaxed);
                 let mut tuner = AutoPn::new(SearchSpace::new(cfg.cores), AutoPnConfig::default());
                 let mut monitor = AdaptiveMonitor::default();
                 let outcome = Controller::tune_traced_with(
@@ -150,7 +156,7 @@ fn main() {
                 sweep_windows += windows_of(&outcome);
                 if outcome.best_throughput > sweep_best {
                     sweep_best = outcome.best_throughput;
-                    sweep_best_point = (policy, block, outcome.best);
+                    sweep_best_point = (ci, bi, outcome.best);
                 }
             }
         }
@@ -159,9 +165,9 @@ fn main() {
         "{{\"mode\":\"sweep\",\"sessions\":{},\"windows\":{sweep_windows},\
          \"best_tps\":{sweep_best:.0},\"best_cm\":\"{}\",\"best_block\":{},\
          \"best_t\":{},\"best_c\":{}}}",
-        CmPolicy::ALL.len() * BlockSize::SWEEP.len(),
-        sweep_best_point.0.tag(),
-        sweep_best_point.1.txns,
+        cm_axis.len() * block_axis.len(),
+        cm_axis.label_at(sweep_best_point.0),
+        block_axis.value_at(sweep_best_point.1),
         sweep_best_point.2.t,
         sweep_best_point.2.c,
     );
@@ -182,8 +188,8 @@ fn main() {
                 Ok(())
             });
         space = registry.space(cfg.cores);
-        cm_idx.store(0, Ordering::Relaxed);
-        block_txns.store(BlockSize::default().txns, Ordering::Relaxed);
+        cm_idx.store(default_cm, Ordering::Relaxed);
+        block_txns.store(default_block, Ordering::Relaxed);
 
         /// The fake, with the registry spliced into its apply path — the
         /// same "axes first, degree last" contract the live systems use.
@@ -253,8 +259,8 @@ fn main() {
     let config = format!(
         "cores={} cm_levels={} block_levels={} sweep_windows={} cotune_windows={} smoke={}",
         cfg.cores,
-        CmPolicy::ALL.len(),
-        BlockSize::SWEEP.len(),
+        cm_axis.len(),
+        block_axis.len(),
         sweep_windows,
         cotune_windows,
         cfg.smoke

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use autopn::{ApplyError, Config, SloKpi, SloTunableSystem, TunableSystem};
+use autopn::{ApplyError, Config, PnstmActuator, SloKpi, SloTunableSystem, TunableSystem};
 use parking_lot::{Condvar, Mutex};
 use pnstm::throttle::Permit;
 use pnstm::trace::{self, TraceEvent};
@@ -303,7 +303,8 @@ struct Request {
 /// over a shared [`BoundedQueue`], exposed to the AutoPN controller as an
 /// [`SloTunableSystem`].
 pub struct Ingress {
-    stm: Stm,
+    /// Applies configurations (degree, scheduler) to the served STM.
+    actuator: PnstmActuator,
     config: IngressConfig,
     stats: Arc<IngressStats>,
     queue: Arc<BoundedQueue<Request>>,
@@ -345,7 +346,7 @@ impl Ingress {
         let stop = Arc::new(AtomicBool::new(false));
         let panics = Arc::new(AtomicU64::new(0));
         let mut sys = Self {
-            stm: stm.clone(),
+            actuator: PnstmActuator::new(stm.clone()),
             config,
             stats: Arc::clone(&stats),
             queue: Arc::clone(&queue),
@@ -405,7 +406,7 @@ impl Ingress {
     }
 
     pub fn stm(&self) -> &Stm {
-        &self.stm
+        self.actuator.stm()
     }
 
     pub fn config(&self) -> &IngressConfig {
@@ -421,7 +422,7 @@ impl Ingress {
     }
 
     pub fn trace_bus(&self) -> &pnstm::TraceBus {
-        self.stm.trace_bus()
+        self.stm().trace_bus()
     }
 
     /// Worker panics absorbed (and survived) so far.
@@ -439,7 +440,7 @@ impl Ingress {
     pub fn publish_window(&self, since: &IngressSnapshot, window_ns: u64) -> SloKpi {
         let delta = self.snapshot().delta_since(since);
         let kpi = delta.kpi(window_ns);
-        self.stm.trace_bus().emit(TraceEvent::IngressWindow {
+        self.trace_bus().emit(TraceEvent::IngressWindow {
             at_ns: trace::now_ns(),
             window_ns: kpi.window_ns,
             offered: kpi.offered,
@@ -457,10 +458,6 @@ impl Ingress {
         kpi
     }
 
-    fn resize_scheduler(&self, cfg: Config) {
-        self.stm.resize_pool(cfg.t * cfg.c.saturating_sub(1));
-    }
-
     /// Stop the generator and workers, drain the queue, detach the hook.
     ///
     /// Ordering matters (same reasoning as `LiveStmSystem::shutdown`): the
@@ -468,14 +465,15 @@ impl Ingress {
     /// admission wakes consumers parked in `admit_batch` — the stop flag
     /// alone cannot reach either park site.
     pub fn shutdown(&mut self) {
+        let stm = self.actuator.stm();
         self.stop.store(true, Ordering::Release);
         self.queue.close();
-        self.stm.close_admission();
+        stm.close_admission();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        self.stm.reopen_admission();
-        self.stm.stats().set_commit_hook(None);
+        stm.reopen_admission();
+        stm.stats().set_commit_hook(None);
         // Requests accepted but never executed are terminal failures now.
         let orphaned = self.queue.pop_batch(usize::MAX, Duration::ZERO).len();
         self.stats.failed.fetch_add(orphaned as u64, Ordering::Relaxed);
@@ -654,14 +652,12 @@ fn worker_loop(
 
 impl TunableSystem for Ingress {
     fn apply(&mut self, cfg: Config) {
-        self.stm.set_degree(cfg.into());
-        self.resize_scheduler(cfg);
+        self.actuator.apply(cfg);
         self.commits.clear();
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
-        self.resize_scheduler(cfg);
+        self.actuator.try_apply(cfg)?;
         self.commits.clear();
         Ok(())
     }
@@ -675,12 +671,7 @@ impl TunableSystem for Ingress {
     }
 
     fn quiesce(&mut self) {
-        let in_flight = self.stm.throttle().top_level_in_use() as u64;
-        let target = self.stm.stats().snapshot().top_commits + in_flight;
-        let deadline = Instant::now() + Duration::from_millis(100);
-        while self.stm.stats().snapshot().top_commits < target && Instant::now() < deadline {
-            thread::sleep(Duration::from_micros(200));
-        }
+        self.actuator.quiesce();
         self.commits.clear();
     }
 }

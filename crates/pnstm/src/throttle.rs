@@ -1,8 +1,8 @@
 //! The actuator substrate: resizable admission gates for top-level and
 //! nested concurrency.
 //!
-//! §VI of the paper: *"the actuator [...] intercept[s] the calls to begin and
-//! commit/abort transactions [...] ensuring, via the use of semaphores, that
+//! §VI of the paper: *"the actuator \[...\] intercept\[s\] the calls to begin and
+//! commit/abort transactions \[...\] ensuring, via the use of semaphores, that
 //! the number of concurrent top-level transactions/nested transactions per
 //! tree is at any point in time less than allowed by the current
 //! configuration."*
@@ -237,7 +237,7 @@ fn gate_pack(closed: bool, capacity: usize, available: i64) -> u64 {
 /// positive while another is negative), and the actuator's contract is that
 /// at no point are more than `t` new top-level admissions granted. Only the
 /// *parker lists* are sharded: a thread that must block registers itself in
-/// one of [`GATE_SHARDS`] lists and parks (with the repo-standard 50 ms
+/// one of `GATE_SHARDS` lists and parks (with the repo-standard 50 ms
 /// timeout backstop against lost-wakeup races); releases unpark one parker,
 /// close / reopen / capacity growth unpark all.
 #[derive(Debug)]

@@ -19,7 +19,7 @@
 //!   (the published write-set filter united with the level's nest-index
 //!   filter). A read probes the filter first and skips the level entirely on
 //!   the common miss; only a filter hit walks the lock-free
-//!   [`nest::NestIndex`] and the write-set snapshot.
+//!   `nest::NestIndex` and the write-set snapshot.
 //! * **Global snapshot** — multi-version chains, unchanged.
 //!
 //! The retained [`crate::ReadPathMode::Locked`] mode routes the same lookups

@@ -126,14 +126,6 @@ impl LedgerLiveSystem {
         self.blocks_done.load(Ordering::Acquire)
     }
 
-    /// Enact `cfg`'s axis levels and stamp the upcoming `Reconfigure` event
-    /// with the full point.
-    fn enact_axes(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        self.registry.enact(cfg)?;
-        self.stm.throttle().note_axes(self.registry.axes_trace(cfg));
-        Ok(())
-    }
-
     /// Stop the driver thread and abort any in-flight block.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
@@ -201,7 +193,7 @@ fn driver(
 impl TunableSystem for LedgerLiveSystem {
     fn apply(&mut self, cfg: Config) {
         // Infallible path; controller flows use `try_apply`.
-        let _ = self.enact_axes(cfg);
+        let _ = self.registry.enact_noted(cfg, &self.stm);
         self.stm.set_degree(cfg.into());
         self.executor.set_workers(cfg.t);
         while self.commits.try_recv().is_ok() {}
@@ -209,9 +201,9 @@ impl TunableSystem for LedgerLiveSystem {
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
         // Axes first, degree last (the veto point) — same ordering contract
-        // as `LiveStmSystem`: a veto after the axes were enacted is repaired
-        // by the controller re-applying the full last-good point.
-        self.enact_axes(cfg)?;
+        // as `autopn::PnstmActuator`: a veto after the axes were enacted is
+        // repaired by the controller re-applying the full last-good point.
+        self.registry.enact_noted(cfg, &self.stm)?;
         self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
         self.executor.set_workers(cfg.t);
         while self.commits.try_recv().is_ok() {}
@@ -296,6 +288,15 @@ mod tests {
             worker_threads: 1,
             ..StmConfig::default()
         })
+    }
+
+    #[test]
+    fn block_axis_defaults_to_the_ledger_block_size() {
+        let axis = Axis::block_size();
+        assert_eq!(
+            axis.value_at(axis.default_level()) as usize,
+            LedgerConfig::default().block_size
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The benchmark layer of the AutoPN reproduction (§VII-A of the paper):
 //!
-//! * **Live PN-STM workloads** over [`pnstm`]: the [`array`]
+//! * **Live PN-STM workloads** over [`pnstm`]: the [`array`](mod@array)
 //!   micro-benchmark, a port of STAMP [`vacation`], and a port of
 //!   [`tpcc`] — each decomposing its transactions into parallel nested
 //!   children exactly like the paper's JVSTM adaptations.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use autopn::{ApplyError, AxisRegistry, Config, TunableSystem};
+use autopn::{ApplyError, AxisRegistry, Config, PnstmActuator, TunableSystem};
 use pnstm::trace::{self, TraceEvent};
 use pnstm::{FaultKind, Stm, StmError};
 
@@ -35,7 +35,8 @@ pub trait StmWorkload: Send + Sync + 'static {
 /// workload while the throttle enforces the current configuration; commit
 /// events flow through [`pnstm::Stats`]'s hook into the monitor.
 pub struct LiveStmSystem {
-    stm: Stm,
+    /// Applies configurations (axes, degree, scheduler) to the tuned STM.
+    actuator: PnstmActuator,
     epoch: Instant,
     commits: Receiver<u64>,
     stop: Arc<AtomicBool>,
@@ -43,10 +44,6 @@ pub struct LiveStmSystem {
     /// Worker panics absorbed so far (supervision counter, shared by all
     /// workers; the restart budget is charged against it).
     panics: Arc<AtomicU64>,
-    /// Live discrete-axis actuation (contention policy, GC budget, ...).
-    /// When attached, `apply`/`try_apply` enact the config's axis levels
-    /// before switching the degree.
-    registry: Option<AxisRegistry>,
 }
 
 impl LiveStmSystem {
@@ -91,13 +88,12 @@ impl LiveStmSystem {
         let stop = Arc::new(AtomicBool::new(false));
         let panics = Arc::new(AtomicU64::new(0));
         let mut sys = Self {
-            stm: stm.clone(),
+            actuator: PnstmActuator::new(stm.clone()),
             epoch,
             commits: rx,
             stop,
             handles: Vec::new(),
             panics,
-            registry: None,
         };
         for worker in 0..threads.max(1) {
             let stm = stm.clone();
@@ -122,7 +118,7 @@ impl LiveStmSystem {
 
     /// The tuned STM instance.
     pub fn stm(&self) -> &Stm {
-        &self.stm
+        self.actuator.stm()
     }
 
     /// The STM's trace bus. Subscribe a sink here (and pass a clone to
@@ -130,7 +126,7 @@ impl LiveStmSystem {
     /// (tx commits/aborts, reconfigurations, semaphore waits) with the
     /// controller's session/window events in one stream.
     pub fn trace_bus(&self) -> &pnstm::TraceBus {
-        self.stm.trace_bus()
+        self.stm().trace_bus()
     }
 
     /// Worker panics absorbed (and survived) so far.
@@ -138,31 +134,10 @@ impl LiveStmSystem {
         self.panics.load(Ordering::Acquire)
     }
 
-    /// Attach a live axis registry (e.g. [`autopn::stm_axis_registry`]):
-    /// subsequent applies enact the configuration's discrete-axis levels
-    /// *before* switching the degree, so the controller tunes the full
-    /// N-dimensional point through the same retry/degradation ladder, and
-    /// the resulting `Reconfigure` trace events carry the whole point.
-    /// Hand the tuner `registry.space(n)` so proposals stay enactable.
+    /// Attach a live axis registry (e.g. [`autopn::stm_axis_registry`]); see
+    /// [`PnstmActuator::attach_axes`].
     pub fn attach_axes(&mut self, registry: AxisRegistry) {
-        self.registry = Some(registry);
-    }
-
-    /// Enact `cfg`'s discrete-axis levels through the attached registry (if
-    /// any) and stamp the upcoming `Reconfigure` event with the full point.
-    fn enact_axes(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.enact(cfg)?;
-            self.stm.throttle().note_axes(reg.axes_trace(cfg));
-        }
-        Ok(())
-    }
-
-    /// Retarget the child-task scheduler to the worker demand of `cfg`:
-    /// `t` trees, each with the parent as one executor plus up to `c - 1`
-    /// pool helpers.
-    fn resize_scheduler(&self, cfg: Config) {
-        self.stm.resize_pool(cfg.t * cfg.c.saturating_sub(1));
+        self.actuator.attach_axes(registry);
     }
 
     /// Stop the application threads and detach the commit hook.
@@ -175,13 +150,14 @@ impl LiveStmSystem {
     /// worker with [`StmError::Shutdown`] and is reopened once they have
     /// exited, leaving the STM usable afterwards.
     pub fn shutdown(&mut self) {
+        let stm = self.actuator.stm();
         self.stop.store(true, Ordering::Release);
-        self.stm.close_admission();
+        stm.close_admission();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        self.stm.reopen_admission();
-        self.stm.stats().set_commit_hook(None);
+        stm.reopen_admission();
+        stm.stats().set_commit_hook(None);
     }
 }
 
@@ -235,26 +211,14 @@ impl Drop for LiveStmSystem {
 
 impl TunableSystem for LiveStmSystem {
     fn apply(&mut self, cfg: Config) {
-        // Infallible path: axis-setter failures cannot surface here, so they
-        // are dropped; controller flows go through `try_apply` instead.
-        let _ = self.enact_axes(cfg);
-        self.stm.set_degree(cfg.into());
-        self.resize_scheduler(cfg);
+        self.actuator.apply(cfg);
         // Old commit events belong to the previous configuration; flush them
         // so the next window measures only the new one.
         while self.commits.try_recv().is_ok() {}
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        // Axes first, degree last. The degree switch is the veto point
-        // (reconfig-fail fault site); if it vetoes after the axes were
-        // enacted, the controller's ladder re-applies the *full* last-good
-        // point — its `Config` carries axis levels too — so the system
-        // converges back to a consistent point rather than keeping a mixed
-        // one.
-        self.enact_axes(cfg)?;
-        self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
-        self.resize_scheduler(cfg);
+        self.actuator.try_apply(cfg)?;
         while self.commits.try_recv().is_ok() {}
         Ok(())
     }
@@ -272,14 +236,7 @@ impl TunableSystem for LiveStmSystem {
     }
 
     fn quiesce(&mut self) {
-        // Wait until as many commits as there were admitted transactions
-        // have passed (every pre-apply transaction finished), capped.
-        let in_flight = self.stm.throttle().top_level_in_use() as u64;
-        let target = self.stm.stats().snapshot().top_commits + in_flight;
-        let deadline = Instant::now() + Duration::from_millis(100);
-        while self.stm.stats().snapshot().top_commits < target && Instant::now() < deadline {
-            thread::sleep(Duration::from_micros(200));
-        }
+        self.actuator.quiesce();
         while self.commits.try_recv().is_ok() {}
     }
 }
@@ -362,7 +319,7 @@ mod tests {
 
     #[test]
     fn try_apply_enacts_axes_and_stamps_trace() {
-        use autopn::{stm_axis_registry, AxisLevels, CmPolicy, GcBudget};
+        use autopn::{stm_axis_registry, AxisLevels};
         let stm = Stm::new(StmConfig::default());
         let sink = Arc::new(pnstm::TestSink::new());
         stm.trace_bus().subscribe(sink.clone());
@@ -372,7 +329,7 @@ mod tests {
         let space = registry.space(4);
         sys.attach_axes(registry);
 
-        let karma = CmPolicy::ALL.iter().position(|&p| p == CmPolicy::Karma).unwrap();
+        let karma = pnstm::CmMode::Karma.index();
         let gc512 = space.axes()[1].level_of_value(512).unwrap();
         let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[karma, gc512]));
         sys.try_apply(cfg).unwrap();
@@ -394,8 +351,8 @@ mod tests {
 
         // A bare (t, c) fallback point restores the default axis levels.
         sys.try_apply(Config::new(1, 1)).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::from(CmPolicy::default()));
-        assert_eq!(stm.gc_slice_boxes(), GcBudget::default().slice_boxes);
+        assert_eq!(stm.cm_mode(), pnstm::CmMode::default());
+        assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
         sys.shutdown();
     }
 

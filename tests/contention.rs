@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use autopn::monitor::AdaptiveMonitor;
 use autopn::{
-    sweep_policies, AutoPn, AutoPnConfig, CmPolicy, FaultKind, FaultPlan, FaultRule, SearchSpace,
+    sweep_axis, AutoPn, AutoPnConfig, Axis, FaultKind, FaultPlan, FaultRule, SearchSpace,
     TuneOptions,
 };
 use pnstm::{stripe_of, CmMode, ParallelismDegree, Stm, StmConfig, TraceEvent};
@@ -135,11 +135,11 @@ fn policy_sweep_co_tunes_cm_with_parallelism_degree() {
         ArrayParams { size: 64, write_fraction: 0.8, chunks: 2 },
     ));
     let mut system = LiveStmSystem::start(stm.clone(), wl, 3).expect("spawn live workers");
-    let policies = [CmPolicy::Immediate, CmPolicy::ExpBackoff, CmPolicy::Karma, CmPolicy::Greedy];
-    let outcome = sweep_policies(
+    let policies = Axis::cm_policy();
+    let outcome = sweep_axis(
         &mut system,
         &policies,
-        &mut |p| stm.set_cm_mode(p.into()),
+        &mut |value, _| stm.set_cm_mode(CmMode::from_index(value as usize).expect("cm level")),
         &mut |_| Box::new(AutoPn::new(SearchSpace::new(4), AutoPnConfig::default())),
         &mut |_| Box::new(AdaptiveMonitor::new(0.30, 3)),
         &trace,
@@ -148,12 +148,13 @@ fn policy_sweep_co_tunes_cm_with_parallelism_degree() {
     system.shutdown();
 
     assert_eq!(outcome.sessions.len(), policies.len(), "one full session per policy");
-    for (p, session) in &outcome.sessions {
+    for (level, session) in outcome.sessions.iter().enumerate() {
+        let p = policies.label_at(level);
         assert!(!session.explored.is_empty(), "the {p} session must have measured configurations");
     }
     assert!(outcome.best_throughput > 0.0, "the winning triple was actually measured");
     // The winning policy was left in force on the live STM.
-    assert_eq!(CmPolicy::from(stm.cm_mode()), outcome.best_policy);
+    assert_eq!(stm.cm_mode().index(), outcome.best_level);
     // The trace carries one bracketed session per policy.
     let events = sink.events();
     let starts = events.iter().filter(|e| matches!(e, TraceEvent::SessionStart { .. })).count();

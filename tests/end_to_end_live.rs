@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use autopn::monitor::AdaptiveMonitor;
-use autopn::{Actuator, AutoPn, AutoPnConfig, Config, Controller, PnstmActuator, SearchSpace};
+use autopn::{AutoPn, AutoPnConfig, Config, Controller, PnstmActuator, SearchSpace};
 use pnstm::{ParallelismDegree, Stm, StmConfig};
 use workloads::array::{ArrayParams, ArrayWorkload};
 use workloads::vacation::{VacationParams, VacationWorkload};
