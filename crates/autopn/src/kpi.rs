@@ -71,6 +71,29 @@ impl_serde!(SloKpi { goodput, offered, completed, rejected, p50_ns, p99_ns, p999
 pub const SLO_REJECT_TOLERANCE: f64 = 0.01;
 
 impl SloKpi {
+    /// The KPI of a `window_ns` window from its request counts and the
+    /// latency-histogram delta of its completed requests — the one way a
+    /// live system turns a window into an `SloKpi`.
+    pub fn from_window(
+        latency: &pnstm::LatencySnapshot,
+        offered: u64,
+        completed: u64,
+        rejected: u64,
+        window_ns: u64,
+    ) -> Self {
+        let window_ns = window_ns.max(1);
+        SloKpi {
+            goodput: completed as f64 * 1e9 / window_ns as f64,
+            offered,
+            completed,
+            rejected,
+            p50_ns: latency.quantile(50.0),
+            p99_ns: latency.quantile(99.0),
+            p999_ns: latency.quantile(99.9),
+            window_ns,
+        }
+    }
+
     /// The p99 the SLO comparison sees: the measured tail latency, or
     /// `u64::MAX` when more than [`SLO_REJECT_TOLERANCE`] of offered
     /// requests were rejected — a shedding configuration must never look

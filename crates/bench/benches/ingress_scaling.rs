@@ -136,7 +136,6 @@ fn start_ingress(
         queue_cap: 4_096,
         batch: 8,
         workers: cfg.workers,
-        ..IngressConfig::default()
     };
     Ingress::start(stm, service, config).expect("spawn ingress")
 }

@@ -93,7 +93,6 @@ fn drive_open_loop(
         queue_cap: 4_096,
         batch: 8,
         workers: 8,
-        ..IngressConfig::default()
     };
     let mut ing = Ingress::start(stm, service, config).expect("spawn ingress");
     thread::sleep(warmup);

@@ -28,7 +28,8 @@
 //!   intended arrival into lock-free log2 histograms
 //!   ([`pnstm::LatencyHistogram`]) — the whole, and its division into
 //!   generator lag, queue wait and service. The generator sleeps only the
-//!   part of an arrival gap its measured sleep overshoot lets it keep.
+//!   part of an arrival gap its measured sleep overshoot lets it keep. It
+//!   runs on the [`workloads::live::LiveRuntime`] every live system shares.
 //! * SLO windows — per monitoring window the ingress publishes
 //!   p50/p99/p999 + goodput as a [`TraceEvent::IngressWindow`] and an
 //!   [`autopn::SloKpi`], and implements [`autopn::SloTunableSystem`] so the
@@ -45,5 +46,4 @@ pub use arrival::{ArrivalProcess, Schedule};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
     Ingress, IngressConfig, IngressService, IngressSnapshot, IngressStats, TransferService,
-    DEFAULT_RESTART_BUDGET,
 };

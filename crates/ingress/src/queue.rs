@@ -51,20 +51,12 @@
 //! capacity.
 
 use parking_lot::{Condvar, Mutex};
+use pnstm::stats::ewma;
 use pnstm::trace::now_ns;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::thread;
 use std::time::Duration;
-
-/// Fold `sample` into the running estimate `old` (EWMA, weight 1/8; 0 means
-/// "no sample yet"). A sample counts for at most twice the estimate, so one
-/// pre-empted measurement cannot set the policy for the dozen decisions
-/// after it, while a real regime change still gets through in a few dozen.
-pub(crate) fn ewma(old: u64, sample: u64) -> u64 {
-    let new = if old == 0 { sample } else { old - old / 8 + sample.min(2 * old) / 8 };
-    new.max(1)
-}
 
 /// Why a push was refused, carrying the rejected element back.
 #[derive(Debug, PartialEq, Eq)]

@@ -26,25 +26,21 @@
 //! covers the rest by re-reading the clock with `yield_now` between reads;
 //! the consumer side is [`crate::queue`]'s wake protocol.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use autopn::{ApplyError, Config, PnstmActuator, SloKpi, SloTunableSystem, TunableSystem};
-use parking_lot::{Condvar, Mutex};
+use autopn::{ApplyError, Config, SloKpi, SloTunableSystem, TunableSystem};
+use pnstm::stats::ewma;
 use pnstm::throttle::Permit;
 use pnstm::trace::{self, TraceEvent};
 use pnstm::{FaultKind, LatencyHistogram, LatencySnapshot, Stm, StmError};
+use workloads::live::{CommitStream, LiveRuntime, Supervised, Supervisor};
 use workloads::transfer::{TransferRequest, TransferWorkload};
 
 use crate::arrival::ArrivalProcess;
-use crate::queue::{ewma, BoundedQueue, PushError};
-
-/// Default number of worker panics absorbed (worker restarted) before a
-/// panicking worker retires — mirrors `workloads::live`.
-pub const DEFAULT_RESTART_BUDGET: u64 = 128;
+use crate::queue::{BoundedQueue, PushError};
 
 /// The request executor behind the front door. `request` is the stream
 /// index of the request (the service derives its inputs from it
@@ -105,8 +101,6 @@ pub struct IngressConfig {
     pub batch: usize,
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Worker panics absorbed system-wide before a panicking worker retires.
-    pub restart_budget: u64,
 }
 
 impl Default for IngressConfig {
@@ -117,75 +111,7 @@ impl Default for IngressConfig {
             queue_cap: 1_024,
             batch: 8,
             workers: 2,
-            restart_budget: DEFAULT_RESTART_BUDGET,
         }
-    }
-}
-
-/// Commit timestamps the front door keeps for the monitor: far beyond the
-/// largest window a monitor policy reads commit by commit (WPNOC-30; the
-/// adaptive policy slides over 15), so only the controller's own scheduling
-/// lag has to fit, and 0.5 MiB at most.
-pub const COMMIT_RING_CAP: usize = 1 << 16;
-
-/// The commit hook's timestamp stream: a drop-oldest ring. The tuner drains
-/// it only while a window is open, so an unbounded channel here grew by one
-/// `u64` per commit for as long as no tuner was attached.
-#[derive(Default)]
-struct CommitRing {
-    state: Mutex<RingState>,
-    arrived: Condvar,
-}
-
-#[derive(Default)]
-struct RingState {
-    stamps: VecDeque<u64>,
-    /// The consumer is parked on `arrived`; producers skip the notify (a
-    /// syscall per commit) otherwise.
-    parked: bool,
-}
-
-impl CommitRing {
-    /// Append `ts`; returns whether the oldest stamp was overwritten.
-    fn push(&self, ts: u64) -> bool {
-        let mut state = self.state.lock();
-        let full = state.stamps.len() == COMMIT_RING_CAP;
-        if full {
-            state.stamps.pop_front();
-        }
-        state.stamps.push_back(ts);
-        let parked = state.parked;
-        drop(state);
-        if parked {
-            self.arrived.notify_one();
-        }
-        full
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if let Some(ts) = state.stamps.pop_front() {
-                return Some(ts);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            state.parked = true;
-            self.arrived.wait_for(&mut state, left);
-            state.parked = false;
-        }
-    }
-
-    fn clear(&self) {
-        self.state.lock().stamps.clear();
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.state.lock().stamps.len()
     }
 }
 
@@ -203,9 +129,6 @@ pub struct IngressStats {
     /// Requests that failed terminally (retries exhausted, body error,
     /// worker panic) or were abandoned by shutdown after acceptance.
     pub failed: AtomicU64,
-    /// Commit timestamps the bounded ring overwrote before a monitor read
-    /// them (grows whenever no tuner is attached; see [`COMMIT_RING_CAP`]).
-    pub commit_stamps_dropped: AtomicU64,
     /// Completion − intended arrival (coordinated-omission-free).
     pub intended: LatencyHistogram,
     /// Completion − dequeue (the closed-loop view, kept for comparison).
@@ -218,15 +141,16 @@ pub struct IngressStats {
 }
 
 impl IngressStats {
-    /// The counters and histograms, plus the wake counters `queue` keeps.
-    fn snapshot(&self, queue: &BoundedQueue<Request>) -> IngressSnapshot {
+    /// The counters and histograms, plus the wake counters `queue` keeps and
+    /// the stamps `commits` overwrote.
+    fn snapshot(&self, queue: &BoundedQueue<Request>, commits: &CommitStream) -> IngressSnapshot {
         IngressSnapshot {
             offered: self.offered.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            commit_stamps_dropped: self.commit_stamps_dropped.load(Ordering::Relaxed),
+            commit_stamps_dropped: commits.dropped(),
             intended: self.intended.snapshot(),
             dequeue: self.dequeue.snapshot(),
             gen_lag: self.gen_lag.snapshot(),
@@ -245,6 +169,9 @@ pub struct IngressSnapshot {
     pub rejected: u64,
     pub completed: u64,
     pub failed: u64,
+    /// Commit stamps the bounded stream overwrote before a monitor read them
+    /// (grows whenever no tuner is attached; see
+    /// [`workloads::live::COMMIT_RING_CAP`]).
     pub commit_stamps_dropped: u64,
     pub intended: LatencySnapshot,
     pub dequeue: LatencySnapshot,
@@ -279,17 +206,7 @@ impl IngressSnapshot {
 
     /// The SLO KPI of a window whose counter delta is `self`.
     pub fn kpi(&self, window_ns: u64) -> SloKpi {
-        let window_ns = window_ns.max(1);
-        SloKpi {
-            goodput: self.completed as f64 * 1e9 / window_ns as f64,
-            offered: self.offered,
-            completed: self.completed,
-            rejected: self.rejected,
-            p50_ns: self.intended.quantile(50.0),
-            p99_ns: self.intended.quantile(99.0),
-            p999_ns: self.intended.quantile(99.9),
-            window_ns,
-        }
+        SloKpi::from_window(&self.intended, self.offered, self.completed, self.rejected, window_ns)
     }
 }
 
@@ -300,19 +217,13 @@ struct Request {
 }
 
 /// A running front door: one generator thread + `workers` executor threads
-/// over a shared [`BoundedQueue`], exposed to the AutoPN controller as an
-/// [`SloTunableSystem`].
+/// over a shared [`BoundedQueue`] on a [`LiveRuntime`], exposed to the
+/// AutoPN controller as an [`SloTunableSystem`].
 pub struct Ingress {
-    /// Applies configurations (degree, scheduler) to the served STM.
-    actuator: PnstmActuator,
+    rt: LiveRuntime,
     config: IngressConfig,
     stats: Arc<IngressStats>,
     queue: Arc<BoundedQueue<Request>>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<thread::JoinHandle<()>>,
-    panics: Arc<AtomicU64>,
-    epoch: Instant,
-    commits: Arc<CommitRing>,
     window: Option<(IngressSnapshot, u64)>,
 }
 
@@ -324,89 +235,27 @@ impl Ingress {
         service: Arc<dyn IngressService>,
         config: IngressConfig,
     ) -> std::io::Result<Self> {
-        let epoch = Instant::now();
-        let commits = Arc::new(CommitRing::default());
         let stats = Arc::new(IngressStats::default());
-        {
-            // Same commit-hook shape as `LiveStmSystem`: the monitor's
-            // timestamp stream, with ClockJitter as a fault site.
-            let fault = stm.fault_ctx().clone();
-            let (commits, stats) = (Arc::clone(&commits), Arc::clone(&stats));
-            stm.stats().set_commit_hook(Some(Arc::new(move |ev: pnstm::CommitEvent| {
-                let mut ns = ev.at.duration_since(epoch).as_nanos() as u64;
-                if let Some(action) = fault.inject(FaultKind::ClockJitter) {
-                    ns = ns.saturating_add_signed(action.signed_jitter_ns());
-                }
-                if commits.push(ns) {
-                    stats.commit_stamps_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            })));
-        }
         let queue = Arc::new(BoundedQueue::new(config.queue_cap));
-        let stop = Arc::new(AtomicBool::new(false));
-        let panics = Arc::new(AtomicU64::new(0));
-        let mut sys = Self {
-            actuator: PnstmActuator::new(stm.clone()),
-            config,
-            stats: Arc::clone(&stats),
-            queue: Arc::clone(&queue),
-            stop: Arc::clone(&stop),
-            handles: Vec::new(),
-            panics: Arc::clone(&panics),
-            epoch,
-            commits,
-            window: None,
-        };
-        let spawn =
-            |name: String, f: Box<dyn FnOnce() + Send>| thread::Builder::new().name(name).spawn(f);
-        let gen = {
-            let (queue, stats, stop) = (Arc::clone(&queue), Arc::clone(&stats), Arc::clone(&stop));
-            spawn(
-                "ingress-gen".into(),
-                Box::new(move || generator_loop(queue, stats, stop, config.process, config.seed)),
-            )
-        };
-        match gen {
-            Ok(h) => sys.handles.push(h),
-            Err(err) => {
-                sys.shutdown();
-                return Err(err);
-            }
-        }
+        let closing = Arc::clone(&queue);
+        let mut rt = LiveRuntime::new(stm.clone(), move || closing.close());
+        rt.hook_commits();
+        let (q, st) = (Arc::clone(&queue), Arc::clone(&stats));
+        rt.spawn("ingress-gen".into(), move |sup| {
+            generator_loop(&q, &st, &sup, config.process, config.seed)
+        })?;
         for worker in 0..config.workers.max(1) {
-            let stm = stm.clone();
-            let service = Arc::clone(&service);
-            let (queue, stats) = (Arc::clone(&queue), Arc::clone(&stats));
-            let (stop, panics) = (Arc::clone(&stop), Arc::clone(&panics));
-            let spawned = spawn(
-                format!("ingress-{worker}"),
-                Box::new(move || {
-                    worker_loop(
-                        stm,
-                        service,
-                        queue,
-                        stats,
-                        stop,
-                        panics,
-                        config.batch,
-                        config.restart_budget,
-                        worker,
-                    )
-                }),
-            );
-            match spawned {
-                Ok(h) => sys.handles.push(h),
-                Err(err) => {
-                    sys.shutdown();
-                    return Err(err);
-                }
-            }
+            let (stm, service) = (stm.clone(), Arc::clone(&service));
+            let (q, st) = (Arc::clone(&queue), Arc::clone(&stats));
+            rt.spawn(format!("ingress-{worker}"), move |sup| {
+                worker_loop(&stm, &*service, &q, &st, &sup, config.batch, worker)
+            })?;
         }
-        Ok(sys)
+        Ok(Self { rt, config, stats, queue, window: None })
     }
 
     pub fn stm(&self) -> &Stm {
-        self.actuator.stm()
+        self.rt.stm()
     }
 
     pub fn config(&self) -> &IngressConfig {
@@ -418,7 +267,7 @@ impl Ingress {
     }
 
     pub fn snapshot(&self) -> IngressSnapshot {
-        self.stats.snapshot(&self.queue)
+        self.stats.snapshot(&self.queue, self.rt.commits())
     }
 
     pub fn trace_bus(&self) -> &pnstm::TraceBus {
@@ -427,7 +276,7 @@ impl Ingress {
 
     /// Worker panics absorbed (and survived) so far.
     pub fn worker_panics(&self) -> u64 {
-        self.panics.load(Ordering::Acquire)
+        self.rt.worker_panics()
     }
 
     pub fn queue_len(&self) -> usize {
@@ -458,31 +307,14 @@ impl Ingress {
         kpi
     }
 
-    /// Stop the generator and workers, drain the queue, detach the hook.
-    ///
-    /// Ordering matters (same reasoning as `LiveStmSystem::shutdown`): the
-    /// queue close wakes consumers parked in `pop_batch`, and closing STM
-    /// admission wakes consumers parked in `admit_batch` — the stop flag
-    /// alone cannot reach either park site.
+    /// Stop the generator and workers ([`LiveRuntime::shutdown`]: the queue
+    /// close wakes consumers parked in `pop_batch`, closing STM admission
+    /// those parked in `admit_batch`), then settle the queue.
     pub fn shutdown(&mut self) {
-        let stm = self.actuator.stm();
-        self.stop.store(true, Ordering::Release);
-        self.queue.close();
-        stm.close_admission();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        stm.reopen_admission();
-        stm.stats().set_commit_hook(None);
+        self.rt.shutdown();
         // Requests accepted but never executed are terminal failures now.
         let orphaned = self.queue.pop_batch(usize::MAX, Duration::ZERO).len();
         self.stats.failed.fetch_add(orphaned as u64, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Ingress {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -515,9 +347,9 @@ fn fold_overshoot(estimate: u64, sample: u64) -> u64 {
 /// re-reading the clock with a `yield_now` between reads, so a runnable
 /// worker always gets the vCPU first.
 fn generator_loop(
-    queue: Arc<BoundedQueue<Request>>,
-    stats: Arc<IngressStats>,
-    stop: Arc<AtomicBool>,
+    queue: &BoundedQueue<Request>,
+    stats: &IngressStats,
+    sup: &Supervisor,
     process: ArrivalProcess,
     seed: u64,
 ) {
@@ -526,7 +358,7 @@ fn generator_loop(
     for (index, offset) in process.schedule(seed).enumerate() {
         let intended_ns = start_ns + offset;
         let pushed_ns = loop {
-            if stop.load(Ordering::Acquire) {
+            if sup.stopped() {
                 return;
             }
             let now = trace::now_ns();
@@ -560,24 +392,23 @@ fn generator_loop(
 }
 
 /// Drain the queue in batches, admit each batch through one amortized gate
-/// operation, execute, record both latency views.
-#[allow(clippy::too_many_arguments)]
+/// operation, execute each request under the supervised call (a panic fails
+/// that request; the rest of its batch still runs), record both latency
+/// views.
 fn worker_loop(
-    stm: Stm,
-    service: Arc<dyn IngressService>,
-    queue: Arc<BoundedQueue<Request>>,
-    stats: Arc<IngressStats>,
-    stop: Arc<AtomicBool>,
-    panics: Arc<AtomicU64>,
+    stm: &Stm,
+    service: &dyn IngressService,
+    queue: &BoundedQueue<Request>,
+    stats: &IngressStats,
+    sup: &Supervisor,
     batch_max: usize,
-    restart_budget: u64,
     worker: usize,
 ) {
     let fault = stm.fault_ctx().clone();
     loop {
         let batch = queue.pop_batch(batch_max, Duration::from_millis(10));
         if batch.is_empty() {
-            if queue.is_closed() || stop.load(Ordering::Acquire) {
+            if queue.is_closed() || sup.stopped() {
                 return;
             }
             continue;
@@ -604,15 +435,8 @@ fn worker_loop(
                 }
             };
             let dequeue_ns = trace::now_ns();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Fault site: a crashing request body.
-                if fault.inject(FaultKind::WorkerPanic).is_some() {
-                    panic!("injected worker panic");
-                }
-                service.run(&stm, permit, req.index)
-            }));
-            match outcome {
-                Ok(Ok(())) => {
+            match sup.call(worker, || service.run(stm, permit, req.index)) {
+                Supervised::Returned(Ok(())) => {
                     let mut done_ns = trace::now_ns();
                     // Fault site: ClockJitter perturbs the completion stamp
                     // the latency samples are derived from.
@@ -625,25 +449,12 @@ fn worker_loop(
                     stats.gen_lag.record(req.pushed_ns.saturating_sub(req.intended_ns));
                     stats.queue_wait.record(dequeue_ns.saturating_sub(req.pushed_ns));
                 }
-                Ok(Err(StmError::Shutdown)) => {
+                Supervised::Returned(Err(_)) | Supervised::Absorbed => {
+                    stats.failed.fetch_add(1, Ordering::Relaxed);
+                }
+                Supervised::Exit => {
                     stats.failed.fetch_add(1 + batch.len() as u64, Ordering::Relaxed);
                     return;
-                }
-                Ok(Err(_)) => {
-                    stats.failed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    stats.failed.fetch_add(1, Ordering::Relaxed);
-                    let absorbed = panics.fetch_add(1, Ordering::AcqRel) + 1;
-                    stm.trace_bus().emit(TraceEvent::WorkerPanicked {
-                        worker: worker as u32,
-                        restarts: absorbed,
-                        at_ns: trace::now_ns(),
-                    });
-                    if absorbed >= restart_budget {
-                        stats.failed.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        return;
-                    }
                 }
             }
         }
@@ -652,27 +463,23 @@ fn worker_loop(
 
 impl TunableSystem for Ingress {
     fn apply(&mut self, cfg: Config) {
-        self.actuator.apply(cfg);
-        self.commits.clear();
+        self.rt.apply(cfg);
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        self.actuator.try_apply(cfg)?;
-        self.commits.clear();
-        Ok(())
+        self.rt.try_apply(cfg)
     }
 
     fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-        self.commits.pop_timeout(Duration::from_nanos(max_wait_ns))
+        self.rt.wait_commit(max_wait_ns)
     }
 
     fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.rt.now_ns()
     }
 
     fn quiesce(&mut self) {
-        self.actuator.quiesce();
-        self.commits.clear();
+        self.rt.quiesce();
     }
 }
 
@@ -693,6 +500,8 @@ impl SloTunableSystem for Ingress {
 mod tests {
     use super::*;
     use pnstm::{FaultPlan, FaultRule, ParallelismDegree, StmConfig, TestSink};
+    use std::time::Instant;
+    use workloads::live::COMMIT_RING_CAP;
 
     fn stm() -> Stm {
         Stm::new(StmConfig {
@@ -911,7 +720,7 @@ mod tests {
         for _ in 0..COMMITS {
             stm.stats().record_commit_top();
         }
-        assert_eq!(ing.commits.len(), COMMIT_RING_CAP);
+        assert_eq!(ing.rt.commits().held(), COMMIT_RING_CAP);
         let dropped = ing.snapshot().commit_stamps_dropped;
         // The idle generator may have slipped a real commit or two in.
         assert!(dropped >= COMMITS - COMMIT_RING_CAP as u64, "dropped {dropped}");

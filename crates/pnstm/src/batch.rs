@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use crate::fault::{FaultCtx, FaultKind};
 use crate::sched::{Scheduler, Task};
-use crate::stats::Stats;
+use crate::stats::{ewma, Stats};
 use crate::trace::{self, TraceBus, TraceEvent};
 
 /// Backstop for every park in this module: a lost wake-up costs at most this.
@@ -53,18 +53,6 @@ pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(50);
 const HANDOFF_SEED_NS: u64 = 50_000;
 const HANDOFF_MIN_NS: u64 = HANDOFF_SEED_NS / 4;
 const HANDOFF_MAX_NS: u64 = HANDOFF_SEED_NS * 16;
-
-/// Fold `sample` into the EWMA in `cell` (weight 1/8; 0 means "no sample
-/// yet"). A sample counts for at most twice the current estimate, so one
-/// preempted batch cannot flip the hand-off decision for the dozen batches
-/// after it, while a real regime change still gets through in a few dozen
-/// (each of which the late publish bounds). A racing update may be lost:
-/// both cells are heuristics' inputs.
-fn ewma(cell: &AtomicU64, sample: u64) {
-    let old = cell.load(Ordering::Relaxed);
-    let new = if old == 0 { sample } else { old - old / 8 + sample.min(2 * old) / 8 };
-    cell.store(new.max(1), Ordering::Relaxed);
-}
 
 /// Take the [`FaultKind::ChildStall`] dispatch stall, if one is drawn.
 pub(crate) fn dispatch_stall(fault: &FaultCtx) {
@@ -338,7 +326,11 @@ impl<R: Registry> Pool<R> {
         // whatever made the batch eager.
         let (spent, ran) =
             if mine > 0 { (now - start, mine) } else { (trace::now_ns() - start, n as u64) };
-        ewma(&sh.child_ns, spent / ran);
+        // The EWMA's clamp keeps one preempted batch from flipping the
+        // hand-off decision for the dozen after it. A racing update may be
+        // lost: both cells are heuristics' inputs.
+        sh.child_ns
+            .store(ewma(sh.child_ns.load(Ordering::Relaxed), spent / ran), Ordering::Relaxed);
         if let Some(slot) = slot {
             sh.registry.retract(slot, &batch);
         }
@@ -427,7 +419,9 @@ fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
         let published_ns = batch.published_ns.swap(0, Ordering::Relaxed);
         if published_ns != 0 {
             let took = trace::now_ns().saturating_sub(published_ns);
-            ewma(&sh.handoff_ns, took.clamp(HANDOFF_MIN_NS, HANDOFF_MAX_NS));
+            let sample = took.clamp(HANDOFF_MIN_NS, HANDOFF_MAX_NS);
+            sh.handoff_ns
+                .store(ewma(sh.handoff_ns.load(Ordering::Relaxed), sample), Ordering::Relaxed);
         }
         while let Some(task) = batch.queue.pop(true, &sh.fault) {
             batch.stolen.fetch_add(1, Ordering::Relaxed);

@@ -712,6 +712,16 @@ impl LatencySnapshot {
     }
 }
 
+/// Fold `sample` into the running estimate `old`: an EWMA of weight 1/8, in
+/// which 0 means "no sample yet" and the result is at least 1. A sample
+/// counts for at most twice the estimate, so one pre-empted measurement
+/// cannot set a learnt policy for the dozen decisions after it, while a real
+/// regime change still gets through in a few dozen.
+pub fn ewma(old: u64, sample: u64) -> u64 {
+    let new = if old == 0 { sample } else { old - old / 8 + sample.min(2 * old) / 8 };
+    new.max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,6 +963,22 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_of(1 << 40), LATENCY_BUCKETS - 1);
         assert_eq!(LatencyHistogram::bucket_of(1 << 63), LATENCY_BUCKETS - 1);
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
+    }
+
+    #[test]
+    fn the_shared_estimate_takes_the_first_sample_clamps_at_2x_and_decays_by_eighths() {
+        // No history: the first sample is the estimate.
+        assert_eq!(ewma(0, 800), 800);
+        // Steady state: a sample equal to the estimate is a fixed point.
+        assert_eq!(ewma(800, 800), 800);
+        // The 2x clamp: a huge sample moves the estimate as far as 2x would.
+        assert_eq!(ewma(800, 1_000_000), 800 - 100 + 1_600 / 8);
+        assert_eq!(ewma(800, 1_000_000), ewma(800, 1_600));
+        // Decay: a zero sample sheds an eighth.
+        assert_eq!(ewma(800, 0), 700);
+        // The floor of 1, both with and without history.
+        assert_eq!(ewma(0, 0), 1);
+        assert_eq!(ewma(1, 0), 1);
     }
 
     #[test]

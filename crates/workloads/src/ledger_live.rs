@@ -3,52 +3,52 @@
 //! (and [`SloTunableSystem`]) so AutoPN co-tunes the **block size** — the
 //! typed `block` axis — together with the parallelism degree mid-stream.
 //!
-//! The block-size knob is wired through an [`AxisRegistry`]: the tuner
-//! proposes full configuration points over `registry.space(n)`, `try_apply`
+//! The block-size knob is wired through an [`AxisRegistry`] attached to the
+//! runtime's [`autopn::PnstmActuator`]: the tuner proposes full
+//! configuration points over [`LedgerLiveSystem::space`], `try_apply`
 //! enacts the `block` level into the driver's shared cell (taking effect at
-//! the next block boundary) and maps `t` onto the executor's live worker
-//! width, and the resulting `Reconfigure` trace events carry the whole
-//! point.
+//! the next block boundary) before the degree, then maps `t` onto the
+//! executor's live worker width, and the resulting `Reconfigure` trace
+//! events carry the whole point.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use autopn::{
-    ApplyError, Axis, AxisRegistry, Config, ConfigSpace, SloKpi, SloTunableSystem, TunableSystem,
+    ApplyError, Axis, AxisRegistry, Config, ConfigSpace, SearchSpace, SloKpi, SloTunableSystem,
+    TunableSystem,
 };
 use ledger::{skewed_block, Amount, BlockExecutor, LedgerConfig};
-use pnstm::Stm;
+use pnstm::{LatencyHistogram, LatencySnapshot, Stm};
 
-/// SLO accounting shared with the driver thread: per-transaction latencies
-/// (block assembly → block commit) collected while a window is open.
-#[derive(Default)]
-struct SloWindow {
-    open: bool,
-    start_ns: u64,
-    latencies: Vec<u64>,
-}
+use crate::live::{CommitStream, LiveRuntime, Supervised, Supervisor};
 
-/// A live ledger pipeline under tuning: one driver thread assembles
-/// `block`-axis-sized skewed transfer blocks and executes them back to back
-/// on the parallel rung. Per-transaction commit timestamps are spread across
-/// each block's execution interval, so the monitor's CV test sees a steady
-/// interarrival stream (the KPI is transactions per second, not blocks).
-pub struct LedgerLiveSystem {
-    stm: Stm,
-    executor: Arc<BlockExecutor>,
-    epoch: Instant,
-    commits: Receiver<u64>,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
+/// What the driver thread shares with the system.
+struct Stream {
+    executor: BlockExecutor,
+    commits: Arc<CommitStream>,
     /// Transactions per block, enacted by the `block` axis; the driver reads
     /// it at every block boundary.
-    block_txns: Arc<AtomicUsize>,
-    blocks_done: Arc<AtomicU64>,
-    slo: Arc<parking_lot::Mutex<SloWindow>>,
-    registry: AxisRegistry,
+    block_txns: AtomicUsize,
+    blocks_done: AtomicU64,
+    /// Per-transaction latency of every committed block: block assembly →
+    /// the block's single commit.
+    latency: LatencyHistogram,
+}
+
+/// A live ledger pipeline under tuning: one supervised driver thread
+/// assembles `block`-axis-sized skewed transfer blocks and executes them back
+/// to back on the parallel rung. Per-transaction commit timestamps are spread
+/// across each block's execution interval, so the monitor's CV test sees a
+/// steady interarrival stream (the KPI is transactions per second, not
+/// blocks).
+pub struct LedgerLiveSystem {
+    pub(crate) rt: LiveRuntime,
+    stream: Arc<Stream>,
+    /// The latency histogram and the clock when the SLO window opened.
+    window: (LatencySnapshot, u64),
 }
 
 impl LedgerLiveSystem {
@@ -64,210 +64,126 @@ impl LedgerLiveSystem {
         seed: u64,
     ) -> std::io::Result<Self> {
         let accounts = accounts.max(1);
-        let initial = vec![initial_balance; accounts];
-        let executor = Arc::new(BlockExecutor::new(&stm, &initial, cfg.clone()));
-        let epoch = Instant::now();
-        let (tx, rx): (Sender<u64>, Receiver<u64>) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let block_txns = Arc::new(AtomicUsize::new(cfg.block_size.max(1)));
-        let blocks_done = Arc::new(AtomicU64::new(0));
-        let slo = Arc::new(parking_lot::Mutex::new(SloWindow::default()));
-
-        let bt = Arc::clone(&block_txns);
-        let registry = AxisRegistry::new().bind(Axis::block_size(), move |value, _| {
-            bt.store((value as usize).max(1), Ordering::Release);
-            Ok(())
-        });
-
-        let handle = {
-            let executor = Arc::clone(&executor);
-            let block_txns = Arc::clone(&block_txns);
-            let blocks_done = Arc::clone(&blocks_done);
-            let slo = Arc::clone(&slo);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new().name("ledger-live".into()).spawn(move || {
-                driver(executor, epoch, block_txns, blocks_done, slo, tx, stop, seed, accounts)
-            })?
-        };
-
-        Ok(Self {
-            stm,
+        let executor = BlockExecutor::new(&stm, &vec![initial_balance; accounts], cfg.clone());
+        let mut rt = LiveRuntime::new(stm, || {});
+        let stream = Arc::new(Stream {
             executor,
-            epoch,
-            commits: rx,
-            stop,
-            handle: Some(handle),
-            block_txns,
-            blocks_done,
-            slo,
-            registry,
-        })
+            commits: Arc::clone(rt.commits()),
+            block_txns: AtomicUsize::new(cfg.block_size.max(1)),
+            blocks_done: AtomicU64::new(0),
+            latency: LatencyHistogram::new(),
+        });
+        let cell = Arc::clone(&stream);
+        rt.attach_axes(AxisRegistry::new().bind(Axis::block_size(), move |value, _| {
+            cell.block_txns.store((value as usize).max(1), Ordering::Release);
+            Ok(())
+        }));
+        let driven = Arc::clone(&stream);
+        rt.spawn("ledger-live".into(), move |sup| driver(sup, &driven, seed, accounts))?;
+        Ok(Self { rt, stream, window: (LatencySnapshot::default(), 0) })
     }
 
     /// The config space this system actuates over an `n_cores` grid:
     /// `(t, c)` crossed with the `block` axis. Hand this to the tuner so
     /// every proposal is enactable.
     pub fn space(&self, n_cores: usize) -> ConfigSpace {
-        self.registry.space(n_cores)
+        ConfigSpace::new(SearchSpace::new(n_cores), vec![Axis::block_size()])
     }
 
     /// The executor driving the stream.
     pub fn executor(&self) -> &BlockExecutor {
-        &self.executor
+        &self.stream.executor
     }
 
     /// Transactions per block currently in force.
     pub fn block_txns(&self) -> usize {
-        self.block_txns.load(Ordering::Acquire)
+        self.stream.block_txns.load(Ordering::Acquire)
     }
 
     /// Blocks committed since start.
     pub fn blocks_done(&self) -> u64 {
-        self.blocks_done.load(Ordering::Acquire)
+        self.stream.blocks_done.load(Ordering::Acquire)
     }
 
-    /// Stop the driver thread and abort any in-flight block.
+    /// Stop the driver thread and abort any in-flight block (it polls the
+    /// admission gate, which the shutdown closes); see
+    /// [`LiveRuntime::shutdown`].
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // A mid-execution block polls the admission gate; closing it drains
-        // the executor's workers promptly instead of waiting a full block.
-        self.stm.close_admission();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        self.stm.reopen_admission();
+        self.rt.shutdown();
     }
 }
 
-impl Drop for LedgerLiveSystem {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The driver: execute blocks until stopped, publishing spread per-txn
-/// commit stamps and (while an SLO window is open) per-txn latencies.
-#[allow(clippy::too_many_arguments)]
-fn driver(
-    executor: Arc<BlockExecutor>,
-    epoch: Instant,
-    block_txns: Arc<AtomicUsize>,
-    blocks_done: Arc<AtomicU64>,
-    slo: Arc<parking_lot::Mutex<SloWindow>>,
-    tx: Sender<u64>,
-    stop: Arc<AtomicBool>,
-    seed: u64,
-    accounts: usize,
-) {
+/// The driver: execute blocks until stopped, each under the supervised call,
+/// publishing spread per-txn commit stamps and per-txn latencies.
+fn driver(sup: Supervisor, s: &Stream, seed: u64, accounts: usize) {
     let mut round = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        let txns = block_txns.load(Ordering::Acquire).max(1);
+    while !sup.stopped() {
+        let txns = s.block_txns.load(Ordering::Acquire).max(1);
         let block = skewed_block(seed.wrapping_add(round), txns, accounts, 10);
-        let t0 = epoch.elapsed().as_nanos() as u64;
-        match executor.execute_block(&block) {
-            Ok(_) => {
-                let t1 = epoch.elapsed().as_nanos() as u64;
-                let dur = t1.saturating_sub(t0).max(1);
-                for i in 0..txns as u64 {
-                    let _ = tx.send(t0 + dur * (i + 1) / txns as u64);
-                }
-                {
-                    let mut w = slo.lock();
-                    if w.open {
-                        // Every transaction in the block waits from block
-                        // assembly to the block's single commit — the
-                        // latency cost a bigger block trades throughput for.
-                        w.latencies.extend(std::iter::repeat_n(dur, txns));
-                    }
-                }
-                blocks_done.fetch_add(1, Ordering::AcqRel);
-            }
-            // Admission closed (shutdown) — or an unrecoverable STM error;
-            // either way the stream is over.
-            Err(_) => return,
-        }
         round += 1;
+        let t0 = s.commits.now_ns();
+        match sup.call(0, || s.executor.execute_block(&block)) {
+            Supervised::Returned(Ok(_)) => {
+                let dur = s.commits.now_ns().saturating_sub(t0).max(1);
+                for i in 0..txns as u64 {
+                    s.commits.push(t0 + dur * (i + 1) / txns as u64);
+                    // Every transaction in the block waits from block
+                    // assembly to the block's single commit — the latency
+                    // cost a bigger block trades throughput for.
+                    s.latency.record(dur);
+                }
+                s.blocks_done.fetch_add(1, Ordering::AcqRel);
+            }
+            Supervised::Returned(Err(_)) | Supervised::Absorbed => {}
+            Supervised::Exit => return,
+        }
     }
 }
 
 impl TunableSystem for LedgerLiveSystem {
     fn apply(&mut self, cfg: Config) {
-        // Infallible path; controller flows use `try_apply`.
-        let _ = self.registry.enact_noted(cfg, &self.stm);
-        self.stm.set_degree(cfg.into());
-        self.executor.set_workers(cfg.t);
-        while self.commits.try_recv().is_ok() {}
+        self.rt.apply(cfg);
+        self.stream.executor.set_workers(cfg.t);
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        // Axes first, degree last (the veto point) — same ordering contract
-        // as `autopn::PnstmActuator`: a veto after the axes were enacted is
-        // repaired by the controller re-applying the full last-good point.
-        self.registry.enact_noted(cfg, &self.stm)?;
-        self.stm.try_set_degree(cfg.into()).map_err(|err| ApplyError::new(err.to_string()))?;
-        self.executor.set_workers(cfg.t);
-        while self.commits.try_recv().is_ok() {}
+        self.rt.try_apply(cfg)?;
+        self.stream.executor.set_workers(cfg.t);
         Ok(())
     }
 
     fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-        match self.commits.recv_timeout(Duration::from_nanos(max_wait_ns)) {
-            Ok(ts) => Some(ts),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.rt.wait_commit(max_wait_ns)
     }
 
     fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.rt.now_ns()
     }
 
     fn quiesce(&mut self) {
-        // Wait for the next block boundary so the in-flight block (executed
-        // under the previous configuration) does not leak into the next
-        // window, capped for liveness.
-        let target = self.blocks_done.load(Ordering::Acquire) + 1;
+        // The actuator's quiesce counts admitted top-level transactions, and
+        // an executing block holds none. Wait for the next block boundary
+        // instead, so the in-flight block (executed under the previous
+        // configuration) does not leak into the next window, capped for
+        // liveness.
+        let target = self.blocks_done() + 1;
         let deadline = Instant::now() + Duration::from_millis(200);
-        while self.blocks_done.load(Ordering::Acquire) < target && Instant::now() < deadline {
+        while self.blocks_done() < target && Instant::now() < deadline {
             thread::sleep(Duration::from_micros(200));
         }
-        while self.commits.try_recv().is_ok() {}
+        self.stream.commits.clear();
     }
 }
 
 impl SloTunableSystem for LedgerLiveSystem {
     fn begin_slo_window(&mut self) {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let mut w = self.slo.lock();
-        w.open = true;
-        w.start_ns = now;
-        w.latencies.clear();
+        self.window = (self.stream.latency.snapshot(), self.rt.now_ns());
     }
 
     fn end_slo_window(&mut self) -> SloKpi {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let mut w = self.slo.lock();
-        w.open = false;
-        let mut lat = std::mem::take(&mut w.latencies);
-        lat.sort_unstable();
-        let window_ns = now.saturating_sub(w.start_ns).max(1);
-        let completed = lat.len() as u64;
-        let pct = |q: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as f64 * q) as usize]
-            }
-        };
-        SloKpi {
-            goodput: completed as f64 * 1e9 / window_ns as f64,
-            offered: completed,
-            completed,
-            rejected: 0,
-            p50_ns: pct(0.50),
-            p99_ns: pct(0.99),
-            p999_ns: pct(0.999),
-            window_ns,
-        }
+        let delta = self.stream.latency.snapshot().delta_since(&self.window.0);
+        let window_ns = self.rt.now_ns().saturating_sub(self.window.1);
+        SloKpi::from_window(&delta, delta.count, delta.count, 0, window_ns)
     }
 }
 
@@ -357,18 +273,46 @@ mod tests {
 
     #[test]
     fn slo_window_reports_block_latencies() {
-        let mut sys = LedgerLiveSystem::start(stm(), 64, 1_000, ledger_cfg(), 11).unwrap();
+        // Blocks of a few milliseconds (64 txns × 200 µs of work on two
+        // workers), so the window opens before the first block commits.
+        let cfg = LedgerConfig { work: Duration::from_micros(200), ..ledger_cfg() };
+        let mut sys = LedgerLiveSystem::start(stm(), 64, 1_000, cfg, 11).unwrap();
         sys.begin_slo_window();
         let deadline = Instant::now() + Duration::from_secs(10);
         while sys.blocks_done() < 3 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
         }
+        // The in-flight block aborts, so the window covers exactly the
+        // blocks whose stamps the stream holds.
+        sys.shutdown();
         let kpi = sys.end_slo_window();
         assert!(kpi.completed >= 3 * 64, "three 64-txn blocks completed");
         assert!(kpi.goodput > 0.0);
         assert!(kpi.p99_ns >= kpi.p50_ns);
         assert!(kpi.p50_ns > 0);
-        sys.shutdown();
+
+        // Measure each block's duration from its 64 spread stamps: the last
+        // one is t0 + d and the first t0 + ⌊d/64⌋, so d ≈ gap · 64/63.
+        let stamps: Vec<u64> = std::iter::from_fn(|| sys.wait_commit(0)).collect();
+        assert_eq!(stamps.len() as u64, kpi.completed, "one stamp per transaction");
+        let mut latencies: Vec<u64> = stamps
+            .chunks(64)
+            .flat_map(|block| {
+                let gap = block[63] - block[0];
+                std::iter::repeat_n(gap + gap / 63, 64)
+            })
+            .collect();
+        latencies.sort_unstable();
+        let nearest_rank =
+            |p: f64| latencies[((p / 100.0 * latencies.len() as f64).ceil() as usize).max(1) - 1];
+        for (p, reported) in [(50.0, kpi.p50_ns), (99.0, kpi.p99_ns)] {
+            assert_eq!(
+                LatencyHistogram::bucket_of(reported),
+                LatencyHistogram::bucket_of(nearest_rank(p)),
+                "p{p}: reported {reported} ns, measured {} ns",
+                nearest_rank(p)
+            );
+        }
     }
 
     /// The satellite's end-to-end claim: a full AutoPN session over the

@@ -1,20 +1,313 @@
 //! Live execution: run an [`StmWorkload`] on a real [`pnstm::Stm`] with a
 //! pool of application threads, and expose it as an
 //! [`autopn::TunableSystem`] so the controller can tune it end to end.
+//!
+//! What every live tunable system needs is written here once, in
+//! [`LiveRuntime`]: the monitor's bounded [`CommitStream`], the worker
+//! threads under one [`Supervisor`], the one shutdown order, and the one
+//! `TunableSystem` body over a [`PnstmActuator`]. [`LiveStmSystem`] (closed-
+//! loop clients), `ingress::Ingress` (an open-loop queue) and
+//! [`crate::LedgerLiveSystem`] (a block stream) are three sources on top.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use autopn::{ApplyError, AxisRegistry, Config, PnstmActuator, TunableSystem};
+use parking_lot::{Condvar, Mutex};
 use pnstm::trace::{self, TraceEvent};
 use pnstm::{FaultKind, Stm, StmError};
 
-/// Default number of worker panics the system absorbs (restarting the
-/// worker's loop) before the panicking worker is retired for good.
-pub const DEFAULT_RESTART_BUDGET: u64 = 128;
+/// Worker panics a live system absorbs (restarting the worker's loop) before
+/// the panicking worker retires for good.
+pub const RESTART_BUDGET: u64 = 128;
+
+/// Commit stamps a [`CommitStream`] keeps for the monitor: far beyond the
+/// largest window a monitor policy reads commit by commit (WPNOC-30; the
+/// adaptive policy slides over 15), so only the controller's own scheduling
+/// lag has to fit, and 0.5 MiB at most.
+pub const COMMIT_RING_CAP: usize = 1 << 16;
+
+/// The monitor's per-commit timestamp stream (nanoseconds since its epoch):
+/// a drop-oldest ring. The tuner drains it only while a window is open, so
+/// an unbounded channel here grew by one `u64` per commit for as long as no
+/// tuner was attached.
+pub struct CommitStream {
+    epoch: Instant,
+    state: Mutex<RingState>,
+    arrived: Condvar,
+    dropped: AtomicU64,
+}
+
+#[derive(Default)]
+struct RingState {
+    stamps: VecDeque<u64>,
+    /// The consumer is parked on `arrived`; producers skip the notify (a
+    /// syscall per commit) otherwise.
+    parked: bool,
+}
+
+impl CommitStream {
+    /// The stream's clock: nanoseconds since its epoch.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Append `ts`, overwriting (and counting) the oldest stamp when full.
+    pub(crate) fn push(&self, ts: u64) {
+        let mut state = self.state.lock();
+        if state.stamps.len() == COMMIT_RING_CAP {
+            state.stamps.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        state.stamps.push_back(ts);
+        let parked = state.parked;
+        drop(state);
+        if parked {
+            self.arrived.notify_one();
+        }
+    }
+
+    /// The oldest stamp, waiting up to `timeout` for one.
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock();
+        loop {
+            if let Some(ts) = state.stamps.pop_front() {
+                return Some(ts);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            state.parked = true;
+            self.arrived.wait_for(&mut state, left);
+            state.parked = false;
+        }
+    }
+
+    pub(crate) fn clear(&self) {
+        self.state.lock().stamps.clear();
+    }
+
+    /// Stamps currently held (at most [`COMMIT_RING_CAP`]).
+    pub fn held(&self) -> usize {
+        self.state.lock().stamps.len()
+    }
+
+    /// Stamps overwritten before a reader took them (grows whenever no tuner
+    /// is attached).
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// What one [`Supervisor::call`] tells the worker loop around it.
+#[derive(Debug)]
+pub enum Supervised<T> {
+    /// The body returned anything but [`StmError::Shutdown`].
+    Returned(Result<T, StmError>),
+    /// The body panicked; the panic was absorbed and traced.
+    Absorbed,
+    /// Stop this worker: admission is closed, or the restart budget is spent.
+    Exit,
+}
+
+/// A worker thread's handle on the supervision of its [`LiveRuntime`]: the
+/// stop flag, and the supervised call every worker body goes through.
+#[derive(Clone)]
+pub struct Supervisor {
+    stm: Stm,
+    stop: Arc<AtomicBool>,
+    /// Panics absorbed so far, shared by all workers: the budget is charged
+    /// against it.
+    panics: Arc<AtomicU64>,
+    budget: u64,
+}
+
+impl Supervisor {
+    pub fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Run `body` for `worker`, absorbing a panic: each one is published as
+    /// a `worker_panicked` trace event, and the one that spends the
+    /// system-wide restart budget retires the worker instead of looping a
+    /// persistent crash forever (the system runs degraded).
+    pub fn call<T>(
+        &self,
+        worker: usize,
+        body: impl FnOnce() -> Result<T, StmError>,
+    ) -> Supervised<T> {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Fault site: a crashing worker body.
+            if self.stm.fault_ctx().inject(FaultKind::WorkerPanic).is_some() {
+                panic!("injected worker panic");
+            }
+            body()
+        }));
+        match outcome {
+            Ok(Err(StmError::Shutdown)) => Supervised::Exit,
+            Ok(result) => Supervised::Returned(result),
+            Err(_) => {
+                let absorbed = self.panics.fetch_add(1, Ordering::AcqRel) + 1;
+                self.stm.trace_bus().emit(TraceEvent::WorkerPanicked {
+                    worker: worker as u32,
+                    restarts: absorbed,
+                    at_ns: trace::now_ns(),
+                });
+                if absorbed >= self.budget {
+                    Supervised::Exit
+                } else {
+                    Supervised::Absorbed
+                }
+            }
+        }
+    }
+}
+
+/// The runtime a live source runs on: its worker threads and their
+/// supervision, the commit stream the monitor reads, and the actuator that
+/// applies configurations to the STM.
+pub struct LiveRuntime {
+    actuator: PnstmActuator,
+    commits: Arc<CommitStream>,
+    supervisor: Supervisor,
+    handles: Vec<thread::JoinHandle<()>>,
+    /// The source's own close (the ingress queue's), run by shutdown right
+    /// after the stop flag.
+    close: Box<dyn Fn() + Send>,
+}
+
+impl LiveRuntime {
+    /// A runtime over `stm` with no workers yet; `close` wakes whatever the
+    /// source's workers park on besides STM admission.
+    pub fn new(stm: Stm, close: impl Fn() + Send + 'static) -> Self {
+        let commits = Arc::new(CommitStream {
+            epoch: Instant::now(),
+            state: Mutex::default(),
+            arrived: Condvar::new(),
+            dropped: AtomicU64::new(0),
+        });
+        let supervisor = Supervisor {
+            stm: stm.clone(),
+            stop: Arc::new(AtomicBool::new(false)),
+            panics: Arc::new(AtomicU64::new(0)),
+            budget: RESTART_BUDGET,
+        };
+        let actuator = PnstmActuator::new(stm);
+        Self { actuator, commits, supervisor, handles: Vec::new(), close: Box::new(close) }
+    }
+
+    /// Push the stamp of every top-level commit of the STM into the stream.
+    /// `ClockJitter` is a fault site here: it perturbs the stamps the monitor
+    /// sees (pathological measurement streams).
+    pub fn hook_commits(&self) {
+        let (commits, fault) = (Arc::clone(&self.commits), self.stm().fault_ctx().clone());
+        self.stm().stats().set_commit_hook(Some(Arc::new(move |ev: pnstm::CommitEvent| {
+            let mut ns = ev.at.duration_since(commits.epoch).as_nanos() as u64;
+            if let Some(action) = fault.inject(FaultKind::ClockJitter) {
+                ns = ns.saturating_add_signed(action.signed_jitter_ns());
+            }
+            commits.push(ns);
+        })));
+    }
+
+    pub fn stm(&self) -> &Stm {
+        self.actuator.stm()
+    }
+
+    pub fn commits(&self) -> &Arc<CommitStream> {
+        &self.commits
+    }
+
+    /// Worker panics absorbed so far.
+    pub fn worker_panics(&self) -> u64 {
+        self.supervisor.panics.load(Ordering::Acquire)
+    }
+
+    /// See [`PnstmActuator::attach_axes`].
+    pub(crate) fn attach_axes(&mut self, registry: AxisRegistry) {
+        self.actuator.attach_axes(registry);
+    }
+
+    /// Start a worker thread running `body` with its [`Supervisor`]. A failed
+    /// spawn degrades instead of aborting: the threads that did start are
+    /// shut down and the error goes to the caller.
+    pub fn spawn(
+        &mut self,
+        name: String,
+        body: impl FnOnce(Supervisor) + Send + 'static,
+    ) -> std::io::Result<()> {
+        let supervisor = self.supervisor.clone();
+        match thread::Builder::new().name(name).spawn(move || body(supervisor)) {
+            Ok(handle) => {
+                self.handles.push(handle);
+                Ok(())
+            }
+            Err(err) => {
+                self.shutdown();
+                Err(err)
+            }
+        }
+    }
+
+    /// Stop the workers and detach the commit hook: stop flag → the source's
+    /// close → admission close → join → admission reopen → hook detach.
+    ///
+    /// The stop flag alone cannot reach a worker parked in the source or on
+    /// the admission gate (starved admission: an admission-stall fault plan,
+    /// or a `t` far below the worker count). The closes wake both, the gate
+    /// with [`StmError::Shutdown`], and admission reopens once every worker
+    /// has exited, leaving the STM usable. Idempotent.
+    pub fn shutdown(&mut self) {
+        self.supervisor.stop.store(true, Ordering::Release);
+        (self.close)();
+        let stm = self.actuator.stm();
+        stm.close_admission();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+        stm.reopen_admission();
+        stm.stats().set_commit_hook(None);
+    }
+}
+
+impl Drop for LiveRuntime {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl TunableSystem for LiveRuntime {
+    fn apply(&mut self, cfg: Config) {
+        self.actuator.apply(cfg);
+        // Old stamps belong to the previous configuration; flush them so the
+        // next window measures only the new one.
+        self.commits.clear();
+    }
+
+    fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
+        self.actuator.try_apply(cfg)?;
+        self.commits.clear();
+        Ok(())
+    }
+
+    fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
+        self.commits.pop_timeout(Duration::from_nanos(max_wait_ns))
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.commits.now_ns()
+    }
+
+    fn quiesce(&mut self) {
+        self.actuator.quiesce();
+        self.commits.clear();
+    }
+}
 
 /// A transactional workload runnable on a live STM.
 ///
@@ -35,90 +328,39 @@ pub trait StmWorkload: Send + Sync + 'static {
 /// workload while the throttle enforces the current configuration; commit
 /// events flow through [`pnstm::Stats`]'s hook into the monitor.
 pub struct LiveStmSystem {
-    /// Applies configurations (axes, degree, scheduler) to the tuned STM.
-    actuator: PnstmActuator,
-    epoch: Instant,
-    commits: Receiver<u64>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<thread::JoinHandle<()>>,
-    /// Worker panics absorbed so far (supervision counter, shared by all
-    /// workers; the restart budget is charged against it).
-    panics: Arc<AtomicU64>,
+    rt: LiveRuntime,
 }
 
 impl LiveStmSystem {
-    /// Start `threads` application threads running `workload` on `stm`, with
-    /// the default panic-restart budget.
-    ///
-    /// Thread-spawn failure is propagated (after stopping any threads that
-    /// did start) instead of aborting the process.
+    /// Start `threads` supervised application threads running `workload` on
+    /// `stm`. Thread-spawn failure is propagated (after stopping any threads
+    /// that did start) instead of aborting the process.
     pub fn start(
         stm: Stm,
         workload: Arc<dyn StmWorkload>,
         threads: usize,
     ) -> std::io::Result<Self> {
-        Self::start_with_restart_budget(stm, workload, threads, DEFAULT_RESTART_BUDGET)
-    }
-
-    /// [`LiveStmSystem::start`] with an explicit restart budget: a worker
-    /// whose transaction body panics is restarted (its loop resumes) until
-    /// the *system-wide* panic count reaches `restart_budget`; after that the
-    /// panicking worker retires. Every absorbed panic is published as
-    /// [`TraceEvent::WorkerPanicked`] on the STM's trace bus.
-    pub fn start_with_restart_budget(
-        stm: Stm,
-        workload: Arc<dyn StmWorkload>,
-        threads: usize,
-        restart_budget: u64,
-    ) -> std::io::Result<Self> {
-        let epoch = Instant::now();
-        let (tx, rx): (Sender<u64>, Receiver<u64>) = unbounded();
-        {
-            // Fault site: ClockJitter perturbs the commit timestamps the
-            // monitor sees (pathological measurement streams).
-            let fault = stm.fault_ctx().clone();
-            stm.stats().set_commit_hook(Some(Arc::new(move |ev: pnstm::CommitEvent| {
-                let mut ns = ev.at.duration_since(epoch).as_nanos() as u64;
-                if let Some(action) = fault.inject(FaultKind::ClockJitter) {
-                    ns = ns.saturating_add_signed(action.signed_jitter_ns());
-                }
-                let _ = tx.send(ns);
-            })));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let panics = Arc::new(AtomicU64::new(0));
-        let mut sys = Self {
-            actuator: PnstmActuator::new(stm.clone()),
-            epoch,
-            commits: rx,
-            stop,
-            handles: Vec::new(),
-            panics,
-        };
+        let mut rt = LiveRuntime::new(stm.clone(), || {});
+        rt.hook_commits();
         for worker in 0..threads.max(1) {
-            let stm = stm.clone();
-            let workload = Arc::clone(&workload);
-            let stop = Arc::clone(&sys.stop);
-            let panics = Arc::clone(&sys.panics);
-            let spawned = thread::Builder::new()
-                .name(format!("live-{}-{}", workload.name(), worker))
-                .spawn(move || worker_loop(stm, workload, worker, stop, panics, restart_budget));
-            match spawned {
-                Ok(handle) => sys.handles.push(handle),
-                Err(err) => {
-                    // Degrade instead of aborting: stop whatever started and
-                    // hand the error to the caller.
-                    sys.shutdown();
-                    return Err(err);
+            let (stm, workload) = (stm.clone(), Arc::clone(&workload));
+            rt.spawn(format!("live-{}-{}", workload.name(), worker), move |sup| {
+                let mut round = 0u64;
+                while !sup.stopped() {
+                    let step = sup.call(worker, || workload.run_txn(&stm, worker, round));
+                    round += 1;
+                    if matches!(step, Supervised::Exit) {
+                        return;
+                    }
                 }
-            }
+            })?;
         }
-        Ok(sys)
+        Ok(Self { rt })
     }
 
     /// The tuned STM instance.
     pub fn stm(&self) -> &Stm {
-        self.actuator.stm()
+        self.rt.stm()
     }
 
     /// The STM's trace bus. Subscribe a sink here (and pass a clone to
@@ -131,113 +373,41 @@ impl LiveStmSystem {
 
     /// Worker panics absorbed (and survived) so far.
     pub fn worker_panics(&self) -> u64 {
-        self.panics.load(Ordering::Acquire)
+        self.rt.worker_panics()
     }
 
     /// Attach a live axis registry (e.g. [`autopn::stm_axis_registry`]); see
     /// [`PnstmActuator::attach_axes`].
     pub fn attach_axes(&mut self, registry: AxisRegistry) {
-        self.actuator.attach_axes(registry);
+        self.rt.attach_axes(registry);
     }
 
-    /// Stop the application threads and detach the commit hook.
-    ///
-    /// Closing STM admission before joining is what makes this hang-free: a
-    /// worker parked on the top-level admission semaphore never re-checks the
-    /// stop flag, so the stop flag alone cannot shut the system down when
-    /// admission is starved (e.g. under an admission-stall fault plan or a
-    /// `t` far below the worker count). The closed gate wakes every parked
-    /// worker with [`StmError::Shutdown`] and is reopened once they have
-    /// exited, leaving the STM usable afterwards.
+    /// Stop the application threads and detach the commit hook; see
+    /// [`LiveRuntime::shutdown`].
     pub fn shutdown(&mut self) {
-        let stm = self.actuator.stm();
-        self.stop.store(true, Ordering::Release);
-        stm.close_admission();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        stm.reopen_admission();
-        stm.stats().set_commit_hook(None);
-    }
-}
-
-/// One application worker: loop the workload until stopped, absorbing body
-/// panics (supervised restart) until the shared restart budget is spent.
-fn worker_loop(
-    stm: Stm,
-    workload: Arc<dyn StmWorkload>,
-    worker: usize,
-    stop: Arc<AtomicBool>,
-    panics: Arc<AtomicU64>,
-    restart_budget: u64,
-) {
-    let fault = stm.fault_ctx().clone();
-    let mut round = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Fault site: a crashing workload closure.
-            if fault.inject(FaultKind::WorkerPanic).is_some() {
-                panic!("injected worker panic");
-            }
-            workload.run_txn(&stm, worker, round)
-        }));
-        round += 1;
-        match outcome {
-            // Admission closed: the STM is shutting down.
-            Ok(Err(StmError::Shutdown)) => return,
-            Ok(_) => {}
-            Err(_) => {
-                let absorbed = panics.fetch_add(1, Ordering::AcqRel) + 1;
-                stm.trace_bus().emit(TraceEvent::WorkerPanicked {
-                    worker: worker as u32,
-                    restarts: absorbed,
-                    at_ns: trace::now_ns(),
-                });
-                if absorbed >= restart_budget {
-                    // Budget spent: retire this worker instead of looping a
-                    // persistent crash forever. The system runs degraded.
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for LiveStmSystem {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.rt.shutdown();
     }
 }
 
 impl TunableSystem for LiveStmSystem {
     fn apply(&mut self, cfg: Config) {
-        self.actuator.apply(cfg);
-        // Old commit events belong to the previous configuration; flush them
-        // so the next window measures only the new one.
-        while self.commits.try_recv().is_ok() {}
+        self.rt.apply(cfg);
     }
 
     fn try_apply(&mut self, cfg: Config) -> Result<(), ApplyError> {
-        self.actuator.try_apply(cfg)?;
-        while self.commits.try_recv().is_ok() {}
-        Ok(())
+        self.rt.try_apply(cfg)
     }
 
     fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-        match self.commits.recv_timeout(Duration::from_nanos(max_wait_ns)) {
-            Ok(ts) => Some(ts),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.rt.wait_commit(max_wait_ns)
     }
 
     fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.rt.now_ns()
     }
 
     fn quiesce(&mut self) {
-        self.actuator.quiesce();
-        while self.commits.try_recv().is_ok() {}
+        self.rt.quiesce();
     }
 }
 
@@ -375,5 +545,156 @@ mod tests {
         }
         assert!(seen >= 10);
         sys.shutdown();
+    }
+
+    /// A workload that never commits, so every stamp is the test's own.
+    struct Idle;
+
+    impl StmWorkload for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn run_txn(&self, _stm: &Stm, _worker: usize, _round: u64) -> Result<(), StmError> {
+            thread::sleep(Duration::from_millis(1));
+            Ok(())
+        }
+    }
+
+    /// Drain two stamps from a full stream: they come oldest first, and the
+    /// oldest is no older than `fresh_from` — the ring kept the newest ones.
+    fn assert_late_reader_gets_fresh_stamps(sys: &mut impl TunableSystem, fresh_from: u64) {
+        let first = sys.wait_commit(1_000_000).expect("the stream is full");
+        let second = sys.wait_commit(1_000_000).expect("the stream is full");
+        assert!(fresh_from <= first && first <= second, "{fresh_from} {first} {second}");
+    }
+
+    #[test]
+    fn untuned_live_systems_keep_their_commit_stamps_bounded() {
+        // No tuner ever calls `wait_commit`, so nothing drains the stamps.
+        // The closed-loop system: a million commits through the counter the
+        // commit path itself calls must leave the ring at its cap, the
+        // overwritten ones counted.
+        let stm = Stm::new(StmConfig::default());
+        let mut sys = LiveStmSystem::start(stm.clone(), Arc::new(Idle), 1).unwrap();
+        const COMMITS: u64 = 1_000_000;
+        for _ in 0..COMMITS - COMMIT_RING_CAP as u64 {
+            stm.stats().record_commit_top();
+        }
+        let fresh_from = sys.now_ns();
+        for _ in 0..COMMIT_RING_CAP {
+            stm.stats().record_commit_top();
+        }
+        assert_eq!(sys.rt.commits().held(), COMMIT_RING_CAP);
+        assert_eq!(sys.rt.commits().dropped(), COMMITS - COMMIT_RING_CAP as u64);
+        assert_late_reader_gets_fresh_stamps(&mut sys, fresh_from);
+        sys.shutdown();
+
+        // The block stream: let it run until the ring has been overwritten
+        // by a whole ring's worth of stamps since `fresh_from`.
+        let stm = Stm::new(StmConfig::default());
+        let cfg = ledger::LedgerConfig { workers: 2, block_size: 1024, ..Default::default() };
+        let mut sys = crate::LedgerLiveSystem::start(stm, 64, 1_000, cfg, 5).unwrap();
+        let commits = Arc::clone(sys.rt.commits());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut fresh_from = None;
+        while commits.dropped() < 2 * COMMIT_RING_CAP as u64 {
+            assert!(Instant::now() < deadline, "the block stream stalled: {}", commits.held());
+            if fresh_from.is_none() && commits.dropped() > 0 {
+                fresh_from = Some(sys.now_ns());
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(commits.held(), COMMIT_RING_CAP);
+        assert_late_reader_gets_fresh_stamps(&mut sys, fresh_from.unwrap());
+        sys.shutdown();
+    }
+
+    #[test]
+    fn supervisor_transition_table() {
+        let stm =
+            Stm::new(StmConfig { degree: ParallelismDegree::new(1, 1), ..Default::default() });
+        let sink = Arc::new(pnstm::TestSink::new());
+        stm.trace_bus().subscribe(sink.clone());
+        let panicked = || {
+            sink.events()
+                .into_iter()
+                .filter_map(|ev| match ev {
+                    TraceEvent::WorkerPanicked { worker, restarts, .. } => Some((worker, restarts)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut rt = LiveRuntime::new(stm.clone(), || {});
+        rt.supervisor.budget = 3;
+        let sup = rt.supervisor.clone();
+
+        // The body returns: carry on, no event.
+        assert!(matches!(sup.call(0, || Ok(7)), Supervised::Returned(Ok(7))));
+        let other = sup.call::<()>(0, || Err(StmError::UserAborted));
+        assert!(matches!(other, Supervised::Returned(Err(StmError::UserAborted))));
+        // Admission closed: the worker exits, and it is not a panic.
+        assert!(matches!(sup.call::<()>(0, || Err(StmError::Shutdown)), Supervised::Exit));
+        assert_eq!((rt.worker_panics(), panicked()), (0, vec![]));
+        // Panics below the budget: absorbed, traced, the worker carries on.
+        for k in 1..=2 {
+            assert!(matches!(sup.call::<()>(4, || panic!("boom")), Supervised::Absorbed));
+            assert_eq!(panicked().last(), Some(&(4, k)));
+        }
+
+        // The panic that reaches the budget retires its worker only.
+        let survivor_rounds = Arc::new(AtomicU64::new(0));
+        let rounds = Arc::clone(&survivor_rounds);
+        rt.spawn("crasher".into(), |sup| {
+            while !sup.stopped()
+                && !matches!(sup.call::<()>(1, || panic!("boom")), Supervised::Exit)
+            {}
+        })
+        .unwrap();
+        rt.spawn("survivor".into(), move |sup| {
+            while !sup.stopped() {
+                if let Supervised::Exit = sup.call(2, || Ok(())) {
+                    return;
+                }
+                rounds.fetch_add(1, Ordering::Relaxed);
+                thread::sleep(Duration::from_millis(1));
+            }
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !rt.handles[0].is_finished() {
+            assert!(Instant::now() < deadline, "the crashing worker never retired");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(rt.worker_panics(), 3);
+        assert_eq!(panicked().last(), Some(&(1, 3)));
+        let before = survivor_rounds.load(Ordering::Relaxed);
+        while survivor_rounds.load(Ordering::Relaxed) < before + 10 {
+            assert!(Instant::now() < deadline, "the other worker stopped with the crashing one");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!rt.handles[1].is_finished());
+        rt.shutdown();
+
+        // Shutdown while workers are parked on starved admission (t = 1, one
+        // holder, two waiters) returns within the chaos bound.
+        let mut rt = LiveRuntime::new(stm.clone(), || {});
+        for worker in 0..3 {
+            let stm = stm.clone();
+            rt.spawn(format!("starved-{worker}"), move |sup| {
+                let hold = || {
+                    stm.atomic(|_| {
+                        thread::sleep(Duration::from_millis(20));
+                        Ok(())
+                    })
+                };
+                while !matches!(sup.call(worker, hold), Supervised::Exit) {}
+            })
+            .unwrap();
+        }
+        thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        rt.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(5), "shutdown took {:?}", start.elapsed());
+        assert_eq!(rt.worker_panics(), 0);
     }
 }

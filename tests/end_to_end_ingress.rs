@@ -52,7 +52,6 @@ fn start_front_door(stm: &Stm, rate_hz: f64, work_us: u64, queue_cap: usize) -> 
         queue_cap,
         batch: 4,
         workers: 4,
-        ..IngressConfig::default()
     };
     Ingress::start(stm.clone(), service, config).expect("spawn ingress")
 }
