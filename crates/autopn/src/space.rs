@@ -814,7 +814,7 @@ mod tests {
         let lifted = space.lift(legacy);
         assert!(space.contains(lifted));
         assert_eq!(lifted.axes, space.default_axes());
-        assert_eq!(space.describe(lifted), "(4,2) cm=immediate block=256");
+        assert_eq!(space.describe(lifted), "(4,2) cm=exp-backoff block=256");
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! a discrete knob:
 //!
 //! * [`CmMode::Immediate`] — retry with no delay: the original behaviour,
-//!   retained as the differential oracle and bench baseline. Still the
-//!   default.
-//! * [`CmMode::ExpBackoff`] — jittered exponential delay, doubling per
-//!   consecutive abort (capped at 2⁶×). The jitter is a pure function of
-//!   `(ticket, attempt)` (same SplitMix64 idiom as [`crate::fault`]), so
-//!   runs replay deterministically.
+//!   retained as the differential oracle and bench baseline.
+//! * [`CmMode::ExpBackoff`] — the default. The first abort of a chain
+//!   retries at once; from the second consecutive abort on, a jittered
+//!   exponential delay doubling per abort (capped at 2⁶×). The jitter is a
+//!   pure function of `(ticket, attempt)` (same SplitMix64 idiom as
+//!   [`crate::fault`]), so runs replay deterministically.
 //! * [`CmMode::Karma`] — priority accrues with every aborted attempt plus
 //!   the work it had done (read + write footprint); the loser waits
 //!   proportionally to its gap below the highest-karma active transaction,
@@ -44,13 +44,12 @@ use std::time::Duration;
 /// Number of contention-manager policies (the length of [`CmMode::ALL`]).
 pub const CM_POLICIES: usize = 4;
 
-/// Default base delay of the exponential-backoff rung, used when the
-/// deprecated `StmConfig::retry_backoff` is zero.
+/// Base delay of the exponential-backoff rung: the wait after a chain's
+/// second consecutive abort.
 pub const DEFAULT_BACKOFF_BASE_NS: u64 = 20_000;
 
 /// Exponent cap of the backoff rung: the delay doubles per consecutive
-/// abort up to `base << BACKOFF_MAX_EXP` (matching the semantics of the
-/// absorbed `retry_backoff` field).
+/// abort up to `base << BACKOFF_MAX_EXP`.
 pub const BACKOFF_MAX_EXP: u64 = 6;
 
 /// Wait per unit of karma gap ([`karma_wait_ns`]).
@@ -80,10 +79,11 @@ const WAIT_SLICE: Duration = Duration::from_micros(200);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CmMode {
     /// Retry immediately (the pre-CM behaviour; differential oracle and
-    /// bench baseline). The default.
-    #[default]
+    /// bench baseline).
     Immediate,
-    /// Jittered exponential backoff, doubling per consecutive abort.
+    /// Retry the first abort at once, then jittered exponential backoff,
+    /// doubling per further consecutive abort. The default.
+    #[default]
     ExpBackoff,
     /// Priority accrued per aborted attempt and work done; the loser waits
     /// proportionally to its priority gap.
@@ -206,14 +206,18 @@ fn mix2(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The backoff rung's delay: `base << min(attempt - 1, BACKOFF_MAX_EXP)`
-/// nanoseconds, jittered by ±25% as a pure function of `(ticket, attempt)`.
-/// Saturating throughout — no overflow for any input.
+/// The backoff rung's delay. The first abort of a chain retries at once: a
+/// lone low-conflict abort is cheaper to retry than to sleep on, since a
+/// `thread::sleep` overshoots a 20 µs wait several times over. From the
+/// second consecutive abort on (repeated conflict, where backoff pays), the
+/// delay is `base << min(attempt - 2, BACKOFF_MAX_EXP)` nanoseconds,
+/// jittered by ±25% as a pure function of `(ticket, attempt)`. Saturating
+/// throughout — no overflow for any input.
 pub fn exp_backoff_ns(base_ns: u64, ticket: u64, attempt: u64) -> u64 {
-    if base_ns == 0 || attempt == 0 {
+    if base_ns == 0 || attempt < 2 {
         return 0;
     }
-    let exp = attempt.saturating_sub(1).min(BACKOFF_MAX_EXP);
+    let exp = (attempt - 2).min(BACKOFF_MAX_EXP);
     let nominal = base_ns.saturating_mul(1u64 << exp);
     // Jitter uniformly over [nominal - nominal/4, nominal + nominal/4]:
     // desynchronizes losers that aborted on the same conflict.
@@ -347,11 +351,7 @@ pub(crate) struct CmEngine {
 impl CmEngine {
     pub(crate) fn new(mode: CmMode, base_backoff_ns: u64) -> Self {
         let core = std::sync::Arc::new(CmCore {
-            base_backoff_ns: if base_backoff_ns == 0 {
-                DEFAULT_BACKOFF_BASE_NS
-            } else {
-                base_backoff_ns
-            },
+            base_backoff_ns,
             next_ticket: AtomicU64::new(1),
             max_karma: AtomicU64::new(0),
             active: Mutex::new(BTreeSet::new()),
@@ -478,7 +478,7 @@ mod tests {
             assert_eq!(CmMode::from_index(m.index()), Some(m));
         }
         assert_eq!(CmMode::from_index(CM_POLICIES), None);
-        assert_eq!(CmMode::default(), CmMode::Immediate);
+        assert_eq!(CmMode::default(), CmMode::ExpBackoff);
         let tags: Vec<&str> = CmMode::ALL.iter().map(|m| m.tag()).collect();
         assert_eq!(tags, ["immediate", "exp-backoff", "karma", "greedy"]);
         assert_eq!(CmMode::Karma.to_string(), "karma");
@@ -496,14 +496,15 @@ mod tests {
     fn exp_backoff_doubles_and_caps() {
         let base = 1_000;
         let at = |attempt| exp_backoff_ns(base, 7, attempt);
-        // Every delay lands within ±25% of its nominal value.
-        for attempt in 1..=20u64 {
-            let nominal = base << attempt.saturating_sub(1).min(BACKOFF_MAX_EXP);
+        // From the second abort on, every delay lands within ±25% of its
+        // nominal value.
+        for attempt in 2..=20u64 {
+            let nominal = base << (attempt - 2).min(BACKOFF_MAX_EXP);
             let d = at(attempt);
             assert!(d >= nominal - nominal / 4, "attempt {attempt}: {d} < 0.75x{nominal}");
             assert!(d <= nominal + nominal / 4, "attempt {attempt}: {d} > 1.25x{nominal}");
         }
-        // Capped at 2^BACKOFF_MAX_EXP from attempt 7 on: same nominal band.
+        // Capped at 2^BACKOFF_MAX_EXP from attempt 8 on: same nominal band.
         assert!(at(20) <= (base << BACKOFF_MAX_EXP) + (base << BACKOFF_MAX_EXP) / 4);
         // Deterministic: same inputs, same delay.
         assert_eq!(exp_backoff_ns(base, 42, 3), exp_backoff_ns(base, 42, 3));
@@ -514,6 +515,24 @@ mod tests {
         // Disabled base and zero attempt are zero-delay.
         assert_eq!(exp_backoff_ns(0, 1, 5), 0);
         assert_eq!(exp_backoff_ns(base, 1, 0), 0);
+    }
+
+    #[test]
+    fn exp_backoff_first_abort_is_free() {
+        let base = DEFAULT_BACKOFF_BASE_NS;
+        // A lone abort retries at once, for every ticket.
+        for ticket in 0..64 {
+            assert_eq!(exp_backoff_ns(base, ticket, 1), 0, "ticket {ticket}");
+        }
+        // The second consecutive abort waits base ±25%.
+        for ticket in 0..64 {
+            let d = exp_backoff_ns(base, ticket, 2);
+            assert!((base - base / 4..=base + base / 4).contains(&d), "ticket {ticket}: {d}");
+        }
+        // The cap still holds.
+        let cap = base << BACKOFF_MAX_EXP;
+        assert!(exp_backoff_ns(base, 3, u64::MAX) <= cap + cap / 4);
+        assert!(exp_backoff_ns(base, 3, u64::MAX) >= cap - cap / 4);
     }
 
     #[test]

@@ -28,11 +28,13 @@
 //!   gates ([`throttle::Throttle`]) so that an external controller (AutoPN's
 //!   actuator) can reconfigure `(t, c)` while the application runs. The
 //!   execution layer — child-task scheduler plus admission gate — is
-//!   pluggable ([`SchedMode`]): the default mutex-based pool/semaphore pair,
-//!   or a work-stealing scheduler with a lock-free packed admission gate.
+//!   pluggable ([`SchedMode`]): the default work-stealing scheduler with a
+//!   lock-free packed admission gate, or the mutex-based pool/semaphore pair
+//!   kept as the oracle.
 //! * **Pluggable contention management** ([`cm`], [`CmMode`]): the delay
-//!   before an aborted transaction retries is a policy — immediate (the
-//!   default), jittered exponential backoff, karma, or greedy seniority —
+//!   before an aborted transaction retries is a policy — immediate,
+//!   jittered exponential backoff from the second abort on (the default),
+//!   karma, or greedy seniority —
 //!   consulted at every abort site and switchable at runtime so the tuner
 //!   can co-tune it alongside `(t, c)`.
 //! * **KPI instrumentation**: commit/abort counters and a commit-event hook

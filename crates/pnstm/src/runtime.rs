@@ -64,7 +64,8 @@ pub struct StmConfig {
     /// machine's available parallelism.
     pub worker_threads: usize,
     /// Retry budget for top-level transactions before
-    /// [`StmError::RetriesExhausted`]. Effectively unbounded by default.
+    /// [`StmError::RetriesExhausted`]. Finite by default (10 000, the same
+    /// as `max_nested_retries`), so no configuration retries forever.
     pub max_retries: u64,
     /// Retry budget for a child transaction fighting sibling conflicts
     /// before the conflict is escalated to the whole tree.
@@ -72,12 +73,6 @@ pub struct StmConfig {
     /// Run version garbage collection every this many top-level commits
     /// (0 disables automatic GC; [`Stm::gc`] can still be called manually).
     pub gc_interval: u64,
-    /// Deprecated: absorbed by the contention manager. A nonzero value is
-    /// routed into the [`CmMode::ExpBackoff`] rung as its base delay (and,
-    /// when `cm_mode` is still [`CmMode::Immediate`], switches the instance
-    /// to `ExpBackoff` to preserve the field's old damping semantics).
-    /// Prefer setting [`StmConfig::cm_mode`] directly.
-    pub retry_backoff: std::time::Duration,
     /// Contention-management policy deciding the delay before an aborted
     /// transaction retries, at every abort site (see [`crate::cm`]).
     /// Switchable at runtime via [`Stm::set_cm_mode`].
@@ -104,10 +99,9 @@ impl Default for StmConfig {
         Self {
             degree: ParallelismDegree::new(cores, 1),
             worker_threads: cores,
-            max_retries: u64::MAX,
+            max_retries: 10_000,
             max_nested_retries: 10_000,
             gc_interval: 256,
-            retry_backoff: std::time::Duration::ZERO,
             cm_mode: CmMode::default(),
             fault: None,
             commit_path: CommitPath::default(),
@@ -447,6 +441,17 @@ pub struct Stm {
 impl Stm {
     /// Create an STM instance with the given configuration.
     pub fn new(config: StmConfig) -> Self {
+        Self::build(config, cm::DEFAULT_BACKOFF_BASE_NS)
+    }
+
+    /// [`Stm::new`] with a non-default base delay for the backoff rung, for
+    /// tests that need a wait long enough to observe from outside.
+    #[cfg(test)]
+    pub(crate) fn with_backoff_base(config: StmConfig, base_backoff_ns: u64) -> Self {
+        Self::build(config, base_backoff_ns)
+    }
+
+    fn build(config: StmConfig, base_backoff_ns: u64) -> Self {
         let trace = TraceBus::new();
         let fault = FaultCtx::new(config.fault.clone(), trace.clone());
         let stats = Arc::new(Stats::new());
@@ -472,17 +477,7 @@ impl Stm {
                 Arc::new(PackedGate::with_stats(config.degree.top_level, Arc::clone(&stats))),
             ),
         };
-        // Absorb the deprecated `retry_backoff` field into the contention
-        // manager: a nonzero value becomes the backoff rung's base delay,
-        // and — if no explicit policy was chosen — selects `ExpBackoff` so
-        // configs written against the old field keep their damping.
-        let retry_ns = config.retry_backoff.as_nanos().min(u64::MAX as u128) as u64;
-        let cm_mode = if config.cm_mode == CmMode::Immediate && retry_ns > 0 {
-            CmMode::ExpBackoff
-        } else {
-            config.cm_mode
-        };
-        let cm = CmEngine::new(cm_mode, retry_ns);
+        let cm = CmEngine::new(config.cm_mode, base_backoff_ns);
         let registry = Arc::new(SnapshotRegistry::new());
         registry.set_lease(config.mem.snapshot_lease);
         let mem_state = MemState::new(&config.mem);
@@ -973,5 +968,138 @@ impl ReadTxn {
     /// The snapshot version being read.
     pub fn version(&self) -> u64 {
         self.snap.version()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Contention-manager waits long enough to observe from outside: these
+    //! need a backoff base far above the shipped one, which is not a public
+    //! knob.
+
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    #[test]
+    fn backing_off_writer_releases_its_admission_token() {
+        // t = 1: a single admission token. A transaction entering a long CM
+        // wait must surrender it so an unrelated transaction can run *during*
+        // the wait — a parked loser holding the only token would serialize
+        // the whole system behind its sleep.
+        let stm = Stm::with_backoff_base(
+            StmConfig {
+                degree: ParallelismDegree::new(1, 1),
+                worker_threads: 1,
+                cm_mode: CmMode::ExpBackoff,
+                ..StmConfig::default()
+            },
+            // Base far above PERMIT_RELEASE_THRESHOLD_NS: the second abort's
+            // wait is 50 ms ± 25 % jitter, so the token must be released.
+            50_000_000,
+        );
+        let cell = stm.new_vbox(0i64);
+        let in_backoff = Arc::new(AtomicBool::new(false));
+
+        let loser = std::thread::spawn({
+            let stm = stm.clone();
+            let cell = cell.clone();
+            let in_backoff = Arc::clone(&in_backoff);
+            let attempts = AtomicU64::new(0);
+            move || {
+                stm.atomic(move |tx| {
+                    // Force two aborts: the first retries at once, the
+                    // second schedules the long wait.
+                    match attempts.fetch_add(1, Ordering::Relaxed) {
+                        0 => return Err(TxError::Conflict),
+                        1 => {
+                            in_backoff.store(true, Ordering::Release);
+                            return Err(TxError::Conflict);
+                        }
+                        _ => {}
+                    }
+                    tx.write(&cell, 7);
+                    Ok(())
+                })
+            }
+        });
+
+        while !in_backoff.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // The loser is aborting / about to sleep ~50 ms. An unrelated
+        // transaction must get the (sole) token and finish well inside that
+        // window — if the sleeper kept it, this would block ~50 ms.
+        let other = stm.new_vbox(0i64);
+        let start = Instant::now();
+        stm.atomic(|tx| {
+            tx.write(&other, 1);
+            Ok(())
+        })
+        .expect("unrelated transaction commits during the backoff");
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(30),
+            "unrelated txn waited {elapsed:?} behind a backing-off writer's token"
+        );
+
+        loser.join().unwrap().expect("loser retries and commits after its wait");
+        assert_eq!(stm.read_atomic(&cell), 7);
+        assert_eq!(stm.read_atomic(&other), 1);
+        let snap = stm.stats().snapshot();
+        assert_eq!(
+            snap.cm_policy_waits[CmMode::ExpBackoff.index()],
+            1,
+            "only the second abort waits"
+        );
+    }
+
+    #[test]
+    fn shutdown_during_cm_wait_returns_promptly() {
+        // A transaction parked in a multi-second backoff is morally idle:
+        // closing admission must wake it with `Shutdown` within a wait
+        // slice, not after the full backoff elapses.
+        let stm = Stm::with_backoff_base(
+            StmConfig { worker_threads: 1, cm_mode: CmMode::ExpBackoff, ..StmConfig::default() },
+            3_000_000_000,
+        );
+        let in_backoff = Arc::new(AtomicBool::new(false));
+        let sleeper = std::thread::spawn({
+            let stm = stm.clone();
+            let in_backoff = Arc::clone(&in_backoff);
+            let attempts = AtomicU64::new(0);
+            move || {
+                stm.atomic(move |_tx| -> TxResult<()> {
+                    // The second abort is the first that waits.
+                    if attempts.fetch_add(1, Ordering::Relaxed) >= 1 {
+                        in_backoff.store(true, Ordering::Release);
+                    }
+                    Err(TxError::Conflict)
+                })
+            }
+        });
+        while !in_backoff.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // Give the aborting attempt a moment to actually enter its sleep.
+        std::thread::sleep(Duration::from_millis(10));
+        let closed_at = Instant::now();
+        stm.close_admission();
+        let result = sleeper.join().unwrap();
+        let woke_after = closed_at.elapsed();
+        assert_eq!(result, Err(StmError::Shutdown));
+        assert!(
+            woke_after < Duration::from_millis(500),
+            "CM wait ignored shutdown for {woke_after:?} (backoff base is 3 s)"
+        );
+        stm.reopen_admission();
+        // The instance stays usable after the aborted wait.
+        let cell = stm.new_vbox(0i32);
+        stm.atomic(|tx| {
+            tx.write(&cell, 1);
+            Ok(())
+        })
+        .expect("STM usable after reopen");
+        assert_eq!(stm.read_atomic(&cell), 1);
     }
 }

@@ -7,12 +7,12 @@
 //! admission — behind a [`Scheduler`] / [`Admission`] trait pair selected by
 //! [`SchedMode`]:
 //!
-//! * [`SchedMode::Mutex`] (the default) keeps the original structures: the
+//! * [`SchedMode::Mutex`] keeps the original structures: the
 //!   single-queue [`crate::pool::ChildPool`] and the
 //!   [`crate::throttle::ResizableSemaphore`]. They survive as the
 //!   differential-testing oracle and the `sched_scaling` bench baseline,
 //!   mirroring `CommitPath::GlobalLock` / `ReadPathMode::Locked`.
-//! * [`SchedMode::WorkStealing`] selects [`WorkStealingPool`] — per-batch
+//! * [`SchedMode::WorkStealing`] (the default) selects [`WorkStealingPool`] — per-batch
 //!   lock-free deques (the owning parent pops LIFO from one end, helper
 //!   threads steal FIFO from the other), batch handles registered in a
 //!   sharded injector so idle workers discover work without one global lock
@@ -42,13 +42,13 @@ pub type Task = Box<dyn FnOnce() + Send>;
 pub enum SchedMode {
     /// The original structures: the single-queue child pool (one mutex-held
     /// `VecDeque` per batch, one batches lock + condvar for dispatch) and
-    /// the mutex-based resizable admission semaphore. The default; retained
-    /// as the differential-testing oracle and the `sched_scaling` baseline.
-    #[default]
+    /// the mutex-based resizable admission semaphore. Retained as the
+    /// differential-testing oracle and the `sched_scaling` baseline.
     Mutex,
     /// Work-stealing child-task scheduler (per-batch lock-free deques,
     /// sharded injector, atomic helper counter) and the packed-atomic
-    /// admission gate with parker lists.
+    /// admission gate with parker lists. The default.
+    #[default]
     WorkStealing,
 }
 

@@ -547,7 +547,7 @@ impl Throttle {
     }
 
     /// A throttle with both tracing and fault injection attached, gating
-    /// admissions through the default mutex-based semaphore.
+    /// admissions through the mutex-based [`ResizableSemaphore`].
     pub fn with_instruments(degree: ParallelismDegree, trace: TraceBus, fault: FaultCtx) -> Self {
         Self::with_gate(degree, trace, fault, Arc::new(ResizableSemaphore::new(degree.top_level)))
     }

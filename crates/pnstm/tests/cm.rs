@@ -1,14 +1,15 @@
 //! Contention-manager integration: the CM rungs observed through the public
 //! API, at every abort site. The unit tests in `src/cm.rs` pin the pure
 //! decision math; these tests pin the *wiring* — waits actually happen (and
-//! show up in stats), admission tokens are surrendered across long waits,
-//! and shutdown cuts a parked backoff short.
+//! show up in stats), and only from a chain's second abort on. The waits
+//! long enough to observe from outside (admission tokens surrendered across
+//! a long wait, shutdown cutting a parked backoff short) need a non-default
+//! backoff base and live in `src/runtime.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use pnstm::{child, CmMode, ParallelismDegree, Stm, StmConfig, StmError, TxError, TxResult};
+use pnstm::{child, CmMode, ParallelismDegree, Stm, StmConfig, TxError};
 
 #[test]
 fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
@@ -20,7 +21,6 @@ fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
         degree: ParallelismDegree::new(1, 8),
         worker_threads: 8,
         cm_mode: CmMode::ExpBackoff,
-        retry_backoff: Duration::from_micros(30),
         ..StmConfig::default()
     });
     let hot = stm.new_vbox(0i64);
@@ -68,140 +68,41 @@ fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
 }
 
 #[test]
-fn backing_off_writer_releases_its_admission_token() {
-    // t = 1: a single admission token. A transaction entering a long CM wait
-    // must surrender it so an unrelated transaction can run *during* the
-    // wait — a parked loser holding the only token would serialize the whole
-    // system behind its sleep.
+fn lone_abort_does_not_sleep() {
+    // The backoff rung retries a chain's first abort at once: one lone
+    // conflict costs no wait. A second consecutive abort in the same chain
+    // does wait.
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 1,
         cm_mode: CmMode::ExpBackoff,
-        // Base far above PERMIT_RELEASE_THRESHOLD_NS: the first wait is
-        // 50 ms ± 25 % jitter, so the token must be released.
-        retry_backoff: Duration::from_millis(50),
         ..StmConfig::default()
     });
     let cell = stm.new_vbox(0i64);
-    let in_backoff = Arc::new(AtomicBool::new(false));
-
-    let loser = std::thread::spawn({
-        let stm = stm.clone();
-        let cell = cell.clone();
-        let in_backoff = Arc::clone(&in_backoff);
+    let waits = || stm.stats().snapshot().cm_policy_waits[CmMode::ExpBackoff.index()];
+    let run_with_forced_aborts = |forced: u64| {
         let attempts = AtomicU64::new(0);
-        move || {
-            stm.atomic(move |tx| {
-                if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                    // Force one abort so the CM schedules a long wait.
-                    in_backoff.store(true, Ordering::Release);
-                    return Err(TxError::Conflict);
-                }
-                tx.write(&cell, 7);
-                Ok(())
-            })
-        }
-    });
-
-    while !in_backoff.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
-    // The loser is aborting / about to sleep ~50 ms. An unrelated
-    // transaction must get the (sole) token and finish well inside that
-    // window — if the sleeper kept it, this would block ~50 ms.
-    let other = stm.new_vbox(0i64);
-    let start = Instant::now();
-    stm.atomic({
-        let other = other.clone();
-        move |tx| {
-            tx.write(&other, 1);
+        stm.atomic(|tx| {
+            if attempts.fetch_add(1, Ordering::Relaxed) < forced {
+                return Err(TxError::Conflict);
+            }
+            let v = tx.read(&cell);
+            tx.write(&cell, v + 1);
             Ok(())
-        }
-    })
-    .expect("unrelated transaction commits during the backoff");
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed < Duration::from_millis(30),
-        "unrelated txn waited {elapsed:?} behind a backing-off writer's token"
-    );
+        })
+        .expect("commits after its forced aborts");
+    };
 
-    loser.join().unwrap().expect("loser retries and commits after its wait");
-    assert_eq!(stm.read_atomic(&cell), 7);
-    assert_eq!(stm.read_atomic(&other), 1);
-    let snap = stm.stats().snapshot();
-    assert!(snap.cm_policy_waits[CmMode::ExpBackoff.index()] >= 1);
-}
-
-#[test]
-fn shutdown_during_cm_wait_returns_promptly() {
-    // A transaction parked in a multi-second backoff is morally idle:
-    // closing admission must wake it with `Shutdown` within a wait slice,
-    // not after the full backoff elapses.
-    let stm = Stm::new(StmConfig {
-        worker_threads: 1,
-        cm_mode: CmMode::ExpBackoff,
-        retry_backoff: Duration::from_secs(3),
-        ..StmConfig::default()
-    });
-    let in_backoff = Arc::new(AtomicBool::new(false));
-    let sleeper = std::thread::spawn({
-        let stm = stm.clone();
-        let in_backoff = Arc::clone(&in_backoff);
-        move || {
-            stm.atomic(move |_tx| -> TxResult<()> {
-                in_backoff.store(true, Ordering::Release);
-                Err(TxError::Conflict)
-            })
-        }
-    });
-    while !in_backoff.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
-    // Give the aborting attempt a moment to actually enter its sleep.
-    std::thread::sleep(Duration::from_millis(10));
-    let closed_at = Instant::now();
-    stm.close_admission();
-    let result = sleeper.join().unwrap();
-    let woke_after = closed_at.elapsed();
-    assert_eq!(result, Err(StmError::Shutdown));
-    assert!(
-        woke_after < Duration::from_millis(500),
-        "CM wait ignored shutdown for {woke_after:?} (backoff base is 3 s)"
-    );
-    stm.reopen_admission();
-    // The instance stays usable after the aborted wait.
-    let cell = stm.new_vbox(0i32);
-    stm.atomic({
-        let cell = cell.clone();
-        move |tx| {
-            tx.write(&cell, 1);
-            Ok(())
-        }
-    })
-    .expect("STM usable after reopen");
-    assert_eq!(stm.read_atomic(&cell), 1);
-}
-
-#[test]
-fn retry_backoff_config_is_absorbed_as_expbackoff() {
-    // The deprecated `retry_backoff` knob keeps its damping semantics by
-    // flipping the instance onto the ExpBackoff rung.
-    let stm =
-        Stm::new(StmConfig { retry_backoff: Duration::from_micros(40), ..StmConfig::default() });
-    assert_eq!(stm.cm_mode(), CmMode::ExpBackoff);
-    // Zero (the default) stays on Immediate; an explicit cm_mode wins.
-    assert_eq!(Stm::new(StmConfig::default()).cm_mode(), CmMode::Immediate);
-    let karma = Stm::new(StmConfig {
-        retry_backoff: Duration::from_micros(40),
-        cm_mode: CmMode::Karma,
-        ..StmConfig::default()
-    });
-    assert_eq!(karma.cm_mode(), CmMode::Karma);
+    run_with_forced_aborts(1);
+    assert_eq!(waits(), 0, "a lone abort must retry at once");
+    run_with_forced_aborts(2);
+    assert_eq!(waits(), 1, "the second consecutive abort waits");
+    assert_eq!(stm.read_atomic(&cell), 2);
 }
 
 #[test]
 fn cm_mode_is_switchable_at_runtime() {
-    let stm = Stm::new(StmConfig::default());
+    let stm = Stm::new(StmConfig { cm_mode: CmMode::Immediate, ..StmConfig::default() });
     assert_eq!(stm.cm_mode(), CmMode::Immediate);
     for mode in CmMode::ALL {
         stm.set_cm_mode(mode);

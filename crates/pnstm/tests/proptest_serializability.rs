@@ -303,11 +303,12 @@ proptest! {
     }
 
     /// Differential replay across the contention-manager ladder: an
-    /// explicitly-Immediate instance is byte-identical to the pre-CM default
-    /// — the CM begin/decide calls on the hot path must be observably free
-    /// when the policy is Immediate. Single-threaded the histories are fully
-    /// defined, so states, commit/abort counts and the clock must agree
-    /// exactly; concurrently the additive deltas commute, so the final
+    /// explicitly-Immediate instance (the pre-CM retry loop) is
+    /// byte-identical to the shipped default CM on an uncontended history —
+    /// the CM begin/decide calls on the hot path must be observably free,
+    /// and the default rung never waits without an abort. Single-threaded
+    /// the histories are fully defined, so states, commit/abort counts and
+    /// the clock must agree exactly; concurrently the additive deltas commute, so the final
     /// states must agree (also exercised under ExpBackoff, whose waits may
     /// reorder but never lose updates).
     #[test]
@@ -331,11 +332,12 @@ proptest! {
                     ..StmConfig::default()
                 })
             };
-            prop_assert_eq!(stm.cm_mode(), CmMode::Immediate);
+            let want = if explicit { CmMode::Immediate } else { CmMode::default() };
+            prop_assert_eq!(stm.cm_mode(), want);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             let state = run_history_on(&stm, &boxes, &specs, 1);
             let snap = stm.stats().snapshot();
-            prop_assert_eq!(snap.cm_wait_count(), 0, "Immediate must never wait");
+            prop_assert_eq!(snap.cm_wait_count(), 0, "an uncontended history must never wait");
             single.push((state, snap.top_commits, snap.top_aborts, stm.clock_now()));
         }
         prop_assert_eq!(&single[0], &single[1], "single-threaded histories diverged");

@@ -1,7 +1,7 @@
 //! Behavioural tests of the PN-STM: atomicity, isolation, nesting semantics,
 //! retry behaviour, throttling, and garbage collection.
 
-use pnstm::{child, ParallelismDegree, Stm, StmConfig, StmError, TxError};
+use pnstm::{child, CmMode, ParallelismDegree, Stm, StmConfig, StmError, TxError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -428,11 +428,11 @@ fn reconfigure_degree_applies_to_new_txns() {
 }
 
 #[test]
-fn retry_backoff_preserves_correctness() {
+fn exp_backoff_preserves_correctness() {
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(8, 1),
         worker_threads: 0,
-        retry_backoff: std::time::Duration::from_micros(50),
+        cm_mode: CmMode::ExpBackoff,
         ..StmConfig::default()
     });
     let b = stm.new_vbox(0i64);
@@ -455,6 +455,16 @@ fn retry_backoff_preserves_correctness() {
         h.join().unwrap();
     }
     assert_eq!(stm.read_atomic(&b), 200, "backoff must not lose updates");
+}
+
+#[test]
+fn default_retry_budget_is_finite_and_typed() {
+    // No shipped configuration retries forever: a transaction that can never
+    // commit ends with a typed error once its budget is spent.
+    assert!(StmConfig::default().max_retries < u64::MAX);
+    let stm = Stm::new(StmConfig { max_retries: 3, ..StmConfig::default() });
+    let result: Result<(), StmError> = stm.atomic(|_tx| Err(TxError::Conflict));
+    assert_eq!(result, Err(StmError::RetriesExhausted { attempts: 3 }));
 }
 
 #[test]

@@ -14,8 +14,8 @@ use autopn::{
 };
 use pnstm::trace::TraceEvent;
 use pnstm::{
-    stripe_of, GcMode, MemConfig, ParallelismDegree, SchedMode, Stm, StmConfig, StmError, TestSink,
-    TraceBus,
+    stripe_of, CmMode, GcMode, MemConfig, ParallelismDegree, SchedMode, Stm, StmConfig, StmError,
+    TestSink, TraceBus,
 };
 use proptest::prelude::*;
 use simtm::{MachineParams, SimWorkload};
@@ -23,15 +23,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use workloads::array::{ArrayParams, ArrayWorkload};
 use workloads::{LiveStmSystem, SimSystem};
 
-/// Run one live tuning session with `plan` armed inside the STM and return
-/// (the trace, injections of `kind`, whether the session reported degraded).
+/// Run one live tuning session with `plan` armed inside the STM (shipped
+/// execution layer) and return (the trace, injections of `kind`, whether the
+/// session reported degraded).
 fn live_tune_under(plan: FaultPlan, kind: FaultKind) -> (Vec<TraceEvent>, u64, bool) {
-    live_tune_under_sched(plan, kind, SchedMode::Mutex)
+    live_tune_under_sched(plan, kind, SchedMode::default())
 }
 
 /// [`live_tune_under`] on an explicit rung of the scheduler ladder: the
 /// chaos contract (sessions complete, every injection traced, shutdown
-/// bounded) must hold under both execution layers.
+/// bounded) must hold under both execution layers, so the `_mutex_oracle`
+/// variants rerun the scheduler-sensitive plans on the mutex rung.
 fn live_tune_under_sched(
     plan: FaultPlan,
     kind: FaultKind,
@@ -171,15 +173,15 @@ fn shutdown_is_bounded_under_stripe_holds() {
     // Every commit attempt stalls 2 ms on its stripe locks, up to a 400-
     // injection budget: the system crawls but must not wedge — shutdown
     // completes promptly and in-flight stalled commits drain. The budget
-    // keeps this focused on the shutdown property: under the default
-    // Immediate CM, unbounded holds inflate the conflict window enough to
+    // keeps this focused on the shutdown property: under the Immediate CM
+    // (pinned here), unbounded holds inflate the conflict window enough to
     // livelock retrying writers against each other. That livelock is a
     // contention-management property with its own regression coverage —
     // `tests/contention.rs` pins it with a dedicated two-writer
     // disjoint-stripe storm (seed 97, unbudgeted p = 1.0 holds of 1 ms,
     // overlapping read sets) and shows it draining under the ExpBackoff
-    // and Greedy rungs, where this test keeps its budget and the default
-    // Immediate CM to stay a pure shutdown check.
+    // and Greedy rungs, where this test keeps its budget and the Immediate
+    // CM to stay a pure shutdown check.
     let plan = Arc::new(FaultPlan::new(51).with_rule(
         FaultKind::CommitHold,
         FaultRule::with_probability(1.0).delay_ns(2_000_000).budget(400),
@@ -188,6 +190,7 @@ fn shutdown_is_bounded_under_stripe_holds() {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 2,
         fault: Some(plan),
+        cm_mode: CmMode::Immediate,
         ..StmConfig::default()
     });
     let wl = Arc::new(ArrayWorkload::new(
@@ -238,27 +241,27 @@ fn tuning_completes_under_admission_stalls() {
 }
 
 #[test]
-fn tuning_completes_under_child_stalls_work_stealing() {
-    // Same plan as the mutex-pool variant, but the stall now lands *after*
-    // the lock-free claim in `ws_run_task` instead of inside the queue
-    // critical section. The chaos contract is unchanged: the session
-    // completes and every injection is traced.
+fn tuning_completes_under_child_stalls_mutex_oracle() {
+    // Same plan as the shipped work-stealing variant, but the stall now
+    // lands *inside* the mutex pool's queue critical section instead of
+    // after the lock-free claim in `ws_run_task`. The chaos contract is
+    // unchanged: the session completes and every injection is traced.
     let kind = FaultKind::ChildStall;
     let plan = FaultPlan::new(44)
         .with_rule(kind, FaultRule::with_probability(0.3).delay_ns(200_000).budget(400));
-    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::WorkStealing);
+    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::Mutex);
     assert!(injected > 0, "no child stalls were injected");
     assert_eq!(count_injected(&events, kind), injected);
 }
 
 #[test]
-fn tuning_completes_under_admission_stalls_work_stealing() {
-    // Admission here is the packed-gate CAS path rather than the semaphore
-    // mutex; the stall site in `Stm::atomic` is scheduler-independent.
+fn tuning_completes_under_admission_stalls_mutex_oracle() {
+    // Admission here is the semaphore mutex rather than the packed-gate CAS
+    // path; the stall site in `Stm::atomic` is scheduler-independent.
     let kind = FaultKind::AdmissionStall;
     let plan = FaultPlan::new(45)
         .with_rule(kind, FaultRule::with_probability(0.4).delay_ns(500_000).budget(300));
-    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::WorkStealing);
+    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::Mutex);
     assert!(injected > 0, "no admission stalls were injected");
     assert_eq!(count_injected(&events, kind), injected);
 }
@@ -308,9 +311,22 @@ fn tuning_completes_under_reconfig_failures() {
 #[test]
 fn shutdown_is_bounded_while_admission_is_starved() {
     // t = 1 with 4 workers: three workers are permanently parked on the
-    // admission semaphore, and an aggressive stall plan slows the fourth.
-    // Shutdown must still complete promptly (closed admission wakes parked
-    // workers with StmError::Shutdown; the stop flag alone could not).
+    // admission gate, and an aggressive stall plan slows the fourth.
+    // Shutdown must still complete promptly: the packed gate's `close()`
+    // must wake workers parked on its sharded parker lists with
+    // `StmError::Shutdown` (the stop flag alone could not) — a lost wakeup
+    // would wedge this shutdown.
+    shutdown_while_admission_is_starved(SchedMode::default());
+}
+
+#[test]
+fn shutdown_is_bounded_while_admission_is_starved_mutex_oracle() {
+    // The same contract on the mutex rung: the semaphore's condvar
+    // broadcast must wake every parked worker.
+    shutdown_while_admission_is_starved(SchedMode::Mutex);
+}
+
+fn shutdown_while_admission_is_starved(sched_mode: SchedMode) {
     let plan = Arc::new(FaultPlan::new(49).with_rule(
         FaultKind::AdmissionStall,
         FaultRule::with_probability(1.0).delay_ns(2_000_000),
@@ -319,6 +335,7 @@ fn shutdown_is_bounded_while_admission_is_starved() {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 2,
         fault: Some(plan),
+        sched_mode,
         ..StmConfig::default()
     });
     let wl = Arc::new(ArrayWorkload::new(
@@ -332,53 +349,10 @@ fn shutdown_is_bounded_while_admission_is_starved() {
     system.shutdown();
     assert!(
         start.elapsed() < Duration::from_secs(5),
-        "shutdown took {:?} with workers parked on admission",
+        "shutdown took {:?} with workers parked on admission ({sched_mode:?})",
         start.elapsed()
     );
     // The STM stays usable after shutdown (admission reopened).
-    let cell = stm.new_vbox(0i32);
-    stm.atomic({
-        let cell = cell.clone();
-        move |tx| {
-            tx.write(&cell, 1);
-            Ok(())
-        }
-    })
-    .expect("STM usable after shutdown");
-}
-
-#[test]
-fn shutdown_is_bounded_while_admission_is_starved_work_stealing() {
-    // The packed admission gate's shutdown contract: `close()` must wake
-    // workers parked on the gate's sharded parker lists with
-    // `StmError::Shutdown`, exactly as the semaphore's condvar broadcast
-    // does — a lost wakeup would wedge this shutdown.
-    let plan = Arc::new(FaultPlan::new(49).with_rule(
-        FaultKind::AdmissionStall,
-        FaultRule::with_probability(1.0).delay_ns(2_000_000),
-    ));
-    let stm = Stm::new(StmConfig {
-        degree: ParallelismDegree::new(1, 1),
-        worker_threads: 2,
-        fault: Some(plan),
-        sched_mode: SchedMode::WorkStealing,
-        ..StmConfig::default()
-    });
-    let wl = Arc::new(ArrayWorkload::new(
-        &stm,
-        "chaos-shutdown-ws",
-        ArrayParams { size: 64, write_fraction: 0.5, chunks: 2 },
-    ));
-    let mut system = LiveStmSystem::start(stm.clone(), wl, 4).expect("spawn live workers");
-    std::thread::sleep(Duration::from_millis(100));
-    let start = Instant::now();
-    system.shutdown();
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "shutdown took {:?} with workers parked on the packed gate",
-        start.elapsed()
-    );
-    // The STM stays usable after shutdown (gate reopened).
     let cell = stm.new_vbox(0i32);
     stm.atomic({
         let cell = cell.clone();
