@@ -15,15 +15,19 @@
 //! exceeds the hand-off cost, where `d̄` is the pool-wide EWMA of the
 //! parent-observed per-child time (dispatch stalls included) and the cost is
 //! the EWMA of measured publish → first-helper-claim latencies, seeded by
-//! [`HANDOFF_SEED_NS`]. Invariants:
+//! [`HANDOFF_SEED_NS`]. The rule is three [`Scheduler`] questions
+//! (`publish_now`, `publish_late`, `observe_withheld`) plus `hand_off`, the
+//! published branch; `run_batch` below and `Txn::parallel` ask the same
+//! three, and a withheld batch builds no [`Batch`] at all unless it
+//! publishes late. Invariants:
 //!
 //! * **Parent is always an executor** — the calling thread drains its own
 //!   batch whether or not anyone helps (deadlock freedom at any depth).
 //! * **No history ⇒ eager** — until a pool has observed one batch it
 //!   publishes immediately, exactly like the pre-policy schedulers.
-//! * **Bounded regret** — a withheld batch with tasks still queued is
-//!   published the moment the parent has spent more than one hand-off cost
-//!   in it, so a mis-predicted long batch loses at most that much.
+//! * **Bounded regret** — a withheld batch with tasks still unstarted hands
+//!   them off the moment the parent has spent more than one hand-off cost in
+//!   it, so a mis-predicted long batch loses at most that much.
 //! * **`helper_limit` still caps helpers**; `helper_limit == 0` runs inline
 //!   and never touches the pool or the clock.
 //!
@@ -58,6 +62,22 @@ const HANDOFF_MAX_NS: u64 = HANDOFF_SEED_NS * 16;
 pub(crate) fn dispatch_stall(fault: &FaultCtx) {
     if let Some(action) = fault.inject(FaultKind::ChildStall) {
         action.stall();
+    }
+}
+
+/// The one `sched_batch` event of a batch of `tasks`: `handoff` holds the
+/// `(stolen, overflowed)` counts of its published part, `None` when the
+/// caller ran all of it.
+pub(crate) fn trace_batch(trace: &TraceBus, tasks: usize, handoff: Option<(usize, usize)>) {
+    if trace.is_enabled() {
+        let (stolen, overflowed) = handoff.unwrap_or_default();
+        trace.emit(TraceEvent::SchedBatch {
+            tasks: tasks as u32,
+            stolen: stolen as u32,
+            overflowed: overflowed as u32,
+            handed_off: handoff.is_some(),
+            at_ns: trace::now_ns(),
+        });
     }
 }
 
@@ -217,14 +237,13 @@ pub struct PoolShared<R> {
 }
 
 impl<R> PoolShared<R> {
-    /// The hand-off rule: is `n · d̄ · (1 − 1/c)` worth one hand-off?
-    fn predicts_saving(&self, n: usize, helper_limit: usize) -> bool {
-        let child_ns = self.child_ns.load(Ordering::Relaxed);
-        if child_ns == 0 {
-            return true; // no history ⇒ eager
-        }
-        let c = (helper_limit + 1).min(n) as u64;
-        (n as u64).saturating_mul(child_ns) / c * (c - 1) > self.handoff_ns.load(Ordering::Relaxed)
+    /// One sample of `d̄`: `spent_ns` of parent-observed time over `ran`
+    /// tasks. The EWMA's clamp keeps one preempted batch from flipping the
+    /// hand-off decision for the dozen after it. A racing update may be
+    /// lost: both cells are heuristics' inputs.
+    fn observe(&self, spent_ns: u64, ran: u64) {
+        let sample = spent_ns / ran.max(1);
+        self.child_ns.store(ewma(self.child_ns.load(Ordering::Relaxed), sample), Ordering::Relaxed);
     }
 }
 
@@ -284,27 +303,21 @@ impl<R: Registry> Pool<R> {
         handles.retain(|h| !h.is_finished());
     }
 
-    /// The withheld-or-published path of `run_batch` (`helper_limit > 0`):
-    /// records the batch in the stats and returns `(handed_off, stolen,
-    /// overflowed)` for the trace event.
-    fn run_shared(
+    /// [`Scheduler::hand_off`], holding a caller-side panic in
+    /// `caller_panic` instead of re-raising it.
+    fn run_published(
         &self,
         tasks: Vec<Task>,
         helper_limit: usize,
         caller_panic: &mut Option<Box<dyn Any + Send>>,
-    ) -> (bool, usize, usize) {
+    ) -> (usize, usize) {
+        debug_assert!(helper_limit > 0, "nobody could help a published batch");
         let sh = &*self.shared;
         let n = tasks.len();
         let batch = Batch::<R::Queue>::new(tasks, helper_limit);
-        let publish = |at_ns: u64| {
-            batch.published_ns.store(at_ns.max(1), Ordering::Relaxed);
-            sh.registry.publish(&batch)
-        };
-        let (mut slot, mut start) = (None, trace::now_ns());
-        if n > 1 && sh.predicts_saving(n, helper_limit) {
-            slot = Some(publish(start));
-            start = trace::now_ns(); // the hand-off is not child time
-        }
+        batch.published_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
+        let slot = sh.registry.publish(&batch);
+        let start = trace::now_ns(); // the hand-off is not child time
         let (mut now, mut mine) = (start, 0u64);
         while let Some(task) = batch.queue.pop(false, &sh.fault) {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| batch.run(task))) {
@@ -312,33 +325,22 @@ impl<R: Registry> Pool<R> {
             }
             mine += 1;
             now = trace::now_ns();
-            // Late publish: the prediction was wrong by a whole hand-off.
-            if slot.is_none()
-                && now - start > sh.handoff_ns.load(Ordering::Relaxed)
-                && batch.queue.queued() > 0
-            {
-                slot = Some(publish(now));
-            }
         }
         batch.join();
         // Helpers that took every task leave the parent nothing to observe
         // but the batch itself; skipping the sample would freeze `d̄` at
         // whatever made the batch eager.
-        let (spent, ran) =
-            if mine > 0 { (now - start, mine) } else { (trace::now_ns() - start, n as u64) };
-        // The EWMA's clamp keeps one preempted batch from flipping the
-        // hand-off decision for the dozen after it. A racing update may be
-        // lost: both cells are heuristics' inputs.
-        sh.child_ns
-            .store(ewma(sh.child_ns.load(Ordering::Relaxed), spent / ran), Ordering::Relaxed);
-        if let Some(slot) = slot {
-            sh.registry.retract(slot, &batch);
+        if mine > 0 {
+            sh.observe(now - start, mine);
+        } else {
+            sh.observe(trace::now_ns() - start, n as u64);
         }
+        sh.registry.retract(slot, &batch);
         let (stolen, overflowed) = (batch.stolen.load(Ordering::Relaxed), batch.queue.overflowed());
-        sh.stats.record_handoff(slot.is_some());
+        sh.stats.record_handoff(true);
         sh.stats.record_steals(stolen as u64);
         sh.stats.record_deque_overflow(overflowed as u64);
-        (slot.is_some(), stolen, overflowed)
+        (stolen, overflowed)
     }
 }
 
@@ -352,29 +354,70 @@ impl<R: Registry> Scheduler for Pool<R> {
         // The caller is always an executor. A panic in a caller-executed
         // task is held and re-raised only after the batch has drained.
         let mut caller_panic = None;
-        let (handed_off, stolen, overflowed) = if helper_limit == 0 {
-            for task in tasks {
+        let handoff = if self.publish_now(n, helper_limit) {
+            Some(self.run_published(tasks, helper_limit, &mut caller_panic))
+        } else {
+            // Withheld: the caller runs the tasks straight from the vector.
+            let timed = helper_limit > 0;
+            let start = if timed { trace::now_ns() } else { 0 };
+            let (mut spent, mut ran, mut handoff) = (0, 0, None);
+            let mut tasks = tasks.into_iter();
+            while let Some(task) = tasks.next() {
                 dispatch_stall(&sh.fault);
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                     caller_panic.get_or_insert(payload);
                 }
+                if timed {
+                    ran += 1;
+                    spent = trace::now_ns() - start;
+                    if tasks.len() > 0 && self.publish_late(spent) {
+                        let rest = tasks.by_ref().collect();
+                        handoff = Some(self.run_published(rest, helper_limit, &mut caller_panic));
+                    }
+                }
             }
-            (false, 0, 0)
-        } else {
-            self.run_shared(tasks, helper_limit, &mut caller_panic)
+            if timed {
+                self.observe_withheld(spent, ran, handoff.is_some());
+            }
+            handoff
         };
-        if sh.trace.is_enabled() {
-            sh.trace.emit(TraceEvent::SchedBatch {
-                tasks: n as u32,
-                stolen: stolen as u32,
-                overflowed: overflowed as u32,
-                handed_off,
-                at_ns: trace::now_ns(),
-            });
-        }
+        trace_batch(&sh.trace, n, handoff);
         if let Some(payload) = caller_panic {
             resume_unwind(payload);
         }
+    }
+
+    fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
+        if helper_limit == 0 || n < 2 {
+            return false;
+        }
+        let sh = &*self.shared;
+        let child_ns = sh.child_ns.load(Ordering::Relaxed);
+        if child_ns == 0 {
+            return true; // no history ⇒ eager
+        }
+        let c = (helper_limit + 1).min(n) as u64;
+        (n as u64).saturating_mul(child_ns) / c * (c - 1) > sh.handoff_ns.load(Ordering::Relaxed)
+    }
+
+    fn publish_late(&self, spent_ns: u64) -> bool {
+        spent_ns > self.shared.handoff_ns.load(Ordering::Relaxed)
+    }
+
+    fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
+        self.shared.observe(spent_ns, ran as u64);
+        if !published {
+            self.shared.stats.record_handoff(false);
+        }
+    }
+
+    fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
+        let mut caller_panic = None;
+        let counts = self.run_published(tasks, helper_limit, &mut caller_panic);
+        if let Some(payload) = caller_panic {
+            resume_unwind(payload);
+        }
+        counts
     }
 
     fn resize(&self, size: usize) {

@@ -64,7 +64,10 @@ pub enum SchedMode {
 ///   `helper_limit = 0` degenerate to sequential execution.
 /// * Helpers are woken on demand: a batch whose predicted parallel saving
 ///   does not cover one hand-off is run by the caller alone, and handed off
-///   late if it outlasts that prediction (see `batch.rs`).
+///   late if it outlasts that prediction (see `batch.rs`). The rule is three
+///   questions — [`Scheduler::publish_now`], [`Scheduler::publish_late`],
+///   [`Scheduler::observe_withheld`] — asked by `run_batch` and by
+///   `Txn::parallel`, which runs withheld children on the parent's own sets.
 /// * A panic in a caller-executed task is re-raised on the caller only after
 ///   the batch has fully drained; a panic on a worker is absorbed (the txn
 ///   layer carries child panics in its result slots).
@@ -72,8 +75,31 @@ pub enum SchedMode {
 ///   lets surplus workers retire between tasks and never strands a batch.
 pub trait Scheduler: Send + Sync {
     /// Execute `tasks` to completion with at most `helper_limit` pool
-    /// workers helping the calling thread.
+    /// workers helping the calling thread, under the hand-off rule.
     fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize);
+
+    /// Should a batch of `n` tasks be published before its caller runs any
+    /// of it? Only when `n · d̄ · (1 − 1/c)` exceeds the hand-off cost, or the
+    /// pool has no history yet; never for `helper_limit == 0` or `n == 1`.
+    fn publish_now(&self, n: usize, helper_limit: usize) -> bool;
+
+    /// Asked after each task of a withheld batch with tasks left: has the
+    /// caller, `spent_ns` into the batch, spent more than one hand-off cost?
+    /// Then the unstarted rest goes to [`Scheduler::hand_off`] at once.
+    fn publish_late(&self, spent_ns: u64) -> bool;
+
+    /// The caller ran `ran` tasks of a withheld batch with `helper_limit > 0`
+    /// in `spent_ns`: one sample of `d̄`. `published` says whether the rest
+    /// was handed off late; a batch that stayed withheld counts as
+    /// `sched_handoffs_elided`.
+    fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool);
+
+    /// Publish `tasks` now (`helper_limit > 0`; the caller has already asked
+    /// the rule) and run them to completion with the caller as one executor.
+    /// Samples `d̄` from the caller's own drain and counts the hand-off.
+    /// Returns `(stolen, overflowed)`: tasks helpers ran, and tasks beyond
+    /// the rung's fast structure.
+    fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize);
 
     /// Retarget the worker-thread count. Growth spawns immediately; shrink
     /// retires surplus workers after their current task.

@@ -10,11 +10,14 @@
 //!   calls, so its write set is a plain map behind an `Arc` mutated
 //!   copy-on-write ([`std::sync::Arc::make_mut`]). While the transaction
 //!   runs alone it holds the only reference and mutates in place; when it
-//!   suspends in `parallel()` it publishes the `Arc` as an immutable
-//!   snapshot into its children's scope. Children read the snapshot with a
-//!   plain map probe. After the join the children are gone, the snapshot
-//!   handle is dropped, and the owner is back to sole ownership — the clone
-//!   inside `make_mut` never actually runs in the normal lifecycle.
+//!   suspends in a published `parallel()` batch it publishes the `Arc` as an
+//!   immutable snapshot into its children's scope. Children read the
+//!   snapshot with a plain map probe. After the join the children are gone,
+//!   the snapshot handle is dropped, and the owner is back to sole
+//!   ownership — the clone inside `make_mut` never actually runs in the
+//!   normal lifecycle. Children of a *withheld* batch publish nothing: they
+//!   run on the parent's own sets, so their reads probe no ancestor level
+//!   the parent would not probe itself.
 //! * **Ancestor levels** — each scope level carries a 64-bit Bloom filter
 //!   (the published write-set filter united with the level's nest-index
 //!   filter). A read probes the filter first and skips the level entirely on
@@ -38,10 +41,12 @@ use std::sync::Arc;
 
 use crate::error::{TxError, TxResult};
 use crate::runtime::StmShared;
-use crate::vbox::{filter_bits, BelowFloor, VBox};
+use crate::stats::TxKind;
+use crate::trace::{self, TraceEvent};
+use crate::vbox::{filter_bits, AnyVBox, BelowFloor, BoxId, ErasedValue, VBox};
 use crate::TxValue;
 use nest::NestCtx;
-use sets::{ReadSet, WriteSet};
+use sets::{ReadSet, WriteSet, WsEntry};
 
 /// A child-transaction body: called (and re-called, on sibling conflicts)
 /// with a fresh nested [`Txn`].
@@ -107,8 +112,17 @@ pub struct Txn {
     rs: ReadSet,
     /// Ancestor chain, nearest first; empty for top-level transactions.
     scope: Vec<ScopeEntry>,
-    /// 0 for top-level, parent depth + 1 for children.
+    /// 0 for top-level, parent depth + 1 for children (inline children
+    /// included: it is raised while one runs on this `Txn`).
     depth: u32,
+    /// Inline children currently running on this `Txn`, nested ones
+    /// included; own-write-set inserts are journaled while it is non-zero.
+    inline: u32,
+    /// Undo journal of the running inline children: each own-write-set
+    /// insert with the entry it replaced, oldest first. A failing child
+    /// rolls back to the length it found; the outermost one's success
+    /// empties it.
+    journal: Vec<(BoxId, Option<WsEntry>)>,
     /// True when the instance runs `ReadPathMode::Locked` (cached from the
     /// config so the read path pays a field load, not a config match).
     locked_reads: bool,
@@ -141,6 +155,8 @@ impl Txn {
             rs: ReadSet::new(),
             scope: Vec::new(),
             depth: 0,
+            inline: 0,
+            journal: Vec::new(),
             locked_reads,
             own_ws_mx: Mutex::new(()),
             reads: ReadPathCounters::default(),
@@ -165,6 +181,8 @@ impl Txn {
             rs: ReadSet::new(),
             scope,
             depth,
+            inline: 0,
+            journal: Vec::new(),
             locked_reads,
             own_ws_mx: Mutex::new(()),
             reads: ReadPathCounters::default(),
@@ -318,10 +336,33 @@ impl Txn {
     /// Tentatively write `value` to `vbox`. Takes effect for other
     /// transactions only when the top-level ancestor commits.
     pub fn write<T: TxValue>(&mut self, vbox: &VBox<T>, value: T) {
-        // In-place while we hold the only reference (always, outside
-        // `parallel()`); a clone would only ever run if a write raced a
+        self.put(vbox.as_any(), Arc::new(value));
+    }
+
+    /// Insert into the own write set, journaling what the insert replaced
+    /// while an inline child runs.
+    fn put(&mut self, vbox: Arc<dyn AnyVBox>, value: ErasedValue) {
+        let id = vbox.id();
+        // In-place while we hold the only reference (always, outside a
+        // published batch); a clone would only ever run if a write raced a
         // published snapshot, which the suspend discipline rules out.
-        Arc::make_mut(&mut self.ws).insert(vbox.as_any(), Arc::new(value));
+        let replaced = Arc::make_mut(&mut self.ws).insert(vbox, value);
+        if self.inline > 0 {
+            self.journal.push((id, replaced));
+        }
+    }
+
+    /// Undo the journaled inserts past `mark`, newest first.
+    fn roll_back(&mut self, mark: usize) {
+        let ws = Arc::make_mut(&mut self.ws);
+        for (id, replaced) in self.journal.drain(mark..).rev() {
+            match replaced {
+                Some(entry) => {
+                    ws.insert(entry.vbox, entry.value);
+                }
+                None => ws.remove(id),
+            }
+        }
     }
 
     /// Read-modify-write convenience: `write(f(read()))` and return the new
@@ -363,25 +404,137 @@ impl Txn {
     /// workers, so `c = 1` degenerates to sequential (flat-nesting-like)
     /// execution. Each child retries automatically on sibling conflicts.
     ///
+    /// A batch the hand-off rule withholds — always at `c = 1`, and at
+    /// `c > 1` when `n · d̄ · (1 − 1/c)` does not cover one hand-off — runs
+    /// its children one after another directly on this transaction: no
+    /// nested `Txn`, no sibling validation, and a failing child's writes are
+    /// undone from a journal. Once the withheld children have taken more
+    /// than one hand-off cost, the unstarted rest is published as a nested
+    /// batch. Either way a child sees its earlier siblings' writes and
+    /// [`Txn::depth`] reads one more than here.
+    ///
     /// Errors: the first task error in task order is returned. A
     /// [`TxError::UserAbort`] or exhausted child retry budget
     /// ([`TxError::Conflict`]) aborts the enclosing attempt; a panicking
-    /// child is re-raised on this thread once the batch has drained.
+    /// child is re-raised on this thread once every child has run.
     pub fn parallel<R: Send + 'static>(&mut self, tasks: Vec<ChildTask<R>>) -> TxResult<Vec<R>> {
-        if tasks.is_empty() {
+        let n = tasks.len();
+        if n == 0 {
             return Ok(Vec::new());
         }
+        let helper_limit = self.shared.throttle().nested_limit().saturating_sub(1);
+        let mut outcomes = Vec::with_capacity(n);
+        let handoff = if self.shared.pool().publish_now(n, helper_limit) {
+            Some(self.run_published(tasks, helper_limit, &mut outcomes))
+        } else {
+            // Withheld: the same loop as `Pool::run_batch`, with each child
+            // run on this transaction's own sets.
+            let timed = helper_limit > 0;
+            let start = if timed { trace::now_ns() } else { 0 };
+            let (mut spent, mut ran, mut handoff) = (0, 0, None);
+            let mut tasks = tasks.into_iter();
+            while let Some(mut body) = tasks.next() {
+                outcomes.push(self.run_inline(&mut body));
+                if timed {
+                    ran += 1;
+                    spent = trace::now_ns() - start;
+                    if tasks.len() > 0 && self.shared.pool().publish_late(spent) {
+                        let rest = tasks.by_ref().collect();
+                        handoff = Some(self.run_published(rest, helper_limit, &mut outcomes));
+                    }
+                }
+            }
+            if timed {
+                self.shared.pool().observe_withheld(spent, ran, handoff.is_some());
+            }
+            handoff
+        };
+        crate::batch::trace_batch(self.shared.trace(), n, handoff);
+
+        // A child panic outranks any child error; otherwise the first error
+        // in task order.
+        let mut out = Vec::with_capacity(n);
+        let mut first_err = None;
+        for outcome in outcomes {
+            match outcome {
+                Err(payload) => panic::resume_unwind(payload),
+                Ok(Ok(value)) => out.push(value),
+                Ok(Err(e)) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(out), Err)
+    }
+
+    /// Run one withheld child directly on this transaction: its reads and
+    /// writes use our own sets, [`Txn::depth`] is raised while it runs, and
+    /// if it fails — error, panic, or a snapshot evicted under it — exactly
+    /// its own writes are rolled back. Siblings never overlap here, so there
+    /// is nothing to validate between them.
+    fn run_inline<R>(&mut self, body: &mut ChildTask<R>) -> ChildOutcome<R> {
+        crate::batch::dispatch_stall(self.shared.fault());
+        let traced = self.shared.trace().is_enabled();
+        if traced {
+            self.shared
+                .trace()
+                .emit(TraceEvent::TxBegin { kind: TxKind::Nested, at_ns: trace::now_ns() });
+        }
+        let mark = self.journal.len();
+        self.depth += 1;
+        self.inline += 1;
+        let mut outcome = panic::catch_unwind(AssertUnwindSafe(|| body(self)));
+        self.depth -= 1;
+        self.inline -= 1;
+        if matches!(outcome, Ok(Ok(_))) && self.snapshot_evicted() {
+            // What `commit_nested` would find: the tree cannot commit.
+            self.doomed = true;
+            self.shared.stats().record_abort_nested();
+            if traced {
+                self.shared.trace().emit(TraceEvent::TxAbort {
+                    kind: TxKind::Nested,
+                    retries: 1,
+                    at_ns: trace::now_ns(),
+                });
+            }
+            outcome = Ok(Err(TxError::Conflict));
+        }
+        if matches!(outcome, Ok(Ok(_))) {
+            self.shared.stats().record_commit_nested();
+            if traced {
+                self.shared.trace().emit(TraceEvent::TxCommit {
+                    kind: TxKind::Nested,
+                    retries: 0,
+                    at_ns: trace::now_ns(),
+                });
+            }
+            if self.inline == 0 {
+                self.journal.clear(); // nothing above us can fail any more
+            }
+        } else {
+            self.roll_back(mark);
+        }
+        outcome
+    }
+
+    /// Run `tasks` as a published batch of nested transactions, appending
+    /// their outcomes to `outcomes`, and fold the batch into this
+    /// transaction at the join. Returns the hand-off's `(stolen,
+    /// overflowed)` counts.
+    fn run_published<R: Send + 'static>(
+        &mut self,
+        tasks: Vec<ChildTask<R>>,
+        helper_limit: usize,
+        outcomes: &mut Vec<ChildOutcome<R>>,
+    ) -> (usize, usize) {
         // Each batch gets a fresh nest context; at join time the batch's
         // committed writes are folded into this transaction's write set and
         // the children's reads into its read set, so the transaction's own
         // sets always describe its complete tentative state.
         let nest = Arc::new(NestCtx::new());
-        let helper_limit = self.shared.throttle().nested_limit().saturating_sub(1);
 
         // Everything the children share, behind one `Arc`. `parent` is the
         // suspend-point snapshot publication: children share the write-set
-        // `Arc` and its filter, and this transaction does not touch `ws`
-        // again until the join.
+        // `Arc` and its filter (withheld earlier siblings' writes included),
+        // and this transaction does not touch `ws` again until the join.
         let family = Arc::new(Family {
             shared: Arc::clone(&self.shared),
             root_rv: self.root_read_version,
@@ -409,43 +562,30 @@ impl Txn {
             })
             .collect();
 
-        self.shared.pool().run_batch(wrapped, helper_limit);
+        let counts = self.shared.pool().hand_off(wrapped, helper_limit);
 
         // The batch has drained: every child (and its handle on the family)
         // is gone. Collect the outcomes and drop our own snapshot handle so
         // the fold below mutates the write set in place instead of cloning.
-        let outcomes: Vec<_> = family
-            .outcomes
-            .iter()
-            .map(|slot| slot.lock().take().expect("every child task reports exactly once"))
-            .collect();
+        outcomes.extend(
+            family
+                .outcomes
+                .iter()
+                .map(|slot| slot.lock().take().expect("every child task reports exactly once")),
+        );
         drop(family);
 
-        // Join: fold the batch's effects into this transaction. The index is
-        // quiescent now, so it is safe to iterate without the commit lock.
-        // Index entries override pre-batch write-set values (they are
-        // newer); the children's merged reads become our reads, to be
-        // revalidated at our own commit.
-        {
-            let ws = Arc::make_mut(&mut self.ws);
-            for entry in nest.index.newest_entries() {
-                ws.insert(entry.vbox, entry.value);
-            }
-            self.rs.merge_from(&nest.merged_rs.lock());
+        // Join: fold the batch's effects into this transaction (journaled,
+        // when this transaction is itself running an inline child). The
+        // index is quiescent now, so it is safe to iterate without the
+        // commit lock. Index entries override pre-batch write-set values
+        // (they are newer); the children's merged reads become our reads, to
+        // be revalidated at our own commit.
+        for entry in nest.index.newest_entries() {
+            self.put(entry.vbox, entry.value);
         }
-
-        // A child panic outranks any child error; otherwise the first error
-        // in task order.
-        let mut out = Vec::with_capacity(outcomes.len());
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Err(payload) => panic::resume_unwind(payload),
-                Ok(Ok(value)) => out.push(value),
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            }
-        }
-        first_err.map_or(Ok(out), Err)
+        self.rs.merge_from(&nest.merged_rs.lock());
+        counts
     }
 
     /// Commit a nested transaction into its parent. Returns
@@ -529,10 +669,10 @@ impl Txn {
         shared.stats().record_stripe_locks(footprint.len() as u32, contended);
         let trace = shared.trace();
         if contended > 0 && trace.is_enabled() {
-            trace.emit(crate::trace::TraceEvent::CommitStripeContention {
+            trace.emit(TraceEvent::CommitStripeContention {
                 stripes: footprint.len() as u32,
                 contended,
-                at_ns: crate::trace::now_ns(),
+                at_ns: trace::now_ns(),
             });
         }
         // Fault site: stall while holding this commit's stripe locks — and
@@ -651,11 +791,11 @@ impl Drop for Txn {
         self.shared.stats().record_read_path(filter_hits, filter_misses, slow_path);
         let trace = self.shared.trace();
         if trace.is_enabled() {
-            trace.emit(crate::trace::TraceEvent::ReadPath {
+            trace.emit(TraceEvent::ReadPath {
                 filter_hits,
                 filter_misses,
                 slow_path,
-                at_ns: crate::trace::now_ns(),
+                at_ns: trace::now_ns(),
             });
         }
     }
@@ -696,10 +836,7 @@ fn run_child<R>(
     let max_retries = shared.config().max_nested_retries;
     let trace = shared.trace();
     if trace.is_enabled() {
-        trace.emit(crate::trace::TraceEvent::TxBegin {
-            kind: crate::stats::TxKind::Nested,
-            at_ns: crate::trace::now_ns(),
-        });
+        trace.emit(TraceEvent::TxBegin { kind: TxKind::Nested, at_ns: trace::now_ns() });
     }
     let mut cm_tx = shared.cm().begin_guard();
     let mut attempts: u64 = 0;
@@ -715,10 +852,10 @@ fn run_child<R>(
                 Ok(()) => {
                     shared.stats().record_commit_nested();
                     if trace.is_enabled() {
-                        trace.emit(crate::trace::TraceEvent::TxCommit {
-                            kind: crate::stats::TxKind::Nested,
+                        trace.emit(TraceEvent::TxCommit {
+                            kind: TxKind::Nested,
                             retries: attempts,
-                            at_ns: crate::trace::now_ns(),
+                            at_ns: trace::now_ns(),
                         });
                     }
                     return Ok(value);
@@ -727,10 +864,10 @@ fn run_child<R>(
                     shared.stats().record_abort_nested();
                     attempts += 1;
                     if trace.is_enabled() {
-                        trace.emit(crate::trace::TraceEvent::TxAbort {
-                            kind: crate::stats::TxKind::Nested,
+                        trace.emit(TraceEvent::TxAbort {
+                            kind: TxKind::Nested,
                             retries: attempts,
-                            at_ns: crate::trace::now_ns(),
+                            at_ns: trace::now_ns(),
                         });
                     }
                     if attempts >= max_retries {
@@ -758,12 +895,12 @@ fn run_child<R>(
                             crate::cm::sleep_interruptible(wait, || throttle.is_closed());
                         shared.stats().record_cm_wait(policy.index(), waited_ns);
                         if trace.is_enabled() {
-                            trace.emit(crate::trace::TraceEvent::CmDecision {
+                            trace.emit(TraceEvent::CmDecision {
                                 policy,
                                 site: crate::cm::AbortSite::Nested,
                                 waited_ns,
                                 attempt: attempts,
-                                at_ns: crate::trace::now_ns(),
+                                at_ns: trace::now_ns(),
                             });
                         }
                     }

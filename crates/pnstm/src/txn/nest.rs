@@ -23,12 +23,19 @@
 //! single-writer: nested commits serialize on [`NestCtx::commit_mx`], and
 //! every pointer a reader can follow is published with a `Release` store
 //! (paired with `Acquire` loads on the reader side). Nodes are only freed
-//! when the whole index drops — a `NestCtx` lives for one `parallel()` batch
-//! — so readers never race reclamation. This argument is scheduler-agnostic:
-//! whichever [`crate::sched::Scheduler`] executes the batch (mutex pool
-//! helpers, work-stealing thieves, or the parent thread itself), the
-//! batch-drain barrier in `run_batch` is what bounds every reader's lifetime
-//! to the index's, and sibling commits still serialize on `commit_mx`.
+//! when the whole index drops — a `NestCtx` lives for one published batch —
+//! so readers never race reclamation.
+//!
+//! Only a *published* batch has a `NestCtx`. Its executors are the parent
+//! thread plus at most `c − 1` helpers of whichever
+//! [`crate::sched::Scheduler`] rung runs it (mutex pool helpers or
+//! work-stealing thieves); the drain barrier in `Scheduler::hand_off` bounds
+//! every reader's lifetime to the index's, and sibling commits serialize on
+//! `commit_mx`. A *withheld* batch — every batch at `c = 1`, and the prefix
+//! of one published late — has one executor, the parent thread, and no
+//! `NestCtx` at all: its children run one after another on the parent's own
+//! `Txn` (see `Txn::parallel`). A late-published remainder gets a fresh
+//! `NestCtx` whose parent write-set snapshot already holds the prefix.
 //!
 //! Visibility contract: a nested commit **installs its nodes first and
 //! publishes the nest clock after** ([`NestCtx::publish`], `Release`). A

@@ -24,8 +24,8 @@ pub(crate) struct WsEntry {
 pub(crate) struct WriteSet {
     entries: HashMap<BoxId, WsEntry>,
     /// Bloom filter over the inserted box ids ([`filter_bits`] positions).
-    /// Never reset by removal — entries are only ever inserted or the whole
-    /// set cleared — so it always over-approximates membership.
+    /// Never reset: a removal (an inline child's undo) leaves its bits set,
+    /// so it always over-approximates membership.
     filter: u64,
 }
 
@@ -34,9 +34,17 @@ impl WriteSet {
         Self::default()
     }
 
-    pub(crate) fn insert(&mut self, vbox: Arc<dyn AnyVBox>, value: ErasedValue) {
-        self.filter |= filter_bits(vbox.id());
-        self.entries.insert(vbox.id(), WsEntry { vbox, value });
+    /// Insert (or overwrite) the entry for `vbox`, returning the entry it
+    /// replaced — what an inline child's undo journal restores.
+    pub(crate) fn insert(&mut self, vbox: Arc<dyn AnyVBox>, value: ErasedValue) -> Option<WsEntry> {
+        let id = vbox.id();
+        self.filter |= filter_bits(id);
+        self.entries.insert(id, WsEntry { vbox, value })
+    }
+
+    /// Drop the entry for `id` (undoing an inline child's first write of it).
+    pub(crate) fn remove(&mut self, id: BoxId) {
+        self.entries.remove(&id);
     }
 
     /// The Bloom filter word over every inserted box id. A probe whose
@@ -68,14 +76,6 @@ impl WriteSet {
         stripes.sort_unstable();
         stripes.dedup();
         stripes
-    }
-
-    /// Retained for the filter-reset contract (retry drivers now swap in a
-    /// fresh `Arc<WriteSet>` instead of clearing in place).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.filter = 0;
     }
 }
 
@@ -149,19 +149,25 @@ mod tests {
     }
 
     #[test]
-    fn write_set_filter_tracks_inserts_and_clears() {
+    fn write_set_insert_returns_the_replaced_entry_and_remove_keeps_the_filter() {
         let mut ws = WriteSet::new();
         assert_eq!(ws.filter(), 0, "empty set admits nothing");
         let boxes: Vec<VBox<i32>> = (0..8).map(|_| VBox::new_raw(0)).collect();
         for b in &boxes {
-            ws.insert(b.as_any(), Arc::new(1i32));
+            assert!(
+                ws.insert(b.as_any(), Arc::new(1i32)).is_none(),
+                "first write replaces nothing"
+            );
         }
+        let replaced = ws.insert(boxes[0].as_any(), Arc::new(2i32)).expect("second write");
+        assert_eq!(*replaced.value.downcast_ref::<i32>().unwrap(), 1);
+        ws.remove(boxes[1].id());
+        assert!(ws.get(boxes[1].id()).is_none());
+        assert_eq!(ws.len(), 7);
         for b in &boxes {
             let bits = crate::vbox::filter_bits(b.id());
-            assert_eq!(ws.filter() & bits, bits, "no false negatives for members");
+            assert_eq!(ws.filter() & bits, bits, "no false negatives, removed boxes included");
         }
-        ws.clear();
-        assert_eq!(ws.filter(), 0, "clear resets the filter");
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread;
 
 use pnstm::{
-    child, stripe_of, CmMode, CommitPath, ParallelismDegree, ReadPathMode, SchedMode, Stm,
-    StmConfig, VBox,
+    child, stripe_of, ChildTask, CmMode, CommitPath, FaultKind, FaultPlan, FaultRule,
+    ParallelismDegree, ReadPathMode, SchedMode, Stm, StmConfig, TxError, Txn, VBox,
 };
 
 /// One randomly generated top-level transaction: a list of per-slot deltas;
@@ -213,6 +213,132 @@ proptest! {
         prop_assert_eq!(set.len(), toks.len(), "duplicate tokens: {:?}", *toks);
         prop_assert_eq!(toks.len() as u64, stm.read_atomic(&ctr));
     }
+}
+
+/// One child of a generated transaction tree: commutative bumps of shared
+/// counters, a write of its own box (no other child touches it), optionally
+/// a batch of children of its own, and optionally a `UserAbort` after all of
+/// that. What it returns depends on no sibling order, so a sequential and a
+/// parallel run must agree on it.
+#[derive(Debug, Clone)]
+struct ChildSpec {
+    /// Own box; 0 is the top-level transaction's.
+    id: usize,
+    bumps: Vec<(usize, i64)>,
+    own: i64,
+    abort: bool,
+    kids: Vec<ChildSpec>,
+}
+
+const TREE_COUNTERS: usize = 3;
+/// Own boxes: the top level's plus at most 4 children with 3 kids each.
+const TREE_OWN: usize = 1 + 4 + 4 * 3;
+
+fn leaf_spec() -> impl Strategy<Value = ChildSpec> {
+    (proptest::collection::vec((0..TREE_COUNTERS, -5i64..=5), 0..3), 1i64..1000, 0usize..4)
+        .prop_map(|(bumps, own, abort)| ChildSpec {
+            id: 0,
+            bumps,
+            own,
+            abort: abort == 0,
+            kids: vec![],
+        })
+}
+
+/// A root batch of 2–4 children, some with a batch of 2–3 kids: every batch
+/// has at least two children, so the published run hands every batch off.
+fn tree_spec() -> impl Strategy<Value = Vec<ChildSpec>> {
+    let node = (leaf_spec(), 0usize..2, proptest::collection::vec(leaf_spec(), 2..4)).prop_map(
+        |(mut node, has_kids, kids)| {
+            if has_kids == 1 {
+                node.kids = kids;
+            }
+            node
+        },
+    );
+    proptest::collection::vec(node, 2..5).prop_map(|mut batch| {
+        number_specs(&mut batch, &mut 1);
+        batch
+    })
+}
+
+fn number_specs(batch: &mut [ChildSpec], next: &mut usize) {
+    for node in batch {
+        node.id = *next;
+        *next += 1;
+        number_specs(&mut node.kids, next);
+    }
+}
+
+fn tree_batches(batch: &[ChildSpec]) -> u64 {
+    1 + batch.iter().filter(|n| !n.kids.is_empty()).map(|n| tree_batches(&n.kids)).sum::<u64>()
+}
+
+struct TreeWorld {
+    counters: Vec<VBox<i64>>,
+    own: Vec<VBox<i64>>,
+}
+
+/// Run `batch` as `parent`'s children and flatten what they returned; a
+/// failed batch contributes its error's code instead.
+fn run_spec_batch(
+    tx: &mut Txn,
+    batch: &[ChildSpec],
+    parent: usize,
+    world: &Arc<TreeWorld>,
+) -> Vec<i64> {
+    let tasks: Vec<ChildTask<Vec<i64>>> = batch
+        .iter()
+        .map(|node| {
+            let (node, world) = (node.clone(), Arc::clone(world));
+            child(move |ct| {
+                for &(c, d) in &node.bumps {
+                    let v = ct.read(&world.counters[c]);
+                    ct.write(&world.counters[c], v + d);
+                }
+                ct.write(&world.own[node.id], node.own);
+                let mut seen = vec![ct.read(&world.own[parent]), ct.read(&world.own[node.id])];
+                if !node.kids.is_empty() {
+                    seen.extend(run_spec_batch(ct, &node.kids, node.id, &world));
+                }
+                if node.abort {
+                    Err(TxError::UserAbort)
+                } else {
+                    Ok(seen)
+                }
+            })
+        })
+        .collect();
+    match tx.parallel(tasks) {
+        Ok(seen) => seen.concat(),
+        Err(TxError::UserAbort) => vec![-1],
+        Err(_) => vec![-2],
+    }
+}
+
+/// One top-level transaction per tree, on one client thread; returns what
+/// each tree's children returned and the final committed state.
+fn replay_trees(stm: &Stm, trees: &[Vec<ChildSpec>]) -> (Vec<Vec<i64>>, Vec<i64>) {
+    let world = Arc::new(TreeWorld {
+        counters: (0..TREE_COUNTERS).map(|_| stm.new_vbox(0i64)).collect(),
+        own: (0..TREE_OWN).map(|_| stm.new_vbox(0i64)).collect(),
+    });
+    let seen = trees
+        .iter()
+        .enumerate()
+        .map(|(k, batch)| {
+            stm.atomic(|tx| {
+                // Parent writes the children read back or bump.
+                tx.write(&world.own[0], k as i64 + 1);
+                let v = tx.read(&world.counters[0]);
+                tx.write(&world.counters[0], v + 100);
+                Ok(run_spec_batch(tx, batch, 0, &world))
+            })
+            .expect("a single client never exhausts its retries")
+        })
+        .collect();
+    let state = world.counters.iter().chain(&world.own).map(|b| stm.read_atomic(b)).collect();
+    (seen, state)
 }
 
 // Striped-commit-specific properties. This block deliberately uses the
@@ -429,5 +555,41 @@ proptest! {
             legal.contains(&got),
             "final {:?} matches no sequential order of the children; legal: {:?}", got, legal
         );
+    }
+
+    /// Differential replay of withheld against published batches. At
+    /// `c = 1` every batch runs inline on its parent's own sets; at `c = 4`
+    /// a 2 ms `ChildStall` on every dispatch makes `d̄` large enough that
+    /// every batch is handed off to nested transactions. Nested `parallel`,
+    /// `UserAbort` children (whose writes the inline run undoes from its
+    /// journal and the published run never commits) and commutative or
+    /// disjoint updates must give the same per-child results and the same
+    /// committed state.
+    #[test]
+    fn inline_children_replay_published_trees(
+        trees in proptest::collection::vec(tree_spec(), 1..4),
+    ) {
+        let inline = Stm::new(StmConfig {
+            degree: ParallelismDegree::new(1, 1),
+            worker_threads: 0,
+            ..StmConfig::default()
+        });
+        let expected = replay_trees(&inline, &trees);
+        let snap = inline.stats().snapshot();
+        prop_assert_eq!((snap.sched_handoffs, snap.sched_handoffs_elided), (0, 0));
+
+        let stall = FaultRule::with_probability(1.0).delay_ns(2_000_000);
+        let published = Stm::new(StmConfig {
+            degree: ParallelismDegree::new(1, 4),
+            worker_threads: 3,
+            fault: Some(Arc::new(FaultPlan::new(7).with_rule(FaultKind::ChildStall, stall))),
+            ..StmConfig::default()
+        });
+        let got = replay_trees(&published, &trees);
+        prop_assert_eq!(&got, &expected, "published trees diverged from inline ones");
+        let snap = published.stats().snapshot();
+        prop_assert_eq!(snap.sched_handoffs_elided, 0, "a batch stayed inline: {:?}", snap);
+        let batches: u64 = trees.iter().map(|t| tree_batches(t)).sum();
+        prop_assert!(snap.sched_handoffs >= batches, "{} of {} batches handed off", snap.sched_handoffs, batches);
     }
 }

@@ -262,29 +262,39 @@ fn locked_and_lockfree_read_paths_agree() {
     );
 }
 
+/// Reads the parent's write of `a` and the untouched `b` from two children
+/// of one batch; returns the sum each child saw.
+fn read_parent_write_from_two_children(stm: &Stm) -> Vec<i64> {
+    let a = stm.new_vbox(1i64);
+    let b = stm.new_vbox(2i64);
+    stm.atomic(|tx| {
+        tx.write(&a, 10);
+        let tasks = (0..2)
+            .map(|_| {
+                let (a, b) = (a.clone(), b.clone());
+                child(move |ctx| {
+                    // In a published batch: one ancestor-level probe that
+                    // hits (a is in the parent ws) and typically one the
+                    // filter skips (b is nowhere on the path).
+                    Ok(ctx.read(&a) + ctx.read(&b))
+                })
+            })
+            .collect();
+        tx.parallel(tasks)
+    })
+    .unwrap()
+}
+
 /// The `read_path` trace event carries the attempt's aggregated counters.
+/// Ancestor probes happen only in published batches: the two children go
+/// to a fresh pool, which has no history and so hands the batch off.
 #[test]
 fn read_path_trace_event_is_emitted() {
     let stm = stm_with_read_path(ReadPathMode::LockFree);
     let sink = Arc::new(TestSink::new());
     stm.trace_bus().subscribe(sink.clone());
-    let a = stm.new_vbox(1i64);
-    let b = stm.new_vbox(2i64);
-    stm.atomic(|tx| {
-        tx.write(&a, 10);
-        let b2 = b.clone();
-        let a2 = a.clone();
-        let tasks = vec![child(move |ctx| {
-            // One ancestor-level probe that hits (a is in the parent ws) and
-            // typically one the filter skips (b is nowhere on the path).
-            let x = ctx.read(&a2);
-            let y = ctx.read(&b2);
-            Ok(x + y)
-        })];
-        let v = tx.parallel(tasks)?;
-        Ok(v[0])
-    })
-    .unwrap();
+    assert_eq!(read_parent_write_from_two_children(&stm), vec![12, 12]);
+    assert_eq!(stm.stats().snapshot().sched_handoffs, 1, "the first batch is handed off");
     let events = sink.events();
     let read_path_events: Vec<_> = events
         .iter()
@@ -302,6 +312,21 @@ fn read_path_trace_event_is_emitted() {
     assert!(slow >= 1, "the ancestor-ws hit must count as a slow-path read");
     let snap = stm.stats().snapshot();
     assert_eq!(snap.read_filter_hits, hits, "stats and trace must agree");
+
+    // At c = 1 the same children run inline on the parent's own sets: the
+    // parent's write is an own-write-set hit, not an ancestor probe.
+    let sequential = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(1, 1),
+        worker_threads: 0,
+        ..StmConfig::default()
+    });
+    assert_eq!(read_parent_write_from_two_children(&sequential), vec![12, 12]);
+    let snap = sequential.stats().snapshot();
+    assert_eq!(
+        (snap.read_filter_hits, snap.read_slow_path),
+        (0, 0),
+        "an inline child probed an ancestor level: {snap:?}"
+    );
 }
 
 /// Regression for the snapshot-registration race: a transaction that read

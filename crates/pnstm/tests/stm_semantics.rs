@@ -1,15 +1,29 @@
 //! Behavioural tests of the PN-STM: atomicity, isolation, nesting semantics,
 //! retry behaviour, throttling, and garbage collection.
 
-use pnstm::{child, CmMode, ParallelismDegree, Stm, StmConfig, StmError, TxError};
+use pnstm::{
+    child, ChildTask, CmMode, GcMode, MemConfig, ParallelismDegree, Stm, StmConfig, StmError,
+    TxError, TxResult, VBox,
+};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn small_stm() -> Stm {
     Stm::new(StmConfig {
         degree: ParallelismDegree::new(8, 4),
         worker_threads: 3,
+        ..StmConfig::default()
+    })
+}
+
+/// `c = 1`: every `parallel()` batch runs inline on its parent's sets.
+fn sequential_stm() -> Stm {
+    Stm::new(StmConfig {
+        degree: ParallelismDegree::new(1, 1),
+        worker_threads: 0,
         ..StmConfig::default()
     })
 }
@@ -589,4 +603,253 @@ fn c_equals_one_runs_children_sequentially() {
     })
     .unwrap();
     assert_eq!(peak.load(Ordering::SeqCst), 1, "c=1 must serialize children");
+}
+
+/// A child that writes `value` to each of `boxes` and then ends with `end`.
+fn writer(boxes: &[&VBox<i64>], value: i64, end: Result<(), TxError>) -> ChildTask<()> {
+    let boxes: Vec<VBox<i64>> = boxes.iter().map(|b| (*b).clone()).collect();
+    child(move |ct| {
+        for b in &boxes {
+            ct.write(b, value);
+        }
+        end.clone()
+    })
+}
+
+#[test]
+fn inline_user_abort_undoes_exactly_its_own_writes() {
+    let stm = sequential_stm();
+    let [parent, earlier, later, only_aborted] = [0, 0, 0, 7].map(|v| stm.new_vbox(v));
+    stm.atomic(|tx| {
+        tx.write(&parent, 1);
+        let (earlier2, later2) = (earlier.clone(), later.clone());
+        let tasks = vec![
+            writer(&[&earlier], 10, Ok(())),
+            // Overwrites a parent-written box (twice), a box the earlier
+            // sibling wrote, and one nobody else writes — then aborts.
+            writer(&[&parent, &earlier, &only_aborted, &parent], 99, Err(TxError::UserAbort)),
+            child(move |ct| {
+                let seen = ct.read(&earlier2);
+                ct.write(&later2, seen + 1);
+                Ok(())
+            }),
+        ];
+        assert_eq!(tx.parallel(tasks), Err(TxError::UserAbort));
+        assert_eq!(tx.read(&parent), 1, "the parent's value survives the aborted child");
+        assert_eq!(tx.read(&earlier), 10, "an earlier sibling keeps its write");
+        assert_eq!(tx.read(&later), 11, "a later sibling read the earlier one's write");
+        assert_eq!(tx.read(&only_aborted), 7, "the aborted child's own box reads the snapshot");
+        Ok(())
+    })
+    .unwrap();
+    let committed = [&parent, &earlier, &later, &only_aborted].map(|b| stm.read_atomic(b));
+    assert_eq!(committed, [1, 10, 11, 7]);
+    assert_eq!(stm.stats().snapshot().nested_commits, 2, "the aborted child never committed");
+}
+
+#[test]
+fn inline_child_panic_is_reraised_after_the_remaining_children_ran() {
+    let stm = sequential_stm();
+    let [a, b] = [0, 0].map(|v| stm.new_vbox(v));
+    let ran_after = Arc::new(AtomicUsize::new(0));
+    let ran = Arc::clone(&ran_after);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        stm.atomic(|tx| {
+            tx.write(&a, 1);
+            let ran = Arc::clone(&ran);
+            let b2 = b.clone();
+            let tasks: Vec<ChildTask<()>> = vec![
+                writer(&[&a], 2, Ok(())),
+                // `resume_unwind` skips the panic hook's message.
+                child(|_ct| -> TxResult<()> { resume_unwind(Box::new("inline child panic")) }),
+                child(move |ct| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    ct.write(&b2, 3);
+                    Ok(())
+                }),
+            ];
+            tx.parallel(tasks).map(drop)
+        })
+    }));
+    let payload = outcome.expect_err("the child panic reaches the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"inline child panic"));
+    assert_eq!(ran_after.load(Ordering::SeqCst), 1, "the later sibling ran before the re-raise");
+    assert_eq!((stm.read_atomic(&a), stm.read_atomic(&b)), (0, 0), "nothing committed");
+    assert_eq!(stm.stats().snapshot().top_commits, 0);
+}
+
+#[test]
+fn inline_children_report_their_depth() {
+    let stm = sequential_stm();
+    let depths = stm
+        .atomic(|tx| {
+            let tasks: Vec<ChildTask<Vec<u32>>> = vec![child(|ct| {
+                assert!(ct.is_nested());
+                let inner = ct.parallel(vec![child(|g| Ok(g.depth()))])?;
+                Ok(vec![ct.depth(), inner[0], ct.depth()])
+            })];
+            let depths = tx.parallel(tasks)?;
+            assert_eq!(tx.depth(), 0);
+            assert!(!tx.is_nested());
+            Ok(depths)
+        })
+        .unwrap();
+    assert_eq!(depths, vec![vec![1, 2, 1]]);
+}
+
+/// `parallel()` inside an inline child: an outer failure undoes everything
+/// the outer child did, the inner batch's writes included; an inner failure
+/// undoes only the inner child's writes. At `c = 2` the first inner batch
+/// meets a pool with no history and is handed off, so the outer undo also
+/// covers that batch's join fold.
+#[test]
+fn parallel_inside_an_inline_child_undoes_exactly_its_scope() {
+    for c in [1, 2] {
+        let stm = Stm::new(StmConfig {
+            degree: ParallelismDegree::new(1, c),
+            worker_threads: c - 1,
+            ..StmConfig::default()
+        });
+        let [p, a, b, d, e] = [0, 0, 0, 0, 0].map(|v| stm.new_vbox(v));
+        let (p2, a2, b2, d2, e2) = (p.clone(), a.clone(), b.clone(), d.clone(), e.clone());
+        stm.atomic(|tx| {
+            tx.write(&p, 1);
+            let (p, e) = (p2.clone(), e2.clone());
+            let fails: ChildTask<()> = child(move |ct| {
+                ct.write(&p, 5);
+                ct.parallel(vec![writer(&[&e], 7, Ok(())), writer(&[&p], 6, Ok(()))])?;
+                assert_eq!((ct.read(&e), ct.read(&p)), (7, 6), "the inner batch joined");
+                Err(TxError::UserAbort)
+            });
+            assert_eq!(tx.parallel(vec![fails]), Err(TxError::UserAbort));
+            let handed_off = stm.stats().snapshot().sched_handoffs;
+            assert_eq!(handed_off, c as u64 - 1, "c = {c}: the inner batch was handed off");
+            assert_eq!((tx.read(&p2), tx.read(&e2)), (1, 0), "c = {c}: outer undo incomplete");
+
+            let (a, b, d) = (a2.clone(), b2.clone(), d2.clone());
+            let survives = child(move |ct| {
+                ct.write(&a, 1);
+                let inner =
+                    vec![writer(&[&b], 1, Ok(())), writer(&[&a, &d], 2, Err(TxError::UserAbort))];
+                assert_eq!(ct.parallel(inner), Err(TxError::UserAbort));
+                assert_eq!((ct.read(&a), ct.read(&b), ct.read(&d)), (1, 1, 0));
+                Ok(())
+            });
+            assert_eq!(tx.parallel(vec![survives]), Ok(vec![()]));
+            Ok(())
+        })
+        .unwrap();
+        let committed = [&p, &a, &b, &d, &e].map(|x| stm.read_atomic(x));
+        assert_eq!(committed, [1, 1, 1, 0, 0], "c = {c}");
+    }
+}
+
+/// A child whose snapshot is evicted under it reports `Conflict`, exactly
+/// as its nested commit would, and the attempt retries at the eviction site
+/// on a fresh snapshot.
+#[test]
+fn an_inline_child_under_an_expired_lease_ends_the_attempt() {
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(2, 1),
+        worker_threads: 0,
+        gc_interval: 0,
+        mem: MemConfig {
+            gc_mode: GcMode::Background,
+            snapshot_lease: Some(Duration::from_millis(10)),
+            ..MemConfig::default()
+        },
+        ..StmConfig::default()
+    });
+    let b = stm.new_vbox(0i64);
+    let base = stm.stats().snapshot();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let churn = {
+        let (stm, b, stop) = (stm.clone(), b.clone(), Arc::clone(&stop));
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                stm.atomic(|tx| {
+                    let v = tx.read(&b);
+                    tx.write(&b, v + 1);
+                    Ok(())
+                })
+                .unwrap();
+                stm.gc();
+                thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+
+    let mut attempts = 0u64;
+    stm.atomic(|tx| {
+        attempts += 1;
+        let first = attempts == 1;
+        let (stm2, b2) = (stm.clone(), b.clone());
+        let bump = child(move |ct| {
+            let v = ct.read(&b2);
+            // Park until this attempt's snapshot is evicted and pruned past:
+            // the re-read is served from the chain floor.
+            let end = Instant::now() + Duration::from_secs(10);
+            while first && stm2.stats().snapshot().evicted_reads == base.evicted_reads {
+                assert!(Instant::now() < end, "the child never observed an evicted read");
+                thread::sleep(Duration::from_millis(5));
+                let _ = ct.read(&b2);
+            }
+            ct.write(&b2, v + 1000);
+            Ok(())
+        });
+        let result = tx.parallel(vec![bump]);
+        if first {
+            assert_eq!(result, Err(TxError::Conflict), "the evicted child must not commit");
+        }
+        result.map(drop)
+    })
+    .expect("the retry on a fresh snapshot commits");
+    stop.store(true, Ordering::Relaxed);
+    churn.join().unwrap();
+
+    assert!(attempts >= 2, "the doomed attempt was retried");
+    let d = stm.stats().snapshot().delta_since(&base);
+    assert!(d.evicted_aborts >= 1, "the attempt ends at the eviction site: {d:?}");
+    assert!(d.nested_aborts >= 1, "the evicted child counts as a nested abort: {d:?}");
+    assert!(stm.read_atomic(&b) >= 1000, "the retried write landed");
+}
+
+/// Bounded regret at `c = 2`: once the pool has learnt that children are
+/// tiny, a batch of long children starts inline, and the rest is published
+/// after the first one outlasts the hand-off cost. Results keep task order.
+#[test]
+fn a_withheld_batch_that_outlasts_the_handoff_publishes_the_rest() {
+    const CHILD: Duration = Duration::from_millis(10);
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(1, 2),
+        worker_threads: 1,
+        ..StmConfig::default()
+    });
+    let cell = stm.new_vbox(0i64);
+    for _ in 0..1_000 {
+        stm.atomic(|tx| {
+            let tasks = (0..2).map(|_| writer(&[&cell], 1, Ok(()))).collect();
+            tx.parallel(tasks).map(drop)
+        })
+        .unwrap();
+    }
+    let before = stm.stats().snapshot();
+    let out = stm
+        .atomic(|tx| {
+            let tasks: Vec<ChildTask<usize>> = (0..4)
+                .map(|i| {
+                    child(move |_ct| {
+                        thread::sleep(CHILD);
+                        Ok(i)
+                    })
+                })
+                .collect();
+            tx.parallel(tasks)
+        })
+        .unwrap();
+    assert_eq!(out, vec![0, 1, 2, 3]);
+    let d = stm.stats().snapshot().delta_since(&before);
+    assert_eq!((d.sched_handoffs, d.sched_handoffs_elided), (1, 0), "{d:?}");
+    assert!(d.steal_count >= 1, "no helper ran a published child: {d:?}");
+    assert_eq!(d.nested_commits, 4);
 }

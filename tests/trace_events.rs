@@ -3,6 +3,7 @@
 //! event stream covering the whole Fig.-2 loop.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use autopn::monitor::AdaptiveMonitor;
 use autopn::{
@@ -10,7 +11,7 @@ use autopn::{
     TraceEvent,
 };
 use ingress::{ArrivalProcess, Ingress, IngressConfig, TransferService};
-use pnstm::{ParallelismDegree, Stm, StmConfig};
+use pnstm::{child, ChildTask, ParallelismDegree, Stm, StmConfig};
 use simtm::{MachineParams, SimWorkload};
 use workloads::array::{ArrayParams, ArrayWorkload};
 use workloads::{LiveStmSystem, SimSystem};
@@ -253,4 +254,74 @@ fn ingress_window_event_round_trips_through_jsonl() {
         assert!(p50 <= p99, "{part}: p50 {p50} > p99 {p99}");
         assert!(p99 <= field("p999_ns"), "{part} p99 {p99} exceeds the whole latency's p999");
     }
+}
+
+/// Every `parallel()` call emits exactly one `sched_batch` event, however
+/// its batch ran: handed off eagerly by a pool with no history, run inline
+/// by its parent (`handed_off: false, stolen: 0`, at `c = 2` once the pool
+/// has learnt the children are short, and always at `c = 1`), or published
+/// late after its first child outlasted the hand-off cost.
+#[test]
+fn each_parallel_call_emits_one_sched_batch() {
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(1, 2),
+        worker_threads: 1,
+        ..StmConfig::default()
+    });
+    let sink = Arc::new(TestSink::new());
+    stm.trace_bus().subscribe(sink.clone());
+    // One `parallel()` call of `n` children sleeping `nap` each; returns its
+    // `(tasks, stolen, handed_off)` events.
+    let one_call = |n: usize, nap: Duration| {
+        sink.take();
+        stm.atomic(|tx| {
+            let tasks: Vec<ChildTask<()>> = (0..n)
+                .map(|_| {
+                    child(move |_ct| {
+                        if !nap.is_zero() {
+                            std::thread::sleep(nap);
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            tx.parallel(tasks).map(drop)
+        })
+        .expect("uncontended children commit");
+        let events: Vec<(u32, u32, bool)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::SchedBatch { tasks, stolen, handed_off, .. } => {
+                    Some((tasks, stolen, handed_off))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(events.len(), 1, "one parallel() call, {} sched_batch events", events.len());
+        events[0]
+    };
+
+    let (tasks, _, handed_off) = one_call(2, Duration::ZERO);
+    assert_eq!((tasks, handed_off), (2, true), "a pool with no history hands off eagerly");
+
+    // Teach the pool that children are short. A preempted parent publishes
+    // late now and then (and the batches after it go eager while `d̄`
+    // decays), so only require that the withheld shape shows up.
+    let mut inline = 0;
+    for _ in 0..1_000 {
+        let (tasks, stolen, handed_off) = one_call(2, Duration::ZERO);
+        assert_eq!(tasks, 2);
+        if !handed_off {
+            assert_eq!(stolen, 0, "nobody helps an inline batch");
+            inline += 1;
+        }
+    }
+    assert!(inline > 0, "no short batch stayed inline in 1000 calls");
+
+    let (tasks, _, handed_off) = one_call(4, Duration::from_millis(5));
+    assert_eq!((tasks, handed_off), (4, true), "a long batch is published late");
+
+    stm.set_degree(ParallelismDegree::new(1, 1));
+    assert_eq!(one_call(3, Duration::ZERO), (3, 0, false), "c = 1 runs inline");
 }
