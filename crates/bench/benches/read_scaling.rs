@@ -140,9 +140,10 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 
 /// Chain-walk cost (PR 7 follow-up): the same single-threaded read mix over
 /// version chains `versions` deep, before and after a synchronous
-/// [`Stm::gc`] prune. Reads resolve by binary search over the chain vec, so
-/// the expected cost of depth is logarithmic probing across a cold vec —
-/// cache locality, not a linear walk. Returns (deep reads/s, pruned
+/// [`Stm::gc`] prune. The snapshot covers every version, and a read whose
+/// snapshot covers the newest entry returns it before any binary search, so
+/// depth should cost nothing here; a ratio well above 1 would mean the
+/// newest-first check stopped firing. Returns (deep reads/s, pruned
 /// reads/s, boxes the prune shortened).
 fn run_chain_walk(versions: u64, reads: u64, reps: usize) -> (f64, f64, usize) {
     let stm = Stm::new(StmConfig {

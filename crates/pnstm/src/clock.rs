@@ -2,8 +2,9 @@
 //! collection of old box versions.
 
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,43 +83,109 @@ impl GlobalClock {
 /// Lease-disabled sentinel for [`SnapshotRegistry::set_lease`] (nanoseconds).
 const NO_LEASE: u64 = u64::MAX;
 
-/// One registered snapshot: its lease deadline (if leased) and the eviction
-/// flag shared with the owning [`SnapshotGuard`].
+/// Deadline of an unleased registration: it never expires.
+const NO_DEADLINE: u64 = u64::MAX;
+
+/// Registration slots per registry. Registrations beyond this many live at
+/// once go to the overflow map.
+const SLOT_COUNT: usize = 64;
+
+/// Version word of an unclaimed slot.
+const SLOT_FREE: u64 = u64::MAX;
+
+/// Version word of a slot claimed but not yet published. Like [`SLOT_FREE`]
+/// it is above every real version, so a watermark computation passes over
+/// it; the registration invariant (see
+/// [`SnapshotRegistry::register_current`]) is what makes that safe.
+const SLOT_CLAIMED: u64 = u64::MAX - 1;
+
+/// Round-robin seed of each thread's first [`SLOT_HINT`].
+static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The slot this thread tries first: its last claim, seeded so that
+    /// threads start on distinct slots.
+    static SLOT_HINT: Cell<usize> = Cell::new(NEXT_HINT.fetch_add(1, Ordering::Relaxed));
+}
+
+/// One registration slot, alone on its cache lines so that registrants on
+/// different threads never write a shared line.
 #[derive(Debug)]
-struct SnapEntry {
-    /// Lease deadline. `None` means the registration never expires (the
-    /// pre-lease behaviour, still used by raw [`SnapshotRegistry::register`]).
-    deadline: Option<Instant>,
-    /// Set (by the watermark computation) once the lease expired and the
-    /// registry stopped counting this snapshot as pinning. The owning
-    /// transaction polls this through its guard and must abort.
+#[repr(align(128))]
+struct Slot {
+    /// The registered snapshot version, or [`SLOT_FREE`] / [`SLOT_CLAIMED`].
+    version: AtomicU64,
+    /// Lease deadline in ns since the registry's epoch; [`NO_DEADLINE`] for
+    /// unleased registrations.
+    deadline: AtomicU64,
+    /// Set by the watermark computation once the lease expired. Only the
+    /// next claim of the slot resets it.
+    evicted: AtomicBool,
+}
+
+impl Slot {
+    fn free() -> Self {
+        Self {
+            version: AtomicU64::new(SLOT_FREE),
+            deadline: AtomicU64::new(NO_DEADLINE),
+            evicted: AtomicBool::new(false),
+        }
+    }
+
+    /// The version of this slot's registration if it is below `watermark`,
+    /// not marked evicted, and its lease is unexpired at `wall` (`pinning`)
+    /// or expired (`!pinning`).
+    fn below(&self, watermark: u64, wall: u64, pinning: bool) -> Option<u64> {
+        let v = self.version.load(Ordering::Acquire);
+        let hit = v < watermark
+            && !self.evicted.load(Ordering::Relaxed)
+            && (self.deadline.load(Ordering::Relaxed) > wall) == pinning;
+        hit.then_some(v)
+    }
+}
+
+/// A registration that found every slot taken: one entry of the overflow map.
+#[derive(Debug)]
+struct OverflowEntry {
+    /// Lease deadline in ns since the registry's epoch ([`NO_DEADLINE`] if
+    /// unleased).
+    deadline: u64,
+    /// Eviction flag shared with the owning [`SnapshotGuard`].
     evicted: Arc<AtomicBool>,
 }
 
-impl SnapEntry {
-    /// Whether this entry still pins the watermark at time `now`. Expired
-    /// entries are marked evicted as a side effect (idempotent).
-    fn pins(&self, now: Instant, newly_evicted: &mut usize) -> bool {
-        if self.evicted.load(Ordering::Relaxed) {
-            return false;
-        }
-        match self.deadline {
-            Some(d) if d <= now => {
-                self.evicted.store(true, Ordering::Release);
-                *newly_evicted += 1;
-                false
-            }
-            _ => true,
-        }
+impl OverflowEntry {
+    fn expired(&self, wall: u64) -> bool {
+        !self.evicted.load(Ordering::Relaxed) && self.deadline <= wall
     }
+
+    fn pins(&self, wall: u64) -> bool {
+        !self.evicted.load(Ordering::Relaxed) && self.deadline > wall
+    }
+}
+
+/// Where a registration's eviction flag lives, for transaction state that
+/// polls it without holding the guard: a slot index, or the overflow entry's
+/// own flag. Read through [`SnapshotRegistry::is_evicted`].
+#[derive(Debug, Clone)]
+pub(crate) enum EvictionFlag {
+    Slot(usize),
+    Overflow(Arc<AtomicBool>),
 }
 
 /// Registry of snapshot versions currently in use by live transactions.
 ///
 /// Multi-version STMs must retain any box version that a live snapshot may
-/// still read. The registry is a refcounted multiset of active snapshot
-/// versions; its minimum is the GC watermark: every box can drop versions
-/// strictly older than the newest version `<=` watermark.
+/// still read. The registry is a multiset of active snapshot versions; its
+/// minimum is the GC watermark: every box can drop versions strictly older
+/// than the newest version `<=` watermark.
+///
+/// **Slots.** A registration claims one of `SLOT_COUNT` cache-padded slots
+/// (version word, lease deadline, eviction flag) by one CAS, starting at a
+/// per-thread hint, and releases it with one store: registering touches no
+/// line another thread's registration writes, allocates nothing and takes
+/// no lock. When every slot is taken, registrations fall back to an
+/// overflow `Mutex<BTreeMap>`; the watermark is the minimum over both.
 ///
 /// **Leases.** Each registration taken through
 /// [`SnapshotRegistry::register_current`] carries a lease deadline (from
@@ -130,7 +197,10 @@ impl SnapEntry {
 /// rather than trust any further reads.
 #[derive(Debug)]
 pub struct SnapshotRegistry {
-    active: Mutex<BTreeMap<u64, Vec<SnapEntry>>>,
+    slots: Box<[Slot]>,
+    overflow: Mutex<BTreeMap<u64, Vec<OverflowEntry>>>,
+    /// Origin of the registry's deadline clock.
+    epoch: Instant,
     /// Current lease duration in nanoseconds for new leased registrations;
     /// [`NO_LEASE`] disables leasing. Runtime-adjustable: the memory ladder
     /// shortens it under pressure.
@@ -143,7 +213,9 @@ pub struct SnapshotRegistry {
 impl Default for SnapshotRegistry {
     fn default() -> Self {
         Self {
-            active: Mutex::new(BTreeMap::new()),
+            slots: (0..SLOT_COUNT).map(|_| Slot::free()).collect(),
+            overflow: Mutex::new(BTreeMap::new()),
+            epoch: Instant::now(),
             lease_ns: AtomicU64::new(NO_LEASE),
             evictions: AtomicU64::new(0),
         }
@@ -153,6 +225,11 @@ impl Default for SnapshotRegistry {
 impl SnapshotRegistry {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Nanoseconds since the registry's epoch: the deadline clock.
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(NO_DEADLINE - 1)
     }
 
     /// Set the lease duration applied to *subsequent* leased registrations;
@@ -172,25 +249,31 @@ impl SnapshotRegistry {
     }
 
     /// Clamp every *leased* registration's deadline to at most
-    /// `max_remaining` from now. The urgent rung of the memory ladder uses
-    /// this so already-running stragglers feel a shortened lease too;
-    /// unleased registrations (deadline `None`) are left alone.
+    /// `max_remaining` from now, in the slots and the overflow map alike.
+    /// The urgent rung of the memory ladder uses this so already-running
+    /// stragglers feel a shortened lease too; unleased registrations are
+    /// left alone.
     pub fn clamp_deadlines(&self, max_remaining: Duration) {
-        let cap = Instant::now() + max_remaining;
-        let mut map = self.active.lock();
-        for entries in map.values_mut() {
-            for e in entries.iter_mut() {
-                if let Some(d) = e.deadline {
-                    e.deadline = Some(d.min(cap));
-                }
+        let remaining = u64::try_from(max_remaining.as_nanos()).unwrap_or(NO_DEADLINE);
+        let cap = self.now_ns().saturating_add(remaining);
+        let clamp = |d: u64| (d != NO_DEADLINE && d > cap).then_some(cap);
+        for slot in self.slots.iter() {
+            // A CAS loop, not `fetch_min`: a slot re-claimed by an unleased
+            // registration between a load and the store must stay unleased.
+            let _ = slot.deadline.fetch_update(Ordering::Relaxed, Ordering::Relaxed, clamp);
+        }
+        let mut map = self.overflow.lock();
+        for e in map.values_mut().flat_map(|entries| entries.iter_mut()) {
+            if let Some(d) = clamp(e.deadline) {
+                e.deadline = d;
             }
         }
     }
 
-    fn current_deadline(&self) -> Option<Instant> {
+    fn current_deadline(&self) -> u64 {
         match self.lease_ns.load(Ordering::Relaxed) {
-            NO_LEASE => None,
-            ns => Some(Instant::now() + Duration::from_nanos(ns)),
+            NO_LEASE => NO_DEADLINE,
+            ns => self.now_ns().saturating_add(ns).min(NO_DEADLINE - 1),
         }
     }
 
@@ -198,40 +281,100 @@ impl SnapshotRegistry {
     /// deregisters on drop. Raw registrations are unleased (they never
     /// expire) — runtime snapshots go through
     /// [`SnapshotRegistry::register_current`], which leases.
-    pub fn register(self: &Arc<Self>, version: u64) -> SnapshotGuard {
-        let evicted = Arc::new(AtomicBool::new(false));
-        let entry = SnapEntry { deadline: None, evicted: Arc::clone(&evicted) };
-        self.active.lock().entry(version).or_default().push(entry);
-        SnapshotGuard { registry: Arc::clone(self), version, evicted }
+    pub fn register(&self, version: u64) -> SnapshotGuard<'_> {
+        debug_assert!(version < SLOT_CLAIMED, "version {version} collides with a slot sentinel");
+        self.register_at(NO_DEADLINE, || version)
     }
 
-    /// Register a transaction at `clock`'s *current* version, reading the
-    /// clock while holding the registry lock, with the registry's current
-    /// lease applied.
+    /// Register a transaction at `clock`'s *current* version, with the
+    /// registry's current lease applied.
     ///
     /// This closes a race that [`SnapshotRegistry::register`] leaves open
     /// when the caller reads the clock itself: between the clock read and the
     /// registration, a GC can compute its watermark — not seeing the
     /// about-to-register snapshot — and prune the very versions that snapshot
-    /// needs. Pairing this with [`SnapshotRegistry::gc_watermark`] (which
-    /// reads the clock under the same lock) makes the two atomic with respect
-    /// to each other: a watermark computed before our registration used a
-    /// clock value `<=` the version we register (clock loads are coherent
-    /// across the lock's release/acquire edge), and one computed after sees
-    /// the registration.
-    pub fn register_current(self: &Arc<Self>, clock: &GlobalClock) -> SnapshotGuard {
-        let deadline = self.current_deadline();
-        let evicted = Arc::new(AtomicBool::new(false));
-        let mut map = self.active.lock();
-        let version = clock.now();
-        map.entry(version).or_default().push(SnapEntry { deadline, evicted: Arc::clone(&evicted) });
-        drop(map);
-        SnapshotGuard { registry: Arc::clone(self), version, evicted }
+    /// needs. Here the slot's version is published, a `SeqCst` fence runs and
+    /// the clock is read again; on a mismatch the newer value is published
+    /// and the check repeats. [`SnapshotRegistry::gc_watermark`] reads the
+    /// clock, runs a `SeqCst` fence, then reads the slots. Of two such
+    /// fences one comes first in the single `SeqCst` order: if the
+    /// registrant's comes first the watermark computation sees the published
+    /// slot; otherwise the registrant's re-read returns a clock at least as
+    /// new as the one the watermark was computed from. Hence the invariant:
+    /// *a watermark computed without seeing a slot used a clock no newer than
+    /// that slot's version.* An overflow registration reads the clock under
+    /// the overflow lock, which the watermark computation takes after its own
+    /// clock read, to the same effect.
+    pub fn register_current(&self, clock: &GlobalClock) -> SnapshotGuard<'_> {
+        self.register_at(self.current_deadline(), || clock.now())
+    }
+
+    /// Claim a slot (or an overflow entry) with `deadline` and publish the
+    /// version `version_now` returns, republishing until it returns the
+    /// published value again after a `SeqCst` fence.
+    fn register_at(&self, deadline: u64, version_now: impl Fn() -> u64) -> SnapshotGuard<'_> {
+        let Some(i) = self.claim_slot() else {
+            let evicted = Arc::new(AtomicBool::new(false));
+            let mut map = self.overflow.lock();
+            let version = version_now();
+            map.entry(version)
+                .or_default()
+                .push(OverflowEntry { deadline, evicted: Arc::clone(&evicted) });
+            drop(map);
+            return SnapshotGuard {
+                registry: self,
+                version,
+                flag: EvictionFlag::Overflow(evicted),
+            };
+        };
+        let slot = &self.slots[i];
+        slot.deadline.store(deadline, Ordering::Relaxed);
+        slot.evicted.store(false, Ordering::Relaxed);
+        let mut version = version_now();
+        loop {
+            // Release: a watermark computation that reads this version also
+            // sees the deadline and the cleared flag.
+            slot.version.store(version, Ordering::Release);
+            fence(Ordering::SeqCst);
+            let again = version_now();
+            if again == version {
+                return SnapshotGuard { registry: self, version, flag: EvictionFlag::Slot(i) };
+            }
+            version = again;
+        }
+    }
+
+    /// Claim a free slot by CAS, starting at this thread's hint.
+    fn claim_slot(&self) -> Option<usize> {
+        SLOT_HINT.with(|hint| {
+            let start = hint.get();
+            for k in 0..SLOT_COUNT {
+                let i = (start + k) % SLOT_COUNT;
+                let version = &self.slots[i].version;
+                // Acquire pairs with the previous owner's releasing store:
+                // every read of the old registration's flag is done before
+                // this claim resets it.
+                if version.load(Ordering::Relaxed) == SLOT_FREE
+                    && version
+                        .compare_exchange(
+                            SLOT_FREE,
+                            SLOT_CLAIMED,
+                            Ordering::Acquire,
+                            Ordering::Relaxed,
+                        )
+                        .is_ok()
+                {
+                    hint.set(i);
+                    return Some(i);
+                }
+            }
+            None
+        })
     }
 
     /// The GC watermark: the oldest version any live *or future* snapshot can
     /// read — `min(oldest unexpired registered, clock now)`, with the clock
-    /// read under the registry lock (see
+    /// read before a `SeqCst` fence that precedes the slot reads (see
     /// [`SnapshotRegistry::register_current`]). Every box may drop versions
     /// strictly older than the newest entry `<=` this. Registrations whose
     /// lease has expired are marked evicted here and stop pinning.
@@ -241,28 +384,44 @@ impl SnapshotRegistry {
 
     /// [`SnapshotRegistry::gc_watermark`], also returning how many snapshots
     /// were newly marked evicted by this computation (for stats/tracing).
+    ///
+    /// Two passes: the minimum over unexpired registrations, then the
+    /// eviction marks for expired ones below it. A slot released and
+    /// re-claimed between the passes can at worst have its *new*
+    /// registration marked (one spurious abort and retry): that registration
+    /// published after this computation's fence, so by the registration
+    /// invariant its version is at or above the returned watermark and
+    /// nothing it reads is pruned by this pass.
     pub fn gc_watermark_evicting(&self, clock: &GlobalClock) -> (u64, usize) {
-        let mut newly_evicted = 0usize;
-        let wall = Instant::now();
-        let map = self.active.lock();
-        let now = clock.now();
-        let mut watermark = now;
-        for (&version, entries) in map.iter() {
-            if version >= watermark {
-                break;
-            }
-            let mut pinning = false;
-            for e in entries {
-                // No early break: every expired entry of the version must be
-                // marked so its owner observes the eviction.
-                pinning |= e.pins(wall, &mut newly_evicted);
-            }
-            if pinning {
-                watermark = version;
-                break;
+        let wall = self.now_ns();
+        let mut watermark = clock.now();
+        fence(Ordering::SeqCst);
+        for slot in self.slots.iter() {
+            if let Some(v) = slot.below(watermark, wall, true) {
+                watermark = v;
             }
         }
-        drop(map);
+        let mut newly_evicted = 0usize;
+        {
+            let map = self.overflow.lock();
+            if let Some((&v, _)) =
+                map.range(..watermark).find(|(_, entries)| entries.iter().any(|e| e.pins(wall)))
+            {
+                watermark = v;
+            }
+            for e in map.range(..watermark).flat_map(|(_, entries)| entries) {
+                if e.expired(wall) {
+                    e.evicted.store(true, Ordering::Release);
+                    newly_evicted += 1;
+                }
+            }
+        }
+        for slot in self.slots.iter() {
+            if slot.below(watermark, wall, false).is_some() {
+                slot.evicted.store(true, Ordering::Release);
+                newly_evicted += 1;
+            }
+        }
         if newly_evicted > 0 {
             self.evictions.fetch_add(newly_evicted as u64, Ordering::Relaxed);
         }
@@ -277,19 +436,42 @@ impl SnapshotRegistry {
     /// Oldest snapshot version still registered (evicted-but-undropped
     /// registrations included), if any transaction is live.
     pub fn min_active(&self) -> Option<u64> {
-        self.active.lock().keys().next().copied()
+        let slots = self
+            .slots
+            .iter()
+            .map(|s| s.version.load(Ordering::Acquire))
+            .filter(|&v| v < SLOT_CLAIMED)
+            .min();
+        let overflow = self.overflow.lock().keys().next().copied();
+        slots.into_iter().chain(overflow).min()
     }
 
     /// Number of live registered snapshots (including evicted ones whose
     /// owners have not yet noticed and dropped their guards).
     pub fn live_count(&self) -> usize {
-        self.active.lock().values().map(Vec::len).sum()
+        let slots =
+            self.slots.iter().filter(|s| s.version.load(Ordering::Acquire) != SLOT_FREE).count();
+        slots + self.overflow.lock().values().map(Vec::len).sum::<usize>()
     }
 
-    fn deregister(&self, version: u64, evicted: &Arc<AtomicBool>) {
-        let mut map = self.active.lock();
-        match map.get_mut(&version) {
-            Some(entries) => {
+    /// Whether the registration `flag` belongs to has been evicted. Only
+    /// meaningful while its guard is alive.
+    pub(crate) fn is_evicted(&self, flag: &EvictionFlag) -> bool {
+        match flag {
+            EvictionFlag::Slot(i) => self.slots[*i].evicted.load(Ordering::Acquire),
+            EvictionFlag::Overflow(evicted) => evicted.load(Ordering::Acquire),
+        }
+    }
+
+    fn deregister(&self, version: u64, flag: &EvictionFlag) {
+        match flag {
+            EvictionFlag::Slot(i) => self.slots[*i].version.store(SLOT_FREE, Ordering::Release),
+            EvictionFlag::Overflow(evicted) => {
+                let mut map = self.overflow.lock();
+                let Some(entries) = map.get_mut(&version) else {
+                    debug_assert!(false, "deregistering unknown snapshot {version}");
+                    return;
+                };
                 match entries.iter().position(|e| Arc::ptr_eq(&e.evicted, evicted)) {
                     Some(i) => {
                         entries.swap_remove(i);
@@ -300,20 +482,19 @@ impl SnapshotRegistry {
                     map.remove(&version);
                 }
             }
-            None => debug_assert!(false, "deregistering unknown snapshot {version}"),
         }
     }
 }
 
 /// RAII guard keeping a snapshot version alive in the [`SnapshotRegistry`].
 #[derive(Debug)]
-pub struct SnapshotGuard {
-    registry: Arc<SnapshotRegistry>,
+pub struct SnapshotGuard<'a> {
+    registry: &'a SnapshotRegistry,
     version: u64,
-    evicted: Arc<AtomicBool>,
+    flag: EvictionFlag,
 }
 
-impl SnapshotGuard {
+impl SnapshotGuard<'_> {
     /// The snapshot version this guard pins.
     pub fn version(&self) -> u64 {
         self.version
@@ -323,19 +504,19 @@ impl SnapshotGuard {
     /// Once true, versions this snapshot needs may be pruned at any moment;
     /// the owning transaction must abort with `StmError::SnapshotEvicted`.
     pub fn is_evicted(&self) -> bool {
-        self.evicted.load(Ordering::Acquire)
+        self.registry.is_evicted(&self.flag)
     }
 
-    /// Shared eviction flag, for embedding in transaction state so the hot
-    /// read path can poll it without holding the guard itself.
-    pub fn evicted_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.evicted)
+    /// Handle to the eviction flag, for embedding in transaction state so
+    /// the hot read path can poll it without holding the guard itself.
+    pub(crate) fn eviction_flag(&self) -> EvictionFlag {
+        self.flag.clone()
     }
 }
 
-impl Drop for SnapshotGuard {
+impl Drop for SnapshotGuard<'_> {
     fn drop(&mut self) {
-        self.registry.deregister(self.version, &self.evicted);
+        self.registry.deregister(self.version, &self.flag);
     }
 }
 
@@ -476,6 +657,122 @@ mod tests {
         r.clamp_deadlines(Duration::ZERO);
         assert_eq!(r.gc_watermark(&c), 2, "clamped lease expires immediately");
         assert!(g.is_evicted());
+    }
+
+    /// Deterministic permutation of `0..n` (a multiplicative step coprime
+    /// to `n`), for dropping guards out of registration order.
+    fn shuffled(n: usize) -> Vec<usize> {
+        let step = (1..n).rev().find(|s| gcd(*s, n) == 1 && *s > n / 3).unwrap_or(1);
+        (0..n).map(|i| (i * step + 7) % n).collect()
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+
+    #[test]
+    fn overflow_registrations_count_exactly_and_drain() {
+        let r = SnapshotRegistry::new();
+        let c = GlobalClock::new();
+        for _ in 0..1000 {
+            c.tick();
+        }
+        let n = SLOT_COUNT + 8;
+        // Versions descend so the minimum sits in the overflow map.
+        let mut guards: Vec<Option<SnapshotGuard<'_>>> =
+            (0..n).map(|i| Some(r.register(500 - i as u64))).collect();
+        assert_eq!(
+            guards.iter().flatten().filter(|g| matches!(g.flag, EvictionFlag::Overflow(_))).count(),
+            8,
+            "registrations past the slot count overflow"
+        );
+        assert_eq!(r.live_count(), n);
+        let lowest = 500 - (n as u64 - 1);
+        assert_eq!(r.min_active(), Some(lowest));
+        assert_eq!(r.gc_watermark(&c), lowest, "the overflow minimum pins the watermark");
+        for (k, i) in shuffled(n).into_iter().enumerate() {
+            let g = guards[i].take().expect("each guard dropped once");
+            drop(g);
+            assert_eq!(r.live_count(), n - k - 1);
+            let expect = guards.iter().flatten().map(SnapshotGuard::version).min();
+            assert_eq!(r.min_active(), expect);
+            assert_eq!(r.gc_watermark(&c), expect.unwrap_or(1000));
+        }
+        assert_eq!(r.live_count(), 0);
+        assert_eq!(r.min_active(), None);
+        assert!(r.overflow.lock().is_empty());
+    }
+
+    /// The registration half of the invariant: a clock that moved between
+    /// the read and the publication is published again, and the snapshot
+    /// reads at the version its last post-fence re-read returned.
+    #[test]
+    fn registration_republishes_until_the_clock_reread_agrees() {
+        let r = SnapshotRegistry::new();
+        let reads = [3u64, 5, 7, 7];
+        let k = Cell::new(0);
+        let g = r.register_at(NO_DEADLINE, || {
+            k.set(k.get() + 1);
+            reads[k.get() - 1]
+        });
+        assert_eq!(k.get(), 4, "published 3, 5 and 7; the re-read after 7 agreed");
+        assert_eq!(g.version(), 7);
+        assert_eq!(r.min_active(), Some(7));
+    }
+
+    #[test]
+    fn a_reclaimed_slot_is_not_evicted_and_carries_its_new_deadline() {
+        let r = SnapshotRegistry::new();
+        let c = GlobalClock::new();
+        c.tick();
+        r.set_lease(Some(Duration::from_millis(1)));
+        let g = r.register_current(&c);
+        let EvictionFlag::Slot(slot) = g.eviction_flag() else { panic!("a free slot exists") };
+        std::thread::sleep(Duration::from_millis(5));
+        c.tick();
+        assert_eq!(r.gc_watermark_evicting(&c), (2, 1));
+        assert!(g.is_evicted());
+        drop(g);
+        // Same thread, same hint: the next claim takes the same slot.
+        r.set_lease(Some(Duration::from_secs(3600)));
+        let g = r.register_current(&c);
+        assert!(matches!(g.eviction_flag(), EvictionFlag::Slot(s) if s == slot));
+        assert!(!g.is_evicted(), "the claim resets the flag");
+        let deadline = r.slots[slot].deadline.load(Ordering::Relaxed);
+        assert!(deadline > r.now_ns() + 3_000_000_000_000, "the new lease's deadline");
+        c.tick();
+        assert_eq!(r.gc_watermark_evicting(&c), (2, 0), "the new registration pins");
+        assert!(!g.is_evicted());
+    }
+
+    #[test]
+    fn clamp_deadlines_reaches_slots_and_overflow_alike() {
+        let r = SnapshotRegistry::new();
+        let c = GlobalClock::new();
+        c.tick();
+        r.set_lease(Some(Duration::from_secs(3600)));
+        let leased: Vec<SnapshotGuard<'_>> =
+            (0..SLOT_COUNT + 4).map(|_| r.register_current(&c)).collect();
+        assert!(leased.iter().any(|g| matches!(g.flag, EvictionFlag::Overflow(_))));
+        let unleased = r.register(2); // overflow, never expires
+        assert!(matches!(unleased.flag, EvictionFlag::Overflow(_)));
+        c.tick();
+        c.tick();
+        assert_eq!(r.gc_watermark(&c), 1);
+        r.clamp_deadlines(Duration::ZERO);
+        assert_eq!(
+            r.gc_watermark_evicting(&c),
+            (2, SLOT_COUNT + 4),
+            "every leased registration expired; the unleased one still pins"
+        );
+        assert!(leased.iter().all(SnapshotGuard::is_evicted));
+        assert!(!unleased.is_evicted());
+        drop(unleased);
+        assert_eq!(r.gc_watermark(&c), 3);
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub(crate) struct StmShared {
     clock: GlobalClock,
     commit_lock: Mutex<()>,
     stripes: StripeTable,
-    registry: Arc<SnapshotRegistry>,
+    registry: SnapshotRegistry,
     stats: Arc<Stats>,
     throttle: Throttle,
     pool: Arc<dyn Scheduler>,
@@ -182,6 +182,9 @@ impl StmShared {
     }
     pub(crate) fn stripes(&self) -> &StripeTable {
         &self.stripes
+    }
+    pub(crate) fn registry(&self) -> &SnapshotRegistry {
+        &self.registry
     }
     pub(crate) fn stats(&self) -> &Stats {
         &self.stats
@@ -259,8 +262,8 @@ impl StmShared {
             // The watermark is recomputed per slice (it only grows, so later
             // slices may prune more — never less safely). Computing it also
             // expires overdue leases, whose snapshots stop pinning it; the
-            // clock is read under the registry lock so an in-flight
-            // registration cannot be overtaken.
+            // clock is read before a fence that precedes the slot reads, so
+            // an in-flight registration cannot be overtaken.
             let (watermark, evicted) = self.registry.gc_watermark_evicting(&self.clock);
             self.stats.record_snapshot_evictions(evicted as u64);
             for b in &slice {
@@ -478,7 +481,7 @@ impl Stm {
             ),
         };
         let cm = CmEngine::new(config.cm_mode, base_backoff_ns);
-        let registry = Arc::new(SnapshotRegistry::new());
+        let registry = SnapshotRegistry::new();
         registry.set_lease(config.mem.snapshot_lease);
         let mem_state = MemState::new(&config.mem);
         let gc_mode = config.mem.gc_mode;
@@ -578,10 +581,9 @@ impl Stm {
             // and the attempt's `Txn` are dropped before any backoff wait —
             // a sleeping loser must not pin the GC watermark.
             let (site, work) = {
-                let _snap = self.shared.registry.register_current(&self.shared.clock);
-                let read_version = _snap.version();
+                let snap = self.shared.registry.register_current(&self.shared.clock);
                 let mut tx =
-                    Txn::top(Arc::clone(&self.shared), read_version, Some(_snap.evicted_flag()));
+                    Txn::top(Arc::clone(&self.shared), snap.version(), snap.eviction_flag());
                 match body(&mut tx) {
                     Ok(value) => match tx.commit_top() {
                         Ok(()) => {
@@ -701,9 +703,9 @@ impl Stm {
     /// reads are invisible to writers) and never conflicts; under snapshot
     /// leasing a *long-running* reader can however be evicted — use
     /// [`ReadTxn::try_read`] to observe that instead of panicking.
-    pub fn read_only<R>(&self, body: impl FnOnce(&mut ReadTxn) -> R) -> R {
+    pub fn read_only<R>(&self, body: impl FnOnce(&mut ReadTxn<'_>) -> R) -> R {
         let snap = self.shared.registry.register_current(&self.shared.clock);
-        let mut tx = ReadTxn { shared: Arc::clone(&self.shared), snap };
+        let mut tx = ReadTxn { shared: &self.shared, snap };
         body(&mut tx)
     }
 
@@ -918,12 +920,15 @@ impl std::fmt::Debug for Stm {
 /// reads of pruned chains fail with [`StmError::SnapshotEvicted`]. Reads
 /// that still find a version ≤ the snapshot keep succeeding — eviction
 /// *permits* pruning, it doesn't rewind chains.
-pub struct ReadTxn {
-    shared: Arc<StmShared>,
-    snap: SnapshotGuard,
+///
+/// It borrows its [`Stm`]: taking and ending one touches no shared
+/// reference count.
+pub struct ReadTxn<'a> {
+    shared: &'a StmShared,
+    snap: SnapshotGuard<'a>,
 }
 
-impl ReadTxn {
+impl ReadTxn<'_> {
     /// Read `vbox` at this transaction's snapshot.
     ///
     /// Panics if the snapshot was evicted *and* the GC has already pruned

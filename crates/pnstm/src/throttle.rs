@@ -238,12 +238,21 @@ fn gate_pack(closed: bool, capacity: usize, available: i64) -> u64 {
 /// at no point are more than `t` new top-level admissions granted. Only the
 /// *parker lists* are sharded: a thread that must block registers itself in
 /// one of `GATE_SHARDS` lists and parks (with the repo-standard 50 ms
-/// timeout backstop against lost-wakeup races); releases unpark one parker,
-/// close / reopen / capacity growth unpark all.
+/// timeout backstop against lost-wakeup races); close / reopen / capacity
+/// growth unpark all.
+///
+/// **Wake rule.** A release unparks one parker, and only when the `parked`
+/// count it reads after updating the word is non-zero, so a release nobody
+/// waits for touches no parker shard. A parker increments `parked` before it
+/// registers and re-checks the word after; both sides are `SeqCst`, so
+/// either the releaser sees the count or the parker's re-check sees the
+/// permit.
 #[derive(Debug)]
 pub struct PackedGate {
     word: AtomicU64,
     parkers: Box<[Mutex<Vec<thread::Thread>>]>,
+    /// Threads between registering in a parker shard and leaving it.
+    parked: AtomicUsize,
     next_shard: AtomicUsize,
     /// Rotation cursor for [`PackedGate::unpark_one`]. Without it every
     /// release scanned the shards from index 0, so threads registered in
@@ -269,6 +278,7 @@ impl PackedGate {
         Self {
             word: AtomicU64::new(gate_pack(false, capacity, capacity as i64)),
             parkers: (0..GATE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            parked: AtomicUsize::new(0),
             next_shard: AtomicUsize::new(0),
             next_unpark: AtomicUsize::new(0),
             stats,
@@ -277,6 +287,7 @@ impl PackedGate {
 
     /// CAS-update the word with `f`, which returns the new decoded state (or
     /// `None` to abort). Returns the *previous* decoded state on success.
+    /// The successful CAS is `SeqCst`: it is one side of the wake rule.
     fn update(
         &self,
         mut f: impl FnMut(bool, usize, i64) -> Option<(bool, usize, i64)>,
@@ -288,7 +299,7 @@ impl PackedGate {
             match self.word.compare_exchange_weak(
                 cur,
                 gate_pack(nc, ncap, navail),
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Acquire,
             ) {
                 Ok(_) => return Some((closed, cap, avail)),
@@ -297,7 +308,8 @@ impl PackedGate {
         }
     }
 
-    fn unpark_one(&self) {
+    /// Unpark one registered parker, returning which.
+    fn unpark_one(&self) -> Option<thread::ThreadId> {
         // Rotate the starting shard so no shard's parkers are structurally
         // last in line (fairness across shards, not strict FIFO within one).
         let start = self.next_unpark.fetch_add(1, Ordering::Relaxed);
@@ -306,8 +318,21 @@ impl PackedGate {
             let popped = shard.lock().pop();
             if let Some(t) = popped {
                 t.unpark();
-                return;
+                return Some(t.id());
             }
+        }
+        None
+    }
+
+    /// Return a permit; if it is grantable and someone is parked, unpark
+    /// one parker and return which (see the wake rule on [`PackedGate`]).
+    fn release_waking(&self) -> Option<thread::ThreadId> {
+        let prev = self.update(|closed, cap, avail| Some((closed, cap, avail + 1)));
+        let grantable = prev.is_some_and(|(_, _, avail)| avail + 1 > 0);
+        if grantable && self.parked.load(Ordering::SeqCst) > 0 {
+            self.unpark_one()
+        } else {
+            None
         }
     }
 
@@ -319,26 +344,26 @@ impl PackedGate {
         }
     }
 
-    /// Park protocol: register in a shard, re-check the word (a grant or
-    /// close racing the registration is caught here), then park with the
-    /// timeout backstop, then deregister (a release may already have popped
-    /// this entry — that's the wakeup).
+    /// Park protocol: count in, register in a shard, re-check the word (a
+    /// grant or close racing the registration is caught here), then park
+    /// with the timeout backstop, then deregister (a release may already
+    /// have popped this entry — that's the wakeup) and count out.
     fn park_for_change(&self) {
         let me = thread::current();
         let id = me.id();
         let shard =
             &self.parkers[self.next_shard.fetch_add(1, Ordering::Relaxed) % self.parkers.len()];
+        self.parked.fetch_add(1, Ordering::SeqCst);
         shard.lock().push(me);
-        let (closed, _, avail) = gate_unpack(self.word.load(Ordering::Acquire));
-        if closed || avail > 0 {
-            shard.lock().retain(|t| t.id() != id);
-            return;
+        let (closed, _, avail) = gate_unpack(self.word.load(Ordering::SeqCst));
+        if !closed && avail <= 0 {
+            if let Some(stats) = &self.stats {
+                stats.record_park();
+            }
+            thread::park_timeout(Duration::from_millis(50));
         }
-        if let Some(stats) = &self.stats {
-            stats.record_park();
-        }
-        thread::park_timeout(Duration::from_millis(50));
         shard.lock().retain(|t| t.id() != id);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -379,11 +404,7 @@ impl Admission for PackedGate {
     }
 
     fn release(&self) {
-        let prev = self.update(|closed, cap, avail| Some((closed, cap, avail + 1)));
-        // The permit we just returned is grantable: wake one parker.
-        if prev.is_some_and(|(_, _, avail)| avail + 1 > 0) {
-            self.unpark_one();
-        }
+        self.release_waking();
     }
 
     fn close(&self) {
@@ -1076,6 +1097,15 @@ mod tests {
         assert_eq!(t.top_level_in_use(), 0);
     }
 
+    impl PackedGate {
+        /// Register `t` in `shard` the way `park_for_change` does, count
+        /// included, without parking anyone.
+        fn plant_parker(&self, shard: usize, t: thread::Thread) {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            self.parkers[shard].lock().push(t);
+        }
+    }
+
     /// Regression test for `unpark_one` always scanning parker shards from
     /// index 0: a release would wake shard 0's parkers first every time, so
     /// threads registered in higher shards were structurally last in line
@@ -1083,32 +1113,75 @@ mod tests {
     /// rotating cursor, consecutive releases start at consecutive shards.
     #[test]
     fn unpark_one_rotates_across_shards() {
-        let g = PackedGate::new(1);
-        // Plant parker entries directly: two in shard 0, one in each other
-        // shard. (White-box: `park_for_change` normally registers these.)
-        // Unparking `thread::current()` is a no-op beyond consuming the
-        // entry, which is all this test observes.
+        let g = PackedGate::new(GATE_SHARDS + 4);
+        assert_eq!(g.try_acquire_many(GATE_SHARDS + 4), GATE_SHARDS + 4);
+        // Plant parker entries, counted in: two in shard 0, one in each
+        // other shard. Unparking `thread::current()` is a no-op beyond
+        // consuming the entry, which is all this test observes.
         let me = thread::current();
-        g.parkers[0].lock().push(me.clone());
-        g.parkers[0].lock().push(me.clone());
-        for shard in g.parkers.iter().skip(1) {
-            shard.lock().push(me.clone());
+        g.plant_parker(0, me.clone());
+        g.plant_parker(0, me.clone());
+        for shard in 1..GATE_SHARDS {
+            g.plant_parker(shard, me.clone());
         }
         // One release per shard count: a fair rotation visits every shard
         // once, so each non-zero shard drains. The old scan-from-0 code
         // would pop shard 0 twice and leave the last shard untouched.
         for _ in 0..GATE_SHARDS {
-            g.unpark_one();
+            assert_eq!(g.release_waking(), Some(me.id()));
         }
         assert_eq!(g.parkers[0].lock().len(), 1, "shard 0 must not be drained preferentially");
         let parked_high: usize = g.parkers.iter().skip(1).map(|s| s.lock().len()).sum();
         assert_eq!(parked_high, 0, "higher shards must all have been visited");
         // The leftovers drain too once more releases come in.
-        g.unpark_one();
-        g.unpark_one();
-        g.unpark_one();
-        g.unpark_one();
+        for _ in 0..4 {
+            g.release();
+        }
         assert!(g.parkers.iter().all(|s| s.lock().is_empty()));
+    }
+
+    /// The wake rule, white-box: with nobody counted in, a release leaves
+    /// the parker shards alone, even one holding an (uncounted) entry; with
+    /// someone counted in, it pops exactly one entry.
+    #[test]
+    fn release_touches_parker_shards_only_when_someone_is_parked() {
+        let g = PackedGate::new(2);
+        assert_eq!(g.try_acquire_many(2), 2);
+        let me = thread::current();
+        g.parkers[0].lock().push(me.clone());
+        assert_eq!(g.release_waking(), None);
+        assert_eq!(g.parkers[0].lock().len(), 1, "parked == 0: no shard touched");
+        g.plant_parker(1, me.clone());
+        assert_eq!(g.release_waking(), Some(me.id()));
+        let left: usize = g.parkers.iter().map(|s| s.lock().len()).sum();
+        assert_eq!(left, 1, "parked > 0: exactly one entry popped");
+    }
+
+    /// The wake rule's handshake: a thread that has counted in and
+    /// registered is woken by the very next release, not by the 50 ms
+    /// backstop. Asserted on the entry the release popped, not on time.
+    #[test]
+    fn release_pops_the_entry_of_a_registered_parker() {
+        let g = Arc::new(PackedGate::new(1));
+        assert!(g.try_acquire());
+        let b = thread::spawn({
+            let g = Arc::clone(&g);
+            move || {
+                assert!(Admission::acquire(&*g));
+                Admission::release(&*g);
+            }
+        });
+        let b_id = b.thread().id();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while g.parked.load(Ordering::SeqCst) != 1 || g.parkers.iter().all(|s| s.lock().is_empty())
+        {
+            assert!(std::time::Instant::now() < deadline, "B never counted in and registered");
+            thread::yield_now();
+        }
+        assert_eq!(g.release_waking(), Some(b_id), "the release popped B's entry");
+        b.join().unwrap();
+        assert_eq!(g.parked.load(Ordering::SeqCst), 0, "B counted out");
+        assert_eq!(g.in_use(), 0);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! in the common case:
 //!
 //! * **Own write set** — a `Txn` is single-threaded between `parallel()`
-//!   calls, so its write set is a plain map behind an `Arc` mutated
+//!   calls, so its write set is a plain vector behind an `Arc` mutated
 //!   copy-on-write ([`std::sync::Arc::make_mut`]). While the transaction
 //!   runs alone it holds the only reference and mutates in place; when it
 //!   suspends in a published `parallel()` batch it publishes the `Arc` as an
 //!   immutable snapshot into its children's scope. Children read the
-//!   snapshot with a plain map probe. After the join the children are gone,
+//!   snapshot with a plain probe. After the join the children are gone,
 //!   the snapshot handle is dropped, and the owner is back to sole
 //!   ownership — the clone inside `make_mut` never actually runs in the
 //!   normal lifecycle. Children of a *withheld* batch publish nothing: they
@@ -36,9 +36,9 @@ pub(crate) mod sets;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::clock::EvictionFlag;
 use crate::error::{TxError, TxResult};
 use crate::runtime::StmShared;
 use crate::stats::TxKind;
@@ -129,11 +129,10 @@ pub struct Txn {
     /// Stands in for the removed own-write-set mutex in `Locked` mode.
     own_ws_mx: Mutex<()>,
     reads: ReadPathCounters,
-    /// Eviction flag of the root snapshot's lease registration (shared by
-    /// the whole transaction tree; `None` for unleased contexts). Set by the
-    /// GC watermark computation once the lease expired — see
-    /// [`crate::clock::SnapshotRegistry`].
-    evicted: Option<Arc<AtomicBool>>,
+    /// Eviction flag of the root snapshot's registration (shared by the
+    /// whole transaction tree). Set by the GC watermark computation once the
+    /// lease expired — see [`crate::clock::SnapshotRegistry`].
+    evicted: EvictionFlag,
     /// Latched true once this attempt observed its snapshot's eviction (a
     /// below-floor read it had to paper over): the attempt must abort at
     /// commit regardless of what the flag reads later.
@@ -144,7 +143,7 @@ impl Txn {
     pub(crate) fn top(
         shared: Arc<StmShared>,
         root_read_version: u64,
-        evicted: Option<Arc<AtomicBool>>,
+        evicted: EvictionFlag,
     ) -> Self {
         let locked_reads =
             matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
@@ -170,7 +169,7 @@ impl Txn {
         root_read_version: u64,
         scope: Vec<ScopeEntry>,
         depth: u32,
-        evicted: Option<Arc<AtomicBool>>,
+        evicted: EvictionFlag,
     ) -> Self {
         let locked_reads =
             matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
@@ -195,7 +194,7 @@ impl Txn {
     /// longer honours it). Checked by the commit protocols and the retry
     /// drivers; true also once this attempt hit a below-floor read.
     pub(crate) fn snapshot_evicted(&self) -> bool {
-        self.doomed || self.evicted.as_ref().is_some_and(|f| f.load(Ordering::Acquire))
+        self.doomed || self.shared.registry().is_evicted(&self.evicted)
     }
 
     /// The global snapshot version this transaction tree reads at.
@@ -285,7 +284,7 @@ impl Txn {
                     entry.nest.index.lookup(id, entry.cap)
                 };
                 if let Some(v) = store_hit {
-                    self.rs.record(vbox.as_any());
+                    self.rs.record(vbox);
                     return downcast_clone::<T>(&v);
                 }
                 let ws_hit = if self.locked_reads {
@@ -295,13 +294,13 @@ impl Txn {
                     entry.ws.get(id)
                 };
                 if let Some(v) = ws_hit {
-                    self.rs.record(vbox.as_any());
+                    self.rs.record(vbox);
                     return downcast_clone::<T>(&v);
                 }
             }
         }
         // 3. Global snapshot.
-        self.rs.record(vbox.as_any());
+        self.rs.record(vbox);
         match vbox.body.read_at(self.root_read_version) {
             Ok(v) => v,
             Err(floor) => self.read_below_floor(vbox, floor),
@@ -813,7 +812,7 @@ struct Family<R> {
     /// takes a fresh `cap`).
     parent: ScopeEntry,
     inherited: Vec<ScopeEntry>,
-    evicted: Option<Arc<AtomicBool>>,
+    evicted: EvictionFlag,
     outcomes: Box<[Mutex<Option<ChildOutcome<R>>>]>,
 }
 

@@ -99,8 +99,16 @@ impl<T: TxValue> VBoxBody<T> {
     /// if every retained version is newer — which the caller must treat as a
     /// snapshot eviction (expired lease, GC pruned past it) or, when the
     /// snapshot was never evicted, a GC watermark bug.
+    ///
+    /// Newest first: a snapshot at or past the newest entry (every read at
+    /// the current clock) returns it without probing the chain, however
+    /// deep it has grown between GC cycles.
     pub(crate) fn read_at(&self, snapshot: u64) -> Result<T, BelowFloor> {
         let chain = self.chain.read();
+        let (newest, value) = chain.last().expect("chain never empty");
+        if *newest <= snapshot {
+            return Ok(value.clone());
+        }
         match chain.binary_search_by(|(v, _)| v.cmp(&snapshot)) {
             Ok(i) => Ok(chain[i].1.clone()),
             Err(0) => Err(BelowFloor { oldest: chain.first().expect("chain never empty").0 }),

@@ -2,7 +2,10 @@
 //! regression), Locked vs. LockFree differential equivalence, read-path
 //! stats/trace plumbing, and the snapshot-registration/GC race regression.
 
-use pnstm::{child, ParallelismDegree, ReadPathMode, Stm, StmConfig, TestSink, TraceEvent};
+use pnstm::{
+    child, MemConfig, ParallelismDegree, ReadPathMode, Stm, StmConfig, StmError, TestSink,
+    TraceEvent, VBox,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -332,9 +335,10 @@ fn read_path_trace_event_is_emitted() {
 /// Regression for the snapshot-registration race: a transaction that read
 /// the clock but had not yet registered its snapshot could have the versions
 /// it needs GC'd underneath it (observed as "GC invariant violated" panics
-/// under load). `register_current`/`gc_watermark` read the clock under the
-/// registry lock, closing the window. This stress keeps GC maximally hot
-/// (every commit) against concurrent snapshot takers.
+/// under load). `register_current` publishes its slot, fences and re-reads
+/// the clock; `gc_watermark` reads the clock and fences before it reads the
+/// slots, closing the window. This stress keeps GC maximally hot (every
+/// commit) against concurrent snapshot takers.
 #[test]
 fn gc_never_prunes_a_snapshot_being_registered() {
     let stm = Stm::new(StmConfig {
@@ -343,6 +347,35 @@ fn gc_never_prunes_a_snapshot_being_registered() {
         gc_interval: 1,
         ..StmConfig::default()
     });
+    registration_race_stress(&stm, |stm, b| stm.read_atomic(b));
+}
+
+/// The same stress with 1 ms leases, so the watermark computation also
+/// evicts expired registrations and slots are released and re-claimed under
+/// it. Readers may be evicted (and then told so); a below-floor read on a
+/// snapshot that was *not* evicted must never happen.
+#[test]
+fn gc_never_prunes_a_leased_snapshot_being_registered() {
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(8, 1),
+        worker_threads: 0,
+        gc_interval: 1,
+        mem: MemConfig { snapshot_lease: Some(Duration::from_millis(1)), ..MemConfig::default() },
+        ..StmConfig::default()
+    });
+    registration_race_stress(&stm, |stm, b| {
+        stm.read_only(|tx| match tx.try_read(b) {
+            Ok(v) => v,
+            Err(StmError::SnapshotEvicted) => 0,
+            Err(e) => panic!("unexpected read error {e}"),
+        })
+    });
+    assert_eq!(stm.stats().snapshot().read_below_floor, 0);
+}
+
+/// Two incrementing writers and two readers on one box for 800 ms;
+/// `read` returns the reader's view (0 when it could not read).
+fn registration_race_stress(stm: &Stm, read: fn(&Stm, &VBox<u64>) -> u64) {
     let b = stm.new_vbox(0u64);
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut handles = Vec::new();
@@ -368,9 +401,11 @@ fn gc_never_prunes_a_snapshot_being_registered() {
         handles.push(std::thread::spawn(move || {
             let mut last = 0;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let v = stm.read_atomic(&b); // panics if its snapshot was pruned
-                assert!(v >= last, "counter is monotone");
-                last = v;
+                let v = read(&stm, &b); // panics if its snapshot was pruned
+                if v > 0 {
+                    assert!(v >= last, "counter is monotone");
+                    last = v;
+                }
             }
         }));
     }

@@ -853,3 +853,44 @@ fn a_withheld_batch_that_outlasts_the_handoff_publishes_the_rest() {
     assert!(d.steal_count >= 1, "no helper ran a published child: {d:?}");
     assert_eq!(d.nested_commits, 4);
 }
+
+/// A transaction far past the read/write sets' spill size: 1 000 boxes
+/// read, then rotated one place and read back from its own writes, while a
+/// bounded transfer stream commits on the same boxes. The sum is conserved.
+#[test]
+fn a_thousand_box_transaction_commits_and_conserves_the_sum() {
+    let stm = small_stm();
+    let boxes: Arc<Vec<VBox<i64>>> = Arc::new((0..1000).map(|i| stm.new_vbox(i)).collect());
+    let total: i64 = (0..1000).sum();
+    let mover = thread::spawn({
+        let (stm, boxes) = (stm.clone(), Arc::clone(&boxes));
+        move || {
+            for k in 0..2000 {
+                let (a, b) = (&boxes[k % 1000], &boxes[(k * 7 + 1) % 1000]);
+                stm.atomic(|tx| {
+                    tx.modify(a, |v| v - 1);
+                    tx.modify(b, |v| v + 1);
+                    Ok(())
+                })
+                .unwrap();
+            }
+        }
+    });
+    for _ in 0..5 {
+        stm.atomic(|tx| {
+            let values: Vec<i64> = boxes.iter().map(|b| tx.read(b)).collect();
+            for (i, b) in boxes.iter().enumerate() {
+                tx.write(b, values[(i + 1) % 1000]);
+            }
+            assert_eq!(tx.footprint(), (1000, 1000));
+            let back: Vec<i64> = boxes.iter().map(|b| tx.read(b)).collect();
+            assert_eq!(back[999], values[0], "reads see the transaction's own writes");
+            assert_eq!(back.iter().sum::<i64>(), values.iter().sum::<i64>());
+            Ok(())
+        })
+        .unwrap();
+    }
+    mover.join().unwrap();
+    let sum: i64 = stm.read_only(|tx| boxes.iter().map(|b| tx.read(b)).sum());
+    assert_eq!(sum, total);
+}

@@ -101,7 +101,7 @@ impl Manager {
     /// Read a resource's info from a read-only snapshot.
     pub fn query_snapshot(
         &self,
-        tx: &mut pnstm::ReadTxn,
+        tx: &mut pnstm::ReadTxn<'_>,
         kind: ResourceKind,
         idx: usize,
     ) -> ReservationInfo {
