@@ -436,6 +436,85 @@ mod tests {
         assert!(tuner.weights.iter().all(|&w| w.is_finite() && w >= 0.0));
     }
 
+    /// One row of the phase table: a tuner configuration and the phases it
+    /// passes through, as `phase_name()` reads after each `propose`.
+    struct PhaseRow {
+        name: &'static str,
+        cfg: AutoPnConfig,
+        path: &'static [&'static str],
+    }
+
+    /// `InitialSampling → Smbo → HillClimb → Done`, with the early-stop edges:
+    /// without refinement the SMBO stop ends the session, and a stop that
+    /// fires on the first SMBO round skips its proposals (both hops inside one
+    /// `propose`, traced as one edge). Every edge is traced exactly once, and
+    /// `Done` is absorbing.
+    #[test]
+    fn phase_transition_table() {
+        let no_ei_is_enough = StopCondition::EiBelow(f64::INFINITY);
+        let rows = [
+            PhaseRow {
+                name: "sample, model, climb, done",
+                cfg: AutoPnConfig::default(),
+                path: &["initial-sampling", "smbo", "hill-climb", "done"],
+            },
+            PhaseRow {
+                name: "no refinement: the SMBO stop ends the session",
+                cfg: AutoPnConfig { hill_climb: false, ..AutoPnConfig::default() },
+                path: &["initial-sampling", "smbo", "done"],
+            },
+            PhaseRow {
+                name: "stop on the first SMBO round, then climb",
+                cfg: AutoPnConfig { stop: no_ei_is_enough, ..AutoPnConfig::default() },
+                path: &["initial-sampling", "hill-climb", "done"],
+            },
+            PhaseRow {
+                name: "stop on the first SMBO round, no refinement",
+                cfg: AutoPnConfig {
+                    stop: no_ei_is_enough,
+                    hill_climb: false,
+                    ..AutoPnConfig::default()
+                },
+                path: &["initial-sampling", "done"],
+            },
+        ];
+        let f = |c: Config| {
+            1000.0 - 3.0 * (c.t as f64 - 20.0).powi(2) - 40.0 * (c.c as f64 - 2.0).powi(2)
+        };
+        for row in rows {
+            let mut tuner = AutoPn::new(SearchSpace::new(48), row.cfg);
+            let sink = std::sync::Arc::new(pnstm::TestSink::default());
+            let bus = pnstm::TraceBus::new();
+            bus.subscribe(sink.clone());
+            tuner.attach_trace(bus);
+            let mut path = vec![tuner.phase_name()];
+            let mut n = 0;
+            loop {
+                let proposal = tuner.propose();
+                if path.last() != Some(&tuner.phase_name()) {
+                    path.push(tuner.phase_name());
+                }
+                let Some(cfg) = proposal else { break };
+                n += 1;
+                assert!(n <= 198, "{}: more proposals than configurations", row.name);
+                tuner.observe(cfg, f(cfg));
+            }
+            assert_eq!(path, row.path, "{}", row.name);
+            let edges: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter_map(|ev| match ev {
+                    pnstm::TraceEvent::OptimizerPhase { from, to } => Some((from, to)),
+                    _ => None,
+                })
+                .collect();
+            let want: Vec<_> = row.path.windows(2).map(|w| (w[0], w[1])).collect();
+            assert_eq!(edges, want, "{}: traced edges", row.name);
+            assert_eq!(tuner.propose(), None, "{}: done is absorbing", row.name);
+            assert_eq!(tuner.phase_name(), "done", "{}", row.name);
+        }
+    }
+
     #[test]
     fn explored_counts_observations() {
         let space = SearchSpace::new(8);

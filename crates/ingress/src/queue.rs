@@ -32,25 +32,22 @@
 //!   without the streak sits on a cliff: with Poisson arrivals every 50 µs,
 //!   10 µs requests and a 20 µs wake, half the gaps outlast it and the median
 //!   request flips between finding a poller and paying a wake, run to run.)
-//! * **Notify only a parked consumer.** `try_push` and `pop_batch`'s "more
-//!   remains" hand-off call `notify_one` only when `parked > 0`, and skip it
-//!   while the poller holds the token — unless more than one item is queued
-//!   (**backlog > 1 always wakes**), so a pre-empted poller strands at most
-//!   one item, and that for no longer than it stays pre-empted.
-//! * **No lost wakeup.** The poller releases the token, *then* re-checks the
-//!   queue under the mutex, and only then counts itself parked (same
-//!   critical section as the wait). A push whose critical section comes
-//!   first is seen by the re-check; one that comes after sees `parked > 0`
-//!   and the token free — or held by a later poller, who is awake and reads
-//!   the mirror the push just stored.
+//! * **Notify only a parked consumer.** Consumers park on a [`ParkGate`]
+//!   whose re-check reads the `SeqCst` mirror (DESIGN §5l). A push, or
+//!   `pop_batch` leaving items behind, wakes one only when the gate counts
+//!   one in and skips it while the poller holds the token — unless more than
+//!   one item is queued (**backlog > 1 always wakes**), so a pre-empted
+//!   poller strands at most one item, for no longer than it stays
+//!   pre-empted. The poller frees the token before its own re-check.
 //! * **`close()` wakes everyone**: the mirror carries the closed bit (ends
-//!   the poll) and the condvar is notified (ends the parks).
+//!   the poll and every park's re-check) and the gate wakes all.
 //!
-//! Hand-rolled on `parking_lot::{Mutex, Condvar}` because the vendored
+//! Hand-rolled on a `Mutex` and a [`ParkGate`] because the vendored
 //! crossbeam shim's `bounded()` channel does not actually enforce its
 //! capacity.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use pnstm::park::{ParkGate, ParkOutcome};
 use pnstm::stats::ewma;
 use pnstm::trace::now_ns;
 use std::collections::VecDeque;
@@ -68,20 +65,15 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// Consumers inside `not_empty.wait_for`.
-    parked: usize,
-}
-
 /// A bounded multi-producer/multi-consumer FIFO.
 pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
+    items: Mutex<VecDeque<T>>,
+    /// Where idle consumers park once the poll is over.
+    gate: ParkGate,
     capacity: usize,
-    /// `len << 1 | closed`, stored under the mutex after every change: what
-    /// the poller and the lock-free accessors read.
+    /// `len << 1 | closed`, stored `SeqCst` under the mutex after every
+    /// change: the one closed flag, and what the poller, the park re-check
+    /// and the lock-free accessors read.
     mirror: AtomicUsize,
     /// The poll token.
     polling: AtomicBool,
@@ -102,8 +94,8 @@ impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` elements (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, parked: 0 }),
-            not_empty: Condvar::new(),
+            items: Mutex::new(VecDeque::new()),
+            gate: ParkGate::default(),
             capacity: capacity.max(1),
             mirror: AtomicUsize::new(0),
             polling: AtomicBool::new(false),
@@ -131,53 +123,52 @@ impl<T> BoundedQueue<T> {
         self.mirror.load(Ordering::Acquire) & 1 != 0
     }
 
-    /// Times a consumer parked on the condvar (it found the queue empty and
-    /// either lost the poll token or polled its budget out).
+    /// Times a consumer parked (it found the queue empty and either lost the
+    /// poll token or polled its budget out).
     pub fn consumer_parks(&self) -> u64 {
         self.consumer_parks.load(Ordering::Relaxed)
     }
 
-    /// `notify_one` calls made by pushes and hand-offs (`close` not counted).
+    /// Wakes sent by pushes and hand-offs (`close` not counted).
     pub fn wakes_sent(&self) -> u64 {
         self.wakes_sent.load(Ordering::Relaxed)
     }
 
-    /// Release-store the mirror; pairs with the Acquire loads in the poller
-    /// and the accessors. Callers hold the mutex.
-    fn publish(&self, inner: &Inner<T>) {
-        self.mirror.store(inner.items.len() << 1 | inner.closed as usize, Ordering::Release);
+    /// Store the mirror, `SeqCst`: the waker's side of the park gate's
+    /// contract. Callers hold the mutex, so the closed bit read back is exact.
+    fn publish(&self, items: &VecDeque<T>) {
+        let closed = self.mirror.load(Ordering::Relaxed) & 1;
+        self.mirror.store(items.len() << 1 | closed, Ordering::SeqCst);
     }
 
     /// Whether the queue as the caller leaves it (mutex still held) needs a
     /// parked consumer woken: someone is parked, and either nobody is polling
     /// or there is more queued than the one poller will take first.
-    fn must_wake(&self, inner: &Inner<T>) -> bool {
-        let len = inner.items.len();
-        // SeqCst like the token's other accesses; the no-lost-wakeup argument
-        // itself rests on the mutex (module docs).
-        len > 0 && inner.parked > 0 && (len > 1 || !self.polling.load(Ordering::SeqCst))
+    fn must_wake(&self, items: &VecDeque<T>) -> bool {
+        let len = items.len();
+        len > 0 && self.gate.parked() > 0 && (len > 1 || !self.polling.load(Ordering::SeqCst))
     }
 
     fn wake_one(&self) {
         self.notified_ns.store(now_ns().max(1), Ordering::Relaxed);
         self.wakes_sent.fetch_add(1, Ordering::Relaxed);
-        self.not_empty.notify_one();
+        self.gate.wake_one();
     }
 
     /// Non-blocking enqueue: `Err(Full)` at the ceiling, `Err(Closed)` after
     /// [`BoundedQueue::close`].
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
+        let mut items = self.items.lock();
+        if self.is_closed() {
             return Err(PushError::Closed(item));
         }
-        if inner.items.len() >= self.capacity {
+        if items.len() >= self.capacity {
             return Err(PushError::Full(item));
         }
-        inner.items.push_back(item);
-        self.publish(&inner);
-        let wake = self.must_wake(&inner);
-        drop(inner);
+        items.push_back(item);
+        self.publish(&items);
+        let wake = self.must_wake(&items);
+        drop(items);
         if wake {
             self.wake_one();
         }
@@ -222,32 +213,32 @@ impl<T> BoundedQueue<T> {
     /// `batch.is_empty() && queue.is_closed()` as its exit condition without
     /// losing elements enqueued before the close.
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
-        let mut inner = self.inner.lock();
+        let mut items = self.items.lock();
         let mut woken = false;
-        if inner.items.is_empty() && !inner.closed && !timeout.is_zero() {
-            drop(inner);
+        // Under the mutex the mirror is exact: 0 means empty and open.
+        let ready = || self.mirror.load(Ordering::SeqCst) != 0;
+        if !ready() && !timeout.is_zero() {
+            drop(items);
             let start_ns = now_ns();
             self.poll(start_ns, timeout);
-            // Token released (or never held): re-check under the mutex, and
-            // count as parked in the same critical section as the wait.
-            inner = self.inner.lock();
-            if inner.items.is_empty() && !inner.closed {
+            // Token released (or never held): park unless the mirror says
+            // the queue filled or closed.
+            if !ready() {
                 let spent = Duration::from_nanos(now_ns().saturating_sub(start_ns));
-                inner.parked += 1;
                 self.consumer_parks.fetch_add(1, Ordering::Relaxed);
-                let wait = self.not_empty.wait_for(&mut inner, timeout.saturating_sub(spent));
-                inner.parked -= 1;
-                woken = !wait.timed_out();
+                let left = timeout.saturating_sub(spent);
+                woken = self.gate.park_unless(ready, left) == ParkOutcome::Woken;
             }
+            items = self.items.lock();
         }
-        let n = inner.items.len().min(max.max(1));
-        let batch: Vec<T> = inner.items.drain(..n).collect();
+        let n = items.len().min(max.max(1));
+        let batch: Vec<T> = items.drain(..n).collect();
         if n > 0 {
-            self.publish(&inner);
+            self.publish(&items);
         }
         // More work remains: hand it to a parked consumer, if it needs one.
-        let wake = self.must_wake(&inner);
-        drop(inner);
+        let wake = self.must_wake(&items);
+        drop(items);
         if woken && n > 0 {
             let sent_ns = self.notified_ns.swap(0, Ordering::Relaxed);
             if sent_ns != 0 {
@@ -269,11 +260,10 @@ impl<T> BoundedQueue<T> {
     /// poller stops polling and every parked consumer wakes. Already-enqueued
     /// elements stay poppable.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        self.publish(&inner);
-        drop(inner);
-        self.not_empty.notify_all();
+        let items = self.items.lock();
+        self.mirror.fetch_or(1, Ordering::SeqCst);
+        drop(items);
+        self.gate.wake_all();
     }
 }
 
@@ -406,7 +396,7 @@ mod tests {
         let q = queue_with_wake_cost(8, 30_000_000_000);
         let consumers = spawn_consumers(&q, 3, Duration::from_secs(30));
         wait_for("two of three consumers are parked", Duration::from_secs(10), || {
-            q.inner.lock().parked == 2
+            q.gate.parked() == 2
         });
         assert!(q.polling.load(Ordering::SeqCst), "the third consumer holds the token");
         assert_eq!(q.consumer_parks(), 2);
@@ -414,7 +404,7 @@ mod tests {
         q.try_push(7).unwrap();
         wait_for("the poller took the item", Duration::from_secs(10), || q.is_empty());
         assert_eq!(q.wakes_sent(), 0);
-        assert_eq!(q.inner.lock().parked, 2, "the parked consumers slept through it");
+        assert_eq!(q.gate.parked(), 2, "the parked consumers slept through it");
         // A backlog beyond the one item a poller takes always wakes: the token
         // is free again, so the first push wakes one consumer, and with both
         // remaining consumers busy or gone the queue drains.
@@ -431,7 +421,7 @@ mod tests {
         let q = queue_with_wake_cost(8, 30_000_000_000);
         let consumers = spawn_consumers(&q, 2, Duration::from_secs(30));
         wait_for("one consumer polls and one is parked", Duration::from_secs(10), || {
-            q.inner.lock().parked == 1 && q.polling.load(Ordering::SeqCst)
+            q.gate.parked() == 1 && q.polling.load(Ordering::SeqCst)
         });
         let start = Instant::now();
         q.close();

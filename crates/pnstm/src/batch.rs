@@ -34,21 +34,18 @@
 //! The items here are `pub` only because the two public pool aliases name
 //! them; the module itself is private to the crate.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use crate::fault::{FaultCtx, FaultKind};
+use crate::park::{ParkGate, IDLE_WAIT};
 use crate::sched::{Scheduler, Task};
 use crate::stats::{ewma, Stats};
 use crate::trace::{self, TraceBus, TraceEvent};
-
-/// Backstop for every park in this module: a lost wake-up costs at most this.
-pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// Hand-off cost before any hand-off has been measured (a parked worker takes
 /// 50–80 µs to claim on the reference box), and the anchor of the clamp on
@@ -100,22 +97,19 @@ pub trait TaskQueue: Send + Sync + 'static {
     }
 }
 
-/// How idle workers of one rung discover published batches, and where they
-/// park when there are none.
+/// How idle workers of one rung discover published batches. `publish` must
+/// store the batch under a lock that [`Registry::find`] takes: the pool's
+/// idle [`ParkGate`] re-checks `find`.
 pub trait Registry: Default + Send + Sync + 'static {
     type Queue: TaskQueue;
     const WORKER_NAME: &'static str;
 
-    /// Make `batch` discoverable and wake idle workers. Returns the slot to
-    /// hand back to [`Registry::retract`].
+    /// Make `batch` discoverable. Returns the slot to hand back to
+    /// [`Registry::retract`].
     fn publish(&self, batch: &Arc<Batch<Self::Queue>>) -> usize;
     fn retract(&self, slot: usize, batch: &Arc<Batch<Self::Queue>>);
     /// Some published batch that still wants helpers.
     fn find(&self) -> Option<Arc<Batch<Self::Queue>>>;
-    /// Park until woken or [`IDLE_WAIT`] passes, unless work or `shutdown`
-    /// shows up on a re-check under the park lock.
-    fn park(&self, shutdown: &AtomicBool);
-    fn wake_all(&self);
 }
 
 /// One `parallel()` batch: the rung's queue plus the shared accounting.
@@ -132,11 +126,8 @@ pub struct Batch<Q> {
     /// When the batch was published, until the first helper claims it (then
     /// 0): the publish → first-claim sample of the hand-off cost.
     published_ns: AtomicU64,
-    /// Set by the parent before it parks in [`Batch::join`]; finishers skip
-    /// the lock and the condvar while nobody waits.
-    waiting: AtomicBool,
-    done_mx: Mutex<()>,
-    done_cv: Condvar,
+    /// Where the parent parks in [`Batch::join`]; the last finisher wakes it.
+    done: ParkGate,
 }
 
 /// Marks one task finished on drop, so a panicking task still settles the
@@ -146,13 +137,9 @@ struct Finish<'a, Q>(&'a Batch<Q>);
 impl<Q> Drop for Finish<'_, Q> {
     fn drop(&mut self) {
         let batch = self.0;
-        // SeqCst pairs with `join`: either this finisher sees `waiting`, or
-        // the parent's re-check under the lock sees `remaining == 0`.
-        if batch.remaining.fetch_sub(1, Ordering::SeqCst) == 1
-            && batch.waiting.load(Ordering::SeqCst)
-        {
-            let _g = batch.done_mx.lock();
-            batch.done_cv.notify_all();
+        // SeqCst: the join's re-check reads `remaining` (park-gate contract).
+        if batch.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            batch.done.wake_all();
         }
     }
 }
@@ -166,9 +153,7 @@ impl<Q: TaskQueue> Batch<Q> {
             helper_limit,
             stolen: AtomicUsize::new(0),
             published_ns: AtomicU64::new(0),
-            waiting: AtomicBool::new(false),
-            done_mx: Mutex::new(()),
-            done_cv: Condvar::new(),
+            done: ParkGate::default(),
         })
     }
 
@@ -184,13 +169,8 @@ impl<Q: TaskQueue> Batch<Q> {
     /// Wait for helpers to finish the tasks they claimed. Syscall-free when
     /// the parent ran everything itself.
     fn join(&self) {
-        if self.is_done() {
-            return;
-        }
-        self.waiting.store(true, Ordering::SeqCst);
-        let mut g = self.done_mx.lock();
         while !self.is_done() {
-            self.done_cv.wait_for(&mut g, IDLE_WAIT);
+            self.done.park_unless(|| self.is_done(), IDLE_WAIT);
         }
     }
 
@@ -224,6 +204,8 @@ impl<Q: TaskQueue> Batch<Q> {
 
 pub struct PoolShared<R> {
     registry: R,
+    /// Where idle workers park; publish, resize and drop wake it.
+    idle: ParkGate,
     fault: FaultCtx,
     stats: Arc<Stats>,
     trace: TraceBus,
@@ -237,6 +219,12 @@ pub struct PoolShared<R> {
 }
 
 impl<R> PoolShared<R> {
+    /// Shutdown, or a shrink left this worker surplus (`SeqCst`: park re-check).
+    fn retiring(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+            || self.live_workers.load(Ordering::SeqCst) > self.target_size.load(Ordering::SeqCst)
+    }
+
     /// One sample of `d̄`: `spent_ns` of parent-observed time over `ran`
     /// tasks. The EWMA's clamp keeps one preempted batch from flipping the
     /// hand-off decision for the dozen after it. A racing update may be
@@ -273,6 +261,7 @@ impl<R: Registry> Pool<R> {
     ) -> Self {
         let shared = Arc::new(PoolShared {
             registry: R::default(),
+            idle: ParkGate::default(),
             fault,
             stats,
             trace,
@@ -317,6 +306,7 @@ impl<R: Registry> Pool<R> {
         let batch = Batch::<R::Queue>::new(tasks, helper_limit);
         batch.published_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
         let slot = sh.registry.publish(&batch);
+        sh.idle.wake_all();
         let start = trace::now_ns(); // the hand-off is not child time
         let (mut now, mut mine) = (start, 0u64);
         while let Some(task) = batch.queue.pop(false, &sh.fault) {
@@ -421,10 +411,10 @@ impl<R: Registry> Scheduler for Pool<R> {
     }
 
     fn resize(&self, size: usize) {
-        self.shared.target_size.store(size, Ordering::Release);
+        self.shared.target_size.store(size, Ordering::SeqCst);
         self.spawn_up_to(size);
         // Wake idle workers so surplus ones can observe the shrink and exit.
-        self.shared.registry.wake_all();
+        self.shared.idle.wake_all();
     }
 
     fn size(&self) -> usize {
@@ -438,8 +428,8 @@ impl<R: Registry> Scheduler for Pool<R> {
 
 impl<R: Registry> Drop for Pool<R> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.registry.wake_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.idle.wake_all();
         for h in self.handles.lock().drain(..) {
             let _ = h.join();
         }
@@ -448,15 +438,13 @@ impl<R: Registry> Drop for Pool<R> {
 
 fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
     loop {
-        if sh.shutdown.load(Ordering::Acquire)
-            || sh.live_workers.load(Ordering::Acquire) > sh.target_size.load(Ordering::Acquire)
-        {
+        if sh.retiring() {
             sh.live_workers.fetch_sub(1, Ordering::AcqRel);
             return;
         }
         // The scan is only a hint; the claim is the CAS.
         let Some(batch) = sh.registry.find().filter(|b| b.try_claim_helper()) else {
-            sh.registry.park(&sh.shutdown);
+            sh.idle.park_unless(|| sh.retiring() || sh.registry.find().is_some(), IDLE_WAIT);
             continue;
         };
         let published_ns = batch.published_ns.swap(0, Ordering::Relaxed);
@@ -474,5 +462,39 @@ fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
             let _ = catch_unwind(AssertUnwindSafe(|| batch.run(task)));
         }
         batch.helpers.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::park::ParkOutcome;
+    use crate::sched::StealQueue;
+    use std::time::Duration;
+
+    /// The last finisher wakes the joining parent: a join parked with a long
+    /// timeout is ended by the helper that finishes the batch's last task.
+    #[test]
+    fn the_last_finisher_wakes_the_join() {
+        let ran = Arc::new(AtomicBool::new(false));
+        let task: Task = Box::new({
+            let ran = Arc::clone(&ran);
+            move || ran.store(true, Ordering::SeqCst)
+        });
+        let batch = Batch::<StealQueue>::new(vec![task], 1);
+        let task = batch.queue.pop(true, &FaultCtx::disabled()).expect("one task queued");
+        let helper = thread::spawn({
+            let batch = Arc::clone(&batch);
+            move || {
+                while batch.done.parked() == 0 {
+                    thread::yield_now();
+                }
+                batch.run(task);
+            }
+        });
+        let outcome = batch.done.park_unless(|| batch.is_done(), Duration::from_secs(10));
+        assert_ne!(outcome, ParkOutcome::TimedOut, "the finish did not wake the join");
+        helper.join().unwrap();
+        assert!(ran.load(Ordering::SeqCst) && batch.is_done());
     }
 }

@@ -85,6 +85,7 @@ pub mod collections;
 pub mod error;
 pub mod fault;
 pub mod mem;
+pub mod park;
 pub mod pool;
 pub mod sched;
 pub mod stats;

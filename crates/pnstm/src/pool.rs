@@ -11,12 +11,12 @@
 //! lock. They are retained as the differential-testing oracle and bench
 //! baseline for [`crate::sched::WorkStealingPool`].
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue, IDLE_WAIT};
+use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue};
 use crate::fault::FaultCtx;
 use crate::sched::Task;
 
@@ -56,11 +56,10 @@ impl TaskQueue for MutexQueue {
     }
 }
 
-/// Published batches in arrival order, behind one lock and one condvar.
+/// Published batches in arrival order, behind one lock.
 #[derive(Default)]
 pub struct MutexRegistry {
     batches: Mutex<Vec<Arc<Batch<MutexQueue>>>>,
-    work_cv: Condvar,
 }
 
 impl Registry for MutexRegistry {
@@ -69,7 +68,6 @@ impl Registry for MutexRegistry {
 
     fn publish(&self, batch: &Arc<Batch<MutexQueue>>) -> usize {
         self.batches.lock().push(Arc::clone(batch));
-        self.work_cv.notify_all();
         0
     }
 
@@ -79,18 +77,6 @@ impl Registry for MutexRegistry {
 
     fn find(&self) -> Option<Arc<Batch<MutexQueue>>> {
         self.batches.lock().iter().find(|b| b.wants_helpers()).map(Arc::clone)
-    }
-
-    fn park(&self, _shutdown: &AtomicBool) {
-        let mut batches = self.batches.lock();
-        if !batches.iter().any(|b| b.wants_helpers()) {
-            self.work_cv.wait_for(&mut batches, IDLE_WAIT);
-        }
-    }
-
-    fn wake_all(&self) {
-        let _g = self.batches.lock();
-        self.work_cv.notify_all();
     }
 }
 

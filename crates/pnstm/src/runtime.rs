@@ -2,9 +2,9 @@
 //! stats, throttle, child pool, box registry / GC, and the top-level retry
 //! driver.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -13,6 +13,7 @@ use crate::cm::{self, AbortSite, CmEngine, CmMode, CmTxGuard};
 use crate::error::{StmError, TxError, TxResult};
 use crate::fault::{FaultCtx, FaultKind, FaultPlan};
 use crate::mem::{GcMode, MemConfig, MemLevel, MemState, VersionHeapGauge};
+use crate::park::ParkGate;
 use crate::pool::ChildPool;
 use crate::sched::{Admission, SchedMode, Scheduler, WorkStealingPool};
 use crate::stats::{Stats, TxKind};
@@ -112,22 +113,21 @@ impl Default for StmConfig {
     }
 }
 
-/// Wakeup channel between committers and the background collector thread.
+/// Wakeup channel between committers and the background collector thread:
+/// request bits the collector parks on.
 #[derive(Default)]
 struct GcCtl {
-    state: Mutex<GcCtlState>,
-    cv: Condvar,
+    /// `GC_PENDING | GC_URGENT | GC_SHUTDOWN`, written `SeqCst` (the park
+    /// gate's contract).
+    flags: AtomicU8,
+    gate: ParkGate,
 }
 
-#[derive(Default)]
-struct GcCtlState {
-    /// A cycle has been requested since the collector last ran.
-    pending: bool,
-    /// The pending request came from the degradation ladder.
-    urgent: bool,
-    /// The owning [`Stm`] is dropping; the collector must exit.
-    shutdown: bool,
-}
+/// [`GcCtl`] bits: a cycle was requested since the collector last ran; that
+/// request came from the degradation ladder; the owning [`Stm`] is dropping.
+const GC_PENDING: u8 = 1;
+const GC_URGENT: u8 = 2;
+const GC_SHUTDOWN: u8 = 4;
 
 /// How often the idle collector wakes up anyway, so lease expiry is noticed
 /// (and evicted snapshots stop pinning the watermark) even when no commits
@@ -136,16 +136,21 @@ const GC_IDLE_WAKEUP: Duration = Duration::from_millis(50);
 
 impl GcCtl {
     fn nudge(&self, urgent: bool) {
-        let mut st = self.state.lock();
-        st.pending = true;
-        st.urgent |= urgent;
-        drop(st);
-        self.cv.notify_one();
+        self.flags.fetch_or(GC_PENDING | (u8::from(urgent) * GC_URGENT), Ordering::SeqCst);
+        self.gate.wake_one();
     }
 
     fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cv.notify_one();
+        self.flags.fetch_or(GC_SHUTDOWN, Ordering::SeqCst);
+        self.gate.wake_all();
+    }
+
+    /// Park until a nudge, shutdown or `idle` passes, then take the request:
+    /// `None` on shutdown, else whether the cycle is urgent.
+    fn next_cycle(&self, idle: Duration) -> Option<bool> {
+        self.gate.park_unless(|| self.flags.load(Ordering::SeqCst) != 0, idle);
+        let flags = self.flags.fetch_and(GC_SHUTDOWN, Ordering::SeqCst);
+        (flags & GC_SHUTDOWN == 0).then_some(flags & GC_URGENT != 0)
     }
 }
 
@@ -404,21 +409,8 @@ impl Drop for StmShared {
 /// supervised cycle, repeat until shutdown. A panicking cycle is absorbed
 /// and counted ([`StatsSnapshot::gc_thread_panics`]) — the supervisor
 /// loop itself is the watchdog restart.
-fn gc_thread_main(ctl: Arc<GcCtl>, weak: Weak<StmShared>) {
-    loop {
-        let urgent = {
-            let mut st = ctl.state.lock();
-            if !st.pending && !st.shutdown {
-                ctl.cv.wait_for(&mut st, GC_IDLE_WAKEUP);
-            }
-            if st.shutdown {
-                return;
-            }
-            let urgent = st.urgent;
-            st.pending = false;
-            st.urgent = false;
-            urgent
-        };
+fn gc_thread_main(ctl: Arc<GcCtl>, weak: Weak<StmShared>, idle: Duration) {
+    while let Some(urgent) = ctl.next_cycle(idle) {
         // Upgrade per cycle: holding a strong reference across the wait
         // would turn the collector into a leak (the registry can never drop).
         let Some(shared) = weak.upgrade() else { return };
@@ -509,7 +501,7 @@ impl Stm {
             let weak = Arc::downgrade(&shared);
             let handle = std::thread::Builder::new()
                 .name("pnstm-gc".into())
-                .spawn(move || gc_thread_main(ctl, weak))
+                .spawn(move || gc_thread_main(ctl, weak, GC_IDLE_WAKEUP))
                 .expect("spawn GC thread");
             *shared.gc_join.lock() = Some(handle);
         }
@@ -1057,6 +1049,41 @@ mod tests {
             1,
             "only the second abort waits"
         );
+    }
+
+    /// A nudge that lands while the collector runs a cycle is served by the
+    /// next cycle at once. The collector here idles for an hour, so only the
+    /// second nudge can start its second cycle.
+    #[test]
+    fn a_gc_nudge_during_a_cycle_is_served_without_the_idle_wakeup() {
+        let stm = Stm::new(StmConfig {
+            gc_interval: 0,
+            mem: MemConfig { gc_mode: GcMode::Inline, ..MemConfig::default() },
+            ..StmConfig::default()
+        });
+        let sh = &stm.shared;
+        let collector = std::thread::spawn({
+            let (ctl, weak) = (Arc::clone(&sh.gc_ctl), Arc::downgrade(sh));
+            move || gc_thread_main(ctl, weak, Duration::from_secs(3600))
+        });
+        let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting until {what}");
+                std::thread::yield_now();
+            }
+        };
+        // The first cycle blocks on the cycle lock: it "runs" until released.
+        let cycle = sh.gc_cycle_lock.lock();
+        sh.gc_ctl.nudge(false);
+        wait_until("the collector took the first request", &|| {
+            sh.gc_ctl.flags.load(Ordering::SeqCst) == 0
+        });
+        sh.gc_ctl.nudge(true);
+        drop(cycle);
+        wait_until("the second cycle ran", &|| sh.stats.snapshot().gc_cycles >= 2);
+        drop(stm);
+        collector.join().unwrap();
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! so a blocked parent drains its own children even when every pool worker
 //! is busy in other trees, at any nesting depth.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue, IDLE_WAIT};
+use crate::batch::{dispatch_stall, Batch, Pool, Registry, TaskQueue};
 use crate::fault::FaultCtx;
 
 /// One child-transaction task as submitted by `Txn::parallel`.
@@ -41,13 +41,13 @@ pub type Task = Box<dyn FnOnce() + Send>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// The original structures: the single-queue child pool (one mutex-held
-    /// `VecDeque` per batch, one batches lock + condvar for dispatch) and
+    /// `VecDeque` per batch, one batches lock for dispatch) and
     /// the mutex-based resizable admission semaphore. Retained as the
     /// differential-testing oracle and the `sched_scaling` baseline.
     Mutex,
     /// Work-stealing child-task scheduler (per-batch lock-free deques,
     /// sharded injector, atomic helper counter) and the packed-atomic
-    /// admission gate with parker lists. The default.
+    /// admission gate. The default.
     #[default]
     WorkStealing,
 }
@@ -321,19 +321,14 @@ impl TaskQueue for StealQueue {
 
 type StealBatch = Arc<Batch<StealQueue>>;
 
-/// Sharded registry of published batches plus idle-worker parking. Dispatch
-/// registers round-robin; idle workers scan the shards. Only batch
-/// *discovery* takes these short locks — task claims are lock-free on the
-/// batch itself. `sleepers` is checked by `publish` before taking the wake
-/// lock, so publishing while every worker is busy costs two atomic ops and
-/// no lock; a registration racing a worker's pre-sleep re-scan is recovered
-/// by the park timeout at worst.
+/// Sharded registry of published batches. Dispatch registers round-robin;
+/// idle workers scan the shards. Only batch *discovery* takes these short
+/// locks — task claims are lock-free on the batch itself. A registration
+/// racing an idle worker's pre-park re-scan is caught by the pool's idle
+/// gate: the re-scan takes the shard lock the registration was made under.
 pub struct StealRegistry {
     shards: Box<[Mutex<Vec<StealBatch>>]>,
     next: AtomicUsize,
-    idle_mx: Mutex<()>,
-    idle_cv: Condvar,
-    sleepers: AtomicUsize,
 }
 
 impl Default for StealRegistry {
@@ -341,9 +336,6 @@ impl Default for StealRegistry {
         Self {
             shards: (0..INJECTOR_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             next: AtomicUsize::new(0),
-            idle_mx: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
         }
     }
 }
@@ -355,9 +347,6 @@ impl Registry for StealRegistry {
     fn publish(&self, batch: &StealBatch) -> usize {
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[shard].lock().push(Arc::clone(batch));
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            self.wake_all();
-        }
         shard
     }
 
@@ -369,23 +358,6 @@ impl Registry for StealRegistry {
         self.shards
             .iter()
             .find_map(|shard| shard.lock().iter().find(|b| b.wants_helpers()).map(Arc::clone))
-    }
-
-    fn park(&self, shutdown: &AtomicBool) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.idle_mx.lock();
-        // Re-scan under the wake lock: a batch registered after the worker's
-        // scan but before the sleeper increment would notify nobody.
-        if self.find().is_none() && !shutdown.load(Ordering::Acquire) {
-            self.idle_cv.wait_for(&mut g, IDLE_WAIT);
-        }
-        drop(g);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn wake_all(&self) {
-        let _g = self.idle_mx.lock();
-        self.idle_cv.notify_all();
     }
 }
 

@@ -16,18 +16,17 @@
 //! [`ResizableSemaphore`] is the [`crate::SchedMode::Mutex`] gate (every
 //! acquire/release crosses one mutex), [`PackedGate`] the
 //! [`crate::SchedMode::WorkStealing`] gate — the whole
-//! closed/capacity/available state packed into one atomic word, with sharded
-//! parker lists touched only by threads that actually block, so the
+//! closed/capacity/available state packed into one atomic word, with a
+//! [`ParkGate`] touched only by threads that actually block, so the
 //! actuator's `set_capacity` during a live `(t, c)` reprovisioning no longer
 //! quiesces admissions through a lock.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 use crate::fault::{FaultCtx, FaultKind};
+use crate::park::{ParkGate, ParkOutcome, IDLE_WAIT};
 use crate::sched::Admission;
 use crate::stats::Stats;
 use crate::trace::{AxesTrace, TraceBus, TraceEvent};
@@ -201,10 +200,6 @@ impl Admission for ResizableSemaphore {
     }
 }
 
-/// Shards of the [`PackedGate`] parker lists. Only threads that actually
-/// block touch a shard; the fast path is one CAS on the packed word.
-const GATE_SHARDS: usize = 4;
-
 /// Closed flag of the [`PackedGate`] word (bit 63).
 const GATE_CLOSED: u64 = 1 << 63;
 
@@ -235,30 +230,19 @@ fn gate_pack(closed: bool, capacity: usize, available: i64) -> u64 {
 /// sharded into per-core token pools: after a capacity shrink a sharded
 /// count can transiently admit more than the new capacity (one shard still
 /// positive while another is negative), and the actuator's contract is that
-/// at no point are more than `t` new top-level admissions granted. Only the
-/// *parker lists* are sharded: a thread that must block registers itself in
-/// one of `GATE_SHARDS` lists and parks (with the repo-standard 50 ms
-/// timeout backstop against lost-wakeup races); close / reopen / capacity
-/// growth unpark all.
+/// at no point are more than `t` new top-level admissions granted. A thread
+/// that must block parks on a [`ParkGate`] until the word may grant it or
+/// says closed.
 ///
-/// **Wake rule.** A release unparks one parker, and only when the `parked`
-/// count it reads after updating the word is non-zero, so a release nobody
-/// waits for touches no parker shard. A parker increments `parked` before it
-/// registers and re-checks the word after; both sides are `SeqCst`, so
-/// either the releaser sees the count or the parker's re-check sees the
-/// permit.
+/// **Wake rule.** A release wakes one parker when its CAS made a permit
+/// grantable; close, reopen and capacity growth wake all. The word is
+/// written by a `SeqCst` CAS and the park re-check reads it `SeqCst`, so
+/// the gate's "no park past a wake" holds (DESIGN §5l), and a release
+/// nobody waits for costs one load beyond its CAS.
 #[derive(Debug)]
 pub struct PackedGate {
     word: AtomicU64,
-    parkers: Box<[Mutex<Vec<thread::Thread>>]>,
-    /// Threads between registering in a parker shard and leaving it.
-    parked: AtomicUsize,
-    next_shard: AtomicUsize,
-    /// Rotation cursor for [`PackedGate::unpark_one`]. Without it every
-    /// release scanned the shards from index 0, so threads registered in
-    /// higher shards were woken last on every release — a starvation bias
-    /// whose park-timeout churn also inflated `park_count`.
-    next_unpark: AtomicUsize,
+    gate: ParkGate,
     /// Counts parks into `park_count` when attached ([`Stats::record_park`]).
     stats: Option<Arc<Stats>>,
 }
@@ -275,14 +259,8 @@ impl PackedGate {
 
     fn build(capacity: usize, stats: Option<Arc<Stats>>) -> Self {
         let capacity = capacity.max(1);
-        Self {
-            word: AtomicU64::new(gate_pack(false, capacity, capacity as i64)),
-            parkers: (0..GATE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            parked: AtomicUsize::new(0),
-            next_shard: AtomicUsize::new(0),
-            next_unpark: AtomicUsize::new(0),
-            stats,
-        }
+        let word = AtomicU64::new(gate_pack(false, capacity, capacity as i64));
+        Self { word, gate: ParkGate::default(), stats }
     }
 
     /// CAS-update the word with `f`, which returns the new decoded state (or
@@ -308,62 +286,10 @@ impl PackedGate {
         }
     }
 
-    /// Unpark one registered parker, returning which.
-    fn unpark_one(&self) -> Option<thread::ThreadId> {
-        // Rotate the starting shard so no shard's parkers are structurally
-        // last in line (fairness across shards, not strict FIFO within one).
-        let start = self.next_unpark.fetch_add(1, Ordering::Relaxed);
-        for i in 0..self.parkers.len() {
-            let shard = &self.parkers[(start + i) % self.parkers.len()];
-            let popped = shard.lock().pop();
-            if let Some(t) = popped {
-                t.unpark();
-                return Some(t.id());
-            }
-        }
-        None
-    }
-
-    /// Return a permit; if it is grantable and someone is parked, unpark
-    /// one parker and return which (see the wake rule on [`PackedGate`]).
-    fn release_waking(&self) -> Option<thread::ThreadId> {
-        let prev = self.update(|closed, cap, avail| Some((closed, cap, avail + 1)));
-        let grantable = prev.is_some_and(|(_, _, avail)| avail + 1 > 0);
-        if grantable && self.parked.load(Ordering::SeqCst) > 0 {
-            self.unpark_one()
-        } else {
-            None
-        }
-    }
-
-    fn unpark_all(&self) {
-        for shard in self.parkers.iter() {
-            for t in shard.lock().drain(..) {
-                t.unpark();
-            }
-        }
-    }
-
-    /// Park protocol: count in, register in a shard, re-check the word (a
-    /// grant or close racing the registration is caught here), then park
-    /// with the timeout backstop, then deregister (a release may already
-    /// have popped this entry — that's the wakeup) and count out.
-    fn park_for_change(&self) {
-        let me = thread::current();
-        let id = me.id();
-        let shard =
-            &self.parkers[self.next_shard.fetch_add(1, Ordering::Relaxed) % self.parkers.len()];
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        shard.lock().push(me);
+    /// What a blocked acquirer waits for: a permit it may take, or a close.
+    fn grantable_or_closed(&self) -> bool {
         let (closed, _, avail) = gate_unpack(self.word.load(Ordering::SeqCst));
-        if !closed && avail <= 0 {
-            if let Some(stats) = &self.stats {
-                stats.record_park();
-            }
-            thread::park_timeout(Duration::from_millis(50));
-        }
-        shard.lock().retain(|t| t.id() != id);
-        self.parked.fetch_sub(1, Ordering::SeqCst);
+        closed || avail > 0
     }
 }
 
@@ -384,8 +310,13 @@ impl Admission for PackedGate {
             if closed {
                 return false;
             }
-            if avail <= 0 {
-                self.park_for_change();
+            if avail <= 0
+                && self.gate.park_unless(|| self.grantable_or_closed(), IDLE_WAIT)
+                    != ParkOutcome::NotNeeded
+            {
+                if let Some(stats) = &self.stats {
+                    stats.record_park();
+                }
             }
         }
     }
@@ -404,18 +335,21 @@ impl Admission for PackedGate {
     }
 
     fn release(&self) {
-        self.release_waking();
+        let prev = self.update(|closed, cap, avail| Some((closed, cap, avail + 1)));
+        if prev.is_some_and(|(_, _, avail)| avail + 1 > 0) {
+            self.gate.wake_one();
+        }
     }
 
     fn close(&self) {
-        self.word.fetch_or(GATE_CLOSED, Ordering::AcqRel);
-        self.unpark_all();
+        self.word.fetch_or(GATE_CLOSED, Ordering::SeqCst);
+        self.gate.wake_all();
     }
 
     fn reopen(&self) {
-        let prev = self.word.fetch_and(!GATE_CLOSED, Ordering::AcqRel);
+        let prev = self.word.fetch_and(!GATE_CLOSED, Ordering::SeqCst);
         if gate_unpack(prev).2 > 0 {
-            self.unpark_all();
+            self.gate.wake_all();
         }
     }
 
@@ -431,7 +365,7 @@ impl Admission for PackedGate {
         });
         if let Some((_, cap, avail)) = prev {
             if avail + (capacity as i64 - cap as i64) > 0 {
-                self.unpark_all();
+                self.gate.wake_all();
             }
         }
     }
@@ -1097,91 +1031,51 @@ mod tests {
         assert_eq!(t.top_level_in_use(), 0);
     }
 
-    impl PackedGate {
-        /// Register `t` in `shard` the way `park_for_change` does, count
-        /// included, without parking anyone.
-        fn plant_parker(&self, shard: usize, t: thread::Thread) {
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            self.parkers[shard].lock().push(t);
-        }
-    }
-
-    /// Regression test for `unpark_one` always scanning parker shards from
-    /// index 0: a release would wake shard 0's parkers first every time, so
-    /// threads registered in higher shards were structurally last in line
-    /// and only ever woke via the 50 ms park-timeout backstop. With the
-    /// rotating cursor, consecutive releases start at consecutive shards.
+    /// The wake rule, nobody parked: a release takes no lock, so it returns
+    /// while another thread holds the park gate's mutex.
     #[test]
-    fn unpark_one_rotates_across_shards() {
-        let g = PackedGate::new(GATE_SHARDS + 4);
-        assert_eq!(g.try_acquire_many(GATE_SHARDS + 4), GATE_SHARDS + 4);
-        // Plant parker entries, counted in: two in shard 0, one in each
-        // other shard. Unparking `thread::current()` is a no-op beyond
-        // consuming the entry, which is all this test observes.
-        let me = thread::current();
-        g.plant_parker(0, me.clone());
-        g.plant_parker(0, me.clone());
-        for shard in 1..GATE_SHARDS {
-            g.plant_parker(shard, me.clone());
-        }
-        // One release per shard count: a fair rotation visits every shard
-        // once, so each non-zero shard drains. The old scan-from-0 code
-        // would pop shard 0 twice and leave the last shard untouched.
-        for _ in 0..GATE_SHARDS {
-            assert_eq!(g.release_waking(), Some(me.id()));
-        }
-        assert_eq!(g.parkers[0].lock().len(), 1, "shard 0 must not be drained preferentially");
-        let parked_high: usize = g.parkers.iter().skip(1).map(|s| s.lock().len()).sum();
-        assert_eq!(parked_high, 0, "higher shards must all have been visited");
-        // The leftovers drain too once more releases come in.
-        for _ in 0..4 {
-            g.release();
-        }
-        assert!(g.parkers.iter().all(|s| s.lock().is_empty()));
-    }
-
-    /// The wake rule, white-box: with nobody counted in, a release leaves
-    /// the parker shards alone, even one holding an (uncounted) entry; with
-    /// someone counted in, it pops exactly one entry.
-    #[test]
-    fn release_touches_parker_shards_only_when_someone_is_parked() {
-        let g = PackedGate::new(2);
-        assert_eq!(g.try_acquire_many(2), 2);
-        let me = thread::current();
-        g.parkers[0].lock().push(me.clone());
-        assert_eq!(g.release_waking(), None);
-        assert_eq!(g.parkers[0].lock().len(), 1, "parked == 0: no shard touched");
-        g.plant_parker(1, me.clone());
-        assert_eq!(g.release_waking(), Some(me.id()));
-        let left: usize = g.parkers.iter().map(|s| s.lock().len()).sum();
-        assert_eq!(left, 1, "parked > 0: exactly one entry popped");
-    }
-
-    /// The wake rule's handshake: a thread that has counted in and
-    /// registered is woken by the very next release, not by the 50 ms
-    /// backstop. Asserted on the entry the release popped, not on time.
-    #[test]
-    fn release_pops_the_entry_of_a_registered_parker() {
+    fn a_release_with_nobody_parked_wakes_nobody() {
         let g = Arc::new(PackedGate::new(1));
         assert!(g.try_acquire());
-        let b = thread::spawn({
+        let held = g.gate.hold();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let releaser = thread::spawn({
             let g = Arc::clone(&g);
             move || {
-                assert!(Admission::acquire(&*g));
-                Admission::release(&*g);
+                g.release();
+                tx.send(()).unwrap();
             }
         });
-        let b_id = b.thread().id();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while g.parked.load(Ordering::SeqCst) != 1 || g.parkers.iter().all(|s| s.lock().is_empty())
-        {
-            assert!(std::time::Instant::now() < deadline, "B never counted in and registered");
+        assert!(rx.recv_timeout(Duration::from_secs(10)).is_ok(), "the release took the lock");
+        drop(held);
+        releaser.join().unwrap();
+        assert_eq!(g.in_use(), 0);
+    }
+
+    /// The wake rule's handshake: an acquirer that re-checked the word and
+    /// parked is ended by the very next release, not by the backstop.
+    #[test]
+    fn a_parked_acquire_is_ended_by_the_next_release() {
+        let g = Arc::new(PackedGate::new(1));
+        assert!(g.try_acquire());
+        let checked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let acquirer = thread::spawn({
+            let (g, checked) = (Arc::clone(&g), Arc::clone(&checked));
+            move || {
+                let ready = || {
+                    let ready = g.grantable_or_closed();
+                    checked.store(true, Ordering::SeqCst);
+                    ready
+                };
+                g.gate.park_unless(ready, Duration::from_secs(10))
+            }
+        });
+        while !checked.load(Ordering::SeqCst) {
             thread::yield_now();
         }
-        assert_eq!(g.release_waking(), Some(b_id), "the release popped B's entry");
-        b.join().unwrap();
-        assert_eq!(g.parked.load(Ordering::SeqCst), 0, "B counted out");
-        assert_eq!(g.in_use(), 0);
+        g.release();
+        assert_eq!(acquirer.join().unwrap(), ParkOutcome::Woken);
+        assert!(g.try_acquire(), "the released permit is there for the woken acquirer");
     }
 
     #[test]

@@ -16,7 +16,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use autopn::{ApplyError, AxisRegistry, Config, PnstmActuator, TunableSystem};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use pnstm::park::ParkGate;
 use pnstm::trace::{self, TraceEvent};
 use pnstm::{FaultKind, Stm, StmError};
 
@@ -33,20 +34,13 @@ pub const COMMIT_RING_CAP: usize = 1 << 16;
 /// The monitor's per-commit timestamp stream (nanoseconds since its epoch):
 /// a drop-oldest ring. The tuner drains it only while a window is open, so
 /// an unbounded channel here grew by one `u64` per commit for as long as no
-/// tuner was attached.
+/// tuner was attached. The reader parks on a [`ParkGate`] whose re-check
+/// takes the stamps' mutex, so a push wakes it only when it is counted in.
 pub struct CommitStream {
     epoch: Instant,
-    state: Mutex<RingState>,
-    arrived: Condvar,
+    stamps: Mutex<VecDeque<u64>>,
+    gate: ParkGate,
     dropped: AtomicU64,
-}
-
-#[derive(Default)]
-struct RingState {
-    stamps: VecDeque<u64>,
-    /// The consumer is parked on `arrived`; producers skip the notify (a
-    /// syscall per commit) otherwise.
-    parked: bool,
 }
 
 impl CommitStream {
@@ -57,44 +51,38 @@ impl CommitStream {
 
     /// Append `ts`, overwriting (and counting) the oldest stamp when full.
     pub(crate) fn push(&self, ts: u64) {
-        let mut state = self.state.lock();
-        if state.stamps.len() == COMMIT_RING_CAP {
-            state.stamps.pop_front();
+        let mut stamps = self.stamps.lock();
+        if stamps.len() == COMMIT_RING_CAP {
+            stamps.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        state.stamps.push_back(ts);
-        let parked = state.parked;
-        drop(state);
-        if parked {
-            self.arrived.notify_one();
-        }
+        stamps.push_back(ts);
+        drop(stamps);
+        self.gate.wake_one();
     }
 
     /// The oldest stamp, waiting up to `timeout` for one.
     pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
         loop {
-            if let Some(ts) = state.stamps.pop_front() {
+            if let Some(ts) = self.stamps.lock().pop_front() {
                 return Some(ts);
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;
             }
-            state.parked = true;
-            self.arrived.wait_for(&mut state, left);
-            state.parked = false;
+            self.gate.park_unless(|| self.held() > 0, left);
         }
     }
 
     pub(crate) fn clear(&self) {
-        self.state.lock().stamps.clear();
+        self.stamps.lock().clear();
     }
 
     /// Stamps currently held (at most [`COMMIT_RING_CAP`]).
     pub fn held(&self) -> usize {
-        self.state.lock().stamps.len()
+        self.stamps.lock().len()
     }
 
     /// Stamps overwritten before a reader took them (grows whenever no tuner
@@ -187,8 +175,8 @@ impl LiveRuntime {
     pub fn new(stm: Stm, close: impl Fn() + Send + 'static) -> Self {
         let commits = Arc::new(CommitStream {
             epoch: Instant::now(),
-            state: Mutex::default(),
-            arrived: Condvar::new(),
+            stamps: Mutex::default(),
+            gate: ParkGate::default(),
             dropped: AtomicU64::new(0),
         });
         let supervisor = Supervisor {
@@ -566,6 +554,30 @@ mod tests {
         let first = sys.wait_commit(1_000_000).expect("the stream is full");
         let second = sys.wait_commit(1_000_000).expect("the stream is full");
         assert!(fresh_from <= first && first <= second, "{fresh_from} {first} {second}");
+    }
+
+    /// A stamp pushed after the reader counted in on the stream's park gate
+    /// wakes it: the read returns long before its 30 s timeout.
+    #[test]
+    fn a_reader_counted_in_gets_the_next_stamp() {
+        let stream = Arc::new(CommitStream {
+            epoch: Instant::now(),
+            stamps: Mutex::default(),
+            gate: ParkGate::default(),
+            dropped: AtomicU64::new(0),
+        });
+        let start = Instant::now();
+        let reader = thread::spawn({
+            let stream = Arc::clone(&stream);
+            move || stream.pop_timeout(Duration::from_secs(30))
+        });
+        while stream.gate.parked() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "the reader never counted in");
+            thread::yield_now();
+        }
+        stream.push(42);
+        assert_eq!(reader.join().unwrap(), Some(42));
+        assert!(start.elapsed() < Duration::from_secs(10), "the push did not wake the reader");
     }
 
     #[test]

@@ -313,7 +313,7 @@ fn shutdown_is_bounded_while_admission_is_starved() {
     // t = 1 with 4 workers: three workers are permanently parked on the
     // admission gate, and an aggressive stall plan slows the fourth.
     // Shutdown must still complete promptly: the packed gate's `close()`
-    // must wake workers parked on its sharded parker lists with
+    // must wake every worker parked on its `ParkGate` with
     // `StmError::Shutdown` (the stop flag alone could not) — a lost wakeup
     // would wedge this shutdown.
     shutdown_while_admission_is_starved(SchedMode::default());
