@@ -376,6 +376,25 @@ mod tests {
         assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
     }
 
+    /// Every level of the cm axis goes through the live registry and reads
+    /// back from the STM under its own tag; none is the livelocking
+    /// `immediate` oracle.
+    #[test]
+    fn every_cm_level_round_trips_through_the_stm_registry() {
+        use crate::space::AxisLevels;
+        let stm = Stm::new(StmConfig::default());
+        let mut reg = stm_axis_registry(&stm);
+        let gc_default = reg.space(4).axes()[1].default_level();
+        let cm = Axis::cm_policy();
+        assert_eq!(cm.len(), 3);
+        for level in 0..cm.len() {
+            let cfg = Config::with_axes(1, 1, AxisLevels::from_slice(&[level, gc_default]));
+            reg.enact(cfg).unwrap();
+            assert_eq!(stm.cm_mode().tag(), cm.label_at(level), "level {level}");
+            assert_ne!(cm.label_at(level), "immediate");
+        }
+    }
+
     #[test]
     fn apply_reprovisions_the_scheduler() {
         assert_eq!(helper_demand(Config::new(4, 3)), 8);

@@ -88,8 +88,8 @@ mod tests {
     use std::sync::Arc;
 
     /// Deterministic fake: commit period depends on `(t, c)` *and* on the
-    /// currently enacted policy (Karma is the clear winner, Immediate the
-    /// clear loser), with the optimum at (6, 2) in all cases.
+    /// currently enacted policy (Karma is the clear winner, Greedy the clear
+    /// loser), with the optimum at (6, 2) in all cases.
     struct PolicyFakeSystem {
         now: u64,
         period_ns: u64,
@@ -100,10 +100,10 @@ mod tests {
     impl PolicyFakeSystem {
         fn policy_penalty(idx: usize) -> u64 {
             match CmMode::from_index(idx).expect("cm level") {
-                CmMode::Immediate => 600_000,
                 CmMode::ExpBackoff => 200_000,
                 CmMode::Karma => 0,
                 CmMode::Greedy => 300_000,
+                other => unreachable!("{other} is not a shipped policy"),
             }
         }
         fn period_for(cfg: Config, idx: usize) -> u64 {
@@ -155,7 +155,7 @@ mod tests {
             &TraceBus::default(),
             &TuneOptions::default(),
         );
-        assert_eq!(outcome.sessions.len(), 4, "one full session per policy");
+        assert_eq!(outcome.sessions.len(), 3, "one full session per policy");
         assert_eq!(CmMode::from_index(outcome.best_level), Some(CmMode::Karma));
         assert!(
             (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
@@ -164,11 +164,16 @@ mod tests {
         );
         assert!(!outcome.degraded);
         // The system was left on the winning triple.
-        assert_eq!(policy_idx.load(Ordering::Relaxed), 2, "karma re-enacted after the sweep");
+        assert_eq!(
+            policy_idx.load(Ordering::Relaxed),
+            CmMode::Karma.index(),
+            "karma re-enacted after the sweep"
+        );
         assert_eq!(sys.cfg, outcome.best);
         // Throughputs actually separate the policies as constructed.
         let tp = |m: CmMode| outcome.sessions[m.index()].best_throughput;
-        assert!(tp(CmMode::Karma) > tp(CmMode::Immediate));
+        assert!(tp(CmMode::Karma) > tp(CmMode::ExpBackoff));
+        assert!(tp(CmMode::ExpBackoff) > tp(CmMode::Greedy));
     }
 
     /// Deterministic fake for the GC-budget axis: commit period is parabolic

@@ -3,7 +3,7 @@
 //! ([`ConfigSpace`]): `(t, c)` plus up to [`MAX_AXES`] named discrete axes
 //! ([`Axis`]) — integer axes with ±1-level neighbour moves and log-scaled
 //! encodings ([`Axis::gc_budget`], [`Axis::block_size`]), categorical axes
-//! with one-hot encodings ([`Axis::cm_policy`], [`Axis::sched_mode`]) — so
+//! with one-hot encodings ([`Axis::cm_policy`]) — so
 //! the SMBO model learns across every knob instead of one outer sweep per
 //! discrete value.
 
@@ -354,9 +354,10 @@ impl Axis {
         Self { name, kind, levels, default_level }
     }
 
-    /// The contention-policy axis, categorical over [`pnstm::CmMode::ALL`]
-    /// with the runtime's default; level values are [`pnstm::CmMode::index`]es
-    /// (`CmMode::from_index` maps one back).
+    /// The contention-policy axis, categorical over the three shipped
+    /// policies ([`pnstm::CmMode::ALL`]) with the runtime's default; level
+    /// values are [`pnstm::CmMode::index`]es (`CmMode::from_index` maps one
+    /// back).
     pub fn cm_policy() -> Self {
         let labels: Vec<&'static str> = pnstm::CmMode::ALL.iter().map(|m| m.tag()).collect();
         Self::categorical("cm", &labels, pnstm::CmMode::default().index())
@@ -377,12 +378,6 @@ impl Axis {
     /// window.
     pub fn block_size() -> Self {
         Self::integer_log2("block", &[64, 128, 256, 512, 1024], 256)
-    }
-
-    /// The scheduler-mode axis ([`pnstm::SchedMode`]), categorical; level 0
-    /// is the mutex rung (the STM default), level 1 work-stealing.
-    pub fn sched_mode() -> Self {
-        Self::categorical("sched", &["mutex", "work-stealing"], 0)
     }
 
     pub fn name(&self) -> &'static str {
@@ -798,9 +793,9 @@ mod tests {
     fn product_space_enumeration_is_sorted_and_complete() {
         let space =
             ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::block_size()]);
-        // 20 tc cells × 4 policies × 5 block sizes.
-        assert_eq!(space.len(), SearchSpace::new(8).len() * 4 * 5);
-        assert_eq!(space.dim(), 2 + 4 + 1, "one-hot cm (4) + ordinal block (1)");
+        // 20 tc cells × 3 policies × 5 block sizes.
+        assert_eq!(space.len(), SearchSpace::new(8).len() * 3 * 5);
+        assert_eq!(space.dim(), 2 + 3 + 1, "one-hot cm (3) + ordinal block (1)");
         let mut sorted = space.configs().to_vec();
         sorted.sort();
         assert_eq!(sorted, space.configs(), "enumeration must be binary-searchable");
@@ -821,11 +816,11 @@ mod tests {
     fn axis_encodings_and_neighbours() {
         let space =
             ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::gc_budget()]);
-        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[2, 0])); // karma, gc 32
+        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[1, 0])); // karma, gc 32
         let x = space.encode(cfg);
         assert_eq!(x[..2], [2.0, 2.0]);
-        assert_eq!(x[2..6], [0.0, 0.0, 1.0, 0.0], "karma one-hot");
-        assert_eq!(x[6], 5.0, "gc 32 log2-encoded");
+        assert_eq!(x[2..5], [0.0, 1.0, 0.0], "karma one-hot");
+        assert_eq!(x[5], 5.0, "gc 32 log2-encoded");
         assert_eq!(x.len(), space.dim());
 
         let nbs = space.neighbors(cfg);
@@ -837,9 +832,9 @@ mod tests {
         }
         // Categorical: every other policy. Integer: ±1 level (here only +1).
         let axis_moves: Vec<_> = nbs[tc_moves.len()..].to_vec();
-        assert_eq!(axis_moves.len(), 3 + 1);
+        assert_eq!(axis_moves.len(), 2 + 1);
         assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[0, 0]))));
-        assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[2, 1]))));
+        assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[1, 1]))));
         assert!(!axis_moves.iter().any(|m| m.axes == cfg.axes), "axis moves change a level");
         assert!(nbs.iter().all(|&n| space.contains(n)));
 
@@ -854,17 +849,17 @@ mod tests {
     fn axes_trace_carries_names_values_labels() {
         let space =
             ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::block_size()]);
-        let cfg = Config::with_axes(4, 1, AxisLevels::from_slice(&[3, 1]));
+        let cfg = Config::with_axes(4, 1, AxisLevels::from_slice(&[2, 1]));
         let tr = space.axes_trace(cfg);
         assert_eq!(tr.len(), 2);
         assert_eq!(tr.get("cm").map(|a| a.label), Some("greedy"));
         assert_eq!(tr.get("block").map(|a| (a.value, a.label)), Some((128, "")));
-        assert_eq!(cfg.to_string(), "(4,1)@3.1");
+        assert_eq!(cfg.to_string(), "(4,1)@2.1");
     }
 
     #[test]
     fn builtin_axes_are_well_formed() {
-        for axis in [Axis::cm_policy(), Axis::gc_budget(), Axis::block_size(), Axis::sched_mode()] {
+        for axis in [Axis::cm_policy(), Axis::gc_budget(), Axis::block_size()] {
             assert!(!axis.is_empty());
             assert!(axis.default_level() < axis.len());
             assert_eq!(
@@ -877,9 +872,9 @@ mod tests {
         }
         assert_eq!(Axis::cm_policy().kind(), AxisKind::Categorical);
         assert_eq!(Axis::gc_budget().kind(), AxisKind::Integer);
-        assert_eq!(Axis::cm_policy().display(2), "cm=karma");
+        assert_eq!(Axis::cm_policy().len(), 3, "only the shipped policies");
+        assert_eq!(Axis::cm_policy().display(1), "cm=karma");
         assert_eq!(Axis::gc_budget().display(2), "gc_boxes=128");
-        assert_eq!(Axis::sched_mode().display(1), "sched=work-stealing");
         assert_eq!(
             Axis::gc_budget().default_level(),
             2,

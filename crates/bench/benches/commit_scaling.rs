@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use pnstm::{
-    stripe_of, CommitPath, FaultKind, FaultPlan, FaultRule, ParallelismDegree, Stm, StmConfig, VBox,
+    stripe_of, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm, StmConfig, VBox,
 };
 
 const BOXES_PER_THREAD: usize = 4;
@@ -77,20 +77,24 @@ fn parse_args() -> Config {
     cfg
 }
 
-fn make_stm(path: CommitPath, threads: usize, hold_us: u64) -> Stm {
+/// Striped commit (`None`) or the [`Oracle::GlobalLock`] baseline.
+const STRIPED: Option<Oracle> = None;
+const GLOBAL: Option<Oracle> = Some(Oracle::GlobalLock);
+
+fn make_stm(path: Option<Oracle>, threads: usize, hold_us: u64) -> Stm {
     let fault = (hold_us > 0).then(|| {
         Arc::new(FaultPlan::new(7).with_rule(
             FaultKind::CommitHold,
             FaultRule::with_probability(1.0).delay_ns(hold_us * 1_000),
         ))
     });
-    Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(threads.max(1), 1),
         worker_threads: 1,
         fault,
-        commit_path: path,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, path)
 }
 
 /// Allocate `threads` box sets, each entirely on a stripe no other set uses,
@@ -120,7 +124,7 @@ fn disjoint_sets(stm: &Stm, threads: usize) -> Vec<Vec<VBox<u64>>> {
 
 /// Run `txns` read-modify-write commits per thread over disjoint stripe sets;
 /// return aggregate commits/second.
-fn run(path: CommitPath, threads: usize, txns: u64, hold_us: u64) -> f64 {
+fn run(path: Option<Oracle>, threads: usize, txns: u64, hold_us: u64) -> f64 {
     let stm = make_stm(path, threads, hold_us);
     let sets = disjoint_sets(&stm, threads);
     let barrier = Arc::new(Barrier::new(threads + 1));
@@ -172,8 +176,8 @@ fn main() {
 
     let mut held: Vec<(usize, f64, f64)> = Vec::new();
     for &t in &cfg.threads {
-        let striped = run(CommitPath::Striped, t, cfg.txns, cfg.hold_us);
-        let global = run(CommitPath::GlobalLock, t, cfg.txns, cfg.hold_us);
+        let striped = run(STRIPED, t, cfg.txns, cfg.hold_us);
+        let global = run(GLOBAL, t, cfg.txns, cfg.hold_us);
         let ratio = striped / global;
         println!(
             "{{\"mode\":\"held\",\"threads\":{t},\"striped_cps\":{striped:.1},\
@@ -185,8 +189,8 @@ fn main() {
     // Raw single-thread commit cost, no injected hold: the striped path must
     // not tax the uncontended case.
     let raw_reps = if cfg.smoke { 3 } else { 5 };
-    let raw_striped = best_of(raw_reps, || run(CommitPath::Striped, 1, cfg.raw_txns, 0));
-    let raw_global = best_of(raw_reps, || run(CommitPath::GlobalLock, 1, cfg.raw_txns, 0));
+    let raw_striped = best_of(raw_reps, || run(STRIPED, 1, cfg.raw_txns, 0));
+    let raw_global = best_of(raw_reps, || run(GLOBAL, 1, cfg.raw_txns, 0));
     let raw_ratio = raw_striped / raw_global;
     println!(
         "{{\"mode\":\"raw\",\"threads\":1,\"striped_cps\":{raw_striped:.0},\

@@ -192,8 +192,10 @@ fn main() {
         cfg.threads, cfg.dur_ms, cfg.hold_us
     );
 
-    let mut held = [0f64; pnstm::CM_POLICIES];
-    for mode in CmMode::ALL {
+    // The shipped policies, then the immediate-retry oracle (index
+    // `CM_POLICIES`).
+    let mut held = [0f64; pnstm::CM_POLICIES + 1];
+    for mode in CmMode::ALL.into_iter().chain([CmMode::Immediate]) {
         let ops = run_held(mode, cfg.threads, dur, cfg.hold_us);
         held[mode.index()] = ops;
         println!(

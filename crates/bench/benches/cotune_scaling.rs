@@ -5,7 +5,7 @@
 //! The system is a deterministic virtual-clock fake (so the bench is exact
 //! and runner-load-proof) modelling a high-contention ring: the commit
 //! period is a `(t, c)` bowl with its optimum at `(6, 2)`, plus a contention
-//! penalty minimized by the `Karma` policy (default is `Immediate`) and a
+//! penalty minimized by the `Karma` policy (default is `ExpBackoff`) and a
 //! batching penalty minimized by 512-transaction blocks (default is 256).
 //! Neither discrete axis is at its default at the optimum, so a tuner that
 //! cannot model the axes must sweep them exhaustively.
@@ -90,7 +90,7 @@ impl RingFakeSystem {
             CmMode::Karma => 0.0,
             CmMode::ExpBackoff => 8_000.0,
             CmMode::Greedy => 12_000.0,
-            CmMode::Immediate => 20_000.0,
+            other => unreachable!("{other} is not on the cm axis"),
         };
         let b = self.block_txns.load(Ordering::Relaxed).max(1) as f64;
         let block_penalty = (b.log2() - 9.0).powi(2) * 5_000.0; // optimum: 512

@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use ledger::{skewed_block, Amount, BlockExecutor, ExecMode, LedgerConfig, TransferTxn};
+use ledger::{skewed_block, Amount, BlockExecutor, LedgerConfig, TransferTxn};
 use pnstm::{ParallelismDegree, Stm, StmConfig};
 
 /// The `conflicting_level` account ladder. The gate rung is 100 accounts:
@@ -94,20 +94,26 @@ fn make_stm() -> Stm {
     })
 }
 
-fn ledger_cfg(mode: ExecMode, workers: usize, work_us: u64) -> LedgerConfig {
-    LedgerConfig {
-        exec_mode: mode,
-        workers,
-        work: Duration::from_micros(work_us),
-        ..LedgerConfig::default()
-    }
+fn ledger_cfg(workers: usize, work_us: u64) -> LedgerConfig {
+    LedgerConfig { workers, work: Duration::from_micros(work_us), ..LedgerConfig::default() }
 }
 
-/// Execute `block` once on a fresh executor, returning (txns/sec,
-/// re-executions). A fresh executor per run keeps every rep's starting
-/// balances — and therefore its conflict structure — identical.
-fn run_once(stm: &Stm, initial: &[Amount], cfg: LedgerConfig, block: &[TransferTxn]) -> (f64, u64) {
-    let ex = BlockExecutor::new(stm, initial, cfg);
+/// Execute `block` once on a fresh executor (the sequential oracle when
+/// `sequential`), returning (txns/sec, re-executions). A fresh executor per
+/// run keeps every rep's starting balances — and therefore its conflict
+/// structure — identical.
+fn run_once(
+    stm: &Stm,
+    initial: &[Amount],
+    sequential: bool,
+    cfg: LedgerConfig,
+    block: &[TransferTxn],
+) -> (f64, u64) {
+    let ex = if sequential {
+        BlockExecutor::sequential(stm, initial, cfg)
+    } else {
+        BlockExecutor::new(stm, initial, cfg)
+    };
     let start = Instant::now();
     let out = ex.execute_block(block).expect("admission stays open for the whole bench");
     let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -133,14 +139,9 @@ fn main() {
         let mut reexec_worst = 0;
         let mut ratios = Vec::new();
         for _ in 0..cfg.pairs {
-            let (s, _) =
-                run_once(&stm, &initial, ledger_cfg(ExecMode::Sequential, 1, cfg.work_us), &block);
-            let (p, re) = run_once(
-                &stm,
-                &initial,
-                ledger_cfg(ExecMode::Parallel, cfg.threads, cfg.work_us),
-                &block,
-            );
+            let (s, _) = run_once(&stm, &initial, true, ledger_cfg(1, cfg.work_us), &block);
+            let (p, re) =
+                run_once(&stm, &initial, false, ledger_cfg(cfg.threads, cfg.work_us), &block);
             seq_best = seq_best.max(s);
             par_best = par_best.max(p);
             reexec_worst = reexec_worst.max(re);
@@ -167,9 +168,8 @@ fn main() {
     let mut raw_par = f64::MIN;
     let mut raw_ratios = Vec::new();
     for _ in 0..cfg.pairs.max(3) {
-        let (s, _) =
-            run_once(&stm, &raw_initial, ledger_cfg(ExecMode::Sequential, 1, 0), &raw_block);
-        let (p, _) = run_once(&stm, &raw_initial, ledger_cfg(ExecMode::Parallel, 1, 0), &raw_block);
+        let (s, _) = run_once(&stm, &raw_initial, true, ledger_cfg(1, 0), &raw_block);
+        let (p, _) = run_once(&stm, &raw_initial, false, ledger_cfg(1, 0), &raw_block);
         raw_seq = raw_seq.max(s);
         raw_par = raw_par.max(p);
         raw_ratios.push(p / s);

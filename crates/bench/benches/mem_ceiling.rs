@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use pnstm::{GcMode, MemConfig, ParallelismDegree, Stm, StmConfig, VBox};
+use pnstm::{MemConfig, Oracle, ParallelismDegree, Stm, StmConfig, VBox};
 
 struct Config {
     boxes: usize,
@@ -75,15 +75,16 @@ struct RunStats {
 /// leases on, the run extends past `ops` (unmeasured) until the reader's
 /// eviction has been detected and pruned past, so the final gauge reading is
 /// the plateau and not a race with the lease clock.
-fn run(mode: GcMode, leases: bool, cfg: &Config) -> RunStats {
+fn run(mode: Option<Oracle>, leases: bool, cfg: &Config) -> RunStats {
     let lease = leases.then(|| Duration::from_millis(cfg.lease_ms));
-    let stm = Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 1,
         gc_interval: 64,
-        mem: MemConfig { gc_mode: mode, snapshot_lease: lease, ..MemConfig::default() },
+        mem: MemConfig { snapshot_lease: lease, ..MemConfig::default() },
         ..StmConfig::default()
-    });
+    };
+    let stm = Stm::with_oracle(config, mode);
     let boxes: Arc<Vec<VBox<u64>>> = Arc::new((0..cfg.boxes).map(|_| stm.new_vbox(0u64)).collect());
 
     // The pinned long-running reader: registers, reports in, parks.
@@ -193,13 +194,13 @@ fn main() {
     // noisy pair (same hazard treatment as the scaling benches).
     let mut pairs = Vec::new();
     for rep in 0..3 {
-        let b = run(GcMode::Background, true, &cfg);
+        let b = run(None, true, &cfg);
         report(&format!("background+leases/{rep}"), &b);
-        let i = run(GcMode::Inline, true, &cfg);
+        let i = run(Some(Oracle::InlineGc), true, &cfg);
         report(&format!("inline+leases/{rep}"), &i);
         pairs.push((b, i));
     }
-    let unbounded = run(GcMode::Inline, false, &cfg);
+    let unbounded = run(Some(Oracle::InlineGc), false, &cfg);
     report("inline+no-leases", &unbounded);
 
     let ratio = bench::paired_median(

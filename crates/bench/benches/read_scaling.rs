@@ -6,8 +6,8 @@
 //! workload the lock-free read ladder is built for. Every child read probes
 //! the parent scope, and each probe is inflated deterministically with a
 //! `ReadHold` fault (a sleep taken at the ancestor-probe site). Under
-//! [`ReadPathMode::Locked`] the hold is taken while holding the level's
-//! commit lock, so sibling reads queue; under the default lock-free path the
+//! [`Oracle::LockedReads`] the hold is taken while holding the level's
+//! commit lock, so sibling reads queue; under the shipped lock-free path the
 //! holds overlap — which makes the serialization difference visible even on
 //! a single-core runner, exactly like the `commit_scaling` bench does for
 //! the commit path.
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pnstm::{
-    child, FaultKind, FaultPlan, FaultRule, ParallelismDegree, ReadPathMode, Stm, StmConfig, VBox,
+    child, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm, StmConfig, VBox,
 };
 
 const SHARED_BOXES: usize = 8;
@@ -79,26 +79,30 @@ fn parse_args() -> Config {
     cfg
 }
 
-fn make_stm(mode: ReadPathMode, children: usize, hold_us: u64) -> Stm {
+/// The lock-free read path (`None`) or the [`Oracle::LockedReads`] baseline.
+const LOCK_FREE: Option<Oracle> = None;
+const LOCKED: Option<Oracle> = Some(Oracle::LockedReads);
+
+fn make_stm(mode: Option<Oracle>, children: usize, hold_us: u64) -> Stm {
     let fault = (hold_us > 0).then(|| {
         Arc::new(FaultPlan::new(11).with_rule(
             FaultKind::ReadHold,
             FaultRule::with_probability(1.0).delay_ns(hold_us * 1_000),
         ))
     });
-    Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(1, children.max(1)),
         worker_threads: children.max(1),
         fault,
-        read_path: mode,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, mode)
 }
 
 /// One top-level transaction: write the shared block, then fan out
 /// `children` read-only children that each read it back `reads` times.
 /// Returns aggregate child reads/second over the `parallel()` region.
-fn run(mode: ReadPathMode, children: usize, reads: u64, hold_us: u64) -> f64 {
+fn run(mode: Option<Oracle>, children: usize, reads: u64, hold_us: u64) -> f64 {
     let stm = make_stm(mode, children, hold_us);
     let boxes: Vec<VBox<u64>> = (0..SHARED_BOXES).map(|i| stm.new_vbox(i as u64)).collect();
     let mut elapsed = 0.0f64;
@@ -194,8 +198,8 @@ fn main() {
 
     let mut held: Vec<(usize, f64, f64)> = Vec::new();
     for &c in &cfg.children {
-        let lockfree = run(ReadPathMode::LockFree, c, cfg.reads, cfg.hold_us);
-        let locked = run(ReadPathMode::Locked, c, cfg.reads, cfg.hold_us);
+        let lockfree = run(LOCK_FREE, c, cfg.reads, cfg.hold_us);
+        let locked = run(LOCKED, c, cfg.reads, cfg.hold_us);
         let ratio = lockfree / locked;
         println!(
             "{{\"mode\":\"held\",\"children\":{c},\"lockfree_rps\":{lockfree:.1},\
@@ -207,8 +211,8 @@ fn main() {
     // Raw single-child read cost, no injected hold: the filter and snapshot
     // machinery must not tax the uncontended case.
     let raw_reps = if cfg.smoke { 1 } else { 5 };
-    let raw_lockfree = best_of(raw_reps, || run(ReadPathMode::LockFree, 1, cfg.raw_reads, 0));
-    let raw_locked = best_of(raw_reps, || run(ReadPathMode::Locked, 1, cfg.raw_reads, 0));
+    let raw_lockfree = best_of(raw_reps, || run(LOCK_FREE, 1, cfg.raw_reads, 0));
+    let raw_locked = best_of(raw_reps, || run(LOCKED, 1, cfg.raw_reads, 0));
     let raw_ratio = raw_lockfree / raw_locked;
     println!(
         "{{\"mode\":\"raw\",\"children\":1,\"lockfree_rps\":{raw_lockfree:.0},\

@@ -4,9 +4,9 @@
 //! `c` trivial children — the fine-grained-task workload the work-stealing
 //! scheduler is built for. Every task dispatch is inflated deterministically
 //! with a `ChildStall` fault (a sleep taken at the scheduler's task-claim
-//! site). Under [`SchedMode::Mutex`] the stall is taken while holding the
+//! site). Under [`Oracle::MutexSched`] the stall is taken while holding the
 //! batch's queue mutex, so sibling dispatches of one batch queue behind each
-//! other; under [`SchedMode::WorkStealing`] the claim is a lock-free CAS and
+//! other; under the shipped work-stealing pool the claim is a lock-free CAS and
 //! the stall lands after it, so the `c` holds of a batch overlap — which
 //! makes the dispatch-serialization difference visible even on a single-core
 //! runner, exactly like `commit_scaling` does for the commit path and
@@ -25,7 +25,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use pnstm::{child, FaultKind, FaultPlan, FaultRule, ParallelismDegree, SchedMode, Stm, StmConfig};
+use pnstm::{child, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm, StmConfig};
 
 struct Config {
     children: Vec<usize>,
@@ -79,26 +79,30 @@ fn parse_args() -> Config {
     cfg
 }
 
-fn make_stm(mode: SchedMode, t: usize, c: usize, hold_us: u64) -> Stm {
+/// The work-stealing scheduler (`None`) or the [`Oracle::MutexSched`] pair.
+const STEALING: Option<Oracle> = None;
+const MUTEX: Option<Oracle> = Some(Oracle::MutexSched);
+
+fn make_stm(mode: Option<Oracle>, t: usize, c: usize, hold_us: u64) -> Stm {
     let fault = (hold_us > 0).then(|| {
         Arc::new(FaultPlan::new(13).with_rule(
             FaultKind::ChildStall,
             FaultRule::with_probability(1.0).delay_ns(hold_us * 1_000),
         ))
     });
-    Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(t.max(1), c.max(1)),
         // The parent is one executor per tree; helpers cover the rest.
         worker_threads: t * c.saturating_sub(1),
         fault,
-        sched_mode: mode,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, mode)
 }
 
 /// `t` threads each run `txns` fork/join transactions fanning out `c`
 /// trivial children; return aggregate child dispatches/second.
-fn run(mode: SchedMode, t: usize, c: usize, txns: u64, hold_us: u64) -> f64 {
+fn run(mode: Option<Oracle>, t: usize, c: usize, txns: u64, hold_us: u64) -> f64 {
     let stm = make_stm(mode, t, c, hold_us);
     let barrier = Arc::new(Barrier::new(t + 1));
     let handles: Vec<_> = (0..t)
@@ -144,8 +148,8 @@ fn main() {
 
     let mut held: Vec<(usize, f64, f64)> = Vec::new();
     for &c in &cfg.children {
-        let stealing = run(SchedMode::WorkStealing, cfg.threads, c, cfg.txns, cfg.hold_us);
-        let mutex = run(SchedMode::Mutex, cfg.threads, c, cfg.txns, cfg.hold_us);
+        let stealing = run(STEALING, cfg.threads, c, cfg.txns, cfg.hold_us);
+        let mutex = run(MUTEX, cfg.threads, c, cfg.txns, cfg.hold_us);
         let ratio = stealing / mutex;
         println!(
             "{{\"mode\":\"held\",\"threads\":{},\"children\":{c},\
@@ -165,8 +169,8 @@ fn main() {
     let mut raw_mutex = f64::MIN;
     let mut ratios = Vec::new();
     for _ in 0..raw_pairs {
-        let s = run(SchedMode::WorkStealing, 1, 1, cfg.raw_txns, 0);
-        let m = run(SchedMode::Mutex, 1, 1, cfg.raw_txns, 0);
+        let s = run(STEALING, 1, 1, cfg.raw_txns, 0);
+        let m = run(MUTEX, 1, 1, cfg.raw_txns, 0);
         raw_stealing = raw_stealing.max(s);
         raw_mutex = raw_mutex.max(m);
         ratios.push(s / m);

@@ -1,51 +1,38 @@
-//! The two execution rungs: the optimistic parallel [`BlockExecutor`] and
-//! the sequential replay it must be indistinguishable from.
+//! The optimistic parallel [`BlockExecutor`].
 //!
-//! A block commits in deterministic index order regardless of rung: the
-//! parallel executor runs transactions optimistically against the
-//! multi-version scratch ([`crate::mv`]) under the collaborative scheduler
-//! ([`crate::sched`]), then installs the chain heads into the `pnstm` base
-//! state as one commit; the sequential rung replays transactions one
-//! `Stm::atomic` at a time. `LedgerConfig::exec_mode` selects the rung, so
-//! the same call sites serve as bench baseline and differential oracle.
+//! A block commits in deterministic index order: the executor runs
+//! transactions optimistically against the multi-version scratch
+//! ([`crate::mv`]) under the collaborative scheduler ([`crate::sched`]),
+//! then installs the chain heads into the `pnstm` base state as one commit.
+//! With the `oracle` feature, `BlockExecutor::sequential` builds the
+//! executor it must be indistinguishable from: the same call sites replay
+//! transactions one `Stm::atomic` at a time, as bench baseline and
+//! differential oracle.
 
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use pnstm::sched::Task as PoolTask;
-use pnstm::{Scheduler, Stm, StmError, TraceEvent, VBox, WorkStealingPool};
+use pnstm::{Stm, StmError, TraceEvent, VBox, WorkStealingPool};
 
 use crate::mv::{MvMemory, ReadOrigin, ReadResult, ReadSet};
 use crate::sched::{BlockScheduler, Task};
 use crate::txn::{self, AccountId, Amount, TransferTxn, TxnOutput};
 
-/// Which rung executes blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Block-STM-style optimistic parallel execution.
-    Parallel,
-    /// Index-order replay, one `Stm::atomic` per transaction — the
-    /// differential oracle and bench baseline.
-    Sequential,
-}
-
 /// Ledger-mode configuration.
 #[derive(Debug, Clone)]
 pub struct LedgerConfig {
-    pub exec_mode: ExecMode,
-    /// Parallel rung only: worker threads driving the block (the executor
-    /// keeps a `pnstm` work-stealing pool of `workers - 1` helpers; the
-    /// calling thread is always the first worker).
+    /// Worker threads driving the block (the executor keeps a `pnstm`
+    /// work-stealing pool of `workers - 1` helpers; the calling thread is
+    /// always the first worker).
     pub workers: usize,
     /// [`BlockExecutor::execute_all`] splits a transaction stream into
     /// blocks of this size — the per-block tuning surface the `autopn`
     /// `BlockSize` axis sweeps.
     pub block_size: usize,
-    /// Simulated per-execution work (spent once per incarnation, and once
-    /// per transaction on the sequential rung). Benchmarks use this the same
+    /// Simulated per-execution work (spent once per incarnation). Benchmarks use this the same
     /// way the scaling benches use injected commit holds: it models the
     /// non-transactional compute a real transaction would do, so parallel
     /// speedups are observable even on a loaded 1-core runner.
@@ -54,7 +41,7 @@ pub struct LedgerConfig {
 
 impl Default for LedgerConfig {
     fn default() -> Self {
-        Self { exec_mode: ExecMode::Parallel, workers: 4, block_size: 256, work: Duration::ZERO }
+        Self { workers: 4, block_size: 256, work: Duration::ZERO }
     }
 }
 
@@ -64,8 +51,7 @@ pub struct BlockOutcome {
     /// Per-transaction outputs, in block order. Part of the differential
     /// contract together with the final balances.
     pub outputs: Vec<TxnOutput>,
-    /// Incarnation re-executions the block needed (0 on the sequential
-    /// rung; bounded by conflicts on the parallel one).
+    /// Incarnation re-executions the block needed (bounded by conflicts).
     pub reexecutions: u64,
 }
 
@@ -101,6 +87,10 @@ pub struct BlockExecutor {
     /// block uses. Capped by `cfg.workers` (the pool's provisioned size);
     /// retargetable mid-stream, taking effect at the next block boundary.
     live_workers: AtomicUsize,
+    /// Replay blocks one `Stm::atomic` per transaction instead (the
+    /// sequential oracle).
+    #[cfg(any(test, feature = "oracle"))]
+    sequential: bool,
 }
 
 impl BlockExecutor {
@@ -117,7 +107,23 @@ impl BlockExecutor {
             stm.trace_bus().clone(),
         );
         let live_workers = AtomicUsize::new(cfg.workers.max(1));
-        Self { stm: stm.clone(), accounts, cfg, pool, live_workers }
+        Self {
+            stm: stm.clone(),
+            accounts,
+            cfg,
+            pool,
+            live_workers,
+            #[cfg(any(test, feature = "oracle"))]
+            sequential: false,
+        }
+    }
+
+    /// The sequential-replay oracle over the same accounts and call sites:
+    /// each block runs in index order, one `Stm::atomic` per transaction,
+    /// spending `cfg.work` once per transaction.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn sequential(stm: &Stm, initial: &[Amount], cfg: LedgerConfig) -> Self {
+        Self { sequential: true, ..Self::new(stm, initial, cfg) }
     }
 
     /// Retarget how many workers drive subsequent blocks, clamped to
@@ -138,14 +144,14 @@ impl BlockExecutor {
         self.stm.read_only(|snap| self.accounts.iter().map(|b| snap.read(b)).collect())
     }
 
-    /// Execute one block on the configured rung. Mid-block
-    /// [`Stm::close_admission`] aborts the block with [`StmError::Shutdown`]
-    /// without installing anything.
+    /// Execute one block. Mid-block [`Stm::close_admission`] aborts the
+    /// block with [`StmError::Shutdown`] without installing anything.
     pub fn execute_block(&self, block: &[TransferTxn]) -> Result<BlockOutcome, StmError> {
-        match self.cfg.exec_mode {
-            ExecMode::Sequential => self.execute_sequential(block),
-            ExecMode::Parallel => self.execute_parallel(block),
+        #[cfg(any(test, feature = "oracle"))]
+        if self.sequential {
+            return self.execute_sequential(block);
         }
+        self.execute_parallel(block)
     }
 
     /// Split a transaction stream into `block_size` blocks and execute them
@@ -154,13 +160,15 @@ impl BlockExecutor {
         txns.chunks(self.cfg.block_size.max(1)).map(|b| self.execute_block(b)).collect()
     }
 
+    #[cfg(any(test, feature = "oracle"))]
     fn execute_sequential(&self, block: &[TransferTxn]) -> Result<BlockOutcome, StmError> {
         let mut outputs = Vec::with_capacity(block.len());
         for txn in block {
             let accounts = &self.accounts;
             let work = self.cfg.work;
             let out = self.stm.atomic(move |tx| {
-                let exec = txn::execute(txn, |a| Ok::<_, Infallible>(tx.read(&accounts[a])));
+                let exec =
+                    txn::execute(txn, |a| Ok::<_, std::convert::Infallible>(tx.read(&accounts[a])));
                 let (writes, out) = exec.unwrap_or_else(|e| match e {});
                 if !work.is_zero() {
                     std::thread::sleep(work);
@@ -325,18 +333,14 @@ mod tests {
         })
     }
 
-    fn sequential(workers: usize) -> LedgerConfig {
-        LedgerConfig { exec_mode: ExecMode::Sequential, workers, ..LedgerConfig::default() }
-    }
-
-    fn parallel(workers: usize) -> LedgerConfig {
-        LedgerConfig { exec_mode: ExecMode::Parallel, workers, ..LedgerConfig::default() }
+    fn workers(workers: usize) -> LedgerConfig {
+        LedgerConfig { workers, ..LedgerConfig::default() }
     }
 
     #[test]
     fn sequential_rung_replays_in_order() {
         let stm = stm();
-        let ex = BlockExecutor::new(&stm, &[100, 0, 0], sequential(1));
+        let ex = BlockExecutor::sequential(&stm, &[100, 0, 0], workers(1));
         let block = [
             TransferTxn { from: 0, to: 1, amount: 60 },
             TransferTxn { from: 1, to: 2, amount: 50 }, // only valid after txn 0
@@ -354,8 +358,8 @@ mod tests {
         let stm = stm();
         let block = skewed_block(7, 200, 4, 50); // 4 accounts → heavy conflicts
         let initial = vec![100; 4];
-        let seq = BlockExecutor::new(&stm, &initial, sequential(1));
-        let par = BlockExecutor::new(&stm, &initial, parallel(4));
+        let seq = BlockExecutor::sequential(&stm, &initial, workers(1));
+        let par = BlockExecutor::new(&stm, &initial, workers(4));
         let seq_out = seq.execute_block(&block).unwrap();
         let par_out = par.execute_block(&block).unwrap();
         assert_eq!(par.balances(), seq.balances());
@@ -365,7 +369,7 @@ mod tests {
     #[test]
     fn parallel_single_worker_degenerates_cleanly() {
         let stm = stm();
-        let ex = BlockExecutor::new(&stm, &[10, 10], parallel(1));
+        let ex = BlockExecutor::new(&stm, &[10, 10], workers(1));
         let out = ex.execute_block(&[TransferTxn { from: 0, to: 1, amount: 5 }]).unwrap();
         assert_eq!(ex.balances(), vec![5, 15]);
         assert_eq!(out.reexecutions, 0);
@@ -374,7 +378,7 @@ mod tests {
     #[test]
     fn empty_block_commits_trivially() {
         let stm = stm();
-        let ex = BlockExecutor::new(&stm, &[1, 2], parallel(2));
+        let ex = BlockExecutor::new(&stm, &[1, 2], workers(2));
         let out = ex.execute_block(&[]).unwrap();
         assert!(out.outputs.is_empty());
         assert_eq!(ex.balances(), vec![1, 2]);
@@ -383,7 +387,7 @@ mod tests {
     #[test]
     fn execute_all_chunks_by_block_size() {
         let stm = stm();
-        let cfg = LedgerConfig { block_size: 8, ..parallel(2) };
+        let cfg = LedgerConfig { block_size: 8, ..workers(2) };
         let ex = BlockExecutor::new(&stm, &[1000, 1000, 1000], cfg);
         let outcomes = ex.execute_all(&skewed_block(3, 20, 3, 10)).unwrap();
         assert_eq!(outcomes.len(), 3, "20 txns / 8 per block = 3 blocks");
@@ -394,7 +398,7 @@ mod tests {
     #[test]
     fn live_worker_knob_clamps_and_applies() {
         let stm = stm();
-        let ex = BlockExecutor::new(&stm, &[100, 100, 100], parallel(4));
+        let ex = BlockExecutor::new(&stm, &[100, 100, 100], workers(4));
         assert_eq!(ex.workers(), 4);
         ex.set_workers(2);
         assert_eq!(ex.workers(), 2);
@@ -411,7 +415,7 @@ mod tests {
     #[test]
     fn closed_admission_aborts_the_block_with_shutdown() {
         let stm = stm();
-        let ex = BlockExecutor::new(&stm, &[50, 50], parallel(2));
+        let ex = BlockExecutor::new(&stm, &[50, 50], workers(2));
         stm.close_admission();
         let err = ex.execute_block(&[TransferTxn { from: 0, to: 1, amount: 1 }]);
         assert!(matches!(err, Err(StmError::Shutdown)));

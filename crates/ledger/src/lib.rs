@@ -3,9 +3,9 @@
 //! A production-shaped front-end for the PN-STM substrate: take a *block* of
 //! transfer transactions, execute it optimistically in parallel, and commit
 //! with the semantics of executing the block **sequentially in index
-//! order**. The parallel rung is adversarially checked against the retained
-//! [`ExecMode::Sequential`] oracle — same transaction logic, same outputs,
-//! byte-identical final state.
+//! order**. The executor is adversarially checked against a sequential
+//! replay (the `oracle` feature's `BlockExecutor::sequential`) — same
+//! transaction logic, same outputs, byte-identical final state.
 //!
 //! The moving parts, Block-STM shaped:
 //!
@@ -37,7 +37,7 @@ pub mod mv;
 pub mod sched;
 pub mod txn;
 
-pub use exec::{BlockExecutor, BlockOutcome, ExecMode, LedgerConfig};
+pub use exec::{BlockExecutor, BlockOutcome, LedgerConfig};
 pub use mv::{MvMemory, ReadOrigin, ReadResult};
 pub use sched::BlockScheduler;
 pub use txn::{execute, skewed_block, AccountId, Amount, TransferTxn, TxnOutput};

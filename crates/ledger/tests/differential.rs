@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use ledger::{BlockExecutor, ExecMode, LedgerConfig, TransferTxn};
+use ledger::{BlockExecutor, LedgerConfig, TransferTxn};
 use pnstm::{ParallelismDegree, Stm, StmConfig};
 
 fn stm() -> Stm {
@@ -49,16 +49,13 @@ proptest! {
         workers in 1usize..=4,
     ) {
         let stm = stm();
-        let seq = BlockExecutor::new(
+        let seq = BlockExecutor::sequential(
             &stm,
             &initial,
-            LedgerConfig { exec_mode: ExecMode::Sequential, workers: 1, ..LedgerConfig::default() },
+            LedgerConfig { workers: 1, ..LedgerConfig::default() },
         );
-        let par = BlockExecutor::new(
-            &stm,
-            &initial,
-            LedgerConfig { exec_mode: ExecMode::Parallel, workers, ..LedgerConfig::default() },
-        );
+        let par =
+            BlockExecutor::new(&stm, &initial, LedgerConfig { workers, ..LedgerConfig::default() });
         let seq_out = seq.execute_block(&block).unwrap();
         let par_out = par.execute_block(&block).unwrap();
 

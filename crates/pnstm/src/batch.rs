@@ -1,11 +1,13 @@
-//! The one child-batch execution core behind both scheduler rungs.
+//! The child-batch execution core: [`Pool`], a resizable set of helper
+//! threads over a [`Registry`] of published batches.
 //!
-//! [`crate::pool::ChildPool`] and [`crate::sched::WorkStealingPool`] are the
-//! same [`Pool`] over two [`Registry`] implementations: a rung only says how
-//! tasks are queued ([`TaskQueue`]) and how idle workers discover batches
-//! ([`Registry`]). Everything else — remaining/helper accounting, the finish
-//! guard, the join parker, worker supervision, resize, and the **hand-off
-//! decision** — lives here once.
+//! The shipped scheduler is [`crate::sched::WorkStealingPool`]. With the
+//! `oracle` feature, the mutex-queue `ChildPool` is the same [`Pool`] over a
+//! second registry, and [`ChildScheduler`] holds either one. A registry only
+//! says how tasks are queued ([`TaskQueue`]) and how idle workers discover
+//! batches ([`Registry`]). Everything else lives here once: the
+//! remaining/helper accounting, the finish guard, the join parker, worker
+//! supervision, resize, and the **hand-off decision**.
 //!
 //! # Hand-off on demand
 //!
@@ -15,11 +17,12 @@
 //! exceeds the hand-off cost, where `d̄` is the pool-wide EWMA of the
 //! parent-observed per-child time (dispatch stalls included) and the cost is
 //! the EWMA of measured publish → first-helper-claim latencies, seeded by
-//! [`HANDOFF_SEED_NS`]. The rule is three [`Scheduler`] questions
-//! (`publish_now`, `publish_late`, `observe_withheld`) plus `hand_off`, the
-//! published branch; `run_batch` below and `Txn::parallel` ask the same
-//! three, and a withheld batch builds no [`Batch`] at all unless it
-//! publishes late. Invariants:
+//! [`HANDOFF_SEED_NS`]. The rule is three questions
+//! ([`Pool::publish_now`], [`Pool::publish_late`],
+//! [`Pool::observe_withheld`]) plus [`Pool::hand_off`], the published
+//! branch; `run_batch` below and `Txn::parallel` ask the same three, and a
+//! withheld batch builds no [`Batch`] at all unless it publishes late.
+//! Invariants:
 //!
 //! * **Parent is always an executor** — the calling thread drains its own
 //!   batch whether or not anyone helps (deadlock freedom at any depth).
@@ -31,7 +34,7 @@
 //! * **`helper_limit` still caps helpers**; `helper_limit == 0` runs inline
 //!   and never touches the pool or the clock.
 //!
-//! The items here are `pub` only because the two public pool aliases name
+//! The items here are `pub` only because the public pool aliases name
 //! them; the module itself is private to the crate.
 
 use parking_lot::Mutex;
@@ -43,7 +46,7 @@ use std::thread;
 
 use crate::fault::{FaultCtx, FaultKind};
 use crate::park::{ParkGate, IDLE_WAIT};
-use crate::sched::{Scheduler, Task};
+use crate::sched::{Task, WorkStealingPool};
 use crate::stats::{ewma, Stats};
 use crate::trace::{self, TraceBus, TraceEvent};
 
@@ -236,8 +239,22 @@ impl<R> PoolShared<R> {
 }
 
 /// A resizable pool of worker threads that help execute child batches; see
-/// the module docs. [`crate::pool::ChildPool`] and
-/// [`crate::sched::WorkStealingPool`] are its two instantiations.
+/// the module docs. [`crate::sched::WorkStealingPool`] is the shipped
+/// instantiation.
+///
+/// Contract:
+///
+/// * [`Pool::run_batch`] returns only when every task has run exactly once.
+/// * The *calling* thread always executes tasks alongside at most
+///   `helper_limit` pool workers — this is what makes deep nesting
+///   deadlock-free (a blocked parent drains its own children) and what lets
+///   `helper_limit = 0` degenerate to sequential execution.
+/// * A panic in a caller-executed task is re-raised on the caller only after
+///   the batch has fully drained; a panic on a worker is absorbed (the txn
+///   layer carries child panics in its result slots).
+/// * [`Pool::resize`] may be called concurrently with in-flight batches;
+///   shrinking lets surplus workers retire between tasks and never strands a
+///   batch.
 pub struct Pool<R: Registry> {
     shared: Arc<PoolShared<R>>,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -292,8 +309,8 @@ impl<R: Registry> Pool<R> {
         handles.retain(|h| !h.is_finished());
     }
 
-    /// [`Scheduler::hand_off`], holding a caller-side panic in
-    /// `caller_panic` instead of re-raising it.
+    /// [`Pool::hand_off`], holding a caller-side panic in `caller_panic`
+    /// instead of re-raising it.
     fn run_published(
         &self,
         tasks: Vec<Task>,
@@ -332,10 +349,10 @@ impl<R: Registry> Pool<R> {
         sh.stats.record_deque_overflow(overflowed as u64);
         (stolen, overflowed)
     }
-}
 
-impl<R: Registry> Scheduler for Pool<R> {
-    fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
+    /// Execute `tasks` to completion with at most `helper_limit` pool
+    /// workers helping the calling thread, under the hand-off rule.
+    pub fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
         let n = tasks.len();
         if n == 0 {
             return;
@@ -377,7 +394,10 @@ impl<R: Registry> Scheduler for Pool<R> {
         }
     }
 
-    fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
+    /// Should a batch of `n` tasks be published before its caller runs any
+    /// of it? Only when `n · d̄ · (1 − 1/c)` exceeds the hand-off cost, or the
+    /// pool has no history yet; never for `helper_limit == 0` or `n == 1`.
+    pub fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
         if helper_limit == 0 || n < 2 {
             return false;
         }
@@ -390,18 +410,30 @@ impl<R: Registry> Scheduler for Pool<R> {
         (n as u64).saturating_mul(child_ns) / c * (c - 1) > sh.handoff_ns.load(Ordering::Relaxed)
     }
 
-    fn publish_late(&self, spent_ns: u64) -> bool {
+    /// Asked after each task of a withheld batch with tasks left: has the
+    /// caller, `spent_ns` into the batch, spent more than one hand-off cost?
+    /// Then the unstarted rest goes to [`Pool::hand_off`] at once.
+    pub fn publish_late(&self, spent_ns: u64) -> bool {
         spent_ns > self.shared.handoff_ns.load(Ordering::Relaxed)
     }
 
-    fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
+    /// The caller ran `ran` tasks of a withheld batch with `helper_limit > 0`
+    /// in `spent_ns`: one sample of `d̄`. `published` says whether the rest
+    /// was handed off late; a batch that stayed withheld counts as
+    /// `sched_handoffs_elided`.
+    pub fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
         self.shared.observe(spent_ns, ran as u64);
         if !published {
             self.shared.stats.record_handoff(false);
         }
     }
 
-    fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
+    /// Publish `tasks` now (`helper_limit > 0`; the caller has already asked
+    /// the rule) and run them to completion with the caller as one executor.
+    /// Samples `d̄` from the caller's own drain and counts the hand-off.
+    /// Returns `(stolen, overflowed)`: tasks helpers ran, and tasks beyond
+    /// the registry's fast structure.
+    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
         let mut caller_panic = None;
         let counts = self.run_published(tasks, helper_limit, &mut caller_panic);
         if let Some(payload) = caller_panic {
@@ -410,18 +442,22 @@ impl<R: Registry> Scheduler for Pool<R> {
         counts
     }
 
-    fn resize(&self, size: usize) {
+    /// Retarget the worker-thread count. Growth spawns immediately; shrink
+    /// retires surplus workers after their current task.
+    pub fn resize(&self, size: usize) {
         self.shared.target_size.store(size, Ordering::SeqCst);
         self.spawn_up_to(size);
         // Wake idle workers so surplus ones can observe the shrink and exit.
         self.shared.idle.wake_all();
     }
 
-    fn size(&self) -> usize {
+    /// The worker-thread count currently targeted.
+    pub fn size(&self) -> usize {
         self.shared.target_size.load(Ordering::Acquire)
     }
 
-    fn live_workers(&self) -> usize {
+    /// Live worker threads right now (lags [`Pool::size`] during resize).
+    pub fn live_workers(&self) -> usize {
         self.shared.live_workers.load(Ordering::Acquire)
     }
 }
@@ -462,6 +498,55 @@ fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
             let _ = catch_unwind(AssertUnwindSafe(|| batch.run(task)));
         }
         batch.helpers.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The child-task scheduler an [`crate::Stm`] runs: the shipped
+/// work-stealing pool, or, with the `oracle` feature, the mutex pool beside
+/// it. Each method is the [`crate::WorkStealingPool`] method of the same
+/// name.
+pub enum ChildScheduler {
+    WorkStealing(WorkStealingPool),
+    #[cfg(any(test, feature = "oracle"))]
+    Mutex(crate::pool::ChildPool),
+}
+
+/// `$body` over whichever pool `$sched` holds, bound to `$pool`.
+macro_rules! on_pool {
+    ($sched:expr, $pool:ident => $body:expr) => {
+        match $sched {
+            ChildScheduler::WorkStealing($pool) => $body,
+            #[cfg(any(test, feature = "oracle"))]
+            ChildScheduler::Mutex($pool) => $body,
+        }
+    };
+}
+
+impl ChildScheduler {
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
+        on_pool!(self, p => p.run_batch(tasks, helper_limit))
+    }
+    pub fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
+        on_pool!(self, p => p.publish_now(n, helper_limit))
+    }
+    pub fn publish_late(&self, spent_ns: u64) -> bool {
+        on_pool!(self, p => p.publish_late(spent_ns))
+    }
+    pub fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
+        on_pool!(self, p => p.observe_withheld(spent_ns, ran, published))
+    }
+    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
+        on_pool!(self, p => p.hand_off(tasks, helper_limit))
+    }
+    pub fn resize(&self, size: usize) {
+        on_pool!(self, p => p.resize(size))
+    }
+    pub fn size(&self) -> usize {
+        on_pool!(self, p => p.size())
+    }
+    pub fn live_workers(&self) -> usize {
+        on_pool!(self, p => p.live_workers())
     }
 }
 

@@ -5,14 +5,13 @@
 //! revalidation failure path — which lets two writers with overlapping
 //! footprints invalidate each other's snapshots forever under sustained
 //! contention (the `commit-hold` chaos livelock). This module makes the
-//! retry delay a policy, following the commit/read/scheduler ladder pattern:
-//! a [`ContentionManager`] trait with four rungs selected by
-//! [`crate::StmConfig::cm_mode`] and switchable at runtime
+//! retry delay a policy: a [`ContentionManager`] trait with three rungs
+//! selected by [`crate::StmConfig::cm_mode`] and switchable at runtime
 //! ([`crate::Stm::set_cm_mode`]) so the AutoPN tuner can treat the policy as
-//! a discrete knob:
+//! a discrete knob. (The original immediate retry, which livelocks, is the
+//! `oracle` feature's `CmMode::Immediate`, kept as the differential oracle
+//! and bench baseline.)
 //!
-//! * [`CmMode::Immediate`] — retry with no delay: the original behaviour,
-//!   retained as the differential oracle and bench baseline.
 //! * [`CmMode::ExpBackoff`] — the default. The first abort of a chain
 //!   retries at once; from the second consecutive abort on, a jittered
 //!   exponential delay doubling per abort (capped at 2⁶×). The jitter is a
@@ -41,8 +40,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
-/// Number of contention-manager policies (the length of [`CmMode::ALL`]).
-pub const CM_POLICIES: usize = 4;
+/// Number of shipped contention-manager policies (the length of
+/// [`CmMode::ALL`]).
+pub const CM_POLICIES: usize = 3;
 
 /// Base delay of the exponential-backoff rung: the wait after a chain's
 /// second consecutive abort.
@@ -76,11 +76,11 @@ pub const PERMIT_RELEASE_THRESHOLD_NS: u64 = 100_000;
 const WAIT_SLICE: Duration = Duration::from_micros(200);
 
 /// Which contention-management policy decides post-abort retry delays.
+///
+/// Non-exhaustive: the `oracle` feature adds the retired `Immediate` rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[non_exhaustive]
 pub enum CmMode {
-    /// Retry immediately (the pre-CM behaviour; differential oracle and
-    /// bench baseline).
-    Immediate,
     /// Retry the first abort at once, then jittered exponential backoff,
     /// doubling per further consecutive abort. The default.
     #[default]
@@ -91,35 +91,39 @@ pub enum CmMode {
     /// Timestamp seniority: the oldest active transaction never waits;
     /// junior losers wait escalating quanta while their senior is active.
     Greedy,
+    /// Retry immediately: the pre-CM behaviour, which livelocks under
+    /// sustained contention. The differential oracle and bench baseline;
+    /// its index is [`CM_POLICIES`], past the shipped policies.
+    #[cfg(any(test, feature = "oracle"))]
+    Immediate,
 }
 
 impl CmMode {
-    /// Every policy, in [`CmMode::index`] order.
-    pub const ALL: [CmMode; CM_POLICIES] =
-        [CmMode::Immediate, CmMode::ExpBackoff, CmMode::Karma, CmMode::Greedy];
+    /// Every shipped policy, in [`CmMode::index`] order.
+    pub const ALL: [CmMode; CM_POLICIES] = [CmMode::ExpBackoff, CmMode::Karma, CmMode::Greedy];
 
     /// Dense index, for per-policy counters.
     pub fn index(&self) -> usize {
-        match self {
-            CmMode::Immediate => 0,
-            CmMode::ExpBackoff => 1,
-            CmMode::Karma => 2,
-            CmMode::Greedy => 3,
-        }
+        *self as usize
     }
 
     /// Inverse of [`CmMode::index`] (`None` out of range).
     pub fn from_index(i: usize) -> Option<CmMode> {
+        #[cfg(any(test, feature = "oracle"))]
+        if i == CM_POLICIES {
+            return Some(CmMode::Immediate);
+        }
         Self::ALL.get(i).copied()
     }
 
     /// Short kebab-case tag (the `"policy"` field of the trace schema).
     pub fn tag(&self) -> &'static str {
         match self {
-            CmMode::Immediate => "immediate",
             CmMode::ExpBackoff => "exp-backoff",
             CmMode::Karma => "karma",
             CmMode::Greedy => "greedy",
+            #[cfg(any(test, feature = "oracle"))]
+            CmMode::Immediate => "immediate",
         }
     }
 }
@@ -257,18 +261,6 @@ struct CmCore {
     active: Mutex<BTreeSet<u64>>,
 }
 
-/// Immediate rung: the pre-CM behaviour — zero delay, no state.
-struct ImmediateCm;
-
-impl ContentionManager for ImmediateCm {
-    fn mode(&self) -> CmMode {
-        CmMode::Immediate
-    }
-    fn on_abort(&self, _tx: &mut CmTx, _site: AbortSite, _attempt: u64, _work: usize) -> Duration {
-        Duration::ZERO
-    }
-}
-
 /// Exponential-backoff rung (see [`exp_backoff_ns`]).
 struct ExpBackoffCm {
     core: std::sync::Arc<CmCore>,
@@ -340,12 +332,26 @@ impl ContentionManager for GreedyCm {
     }
 }
 
-/// The runtime's contention manager: all four rungs plus the live mode
-/// switch. One per [`crate::Stm`] instance.
+/// Immediate rung: the pre-CM behaviour — zero delay, no state.
+#[cfg(any(test, feature = "oracle"))]
+struct ImmediateCm;
+
+#[cfg(any(test, feature = "oracle"))]
+impl ContentionManager for ImmediateCm {
+    fn mode(&self) -> CmMode {
+        CmMode::Immediate
+    }
+    fn on_abort(&self, _tx: &mut CmTx, _site: AbortSite, _attempt: u64, _work: usize) -> Duration {
+        Duration::ZERO
+    }
+}
+
+/// The runtime's contention manager: every rung, in [`CmMode::index`]
+/// order, plus the live mode switch. One per [`crate::Stm`] instance.
 pub(crate) struct CmEngine {
     mode: AtomicU8,
     core: std::sync::Arc<CmCore>,
-    rungs: [Box<dyn ContentionManager>; CM_POLICIES],
+    rungs: Vec<Box<dyn ContentionManager>>,
 }
 
 impl CmEngine {
@@ -356,11 +362,12 @@ impl CmEngine {
             max_karma: AtomicU64::new(0),
             active: Mutex::new(BTreeSet::new()),
         });
-        let rungs: [Box<dyn ContentionManager>; CM_POLICIES] = [
-            Box::new(ImmediateCm),
+        let rungs: Vec<Box<dyn ContentionManager>> = vec![
             Box::new(ExpBackoffCm { core: std::sync::Arc::clone(&core) }),
             Box::new(KarmaCm { core: std::sync::Arc::clone(&core) }),
             Box::new(GreedyCm { core: std::sync::Arc::clone(&core) }),
+            #[cfg(any(test, feature = "oracle"))]
+            Box::new(ImmediateCm),
         ];
         Self { mode: AtomicU8::new(mode.index() as u8), core, rungs }
     }
@@ -477,10 +484,11 @@ mod tests {
         for m in CmMode::ALL {
             assert_eq!(CmMode::from_index(m.index()), Some(m));
         }
-        assert_eq!(CmMode::from_index(CM_POLICIES), None);
+        assert_eq!(CmMode::from_index(CM_POLICIES), Some(CmMode::Immediate));
+        assert_eq!(CmMode::from_index(CM_POLICIES + 1), None);
         assert_eq!(CmMode::default(), CmMode::ExpBackoff);
         let tags: Vec<&str> = CmMode::ALL.iter().map(|m| m.tag()).collect();
-        assert_eq!(tags, ["immediate", "exp-backoff", "karma", "greedy"]);
+        assert_eq!(tags, ["exp-backoff", "karma", "greedy"]);
         assert_eq!(CmMode::Karma.to_string(), "karma");
     }
 

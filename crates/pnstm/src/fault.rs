@@ -43,16 +43,16 @@ pub enum FaultKind {
     ValidationAbort,
     /// Sleep while *holding* the committing transaction's write-set stripe
     /// locks (a stuck committer: back-pressures committers sharing a stripe,
-    /// while disjoint-stripe commits keep flowing). Under
-    /// [`crate::CommitPath::GlobalLock`] the stall holds the global commit
-    /// lock instead and back-pressures every committer.
+    /// while disjoint-stripe commits keep flowing). Under the global-lock
+    /// oracle the stall holds the global commit lock instead and
+    /// back-pressures every committer.
     /// Site: `Txn::commit_top`.
     CommitHold,
     /// Sleep at child-task dispatch (stalled child / slow dispatch). Site:
-    /// the scheduler's task-claim path — inside the queue critical section
-    /// under `SchedMode::Mutex` (a stalled dispatch holds the batch queue),
-    /// after the lock-free claim under `SchedMode::WorkStealing` (stalled
-    /// dispatches overlap); the contrast is what `sched_scaling` measures.
+    /// the scheduler's task-claim path, after the lock-free claim (stalled
+    /// dispatches overlap). The mutex-pool oracle takes it inside the queue
+    /// critical section (a stalled dispatch holds the batch queue); the
+    /// contrast is what `sched_scaling` measures.
     ChildStall,
     /// Sleep before acquiring the top-level admission semaphore (admission
     /// starvation). Site: `Stm::atomic`. The sim chaos wrapper interprets
@@ -69,10 +69,9 @@ pub enum FaultKind {
     /// `Throttle::try_reconfigure`.
     ReconfigFail,
     /// Sleep during an ancestor-scope read probe (a slow read walking the
-    /// nesting ladder). Under [`crate::ReadPathMode::Locked`] the stall is
-    /// taken while holding the ancestor-level locks and back-pressures every
-    /// sibling reading through that level; under the default lock-free path
-    /// sibling stalls overlap. Site: `Txn::read` ancestor-level probe.
+    /// nesting ladder): sibling stalls overlap. Under the locked-read oracle
+    /// the stall is taken while holding the ancestor-level locks and
+    /// back-pressures every sibling reading through that level. Site: `Txn::read` ancestor-level probe.
     ReadHold,
     /// Sleep inside the background GC's slice loop (a stalled collector:
     /// retained versions accumulate, but commits must keep flowing — the GC

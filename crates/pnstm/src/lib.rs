@@ -10,9 +10,8 @@
 //!   pairs. Reads are served from the snapshot selected at transaction begin
 //!   and therefore never block or conflict at read time.
 //! * **Top-level transactions** validate their read set at commit time and
-//!   install new versions atomically. The default commit path is TL2-style
-//!   striped ([`stripes`], [`CommitPath::Striped`]): write sets lock a
-//!   fixed table of ownership stripes in canonical order, reads validate
+//!   install new versions atomically. The commit path is TL2-style striped
+//!   ([`stripes`]): write sets lock a fixed table of ownership stripes in canonical order, reads validate
 //!   against per-stripe version stamps, and commit versions are reserved
 //!   from an atomic clock and published contiguously — commits with disjoint
 //!   write sets proceed fully in parallel. Read-only transactions never
@@ -26,15 +25,12 @@
 //!   top-level transactions `t` and the number of concurrent child
 //!   transactions per transaction tree `c` are gated by resizable admission
 //!   gates ([`throttle::Throttle`]) so that an external controller (AutoPN's
-//!   actuator) can reconfigure `(t, c)` while the application runs. The
-//!   execution layer — child-task scheduler plus admission gate — is
-//!   pluggable ([`SchedMode`]): the default work-stealing scheduler with a
-//!   lock-free packed admission gate, or the mutex-based pool/semaphore pair
-//!   kept as the oracle.
-//! * **Pluggable contention management** ([`cm`], [`CmMode`]): the delay
-//!   before an aborted transaction retries is a policy — immediate,
-//!   jittered exponential backoff from the second abort on (the default),
-//!   karma, or greedy seniority —
+//!   actuator) can reconfigure `(t, c)` while the application runs. Child
+//!   transactions run on a work-stealing scheduler ([`WorkStealingPool`])
+//!   and top-level admission is a lock-free packed gate ([`PackedGate`]).
+//! * **Contention management** ([`cm`], [`CmMode`]): the delay before an
+//!   aborted transaction retries is a policy — jittered exponential backoff
+//!   from the second abort on (the default), karma, or greedy seniority —
 //!   consulted at every abort site and switchable at runtime so the tuner
 //!   can co-tune it alongside `(t, c)`.
 //! * **KPI instrumentation**: commit/abort counters and a commit-event hook
@@ -42,11 +38,15 @@
 //!
 //! Differences from JVSTM (documented, behaviour-preserving for the tuning
 //! problem): commits use striped ownership locks instead of JVSTM's
-//! lock-free helping scheme (a single-global-lock path,
-//! [`CommitPath::GlobalLock`], is retained as a differential-testing
-//! oracle), and parent transactions are suspended while their children run
-//! (fork/join style, which is how the paper's benchmarks use parallel
-//! nesting).
+//! lock-free helping scheme, and parent transactions are suspended while
+//! their children run (fork/join style, which is how the paper's benchmarks
+//! use parallel nesting).
+//!
+//! Each concern has one implementation on this path. The rungs it replaced
+//! (a global commit lock, locked reads, a mutex scheduler and semaphore,
+//! inline GC, immediate retry) are kept as differential oracles and bench
+//! baselines behind the `oracle` cargo feature, which only
+//! dev-dependencies turn on.
 //!
 //! ## Quick example
 //!
@@ -85,7 +85,10 @@ pub mod collections;
 pub mod error;
 pub mod fault;
 pub mod mem;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 pub mod park;
+#[cfg(any(test, feature = "oracle"))]
 pub mod pool;
 pub mod sched;
 pub mod stats;
@@ -102,24 +105,33 @@ pub use cm::{AbortSite, CmMode, CmTx, ContentionManager, CM_POLICIES};
 pub use collections::{TArray, TCounter, TMap};
 pub use error::{StmError, TxError, TxResult};
 pub use fault::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
-pub use mem::{GcMode, MemConfig, MemLevel, VersionHeapGauge};
-pub use pool::ChildPool;
-pub use runtime::{CommitPath, ReadPathMode, ReadTxn, Stm, StmConfig};
-pub use sched::{Admission, SchedMode, Scheduler, Task, WorkStealingPool};
+pub use mem::{MemConfig, MemLevel, VersionHeapGauge};
+pub use runtime::{ReadTxn, Stm, StmConfig};
+pub use sched::{Task, WorkStealingPool};
 pub use stats::{
     CommitEvent, LatencyHistogram, LatencySnapshot, Stats, StatsSnapshot, TxKind, LATENCY_BUCKETS,
     SEM_WAIT_BUCKETS,
 };
 pub use stripes::{stripe_of, STRIPE_COUNT};
-pub use throttle::{
-    PackedGate, ParallelismDegree, Permit, ReconfigError, ResizableSemaphore, Throttle,
-};
+pub use throttle::{PackedGate, ParallelismDegree, Permit, ReconfigError, Throttle};
 pub use trace::{
     AxesTrace, AxisValue, JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink,
     MAX_TRACE_AXES,
 };
 pub use txn::{child, ChildTask, Txn};
 pub use vbox::VBox;
+#[cfg(any(test, feature = "oracle"))]
+pub use {
+    batch::ChildScheduler,
+    oracle::{Oracle, ResizableSemaphore},
+    pool::ChildPool,
+};
+
+/// Without the `oracle` feature there is no retired rung to select: the
+/// runtime's `Option<Oracle>` selector is then always `None`.
+#[cfg(not(any(test, feature = "oracle")))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Oracle {}
 
 /// Marker bound for values storable in a [`VBox`].
 ///

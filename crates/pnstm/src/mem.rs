@@ -6,20 +6,18 @@
 //! sustained write-heavy load the version heap is the system's dominant
 //! memory consumer — and one stalled reader pinning the GC watermark is
 //! enough to make it grow without bound. This module bounds it in four
-//! steps, each with the ladder discipline of the hot-path PRs (a retained
-//! baseline rung and a differential oracle):
+//! steps:
 //!
 //! 1. **Accounting** — every box reports retained-version/byte deltas into a
 //!    shared lock-free [`VersionHeapGauge`] on install and prune, so "how
 //!    big is the version heap" is two relaxed loads, surfaced in
 //!    [`crate::StatsSnapshot`] and the `mem_pressure` trace event.
-//! 2. **Incremental background GC** — [`GcMode::Background`] (the default)
-//!    moves the whole-heap sweep off the commit path onto a dedicated,
-//!    panic-supervised collector thread that prunes in bounded slices
-//!    ([`MemConfig::gc_slice_boxes`] boxes at a time, yielding between
-//!    slices); a committer that trips the GC interval only *nudges* the
-//!    collector. [`GcMode::Inline`] retains the old synchronous sweep as the
-//!    differential oracle and bench baseline.
+//! 2. **Incremental background GC** — the whole-heap sweep runs off the
+//!    commit path on a dedicated, panic-supervised collector thread that
+//!    prunes in bounded slices ([`MemConfig::gc_slice_boxes`] boxes at a
+//!    time, yielding between slices); a committer that trips the GC interval
+//!    only *nudges* the collector. (The old synchronous sweep on the
+//!    committer is the `oracle` feature's `InlineGc` rung.)
 //! 3. **Snapshot leases** — runtime snapshots expire
 //!    ([`MemConfig::snapshot_lease`]); an expired snapshot stops pinning the
 //!    watermark and its owner aborts with
@@ -35,36 +33,9 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Which garbage-collection driver an [`crate::Stm`] instance runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GcMode {
-    /// A dedicated background collector thread sweeps the box registry in
-    /// bounded slices; committers that trip the GC interval nudge it and
-    /// return immediately (commit-path pause is O(1)). The default.
-    #[default]
-    Background,
-    /// The original inline whole-heap sweep: the committer that trips
-    /// [`crate::StmConfig::gc_interval`] walks every box before returning.
-    /// Retained as the differential oracle (background and inline GC must
-    /// yield identical reachable state) and the `mem_ceiling` bench baseline.
-    Inline,
-}
-
-impl GcMode {
-    /// Stable lower-case tag (trace schema / bench CLI).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            GcMode::Background => "background",
-            GcMode::Inline => "inline",
-        }
-    }
-}
-
 /// Memory-robustness configuration ([`crate::StmConfig::mem`]).
 #[derive(Debug, Clone)]
 pub struct MemConfig {
-    /// GC driver (see [`GcMode`]).
-    pub gc_mode: GcMode,
     /// Boxes pruned per background-GC slice before the collector yields the
     /// CPU (and re-checks shutdown). Smaller slices mean finer-grained
     /// interleaving with mutators at more per-slice overhead; a
@@ -92,7 +63,6 @@ pub struct MemConfig {
 impl Default for MemConfig {
     fn default() -> Self {
         Self {
-            gc_mode: GcMode::default(),
             gc_slice_boxes: 128,
             snapshot_lease: Some(Duration::from_secs(30)),
             urgent_lease: Duration::from_millis(50),
@@ -290,13 +260,6 @@ mod tests {
         g.sub(2, 32);
         assert_eq!(g.retained_versions(), 2);
         assert_eq!(g.retained_bytes(), 32);
-    }
-
-    #[test]
-    fn gc_mode_tags() {
-        assert_eq!(GcMode::Background.tag(), "background");
-        assert_eq!(GcMode::Inline.tag(), "inline");
-        assert_eq!(GcMode::default(), GcMode::Background);
     }
 
     #[test]

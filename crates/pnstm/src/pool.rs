@@ -1,15 +1,12 @@
-//! The mutex-queue rung of the child-task scheduler.
+//! The mutex-queue child pool: the [`crate::Oracle::MutexSched`] scheduler,
+//! kept as the differential-testing oracle and bench baseline for
+//! [`crate::sched::WorkStealingPool`].
 //!
-//! The paper's system model (§III-A): *"child transactions are executed by a
-//! shared thread pool that is under the direct control of the PN-STM
-//! run-time"*. The pool itself — per-tree concurrency limits (the parent is
-//! the `c`-th executor beside at most `c − 1` helpers), runtime
-//! resizability, and the on-demand hand-off — is `batch::Pool`,
-//! shared with the work-stealing rung. This module only supplies the
-//! [`crate::sched::SchedMode::Mutex`] structures: every dispatch crosses the
-//! per-batch tasks mutex and batch discovery crosses the pool-wide batches
-//! lock. They are retained as the differential-testing oracle and bench
-//! baseline for [`crate::sched::WorkStealingPool`].
+//! It is the same `batch::Pool` as the shipped scheduler — per-tree
+//! concurrency limits (the parent is the `c`-th executor beside at most
+//! `c − 1` helpers), runtime resizability and the on-demand hand-off — over
+//! the original structures: every dispatch crosses the per-batch tasks mutex
+//! and batch discovery crosses the pool-wide batches lock.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -81,15 +78,13 @@ impl Registry for MutexRegistry {
 }
 
 /// Resizable pool of worker threads that help execute nested-transaction
-/// batches through one mutex-held queue per batch
-/// ([`crate::sched::SchedMode::Mutex`]).
+/// batches through one mutex-held queue per batch.
 pub type ChildPool = Pool<MutexRegistry>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
-    use crate::sched::Scheduler;
     use crate::stats::Stats;
     use std::sync::atomic::AtomicI64;
     use std::thread;

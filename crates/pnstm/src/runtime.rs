@@ -8,53 +8,21 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+use crate::batch::ChildScheduler;
 use crate::clock::{GlobalClock, SnapshotGuard, SnapshotRegistry};
 use crate::cm::{self, AbortSite, CmEngine, CmMode, CmTxGuard};
 use crate::error::{StmError, TxError, TxResult};
 use crate::fault::{FaultCtx, FaultKind, FaultPlan};
-use crate::mem::{GcMode, MemConfig, MemLevel, MemState, VersionHeapGauge};
+use crate::mem::{MemConfig, MemLevel, MemState, VersionHeapGauge};
 use crate::park::ParkGate;
-use crate::pool::ChildPool;
-use crate::sched::{Admission, SchedMode, Scheduler, WorkStealingPool};
+use crate::sched::WorkStealingPool;
 use crate::stats::{Stats, TxKind};
 use crate::stripes::StripeTable;
-use crate::throttle::{
-    PackedGate, ParallelismDegree, Permit, ReconfigError, ResizableSemaphore, Throttle,
-};
+use crate::throttle::{PackedGate, ParallelismDegree, Permit, ReconfigError, Throttle, TopGate};
 use crate::trace::{self, TraceBus, TraceEvent};
 use crate::txn::Txn;
 use crate::vbox::{AnyVBox, VBox};
-use crate::TxValue;
-
-/// Which top-level commit protocol an [`Stm`] instance runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitPath {
-    /// TL2-style striped commit: write-set stripe locks acquired in canonical
-    /// order, read validation against per-stripe version stamps, commit
-    /// versions reserved atomically and published contiguously. Disjoint
-    /// write sets commit concurrently. The default.
-    #[default]
-    Striped,
-    /// The original single global commit lock. Retained as the differential-
-    /// testing oracle (history-equivalence proptests replay seeds through
-    /// both paths) and as the `commit_scaling` bench baseline.
-    GlobalLock,
-}
-
-/// Which `Txn::read` implementation an [`Stm`] instance runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPathMode {
-    /// Lock-free hot read path: copy-on-write write-set snapshots published
-    /// at `parallel()` suspend points, per-ancestor-level Bloom filters, and
-    /// a lock-free nest index for sibling-visible versions. The default.
-    #[default]
-    LockFree,
-    /// The legacy locking discipline over the same data structures: the own
-    /// write set behind a mutex, and per ancestor level the nest commit lock
-    /// plus a write-set lock, with no filters. Retained as the differential
-    /// baseline for the visibility proptests and the `read_scaling` bench.
-    Locked,
-}
+use crate::{Oracle, TxValue};
 
 /// Construction-time configuration of an [`Stm`] instance.
 #[derive(Debug, Clone)]
@@ -82,15 +50,8 @@ pub struct StmConfig {
     /// ([`crate::fault`]). `None` (the default) disables the layer: every
     /// injection site then costs a single branch.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Top-level commit protocol (see [`CommitPath`]).
-    pub commit_path: CommitPath,
-    /// Read-path implementation (see [`ReadPathMode`]).
-    pub read_path: ReadPathMode,
-    /// Execution-layer implementation pair — child-task scheduler plus
-    /// top-level admission gate (see [`SchedMode`]).
-    pub sched_mode: SchedMode,
-    /// Memory-robustness configuration: GC driver, slice budget, snapshot
-    /// leases, and the degradation-ladder ceilings (see [`MemConfig`]).
+    /// Memory-robustness configuration: GC slice budget, snapshot leases,
+    /// and the degradation-ladder ceilings (see [`MemConfig`]).
     pub mem: MemConfig,
 }
 
@@ -105,9 +66,6 @@ impl Default for StmConfig {
             gc_interval: 256,
             cm_mode: CmMode::default(),
             fault: None,
-            commit_path: CommitPath::default(),
-            read_path: ReadPathMode::default(),
-            sched_mode: SchedMode::default(),
             mem: MemConfig::default(),
         }
     }
@@ -156,12 +114,11 @@ impl GcCtl {
 
 pub(crate) struct StmShared {
     clock: GlobalClock,
-    commit_lock: Mutex<()>,
     stripes: StripeTable,
     registry: SnapshotRegistry,
     stats: Arc<Stats>,
     throttle: Throttle,
-    pool: Arc<dyn Scheduler>,
+    pool: ChildScheduler,
     boxes: Mutex<Vec<Weak<dyn AnyVBox>>>,
     config: StmConfig,
     commits_since_gc: AtomicU64,
@@ -176,12 +133,23 @@ pub(crate) struct StmShared {
     /// Committers never take this lock.
     gc_cycle_lock: Mutex<()>,
     gc_join: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The retired rung this instance runs, if any ([`Stm::with_oracle`]).
+    #[cfg(any(test, feature = "oracle"))]
+    oracle: Option<Oracle>,
+    /// The [`Oracle::GlobalLock`] commit lock.
+    #[cfg(any(test, feature = "oracle"))]
+    commit_lock: Mutex<()>,
 }
 
 impl StmShared {
     pub(crate) fn clock(&self) -> &GlobalClock {
         &self.clock
     }
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn oracle(&self) -> Option<Oracle> {
+        self.oracle
+    }
+    #[cfg(any(test, feature = "oracle"))]
     pub(crate) fn commit_lock(&self) -> &Mutex<()> {
         &self.commit_lock
     }
@@ -197,8 +165,8 @@ impl StmShared {
     pub(crate) fn throttle(&self) -> &Throttle {
         &self.throttle
     }
-    pub(crate) fn pool(&self) -> &dyn Scheduler {
-        &*self.pool
+    pub(crate) fn pool(&self) -> &ChildScheduler {
+        &self.pool
     }
     pub(crate) fn config(&self) -> &StmConfig {
         &self.config
@@ -227,9 +195,9 @@ impl StmShared {
     /// slices — so neither `register_vbox` nor any commit waits behind a
     /// whole-heap sweep. Returns the number of boxes whose chains shrank.
     ///
-    /// Both GC drivers run this same function ([`GcMode::Inline`] calls it
-    /// synchronously from the committer) — the modes can only differ in
-    /// *when* versions are pruned, never in *which*.
+    /// The background collector and the [`Oracle::InlineGc`] committer run
+    /// this same function: the two can only differ in *when* versions are
+    /// pruned, never in *which*.
     fn run_gc_cycle(&self, urgent: bool) -> usize {
         let _cycle = self.gc_cycle_lock.lock();
         let mut cursor = 0usize;
@@ -293,7 +261,7 @@ impl StmShared {
             });
         }
         // A cycle is the natural recovery point: the gauge just shrank.
-        // (`in_gc_cycle` — an Inline escalation here must not recurse into
+        // (`in_gc_cycle` — an inline escalation here must not recurse into
         // another cycle while this one holds the cycle lock; this sweep
         // already was the urgent GC.)
         self.check_mem_pressure_at(true);
@@ -347,16 +315,7 @@ impl StmShared {
                     let urgent = self.config.mem.urgent_lease;
                     self.registry.set_lease(Some(urgent));
                     self.registry.clamp_deadlines(urgent);
-                    match self.config.mem.gc_mode {
-                        GcMode::Background => self.gc_ctl.nudge(true),
-                        // Escalation detected *during* a sweep needs no new
-                        // sweep — the current one reclaims under the
-                        // just-shortened leases on its next slices.
-                        GcMode::Inline if in_gc_cycle => {}
-                        GcMode::Inline => {
-                            self.run_gc_cycle(true);
-                        }
-                    }
+                    self.request_cycle(true, in_gc_cycle);
                 }
             }
         }
@@ -377,14 +336,24 @@ impl StmShared {
                 .compare_exchange(n, 0, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
         {
-            match self.config.mem.gc_mode {
-                // O(1) commit-path pause: wake the collector and move on.
-                GcMode::Background => self.gc_ctl.nudge(false),
-                GcMode::Inline => {
-                    self.run_gc_cycle(false);
-                }
-            }
+            self.request_cycle(false, false);
         }
+    }
+
+    /// Ask for a GC cycle: an O(1) commit-path pause that wakes the
+    /// collector and moves on. Under [`Oracle::InlineGc`] the caller sweeps
+    /// itself, unless it is already inside a sweep — that one reclaims under
+    /// the just-shortened leases on its next slices.
+    fn request_cycle(&self, urgent: bool, in_gc_cycle: bool) {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.oracle == Some(Oracle::InlineGc) {
+            if !in_gc_cycle {
+                self.run_gc_cycle(urgent);
+            }
+            return;
+        }
+        let _ = in_gc_cycle; // read by the inline oracle only
+        self.gc_ctl.nudge(urgent);
     }
 }
 
@@ -436,54 +405,64 @@ pub struct Stm {
 impl Stm {
     /// Create an STM instance with the given configuration.
     pub fn new(config: StmConfig) -> Self {
-        Self::build(config, cm::DEFAULT_BACKOFF_BASE_NS)
+        Self::build(config, None, cm::DEFAULT_BACKOFF_BASE_NS)
     }
 
     /// [`Stm::new`] with a non-default base delay for the backoff rung, for
     /// tests that need a wait long enough to observe from outside.
     #[cfg(test)]
     pub(crate) fn with_backoff_base(config: StmConfig, base_backoff_ns: u64) -> Self {
-        Self::build(config, base_backoff_ns)
+        Self::build(config, None, base_backoff_ns)
     }
 
-    fn build(config: StmConfig, base_backoff_ns: u64) -> Self {
+    /// [`Stm::new`] running the retired rung `oracle` in place of its
+    /// shipped counterpart (`None` runs the shipped rungs).
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_oracle(config: StmConfig, oracle: Option<Oracle>) -> Self {
+        Self::build(config, oracle, cm::DEFAULT_BACKOFF_BASE_NS)
+    }
+
+    fn build(config: StmConfig, oracle: Option<Oracle>, base_backoff_ns: u64) -> Self {
         let trace = TraceBus::new();
         let fault = FaultCtx::new(config.fault.clone(), trace.clone());
         let stats = Arc::new(Stats::new());
-        // The execution-layer ladder: scheduler + admission gate are chosen
-        // as a pair, mirroring the commit-path and read-path mode switches.
-        let (pool, gate): (Arc<dyn Scheduler>, Arc<dyn Admission>) = match config.sched_mode {
-            SchedMode::Mutex => (
-                Arc::new(ChildPool::with_instruments(
+        let t = config.degree.top_level;
+        let (pool, gate) = match oracle {
+            #[cfg(any(test, feature = "oracle"))]
+            Some(Oracle::MutexSched) => (
+                ChildScheduler::Mutex(crate::pool::ChildPool::with_instruments(
                     config.worker_threads,
                     fault.clone(),
                     Arc::clone(&stats),
                     trace.clone(),
                 )),
-                Arc::new(ResizableSemaphore::new(config.degree.top_level)),
+                TopGate::Semaphore(crate::oracle::ResizableSemaphore::new(t)),
             ),
-            SchedMode::WorkStealing => (
-                Arc::new(WorkStealingPool::with_instruments(
+            _ => (
+                ChildScheduler::WorkStealing(WorkStealingPool::with_instruments(
                     config.worker_threads,
                     fault.clone(),
                     Arc::clone(&stats),
                     trace.clone(),
                 )),
-                Arc::new(PackedGate::with_stats(config.degree.top_level, Arc::clone(&stats))),
+                TopGate::Packed(PackedGate::with_stats(t, Arc::clone(&stats))),
             ),
+        };
+        let collector = match oracle {
+            #[cfg(any(test, feature = "oracle"))]
+            Some(Oracle::InlineGc) => false,
+            _ => true,
         };
         let cm = CmEngine::new(config.cm_mode, base_backoff_ns);
         let registry = SnapshotRegistry::new();
         registry.set_lease(config.mem.snapshot_lease);
         let mem_state = MemState::new(&config.mem);
-        let gc_mode = config.mem.gc_mode;
         let shared = Arc::new(StmShared {
             clock: GlobalClock::new(),
-            commit_lock: Mutex::new(()),
             stripes: StripeTable::new(),
             registry,
             stats,
-            throttle: Throttle::with_gate(config.degree, trace.clone(), fault.clone(), gate),
+            throttle: Throttle::over(config.degree, trace.clone(), fault.clone(), gate),
             pool,
             boxes: Mutex::new(Vec::new()),
             config,
@@ -495,8 +474,12 @@ impl Stm {
             gc_ctl: Arc::new(GcCtl::default()),
             gc_cycle_lock: Mutex::new(()),
             gc_join: Mutex::new(None),
+            #[cfg(any(test, feature = "oracle"))]
+            oracle,
+            #[cfg(any(test, feature = "oracle"))]
+            commit_lock: Mutex::new(()),
         });
-        if gc_mode == GcMode::Background {
+        if collector {
             let ctl = Arc::clone(&shared.gc_ctl);
             let weak = Arc::downgrade(&shared);
             let handle = std::thread::Builder::new()
@@ -815,24 +798,16 @@ impl Stm {
     }
 
     /// Garbage-collect box versions no live snapshot can read, synchronously
-    /// on this thread regardless of [`GcMode`] (expired leases are evicted
-    /// as a side effect). Returns the number of boxes whose chains were
-    /// shortened.
+    /// on this thread (expired leases are evicted as a side effect). Returns
+    /// the number of boxes whose chains were shortened.
     pub fn gc(&self) -> usize {
         self.shared.run_gc_cycle(false)
     }
 
-    /// Wake the background collector (no-op under [`GcMode::Inline`]).
-    /// Returns immediately; use [`Stm::gc`] for a synchronous sweep.
+    /// Wake the background collector. Returns immediately; use [`Stm::gc`]
+    /// for a synchronous sweep.
     pub fn request_gc(&self) {
-        if self.shared.config.mem.gc_mode == GcMode::Background {
-            self.shared.gc_ctl.nudge(false);
-        }
-    }
-
-    /// The GC driver this instance runs.
-    pub fn gc_mode(&self) -> GcMode {
-        self.shared.config.mem.gc_mode
+        self.shared.gc_ctl.nudge(false);
     }
 
     /// The degradation-ladder level currently in force.
@@ -1056,11 +1031,8 @@ mod tests {
     /// second nudge can start its second cycle.
     #[test]
     fn a_gc_nudge_during_a_cycle_is_served_without_the_idle_wakeup() {
-        let stm = Stm::new(StmConfig {
-            gc_interval: 0,
-            mem: MemConfig { gc_mode: GcMode::Inline, ..MemConfig::default() },
-            ..StmConfig::default()
-        });
+        let config = StmConfig { gc_interval: 0, ..StmConfig::default() };
+        let stm = Stm::with_oracle(config, Some(Oracle::InlineGc));
         let sh = &stm.shared;
         let collector = std::thread::spawn({
             let (ctl, weak) = (Arc::clone(&sh.gc_ctl), Arc::downgrade(sh));

@@ -1,29 +1,14 @@
-//! The pluggable execution layer: scheduler and admission contracts, plus the
-//! work-stealing child-task scheduler.
+//! The work-stealing child-task scheduler: per-batch lock-free deques (the
+//! owning parent pops LIFO from one end, helper threads steal FIFO from the
+//! other) and batch handles registered in a sharded injector, so idle
+//! workers discover work without one global lock.
 //!
-//! PR 3 made the commit path swappable ([`crate::CommitPath`]) and PR 4 the
-//! read path ([`crate::ReadPathMode`]); this module does the same for the two
-//! remaining global serialization points — child-task dispatch and top-level
-//! admission — behind a [`Scheduler`] / [`Admission`] trait pair selected by
-//! [`SchedMode`]:
-//!
-//! * [`SchedMode::Mutex`] keeps the original structures: the
-//!   single-queue [`crate::pool::ChildPool`] and the
-//!   [`crate::throttle::ResizableSemaphore`]. They survive as the
-//!   differential-testing oracle and the `sched_scaling` bench baseline,
-//!   mirroring `CommitPath::GlobalLock` / `ReadPathMode::Locked`.
-//! * [`SchedMode::WorkStealing`] (the default) selects [`WorkStealingPool`] — per-batch
-//!   lock-free deques (the owning parent pops LIFO from one end, helper
-//!   threads steal FIFO from the other), batch handles registered in a
-//!   sharded injector so idle workers discover work without one global lock
-//!   — plus the packed-atomic [`crate::throttle::PackedGate`] admission gate.
-//!
-//! Both child-task rungs are the one `batch::Pool`: batch
-//! accounting, the helper cap, the join, worker supervision and the
-//! on-demand hand-off rule are shared, and with them the deadlock-freedom
-//! argument — the thread that submits a batch is always the `c`-th executor,
-//! so a blocked parent drains its own children even when every pool worker
-//! is busy in other trees, at any nesting depth.
+//! [`WorkStealingPool`] is the shared `batch::Pool` over [`StealRegistry`]:
+//! batch accounting, the helper cap, the join, worker supervision and the
+//! on-demand hand-off rule live in the pool, and with them the
+//! deadlock-freedom argument — the thread that submits a batch is always the
+//! `c`-th executor, so a blocked parent drains its own children even when
+//! every pool worker is busy in other trees, at any nesting depth.
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -35,134 +20,6 @@ use crate::fault::FaultCtx;
 
 /// One child-transaction task as submitted by `Txn::parallel`.
 pub type Task = Box<dyn FnOnce() + Send>;
-
-/// Which execution-layer implementation pair an [`crate::Stm`] instance runs
-/// (child-task scheduler + top-level admission gate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// The original structures: the single-queue child pool (one mutex-held
-    /// `VecDeque` per batch, one batches lock for dispatch) and
-    /// the mutex-based resizable admission semaphore. Retained as the
-    /// differential-testing oracle and the `sched_scaling` baseline.
-    Mutex,
-    /// Work-stealing child-task scheduler (per-batch lock-free deques,
-    /// sharded injector, atomic helper counter) and the packed-atomic
-    /// admission gate. The default.
-    #[default]
-    WorkStealing,
-}
-
-/// A child-task scheduler: executes batches of nested-transaction tasks with
-/// a per-batch helper cap, on a resizable set of worker threads.
-///
-/// Contract (both implementations):
-///
-/// * `run_batch` returns only when every task has run exactly once.
-/// * The *calling* thread always executes tasks alongside at most
-///   `helper_limit` pool workers — this is what makes deep nesting
-///   deadlock-free (a blocked parent drains its own children) and what lets
-///   `helper_limit = 0` degenerate to sequential execution.
-/// * Helpers are woken on demand: a batch whose predicted parallel saving
-///   does not cover one hand-off is run by the caller alone, and handed off
-///   late if it outlasts that prediction (see `batch.rs`). The rule is three
-///   questions — [`Scheduler::publish_now`], [`Scheduler::publish_late`],
-///   [`Scheduler::observe_withheld`] — asked by `run_batch` and by
-///   `Txn::parallel`, which runs withheld children on the parent's own sets.
-/// * A panic in a caller-executed task is re-raised on the caller only after
-///   the batch has fully drained; a panic on a worker is absorbed (the txn
-///   layer carries child panics in its result slots).
-/// * `resize` may be called concurrently with in-flight batches; shrinking
-///   lets surplus workers retire between tasks and never strands a batch.
-pub trait Scheduler: Send + Sync {
-    /// Execute `tasks` to completion with at most `helper_limit` pool
-    /// workers helping the calling thread, under the hand-off rule.
-    fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize);
-
-    /// Should a batch of `n` tasks be published before its caller runs any
-    /// of it? Only when `n · d̄ · (1 − 1/c)` exceeds the hand-off cost, or the
-    /// pool has no history yet; never for `helper_limit == 0` or `n == 1`.
-    fn publish_now(&self, n: usize, helper_limit: usize) -> bool;
-
-    /// Asked after each task of a withheld batch with tasks left: has the
-    /// caller, `spent_ns` into the batch, spent more than one hand-off cost?
-    /// Then the unstarted rest goes to [`Scheduler::hand_off`] at once.
-    fn publish_late(&self, spent_ns: u64) -> bool;
-
-    /// The caller ran `ran` tasks of a withheld batch with `helper_limit > 0`
-    /// in `spent_ns`: one sample of `d̄`. `published` says whether the rest
-    /// was handed off late; a batch that stayed withheld counts as
-    /// `sched_handoffs_elided`.
-    fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool);
-
-    /// Publish `tasks` now (`helper_limit > 0`; the caller has already asked
-    /// the rule) and run them to completion with the caller as one executor.
-    /// Samples `d̄` from the caller's own drain and counts the hand-off.
-    /// Returns `(stolen, overflowed)`: tasks helpers ran, and tasks beyond
-    /// the rung's fast structure.
-    fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize);
-
-    /// Retarget the worker-thread count. Growth spawns immediately; shrink
-    /// retires surplus workers after their current task.
-    fn resize(&self, size: usize);
-
-    /// The worker-thread count currently targeted.
-    fn size(&self) -> usize;
-
-    /// Live worker threads right now (lags [`Scheduler::size`] during
-    /// resize).
-    fn live_workers(&self) -> usize;
-}
-
-/// A top-level admission gate: a counting semaphore with runtime-adjustable
-/// capacity and a shutdown-aware close/reopen protocol.
-///
-/// Contract (both implementations):
-///
-/// * `acquire` blocks until a permit is granted and returns `true`, or
-///   returns `false` — without a permit — if the gate is, or becomes,
-///   closed. A thread parked in `acquire` is guaranteed to wake and observe
-///   a close (this is what turns shutdown-under-starvation into
-///   [`crate::StmError::Shutdown`] instead of a hang).
-/// * `set_capacity` may shrink below the number of permits currently held;
-///   the availability simply goes negative and releases are absorbed until
-///   it recovers — at no point are more than `capacity` *new* admissions
-///   granted.
-/// * `close`/`reopen` only gate *new* permits; held permits and their
-///   releases are unaffected.
-pub trait Admission: Send + Sync + std::fmt::Debug {
-    /// Block for a permit; `false` means the gate is closed.
-    fn acquire(&self) -> bool;
-    /// Take a permit only if one is immediately available and the gate is
-    /// open.
-    fn try_acquire(&self) -> bool;
-    /// Return a permit.
-    fn release(&self);
-    /// Refuse new permits and wake every parked acquirer empty-handed.
-    fn close(&self);
-    /// Re-admit after a [`Admission::close`].
-    fn reopen(&self);
-    /// Whether the gate currently refuses new permits.
-    fn is_closed(&self) -> bool;
-    /// Change the capacity (clamped to at least 1); outstanding permits are
-    /// unaffected.
-    fn set_capacity(&self, capacity: usize);
-    /// Currently configured capacity.
-    fn capacity(&self) -> usize;
-    /// Permits currently held (never negative in a quiescent state).
-    fn in_use(&self) -> usize;
-    /// Take up to `max` immediately available permits without blocking,
-    /// returning how many were granted (0 when closed or exhausted). The
-    /// default loops [`Admission::try_acquire`]; lock-free gates override it
-    /// to grant the whole batch in one CAS so batched admitters (the ingress
-    /// front door) don't pay one word-contention round per request.
-    fn try_acquire_many(&self, max: usize) -> usize {
-        let mut granted = 0;
-        while granted < max && self.try_acquire() {
-            granted += 1;
-        }
-        granted
-    }
-}
 
 /// Tasks per batch held in the fixed lock-free deque; a larger batch spills
 /// the excess into a mutex-held vector (counted as `deque_overflow` in
@@ -361,7 +218,7 @@ impl Registry for StealRegistry {
     }
 }
 
-/// Work-stealing child-task scheduler ([`SchedMode::WorkStealing`]).
+/// The child-task scheduler every [`crate::Stm`] runs.
 ///
 /// A handed-off batch is registered in the sharded injector and idle workers
 /// are woken; the dispatching (parent) thread executes from the lock-free

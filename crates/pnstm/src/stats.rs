@@ -243,7 +243,7 @@ impl Stats {
 
     /// Record one contention-manager backoff wait of `wait_ns` decided by
     /// the policy at [`crate::CmMode::index`] `policy`. Zero-wait decisions
-    /// (the `Immediate` rung, winners under karma/greedy) are not recorded.
+    /// (first aborts, winners under karma/greedy) are not recorded.
     pub fn record_cm_wait(&self, policy: usize, wait_ns: u64) {
         self.cm_policy_waits[policy.min(CM_POLICIES - 1)].fetch_add(1, Ordering::Relaxed);
         self.cm_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
@@ -457,12 +457,10 @@ pub struct StatsSnapshot {
     /// predicted parallel saving did not cover one hand-off: short children
     /// no longer pay a worker wake-up for being allowed helpers.
     pub sched_handoffs_elided: u64,
-    /// Top-level admissions that parked on the lock-free gate (work-stealing
-    /// mode only; the mutex semaphore blocks on its condvar instead).
+    /// Top-level admissions that parked on the packed admission gate.
     pub park_count: u64,
     /// Contention-manager backoff waits per policy, indexed by
-    /// [`crate::CmMode::index`]. Zero-wait decisions are not counted, so
-    /// the `Immediate` slot stays 0.
+    /// [`crate::CmMode::index`]. Zero-wait decisions are not counted.
     pub cm_policy_waits: [u64; CM_POLICIES],
     /// Total nanoseconds spent in contention-manager backoff waits.
     pub cm_wait_total_ns: u64,
@@ -809,7 +807,7 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.cm_policy_waits[backoff], 2);
         assert_eq!(snap.cm_policy_waits[karma], 1);
-        assert_eq!(snap.cm_policy_waits[crate::cm::CmMode::Immediate.index()], 0);
+        assert_eq!(snap.cm_policy_waits[crate::cm::CmMode::Greedy.index()], 0);
         assert_eq!(snap.cm_wait_count(), 3);
         assert_eq!(snap.cm_wait_total_ns, 5_500);
         assert_eq!(snap.cm_wait_hist[0], 1); // 500 ns

@@ -208,8 +208,8 @@ pub enum TraceEvent {
     WatchdogFired { at_ns: u64 },
     /// The contention manager delayed a retry: `policy` decided a wait of
     /// `waited_ns` at abort site `site`, `attempt` aborts into the chain.
-    /// Emitted only for nonzero waits — the `Immediate` rung (and winners
-    /// under karma/greedy) stay off the bus.
+    /// Emitted only for nonzero waits — first aborts (and winners under
+    /// karma/greedy) stay off the bus.
     CmDecision { policy: CmMode, site: AbortSite, waited_ns: u64, attempt: u64, at_ns: u64 },
     /// A GC cycle finished: the version-heap gauge stood at
     /// `retained_versions`/`retained_bytes` after pruning `pruned` versions

@@ -25,12 +25,12 @@
 //!   `nest::NestIndex` and the write-set snapshot.
 //! * **Global snapshot** — multi-version chains, unchanged.
 //!
-//! The retained [`crate::ReadPathMode::Locked`] mode routes the same lookups
-//! through the nest commit lock and a per-level write-set lock — the exact
-//! locking discipline this refactor removed — as the differential baseline
-//! for the `read_scaling` bench and the visibility proptests.
+//! With the `oracle` feature, the locked read path and the global-lock
+//! commit run beside these as differential baselines (`oracle.rs`).
 
 pub(crate) mod nest;
+#[cfg(any(test, feature = "oracle"))]
+mod oracle;
 pub(crate) mod sets;
 
 use parking_lot::Mutex;
@@ -123,11 +123,10 @@ pub struct Txn {
     /// rolls back to the length it found; the outermost one's success
     /// empties it.
     journal: Vec<(BoxId, Option<WsEntry>)>,
-    /// True when the instance runs `ReadPathMode::Locked` (cached from the
-    /// config so the read path pays a field load, not a config match).
-    locked_reads: bool,
-    /// Stands in for the removed own-write-set mutex in `Locked` mode.
-    own_ws_mx: Mutex<()>,
+    /// `Some` when the instance runs the locked-read oracle, holding the
+    /// stand-in for the removed own-write-set mutex.
+    #[cfg(any(test, feature = "oracle"))]
+    locked_reads: Option<Mutex<()>>,
     reads: ReadPathCounters,
     /// Eviction flag of the root snapshot's registration (shared by the
     /// whole transaction tree). Set by the GC watermark computation once the
@@ -145,23 +144,7 @@ impl Txn {
         root_read_version: u64,
         evicted: EvictionFlag,
     ) -> Self {
-        let locked_reads =
-            matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
-        Self {
-            shared,
-            root_read_version,
-            ws: Arc::new(WriteSet::new()),
-            rs: ReadSet::new(),
-            scope: Vec::new(),
-            depth: 0,
-            inline: 0,
-            journal: Vec::new(),
-            locked_reads,
-            own_ws_mx: Mutex::new(()),
-            reads: ReadPathCounters::default(),
-            evicted,
-            doomed: false,
-        }
+        Self::nested(shared, root_read_version, Vec::new(), 0, evicted)
     }
 
     fn nested(
@@ -171,9 +154,10 @@ impl Txn {
         depth: u32,
         evicted: EvictionFlag,
     ) -> Self {
-        let locked_reads =
-            matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
         Self {
+            #[cfg(any(test, feature = "oracle"))]
+            locked_reads: (shared.oracle() == Some(crate::Oracle::LockedReads))
+                .then(|| Mutex::new(())),
             shared,
             root_read_version,
             ws: Arc::new(WriteSet::new()),
@@ -182,8 +166,6 @@ impl Txn {
             depth,
             inline: 0,
             journal: Vec::new(),
-            locked_reads,
-            own_ws_mx: Mutex::new(()),
             reads: ReadPathCounters::default(),
             evicted,
             doomed: false,
@@ -223,37 +205,33 @@ impl Txn {
     /// ancestor level, and a multi-version chain read. Reads never block on
     /// or conflict with concurrent writers.
     pub fn read<T: TxValue>(&mut self, vbox: &VBox<T>) -> T {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.locked_reads.is_some() {
+            return self.read_locked(vbox);
+        }
         let id = vbox.id();
         // 1. Own write set (not recorded in the read set: reading your own
         //    write has no external dependency).
-        if self.locked_reads {
-            let _g = self.own_ws_mx.lock();
-            if let Some(v) = self.ws.get(id) {
-                return downcast_clone::<T>(&v);
-            }
-        } else if let Some(v) = self.ws.get(id) {
+        if let Some(v) = self.ws.get(id) {
             return downcast_clone::<T>(&v);
         }
         // 2. Ancestor chain, nearest level first.
         if !self.scope.is_empty() {
             let bits = filter_bits(id);
             let mut probed = false;
-            for level in 0..self.scope.len() {
-                let entry = &self.scope[level];
-                if !self.locked_reads {
-                    // Level filter: the union of the published write-set
-                    // filter and the live nest-index filter over-approximates
-                    // everything this level could serve; a miss skips both
-                    // probes. (The index filter is or'ed before each commit's
-                    // clock publish, so it can't under-report anything our
-                    // cap entitles us to see.)
-                    let level_filter = entry.ws_filter | entry.nest.index.filter();
-                    if level_filter & bits != bits {
-                        self.reads.filter_misses += 1;
-                        continue;
-                    }
-                    self.reads.filter_hits += 1;
+            for entry in &self.scope {
+                // Level filter: the union of the published write-set filter
+                // and the live nest-index filter over-approximates
+                // everything this level could serve; a miss skips both
+                // probes. (The index filter is or'ed before each commit's
+                // clock publish, so it can't under-report anything our cap
+                // entitles us to see.)
+                let level_filter = entry.ws_filter | entry.nest.index.filter();
+                if level_filter & bits != bits {
+                    self.reads.filter_misses += 1;
+                    continue;
                 }
+                self.reads.filter_hits += 1;
                 if !probed {
                     probed = true;
                     self.reads.slow_path += 1;
@@ -263,43 +241,25 @@ impl Txn {
                 // before the level's current batch started, while index
                 // entries are commits from the in-flight batch.
                 //
-                // Fault site (`ReadHold`): a slow ancestor probe. Locked mode
-                // takes the stall while holding the level's commit lock, so
-                // sibling reads through this level queue behind it; the
-                // lock-free path just lengthens this one read.
-                let store_hit = if self.locked_reads {
-                    let _g = entry.nest.commit_mx.lock();
-                    if let Some(action) =
-                        self.shared.fault().inject(crate::fault::FaultKind::ReadHold)
-                    {
-                        action.stall();
-                    }
-                    entry.nest.index.lookup(id, entry.cap)
-                } else {
-                    if let Some(action) =
-                        self.shared.fault().inject(crate::fault::FaultKind::ReadHold)
-                    {
-                        action.stall();
-                    }
-                    entry.nest.index.lookup(id, entry.cap)
-                };
-                if let Some(v) = store_hit {
-                    self.rs.record(vbox);
-                    return downcast_clone::<T>(&v);
+                // Fault site (`ReadHold`): a slow ancestor probe; it just
+                // lengthens this one read.
+                if let Some(action) = self.shared.fault().inject(crate::fault::FaultKind::ReadHold)
+                {
+                    action.stall();
                 }
-                let ws_hit = if self.locked_reads {
-                    let _g = entry.nest.ws_mx.lock();
-                    entry.ws.get(id)
-                } else {
-                    entry.ws.get(id)
-                };
-                if let Some(v) = ws_hit {
+                if let Some(v) = entry.nest.index.lookup(id, entry.cap).or_else(|| entry.ws.get(id))
+                {
                     self.rs.record(vbox);
                     return downcast_clone::<T>(&v);
                 }
             }
         }
         // 3. Global snapshot.
+        self.read_snapshot(vbox)
+    }
+
+    /// Read `vbox` at the tree's global snapshot, recording the read.
+    fn read_snapshot<T: TxValue>(&mut self, vbox: &VBox<T>) -> T {
         self.rs.record(vbox);
         match vbox.body.read_at(self.root_read_version) {
             Ok(v) => v,
@@ -625,8 +585,7 @@ impl Txn {
     }
 
     /// Commit a top-level transaction: validate the tree's reads and install
-    /// the tree's writes at a fresh global version, via the commit path this
-    /// STM instance was configured with.
+    /// the tree's writes at a fresh global version.
     pub(crate) fn commit_top(&mut self) -> TxResult<()> {
         debug_assert_eq!(self.depth, 0, "commit_top on a nested transaction");
         // An evicted snapshot aborts at its commit point: the versions it
@@ -637,13 +596,14 @@ impl Txn {
             self.doomed = true;
             return Err(TxError::Conflict);
         }
-        match self.shared.config().commit_path {
-            crate::runtime::CommitPath::Striped => self.commit_top_striped(),
-            crate::runtime::CommitPath::GlobalLock => self.commit_top_global(),
+        #[cfg(any(test, feature = "oracle"))]
+        if self.shared.oracle() == Some(crate::Oracle::GlobalLock) {
+            return self.commit_top_global();
         }
+        self.commit_top_striped()
     }
 
-    /// Striped commit (TL2-style, the default): lock the write set's stripes
+    /// Striped commit (TL2-style): lock the write set's stripes
     /// in canonical order, validate reads against per-stripe version stamps,
     /// reserve a commit version, install, publish.
     ///
@@ -734,46 +694,6 @@ impl Txn {
         if self.rs.iter().all(|(_, vbox)| vbox.latest_version() <= rv) {
             self.shared.stats().record_stripe_false_conflict();
         }
-    }
-
-    /// Global-lock commit: the original protocol, retained as the
-    /// differential-testing oracle and bench baseline
-    /// ([`crate::CommitPath::GlobalLock`]).
-    fn commit_top_global(&mut self) -> TxResult<()> {
-        let ws = Arc::clone(&self.ws);
-        if ws.is_empty() {
-            return Ok(()); // Read-only: serializable at its snapshot.
-        }
-
-        let _commit_guard = self.shared.commit_lock().lock();
-        // Fault site: stall while *holding* the commit lock (serializes every
-        // other committer behind the injected delay).
-        if let Some(action) = self.shared.fault().inject(crate::fault::FaultKind::CommitHold) {
-            action.stall();
-        }
-        // Fault site: force a validation failure (synthetic abort storm).
-        if self.shared.fault().inject(crate::fault::FaultKind::ValidationAbort).is_some() {
-            return Err(TxError::Conflict);
-        }
-        // Validate the whole tree's reads (children's reads were folded into
-        // ours at each join).
-        for (_, vbox) in self.rs.iter() {
-            if vbox.latest_version() > self.root_read_version {
-                return Err(TxError::Conflict);
-            }
-        }
-        // Install at the *next* version first and publish the clock only
-        // afterwards: a transaction beginning mid-commit must keep reading
-        // the old snapshot. Ticking before installing would let it adopt the
-        // new version number while some boxes still serve old values — and
-        // then pass validation against data it never actually read.
-        let version = self.shared.clock().now() + 1;
-        for entry in ws.iter() {
-            entry.vbox.install_erased(&entry.value, version);
-        }
-        let published = self.shared.clock().tick();
-        debug_assert_eq!(published, version, "commit lock serializes clock ticks");
-        Ok(())
     }
 }
 

@@ -27,10 +27,8 @@
 //! so readers never race reclamation.
 //!
 //! Only a *published* batch has a `NestCtx`. Its executors are the parent
-//! thread plus at most `c − 1` helpers of whichever
-//! [`crate::sched::Scheduler`] rung runs it (mutex pool helpers or
-//! work-stealing thieves); the drain barrier in `Scheduler::hand_off` bounds
-//! every reader's lifetime to the index's, and sibling commits serialize on
+//! thread plus at most `c − 1` helpers of the child scheduler; the drain
+//! barrier in `Pool::hand_off` bounds every reader's lifetime to the index's, and sibling commits serialize on
 //! `commit_mx`. A *withheld* batch — every batch at `c = 1`, and the prefix
 //! of one published late — has one executor, the parent thread, and no
 //! `NestCtx` at all: its children run one after another on the parent's own
@@ -301,13 +299,14 @@ impl Drop for NestIndex {
 pub(crate) struct NestCtx {
     clock: AtomicU32,
     /// Serializes nested commits: validation, install and clock publish
-    /// happen while holding it. Readers do **not** take it on the lock-free
-    /// path; [`crate::ReadPathMode::Locked`] takes it per ancestor probe to
-    /// reproduce the legacy locked read path as a benchmark baseline.
+    /// happen while holding it. Readers do **not** take it; the locked-read
+    /// oracle takes it per ancestor probe to reproduce the legacy locked
+    /// read path as a benchmark baseline.
     pub(crate) commit_mx: Mutex<()>,
-    /// Taken per ancestor write-set probe in `ReadPathMode::Locked` only —
+    /// Taken per ancestor write-set probe by the locked-read oracle only —
     /// stands in for the `Arc<Mutex<WriteSet>>` the snapshot scheme removed,
     /// so the baseline keeps the old path's lock count and sharing topology.
+    #[cfg(any(test, feature = "oracle"))]
     pub(crate) ws_mx: Mutex<()>,
     /// Sibling-visible tentative versions (see module docs).
     pub(crate) index: NestIndex,
@@ -320,6 +319,7 @@ impl NestCtx {
         Self {
             clock: AtomicU32::new(0),
             commit_mx: Mutex::new(()),
+            #[cfg(any(test, feature = "oracle"))]
             ws_mx: Mutex::new(()),
             index: NestIndex::new(),
             merged_rs: Mutex::new(ReadSet::new()),

@@ -9,24 +9,26 @@ use proptest::prelude::*;
 
 use pnstm::trace::TraceEvent;
 use pnstm::{
-    GcMode, MemConfig, MemLevel, ParallelismDegree, Stm, StmConfig, StmError, TestSink, VBox,
+    MemConfig, MemLevel, Oracle, ParallelismDegree, Stm, StmConfig, StmError, TestSink, VBox,
 };
 
-/// An STM whose GC driver and lease policy are the variables under test.
-/// Auto-GC by commit interval is disabled so the tests drive sweeps
-/// explicitly (or via the background thread's own wakeups).
-fn stm_with_mem(mem: MemConfig) -> Stm {
-    Stm::new(StmConfig {
+/// An STM whose GC driver (the background collector, or with
+/// [`Oracle::InlineGc`] the committer) and lease policy are the variables
+/// under test. Auto-GC by commit interval is disabled so the tests drive
+/// sweeps explicitly (or via the background thread's own wakeups).
+fn stm_with_mem(gc: Option<Oracle>, mem: MemConfig) -> Stm {
+    let config = StmConfig {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 1,
         gc_interval: 0,
         mem,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, gc)
 }
 
-fn leases_off(gc_mode: GcMode) -> MemConfig {
-    MemConfig { gc_mode, snapshot_lease: None, ..MemConfig::default() }
+fn leases_off() -> MemConfig {
+    MemConfig { snapshot_lease: None, ..MemConfig::default() }
 }
 
 /// Deadline-bounded spin on a condition driven by another thread.
@@ -56,8 +58,8 @@ fn steps(slots: usize) -> impl Strategy<Value = Vec<Step>> {
     })
 }
 
-fn replay(mode: GcMode, slots: usize, history: &[Step]) -> (Vec<i64>, u64) {
-    let stm = stm_with_mem(leases_off(mode));
+fn replay(gc: Option<Oracle>, slots: usize, history: &[Step]) -> (Vec<i64>, u64) {
+    let stm = stm_with_mem(gc, leases_off());
     let boxes: Vec<VBox<i64>> = (0..slots).map(|_| stm.new_vbox(0i64)).collect();
     for step in history {
         match *step {
@@ -88,8 +90,8 @@ proptest! {
     /// a final sweep leaves exactly one retained version per box.
     #[test]
     fn background_and_inline_gc_replay_to_identical_state(history in steps(6)) {
-        let (bg, bg_retained) = replay(GcMode::Background, 6, &history);
-        let (inl, inl_retained) = replay(GcMode::Inline, 6, &history);
+        let (bg, bg_retained) = replay(None, 6, &history);
+        let (inl, inl_retained) = replay(Some(Oracle::InlineGc), 6, &history);
         prop_assert_eq!(&bg, &inl, "final box state diverged between GC drivers");
         prop_assert_eq!(bg_retained, 6, "background: final sweep must leave one version per box");
         prop_assert_eq!(inl_retained, 6, "inline: final sweep must leave one version per box");
@@ -103,7 +105,7 @@ proptest! {
         before in steps(5),
         after in steps(5),
     ) {
-        let stm = stm_with_mem(leases_off(GcMode::Background));
+        let stm = stm_with_mem(None, leases_off());
         let boxes: Vec<VBox<i64>> = (0..5).map(|_| stm.new_vbox(0i64)).collect();
         let mut shadow = [0i64; 5];
         for step in &before {
@@ -156,11 +158,10 @@ proptest! {
 /// box) even though the reader never finished.
 #[test]
 fn parked_reader_is_evicted_and_heap_returns_to_steady_state() {
-    let stm = stm_with_mem(MemConfig {
-        gc_mode: GcMode::Background,
-        snapshot_lease: Some(Duration::from_millis(50)),
-        ..MemConfig::default()
-    });
+    let stm = stm_with_mem(
+        None,
+        MemConfig { snapshot_lease: Some(Duration::from_millis(50)), ..MemConfig::default() },
+    );
     let boxes: Vec<VBox<i64>> = (0..4).map(|_| stm.new_vbox(0i64)).collect();
     let peak = stm.read_only(|snap| {
         assert_eq!(snap.try_read(&boxes[0]), Ok(0), "fresh snapshot reads fine");
@@ -210,11 +211,10 @@ fn parked_reader_is_evicted_and_heap_returns_to_steady_state() {
 /// eviction-site abort, and the retry — on a fresh snapshot — commits.
 #[test]
 fn evicted_writer_retries_on_fresh_snapshot_and_commits() {
-    let stm = stm_with_mem(MemConfig {
-        gc_mode: GcMode::Background,
-        snapshot_lease: Some(Duration::from_millis(10)),
-        ..MemConfig::default()
-    });
+    let stm = stm_with_mem(
+        None,
+        MemConfig { snapshot_lease: Some(Duration::from_millis(10)), ..MemConfig::default() },
+    );
     let b = stm.new_vbox(0i64);
     let base = stm.stats().snapshot();
 
@@ -276,16 +276,18 @@ fn evicted_writer_retries_on_fresh_snapshot_and_commits() {
 #[test]
 fn ladder_escalates_to_hard_and_recovers() {
     let urgent = Duration::from_millis(1);
-    let stm = stm_with_mem(MemConfig {
-        gc_mode: GcMode::Inline,
-        // Leases off: the pinned reader is exempt from urgent clamping, so
-        // the ladder degrades throughput but never evicts it.
-        snapshot_lease: None,
-        urgent_lease: urgent,
-        soft_ceiling_versions: 40,
-        hard_ceiling_versions: 80,
-        gc_slice_boxes: 4,
-    });
+    let stm = stm_with_mem(
+        Some(Oracle::InlineGc),
+        MemConfig {
+            // Leases off: the pinned reader is exempt from urgent clamping, so
+            // the ladder degrades throughput but never evicts it.
+            snapshot_lease: None,
+            urgent_lease: urgent,
+            soft_ceiling_versions: 40,
+            hard_ceiling_versions: 80,
+            gc_slice_boxes: 4,
+        },
+    );
     let sink = Arc::new(TestSink::default());
     stm.trace_bus().subscribe(sink.clone());
     let boxes: Vec<VBox<i64>> = (0..8).map(|_| stm.new_vbox(0i64)).collect();
@@ -344,11 +346,10 @@ fn ladder_escalates_to_hard_and_recovers() {
 /// actuation point AutoPN uses when trading memory headroom for GC work.
 #[test]
 fn live_ceiling_retune_moves_the_ladder() {
-    let stm = stm_with_mem(MemConfig {
-        gc_mode: GcMode::Inline,
-        snapshot_lease: None,
-        ..MemConfig::default()
-    });
+    let stm = stm_with_mem(
+        Some(Oracle::InlineGc),
+        MemConfig { snapshot_lease: None, ..MemConfig::default() },
+    );
     let boxes: Vec<VBox<i64>> = (0..16).map(|_| stm.new_vbox(0i64)).collect();
     assert_eq!(stm.mem_level(), MemLevel::Normal);
     // 16 retained versions; drop the soft ceiling under them.

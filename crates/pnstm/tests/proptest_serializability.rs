@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread;
 
 use pnstm::{
-    child, stripe_of, ChildTask, CmMode, CommitPath, FaultKind, FaultPlan, FaultRule,
-    ParallelismDegree, ReadPathMode, SchedMode, Stm, StmConfig, TxError, Txn, VBox,
+    child, stripe_of, ChildTask, CmMode, FaultKind, FaultPlan, FaultRule, Oracle,
+    ParallelismDegree, Stm, StmConfig, TxError, Txn, VBox,
 };
 
 /// One randomly generated top-level transaction: a list of per-slot deltas;
@@ -34,17 +34,14 @@ fn run_history(
     threads: usize,
     degree: ParallelismDegree,
 ) -> Vec<i64> {
-    let stm = stm_with(degree, CommitPath::Striped);
+    let stm = stm_with(degree, None);
     let boxes: Arc<Vec<VBox<i64>>> = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect());
     run_history_on(&stm, &boxes, specs, threads)
 }
 
-fn stm_with(degree: ParallelismDegree, commit_path: CommitPath) -> Stm {
-    Stm::new(StmConfig { degree, worker_threads: 2, commit_path, ..StmConfig::default() })
-}
-
-fn stm_sched(degree: ParallelismDegree, sched_mode: SchedMode) -> Stm {
-    Stm::new(StmConfig { degree, worker_threads: 2, sched_mode, ..StmConfig::default() })
+/// An instance on the shipped rungs (`None`) or with one retired rung.
+fn stm_with(degree: ParallelismDegree, oracle: Option<Oracle>) -> Stm {
+    Stm::with_oracle(StmConfig { degree, worker_threads: 2, ..StmConfig::default() }, oracle)
 }
 
 /// Allocate `n` boxes that all hash to the same commit stripe (rejection
@@ -357,7 +354,7 @@ proptest! {
         degree in (1usize..=4, 1usize..=4),
     ) {
         let slots = 4;
-        let stm = stm_with(ParallelismDegree::new(degree.0, degree.1), CommitPath::Striped);
+        let stm = stm_with(ParallelismDegree::new(degree.0, degree.1), None);
         let boxes = Arc::new(colliding_boxes(&stm, slots));
         let first = stripe_of(boxes[0].id());
         prop_assert!(boxes.iter().all(|b| stripe_of(b.id()) == first));
@@ -377,8 +374,8 @@ proptest! {
         let slots = 4;
         // Deterministic single-threaded replay: outcome-for-outcome equal.
         let mut single = Vec::new();
-        for path in [CommitPath::Striped, CommitPath::GlobalLock] {
-            let stm = stm_with(ParallelismDegree::new(1, 1), path);
+        for oracle in [None, Some(Oracle::GlobalLock)] {
+            let stm = stm_with(ParallelismDegree::new(1, 1), oracle);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             let state = run_history_on(&stm, &boxes, &specs, 1);
             let snap = stm.stats().snapshot();
@@ -389,7 +386,7 @@ proptest! {
 
         // Concurrent replay: serializability pins the final state.
         let striped = run_history(&specs, slots, 3, ParallelismDegree::new(4, 2));
-        let stm = stm_with(ParallelismDegree::new(4, 2), CommitPath::GlobalLock);
+        let stm = stm_with(ParallelismDegree::new(4, 2), Some(Oracle::GlobalLock));
         let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
         let global = run_history_on(&stm, &boxes, &specs, 3);
         prop_assert_eq!(striped, global);
@@ -398,9 +395,8 @@ proptest! {
     /// Differential replay across the execution-layer ladder: the same specs
     /// produce the same history whether child batches run on the retained
     /// mutex pool or the work-stealing scheduler. Commit semantics live
-    /// entirely above the [`pnstm::Scheduler`] trait, so the two rungs must
-    /// agree outcome-for-outcome single-threaded and state-for-state
-    /// concurrently.
+    /// entirely above the child scheduler, so the two rungs must agree
+    /// outcome-for-outcome single-threaded and state-for-state concurrently.
     #[test]
     fn work_stealing_replays_mutex_histories(
         specs in proptest::collection::vec(tx_spec(4), 1..10),
@@ -408,8 +404,8 @@ proptest! {
         let slots = 4;
         // Deterministic single-threaded replay: outcome-for-outcome equal.
         let mut single = Vec::new();
-        for mode in [SchedMode::WorkStealing, SchedMode::Mutex] {
-            let stm = stm_sched(ParallelismDegree::new(1, 1), mode);
+        for oracle in [None, Some(Oracle::MutexSched)] {
+            let stm = stm_with(ParallelismDegree::new(1, 1), oracle);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             let state = run_history_on(&stm, &boxes, &specs, 1);
             let snap = stm.stats().snapshot();
@@ -420,8 +416,8 @@ proptest! {
 
         // Concurrent replay: serializability pins the final state.
         let mut states = Vec::new();
-        for mode in [SchedMode::WorkStealing, SchedMode::Mutex] {
-            let stm = stm_sched(ParallelismDegree::new(4, 2), mode);
+        for oracle in [None, Some(Oracle::MutexSched)] {
+            let stm = stm_with(ParallelismDegree::new(4, 2), oracle);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             states.push(run_history_on(&stm, &boxes, &specs, 3));
         }
@@ -498,13 +494,10 @@ proptest! {
         degree_c in 1usize..=4,
         locked in 0usize..2,
     ) {
-        let read_path = if locked == 1 { ReadPathMode::Locked } else { ReadPathMode::LockFree };
-        let stm = Stm::new(StmConfig {
-            degree: ParallelismDegree::new(2, degree_c),
-            worker_threads: 2,
-            read_path,
-            ..StmConfig::default()
-        });
+        let stm = stm_with(
+            ParallelismDegree::new(2, degree_c),
+            (locked == 1).then_some(Oracle::LockedReads),
+        );
         let slots: Arc<Vec<VBox<i64>>> =
             Arc::new((0..2).map(|i| stm.new_vbox(10 + i as i64)).collect());
         let marker = stm.new_vbox(0i64);

@@ -1,21 +1,24 @@
 //! Read-path behaviour: ancestor-read recording (the sibling-invalidation
-//! regression), Locked vs. LockFree differential equivalence, read-path
+//! regression), locked-oracle vs. lock-free differential equivalence, read-path
 //! stats/trace plumbing, and the snapshot-registration/GC race regression.
 
 use pnstm::{
-    child, MemConfig, ParallelismDegree, ReadPathMode, Stm, StmConfig, StmError, TestSink,
-    TraceEvent, VBox,
+    child, MemConfig, Oracle, ParallelismDegree, Stm, StmConfig, StmError, TestSink, TraceEvent,
+    VBox,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn stm_with_read_path(read_path: ReadPathMode) -> Stm {
-    Stm::new(StmConfig {
+/// The lock-free read path, and the [`Oracle::LockedReads`] baseline.
+const READ_PATHS: [Option<Oracle>; 2] = [None, Some(Oracle::LockedReads)];
+
+fn stm_with_read_path(read_path: Option<Oracle>) -> Stm {
+    let config = StmConfig {
         degree: ParallelismDegree::new(8, 4),
         worker_threads: 3,
-        read_path,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, read_path)
 }
 
 /// Spin until `cond` holds or the deadline passes; returns whether it held.
@@ -38,7 +41,7 @@ fn wait_until(cond: impl Fn() -> bool, timeout: Duration) -> bool {
 /// the final state would lose the sibling's update.
 #[test]
 fn sibling_invalidation_of_ancestor_ws_read_is_detected() {
-    for mode in [ReadPathMode::LockFree, ReadPathMode::Locked] {
+    for mode in READ_PATHS {
         let stm = stm_with_read_path(mode);
         let w = stm.new_vbox(100i64);
         let stats = stm.stats();
@@ -124,7 +127,7 @@ fn sibling_invalidation_of_ancestor_ws_read_is_detected() {
 /// the sibling's, not the global snapshot's.
 #[test]
 fn ancestor_nest_index_reads_are_recorded_and_versioned() {
-    let stm = stm_with_read_path(ReadPathMode::LockFree);
+    let stm = stm_with_read_path(None);
     let w = stm.new_vbox(7i64);
     let stats = stm.stats();
     let commits_before = stats.snapshot().nested_commits;
@@ -183,7 +186,7 @@ fn ancestor_nest_index_reads_are_recorded_and_versioned() {
 #[test]
 fn locked_and_lockfree_read_paths_agree() {
     let mut finals = Vec::new();
-    for mode in [ReadPathMode::LockFree, ReadPathMode::Locked] {
+    for mode in READ_PATHS {
         let stm = stm_with_read_path(mode);
         let boxes: Vec<_> = (0..8).map(|i| stm.new_vbox(i as i64)).collect();
         for round in 0..10 {
@@ -213,13 +216,13 @@ fn locked_and_lockfree_read_paths_agree() {
         assert_eq!(snap.top_commits, 10);
         match mode {
             // The lock-free ladder consults the per-level filters...
-            ReadPathMode::LockFree => assert!(
+            None => assert!(
                 snap.read_filter_hits + snap.read_filter_misses > 0,
                 "filters never consulted: {snap:?}"
             ),
             // ...the locked baseline has none, but every ancestor probe is a
             // slow-path read.
-            ReadPathMode::Locked => {
+            Some(_) => {
                 assert_eq!(snap.read_filter_hits + snap.read_filter_misses, 0);
                 assert!(snap.read_slow_path > 0, "locked reads must count slow-path: {snap:?}");
             }
@@ -227,13 +230,13 @@ fn locked_and_lockfree_read_paths_agree() {
     }
     // Sibling commit order varies run to run, so per-run values may differ
     // legally; re-running each mode with c=1 gives a deterministic check.
-    for mode in [ReadPathMode::LockFree, ReadPathMode::Locked] {
-        let stm = Stm::new(StmConfig {
+    for mode in READ_PATHS {
+        let config = StmConfig {
             degree: ParallelismDegree::new(1, 1),
             worker_threads: 0,
-            read_path: mode,
             ..StmConfig::default()
-        });
+        };
+        let stm = Stm::with_oracle(config, mode);
         let boxes: Vec<_> = (0..8).map(|i| stm.new_vbox(i as i64)).collect();
         for round in 0..10 {
             let boxes2 = boxes.clone();
@@ -293,7 +296,7 @@ fn read_parent_write_from_two_children(stm: &Stm) -> Vec<i64> {
 /// to a fresh pool, which has no history and so hands the batch off.
 #[test]
 fn read_path_trace_event_is_emitted() {
-    let stm = stm_with_read_path(ReadPathMode::LockFree);
+    let stm = stm_with_read_path(None);
     let sink = Arc::new(TestSink::new());
     stm.trace_bus().subscribe(sink.clone());
     assert_eq!(read_parent_write_from_two_children(&stm), vec![12, 12]);

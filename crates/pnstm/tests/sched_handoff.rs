@@ -13,11 +13,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pnstm::{
-    child, ChildPool, ChildTask, FaultCtx, ParallelismDegree, SchedMode, Scheduler, Stats, Stm,
+    child, ChildPool, ChildScheduler, ChildTask, FaultCtx, Oracle, ParallelismDegree, Stats, Stm,
     StmConfig, Task, TraceBus, WorkStealingPool,
 };
 
-const RUNGS: [SchedMode; 2] = [SchedMode::Mutex, SchedMode::WorkStealing];
+/// The [`Oracle::MutexSched`] pool, then the shipped scheduler.
+const RUNGS: [Option<Oracle>; 2] = [Some(Oracle::MutexSched), None];
 
 /// Whether a batch is withheld depends on the clock, so the tests here run
 /// one at a time: seven of them competing for two cores turn every parent
@@ -28,16 +29,18 @@ fn alone() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn pool_of(mode: SchedMode, size: usize) -> (Arc<dyn Scheduler>, Arc<Stats>) {
+fn pool_of(mode: Option<Oracle>, size: usize) -> (Arc<ChildScheduler>, Arc<Stats>) {
     let stats = Arc::new(Stats::new());
     let (fault, handle, trace) = (FaultCtx::disabled(), Arc::clone(&stats), TraceBus::new());
-    let pool: Arc<dyn Scheduler> = match mode {
-        SchedMode::Mutex => Arc::new(ChildPool::with_instruments(size, fault, handle, trace)),
-        SchedMode::WorkStealing => {
-            Arc::new(WorkStealingPool::with_instruments(size, fault, handle, trace))
+    let pool = match mode {
+        Some(Oracle::MutexSched) => {
+            ChildScheduler::Mutex(ChildPool::with_instruments(size, fault, handle, trace))
         }
+        _ => ChildScheduler::WorkStealing(WorkStealingPool::with_instruments(
+            size, fault, handle, trace,
+        )),
     };
-    (pool, stats)
+    (Arc::new(pool), stats)
 }
 
 fn counting_tasks(n: usize, counter: &Arc<AtomicI64>) -> Vec<Task> {
@@ -53,7 +56,7 @@ fn counting_tasks(n: usize, counter: &Arc<AtomicI64>) -> Vec<Task> {
 
 /// Teach the pool that children are tiny: after this, tiny batches are
 /// withheld. Returns the number of batches run.
-fn warm_up_with_tiny_batches(pool: &Arc<dyn Scheduler>, helper_limit: usize) -> u64 {
+fn warm_up_with_tiny_batches(pool: &ChildScheduler, helper_limit: usize) -> u64 {
     let counter = Arc::new(AtomicI64::new(0));
     for _ in 0..1_000 {
         pool.run_batch(counting_tasks(8, &counter), helper_limit);
@@ -104,13 +107,15 @@ fn a_long_batch_after_many_tiny_ones_is_published_late() {
 #[test]
 fn tiny_batches_stop_handing_off_and_match_sequential_results() {
     let _alone = alone();
-    fn run(mode: SchedMode, c: usize) -> (Vec<i64>, Vec<i64>, Stm) {
-        let stm = Stm::new(StmConfig {
-            degree: ParallelismDegree::new(1, c),
-            worker_threads: c - 1,
-            sched_mode: mode,
-            ..StmConfig::default()
-        });
+    fn run(mode: Option<Oracle>, c: usize) -> (Vec<i64>, Vec<i64>, Stm) {
+        let stm = Stm::with_oracle(
+            StmConfig {
+                degree: ParallelismDegree::new(1, c),
+                worker_threads: c - 1,
+                ..StmConfig::default()
+            },
+            mode,
+        );
         let cells: Vec<_> = (0..2).map(|_| stm.new_vbox(0i64)).collect();
         let mut results = Vec::new();
         for round in 0..3_000i64 {
@@ -275,12 +280,14 @@ fn drop_during_withheld_batches_neither_hangs_nor_strands() {
 fn close_admission_during_a_withheld_batch_lets_the_tree_finish() {
     let _alone = alone();
     for mode in RUNGS {
-        let stm = Stm::new(StmConfig {
-            degree: ParallelismDegree::new(1, 2),
-            worker_threads: 1,
-            sched_mode: mode,
-            ..StmConfig::default()
-        });
+        let stm = Stm::with_oracle(
+            StmConfig {
+                degree: ParallelismDegree::new(1, 2),
+                worker_threads: 1,
+                ..StmConfig::default()
+            },
+            mode,
+        );
         let cells: Vec<_> = (0..8).map(|_| stm.new_vbox(0i64)).collect();
         let bump_all = |close: bool| {
             stm.atomic(|tx| {

@@ -1,12 +1,12 @@
 //! Property tests of the execution-layer contract under concurrent resize:
 //! whatever the worker count does mid-batch, every task of a
-//! [`Scheduler::run_batch`] call runs exactly once, and the number of
+//! [`ChildScheduler::run_batch`] call runs exactly once, and the number of
 //! concurrent executors of one batch never exceeds `helper_limit + 1` (the
 //! helpers plus the calling thread, which is always an executor).
 //!
-//! Both rungs of the scheduler ladder are driven through the same trait
-//! object, so a divergence between the mutex pool and the work-stealing
-//! scheduler fails the same property.
+//! Both rungs — the shipped work-stealing scheduler and the mutex-pool oracle
+//! — are driven through the same [`ChildScheduler`], so a divergence between
+//! them fails the same property.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -14,19 +14,20 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use pnstm::{ChildPool, SchedMode, Scheduler, WorkStealingPool};
+use pnstm::{ChildPool, ChildScheduler, Oracle, WorkStealingPool};
 
-fn pool_of(mode: SchedMode, size: usize) -> Arc<dyn Scheduler> {
-    match mode {
-        SchedMode::Mutex => Arc::new(ChildPool::new(size)),
-        SchedMode::WorkStealing => Arc::new(WorkStealingPool::new(size)),
-    }
+/// The shipped scheduler (`None`) or the [`Oracle::MutexSched`] pool.
+fn pool_of(mode: Option<Oracle>, size: usize) -> Arc<ChildScheduler> {
+    Arc::new(match mode {
+        Some(Oracle::MutexSched) => ChildScheduler::Mutex(ChildPool::new(size)),
+        _ => ChildScheduler::WorkStealing(WorkStealingPool::new(size)),
+    })
 }
 
 /// Run one batch of `n_tasks` counting tasks and return
 /// `(per-task execution counts, peak concurrent executors)`.
 fn run_counted_batch(
-    pool: &Arc<dyn Scheduler>,
+    pool: &ChildScheduler,
     n_tasks: usize,
     helper_limit: usize,
 ) -> (Vec<usize>, usize) {
@@ -68,7 +69,7 @@ proptest! {
         sizes in proptest::collection::vec(0usize..6, 1..5),
         batches in proptest::collection::vec((1usize..24, 0usize..5), 1..6),
     ) {
-        let mode = if mode_ix == 0 { SchedMode::Mutex } else { SchedMode::WorkStealing };
+        let mode = (mode_ix == 0).then_some(Oracle::MutexSched);
         let pool = pool_of(mode, initial);
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -110,7 +111,7 @@ proptest! {
 /// target once woken (bounded by the idle-wait backstop).
 #[test]
 fn shrink_retires_surplus_workers_on_both_rungs() {
-    for mode in [SchedMode::Mutex, SchedMode::WorkStealing] {
+    for mode in [Some(Oracle::MutexSched), None] {
         let pool = pool_of(mode, 6);
         pool.resize(1);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -132,7 +133,7 @@ fn shrink_retires_surplus_workers_on_both_rungs() {
 /// workers that then actually help drain a batch.
 #[test]
 fn grow_from_zero_supplies_helpers_on_both_rungs() {
-    for mode in [SchedMode::Mutex, SchedMode::WorkStealing] {
+    for mode in [Some(Oracle::MutexSched), None] {
         let pool = pool_of(mode, 0);
         assert_eq!(pool.live_workers(), 0, "{mode:?}");
         pool.resize(4);

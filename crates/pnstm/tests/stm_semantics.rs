@@ -2,8 +2,8 @@
 //! retry behaviour, throttling, and garbage collection.
 
 use pnstm::{
-    child, ChildTask, CmMode, GcMode, MemConfig, ParallelismDegree, Stm, StmConfig, StmError,
-    TxError, TxResult, VBox,
+    child, ChildTask, CmMode, MemConfig, ParallelismDegree, Stm, StmConfig, StmError, TxError,
+    TxResult, VBox,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -753,11 +753,7 @@ fn an_inline_child_under_an_expired_lease_ends_the_attempt() {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 0,
         gc_interval: 0,
-        mem: MemConfig {
-            gc_mode: GcMode::Background,
-            snapshot_lease: Some(Duration::from_millis(10)),
-            ..MemConfig::default()
-        },
+        mem: MemConfig { snapshot_lease: Some(Duration::from_millis(10)), ..MemConfig::default() },
         ..StmConfig::default()
     });
     let b = stm.new_vbox(0i64);

@@ -14,8 +14,8 @@ use autopn::{
 };
 use pnstm::trace::TraceEvent;
 use pnstm::{
-    stripe_of, CmMode, GcMode, MemConfig, ParallelismDegree, SchedMode, Stm, StmConfig, StmError,
-    TestSink, TraceBus,
+    stripe_of, CmMode, MemConfig, Oracle, ParallelismDegree, Stm, StmConfig, StmError, TestSink,
+    TraceBus,
 };
 use proptest::prelude::*;
 use simtm::{MachineParams, SimWorkload};
@@ -27,26 +27,26 @@ use workloads::{LiveStmSystem, SimSystem};
 /// execution layer) and return (the trace, injections of `kind`, whether the
 /// session reported degraded).
 fn live_tune_under(plan: FaultPlan, kind: FaultKind) -> (Vec<TraceEvent>, u64, bool) {
-    live_tune_under_sched(plan, kind, SchedMode::default())
+    live_tune_under_sched(plan, kind, None)
 }
 
-/// [`live_tune_under`] on an explicit rung of the scheduler ladder: the
-/// chaos contract (sessions complete, every injection traced, shutdown
-/// bounded) must hold under both execution layers, so the `_mutex_oracle`
-/// variants rerun the scheduler-sensitive plans on the mutex rung.
+/// [`live_tune_under`] with an optional retired rung: the chaos contract
+/// (sessions complete, every injection traced, shutdown bounded) must hold
+/// under both execution layers, so the `_mutex_oracle` variants rerun the
+/// scheduler-sensitive plans on [`Oracle::MutexSched`].
 fn live_tune_under_sched(
     plan: FaultPlan,
     kind: FaultKind,
-    sched_mode: SchedMode,
+    oracle: Option<Oracle>,
 ) -> (Vec<TraceEvent>, u64, bool) {
     let plan = Arc::new(plan);
-    let stm = Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 2,
         fault: Some(plan.clone()),
-        sched_mode,
         ..StmConfig::default()
-    });
+    };
+    let stm = Stm::with_oracle(config, oracle);
     let sink = Arc::new(TestSink::default());
     let trace = stm.trace_bus().clone();
     trace.subscribe(sink.clone());
@@ -249,7 +249,7 @@ fn tuning_completes_under_child_stalls_mutex_oracle() {
     let kind = FaultKind::ChildStall;
     let plan = FaultPlan::new(44)
         .with_rule(kind, FaultRule::with_probability(0.3).delay_ns(200_000).budget(400));
-    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::Mutex);
+    let (events, injected, _) = live_tune_under_sched(plan, kind, Some(Oracle::MutexSched));
     assert!(injected > 0, "no child stalls were injected");
     assert_eq!(count_injected(&events, kind), injected);
 }
@@ -261,7 +261,7 @@ fn tuning_completes_under_admission_stalls_mutex_oracle() {
     let kind = FaultKind::AdmissionStall;
     let plan = FaultPlan::new(45)
         .with_rule(kind, FaultRule::with_probability(0.4).delay_ns(500_000).budget(300));
-    let (events, injected, _) = live_tune_under_sched(plan, kind, SchedMode::Mutex);
+    let (events, injected, _) = live_tune_under_sched(plan, kind, Some(Oracle::MutexSched));
     assert!(injected > 0, "no admission stalls were injected");
     assert_eq!(count_injected(&events, kind), injected);
 }
@@ -316,28 +316,28 @@ fn shutdown_is_bounded_while_admission_is_starved() {
     // must wake every worker parked on its `ParkGate` with
     // `StmError::Shutdown` (the stop flag alone could not) — a lost wakeup
     // would wedge this shutdown.
-    shutdown_while_admission_is_starved(SchedMode::default());
+    shutdown_while_admission_is_starved(None);
 }
 
 #[test]
 fn shutdown_is_bounded_while_admission_is_starved_mutex_oracle() {
     // The same contract on the mutex rung: the semaphore's condvar
     // broadcast must wake every parked worker.
-    shutdown_while_admission_is_starved(SchedMode::Mutex);
+    shutdown_while_admission_is_starved(Some(Oracle::MutexSched));
 }
 
-fn shutdown_while_admission_is_starved(sched_mode: SchedMode) {
+fn shutdown_while_admission_is_starved(oracle: Option<Oracle>) {
     let plan = Arc::new(FaultPlan::new(49).with_rule(
         FaultKind::AdmissionStall,
         FaultRule::with_probability(1.0).delay_ns(2_000_000),
     ));
-    let stm = Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 2,
         fault: Some(plan),
-        sched_mode,
         ..StmConfig::default()
-    });
+    };
+    let stm = Stm::with_oracle(config, oracle);
     let wl = Arc::new(ArrayWorkload::new(
         &stm,
         "chaos-shutdown",
@@ -349,7 +349,7 @@ fn shutdown_while_admission_is_starved(sched_mode: SchedMode) {
     system.shutdown();
     assert!(
         start.elapsed() < Duration::from_secs(5),
-        "shutdown took {:?} with workers parked on admission ({sched_mode:?})",
+        "shutdown took {:?} with workers parked on admission ({oracle:?})",
         start.elapsed()
     );
     // The STM stays usable after shutdown (admission reopened).
@@ -380,11 +380,7 @@ fn stalled_collector_never_blocks_commits_and_eviction_resumes() {
         worker_threads: 2,
         fault: Some(plan.clone()),
         gc_interval: 1,
-        mem: MemConfig {
-            gc_mode: GcMode::Background,
-            snapshot_lease: Some(Duration::from_millis(20)),
-            ..MemConfig::default()
-        },
+        mem: MemConfig { snapshot_lease: Some(Duration::from_millis(20)), ..MemConfig::default() },
         ..StmConfig::default()
     });
     let b = stm.new_vbox(0i64);
@@ -471,7 +467,6 @@ fn collector_panic_is_absorbed_and_the_loop_restarts() {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 1,
         gc_interval: 0,
-        mem: MemConfig { gc_mode: GcMode::Background, ..MemConfig::default() },
         ..StmConfig::default()
     });
     let armed = Arc::new(AtomicBool::new(true));
@@ -551,25 +546,16 @@ fn ledger_block_completes_under_faults_with_oracle_state() {
     });
     let block = ledger::skewed_block(11, 96, 8, 50);
     let initial = vec![100u64; 8];
-    let oracle = ledger::BlockExecutor::new(
+    let oracle = ledger::BlockExecutor::sequential(
         &clean,
         &initial,
-        ledger::LedgerConfig {
-            exec_mode: ledger::ExecMode::Sequential,
-            workers: 1,
-            ..ledger::LedgerConfig::default()
-        },
+        ledger::LedgerConfig { workers: 1, ..ledger::LedgerConfig::default() },
     );
     oracle.execute_all(&block).expect("unfaulted oracle replay");
     let faulted = ledger::BlockExecutor::new(
         &stm,
         &initial,
-        ledger::LedgerConfig {
-            exec_mode: ledger::ExecMode::Parallel,
-            workers: 4,
-            block_size: 32,
-            ..ledger::LedgerConfig::default()
-        },
+        ledger::LedgerConfig { workers: 4, block_size: 32, ..ledger::LedgerConfig::default() },
     );
     let outcomes = faulted.execute_all(&block).expect("faulted blocks still terminate");
     assert_eq!(outcomes.len(), 3, "96 txns / 32 per block");
@@ -596,7 +582,6 @@ fn ledger_mid_block_close_is_bounded_and_installs_nothing() {
         &stm,
         &initial,
         ledger::LedgerConfig {
-            exec_mode: ledger::ExecMode::Parallel,
             workers: 4,
             work: Duration::from_millis(2),
             ..ledger::LedgerConfig::default()

@@ -15,9 +15,9 @@
 //! concurrent child transactions) are driven through the same oracle.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use pnstm::{child, CommitPath, ParallelismDegree, Stm, StmConfig, VBox};
+use pnstm::{child, ParallelismDegree, Stm, StmConfig, VBox};
 
 const ACCOUNTS: usize = 32;
 const INITIAL_BALANCE: i64 = 1_000;
@@ -28,7 +28,6 @@ fn striped_stm() -> Stm {
     Stm::new(StmConfig {
         degree: ParallelismDegree::new(THREADS, 2),
         worker_threads: 2,
-        commit_path: CommitPath::Striped,
         ..StmConfig::default()
     })
 }
@@ -54,9 +53,13 @@ impl Oracle {
         Self { stm, accounts, ops }
     }
 
-    /// One consistent read-only snapshot of the total balance.
-    fn snapshot_sum(&self) -> i64 {
-        self.stm.read_only(|tx| self.accounts.iter().map(|a| tx.read(a)).sum())
+    /// One consistent read-only snapshot of the total balance; `begun` runs
+    /// once the snapshot is registered, before its first read.
+    fn snapshot_sum(&self, begun: impl FnOnce()) -> i64 {
+        self.stm.read_only(|tx| {
+            begun();
+            self.accounts.iter().map(|a| tx.read(a)).sum()
+        })
     }
 
     /// Drive `THREADS` transfer threads plus a conservation checker and a
@@ -65,15 +68,24 @@ impl Oracle {
         let expected_sum = ACCOUNTS as i64 * INITIAL_BALANCE;
         let stop = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(0));
+        // The transfers start only once the checker's first snapshot is
+        // registered, so at least one snapshot overlaps them however late
+        // the checker thread is scheduled.
+        let checker_began = Arc::new(Barrier::new(2));
 
         let checker = {
             let oracle = Arc::clone(self);
             let stop = Arc::clone(&stop);
+            let mut began = Some(Arc::clone(&checker_began));
             std::thread::spawn(move || {
                 let mut snapshots = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     assert_eq!(
-                        oracle.snapshot_sum(),
+                        oracle.snapshot_sum(|| {
+                            if let Some(began) = began.take() {
+                                began.wait();
+                            }
+                        }),
                         expected_sum,
                         "a concurrent snapshot saw money created or destroyed"
                     );
@@ -95,6 +107,7 @@ impl Oracle {
             })
         };
 
+        checker_began.wait();
         let workers: Vec<_> = (0..THREADS)
             .map(|i| {
                 let oracle = Arc::clone(self);
@@ -159,7 +172,7 @@ impl Oracle {
 
     fn check_final(&self, committed: u64) {
         assert_eq!(
-            self.snapshot_sum(),
+            self.snapshot_sum(|| ()),
             ACCOUNTS as i64 * INITIAL_BALANCE,
             "final sum violates conservation"
         );
@@ -201,12 +214,14 @@ fn nested_transfers_are_serializable_under_striped_commit() {
 fn global_lock_oracle_agrees_on_invariants() {
     // The retained global-lock path must uphold the same invariants — it is
     // the differential baseline the striped path is judged against.
-    let stm = Stm::new(StmConfig {
-        degree: ParallelismDegree::new(THREADS, 1),
-        worker_threads: 2,
-        commit_path: CommitPath::GlobalLock,
-        ..StmConfig::default()
-    });
+    let stm = Stm::with_oracle(
+        StmConfig {
+            degree: ParallelismDegree::new(THREADS, 1),
+            worker_threads: 2,
+            ..StmConfig::default()
+        },
+        Some(pnstm::Oracle::GlobalLock),
+    );
     let oracle = Arc::new(Oracle::new(stm));
     let committed = oracle.run(false);
     assert_eq!(committed, (THREADS * TRANSFERS_PER_THREAD) as u64);
