@@ -215,29 +215,20 @@ impl AxisRegistry {
         let mut out = pnstm::AxesTrace::empty();
         let Ok(levels) = self.levels_of(cfg) else { return out };
         for (b, level) in self.bindings.iter().zip(levels) {
-            out.push(b.axis.name(), b.axis.value_at(level), b.axis.label_at(level));
+            out.push(b.axis.name(), b.axis.value_at(level));
         }
         out
     }
 }
 
-/// The standard live-STM registry: contention policy and GC slice budget,
-/// the two discrete knobs switchable on a running [`pnstm::Stm`] without
-/// reconstruction.
+/// The standard live-STM registry: the GC slice budget, the discrete knob
+/// switchable on a running [`pnstm::Stm`] without reconstruction.
 pub fn stm_axis_registry(stm: &pnstm::Stm) -> AxisRegistry {
-    let cm_stm = stm.clone();
-    let gc_stm = stm.clone();
-    AxisRegistry::new()
-        .bind(Axis::cm_policy(), move |value, _| {
-            let mode = pnstm::CmMode::from_index(value as usize)
-                .ok_or_else(|| ApplyError::new(format!("unknown cm policy index {value}")))?;
-            cm_stm.set_cm_mode(mode);
-            Ok(())
-        })
-        .bind(Axis::gc_budget(), move |value, _| {
-            gc_stm.set_gc_slice_boxes(value as usize);
-            Ok(())
-        })
+    let stm = stm.clone();
+    AxisRegistry::new().bind(Axis::gc_budget(), move |value, _| {
+        stm.set_gc_slice_boxes(value as usize);
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -270,14 +261,11 @@ mod tests {
         let mut act = PnstmActuator::new(stm.clone());
         act.attach_axes(stm_axis_registry(&stm));
         let gc256 = Axis::gc_budget().level_of_value(256).unwrap();
-        let cfg =
-            Config::with_axes(2, 3, AxisLevels::from_slice(&[pnstm::CmMode::Karma.index(), gc256]));
-        act.try_apply(cfg).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::Karma);
+        act.try_apply(Config::with_axes(2, 3, AxisLevels::from_slice(&[gc256]))).unwrap();
         assert_eq!(stm.gc_slice_boxes(), 256);
         assert_eq!(act.current(), Config::new(2, 3));
         assert_eq!(stm.pool_size(), 4);
-        assert_eq!(stm.throttle().noted_axes().get("cm").unwrap().label, "karma");
+        assert_eq!(stm.throttle().noted_axes().get("gc_boxes").unwrap().value, 256);
     }
 
     #[test]
@@ -304,7 +292,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
         let mut reg = AxisRegistry::new()
-            .bind(Axis::categorical("mode", &["a", "b", "c"], 0), move |v, l| {
+            .bind(Axis::integer("mode", &[1, 2, 3], 1), move |v, l| {
                 l1.lock().unwrap().push(("mode", v, l));
                 Ok(())
             })
@@ -315,17 +303,17 @@ mod tests {
         assert_eq!(reg.len(), 2);
         let space = reg.space(8);
         assert_eq!(space.axes().len(), 2);
-        assert_eq!(space.dim(), 2 + 3 + 1, "t, c, one-hot mode, ordinal boxes");
+        assert_eq!(space.dim(), 2 + 1 + 1, "t, c, one feature per axis");
 
         let cfg = Config::with_axes(2, 3, crate::space::AxisLevels::from_slice(&[2, 0]));
         reg.enact(cfg).unwrap();
-        assert_eq!(*log.lock().unwrap(), vec![("mode", 2, 2), ("boxes", 64, 0)]);
+        assert_eq!(*log.lock().unwrap(), vec![("mode", 3, 2), ("boxes", 64, 0)]);
 
         // Bare (t, c) point — the controller's built-in fallback — enacts
         // the defaults.
         log.lock().unwrap().clear();
         reg.enact(Config::new(1, 1)).unwrap();
-        assert_eq!(*log.lock().unwrap(), vec![("mode", 0, 0), ("boxes", 128, 1)]);
+        assert_eq!(*log.lock().unwrap(), vec![("mode", 1, 0), ("boxes", 128, 1)]);
 
         // Wrong arity is an apply error, not a silent partial enactment.
         log.lock().unwrap().clear();
@@ -335,20 +323,19 @@ mod tests {
 
         let trace = reg.axes_trace(cfg);
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace.get("mode").unwrap().label, "c");
+        assert_eq!(trace.get("mode").unwrap().value, 3);
         assert_eq!(trace.get("boxes").unwrap().value, 64);
     }
 
     #[test]
     fn registry_setter_failure_propagates() {
-        let mut reg =
-            AxisRegistry::new().bind(Axis::categorical("flaky", &["ok", "boom"], 0), |_, level| {
-                if level == 1 {
-                    Err(ApplyError::new("boom"))
-                } else {
-                    Ok(())
-                }
-            });
+        let mut reg = AxisRegistry::new().bind(Axis::integer("flaky", &[0, 1], 0), |_, level| {
+            if level == 1 {
+                Err(ApplyError::new("boom"))
+            } else {
+                Ok(())
+            }
+        });
         let good = Config::with_axes(1, 1, crate::space::AxisLevels::from_slice(&[0]));
         let bad = Config::with_axes(1, 1, crate::space::AxisLevels::from_slice(&[1]));
         assert!(reg.enact(good).is_ok());
@@ -361,37 +348,29 @@ mod tests {
         let stm = Stm::new(StmConfig::default());
         let mut reg = stm_axis_registry(&stm);
         let space = reg.space(4);
-        assert_eq!(space.axes().len(), 2);
+        assert_eq!(space.axes().len(), 1);
 
-        let karma = pnstm::CmMode::Karma.index();
-        let gc256 = space.axes()[1].level_of_value(256).unwrap();
-        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[karma, gc256]));
-        reg.enact(cfg).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::Karma);
+        let gc256 = space.axes()[0].level_of_value(256).unwrap();
+        reg.enact(Config::with_axes(2, 2, AxisLevels::from_slice(&[gc256]))).unwrap();
         assert_eq!(stm.gc_slice_boxes(), 256);
 
-        // Re-enacting a bare point restores both defaults.
+        // Re-enacting a bare point restores the default.
         reg.enact(Config::new(1, 1)).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::default());
         assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
     }
 
-    /// Every level of the cm axis goes through the live registry and reads
-    /// back from the STM under its own tag; none is the livelocking
-    /// `immediate` oracle.
+    /// Every level of the GC axis goes through the live registry and reads
+    /// back from the STM as its own slice budget.
     #[test]
-    fn every_cm_level_round_trips_through_the_stm_registry() {
+    fn every_gc_level_round_trips_through_the_stm_registry() {
         use crate::space::AxisLevels;
         let stm = Stm::new(StmConfig::default());
         let mut reg = stm_axis_registry(&stm);
-        let gc_default = reg.space(4).axes()[1].default_level();
-        let cm = Axis::cm_policy();
-        assert_eq!(cm.len(), 3);
-        for level in 0..cm.len() {
-            let cfg = Config::with_axes(1, 1, AxisLevels::from_slice(&[level, gc_default]));
-            reg.enact(cfg).unwrap();
-            assert_eq!(stm.cm_mode().tag(), cm.label_at(level), "level {level}");
-            assert_ne!(cm.label_at(level), "immediate");
+        let gc = Axis::gc_budget();
+        assert_eq!(reg.axes(), std::slice::from_ref(&gc));
+        for level in 0..gc.len() {
+            reg.enact(Config::with_axes(1, 1, AxisLevels::from_slice(&[level]))).unwrap();
+            assert_eq!(stm.gc_slice_boxes(), gc.value_at(level) as usize, "level {level}");
         }
     }
 

@@ -77,5 +77,5 @@ pub use pnstm::{
 pub use pnstm::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
 pub use policy::{sweep_axis, AxisSweepOutcome};
 pub use sampling::InitialSampling;
-pub use space::{Axis, AxisKind, AxisLevels, Config, ConfigSpace, SearchSpace, MAX_AXES};
+pub use space::{Axis, AxisLevels, Config, ConfigSpace, SearchSpace, MAX_AXES};
 pub use stopping::StopCondition;

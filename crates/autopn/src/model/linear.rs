@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn recovers_higher_dimensional_function() {
-        // Four features (as a space with a one-hot axis would encode): the
+        // Four features (as a space with two axes would encode): the
         // generalized solver must recover all coefficients.
         let mut samples = Vec::new();
         for t in 1..=4 {

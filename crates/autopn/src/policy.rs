@@ -34,8 +34,8 @@ pub struct AxisSweepOutcome {
 /// on the best `(level, t, c)`; ties go to the lower level.
 ///
 /// `set(value, level)` enacts a level on the tuned system — the same shape
-/// as an [`crate::AxisRegistry::bind`] setter (live STM policy:
-/// `|v, _| stm.set_cm_mode(CmMode::from_index(v as usize).unwrap())`).
+/// as an [`crate::AxisRegistry::bind`] setter (live STM GC budget:
+/// `|v, _| stm.set_gc_slice_boxes(v as usize)`).
 /// `make_tuner` / `make_monitor` build a fresh optimizer and measurement
 /// policy per session, given the level.
 pub fn sweep_axis(
@@ -83,48 +83,40 @@ mod tests {
     use crate::monitor::AdaptiveMonitor;
     use crate::optimizer::{AutoPn, AutoPnConfig};
     use crate::space::SearchSpace;
-    use pnstm::CmMode;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// Deterministic fake: commit period depends on `(t, c)` *and* on the
-    /// currently enacted policy (Karma is the clear winner, Greedy the clear
-    /// loser), with the optimum at (6, 2) in all cases.
-    struct PolicyFakeSystem {
+    /// Deterministic fake for a power-of-two axis: commit period is
+    /// parabolic in log2 of the enacted value with the optimum at
+    /// `2^best_log2`, on top of the usual `(t, c)` bowl at (6, 2) —
+    /// modelling e.g. the GC budget's pause-vs-reclaim or the block size's
+    /// amortisation-vs-conflict-window trade-off.
+    struct LadderFakeSystem {
         now: u64,
-        period_ns: u64,
         cfg: Config,
-        policy_idx: Arc<AtomicUsize>,
+        knob: Arc<AtomicUsize>,
+        best_log2: f64,
     }
 
-    impl PolicyFakeSystem {
-        fn policy_penalty(idx: usize) -> u64 {
-            match CmMode::from_index(idx).expect("cm level") {
-                CmMode::ExpBackoff => 200_000,
-                CmMode::Karma => 0,
-                CmMode::Greedy => 300_000,
-                other => unreachable!("{other} is not a shipped policy"),
-            }
-        }
-        fn period_for(cfg: Config, idx: usize) -> u64 {
-            let penalty =
+    impl LadderFakeSystem {
+        fn period(&self) -> u64 {
+            let cfg = self.cfg;
+            let bowl =
                 (cfg.t as f64 - 6.0).powi(2) * 40_000.0 + (cfg.c as f64 - 2.0).powi(2) * 90_000.0;
-            (200_000.0 + penalty) as u64 + Self::policy_penalty(idx)
-        }
-        fn refresh(&mut self) {
-            self.period_ns = Self::period_for(self.cfg, self.policy_idx.load(Ordering::Relaxed));
+            let v = self.knob.load(Ordering::Relaxed) as f64;
+            let knob_penalty = (v.log2() - self.best_log2).powi(2) * 150_000.0;
+            (200_000.0 + bowl + knob_penalty) as u64
         }
     }
 
-    impl TunableSystem for PolicyFakeSystem {
+    impl TunableSystem for LadderFakeSystem {
         fn apply(&mut self, cfg: Config) {
             self.cfg = cfg;
-            self.refresh();
         }
         fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-            self.refresh();
-            if self.period_ns <= max_wait_ns {
-                self.now += self.period_ns;
+            let period = self.period();
+            if period <= max_wait_ns {
+                self.now += period;
                 Some(self.now)
             } else {
                 self.now += max_wait_ns;
@@ -136,177 +128,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_finds_the_best_policy_and_config() {
-        let policy_idx = Arc::new(AtomicUsize::new(0));
-        let mut sys = PolicyFakeSystem {
+    /// Sweep `axis` over a fake whose optimum is `best`; check the sweep
+    /// finds it (and (6, 2)), re-enacts it, and beats the `worse` level.
+    fn sweep_finds(axis: Axis, best: u32, worse: u32) {
+        let knob = Arc::new(AtomicUsize::new(axis.value_at(axis.default_level()) as usize));
+        let mut sys = LadderFakeSystem {
             now: 0,
-            period_ns: 1_000_000,
             cfg: Config::new(1, 1),
-            policy_idx: Arc::clone(&policy_idx),
+            knob: Arc::clone(&knob),
+            best_log2: (best as f64).log2(),
         };
-        let knob = Arc::clone(&policy_idx);
+        let setter = Arc::clone(&knob);
         let outcome = sweep_axis(
             &mut sys,
-            &Axis::cm_policy(),
-            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
+            &axis,
+            &mut |value, _| setter.store(value as usize, Ordering::Relaxed),
             &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
             &mut |_| Box::new(AdaptiveMonitor::default()),
             &TraceBus::default(),
             &TuneOptions::default(),
         );
-        assert_eq!(outcome.sessions.len(), 3, "one full session per policy");
-        assert_eq!(CmMode::from_index(outcome.best_level), Some(CmMode::Karma));
+        assert_eq!(outcome.sessions.len(), axis.len(), "one full session per level");
+        assert_eq!(axis.value_at(outcome.best_level), best);
+        assert_eq!(
+            knob.load(Ordering::Relaxed),
+            best as usize,
+            "winner re-enacted after the sweep"
+        );
         assert!(
             (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
             "best {} too far from (6,2)",
             outcome.best
         );
         assert!(!outcome.degraded);
-        // The system was left on the winning triple.
-        assert_eq!(
-            policy_idx.load(Ordering::Relaxed),
-            CmMode::Karma.index(),
-            "karma re-enacted after the sweep"
-        );
-        assert_eq!(sys.cfg, outcome.best);
-        // Throughputs actually separate the policies as constructed.
-        let tp = |m: CmMode| outcome.sessions[m.index()].best_throughput;
-        assert!(tp(CmMode::Karma) > tp(CmMode::ExpBackoff));
-        assert!(tp(CmMode::ExpBackoff) > tp(CmMode::Greedy));
-    }
-
-    /// Deterministic fake for the GC-budget axis: commit period is parabolic
-    /// in the enacted slice budget with the optimum at 128 boxes, on top of
-    /// the usual `(t, c)` bowl at (6, 2).
-    struct BudgetFakeSystem {
-        now: u64,
-        cfg: Config,
-        budget: Arc<AtomicUsize>,
-    }
-
-    impl BudgetFakeSystem {
-        fn period(&self) -> u64 {
-            let cfg = self.cfg;
-            let bowl =
-                (cfg.t as f64 - 6.0).powi(2) * 40_000.0 + (cfg.c as f64 - 2.0).powi(2) * 90_000.0;
-            let b = self.budget.load(Ordering::Relaxed) as f64;
-            let budget_penalty = (b.log2() - 7.0).powi(2) * 150_000.0;
-            (200_000.0 + bowl + budget_penalty) as u64
-        }
-    }
-
-    impl TunableSystem for BudgetFakeSystem {
-        fn apply(&mut self, cfg: Config) {
-            self.cfg = cfg;
-        }
-        fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-            let period = self.period();
-            if period <= max_wait_ns {
-                self.now += period;
-                Some(self.now)
-            } else {
-                self.now += max_wait_ns;
-                None
-            }
-        }
-        fn now_ns(&self) -> u64 {
-            self.now
-        }
+        assert_eq!(sys.cfg, outcome.best, "the system was left on the winning point");
+        let tp = |v: u32| outcome.sessions[axis.level_of_value(v).unwrap()].best_throughput;
+        assert!(tp(best) > tp(worse));
     }
 
     #[test]
     fn gc_budget_sweep_finds_the_best_budget() {
-        let axis = Axis::gc_budget();
-        let budget = Arc::new(AtomicUsize::new(axis.value_at(axis.default_level()) as usize));
-        let mut sys =
-            BudgetFakeSystem { now: 0, cfg: Config::new(1, 1), budget: Arc::clone(&budget) };
-        let knob = Arc::clone(&budget);
-        let outcome = sweep_axis(
-            &mut sys,
-            &axis,
-            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
-            &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
-            &mut |_| Box::new(AdaptiveMonitor::default()),
-            &TraceBus::default(),
-            &TuneOptions::default(),
-        );
-        assert_eq!(outcome.sessions.len(), axis.len(), "one full session per level");
-        assert_eq!(axis.value_at(outcome.best_level), 128);
-        assert_eq!(budget.load(Ordering::Relaxed), 128, "winner re-enacted after the sweep");
-        assert!(
-            (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
-            "best {} too far from (6,2)",
-            outcome.best
-        );
-        let tp = |b: u32| outcome.sessions[axis.level_of_value(b).unwrap()].best_throughput;
-        assert!(tp(128) > tp(32));
-    }
-
-    /// Deterministic fake for the block-size axis: commit period is
-    /// parabolic in log2(block size) with the optimum at 256 txns (the
-    /// ladder midpoint), on top of the usual `(t, c)` bowl at (6, 2) —
-    /// modelling the amortisation-vs-conflict-window trade-off.
-    struct BlockFakeSystem {
-        now: u64,
-        cfg: Config,
-        block: Arc<AtomicUsize>,
-    }
-
-    impl BlockFakeSystem {
-        fn period(&self) -> u64 {
-            let cfg = self.cfg;
-            let bowl =
-                (cfg.t as f64 - 6.0).powi(2) * 40_000.0 + (cfg.c as f64 - 2.0).powi(2) * 90_000.0;
-            let b = self.block.load(Ordering::Relaxed) as f64;
-            let block_penalty = (b.log2() - 8.0).powi(2) * 150_000.0;
-            (200_000.0 + bowl + block_penalty) as u64
-        }
-    }
-
-    impl TunableSystem for BlockFakeSystem {
-        fn apply(&mut self, cfg: Config) {
-            self.cfg = cfg;
-        }
-        fn wait_commit(&mut self, max_wait_ns: u64) -> Option<u64> {
-            let period = self.period();
-            if period <= max_wait_ns {
-                self.now += period;
-                Some(self.now)
-            } else {
-                self.now += max_wait_ns;
-                None
-            }
-        }
-        fn now_ns(&self) -> u64 {
-            self.now
-        }
+        sweep_finds(Axis::gc_budget(), 128, 32);
     }
 
     #[test]
     fn block_size_sweep_finds_the_best_size() {
-        let axis = Axis::block_size();
-        let block = Arc::new(AtomicUsize::new(axis.value_at(axis.default_level()) as usize));
-        let mut sys = BlockFakeSystem { now: 0, cfg: Config::new(1, 1), block: Arc::clone(&block) };
-        let knob = Arc::clone(&block);
-        let outcome = sweep_axis(
-            &mut sys,
-            &axis,
-            &mut |value, _| knob.store(value as usize, Ordering::Relaxed),
-            &mut |_| Box::new(AutoPn::new(SearchSpace::new(16), AutoPnConfig::default())),
-            &mut |_| Box::new(AdaptiveMonitor::default()),
-            &TraceBus::default(),
-            &TuneOptions::default(),
-        );
-        assert_eq!(outcome.sessions.len(), axis.len(), "one full session per level");
-        assert_eq!(axis.value_at(outcome.best_level), 256);
-        assert_eq!(block.load(Ordering::Relaxed), 256, "winner re-enacted after the sweep");
-        assert!(
-            (outcome.best.t as i64 - 6).abs() <= 1 && (outcome.best.c as i64 - 2).abs() <= 1,
-            "best {} too far from (6,2)",
-            outcome.best
-        );
-        let tp = |b: u32| outcome.sessions[axis.level_of_value(b).unwrap()].best_throughput;
-        assert!(tp(256) > tp(64));
+        sweep_finds(Axis::block_size(), 256, 64);
     }
 }

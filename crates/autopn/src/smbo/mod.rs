@@ -242,13 +242,10 @@ mod tests {
 
     #[test]
     fn mixed_space_proposal_prefers_better_axis_level() {
-        // A categorical axis whose level 1 adds a large KPI bonus: after
+        // A two-level axis whose level 1 adds a large KPI bonus: after
         // observing both levels at a few (t, c) points, EI must send the
         // search toward unexplored level-1 configurations.
-        let space = ConfigSpace::new(
-            SearchSpace::new(8),
-            vec![Axis::categorical("cm", &["immediate", "karma"], 0)],
-        );
+        let space = ConfigSpace::new(SearchSpace::new(8), vec![Axis::integer("knob", &[0, 1], 0)]);
         let f = |cfg: Config| 10.0 * cfg.t as f64 + if cfg.axes.get(0) == 1 { 500.0 } else { 0.0 };
         let mut observations = Vec::new();
         for (t, c, lvl) in [(1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (4, 1, 0), (1, 2, 1)] {

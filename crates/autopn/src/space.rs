@@ -1,9 +1,8 @@
 //! The configuration search space `S = {(t, c) : t·c ≤ n}` (§III-B), and
 //! its generalization to a typed N-dimensional product space
 //! ([`ConfigSpace`]): `(t, c)` plus up to [`MAX_AXES`] named discrete axes
-//! ([`Axis`]) — integer axes with ±1-level neighbour moves and log-scaled
-//! encodings ([`Axis::gc_budget`], [`Axis::block_size`]), categorical axes
-//! with one-hot encodings ([`Axis::cm_policy`]) — so
+//! ([`Axis`]) — ordered integer ladders with ±1-level neighbour moves and
+//! log-scaled encodings ([`Axis::gc_budget`], [`Axis::block_size`]) — so
 //! the SMBO model learns across every knob instead of one outer sweep per
 //! discrete value.
 
@@ -273,39 +272,22 @@ impl SearchSpace {
     }
 }
 
-/// How an [`Axis`]'s levels relate to each other — this decides both the
-/// neighbour moves local search gets and the feature encoding the model
-/// sees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AxisKind {
-    /// Ordered levels (e.g. GC slice budget, ledger block size): hill
-    /// climbing moves one level up/down, the model sees one ordinal feature
-    /// per axis (the level's `encoded` value, typically log-scaled).
-    Integer,
-    /// Unordered levels (e.g. contention policy, scheduler mode): every
-    /// other level is a neighbour, the model sees a one-hot feature per
-    /// level so no spurious ordering is learned.
-    Categorical,
-}
-
-/// One level of an [`Axis`]: its human-readable `label` (empty for plain
-/// integer axes), the raw `value` handed to the actuator (slice boxes,
-/// block txns, or a categorical index), and the feature `encoded` into the
-/// model's input for ordinal axes.
+/// One level of an [`Axis`]: the raw `value` handed to the actuator (slice
+/// boxes, block txns) and the ordinal feature `encoded` into the model's
+/// input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisLevel {
-    pub label: &'static str,
     pub value: u32,
     pub encoded: f64,
 }
 
-/// A named discrete tuning axis: a finite ladder of [`AxisLevel`]s with a
-/// default, either ordered ([`AxisKind::Integer`]) or unordered
-/// ([`AxisKind::Categorical`]).
+/// A named discrete tuning axis: an ordered ladder of [`AxisLevel`]s (e.g.
+/// GC slice budget, ledger block size) with a default. Hill climbing moves
+/// one level up or down; the model sees one ordinal feature per axis (the
+/// level's `encoded` value, typically log-scaled).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     name: &'static str,
-    kind: AxisKind,
     levels: Vec<AxisLevel>,
     default_level: usize,
 }
@@ -313,9 +295,8 @@ pub struct Axis {
 impl Axis {
     /// An ordered integer axis over `values`, encoded as the raw value.
     pub fn integer(name: &'static str, values: &[u32], default_value: u32) -> Self {
-        let levels =
-            values.iter().map(|&v| AxisLevel { label: "", value: v, encoded: v as f64 }).collect();
-        Self::build(name, AxisKind::Integer, levels, default_value)
+        let levels = values.iter().map(|&v| AxisLevel { value: v, encoded: v as f64 }).collect();
+        Self::build(name, levels, default_value)
     }
 
     /// An ordered integer axis over `values`, encoded as `log2(value)` —
@@ -324,43 +305,19 @@ impl Axis {
     pub fn integer_log2(name: &'static str, values: &[u32], default_value: u32) -> Self {
         let levels = values
             .iter()
-            .map(|&v| AxisLevel { label: "", value: v, encoded: (v.max(1) as f64).log2() })
+            .map(|&v| AxisLevel { value: v, encoded: (v.max(1) as f64).log2() })
             .collect();
-        Self::build(name, AxisKind::Integer, levels, default_value)
+        Self::build(name, levels, default_value)
     }
 
-    /// An unordered categorical axis; level values are the label indices.
-    pub fn categorical(name: &'static str, labels: &[&'static str], default_idx: usize) -> Self {
-        let levels = labels
-            .iter()
-            .enumerate()
-            .map(|(i, &label)| AxisLevel { label, value: i as u32, encoded: i as f64 })
-            .collect();
-        Self::build(name, AxisKind::Categorical, levels, default_idx as u32)
-    }
-
-    fn build(
-        name: &'static str,
-        kind: AxisKind,
-        levels: Vec<AxisLevel>,
-        default_value: u32,
-    ) -> Self {
+    fn build(name: &'static str, levels: Vec<AxisLevel>, default_value: u32) -> Self {
         assert!(!levels.is_empty(), "axis {name} has no levels");
         assert!(levels.len() <= u8::MAX as usize, "axis {name} has too many levels");
         let default_level = levels
             .iter()
             .position(|l| l.value == default_value)
             .unwrap_or_else(|| panic!("axis {name}: default {default_value} not in levels"));
-        Self { name, kind, levels, default_level }
-    }
-
-    /// The contention-policy axis, categorical over the three shipped
-    /// policies ([`pnstm::CmMode::ALL`]) with the runtime's default; level
-    /// values are [`pnstm::CmMode::index`]es (`CmMode::from_index` maps one
-    /// back).
-    pub fn cm_policy() -> Self {
-        let labels: Vec<&'static str> = pnstm::CmMode::ALL.iter().map(|m| m.tag()).collect();
-        Self::categorical("cm", &labels, pnstm::CmMode::default().index())
+        Self { name, levels, default_level }
     }
 
     /// The background-GC slice-budget axis (boxes pruned per collector
@@ -382,10 +339,6 @@ impl Axis {
 
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    pub fn kind(&self) -> AxisKind {
-        self.kind
     }
 
     pub fn levels(&self) -> &[AxisLevel] {
@@ -411,45 +364,14 @@ impl Axis {
         self.levels[level].value
     }
 
-    /// Human-readable label of `level` (empty for integer axes).
-    pub fn label_at(&self, level: usize) -> &'static str {
-        self.levels[level].label
-    }
-
     /// The level whose raw value is `value`, if any.
     pub fn level_of_value(&self, value: u32) -> Option<usize> {
         self.levels.iter().position(|l| l.value == value)
     }
 
-    /// How many model features this axis contributes: 1 ordinal feature for
-    /// an integer axis, one one-hot feature per level for a categorical.
-    pub fn feature_width(&self) -> usize {
-        match self.kind {
-            AxisKind::Integer => 1,
-            AxisKind::Categorical => self.levels.len(),
-        }
-    }
-
-    /// Append this axis's feature encoding of `level` to `out`.
-    pub fn encode_into(&self, level: usize, out: &mut Vec<f64>) {
-        match self.kind {
-            AxisKind::Integer => out.push(self.levels[level].encoded),
-            AxisKind::Categorical => {
-                for i in 0..self.levels.len() {
-                    out.push(if i == level { 1.0 } else { 0.0 });
-                }
-            }
-        }
-    }
-
-    /// `name=value` / `name=label` display of one level.
+    /// `name=value` display of one level.
     pub fn display(&self, level: usize) -> String {
-        let l = &self.levels[level];
-        if l.label.is_empty() {
-            format!("{}={}", self.name, l.value)
-        } else {
-            format!("{}={}", self.name, l.label)
-        }
+        format!("{}={}", self.name, self.levels[level].value)
     }
 }
 
@@ -522,9 +444,9 @@ impl ConfigSpace {
         self.configs.is_empty()
     }
 
-    /// Model feature dimensionality: `t`, `c`, plus each axis's width.
+    /// Model feature dimensionality: `t`, `c`, plus one feature per axis.
     pub fn dim(&self) -> usize {
-        2 + self.axes.iter().map(|a| a.feature_width()).sum::<usize>()
+        2 + self.axes.len()
     }
 
     /// Whether `cfg` is an admissible point of *this* space: `(t, c)` not
@@ -557,15 +479,15 @@ impl ConfigSpace {
     }
 
     /// Write the model feature encoding of `cfg` into `out` (clearing any
-    /// previous contents): `[t, c]` then each axis's encoding
-    /// ([`Axis::encode_into`]). With no axes this is exactly the legacy
+    /// previous contents): `[t, c]` then each axis level's ordinal
+    /// [`AxisLevel::encoded`] value. With no axes this is exactly the legacy
     /// 2-feature `[t, c]` vector.
     pub fn encode_into(&self, cfg: Config, out: &mut Vec<f64>) {
         out.clear();
         out.push(cfg.t as f64);
         out.push(cfg.c as f64);
         for (k, axis) in self.axes.iter().enumerate() {
-            axis.encode_into(cfg.axes.get(k), out);
+            out.push(axis.levels[cfg.axes.get(k)].encoded);
         }
     }
 
@@ -579,7 +501,7 @@ impl ConfigSpace {
     /// The refinement neighbourhood of `cfg`: every [`SearchSpace::neighbors`]
     /// `(t, c)` move with the axes held (first, in the legacy order — so the
     /// axis-less projection matches legacy hill climbing exactly), then per
-    /// axis the ±1-level moves (integer) or every other level (categorical).
+    /// axis the ±1-level moves.
     pub fn neighbors(&self, cfg: Config) -> Vec<Config> {
         self.neighbors_impl(cfg, false)
     }
@@ -600,22 +522,11 @@ impl ConfigSpace {
             tc_moves.into_iter().map(|nb| Config::with_axes(nb.t, nb.c, cfg.axes)).collect();
         for (k, axis) in self.axes.iter().enumerate() {
             let cur = cfg.axes.get(k);
-            match axis.kind() {
-                AxisKind::Integer => {
-                    if cur > 0 {
-                        out.push(Config { axes: cfg.axes.with(k, cur - 1), ..cfg });
-                    }
-                    if cur + 1 < axis.len() {
-                        out.push(Config { axes: cfg.axes.with(k, cur + 1), ..cfg });
-                    }
-                }
-                AxisKind::Categorical => {
-                    for l in 0..axis.len() {
-                        if l != cur {
-                            out.push(Config { axes: cfg.axes.with(k, l), ..cfg });
-                        }
-                    }
-                }
+            if cur > 0 {
+                out.push(Config { axes: cfg.axes.with(k, cur - 1), ..cfg });
+            }
+            if cur + 1 < axis.len() {
+                out.push(Config { axes: cfg.axes.with(k, cur + 1), ..cfg });
             }
         }
         out
@@ -627,17 +538,17 @@ impl ConfigSpace {
     }
 
     /// The discrete-axis half of `cfg` as a trace payload (axis name, raw
-    /// value, label), for `reconfigure`/`proposal`/`session_end` events.
+    /// value), for `reconfigure`/`proposal`/`session_end` events.
     pub fn axes_trace(&self, cfg: Config) -> pnstm::AxesTrace {
         let mut out = pnstm::AxesTrace::empty();
         for (k, axis) in self.axes.iter().enumerate() {
             let level = cfg.axes.get(k);
-            out.push(axis.name(), axis.value_at(level), axis.label_at(level));
+            out.push(axis.name(), axis.value_at(level));
         }
         out
     }
 
-    /// Human-readable full point, e.g. `(8,2) cm=karma block=128`.
+    /// Human-readable full point, e.g. `(8,2) gc_boxes=64 block=128`.
     pub fn describe(&self, cfg: Config) -> String {
         let mut s = format!("({},{})", cfg.t, cfg.c);
         for (k, axis) in self.axes.iter().enumerate() {
@@ -745,19 +656,6 @@ mod tests {
 
     #[test]
     fn axis_vocabulary_matches_the_runtime() {
-        // The cm axis *is* the runtime's policy ladder: same tags, same
-        // order, same default — so `CmMode::from_index(value)` enacts it.
-        let cm = Axis::cm_policy();
-        let labels: Vec<&str> = cm.levels().iter().map(|l| l.label).collect();
-        let tags: Vec<&str> = pnstm::CmMode::ALL.iter().map(|m| m.tag()).collect();
-        assert_eq!(labels, tags);
-        for (level, tag) in tags.iter().enumerate() {
-            assert_eq!(pnstm::CmMode::from_index(cm.value_at(level) as usize).unwrap().tag(), *tag);
-        }
-        assert_eq!(
-            pnstm::CmMode::from_index(cm.value_at(cm.default_level()) as usize),
-            Some(pnstm::CmMode::default())
-        );
         // The GC axis defaults to the runtime's own slice budget. (The
         // block axis's default is pinned to `LedgerConfig` in `workloads`,
         // which sees both crates.)
@@ -792,10 +690,10 @@ mod tests {
     #[test]
     fn product_space_enumeration_is_sorted_and_complete() {
         let space =
-            ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::block_size()]);
-        // 20 tc cells × 3 policies × 5 block sizes.
-        assert_eq!(space.len(), SearchSpace::new(8).len() * 3 * 5);
-        assert_eq!(space.dim(), 2 + 3 + 1, "one-hot cm (3) + ordinal block (1)");
+            ConfigSpace::new(SearchSpace::new(8), vec![Axis::gc_budget(), Axis::block_size()]);
+        // 20 tc cells × 5 GC budgets × 5 block sizes.
+        assert_eq!(space.len(), SearchSpace::new(8).len() * 5 * 5);
+        assert_eq!(space.dim(), 2 + 1 + 1, "one ordinal feature per axis");
         let mut sorted = space.configs().to_vec();
         sorted.sort();
         assert_eq!(sorted, space.configs(), "enumeration must be binary-searchable");
@@ -809,18 +707,16 @@ mod tests {
         let lifted = space.lift(legacy);
         assert!(space.contains(lifted));
         assert_eq!(lifted.axes, space.default_axes());
-        assert_eq!(space.describe(lifted), "(4,2) cm=exp-backoff block=256");
+        assert_eq!(space.describe(lifted), "(4,2) gc_boxes=128 block=256");
     }
 
     #[test]
     fn axis_encodings_and_neighbours() {
         let space =
-            ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::gc_budget()]);
-        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[1, 0])); // karma, gc 32
+            ConfigSpace::new(SearchSpace::new(8), vec![Axis::block_size(), Axis::gc_budget()]);
+        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[1, 0])); // block 128, gc 32
         let x = space.encode(cfg);
-        assert_eq!(x[..2], [2.0, 2.0]);
-        assert_eq!(x[2..5], [0.0, 1.0, 0.0], "karma one-hot");
-        assert_eq!(x[5], 5.0, "gc 32 log2-encoded");
+        assert_eq!(x, [2.0, 2.0, 7.0, 5.0], "block 128 and gc 32 log2-encoded");
         assert_eq!(x.len(), space.dim());
 
         let nbs = space.neighbors(cfg);
@@ -830,10 +726,11 @@ mod tests {
             assert_eq!(nbs[i].tc(), *nb);
             assert_eq!(nbs[i].axes, cfg.axes);
         }
-        // Categorical: every other policy. Integer: ±1 level (here only +1).
+        // ±1 level per axis: both ways on block, only +1 on gc's bottom rung.
         let axis_moves: Vec<_> = nbs[tc_moves.len()..].to_vec();
         assert_eq!(axis_moves.len(), 2 + 1);
         assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[0, 0]))));
+        assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[2, 0]))));
         assert!(axis_moves.contains(&Config::with_axes(2, 2, AxisLevels::from_slice(&[1, 1]))));
         assert!(!axis_moves.iter().any(|m| m.axes == cfg.axes), "axis moves change a level");
         assert!(nbs.iter().all(|&n| space.contains(n)));
@@ -846,34 +743,27 @@ mod tests {
     }
 
     #[test]
-    fn axes_trace_carries_names_values_labels() {
+    fn axes_trace_carries_names_and_values() {
         let space =
-            ConfigSpace::new(SearchSpace::new(8), vec![Axis::cm_policy(), Axis::block_size()]);
+            ConfigSpace::new(SearchSpace::new(8), vec![Axis::gc_budget(), Axis::block_size()]);
         let cfg = Config::with_axes(4, 1, AxisLevels::from_slice(&[2, 1]));
         let tr = space.axes_trace(cfg);
         assert_eq!(tr.len(), 2);
-        assert_eq!(tr.get("cm").map(|a| a.label), Some("greedy"));
-        assert_eq!(tr.get("block").map(|a| (a.value, a.label)), Some((128, "")));
+        assert_eq!(tr.get("gc_boxes").map(|a| a.value), Some(128));
+        assert_eq!(tr.get("block").map(|a| a.value), Some(128));
         assert_eq!(cfg.to_string(), "(4,1)@2.1");
     }
 
     #[test]
     fn builtin_axes_are_well_formed() {
-        for axis in [Axis::cm_policy(), Axis::gc_budget(), Axis::block_size()] {
+        for axis in [Axis::gc_budget(), Axis::block_size()] {
             assert!(!axis.is_empty());
             assert!(axis.default_level() < axis.len());
             assert_eq!(
                 axis.level_of_value(axis.value_at(axis.default_level())),
                 Some(axis.default_level())
             );
-            let mut buf = Vec::new();
-            axis.encode_into(axis.default_level(), &mut buf);
-            assert_eq!(buf.len(), axis.feature_width());
         }
-        assert_eq!(Axis::cm_policy().kind(), AxisKind::Categorical);
-        assert_eq!(Axis::gc_budget().kind(), AxisKind::Integer);
-        assert_eq!(Axis::cm_policy().len(), 3, "only the shipped policies");
-        assert_eq!(Axis::cm_policy().display(1), "cm=karma");
         assert_eq!(Axis::gc_budget().display(2), "gc_boxes=128");
         assert_eq!(
             Axis::gc_budget().default_level(),

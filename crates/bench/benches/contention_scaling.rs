@@ -10,8 +10,8 @@
 //! validation of its ring read lands inside its neighbour's inflated hold
 //! and fails (`read_valid` rejects a stripe another committer holds). Under
 //! immediate retry the ring re-synchronizes after every mutual abort and
-//! throughput collapses — the livelock `tests/contention.rs` pins. A waiting
-//! rung desynchronizes the losers, so holds stop overlapping and throughput
+//! throughput collapses — the livelock `tests/contention.rs` pins. The
+//! shipped exponential backoff desynchronizes the losers, so holds stop overlapping and throughput
 //! approaches one commit per hold. Holds are sleeps, so the ratio survives
 //! 1-core runners — same trick as `commit_scaling` / `sched_scaling` /
 //! `read_scaling`.
@@ -21,8 +21,9 @@
 //!   --dur-ms N      measured window per held run, ms (default 400)
 //!   --hold-us N     injected hold per commit attempt, µs (default 1000)
 //!   --raw-txns N    txns for the raw (no-fault) t=1 runs (default 10000)
-//!   --check         assert the acceptance bar: >=2x ops/s ExpBackoff vs
-//!                   Immediate at t=8, >=0.95 raw no-contention ratio
+//!   --check         assert the acceptance bar: >=2x ops/s backoff vs
+//!                   `Oracle::ImmediateCm` at t=8, >=0.95 raw no-contention
+//!                   ratio
 //!   --smoke         tiny run that only proves the bench executes
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,8 +31,12 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pnstm::{
-    stripe_of, CmMode, FaultKind, FaultPlan, FaultRule, ParallelismDegree, Stm, StmConfig, VBox,
+    stripe_of, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm, StmConfig, VBox,
 };
+
+/// The two rungs compared: the shipped backoff (`None`) and the
+/// immediate-retry oracle.
+const IMMEDIATE: Option<Oracle> = Some(Oracle::ImmediateCm);
 
 struct Config {
     threads: usize,
@@ -76,20 +81,20 @@ fn parse_args() -> Config {
     cfg
 }
 
-fn make_stm(mode: CmMode, t: usize, hold_us: u64) -> Stm {
+fn make_stm(oracle: Option<Oracle>, t: usize, hold_us: u64) -> Stm {
     let fault = (hold_us > 0).then(|| {
         Arc::new(FaultPlan::new(29).with_rule(
             FaultKind::CommitHold,
             FaultRule::with_probability(1.0).delay_ns(hold_us * 1_000),
         ))
     });
-    Stm::new(StmConfig {
+    let config = StmConfig {
         degree: ParallelismDegree::new(t.max(1), 1),
         worker_threads: t.max(1),
-        cm_mode: mode,
         fault,
         ..StmConfig::default()
-    })
+    };
+    Stm::with_oracle(config, oracle)
 }
 
 /// Allocate `n` boxes that all land on *distinct* commit stripes (rejection
@@ -111,8 +116,8 @@ fn distinct_stripe_boxes(stm: &Stm, n: usize) -> Vec<VBox<u64>> {
 /// `t` threads run the read ring for a fixed wall window; returns committed
 /// ops/second. A fixed *window* (not a fixed quota) bounds the run's wall
 /// time even when the baseline mode makes barely any progress.
-fn run_held(mode: CmMode, t: usize, dur: Duration, hold_us: u64) -> f64 {
-    let stm = make_stm(mode, t, hold_us);
+fn run_held(oracle: Option<Oracle>, t: usize, dur: Duration, hold_us: u64) -> f64 {
+    let stm = make_stm(oracle, t, hold_us);
     let boxes = Arc::new(distinct_stripe_boxes(&stm, t.max(2)));
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(t + 1));
@@ -156,14 +161,14 @@ fn run_held(mode: CmMode, t: usize, dur: Duration, hold_us: u64) -> f64 {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let commits: u64 = boxes.iter().map(|b| stm.read_atomic(b)).sum();
-    // Clamp to one op: an Immediate run that livelocks to zero commits
+    // Clamp to one op: an immediate-retry run that livelocks to zero commits
     // still yields a finite (and damning) ratio.
     commits.max(1) as f64 / elapsed
 }
 
 /// Raw t=1 cost, no faults, no contention: `txns` private-box increments.
-fn run_raw(mode: CmMode, txns: u64) -> f64 {
-    let stm = make_stm(mode, 1, 0);
+fn run_raw(oracle: Option<Oracle>, txns: u64) -> f64 {
+    let stm = make_stm(oracle, 1, 0);
     let hot = stm.new_vbox(0u64);
     let start = Instant::now();
     for _ in 0..txns {
@@ -186,26 +191,21 @@ fn main() {
     let cfg = parse_args();
     let dur = Duration::from_millis(cfg.dur_ms);
 
-    println!("# contention_scaling: CM rungs vs immediate retry under commit holds");
+    println!("# contention_scaling: exponential backoff vs immediate retry under commit holds");
     println!(
         "# t={} threads, {} ms window, {} us injected hold per commit attempt",
         cfg.threads, cfg.dur_ms, cfg.hold_us
     );
 
-    // The shipped policies, then the immediate-retry oracle (index
-    // `CM_POLICIES`).
-    let mut held = [0f64; pnstm::CM_POLICIES + 1];
-    for mode in CmMode::ALL.into_iter().chain([CmMode::Immediate]) {
-        let ops = run_held(mode, cfg.threads, dur, cfg.hold_us);
-        held[mode.index()] = ops;
-        println!(
-            "{{\"mode\":\"held\",\"policy\":\"{}\",\"threads\":{},\"ops_per_sec\":{ops:.1}}}",
-            mode.tag(),
+    let [backoff, immediate] =
+        [("exp-backoff", None), ("immediate", IMMEDIATE)].map(|(tag, oracle)| {
+            let ops = run_held(oracle, cfg.threads, dur, cfg.hold_us);
+            println!(
+            "{{\"mode\":\"held\",\"policy\":\"{tag}\",\"threads\":{},\"ops_per_sec\":{ops:.1}}}",
             cfg.threads
         );
-    }
-    let immediate = held[CmMode::Immediate.index()];
-    let backoff = held[CmMode::ExpBackoff.index()];
+            ops
+        });
     let speedup = backoff / immediate;
     println!(
         "{{\"mode\":\"held\",\"threads\":{},\"backoff_ops\":{backoff:.1},\
@@ -222,8 +222,8 @@ fn main() {
     let mut raw_immediate = f64::MIN;
     let mut ratios = Vec::new();
     for _ in 0..raw_pairs {
-        let b = run_raw(CmMode::ExpBackoff, cfg.raw_txns);
-        let i = run_raw(CmMode::Immediate, cfg.raw_txns);
+        let b = run_raw(None, cfg.raw_txns);
+        let i = run_raw(IMMEDIATE, cfg.raw_txns);
         raw_backoff = raw_backoff.max(b);
         raw_immediate = raw_immediate.max(i);
         ratios.push(b / i);

@@ -4,8 +4,8 @@
 //!
 //! The system is a deterministic virtual-clock fake (so the bench is exact
 //! and runner-load-proof) modelling a high-contention ring: the commit
-//! period is a `(t, c)` bowl with its optimum at `(6, 2)`, plus a contention
-//! penalty minimized by the `Karma` policy (default is `ExpBackoff`) and a
+//! period is a `(t, c)` bowl with its optimum at `(6, 2)`, plus a GC-pause
+//! penalty minimized by 32-box collector slices (default is 128) and a
 //! batching penalty minimized by 512-transaction blocks (default is 256).
 //! Neither discrete axis is at its default at the optimum, so a tuner that
 //! cannot model the axes must sweep them exhaustively.
@@ -14,7 +14,7 @@
 //! one `Controller` measurement — the unit of wall-clock cost online):
 //!
 //! * **Exhaustive sweep** — the pre-generalization strategy: one full
-//!   `(t, c)` tuning session per `{cm} × {block}` combination (the
+//!   `(t, c)` tuning session per `{gc_boxes} × {block}` combination (the
 //!   `sweep_axis` driver shape, crossed), winner by throughput.
 //! * **In-model co-tune** — one session of the generalized [`AutoPn`] over
 //!   the typed `ConfigSpace` with both axes folded into the SMBO model.
@@ -35,7 +35,7 @@ use autopn::{
     AutoPn, AutoPnConfig, Axis, AxisRegistry, Config, Controller, SearchSpace, TunableSystem,
     TuneOptions, TuningOutcome,
 };
-use pnstm::{CmMode, TraceBus};
+use pnstm::TraceBus;
 
 struct BenchConfig {
     cores: usize,
@@ -68,13 +68,13 @@ fn parse_args() -> BenchConfig {
 struct RingFakeSystem {
     now: u64,
     cfg: Config,
-    cm_idx: Arc<AtomicUsize>,
+    gc_boxes: Arc<AtomicUsize>,
     block_txns: Arc<AtomicUsize>,
 }
 
 impl RingFakeSystem {
-    fn new(cm_idx: Arc<AtomicUsize>, block_txns: Arc<AtomicUsize>) -> Self {
-        Self { now: 0, cfg: Config::new(1, 1), cm_idx, block_txns }
+    fn new(gc_boxes: Arc<AtomicUsize>, block_txns: Arc<AtomicUsize>) -> Self {
+        Self { now: 0, cfg: Config::new(1, 1), gc_boxes, block_txns }
     }
 
     /// Commit period in ns. Scaled so the `(1, 1)` pivot (which calibrates
@@ -85,16 +85,11 @@ impl RingFakeSystem {
     fn period(&self) -> u64 {
         let bowl = (self.cfg.t as f64 - 6.0).powi(2) * 1_000.0
             + (self.cfg.c as f64 - 2.0).powi(2) * 2_000.0;
-        let cm = CmMode::from_index(self.cm_idx.load(Ordering::Relaxed)).expect("cm axis level");
-        let cm_penalty = match cm {
-            CmMode::Karma => 0.0,
-            CmMode::ExpBackoff => 8_000.0,
-            CmMode::Greedy => 12_000.0,
-            other => unreachable!("{other} is not on the cm axis"),
-        };
+        let g = self.gc_boxes.load(Ordering::Relaxed).max(1) as f64;
+        let gc_penalty = (g.log2() - 5.0).powi(2) * 2_000.0; // optimum: 32
         let b = self.block_txns.load(Ordering::Relaxed).max(1) as f64;
         let block_penalty = (b.log2() - 9.0).powi(2) * 5_000.0; // optimum: 512
-        (20_000.0 + bowl + cm_penalty + block_penalty) as u64
+        (20_000.0 + bowl + gc_penalty + block_penalty) as u64
     }
 }
 
@@ -125,24 +120,24 @@ fn main() {
     let cfg = parse_args();
     println!("{{\"bench\":\"cotune_scaling\",\"cores\":{},\"smoke\":{}}}", cfg.cores, cfg.smoke);
 
-    let (cm_axis, block_axis) = (Axis::cm_policy(), Axis::block_size());
-    let default_cm = cm_axis.value_at(cm_axis.default_level()) as usize;
+    let (gc_axis, block_axis) = (Axis::gc_budget(), Axis::block_size());
+    let default_gc = gc_axis.value_at(gc_axis.default_level()) as usize;
     let default_block = block_axis.value_at(block_axis.default_level()) as usize;
-    let cm_idx = Arc::new(AtomicUsize::new(default_cm));
+    let gc_boxes = Arc::new(AtomicUsize::new(default_gc));
     let block_txns = Arc::new(AtomicUsize::new(default_block));
 
-    // --- Baseline: exhaustive {cm} × {block} sweep, one full (t, c)
+    // --- Baseline: exhaustive {gc_boxes} × {block} sweep, one full (t, c)
     // session per combination of axis levels (the generalized space
     // projected away).
     let mut sweep_windows = 0usize;
     let mut sweep_best = f64::MIN;
     let mut sweep_best_point =
-        (cm_axis.default_level(), block_axis.default_level(), Config::new(1, 1));
+        (gc_axis.default_level(), block_axis.default_level(), Config::new(1, 1));
     {
-        let mut sys = RingFakeSystem::new(Arc::clone(&cm_idx), Arc::clone(&block_txns));
-        for ci in 0..cm_axis.len() {
+        let mut sys = RingFakeSystem::new(Arc::clone(&gc_boxes), Arc::clone(&block_txns));
+        for gi in 0..gc_axis.len() {
             for bi in 0..block_axis.len() {
-                cm_idx.store(cm_axis.value_at(ci) as usize, Ordering::Relaxed);
+                gc_boxes.store(gc_axis.value_at(gi) as usize, Ordering::Relaxed);
                 block_txns.store(block_axis.value_at(bi) as usize, Ordering::Relaxed);
                 let mut tuner = AutoPn::new(SearchSpace::new(cfg.cores), AutoPnConfig::default());
                 let mut monitor = AdaptiveMonitor::default();
@@ -156,17 +151,17 @@ fn main() {
                 sweep_windows += windows_of(&outcome);
                 if outcome.best_throughput > sweep_best {
                     sweep_best = outcome.best_throughput;
-                    sweep_best_point = (ci, bi, outcome.best);
+                    sweep_best_point = (gi, bi, outcome.best);
                 }
             }
         }
     }
     println!(
         "{{\"mode\":\"sweep\",\"sessions\":{},\"windows\":{sweep_windows},\
-         \"best_tps\":{sweep_best:.0},\"best_cm\":\"{}\",\"best_block\":{},\
+         \"best_tps\":{sweep_best:.0},\"best_gc_boxes\":{},\"best_block\":{},\
          \"best_t\":{},\"best_c\":{}}}",
-        cm_axis.len() * block_axis.len(),
-        cm_axis.label_at(sweep_best_point.0),
+        gc_axis.len() * block_axis.len(),
+        gc_axis.value_at(sweep_best_point.0),
         block_axis.value_at(sweep_best_point.1),
         sweep_best_point.2.t,
         sweep_best_point.2.c,
@@ -176,11 +171,11 @@ fn main() {
     // actuated through the axis registry (same shared knobs).
     let (cotune_windows, cotune_best, cotune_point, space);
     {
-        let cm_knob = Arc::clone(&cm_idx);
+        let gc_knob = Arc::clone(&gc_boxes);
         let block_knob = Arc::clone(&block_txns);
         let registry = AxisRegistry::new()
-            .bind(Axis::cm_policy(), move |value, _| {
-                cm_knob.store(value as usize, Ordering::Relaxed);
+            .bind(Axis::gc_budget(), move |value, _| {
+                gc_knob.store(value as usize, Ordering::Relaxed);
                 Ok(())
             })
             .bind(Axis::block_size(), move |value, _| {
@@ -188,7 +183,7 @@ fn main() {
                 Ok(())
             });
         space = registry.space(cfg.cores);
-        cm_idx.store(default_cm, Ordering::Relaxed);
+        gc_boxes.store(default_gc, Ordering::Relaxed);
         block_txns.store(default_block, Ordering::Relaxed);
 
         /// The fake, with the registry spliced into its apply path — the
@@ -211,7 +206,7 @@ fn main() {
         }
 
         let mut sys = CotuneSystem {
-            inner: RingFakeSystem::new(Arc::clone(&cm_idx), Arc::clone(&block_txns)),
+            inner: RingFakeSystem::new(Arc::clone(&gc_boxes), Arc::clone(&block_txns)),
             registry,
         };
         let mut tuner = AutoPn::new(space.clone(), AutoPnConfig::default());
@@ -257,9 +252,9 @@ fn main() {
     }
 
     let config = format!(
-        "cores={} cm_levels={} block_levels={} sweep_windows={} cotune_windows={} smoke={}",
+        "cores={} gc_levels={} block_levels={} sweep_windows={} cotune_windows={} smoke={}",
         cfg.cores,
-        cm_axis.len(),
+        gc_axis.len(),
         block_axis.len(),
         sweep_windows,
         cotune_windows,

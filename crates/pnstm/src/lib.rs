@@ -28,11 +28,9 @@
 //!   actuator) can reconfigure `(t, c)` while the application runs. Child
 //!   transactions run on a work-stealing scheduler ([`WorkStealingPool`])
 //!   and top-level admission is a lock-free packed gate ([`PackedGate`]).
-//! * **Contention management** ([`cm`], [`CmMode`]): the delay before an
-//!   aborted transaction retries is a policy — jittered exponential backoff
-//!   from the second abort on (the default), karma, or greedy seniority —
-//!   consulted at every abort site and switchable at runtime so the tuner
-//!   can co-tune it alongside `(t, c)`.
+//! * **Contention management** ([`cm`]): every abort site waits out a
+//!   jittered exponential backoff before retrying, from the second
+//!   consecutive abort on (the first retries at once).
 //! * **KPI instrumentation**: commit/abort counters and a commit-event hook
 //!   ([`stats::Stats`]) feed the AutoPN monitor.
 //!
@@ -101,7 +99,7 @@ pub mod vbox;
 mod batch;
 mod runtime;
 
-pub use cm::{AbortSite, CmMode, CmTx, ContentionManager, CM_POLICIES};
+pub use cm::AbortSite;
 pub use collections::{TArray, TCounter, TMap};
 pub use error::{StmError, TxError, TxResult};
 pub use fault::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
@@ -110,7 +108,6 @@ pub use runtime::{ReadTxn, Stm, StmConfig};
 pub use sched::{Task, WorkStealingPool};
 pub use stats::{
     CommitEvent, LatencyHistogram, LatencySnapshot, Stats, StatsSnapshot, TxKind, LATENCY_BUCKETS,
-    SEM_WAIT_BUCKETS,
 };
 pub use stripes::{stripe_of, STRIPE_COUNT};
 pub use throttle::{PackedGate, ParallelismDegree, Permit, ReconfigError, Throttle};

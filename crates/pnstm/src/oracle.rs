@@ -4,9 +4,7 @@
 //! This module exists only with the `oracle` cargo feature, which only
 //! dev-dependencies turn on, so a release build cannot name any of it.
 //! [`crate::Stm::with_oracle`] runs one [`Oracle`] in place of its shipped
-//! counterpart. The contention manager's retired rung is
-//! [`crate::CmMode::Immediate`], a policy like the others, switchable at
-//! runtime.
+//! counterpart.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -32,6 +30,12 @@ pub enum Oracle {
     /// `gc_interval`, instead of the background collector. Both must yield
     /// identical reachable state; `mem_ceiling` compares their pauses.
     InlineGc,
+    /// Immediate retry at every abort site instead of the exponential
+    /// backoff: the pre-contention-management behaviour, which livelocks
+    /// under sustained contention. The seed-history proptest replays seeds
+    /// through both, and `contention_scaling` measures one against the
+    /// other.
+    ImmediateCm,
 }
 
 #[derive(Debug)]

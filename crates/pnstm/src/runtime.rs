@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crate::batch::ChildScheduler;
 use crate::clock::{GlobalClock, SnapshotGuard, SnapshotRegistry};
-use crate::cm::{self, AbortSite, CmEngine, CmMode, CmTxGuard};
+use crate::cm::{self, AbortSite, CmEngine};
 use crate::error::{StmError, TxError, TxResult};
 use crate::fault::{FaultCtx, FaultKind, FaultPlan};
 use crate::mem::{MemConfig, MemLevel, MemState, VersionHeapGauge};
@@ -42,10 +42,6 @@ pub struct StmConfig {
     /// Run version garbage collection every this many top-level commits
     /// (0 disables automatic GC; [`Stm::gc`] can still be called manually).
     pub gc_interval: u64,
-    /// Contention-management policy deciding the delay before an aborted
-    /// transaction retries, at every abort site (see [`crate::cm`]).
-    /// Switchable at runtime via [`Stm::set_cm_mode`].
-    pub cm_mode: CmMode,
     /// Deterministic fault-injection plan for chaos testing
     /// ([`crate::fault`]). `None` (the default) disables the layer: every
     /// injection site then costs a single branch.
@@ -64,7 +60,6 @@ impl Default for StmConfig {
             max_retries: 10_000,
             max_nested_retries: 10_000,
             gc_interval: 256,
-            cm_mode: CmMode::default(),
             fault: None,
             mem: MemConfig::default(),
         }
@@ -179,6 +174,23 @@ impl StmShared {
     }
     pub(crate) fn cm(&self) -> &CmEngine {
         &self.cm
+    }
+
+    /// Sleep out a nonzero contention-manager `wait` in interruptible
+    /// slices, then count and trace it. Returns whether admission shutdown
+    /// cut the wait short.
+    pub(crate) fn cm_sleep(&self, wait: Duration, site: AbortSite, attempt: u64) -> bool {
+        let (waited_ns, cancelled) = cm::sleep_interruptible(wait, || self.throttle.is_closed());
+        self.stats.record_cm_wait(waited_ns);
+        if self.trace.is_enabled() {
+            self.trace.emit(TraceEvent::CmDecision {
+                site,
+                waited_ns,
+                attempt,
+                at_ns: trace::now_ns(),
+            });
+        }
+        cancelled
     }
 
     pub(crate) fn register_vbox<T: TxValue>(&self, initial: T) -> VBox<T> {
@@ -453,7 +465,11 @@ impl Stm {
             Some(Oracle::InlineGc) => false,
             _ => true,
         };
-        let cm = CmEngine::new(config.cm_mode, base_backoff_ns);
+        let cm = match oracle {
+            #[cfg(any(test, feature = "oracle"))]
+            Some(Oracle::ImmediateCm) => CmEngine::new(0),
+            _ => CmEngine::new(base_backoff_ns),
+        };
         let registry = SnapshotRegistry::new();
         registry.set_lease(config.mem.snapshot_lease);
         let mem_state = MemState::new(&config.mem);
@@ -536,7 +552,7 @@ impl Stm {
         if trace.is_enabled() {
             trace.emit(TraceEvent::TxBegin { kind: TxKind::TopLevel, at_ns: trace::now_ns() });
         }
-        let mut cm_tx = self.shared.cm.begin_guard();
+        let ticket = self.shared.cm.begin();
         let mut aborts: u64 = 0;
         loop {
             // Re-admit if a long contention-manager wait released the slot.
@@ -555,7 +571,7 @@ impl Stm {
             // The attempt runs in its own scope so the snapshot registration
             // and the attempt's `Txn` are dropped before any backoff wait —
             // a sleeping loser must not pin the GC watermark.
-            let (site, work) = {
+            let site = {
                 let snap = self.shared.registry.register_current(&self.shared.clock);
                 let mut tx =
                     Txn::top(Arc::clone(&self.shared), snap.version(), snap.eviction_flag());
@@ -573,15 +589,8 @@ impl Stm {
                             self.shared.maybe_auto_gc();
                             return Ok(value);
                         }
-                        Err(TxError::Conflict) => {
-                            let site = if tx.snapshot_evicted() {
-                                AbortSite::Evicted
-                            } else {
-                                AbortSite::Commit
-                            };
-                            let (r, w) = tx.footprint();
-                            (site, r + w)
-                        }
+                        Err(TxError::Conflict) if tx.snapshot_evicted() => AbortSite::Evicted,
+                        Err(TxError::Conflict) => AbortSite::Commit,
                         Err(_) => unreachable!("commit_top only fails with Conflict"),
                     },
                     Err(TxError::UserAbort) => {
@@ -600,10 +609,11 @@ impl Stm {
                         // the body surfaced a conflict): abort the tree. An
                         // evicted tree escalates here too — the retry below
                         // re-registers on a fresh (live) snapshot.
-                        let site =
-                            if tx.snapshot_evicted() { AbortSite::Evicted } else { AbortSite::Top };
-                        let (r, w) = tx.footprint();
-                        (site, r + w)
+                        if tx.snapshot_evicted() {
+                            AbortSite::Evicted
+                        } else {
+                            AbortSite::Top
+                        }
                     }
                 }
             };
@@ -611,7 +621,7 @@ impl Stm {
                 self.shared.stats.record_evicted_abort();
             }
             self.record_top_abort_traced(&mut aborts)?;
-            self.cm_pause_top(&mut cm_tx, site, aborts, work, &mut permit)?;
+            self.cm_pause_top(ticket, site, aborts, &mut permit)?;
         }
     }
 
@@ -622,33 +632,19 @@ impl Stm {
     /// as parked ones.
     fn cm_pause_top(
         &self,
-        cm_tx: &mut CmTxGuard<'_>,
+        ticket: u64,
         site: AbortSite,
         attempt: u64,
-        work: usize,
         permit: &mut Option<Permit>,
     ) -> Result<(), StmError> {
-        let (policy, wait) = cm_tx.decide(site, attempt, work);
+        let wait = self.shared.cm.backoff(ticket, attempt);
         if wait.is_zero() {
             return Ok(());
         }
         if wait.as_nanos() as u64 >= cm::PERMIT_RELEASE_THRESHOLD_NS {
             *permit = None; // don't occupy an admission slot while asleep
         }
-        let throttle = &self.shared.throttle;
-        let (waited_ns, cancelled) = cm::sleep_interruptible(wait, || throttle.is_closed());
-        self.shared.stats.record_cm_wait(policy.index(), waited_ns);
-        let trace = &self.shared.trace;
-        if trace.is_enabled() {
-            trace.emit(TraceEvent::CmDecision {
-                policy,
-                site,
-                waited_ns,
-                attempt,
-                at_ns: trace::now_ns(),
-            });
-        }
-        if cancelled {
+        if self.shared.cm_sleep(wait, site, attempt) {
             return Err(StmError::Shutdown);
         }
         Ok(())
@@ -766,19 +762,6 @@ impl Stm {
     /// The `(t, c)` configuration currently in force.
     pub fn degree(&self) -> ParallelismDegree {
         self.shared.throttle.current()
-    }
-
-    /// The contention-management policy currently in force.
-    pub fn cm_mode(&self) -> CmMode {
-        self.shared.cm.mode()
-    }
-
-    /// Switch the contention-management policy live. Running transactions
-    /// keep their accrued per-chain state and consult the new policy from
-    /// their next abort on — this is the actuation point for tuners that
-    /// treat the policy as a discrete knob.
-    pub fn set_cm_mode(&self, mode: CmMode) {
-        self.shared.cm.set_mode(mode);
     }
 
     /// Resize the shared child-transaction worker pool.
@@ -963,7 +946,6 @@ mod tests {
             StmConfig {
                 degree: ParallelismDegree::new(1, 1),
                 worker_threads: 1,
-                cm_mode: CmMode::ExpBackoff,
                 ..StmConfig::default()
             },
             // Base far above PERMIT_RELEASE_THRESHOLD_NS: the second abort's
@@ -1019,11 +1001,7 @@ mod tests {
         assert_eq!(stm.read_atomic(&cell), 7);
         assert_eq!(stm.read_atomic(&other), 1);
         let snap = stm.stats().snapshot();
-        assert_eq!(
-            snap.cm_policy_waits[CmMode::ExpBackoff.index()],
-            1,
-            "only the second abort waits"
-        );
+        assert_eq!(snap.cm_waits, 1, "only the second abort waits");
     }
 
     /// A nudge that lands while the collector runs a cycle is served by the
@@ -1064,7 +1042,7 @@ mod tests {
         // closing admission must wake it with `Shutdown` within a wait
         // slice, not after the full backoff elapses.
         let stm = Stm::with_backoff_base(
-            StmConfig { worker_threads: 1, cm_mode: CmMode::ExpBackoff, ..StmConfig::default() },
+            StmConfig { worker_threads: 1, ..StmConfig::default() },
             3_000_000_000,
         );
         let in_backoff = Arc::new(AtomicBool::new(false));

@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::cm::CM_POLICIES;
 use crate::mem::VersionHeapGauge;
 
 /// Which kind of transaction an event refers to.
@@ -32,11 +31,6 @@ pub struct CommitEvent {
 
 type CommitHook = Arc<dyn Fn(CommitEvent) + Send + Sync>;
 
-/// Number of log2 buckets in the semaphore wait-time histogram: bucket `k`
-/// counts waits in `[2^k, 2^{k+1})` microseconds (bucket 0 also absorbs
-/// sub-microsecond waits, the last bucket is open-ended — ≥ 32.8 s).
-pub const SEM_WAIT_BUCKETS: usize = 16;
-
 /// A retired commit-hook allocation, parked until [`Stats`] drops because a
 /// concurrent `record_commit_top` may still be calling through it.
 struct RetiredHook(*mut CommitHook);
@@ -53,7 +47,6 @@ pub struct Stats {
     reconfigures: AtomicU64,
     sem_wait_count: AtomicU64,
     sem_wait_total_ns: AtomicU64,
-    sem_wait_hist: [AtomicU64; SEM_WAIT_BUCKETS],
     stripe_lock_acquisitions: AtomicU64,
     stripe_lock_contended: AtomicU64,
     stripe_false_conflicts: AtomicU64,
@@ -65,9 +58,8 @@ pub struct Stats {
     sched_handoffs: AtomicU64,
     sched_handoffs_elided: AtomicU64,
     park_count: AtomicU64,
-    cm_policy_waits: [AtomicU64; CM_POLICIES],
+    cm_waits: AtomicU64,
     cm_wait_total_ns: AtomicU64,
-    cm_wait_hist: [AtomicU64; SEM_WAIT_BUCKETS],
     evicted_reads: AtomicU64,
     read_below_floor: AtomicU64,
     snapshot_evictions: AtomicU64,
@@ -102,7 +94,6 @@ impl Default for Stats {
             reconfigures: AtomicU64::new(0),
             sem_wait_count: AtomicU64::new(0),
             sem_wait_total_ns: AtomicU64::new(0),
-            sem_wait_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             stripe_lock_acquisitions: AtomicU64::new(0),
             stripe_lock_contended: AtomicU64::new(0),
             stripe_false_conflicts: AtomicU64::new(0),
@@ -114,9 +105,8 @@ impl Default for Stats {
             sched_handoffs: AtomicU64::new(0),
             sched_handoffs_elided: AtomicU64::new(0),
             park_count: AtomicU64::new(0),
-            cm_policy_waits: std::array::from_fn(|_| AtomicU64::new(0)),
+            cm_waits: AtomicU64::new(0),
             cm_wait_total_ns: AtomicU64::new(0),
-            cm_wait_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             evicted_reads: AtomicU64::new(0),
             read_below_floor: AtomicU64::new(0),
             snapshot_evictions: AtomicU64::new(0),
@@ -176,7 +166,6 @@ impl Stats {
     pub fn record_sem_wait(&self, wait_ns: u64) {
         self.sem_wait_count.fetch_add(1, Ordering::Relaxed);
         self.sem_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.sem_wait_hist[Self::sem_wait_bucket(wait_ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one striped commit attempt's lock acquisition: it locked
@@ -241,13 +230,11 @@ impl Stats {
         self.park_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one contention-manager backoff wait of `wait_ns` decided by
-    /// the policy at [`crate::CmMode::index`] `policy`. Zero-wait decisions
-    /// (first aborts, winners under karma/greedy) are not recorded.
-    pub fn record_cm_wait(&self, policy: usize, wait_ns: u64) {
-        self.cm_policy_waits[policy.min(CM_POLICIES - 1)].fetch_add(1, Ordering::Relaxed);
+    /// Record one contention-manager backoff wait of `wait_ns`. Zero-wait
+    /// decisions (first aborts) are not recorded.
+    pub fn record_cm_wait(&self, wait_ns: u64) {
+        self.cm_waits.fetch_add(1, Ordering::Relaxed);
         self.cm_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.cm_wait_hist[Self::sem_wait_bucket(wait_ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The live version-heap gauge. [`crate::Stm::new_vbox`] attaches every
@@ -323,13 +310,6 @@ impl Stats {
         self.txn_reexecutions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Histogram bucket for a wait of `wait_ns` (see [`SEM_WAIT_BUCKETS`]).
-    pub fn sem_wait_bucket(wait_ns: u64) -> usize {
-        let us = wait_ns / 1_000;
-        let bucket = if us == 0 { 0 } else { us.ilog2() as usize };
-        bucket.min(SEM_WAIT_BUCKETS - 1)
-    }
-
     /// Install (or replace) the commit hook. Pass `None` to disable.
     ///
     /// The hook runs on the committing thread after the commit lock is
@@ -356,7 +336,6 @@ impl Stats {
             reconfigures: self.reconfigures.load(Ordering::Relaxed),
             sem_wait_count: self.sem_wait_count.load(Ordering::Relaxed),
             sem_wait_total_ns: self.sem_wait_total_ns.load(Ordering::Relaxed),
-            sem_wait_hist: std::array::from_fn(|i| self.sem_wait_hist[i].load(Ordering::Relaxed)),
             stripe_lock_acquisitions: self.stripe_lock_acquisitions.load(Ordering::Relaxed),
             stripe_lock_contended: self.stripe_lock_contended.load(Ordering::Relaxed),
             stripe_false_conflicts: self.stripe_false_conflicts.load(Ordering::Relaxed),
@@ -368,11 +347,8 @@ impl Stats {
             sched_handoffs: self.sched_handoffs.load(Ordering::Relaxed),
             sched_handoffs_elided: self.sched_handoffs_elided.load(Ordering::Relaxed),
             park_count: self.park_count.load(Ordering::Relaxed),
-            cm_policy_waits: std::array::from_fn(|i| {
-                self.cm_policy_waits[i].load(Ordering::Relaxed)
-            }),
+            cm_waits: self.cm_waits.load(Ordering::Relaxed),
             cm_wait_total_ns: self.cm_wait_total_ns.load(Ordering::Relaxed),
-            cm_wait_hist: std::array::from_fn(|i| self.cm_wait_hist[i].load(Ordering::Relaxed)),
             evicted_reads: self.evicted_reads.load(Ordering::Relaxed),
             read_below_floor: self.read_below_floor.load(Ordering::Relaxed),
             snapshot_evictions: self.snapshot_evictions.load(Ordering::Relaxed),
@@ -428,8 +404,6 @@ pub struct StatsSnapshot {
     pub sem_wait_count: u64,
     /// Total nanoseconds spent waiting for top-level admission.
     pub sem_wait_total_ns: u64,
-    /// Log2 histogram of admission waits (see [`SEM_WAIT_BUCKETS`]).
-    pub sem_wait_hist: [u64; SEM_WAIT_BUCKETS],
     /// Commit stripes locked by striped commit attempts (total).
     pub stripe_lock_acquisitions: u64,
     /// Of those, stripes whose acquisition needed at least one retry —
@@ -459,14 +433,11 @@ pub struct StatsSnapshot {
     pub sched_handoffs_elided: u64,
     /// Top-level admissions that parked on the packed admission gate.
     pub park_count: u64,
-    /// Contention-manager backoff waits per policy, indexed by
-    /// [`crate::CmMode::index`]. Zero-wait decisions are not counted.
-    pub cm_policy_waits: [u64; CM_POLICIES],
+    /// Contention-manager backoff waits. Zero-wait decisions are not
+    /// counted.
+    pub cm_waits: u64,
     /// Total nanoseconds spent in contention-manager backoff waits.
     pub cm_wait_total_ns: u64,
-    /// Log2 histogram of contention-manager backoff waits (same bucketing
-    /// as the admission-wait histogram, see [`SEM_WAIT_BUCKETS`]).
-    pub cm_wait_hist: [u64; SEM_WAIT_BUCKETS],
     /// Reads served from the chain floor by a doomed attempt whose snapshot
     /// lease expired and was evicted.
     pub evicted_reads: u64,
@@ -521,11 +492,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Total contention-manager backoff waits across all policies.
-    pub fn cm_wait_count(&self) -> u64 {
-        self.cm_policy_waits.iter().sum()
-    }
-
     /// Mean top-level admission wait in nanoseconds (0 when none recorded).
     pub fn mean_sem_wait_ns(&self) -> f64 {
         if self.sem_wait_count == 0 {
@@ -545,9 +511,6 @@ impl StatsSnapshot {
             reconfigures: self.reconfigures.saturating_sub(earlier.reconfigures),
             sem_wait_count: self.sem_wait_count.saturating_sub(earlier.sem_wait_count),
             sem_wait_total_ns: self.sem_wait_total_ns.saturating_sub(earlier.sem_wait_total_ns),
-            sem_wait_hist: std::array::from_fn(|i| {
-                self.sem_wait_hist[i].saturating_sub(earlier.sem_wait_hist[i])
-            }),
             stripe_lock_acquisitions: self
                 .stripe_lock_acquisitions
                 .saturating_sub(earlier.stripe_lock_acquisitions),
@@ -567,13 +530,8 @@ impl StatsSnapshot {
                 .sched_handoffs_elided
                 .saturating_sub(earlier.sched_handoffs_elided),
             park_count: self.park_count.saturating_sub(earlier.park_count),
-            cm_policy_waits: std::array::from_fn(|i| {
-                self.cm_policy_waits[i].saturating_sub(earlier.cm_policy_waits[i])
-            }),
+            cm_waits: self.cm_waits.saturating_sub(earlier.cm_waits),
             cm_wait_total_ns: self.cm_wait_total_ns.saturating_sub(earlier.cm_wait_total_ns),
-            cm_wait_hist: std::array::from_fn(|i| {
-                self.cm_wait_hist[i].saturating_sub(earlier.cm_wait_hist[i])
-            }),
             evicted_reads: self.evicted_reads.saturating_sub(earlier.evicted_reads),
             read_below_floor: self.read_below_floor.saturating_sub(earlier.read_below_floor),
             snapshot_evictions: self.snapshot_evictions.saturating_sub(earlier.snapshot_evictions),
@@ -799,21 +757,14 @@ mod tests {
     #[test]
     fn cm_wait_counters_accumulate() {
         let s = Stats::new();
-        let backoff = crate::cm::CmMode::ExpBackoff.index();
-        let karma = crate::cm::CmMode::Karma.index();
-        s.record_cm_wait(backoff, 3_000);
-        s.record_cm_wait(backoff, 500);
-        s.record_cm_wait(karma, 2_000);
+        s.record_cm_wait(3_000);
+        s.record_cm_wait(500);
+        s.record_cm_wait(2_000);
         let snap = s.snapshot();
-        assert_eq!(snap.cm_policy_waits[backoff], 2);
-        assert_eq!(snap.cm_policy_waits[karma], 1);
-        assert_eq!(snap.cm_policy_waits[crate::cm::CmMode::Greedy.index()], 0);
-        assert_eq!(snap.cm_wait_count(), 3);
+        assert_eq!(snap.cm_waits, 3);
         assert_eq!(snap.cm_wait_total_ns, 5_500);
-        assert_eq!(snap.cm_wait_hist[0], 1); // 500 ns
-        assert_eq!(snap.cm_wait_hist[1], 2); // 2 µs and 3 µs
         let d = snap.delta_since(&StatsSnapshot::default());
-        assert_eq!(d.cm_wait_count(), 3);
+        assert_eq!(d.cm_waits, 3);
         assert_eq!(d.cm_wait_total_ns, 5_500);
     }
 
@@ -928,13 +879,6 @@ mod tests {
 
     #[test]
     fn sem_wait_histogram_buckets() {
-        assert_eq!(Stats::sem_wait_bucket(0), 0);
-        assert_eq!(Stats::sem_wait_bucket(999), 0); // < 1 µs
-        assert_eq!(Stats::sem_wait_bucket(1_000), 0); // 1 µs
-        assert_eq!(Stats::sem_wait_bucket(2_000), 1); // 2 µs
-        assert_eq!(Stats::sem_wait_bucket(1_000_000), 9); // 1 ms ≈ 2^9.97 µs
-        assert_eq!(Stats::sem_wait_bucket(u64::MAX), SEM_WAIT_BUCKETS - 1);
-
         let s = Stats::new();
         s.record_sem_wait(500);
         s.record_sem_wait(3_000);
@@ -942,8 +886,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.sem_wait_count, 3);
         assert_eq!(snap.sem_wait_total_ns, 7_000);
-        assert_eq!(snap.sem_wait_hist[0], 1);
-        assert_eq!(snap.sem_wait_hist[1], 2);
         assert!((snap.mean_sem_wait_ns() - 7_000.0 / 3.0).abs() < 1e-9);
     }
 

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::cm::{AbortSite, CmMode};
+use crate::cm::AbortSite;
 use crate::fault::FaultKind;
 use crate::mem::MemLevel;
 use crate::stats::TxKind;
@@ -42,19 +42,17 @@ pub fn now_ns() -> u64 {
 /// matches the config-space limit in `autopn`.
 pub const MAX_TRACE_AXES: usize = 4;
 
-/// One discrete-axis assignment carried by a trace event: the axis `name`,
-/// its raw `value` (e.g. slice boxes, block txns, or a categorical index)
-/// and a human-readable `label` (empty for plain integer axes).
+/// One discrete-axis assignment carried by a trace event: the axis `name`
+/// and its raw `value` (e.g. slice boxes or block txns).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AxisValue {
     pub name: &'static str,
     pub value: u32,
-    pub label: &'static str,
 }
 
 /// Inline, `Copy` snapshot of the discrete-axis half of a configuration
 /// point — `(t, c)` stays in the event's own fields; this carries the rest
-/// (`cm`, `gc_boxes`, `block`, `sched`, ...). Empty for the legacy 2-D
+/// (`gc_boxes`, `block`, ...). Empty for the legacy 2-D
 /// space, in which case the JSON serialization omits the `"axes"` key
 /// entirely so pre-generalization consumers see byte-identical lines.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -66,14 +64,14 @@ pub struct AxesTrace {
 impl AxesTrace {
     /// The empty (legacy `(t, c)`-only) axis set.
     pub const fn empty() -> Self {
-        Self { n: 0, entries: [AxisValue { name: "", value: 0, label: "" }; MAX_TRACE_AXES] }
+        Self { n: 0, entries: [AxisValue { name: "", value: 0 }; MAX_TRACE_AXES] }
     }
 
     /// Append one axis assignment. Panics past [`MAX_TRACE_AXES`] — the
     /// config space enforces the same bound at construction.
-    pub fn push(&mut self, name: &'static str, value: u32, label: &'static str) {
+    pub fn push(&mut self, name: &'static str, value: u32) {
         assert!((self.n as usize) < MAX_TRACE_AXES, "more than {MAX_TRACE_AXES} trace axes");
-        self.entries[self.n as usize] = AxisValue { name, value, label };
+        self.entries[self.n as usize] = AxisValue { name, value };
         self.n += 1;
     }
 
@@ -106,11 +104,7 @@ impl AxesTrace {
             if i > 0 {
                 out.push(',');
             }
-            if a.label.is_empty() {
-                let _ = write!(out, "\"{}\":{}", a.name, a.value);
-            } else {
-                let _ = write!(out, "\"{}\":\"{}\"", a.name, a.label);
-            }
+            let _ = write!(out, "\"{}\":{}", a.name, a.value);
         }
         out.push('}');
     }
@@ -206,11 +200,10 @@ pub enum TraceEvent {
     /// The measurement watchdog force-closed a window that outlived its hard
     /// deadline (the adaptive timeout never fired — e.g. a stalled system).
     WatchdogFired { at_ns: u64 },
-    /// The contention manager delayed a retry: `policy` decided a wait of
-    /// `waited_ns` at abort site `site`, `attempt` aborts into the chain.
-    /// Emitted only for nonzero waits — first aborts (and winners under
-    /// karma/greedy) stay off the bus.
-    CmDecision { policy: CmMode, site: AbortSite, waited_ns: u64, attempt: u64, at_ns: u64 },
+    /// The contention manager delayed a retry: a wait of `waited_ns` at
+    /// abort site `site`, `attempt` aborts into the chain. Emitted only for
+    /// nonzero waits — first aborts stay off the bus.
+    CmDecision { site: AbortSite, waited_ns: u64, attempt: u64, at_ns: u64 },
     /// A GC cycle finished: the version-heap gauge stood at
     /// `retained_versions`/`retained_bytes` after pruning `pruned` versions
     /// over `slices` bounded slices. `urgent` marks ladder-triggered cycles.
@@ -419,11 +412,10 @@ impl TraceEvent {
                     ",\"t\":{t},\"c\":{c},\"fb_t\":{fb_t},\"fb_c\":{fb_c},\"attempts\":{attempts}"
                 );
             }
-            TraceEvent::CmDecision { policy, site, waited_ns, attempt, at_ns } => {
+            TraceEvent::CmDecision { site, waited_ns, attempt, at_ns } => {
                 let _ = write!(
                     out,
-                    ",\"policy\":\"{}\",\"site\":\"{}\",\"waited_ns\":{waited_ns},\"attempt\":{attempt},\"at_ns\":{at_ns}",
-                    policy.tag(),
+                    ",\"site\":\"{}\",\"waited_ns\":{waited_ns},\"attempt\":{attempt},\"at_ns\":{at_ns}",
                     site.tag()
                 );
             }
@@ -813,7 +805,6 @@ mod tests {
             TraceEvent::ApplyDegraded { t: 8, c: 4, fb_t: 2, fb_c: 1, attempts: 4 },
             TraceEvent::WatchdogFired { at_ns: 70 },
             TraceEvent::CmDecision {
-                policy: CmMode::ExpBackoff,
                 site: AbortSite::Commit,
                 waited_ns: 40_000,
                 attempt: 2,
@@ -863,15 +854,15 @@ mod tests {
             "empty axes must keep the legacy JSON byte-identical"
         );
         let mut axes = AxesTrace::empty();
-        axes.push("cm", 2, "karma");
-        axes.push("gc_boxes", 64, "");
+        axes.push("gc_boxes", 64);
+        axes.push("block", 512);
         assert_eq!(
             TraceEvent::Reconfigure { from: (4, 1), to: (2, 2), axes }.to_json(),
-            r#"{"ev":"reconfigure","from":[4,1],"to":[2,2],"axes":{"cm":"karma","gc_boxes":64}}"#
+            r#"{"ev":"reconfigure","from":[4,1],"to":[2,2],"axes":{"gc_boxes":64,"block":512}}"#
         );
         assert_eq!(axes.len(), 2);
         assert_eq!(axes.get("gc_boxes").map(|a| a.value), Some(64));
-        assert!(axes.get("block").is_none());
+        assert!(axes.get("cm").is_none());
         assert_eq!(
             TraceEvent::WindowSample { at_ns: 2, cv: None }.to_json(),
             r#"{"ev":"window_sample","at_ns":2,"cv":null}"#
@@ -908,14 +899,13 @@ mod tests {
         );
         assert_eq!(
             TraceEvent::CmDecision {
-                policy: CmMode::Greedy,
                 site: AbortSite::Nested,
                 waited_ns: 200_000,
-                attempt: 1,
+                attempt: 2,
                 at_ns: 12,
             }
             .to_json(),
-            r#"{"ev":"cm_decision","policy":"greedy","site":"nested","waited_ns":200000,"attempt":1,"at_ns":12}"#
+            r#"{"ev":"cm_decision","site":"nested","waited_ns":200000,"attempt":2,"at_ns":12}"#
         );
         assert_eq!(
             TraceEvent::MemPressure {

@@ -744,8 +744,8 @@ type ChildOutcome<R> = Result<TxResult<R>, Box<dyn Any + Send>>;
 /// the task wrapper in [`Txn::parallel`], which reports it as the outcome.
 ///
 /// Between attempts the contention manager is consulted
-/// ([`crate::cm::AbortSite::Nested`]): under the backoff/karma/greedy rungs
-/// a losing child sleeps instead of hot-spinning its way through
+/// ([`crate::cm::AbortSite::Nested`]): from its second consecutive abort on,
+/// a losing child backs off instead of hot-spinning its way through
 /// `max_nested_retries` immediate re-executions against the same winner.
 fn run_child<R>(
     family: &Family<R>,
@@ -757,7 +757,7 @@ fn run_child<R>(
     if trace.is_enabled() {
         trace.emit(TraceEvent::TxBegin { kind: TxKind::Nested, at_ns: trace::now_ns() });
     }
-    let mut cm_tx = shared.cm().begin_guard();
+    let ticket = shared.cm().begin();
     let mut attempts: u64 = 0;
     loop {
         let mut scope = Vec::with_capacity(1 + inherited.len());
@@ -798,30 +798,16 @@ fn run_child<R>(
                     if tx.snapshot_evicted() {
                         return Err(TxError::Conflict);
                     }
-                    let (r, w) = tx.footprint();
                     // Drop the attempt (and its scope handles) before any
                     // wait: a sleeping child must not keep the published
                     // parent snapshot alive longer than necessary.
                     drop(tx);
-                    let (policy, wait) =
-                        cm_tx.decide(crate::cm::AbortSite::Nested, attempts, r + w);
+                    let wait = shared.cm().backoff(ticket, attempts);
                     if !wait.is_zero() {
                         // A closed admission gate cuts the wait short: the
                         // conflict then escalates through the normal retry
                         // machinery instead of stalling shutdown.
-                        let throttle = shared.throttle();
-                        let (waited_ns, _cancelled) =
-                            crate::cm::sleep_interruptible(wait, || throttle.is_closed());
-                        shared.stats().record_cm_wait(policy.index(), waited_ns);
-                        if trace.is_enabled() {
-                            trace.emit(TraceEvent::CmDecision {
-                                policy,
-                                site: crate::cm::AbortSite::Nested,
-                                waited_ns,
-                                attempt: attempts,
-                                at_ns: trace::now_ns(),
-                            });
-                        }
+                        shared.cm_sleep(wait, crate::cm::AbortSite::Nested, attempts);
                     }
                     continue;
                 }

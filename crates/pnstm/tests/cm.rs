@@ -1,4 +1,4 @@
-//! Contention-manager integration: the CM rungs observed through the public
+//! Contention-manager integration: the backoff observed through the public
 //! API, at every abort site. The unit tests in `src/cm.rs` pin the pure
 //! decision math; these tests pin the *wiring* — waits actually happen (and
 //! show up in stats), and only from a chain's second abort on. The waits
@@ -9,18 +9,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use pnstm::{child, CmMode, ParallelismDegree, Stm, StmConfig, TxError};
+use pnstm::{child, ParallelismDegree, Stm, StmConfig, TxError};
 
 #[test]
 fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
     // 48 children read-modify-write one hot box under c = 8: every batch is
-    // a sibling-conflict storm. Under ExpBackoff the losers must *wait*
+    // a sibling-conflict storm. Under the backoff the losers must *wait*
     // between attempts (visible in the CM stats) instead of burning their
     // whole 10k-attempt nested-retry budget hot-spinning against the winner.
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(1, 8),
         worker_threads: 8,
-        cm_mode: CmMode::ExpBackoff,
         ..StmConfig::default()
     });
     let hot = stm.new_vbox(0i64);
@@ -52,11 +51,7 @@ fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
 
     let snap = stm.stats().snapshot();
     assert!(snap.nested_aborts > 0, "a 48-way hot-box batch must see sibling conflicts");
-    assert!(
-        snap.cm_policy_waits[CmMode::ExpBackoff.index()] > 0,
-        "nested losers must consult the CM and wait: {:?}",
-        snap.cm_policy_waits
-    );
+    assert!(snap.cm_waits > 0, "nested losers must consult the CM and wait");
     assert!(snap.cm_wait_total_ns > 0);
     // The regression bound: nowhere near the per-child retry budget. Before
     // the CM landed, storms like this burned thousands of immediate retries.
@@ -69,17 +64,16 @@ fn nested_sibling_conflicts_back_off_instead_of_hot_spinning() {
 
 #[test]
 fn lone_abort_does_not_sleep() {
-    // The backoff rung retries a chain's first abort at once: one lone
+    // The backoff retries a chain's first abort at once: one lone
     // conflict costs no wait. A second consecutive abort in the same chain
     // does wait.
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 1,
-        cm_mode: CmMode::ExpBackoff,
         ..StmConfig::default()
     });
     let cell = stm.new_vbox(0i64);
-    let waits = || stm.stats().snapshot().cm_policy_waits[CmMode::ExpBackoff.index()];
+    let waits = || stm.stats().snapshot().cm_waits;
     let run_with_forced_aborts = |forced: u64| {
         let attempts = AtomicU64::new(0);
         stm.atomic(|tx| {
@@ -98,26 +92,4 @@ fn lone_abort_does_not_sleep() {
     run_with_forced_aborts(2);
     assert_eq!(waits(), 1, "the second consecutive abort waits");
     assert_eq!(stm.read_atomic(&cell), 2);
-}
-
-#[test]
-fn cm_mode_is_switchable_at_runtime() {
-    let stm = Stm::new(StmConfig { cm_mode: CmMode::Immediate, ..StmConfig::default() });
-    assert_eq!(stm.cm_mode(), CmMode::Immediate);
-    for mode in CmMode::ALL {
-        stm.set_cm_mode(mode);
-        assert_eq!(stm.cm_mode(), mode);
-        // The instance keeps committing under every rung.
-        let cell = stm.new_vbox(0i64);
-        stm.atomic({
-            let cell = cell.clone();
-            move |tx| {
-                let v = tx.read(&cell);
-                tx.write(&cell, v + 1);
-                Ok(())
-            }
-        })
-        .expect("commit under runtime-switched CM mode");
-        assert_eq!(stm.read_atomic(&cell), 1);
-    }
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread;
 
 use pnstm::{
-    child, stripe_of, ChildTask, CmMode, FaultKind, FaultPlan, FaultRule, Oracle,
-    ParallelismDegree, Stm, StmConfig, TxError, Txn, VBox,
+    child, stripe_of, ChildTask, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm,
+    StmConfig, TxError, Txn, VBox,
 };
 
 /// One randomly generated top-level transaction: a list of per-slot deltas;
@@ -424,52 +424,41 @@ proptest! {
         prop_assert_eq!(&states[0], &states[1], "concurrent final states diverged");
     }
 
-    /// Differential replay across the contention-manager ladder: an
-    /// explicitly-Immediate instance (the pre-CM retry loop) is
-    /// byte-identical to the shipped default CM on an uncontended history —
-    /// the CM begin/decide calls on the hot path must be observably free,
-    /// and the default rung never waits without an abort. Single-threaded
-    /// the histories are fully defined, so states, commit/abort counts and
-    /// the clock must agree exactly; concurrently the additive deltas commute, so the final
-    /// states must agree (also exercised under ExpBackoff, whose waits may
-    /// reorder but never lose updates).
+    /// Differential replay against the contention-manager oracle: an
+    /// [`Oracle::ImmediateCm`] instance (the pre-CM retry loop) is
+    /// byte-identical to the shipped backoff on an uncontended history —
+    /// the CM calls on the hot path must be observably free, and the backoff
+    /// never waits without an abort. Single-threaded the histories are
+    /// fully defined, so states, commit/abort counts and the clock must
+    /// agree exactly; concurrently the additive deltas commute, so the final
+    /// states must agree (the backoff's waits may reorder but never lose
+    /// updates).
     #[test]
     fn immediate_cm_replays_seed_histories(
         specs in proptest::collection::vec(tx_spec(4), 1..10),
     ) {
         let slots = 4;
-        let stm_cm = |degree, cm_mode| Stm::new(StmConfig {
-            degree, worker_threads: 2, cm_mode, ..StmConfig::default()
-        });
+        let stm_cm = |degree, oracle| Stm::with_oracle(StmConfig {
+            degree, worker_threads: 2, ..StmConfig::default()
+        }, oracle);
         // Deterministic single-threaded replay: outcome-for-outcome equal.
         let mut single = Vec::new();
-        for explicit in [true, false] {
-            let stm = if explicit {
-                stm_cm(ParallelismDegree::new(1, 1), CmMode::Immediate)
-            } else {
-                // The seed configuration, CM left entirely to its default.
-                Stm::new(StmConfig {
-                    degree: ParallelismDegree::new(1, 1),
-                    worker_threads: 2,
-                    ..StmConfig::default()
-                })
-            };
-            let want = if explicit { CmMode::Immediate } else { CmMode::default() };
-            prop_assert_eq!(stm.cm_mode(), want);
+        for oracle in [Some(Oracle::ImmediateCm), None] {
+            let stm = stm_cm(ParallelismDegree::new(1, 1), oracle);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             let state = run_history_on(&stm, &boxes, &specs, 1);
             let snap = stm.stats().snapshot();
-            prop_assert_eq!(snap.cm_wait_count(), 0, "an uncontended history must never wait");
+            prop_assert_eq!(snap.cm_waits, 0, "an uncontended history must never wait");
             single.push((state, snap.top_commits, snap.top_aborts, stm.clock_now()));
         }
         prop_assert_eq!(&single[0], &single[1], "single-threaded histories diverged");
         prop_assert_eq!(single[0].2, 0, "uncontended history must not abort");
 
         // Concurrent replay: serializability pins the final state, on the
-        // oracle rung and on a waiting rung.
+        // oracle and under the shipped backoff.
         let mut states = Vec::new();
-        for cm_mode in [CmMode::Immediate, CmMode::ExpBackoff] {
-            let stm = stm_cm(ParallelismDegree::new(4, 2), cm_mode);
+        for oracle in [Some(Oracle::ImmediateCm), None] {
+            let stm = stm_cm(ParallelismDegree::new(4, 2), oracle);
             let boxes = Arc::new((0..slots).map(|_| stm.new_vbox(0i64)).collect::<Vec<_>>());
             states.push(run_history_on(&stm, &boxes, &specs, 3));
         }

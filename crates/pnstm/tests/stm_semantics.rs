@@ -2,8 +2,8 @@
 //! retry behaviour, throttling, and garbage collection.
 
 use pnstm::{
-    child, ChildTask, CmMode, MemConfig, ParallelismDegree, Stm, StmConfig, StmError, TxError,
-    TxResult, VBox,
+    child, ChildTask, MemConfig, ParallelismDegree, Stm, StmConfig, StmError, TxError, TxResult,
+    VBox,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -446,7 +446,6 @@ fn exp_backoff_preserves_correctness() {
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(8, 1),
         worker_threads: 0,
-        cm_mode: CmMode::ExpBackoff,
         ..StmConfig::default()
     });
     let b = stm.new_vbox(0i64);

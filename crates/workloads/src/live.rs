@@ -487,11 +487,9 @@ mod tests {
         let space = registry.space(4);
         sys.attach_axes(registry);
 
-        let karma = pnstm::CmMode::Karma.index();
-        let gc512 = space.axes()[1].level_of_value(512).unwrap();
-        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[karma, gc512]));
+        let gc512 = space.axes()[0].level_of_value(512).unwrap();
+        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[gc512]));
         sys.try_apply(cfg).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::Karma);
         assert_eq!(stm.gc_slice_boxes(), 512);
         assert_eq!(stm.degree(), ParallelismDegree::new(2, 2));
 
@@ -504,12 +502,11 @@ mod tests {
                 _ => None,
             })
             .expect("reconfigure event");
-        assert_eq!(axes.get("cm").unwrap().label, "karma");
+        assert_eq!(axes.len(), 1);
         assert_eq!(axes.get("gc_boxes").unwrap().value, 512);
 
-        // A bare (t, c) fallback point restores the default axis levels.
+        // A bare (t, c) fallback point restores the default axis level.
         sys.try_apply(Config::new(1, 1)).unwrap();
-        assert_eq!(stm.cm_mode(), pnstm::CmMode::default());
         assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
         sys.shutdown();
     }

@@ -14,8 +14,7 @@ use autopn::{
 };
 use pnstm::trace::TraceEvent;
 use pnstm::{
-    stripe_of, CmMode, MemConfig, Oracle, ParallelismDegree, Stm, StmConfig, StmError, TestSink,
-    TraceBus,
+    stripe_of, MemConfig, Oracle, ParallelismDegree, Stm, StmConfig, StmError, TestSink, TraceBus,
 };
 use proptest::prelude::*;
 use simtm::{MachineParams, SimWorkload};
@@ -173,26 +172,28 @@ fn shutdown_is_bounded_under_stripe_holds() {
     // Every commit attempt stalls 2 ms on its stripe locks, up to a 400-
     // injection budget: the system crawls but must not wedge — shutdown
     // completes promptly and in-flight stalled commits drain. The budget
-    // keeps this focused on the shutdown property: under the Immediate CM
-    // (pinned here), unbounded holds inflate the conflict window enough to
-    // livelock retrying writers against each other. That livelock is a
-    // contention-management property with its own regression coverage —
-    // `tests/contention.rs` pins it with a dedicated two-writer
-    // disjoint-stripe storm (seed 97, unbudgeted p = 1.0 holds of 1 ms,
-    // overlapping read sets) and shows it draining under the ExpBackoff
-    // and Greedy rungs, where this test keeps its budget and the Immediate
-    // CM to stay a pure shutdown check.
+    // keeps this focused on the shutdown property: under immediate retry
+    // (`Oracle::ImmediateCm`, pinned here), unbounded holds inflate the
+    // conflict window enough to livelock retrying writers against each
+    // other. That livelock is a contention-management property with its own
+    // regression coverage — `tests/contention.rs` pins it with a dedicated
+    // two-writer disjoint-stripe storm (seed 97, unbudgeted p = 1.0 holds
+    // of 1 ms, overlapping read sets) and shows it draining under the
+    // shipped backoff, where this test keeps its budget and immediate retry
+    // to stay a pure shutdown check.
     let plan = Arc::new(FaultPlan::new(51).with_rule(
         FaultKind::CommitHold,
         FaultRule::with_probability(1.0).delay_ns(2_000_000).budget(400),
     ));
-    let stm = Stm::new(StmConfig {
-        degree: ParallelismDegree::new(2, 1),
-        worker_threads: 2,
-        fault: Some(plan),
-        cm_mode: CmMode::Immediate,
-        ..StmConfig::default()
-    });
+    let stm = Stm::with_oracle(
+        StmConfig {
+            degree: ParallelismDegree::new(2, 1),
+            worker_threads: 2,
+            fault: Some(plan),
+            ..StmConfig::default()
+        },
+        Some(Oracle::ImmediateCm),
+    );
     let wl = Arc::new(ArrayWorkload::new(
         &stm,
         "chaos-stripe-shutdown",

@@ -1,5 +1,6 @@
-//! Contention-management integration: the livelock regression the CM ladder
-//! exists to fix, and the `{policy} × (t, c)` co-tuning path end to end.
+//! Contention-management integration: the livelock regression the backoff
+//! exists to fix, and the `{axis level} × (t, c)` co-tuning sweep end to
+//! end on a live STM.
 //!
 //! The regression scenario is the flip side of what `tests/chaos.rs` fences
 //! off with an injection budget: its stripe-hold shutdown test runs seed 51
@@ -14,8 +15,8 @@
 //! another committer currently holds — with every hold inflated to 1 ms,
 //! each writer's validation lands inside the other's hold, indefinitely.
 //! (Measured here before the CM landed: >13 000 aborts and neither writer
-//! finishing 10 commits in 8 s.) Under a waiting rung (ExpBackoff, Greedy)
-//! the losers desynchronize and the pair drains in tens of milliseconds.
+//! finishing 10 commits in 8 s.) Under the backoff the losers
+//! desynchronize and the pair drains in tens of milliseconds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use autopn::{
     sweep_axis, AutoPn, AutoPnConfig, Axis, FaultKind, FaultPlan, FaultRule, SearchSpace,
     TuneOptions,
 };
-use pnstm::{stripe_of, CmMode, ParallelismDegree, Stm, StmConfig, TraceEvent};
+use pnstm::{stripe_of, ParallelismDegree, Stm, StmConfig, TraceEvent};
 use workloads::array::{ArrayParams, ArrayWorkload};
 use workloads::LiveStmSystem;
 
@@ -36,7 +37,7 @@ use workloads::LiveStmSystem;
 /// queue on a common lock — each writer instead cross-validates against the
 /// other's held stripe. Returns once both writers have landed `quota`
 /// commits each, or panics if `deadline` passes first.
-fn run_two_writer_storm(mode: CmMode, hold: Duration, quota: u64, deadline: Duration) -> Stm {
+fn run_two_writer_storm(hold: Duration, quota: u64, deadline: Duration) -> Stm {
     let plan = Arc::new(FaultPlan::new(97).with_rule(
         FaultKind::CommitHold,
         FaultRule::with_probability(1.0).delay_ns(hold.as_nanos() as u64),
@@ -44,7 +45,6 @@ fn run_two_writer_storm(mode: CmMode, hold: Duration, quota: u64, deadline: Dura
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 2,
-        cm_mode: mode,
         fault: Some(plan),
         ..StmConfig::default()
     });
@@ -82,7 +82,7 @@ fn run_two_writer_storm(mode: CmMode, hold: Duration, quota: u64, deadline: Dura
     while done.load(Ordering::Acquire) < 2 {
         assert!(
             start.elapsed() < deadline,
-            "two writers livelocked under unbudgeted commit holds ({mode}): \
+            "two writers livelocked under unbudgeted commit holds: \
              {}/{} commits after {:?}",
             stm.stats().snapshot().top_commits,
             2 * quota,
@@ -99,28 +99,19 @@ fn run_two_writer_storm(mode: CmMode, hold: Duration, quota: u64, deadline: Dura
 
 #[test]
 fn unbudgeted_commit_holds_drain_under_exp_backoff() {
-    let stm = run_two_writer_storm(
-        CmMode::ExpBackoff,
-        Duration::from_millis(1),
-        10,
-        Duration::from_secs(20),
-    );
+    let stm = run_two_writer_storm(Duration::from_millis(1), 10, Duration::from_secs(20));
     let snap = stm.stats().snapshot();
     assert!(
-        snap.cm_policy_waits[CmMode::ExpBackoff.index()] > 0 || snap.top_aborts == 0,
-        "conflicting writers must have waited under ExpBackoff: {snap:?}"
+        snap.cm_waits > 0 || snap.top_aborts == 0,
+        "conflicting writers must have backed off: {snap:?}"
     );
 }
 
 #[test]
-fn unbudgeted_commit_holds_drain_under_greedy() {
-    run_two_writer_storm(CmMode::Greedy, Duration::from_millis(1), 10, Duration::from_secs(20));
-}
-
-#[test]
-fn policy_sweep_co_tunes_cm_with_parallelism_degree() {
-    // End-to-end `{policy} × (t, c)`: a live STM under a real workload, one
-    // full AutoPN session per CM policy, winner re-enacted on the system.
+fn gc_budget_sweep_co_tunes_with_parallelism_degree() {
+    // End-to-end `{gc budget} × (t, c)`: a live STM under a real workload,
+    // one full AutoPN session per GC slice budget, winner re-enacted on the
+    // system.
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 2,
@@ -135,11 +126,11 @@ fn policy_sweep_co_tunes_cm_with_parallelism_degree() {
         ArrayParams { size: 64, write_fraction: 0.8, chunks: 2 },
     ));
     let mut system = LiveStmSystem::start(stm.clone(), wl, 3).expect("spawn live workers");
-    let policies = Axis::cm_policy();
+    let budgets = Axis::gc_budget();
     let outcome = sweep_axis(
         &mut system,
-        &policies,
-        &mut |value, _| stm.set_cm_mode(CmMode::from_index(value as usize).expect("cm level")),
+        &budgets,
+        &mut |value, _| stm.set_gc_slice_boxes(value as usize),
         &mut |_| Box::new(AutoPn::new(SearchSpace::new(4), AutoPnConfig::default())),
         &mut |_| Box::new(AdaptiveMonitor::new(0.30, 3)),
         &trace,
@@ -147,18 +138,21 @@ fn policy_sweep_co_tunes_cm_with_parallelism_degree() {
     );
     system.shutdown();
 
-    assert_eq!(outcome.sessions.len(), policies.len(), "one full session per policy");
+    assert_eq!(outcome.sessions.len(), budgets.len(), "one full session per budget");
     for (level, session) in outcome.sessions.iter().enumerate() {
-        let p = policies.label_at(level);
-        assert!(!session.explored.is_empty(), "the {p} session must have measured configurations");
+        let b = budgets.value_at(level);
+        assert!(
+            !session.explored.is_empty(),
+            "the {b}-box session must have measured configurations"
+        );
     }
     assert!(outcome.best_throughput > 0.0, "the winning triple was actually measured");
-    // The winning policy was left in force on the live STM.
-    assert_eq!(stm.cm_mode().index(), outcome.best_level);
-    // The trace carries one bracketed session per policy.
+    // The winning budget was left in force on the live STM.
+    assert_eq!(stm.gc_slice_boxes(), budgets.value_at(outcome.best_level) as usize);
+    // The trace carries one bracketed session per budget.
     let events = sink.events();
     let starts = events.iter().filter(|e| matches!(e, TraceEvent::SessionStart { .. })).count();
     let ends = events.iter().filter(|e| matches!(e, TraceEvent::SessionEnd { .. })).count();
-    assert_eq!(starts, policies.len());
-    assert_eq!(ends, policies.len());
+    assert_eq!(starts, budgets.len());
+    assert_eq!(ends, budgets.len());
 }

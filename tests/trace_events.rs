@@ -193,6 +193,12 @@ fn live_session_emits_parseable_jsonl_trace() {
                 assert!(handed_off.is_some(), "sched_batch without handed_off: {line}");
                 assert!(handed_off == Some(true) || stolen == 0, "stolen from a withheld batch");
             }
+            "cm_decision" => {
+                // One contention manager: the event names the site, no policy.
+                assert!(v.get("policy").is_none(), "cm_decision carries a policy: {line}");
+                assert!(v.get("site").and_then(|x| x.as_str()).is_some(), "cm_decision.site");
+                assert!(v.get("waited_ns").and_then(|x| x.as_u64()).is_some());
+            }
             _ => {}
         }
     }
