@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use autopn::{MultiAutoPn, MultiAutoPnConfig, MultiConfig};
 use bench::{banner, mean, Args, Profile};
-use simtm::{ClassSpec, MachineParams, MultiSimulation, SimWorkload};
+use simtm::{ClassSpec, MachineParams, SimWorkload, Simulation};
 
 fn oltp_class() -> SimWorkload {
     SimWorkload::builder("oltp").top_work_us(60.0).top_footprint(10, 3).data_items(30_000).build()
@@ -53,7 +53,7 @@ fn measure(mc: &MultiConfig, machine: &MachineParams, seed: u64, window: Duratio
     // footprints overlap (otherwise the OLTP commit fire-hose would
     // invalidate every long scan regardless of configuration — a real
     // optimistic-STM pathology, but an untunable scenario).
-    let mut sim = MultiSimulation::with_cross_scale(&specs, machine, seed, 0.05);
+    let mut sim = Simulation::with_classes(&specs, machine, seed, 0.05);
     sim.run_for_virtual(window / 5); // warmup
     let before = sim.class_stats();
     sim.run_for_virtual(window);

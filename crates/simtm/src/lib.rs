@@ -7,6 +7,11 @@
 //! with `c`-bounded intra-tree child concurrency — exactly the `(t, c)`
 //! configuration space of §III-B of the paper.
 //!
+//! The same engine, [`Simulation`], also runs several transaction classes at
+//! once ([`Simulation::with_classes`]), each with its own degree `(t_k, c_k)`,
+//! sharing the cores, the commit section and the data set — the substrate
+//! for the paper's §VIII per-type extension.
+//!
 //! The simulation is a hybrid:
 //!
 //! * **Timing and resources** are simulated exactly (discrete events): cores,
@@ -15,7 +20,8 @@
 //! * **Conflicts** are sampled probabilistically from the workload's
 //!   read/write footprints over an abstract data set (with an optional hot
 //!   set), using the standard birthday-style approximation
-//!   `P(conflict per concurrent commit) = 1 - (1 - W/L)^R`. Sibling
+//!   `P(conflict per concurrent commit) = 1 - (1 - W/L)^R`, with `W` taken
+//!   from the committing class and `R` from the validating one. Sibling
 //!   conflicts inside a transaction tree are modelled the same way over the
 //!   tree-shared footprint.
 //!
@@ -39,17 +45,14 @@
 //! assert!(stats.commits > 0);
 //! ```
 
-pub mod analytic;
 pub mod event;
-pub mod multi;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod surface;
 pub mod workload;
 
-pub use multi::{ClassSpec, MultiSimulation};
-pub use sim::Simulation;
+pub use sim::{ClassSpec, Simulation};
 pub use stats::RunStats;
 pub use surface::{Surface, SurfaceBuilder};
 pub use workload::{MachineParams, SimWorkload, SimWorkloadBuilder};

@@ -1,11 +1,19 @@
 //! The discrete-event simulation engine.
 //!
-//! A closed system: `t` top-level "threads" (slots) each loop transactions
-//! forever. Every work segment (prelude, child, postlude, commit section)
-//! occupies one of the `n` cores for a sampled duration; a suspended parent
-//! waiting for its children does not hold a core, matching the paper's
-//! `t × c ≤ n` resource model. The global commit section is serialized,
-//! reproducing the commit-lock ceiling of real STMs.
+//! A closed system of one or more transaction classes. Each class owns `t_k`
+//! top-level "threads" (slots) that loop its transactions forever, with
+//! intra-tree child concurrency `c_k`; a one-class simulation is the paper's
+//! `(t, c)` machine. Every work segment (prelude, child, postlude, commit
+//! section) occupies one of the `n` cores for a sampled duration; a
+//! suspended parent waiting for its children does not hold a core, matching
+//! the paper's `t × c ≤ n` resource model. The global commit section is
+//! serialized, reproducing the commit-lock ceiling of real STMs.
+//!
+//! All classes share the cores, the commit section and the data set: a
+//! class-`i` tree's commit validates against the commits of *every* class
+//! during its window, with pairwise conflict probabilities from
+//! [`SimWorkload::conflict_prob_vs`] — the substrate for the paper's §VIII
+//! per-type `(t_k, c_k)` extension.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -15,23 +23,24 @@ use crate::rng::SimRng;
 use crate::stats::RunStats;
 use crate::workload::{MachineParams, SimWorkload};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Slot retired by a shrink of `t`; no transaction running.
-    Idle,
-    Prelude,
-    Children,
-    Postlude,
-    /// Queued for (or executing) the serialized commit section.
-    Committing,
+/// One transaction class and its parallelism degree.
+#[derive(Debug, Clone)]
+pub struct ClassSpec {
+    /// The class's workload shape.
+    pub workload: SimWorkload,
+    /// Its `(t_k, c_k)` degree.
+    pub degree: (usize, usize),
 }
 
 #[derive(Debug, Clone)]
-struct SlotState {
-    phase: Phase,
-    /// Global commit sequence at this transaction's (re)start, for
+struct Slot {
+    /// The class whose transactions this slot runs.
+    class: usize,
+    /// Retired by a shrink of `t_k`; no transaction running.
+    idle: bool,
+    /// Per-class commit counts at this transaction's (re)start, for
     /// conflict-window sampling.
-    start_seq: u64,
+    start_seq: Vec<u64>,
     /// Sibling (tree-local) commit counter of the current transaction tree.
     tree_seq: u64,
     /// Children that have not yet committed.
@@ -46,24 +55,25 @@ struct SlotState {
     started_at: u64,
 }
 
-impl SlotState {
-    fn idle() -> Self {
-        Self {
-            phase: Phase::Idle,
-            start_seq: 0,
-            tree_seq: 0,
-            remaining_children: 0,
-            queued_children: 0,
-            running_children: 0,
-            abort_streak: 0,
-            started_at: 0,
-        }
-    }
+/// A class's workload, degree, slots and counters.
+#[derive(Debug)]
+struct Class {
+    workload: SimWorkload,
+    t_limit: usize,
+    c_limit: usize,
+    active_slots: usize,
+    retired: Vec<usize>,
+    /// `p_conflict[j]`: probability that one class-`j` commit invalidates
+    /// this class's reads.
+    p_conflict: Vec<f64>,
+    p_sibling: f64,
+    stats: RunStats,
 }
 
-/// A resumable discrete-event simulation of one workload on one machine.
+/// A resumable discrete-event simulation of one or more transaction classes
+/// on one machine.
 pub struct Simulation {
-    workload: SimWorkload,
+    classes: Vec<Class>,
     machine: MachineParams,
     rng: SimRng,
     now: u64,
@@ -76,22 +86,9 @@ pub struct Simulation {
     commit_queue: VecDeque<usize>,
     commit_busy: bool,
 
-    t_limit: usize,
-    c_limit: usize,
-
-    slots: Vec<SlotState>,
-    active_slots: usize,
-    retired: Vec<usize>,
-
-    /// Count of installed (write) commits; drives conflict windows.
-    commit_seq: u64,
-    total: RunStats,
-
-    record_commits: bool,
-    commit_events: Vec<u64>,
-
-    p_conflict: f64,
-    p_sibling: f64,
+    slots: Vec<Slot>,
+    /// Installed (write) commits per class; drives conflict windows.
+    commit_seq: Vec<u64>,
 }
 
 impl Simulation {
@@ -103,10 +100,59 @@ impl Simulation {
         degree: (usize, usize),
         seed: u64,
     ) -> Self {
+        Self::with_classes(&[ClassSpec { workload: workload.clone(), degree }], machine, seed, 1.0)
+    }
+
+    /// Create a simulation of several transaction classes, each with its own
+    /// `(t_k, c_k)`. All classes must share the same `data_items` (they
+    /// operate on one data set). `cross_scale` scales the *cross-class*
+    /// conflict probabilities: 1.0 = the classes hammer the same tables,
+    /// 0.0 = they work on disjoint tables (intra-class conflicts are
+    /// unaffected).
+    pub fn with_classes(
+        specs: &[ClassSpec],
+        machine: &MachineParams,
+        seed: u64,
+        cross_scale: f64,
+    ) -> Self {
+        assert!(!specs.is_empty(), "at least one class");
+        assert!((0.0..=1.0).contains(&cross_scale));
+        let items = specs[0].workload.data_items;
+        assert!(
+            specs.iter().all(|s| s.workload.data_items == items),
+            "classes must share the data set"
+        );
+        let classes = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let wl = &spec.workload;
+                let p_conflict = specs
+                    .iter()
+                    .enumerate()
+                    .map(|(j, writer)| {
+                        let p = wl.conflict_prob_vs(&writer.workload);
+                        if i == j {
+                            p
+                        } else {
+                            p * cross_scale
+                        }
+                    })
+                    .collect();
+                Class {
+                    workload: wl.clone(),
+                    t_limit: spec.degree.0.max(1),
+                    c_limit: spec.degree.1.max(1),
+                    active_slots: 0,
+                    retired: Vec::new(),
+                    p_conflict,
+                    p_sibling: wl.sibling_conflict_prob_per_commit(),
+                    stats: RunStats::default(),
+                }
+            })
+            .collect();
         let mut sim = Self {
-            p_conflict: workload.conflict_prob_per_commit(),
-            p_sibling: workload.sibling_conflict_prob_per_commit(),
-            workload: workload.clone(),
+            classes,
             machine: *machine,
             rng: SimRng::new(seed),
             now: 0,
@@ -115,26 +161,21 @@ impl Simulation {
             core_queue: VecDeque::new(),
             commit_queue: VecDeque::new(),
             commit_busy: false,
-            t_limit: degree.0.max(1),
-            c_limit: degree.1.max(1),
             slots: Vec::new(),
-            active_slots: 0,
-            retired: Vec::new(),
-            commit_seq: 0,
-            total: RunStats::default(),
-            record_commits: true,
-            commit_events: Vec::new(),
+            commit_seq: vec![0; specs.len()],
         };
-        sim.fill_slots();
+        for class in 0..sim.classes.len() {
+            sim.fill_slots(class);
+        }
         sim
     }
 
-    /// Disable commit-event recording (surface sweeps don't need the stream).
-    pub fn set_record_commits(&mut self, record: bool) {
-        self.record_commits = record;
-        if !record {
-            self.commit_events.clear();
-        }
+    /// The class of a one-class simulation.
+    fn single(&self) -> &Class {
+        let [class] = &self.classes[..] else {
+            panic!("a single-class method called on a multi-class simulation")
+        };
+        class
     }
 
     /// Current virtual time in nanoseconds.
@@ -142,43 +183,71 @@ impl Simulation {
         self.now
     }
 
-    /// Cumulative statistics since construction.
+    /// Cumulative statistics since construction, summed over the classes.
     pub fn total_stats(&self) -> RunStats {
-        RunStats { elapsed_ns: self.now, ..self.total }
+        let mut out = RunStats { elapsed_ns: self.now, ..RunStats::default() };
+        for c in &self.classes {
+            out.commits += c.stats.commits;
+            out.aborts += c.stats.aborts;
+            out.nested_commits += c.stats.nested_commits;
+            out.nested_aborts += c.stats.nested_aborts;
+        }
+        out
     }
 
-    /// The `(t, c)` configuration currently in force.
+    /// Cumulative statistics since construction, per class.
+    pub fn class_stats(&self) -> Vec<RunStats> {
+        self.classes.iter().map(|c| RunStats { elapsed_ns: self.now, ..c.stats }).collect()
+    }
+
+    /// The `(t, c)` configuration of a one-class simulation.
     pub fn degree(&self) -> (usize, usize) {
-        (self.t_limit, self.c_limit)
+        let class = self.single();
+        (class.t_limit, class.c_limit)
     }
 
-    /// Reconfigure `(t, c)`. Growth of `t` admits new transactions
-    /// immediately; shrink retires slots as their transactions complete.
-    /// A change of `c` applies to child launches from now on.
+    /// The `(t_k, c_k)` degrees currently in force, one per class.
+    pub fn degrees(&self) -> Vec<(usize, usize)> {
+        self.classes.iter().map(|c| (c.t_limit, c.c_limit)).collect()
+    }
+
+    /// Reconfigure a one-class simulation to `(t, c)`; see
+    /// [`Self::set_degrees`].
     pub fn set_degree(&mut self, t: usize, c: usize) {
-        self.t_limit = t.max(1);
-        self.c_limit = c.max(1);
-        self.fill_slots();
+        self.set_degrees(&[(t, c)]);
     }
 
-    /// Take the commit timestamps (virtual ns) recorded since the last drain.
-    pub fn drain_commit_events(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.commit_events)
+    /// Apply new per-class degrees (one pair per class). Growth of `t_k`
+    /// admits new transactions immediately; shrink retires slots as their
+    /// transactions complete. A change of `c_k` applies to child launches
+    /// from now on.
+    pub fn set_degrees(&mut self, degrees: &[(usize, usize)]) {
+        assert_eq!(degrees.len(), self.classes.len(), "one degree per class");
+        for (class, &(t, c)) in self.classes.iter_mut().zip(degrees) {
+            class.t_limit = t.max(1);
+            class.c_limit = c.max(1);
+        }
+        for class in 0..self.classes.len() {
+            self.fill_slots(class);
+        }
     }
 
-    /// Switch the simulated application to a different workload at the
-    /// current virtual time (a *workload shift*, for exercising change
-    /// detection). In-flight segments complete with their already-sampled
-    /// durations; every transaction begun from now on uses the new workload.
+    /// Switch a one-class simulation to a different workload at the current
+    /// virtual time (a *workload shift*, for exercising change detection).
+    /// In-flight segments complete with their already-sampled durations;
+    /// every transaction begun from now on uses the new workload.
     pub fn set_workload(&mut self, workload: &SimWorkload) {
-        self.p_conflict = workload.conflict_prob_per_commit();
-        self.p_sibling = workload.sibling_conflict_prob_per_commit();
-        self.workload = workload.clone();
+        let [class] = &mut self.classes[..] else {
+            panic!("set_workload called on a multi-class simulation")
+        };
+        class.p_conflict[0] = workload.conflict_prob_vs(workload);
+        class.p_sibling = workload.sibling_conflict_prob_per_commit();
+        class.workload = workload.clone();
     }
 
-    /// Name of the workload currently running.
+    /// Name of the workload a one-class simulation is running.
     pub fn workload_name(&self) -> &str {
-        &self.workload.name
+        &self.single().workload.name
     }
 
     /// Advance virtual time until every active slot is executing a
@@ -193,68 +262,52 @@ impl Simulation {
         let begin = self.now;
         let end = begin + cap.as_nanos() as u64;
         while self.now < end {
-            let drained =
-                self.slots.iter().all(|s| s.phase == Phase::Idle || s.started_at >= begin);
-            if drained {
+            let drained = self.slots.iter().all(|s| s.idle || s.started_at >= begin);
+            if drained || self.step(end).is_none() {
                 break;
             }
-            let Some(at) = self.events.peek_time() else { break };
-            if at > end {
-                self.now = end;
-                break;
-            }
-            let ev = self.events.pop().expect("peeked");
-            self.now = ev.at;
-            self.handle(ev.slot, ev.kind);
         }
         Duration::from_nanos(self.now - begin)
     }
 
     /// Advance the simulation by `d` of virtual time; returns the statistics
-    /// of exactly that interval.
+    /// (summed over the classes) of exactly that interval.
     pub fn run_for_virtual(&mut self, d: Duration) -> RunStats {
         let before = self.total_stats();
         let end = self.now + d.as_nanos() as u64;
-        self.run_until(end);
+        while self.step(end).is_some() {}
         self.total_stats().delta_since(&before)
     }
 
-    /// Advance until a commit event occurs or `timeout` of virtual time
+    /// Advance until a top-level commit occurs or `timeout` of virtual time
     /// passes. Returns the commit timestamp if one occurred.
     ///
-    /// Used by monitor policies that wait for the next commit.
+    /// This is the simulator's commit stream: monitor policies call it to
+    /// wait for the next commit.
     pub fn run_until_next_commit(&mut self, timeout: Duration) -> Option<u64> {
-        let commits_before = self.total.commits;
         let end = self.now + timeout.as_nanos() as u64;
         while self.now < end {
-            let Some(at) = self.events.peek_time() else { break };
-            if at > end {
-                self.now = end;
-                break;
-            }
-            let ev = self.events.pop().expect("peeked");
-            self.now = ev.at;
-            self.handle(ev.slot, ev.kind);
-            if self.total.commits > commits_before {
+            if self.step(end)? {
                 return Some(self.now);
             }
         }
         None
     }
 
-    fn run_until(&mut self, end: u64) {
-        loop {
-            let Some(at) = self.events.peek_time() else {
-                self.now = end;
-                return;
-            };
-            if at > end {
-                self.now = end;
-                return;
+    /// Handle the next event if it is due by `end`; otherwise move the clock
+    /// to `end` and return `None`. `Some(committed)` says whether the event
+    /// committed a top-level transaction.
+    fn step(&mut self, end: u64) -> Option<bool> {
+        match self.events.peek_time() {
+            Some(at) if at <= end => {
+                let ev = self.events.pop().expect("peeked event exists");
+                self.now = ev.at;
+                Some(self.handle(ev.slot, ev.kind))
             }
-            let ev = self.events.pop().expect("peeked event exists");
-            self.now = ev.at;
-            self.handle(ev.slot, ev.kind);
+            _ => {
+                self.now = end;
+                None
+            }
         }
     }
 
@@ -262,26 +315,35 @@ impl Simulation {
     // Slot lifecycle
     // ------------------------------------------------------------------
 
-    fn fill_slots(&mut self) {
-        while self.active_slots < self.t_limit {
-            let slot = match self.retired.pop() {
+    fn fill_slots(&mut self, class: usize) {
+        while self.classes[class].active_slots < self.classes[class].t_limit {
+            let slot = match self.classes[class].retired.pop() {
                 Some(s) => s,
                 None => {
-                    self.slots.push(SlotState::idle());
+                    self.slots.push(Slot {
+                        class,
+                        idle: true,
+                        start_seq: vec![0; self.classes.len()],
+                        tree_seq: 0,
+                        remaining_children: 0,
+                        queued_children: 0,
+                        running_children: 0,
+                        abort_streak: 0,
+                        started_at: 0,
+                    });
                     self.slots.len() - 1
                 }
             };
-            self.active_slots += 1;
+            self.classes[class].active_slots += 1;
             self.start_txn(slot);
         }
     }
 
     fn start_txn(&mut self, slot: usize) {
-        let now = self.now;
         let s = &mut self.slots[slot];
-        s.phase = Phase::Prelude;
-        s.started_at = now;
-        s.start_seq = self.commit_seq;
+        s.idle = false;
+        s.started_at = self.now;
+        s.start_seq.copy_from_slice(&self.commit_seq);
         s.tree_seq = 0;
         s.remaining_children = 0;
         s.queued_children = 0;
@@ -290,10 +352,11 @@ impl Simulation {
     }
 
     fn finish_txn(&mut self, slot: usize) {
-        if self.active_slots > self.t_limit {
-            self.slots[slot].phase = Phase::Idle;
-            self.active_slots -= 1;
-            self.retired.push(slot);
+        let class = &mut self.classes[self.slots[slot].class];
+        if class.active_slots > class.t_limit {
+            self.slots[slot].idle = true;
+            class.active_slots -= 1;
+            class.retired.push(slot);
         } else {
             self.start_txn(slot);
         }
@@ -318,14 +381,21 @@ impl Simulation {
         !self.commit_busy && !self.commit_queue.is_empty()
     }
 
+    // `#[inline]` here and on `segment_duration`: every caller passes a
+    // constant `kind`, so inlined, the duration `match` folds away. Left to
+    // the compiler both stayed out of line, and the one-class event loop ran
+    // a few percent slower.
+    #[inline]
     fn begin_segment(&mut self, slot: usize, kind: SegKind) {
         self.busy_cores += 1;
         let d = self.segment_duration(slot, kind);
         self.events.schedule(self.now + d, slot, kind);
     }
 
-    fn segment_duration(&mut self, _slot: usize, kind: SegKind) -> u64 {
-        let wl = &self.workload;
+    #[inline]
+    fn segment_duration(&mut self, slot: usize, kind: SegKind) -> u64 {
+        let class = &self.classes[self.slots[slot].class];
+        let wl = &class.workload;
         let cv = wl.duration_cv;
         match kind {
             SegKind::Prelude => {
@@ -337,7 +407,7 @@ impl Simulation {
                 // per-parent lock while merging a child): with c concurrent
                 // children a committing child queues behind (c-1)/2 siblings
                 // on average.
-                let c_eff = self.c_limit.min(wl.child_count.max(1)) as f64;
+                let c_eff = class.c_limit.min(wl.child_count.max(1)) as f64;
                 let queue_factor = 1.0 + (c_eff - 1.0) * 0.5;
                 self.rng.work_ns(wl.child_work_ns, cv)
                     + self.rng.work_ns(wl.nested_commit_ns * queue_factor, cv)
@@ -370,40 +440,41 @@ impl Simulation {
     // Event handling
     // ------------------------------------------------------------------
 
-    fn handle(&mut self, slot: usize, kind: SegKind) {
+    /// Returns whether the event committed a top-level transaction.
+    fn handle(&mut self, slot: usize, kind: SegKind) -> bool {
         if kind != SegKind::Restart {
             self.busy_cores -= 1;
         }
+        let mut committed = false;
         match kind {
             SegKind::Prelude => self.on_prelude_done(slot),
             SegKind::Child { start_tree_seq } => self.on_child_done(slot, start_tree_seq),
-            SegKind::Postlude => self.on_postlude_done(slot),
-            SegKind::Commit => self.on_commit_done(slot),
+            // dispatch() below starts the commit when possible.
+            SegKind::Postlude => self.commit_queue.push_back(slot),
+            SegKind::Commit => committed = self.on_commit_done(slot),
             SegKind::Restart => self.start_txn(slot),
         }
         self.dispatch();
+        committed
     }
 
     fn on_prelude_done(&mut self, slot: usize) {
-        let k = self.workload.child_count;
+        let k = self.classes[self.slots[slot].class].workload.child_count;
         if k == 0 {
-            self.slots[slot].phase = Phase::Postlude;
             self.request_core(slot, SegKind::Postlude);
             return;
         }
-        {
-            let s = &mut self.slots[slot];
-            s.phase = Phase::Children;
-            s.remaining_children = k;
-            s.queued_children = k;
-        }
+        let s = &mut self.slots[slot];
+        s.remaining_children = k;
+        s.queued_children = k;
         self.launch_children(slot);
     }
 
     fn launch_children(&mut self, slot: usize) {
+        let c_limit = self.classes[self.slots[slot].class].c_limit;
         loop {
             let s = &mut self.slots[slot];
-            if s.queued_children == 0 || s.running_children >= self.c_limit {
+            if s.queued_children == 0 || s.running_children >= c_limit {
                 break;
             }
             s.queued_children -= 1;
@@ -414,78 +485,79 @@ impl Simulation {
     }
 
     fn on_child_done(&mut self, slot: usize, start_tree_seq: u64) {
+        let class = &mut self.classes[self.slots[slot].class];
         let sibling_commits = self.slots[slot].tree_seq - start_tree_seq;
-        let survive = (1.0 - self.p_sibling).powi(sibling_commits as i32);
+        let survive = (1.0 - class.p_sibling).powi(sibling_commits as i32);
         if sibling_commits > 0 && !self.rng.chance(survive) {
             // Sibling conflict: the child retries with a fresh snapshot of
             // the tree clock. It keeps its tree slot.
-            self.total.nested_aborts += 1;
+            class.stats.nested_aborts += 1;
             let tree_seq = self.slots[slot].tree_seq;
             self.request_core(slot, SegKind::Child { start_tree_seq: tree_seq });
             return;
         }
-        self.total.nested_commits += 1;
+        class.stats.nested_commits += 1;
         let s = &mut self.slots[slot];
-        if self.workload.child_writes > 0 {
+        if class.workload.child_writes > 0 {
             s.tree_seq += 1;
         }
         s.remaining_children -= 1;
         s.running_children -= 1;
         if s.remaining_children == 0 {
-            s.phase = Phase::Postlude;
             self.request_core(slot, SegKind::Postlude);
         } else {
             self.launch_children(slot);
         }
     }
 
-    fn on_postlude_done(&mut self, slot: usize) {
-        self.slots[slot].phase = Phase::Committing;
-        self.commit_queue.push_back(slot);
-        // dispatch() (called by handle) starts the commit when possible.
-    }
-
-    fn on_commit_done(&mut self, slot: usize) {
+    /// Returns whether the transaction committed.
+    fn on_commit_done(&mut self, slot: usize) -> bool {
         self.commit_busy = false;
-        let window = self.commit_seq - self.slots[slot].start_seq;
-        let survive = (1.0 - self.p_conflict).powi(window.min(i32::MAX as u64) as i32);
-        if window > 0 && !self.rng.chance(survive) {
-            self.total.aborts += 1;
-            let s = &mut self.slots[slot];
+        let s = &mut self.slots[slot];
+        let class = &mut self.classes[s.class];
+        // Survival against every class's commits during the window.
+        let survive: f64 = self
+            .commit_seq
+            .iter()
+            .zip(&s.start_seq)
+            .zip(&class.p_conflict)
+            .filter(|((seq, start), _)| seq > start)
+            .map(|((seq, start), p)| (1.0 - p).powi((seq - start).min(i32::MAX as u64) as i32))
+            .product();
+        if survive < 1.0 && !self.rng.chance(survive) {
+            class.stats.aborts += 1;
             s.abort_streak = s.abort_streak.saturating_add(1);
-            let streak = s.abort_streak;
-            if self.workload.restart_backoff_ns > 0.0 {
+            if class.workload.restart_backoff_ns > 0.0 {
                 // Exponential backoff, doubling per consecutive abort (2⁷× cap).
-                let factor = 1u64 << (streak - 1).min(7) as u64;
+                let factor = 1u64 << (s.abort_streak - 1).min(7) as u64;
                 let delay = self.rng.work_ns(
-                    self.workload.restart_backoff_ns * factor as f64,
-                    self.workload.duration_cv,
+                    class.workload.restart_backoff_ns * factor as f64,
+                    class.workload.duration_cv,
                 );
                 self.events.schedule(self.now + delay, slot, SegKind::Restart);
             } else {
                 self.start_txn(slot);
             }
-            return;
+            return false;
         }
-        if self.workload.tree_writes() > 0 {
-            self.commit_seq += 1;
+        if class.workload.tree_writes() > 0 {
+            self.commit_seq[s.class] += 1;
         }
-        self.slots[slot].abort_streak = 0;
-        self.total.commits += 1;
-        if self.record_commits {
-            self.commit_events.push(self.now);
-        }
+        s.abort_streak = 0;
+        class.stats.commits += 1;
         self.finish_txn(slot);
+        true
     }
 }
 
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let workloads: Vec<&str> = self.classes.iter().map(|c| c.workload.name.as_str()).collect();
         f.debug_struct("Simulation")
-            .field("workload", &self.workload.name)
+            .field("workloads", &workloads)
             .field("now_ns", &self.now)
-            .field("degree", &(self.t_limit, self.c_limit))
-            .field("stats", &self.total)
+            .field("degrees", &self.degrees())
+            .field("stats", &self.total_stats())
             .finish()
     }
 }
@@ -617,29 +689,18 @@ mod tests {
     }
 
     #[test]
-    fn commit_events_are_monotone_and_drainable() {
-        let mut sim = Simulation::new(&quick_wl(), &machine(), (4, 4), 13);
-        sim.run_for_virtual(Duration::from_millis(50));
-        let evs = sim.drain_commit_events();
-        assert!(!evs.is_empty());
-        assert!(evs.windows(2).all(|w| w[0] <= w[1]), "timestamps sorted");
-        assert!(sim.drain_commit_events().is_empty(), "drained");
-    }
-
-    #[test]
-    fn record_commits_can_be_disabled() {
-        let mut sim = Simulation::new(&quick_wl(), &machine(), (4, 4), 13);
-        sim.set_record_commits(false);
-        sim.run_for_virtual(Duration::from_millis(20));
-        assert!(sim.drain_commit_events().is_empty());
-    }
-
-    #[test]
     fn run_until_next_commit_returns_timestamp() {
         let mut sim = Simulation::new(&quick_wl(), &machine(), (4, 4), 17);
         let ts = sim.run_until_next_commit(Duration::from_secs(1));
         assert!(ts.is_some());
         assert_eq!(ts.unwrap(), sim.now_ns());
+        // Successive commits never go backwards.
+        let mut last = ts.unwrap();
+        for _ in 0..50 {
+            let next = sim.run_until_next_commit(Duration::from_secs(1)).expect("a commit");
+            assert!(next >= last, "commit at {next} after one at {last}");
+            last = next;
+        }
         // A tiny timeout with a slow config should time out.
         let slow_wl = SimWorkload::builder("slow").top_work_us(5_000.0).build();
         let mut slow = Simulation::new(&slow_wl, &machine(), (1, 1), 17);
@@ -703,6 +764,121 @@ mod tests {
         sim.run_for_virtual(Duration::from_millis(20));
         sim.set_degree(2, 2);
         sim.run_for_virtual(Duration::from_millis(50));
-        assert_eq!(sim.active_slots, 2);
+        assert_eq!(sim.classes[0].active_slots, 2);
+    }
+
+    fn short_class() -> SimWorkload {
+        SimWorkload::builder("short")
+            .top_work_us(50.0)
+            .top_footprint(8, 2)
+            .data_items(20_000)
+            .build()
+    }
+
+    fn nested_class() -> SimWorkload {
+        SimWorkload::builder("nested")
+            .top_work_us(20.0)
+            .child_count(8)
+            .child_work_us(200.0)
+            .child_footprint(16, 4)
+            .data_items(20_000)
+            .build()
+    }
+
+    #[test]
+    fn two_classes_both_commit() {
+        let specs = vec![
+            ClassSpec { workload: short_class(), degree: (4, 1) },
+            ClassSpec { workload: nested_class(), degree: (2, 4) },
+        ];
+        let mut sim = Simulation::with_classes(&specs, &MachineParams::new(24), 1, 1.0);
+        sim.run_for_virtual(Duration::from_millis(100));
+        let per_class = sim.class_stats();
+        assert_eq!(per_class.len(), 2);
+        assert!(per_class[0].commits > 0, "class 0 committed nothing");
+        assert!(per_class[1].commits > 0, "class 1 committed nothing");
+        // The short flat class commits much faster than the long nested one.
+        assert!(per_class[0].commits > per_class[1].commits);
+        let total = sim.total_stats();
+        assert_eq!(total.commits, per_class[0].commits + per_class[1].commits);
+    }
+
+    #[test]
+    fn set_degrees_reshapes_throughput() {
+        let specs = vec![
+            ClassSpec { workload: short_class(), degree: (1, 1) },
+            ClassSpec { workload: nested_class(), degree: (1, 1) },
+        ];
+        let mut sim = Simulation::with_classes(&specs, &MachineParams::new(24), 3, 1.0);
+        sim.run_for_virtual(Duration::from_millis(50));
+        let before = sim.run_for_virtual(Duration::from_millis(200));
+        sim.set_degrees(&[(8, 1), (2, 8)]);
+        assert_eq!(sim.degrees(), vec![(8, 1), (2, 8)]);
+        sim.run_for_virtual(Duration::from_millis(50));
+        let after = sim.run_for_virtual(Duration::from_millis(200));
+        assert!(
+            after.commits > 2 * before.commits,
+            "wider degrees must raise throughput: {} -> {}",
+            before.commits,
+            after.commits
+        );
+    }
+
+    #[test]
+    fn cross_class_conflicts_hurt_readers() {
+        // A read-heavy class suffers when a write-heavy class shares data.
+        let reader = SimWorkload::builder("reader")
+            .top_work_us(100.0)
+            .top_footprint(200, 1)
+            .data_items(5_000)
+            .build();
+        let writer_quiet = SimWorkload::builder("wq")
+            .top_work_us(100.0)
+            .top_footprint(4, 0)
+            .data_items(5_000)
+            .build();
+        let writer_loud = SimWorkload::builder("wl")
+            .top_work_us(100.0)
+            .top_footprint(4, 200)
+            .data_items(5_000)
+            .build();
+        let tp_of_reader = |writer: SimWorkload| {
+            let specs = vec![
+                ClassSpec { workload: reader.clone(), degree: (4, 1) },
+                ClassSpec { workload: writer, degree: (4, 1) },
+            ];
+            let mut sim = Simulation::with_classes(&specs, &MachineParams::new(24), 9, 1.0);
+            sim.run_for_virtual(Duration::from_millis(300));
+            sim.class_stats()[0].commits
+        };
+        let quiet = tp_of_reader(writer_quiet);
+        let loud = tp_of_reader(writer_loud);
+        assert!(
+            loud < quiet / 2,
+            "heavy cross-class writes must abort the reader: {quiet} vs {loud}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "share the data set")]
+    fn mismatched_data_sets_rejected() {
+        let a = SimWorkload::builder("a").data_items(100).build();
+        let b = SimWorkload::builder("b").data_items(200).build();
+        let _ = Simulation::with_classes(
+            &[ClassSpec { workload: a, degree: (1, 1) }, ClassSpec { workload: b, degree: (1, 1) }],
+            &machine(),
+            1,
+            1.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-class simulation")]
+    fn single_class_methods_reject_several_classes() {
+        let specs = vec![
+            ClassSpec { workload: short_class(), degree: (1, 1) },
+            ClassSpec { workload: nested_class(), degree: (1, 1) },
+        ];
+        let _ = Simulation::with_classes(&specs, &machine(), 1, 1.0).degree();
     }
 }

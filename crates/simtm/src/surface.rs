@@ -56,12 +56,29 @@ impl serde::Deserialize for Surface {
         };
         let entries: Vec<(usize, usize, Vec<f64>)> =
             serde::Deserialize::from_value(field("samples")?).map_err(|e| e.context("samples"))?;
+        let n_cores: usize =
+            serde::Deserialize::from_value(field("n_cores")?).map_err(|e| e.context("n_cores"))?;
+        let samples: BTreeMap<_, _> = entries.into_iter().map(|(t, c, v)| ((t, c), v)).collect();
+        // Callers index any configuration of the space and divide by the
+        // repetition count: accept exactly the space, with equal, non-zero
+        // repetitions.
+        let space = search_space(n_cores);
+        let reps = samples.values().next().map_or(0, Vec::len);
+        let well_formed = reps > 0
+            && samples.len() == space.len()
+            && space.iter().all(|cfg| samples.get(cfg).is_some_and(|v| v.len() == reps));
+        if !well_formed {
+            return Err(serde::Error::new(format!(
+                "Surface: samples must cover exactly the {} configurations of n_cores = \
+                 {n_cores}, with equal, non-zero repetitions",
+                space.len()
+            )));
+        }
         Ok(Surface {
             workload: serde::Deserialize::from_value(field("workload")?)
                 .map_err(|e| e.context("workload"))?,
-            n_cores: serde::Deserialize::from_value(field("n_cores")?)
-                .map_err(|e| e.context("n_cores"))?,
-            samples: entries.into_iter().map(|(t, c, v)| ((t, c), v)).collect(),
+            n_cores,
+            samples,
         })
     }
 }
@@ -175,7 +192,6 @@ impl SurfaceBuilder {
                     .wrapping_add((i as u64) << 20)
                     .wrapping_add(r as u64);
                 let mut sim = Simulation::new(&self.workload, &self.machine, cfg, seed);
-                sim.set_record_commits(false);
                 sim.run_for_virtual(self.warmup);
                 reps.push(sim.run_for_virtual(self.measure).throughput());
             }
@@ -239,6 +255,36 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Surface = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// A cache file for n = 2, whose space is (1,1), (1,2), (2,1).
+    fn parse(samples: &str) -> Result<Surface, serde::Error> {
+        serde_json::from_str(&format!(r#"{{"workload":"w","n_cores":2,"samples":{samples}}}"#))
+    }
+
+    #[test]
+    fn deserialize_rejects_empty_samples() {
+        assert!(parse("[]").is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_zero_repetitions() {
+        assert!(parse("[[1,1,[]],[1,2,[]],[2,1,[]]]").is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_unequal_repetitions() {
+        assert!(parse("[[1,1,[1.0]],[1,2,[]],[2,1,[5.0]]]").is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_missing_configurations() {
+        assert!(parse("[[1,1,[1.0]],[2,1,[5.0]]]").is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_configurations_outside_the_space() {
+        assert!(parse("[[1,1,[1.0]],[1,2,[3.0]],[2,1,[5.0]],[2,2,[7.0]]]").is_err());
     }
 
     #[test]

@@ -119,34 +119,10 @@ impl SimWorkload {
         self.top_writes + self.child_count as u64 * self.child_writes
     }
 
-    /// Probability that one other committed transaction tree invalidates
-    /// this tree's reads (birthday approximation over the item set, split
-    /// into hot and cold regions).
-    pub fn conflict_prob_per_commit(&self) -> f64 {
-        let reads = self.tree_reads() as f64;
-        let writes = self.tree_writes() as f64;
-        if reads == 0.0 || writes == 0.0 {
-            return 0.0;
-        }
-        let l = self.data_items.max(1) as f64;
-        let h = self.hot_access_fraction.clamp(0.0, 1.0);
-        if h > 0.0 && self.hot_items > 0 && self.hot_items < self.data_items {
-            let lh = self.hot_items as f64;
-            let lc = l - lh;
-            let (r_hot, r_cold) = (reads * h, reads * (1.0 - h));
-            let (w_hot, w_cold) = (writes * h, writes * (1.0 - h));
-            let survive_hot = (1.0 - (w_hot / lh).min(1.0)).powf(r_hot);
-            let survive_cold = (1.0 - (w_cold / lc).min(1.0)).powf(r_cold);
-            1.0 - survive_hot * survive_cold
-        } else {
-            1.0 - (1.0 - (writes / l).min(1.0)).powf(reads)
-        }
-    }
-
     /// Probability that one committed tree of `writer`'s class invalidates
-    /// this class's reads — the cross-class generalization of
-    /// [`Self::conflict_prob_per_commit`] used by multi-class simulations
-    /// (the classes share the data set; the reader's skew parameters apply).
+    /// this class's reads (birthday approximation over the shared item set,
+    /// split into hot and cold regions by the reader's skew parameters).
+    /// `wl.conflict_prob_vs(&wl)` is the one-class probability.
     pub fn conflict_prob_vs(&self, writer: &SimWorkload) -> f64 {
         // Multi-version STMs (JVSTM, pnstm) never abort *read-only*
         // transactions: they read a consistent snapshot regardless of
@@ -305,12 +281,16 @@ impl SimWorkloadBuilder {
 mod tests {
     use super::*;
 
+    fn p_conflict(wl: &SimWorkload) -> f64 {
+        wl.conflict_prob_vs(wl)
+    }
+
     #[test]
     fn builder_defaults_are_valid() {
         let wl = SimWorkload::builder("x").build();
         assert_eq!(wl.name, "x");
         assert_eq!(wl.child_count, 0);
-        assert!(wl.conflict_prob_per_commit() > 0.0);
+        assert!(p_conflict(&wl) > 0.0);
     }
 
     #[test]
@@ -328,13 +308,13 @@ mod tests {
     fn conflict_prob_increases_with_footprint() {
         let small = SimWorkload::builder("s").top_footprint(5, 1).data_items(10_000).build();
         let large = SimWorkload::builder("l").top_footprint(500, 100).data_items(10_000).build();
-        assert!(large.conflict_prob_per_commit() > small.conflict_prob_per_commit());
+        assert!(p_conflict(&large) > p_conflict(&small));
     }
 
     #[test]
     fn conflict_prob_zero_without_writes() {
         let ro = SimWorkload::builder("ro").top_footprint(100, 0).build();
-        assert_eq!(ro.conflict_prob_per_commit(), 0.0);
+        assert_eq!(p_conflict(&ro), 0.0);
     }
 
     #[test]
@@ -345,7 +325,7 @@ mod tests {
             .data_items(100_000)
             .hot_set(0.8, 100)
             .build();
-        assert!(hot.conflict_prob_per_commit() > flat.conflict_prob_per_commit());
+        assert!(p_conflict(&hot) > p_conflict(&flat));
     }
 
     #[test]

@@ -208,15 +208,17 @@ mod tests {
         assert!(workload_by_name("nope").is_none());
     }
 
+    fn p_conflict(wl: SimWorkload) -> f64 {
+        wl.conflict_prob_vs(&wl)
+    }
+
     #[test]
     fn contention_ordering_within_families() {
-        assert!(tpcc_low().conflict_prob_per_commit() < tpcc_med().conflict_prob_per_commit());
-        assert!(tpcc_med().conflict_prob_per_commit() < tpcc_high().conflict_prob_per_commit());
-        assert!(
-            vacation_low().conflict_prob_per_commit() < vacation_high().conflict_prob_per_commit()
-        );
-        assert!(array_low().conflict_prob_per_commit() < array_med().conflict_prob_per_commit());
-        assert_eq!(array_ro().conflict_prob_per_commit(), 0.0);
+        assert!(p_conflict(tpcc_low()) < p_conflict(tpcc_med()));
+        assert!(p_conflict(tpcc_med()) < p_conflict(tpcc_high()));
+        assert!(p_conflict(vacation_low()) < p_conflict(vacation_high()));
+        assert!(p_conflict(array_low()) < p_conflict(array_med()));
+        assert_eq!(p_conflict(array_ro()), 0.0);
     }
 
     #[test]

@@ -14,15 +14,7 @@ pub struct SimSystem {
 impl SimSystem {
     /// Simulate `workload` on `machine`, starting in configuration `(1, 1)`.
     pub fn new(workload: &SimWorkload, machine: &MachineParams, seed: u64) -> Self {
-        let mut sim = Simulation::new(workload, machine, (1, 1), seed);
-        sim.set_record_commits(false); // the adapter surfaces events itself
-        Self { sim }
-    }
-
-    /// Wrap an existing simulation.
-    pub fn from_simulation(mut sim: Simulation) -> Self {
-        sim.set_record_commits(false);
-        Self { sim }
+        Self { sim: Simulation::new(workload, machine, (1, 1), seed) }
     }
 
     /// Access the underlying simulation (e.g. to read statistics).

@@ -21,12 +21,12 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target").join("autopn-traces"))
 }
 
-/// FNV-1a hash of the workload's serialized parameters, so cached surfaces
-/// invalidate when a descriptor is recalibrated.
 /// Bump when the simulator's execution model changes, so stale surface
 /// caches are rebuilt.
 const SIM_MODEL_VERSION: &str = "simv3";
 
+/// FNV-1a hash of the workload's serialized parameters, so cached surfaces
+/// invalidate when a descriptor is recalibrated.
 fn workload_fingerprint(
     wl: &SimWorkload,
     machine: &MachineParams,
@@ -225,6 +225,16 @@ mod tests {
         let a = load_or_build_surface(&wl, &machine, 2, Duration::from_millis(20));
         let b = load_or_build_surface(&wl, &machine, 2, Duration::from_millis(20));
         assert_eq!(a, b, "second load must come from the cache byte-identically");
+        // A malformed cache file is rebuilt, not trusted.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::write(
+                entry.unwrap().path(),
+                r#"{"workload":"cache-test","n_cores":4,"samples":[]}"#,
+            )
+            .unwrap();
+        }
+        let c = load_or_build_surface(&wl, &machine, 2, Duration::from_millis(20));
+        assert_eq!(a, c, "a malformed cache must be rebuilt");
         std::env::remove_var("AUTOPN_TRACE_CACHE");
         let _ = std::fs::remove_dir_all(&dir);
     }
