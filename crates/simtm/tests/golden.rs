@@ -163,6 +163,67 @@ fn commit_stream_quiesce_and_workload_switch() {
     assert_eq!(row(sim.total_stats()), TOTAL);
 }
 
+/// `quiesce` edge cases: a cap that expires before the drain, a second call
+/// straight after a finished one (with several slots and with one), a drain
+/// after a two-class shrink, and a drain while slots sit in restart backoff
+/// (their attempts began before the call, so they are stale until their
+/// `Restart` event fires).
+#[test]
+fn quiesce_edges() {
+    let machine = MachineParams::new(48);
+    let mut q = Vec::new();
+    let mut rows = Vec::new();
+
+    // A cap shorter than one transaction of the nested trees.
+    let mut sim = Simulation::new(&nested(), &machine, (4, 2), 3);
+    sim.run_for_virtual(Duration::from_millis(2));
+    sim.set_degree(8, 4);
+    q.push(sim.quiesce(Duration::from_micros(30)).as_nanos());
+    // The drain it cut short. A second call waits again: the other slots
+    // began their transactions before it.
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    rows.push(row(sim.run_for_virtual(Duration::from_millis(3))));
+
+    // With one slot, the transaction a finished drain ends on began at the
+    // current instant, so a second call returns at once.
+    let mut sim = Simulation::new(&nested(), &machine, (1, 4), 5);
+    sim.run_for_virtual(Duration::from_millis(1));
+    sim.set_degree(1, 8);
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    rows.push(row(sim.total_stats()));
+
+    // Two classes, both shrunk: retiring slots drain without restarting.
+    let specs = [
+        ClassSpec { workload: hot(), degree: (8, 1) },
+        ClassSpec { workload: nested(), degree: (3, 4) },
+    ];
+    let mut sim = Simulation::with_classes(&specs, &machine, 11, 0.5);
+    sim.run_for_virtual(Duration::from_millis(4));
+    sim.set_degrees(&[(2, 1), (1, 2)]);
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    rows.extend(sim.class_stats().into_iter().map(row));
+
+    // The hot set at t = 24 aborts about a hundred times per millisecond:
+    // half the slots are backing off when the drain begins.
+    let mut sim = Simulation::new(&hot(), &machine, (24, 1), 17);
+    sim.run_for_virtual(Duration::from_millis(5));
+    q.push(sim.quiesce(Duration::from_secs(1)).as_nanos());
+    rows.push(row(sim.total_stats()));
+
+    const QUIESCE_NS: [u128; 7] = [30_000, 118_631, 105_431, 4_155, 0, 206_776, 606_926];
+    const ROWS: [Row; 5] = [
+        [85, 92, 1431, 64, 3_000_000],
+        [7, 0, 56, 4, 1_004_155],
+        [190, 142, 0, 0, 4_206_776],
+        [59, 33, 736, 33, 4_206_776],
+        [403, 597, 0, 0, 5_606_926],
+    ];
+    assert_eq!(q, QUIESCE_NS);
+    assert_eq!(rows, ROWS);
+}
+
 #[test]
 fn two_classes_with_cross_scale() {
     let specs = [
