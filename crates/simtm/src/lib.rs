@@ -31,6 +31,9 @@
 //! nesting-overhead valleys) and realistic measurement noise.
 //!
 //! Everything is deterministic given a seed; no wall-clock time is used.
+//! [`SurfaceBuilder::build`] runs its simulations on every available core and
+//! still returns the same bits on any core count: each simulation has a fixed
+//! seed and a fixed result slot, and none shares an RNG with another.
 //!
 //! ```
 //! use simtm::{MachineParams, SimWorkload, Simulation};
