@@ -496,7 +496,6 @@ impl Controller {
             explored: explored.len() as u64,
             fallback,
             degraded,
-            axes: tuner.config_space().map(|s| s.axes_trace(s.lift(best))).unwrap_or_default(),
         });
         Session {
             explored,

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::space::{Config, ConfigSpace};
+use crate::space::{Config, SearchSpace};
 
 /// Which move set a climber explores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,7 +21,7 @@ pub enum Neighborhood {
 /// measurements so already-explored configurations cost nothing.
 #[derive(Debug, Clone)]
 pub struct HillClimber {
-    space: ConfigSpace,
+    space: SearchSpace,
     neighborhood: Neighborhood,
     center: Config,
     center_val: f64,
@@ -35,7 +35,7 @@ impl HillClimber {
     /// measurements that will be reused instead of re-proposed. Uses the
     /// domain-specific neighbourhood.
     pub fn new(
-        space: impl Into<ConfigSpace>,
+        space: SearchSpace,
         start: Config,
         start_val: f64,
         known: HashMap<Config, f64>,
@@ -45,13 +45,12 @@ impl HillClimber {
 
     /// Start climbing with an explicit move set.
     pub fn with_neighborhood(
-        space: impl Into<ConfigSpace>,
+        space: SearchSpace,
         start: Config,
         start_val: f64,
         known: HashMap<Config, f64>,
         neighborhood: Neighborhood,
     ) -> Self {
-        let space = space.into();
         let mut hc = Self {
             pending: neighbors_of(&space, neighborhood, start),
             space,
@@ -114,7 +113,7 @@ impl HillClimber {
     }
 }
 
-fn neighbors_of(space: &ConfigSpace, neighborhood: Neighborhood, cfg: Config) -> Vec<Config> {
+fn neighbors_of(space: &SearchSpace, neighborhood: Neighborhood, cfg: Config) -> Vec<Config> {
     match neighborhood {
         Neighborhood::VonNeumann => space.von_neumann_neighbors(cfg),
         Neighborhood::DomainSpecific => space.neighbors(cfg),
@@ -124,7 +123,6 @@ fn neighbors_of(space: &ConfigSpace, neighborhood: Neighborhood, cfg: Config) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::SearchSpace;
 
     fn drive(space: SearchSpace, start: Config, f: impl Fn(Config) -> f64) -> (Config, usize) {
         let mut hc = HillClimber::new(space, start, f(start), HashMap::new());

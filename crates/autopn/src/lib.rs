@@ -53,13 +53,12 @@ pub mod model;
 pub mod monitor;
 pub mod multi;
 pub mod optimizer;
-pub mod policy;
 pub mod sampling;
 pub mod smbo;
 pub mod space;
 pub mod stopping;
 
-pub use actuator::{stm_axis_registry, AxisRegistry, PnstmActuator};
+pub use actuator::PnstmActuator;
 pub use change::CusumDetector;
 pub use chaos::FaultyTunable;
 pub use controller::{
@@ -71,11 +70,8 @@ pub use controller::{
 pub use kpi::{Measurement, SloKpi, SLO_REJECT_TOLERANCE};
 pub use multi::{MultiAutoPn, MultiAutoPnConfig, MultiConfig};
 pub use optimizer::{AutoPn, AutoPnConfig, Tuner};
-pub use pnstm::{
-    AxesTrace, AxisValue, JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink,
-};
 pub use pnstm::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
-pub use policy::{sweep_axis, AxisSweepOutcome};
+pub use pnstm::{JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink};
 pub use sampling::InitialSampling;
-pub use space::{Axis, AxisLevels, Config, ConfigSpace, SearchSpace, MAX_AXES};
+pub use space::{Config, SearchSpace};
 pub use stopping::StopCondition;

@@ -193,8 +193,8 @@ mod tests {
 
     #[test]
     fn recovers_higher_dimensional_function() {
-        // Four features (as a space with two axes would encode): the
-        // generalized solver must recover all coefficients.
+        // Four features: the solver is not specialised to `[t, c]` and
+        // must recover all coefficients.
         let mut samples = Vec::new();
         for t in 1..=4 {
             for c in 1..=4 {

@@ -4,8 +4,7 @@
 //! trains online (§V-B, "Model construction").
 //!
 //! The implementation follows the classic recipe over however many features
-//! the training samples carry (2 in the paper's `(t, c)` setting; more when
-//! discrete axes are folded into the encoding):
+//! the training samples carry (2 in the paper's `(t, c)` setting):
 //!
 //! * **Growth** — recursive binary splits chosen by maximum standard
 //!   deviation reduction (SDR) over every feature; stop when a node is small

@@ -1,12 +1,11 @@
 //! Regression models: linear leaf models, the M5 model tree, and the bagging
 //! ensemble that supplies SMBO's predictive mean and variance.
 //!
-//! The whole layer is natively N-dimensional: a [`Sample`] carries an
-//! arbitrary-length feature vector (built by `ConfigSpace::encode`), and
-//! every model fits/predicts over `dim()` features. In the legacy 2-D
-//! `(t, c)` space the vector is exactly `[t, c]` and all arithmetic is
-//! bit-identical to the pre-generalization pipeline (pinned by
-//! the `tests/support/legacy.rs` oracle and the legacy-projection proptest).
+//! A [`Sample`] carries a feature vector of any length, and every model
+//! fits/predicts over `dim()` features. The tuner encodes a configuration
+//! as `[t, c]`; the arithmetic is bit-identical to the frozen 2-D reference
+//! in `tests/support/legacy.rs` (pinned by the `legacy_projection`
+//! proptest).
 
 pub mod bagging;
 pub mod linear;
@@ -16,8 +15,8 @@ pub use bagging::BaggedM5;
 pub use linear::LinearModel;
 pub use m5::M5Tree;
 
-/// A training observation: a feature vector `x` (from the config space's
-/// encoding), the measured KPI `y`, and a confidence weight.
+/// A training observation: a feature vector `x` (`[t, c]` for the tuner),
+/// the measured KPI `y`, and a confidence weight.
 ///
 /// The weight implements the paper's §VIII suggestion of feeding the
 /// *noisiness* of each measurement (its coefficient of variation) into the

@@ -6,7 +6,7 @@ use std::collections::{HashMap, VecDeque};
 use crate::hillclimb::HillClimber;
 use crate::sampling::InitialSampling;
 use crate::smbo;
-use crate::space::{Config, ConfigSpace};
+use crate::space::{Config, SearchSpace};
 use crate::stopping::StopCondition;
 
 /// Common ask–tell interface implemented by AutoPN and by every baseline
@@ -36,13 +36,6 @@ pub trait Tuner {
     /// ignored — baselines that don't trace need no changes.
     fn attach_trace(&mut self, trace: pnstm::TraceBus) {
         let _ = trace;
-    }
-    /// The typed configuration space this tuner searches, when it has one.
-    /// Callers (the controller's trace plumbing, the axis registry) use it to
-    /// decode a [`Config`]'s axis levels into named values. Default: `None` —
-    /// baselines that only know `(t, c)` need no changes.
-    fn config_space(&self) -> Option<&ConfigSpace> {
-        None
     }
 }
 
@@ -92,7 +85,7 @@ enum Phase {
 
 /// The AutoPN self-tuning optimizer (§V).
 pub struct AutoPn {
-    space: ConfigSpace,
+    space: SearchSpace,
     cfg: AutoPnConfig,
     phase: Phase,
     init_queue: VecDeque<Config>,
@@ -105,11 +98,9 @@ pub struct AutoPn {
 }
 
 impl AutoPn {
-    /// Build a tuner over `space` — a bare [`crate::SearchSpace`] for the paper's
-    /// `(t, c)` problem, or a full [`ConfigSpace`] to co-tune discrete axes.
-    pub fn new(space: impl Into<ConfigSpace>, cfg: AutoPnConfig) -> Self {
-        let space = space.into();
-        let init_queue = cfg.init.configs_nd(&space).into();
+    /// Build a tuner over the `(t, c)` space `space`.
+    pub fn new(space: SearchSpace, cfg: AutoPnConfig) -> Self {
+        let init_queue = cfg.init.configs(&space).into();
         Self {
             space,
             cfg,
@@ -125,7 +116,7 @@ impl AutoPn {
     }
 
     /// The configuration space this tuner optimizes over.
-    pub fn space(&self) -> &ConfigSpace {
+    pub fn space(&self) -> &SearchSpace {
         &self.space
     }
 
@@ -240,7 +231,6 @@ impl Tuner for AutoPn {
                     t: cfg.t as u32,
                     c: cfg.c as u32,
                     relative_ei,
-                    axes: self.space.axes_trace(cfg),
                 });
             }
         }
@@ -278,10 +268,6 @@ impl Tuner for AutoPn {
 
     fn attach_trace(&mut self, trace: pnstm::TraceBus) {
         self.trace = trace;
-    }
-
-    fn config_space(&self) -> Option<&ConfigSpace> {
-        Some(&self.space)
     }
 }
 

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
-use crate::space::{Config, ConfigSpace, SearchSpace};
+use crate::space::{Config, SearchSpace};
 
 /// How the initial training set is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,51 +39,6 @@ impl InitialSampling {
     pub fn configs(&self, space: &SearchSpace) -> Vec<Config> {
         match *self {
             InitialSampling::Biased(k) => biased(space, k),
-            InitialSampling::UniformRandom { count, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut all: Vec<Config> = space.configs().to_vec();
-                all.shuffle(&mut rng);
-                all.truncate(count.min(all.len()));
-                all
-            }
-        }
-    }
-
-    /// Materialize the initial configurations for a typed [`ConfigSpace`]:
-    /// the 2-D scheme at the space's default axis levels, plus — for the
-    /// biased scheme — one probe per non-default axis level at the balanced
-    /// over-subscription pivot `(⌊√n⌋, n/⌊√n⌋)`, so every discrete level
-    /// enters the training set before SMBO starts (otherwise the model sees
-    /// each axis feature as a constant and EI carries no signal along it).
-    /// Axis-less spaces get exactly the legacy list.
-    pub fn configs_nd(&self, space: &ConfigSpace) -> Vec<Config> {
-        match *self {
-            InitialSampling::Biased(_) => {
-                let defaults = space.default_axes();
-                let mut out: Vec<Config> = self
-                    .configs(space.tc())
-                    .into_iter()
-                    .map(|c| Config::with_axes(c.t, c.c, defaults))
-                    .collect();
-                if space.axes().is_empty() {
-                    return out;
-                }
-                let n = space.n_cores();
-                let sqrt_n = (n as f64).sqrt().floor().max(1.0) as usize;
-                let pivot = (sqrt_n, n / sqrt_n);
-                for (k, axis) in space.axes().iter().enumerate() {
-                    for level in 0..axis.len() {
-                        if level == axis.default_level() {
-                            continue;
-                        }
-                        let cfg = Config::with_axes(pivot.0, pivot.1, defaults.with(k, level));
-                        if space.contains(cfg) && !out.contains(&cfg) {
-                            out.push(cfg);
-                        }
-                    }
-                }
-                out
-            }
             InitialSampling::UniformRandom { count, seed } => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut all: Vec<Config> = space.configs().to_vec();

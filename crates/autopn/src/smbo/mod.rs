@@ -11,7 +11,7 @@ pub mod normal;
 pub use ei::{expected_improvement, probability_of_improvement, upper_confidence_bound};
 
 use crate::model::{BaggedM5, Sample};
-use crate::space::{Config, ConfigSpace};
+use crate::space::{Config, SearchSpace};
 
 /// Acquisition functions SMBO can be coupled with (§V-B). AutoPN defaults
 /// to EI; PI and UCB are provided for the comparison the paper argues from
@@ -59,7 +59,7 @@ pub struct Proposal {
 /// Returns `None` when every configuration has been explored. `f_best` must
 /// be the best KPI observed so far (maximization).
 pub fn propose(
-    space: &ConfigSpace,
+    space: &SearchSpace,
     observations: &[(Config, f64)],
     ensemble_size: usize,
     seed: u64,
@@ -72,7 +72,7 @@ pub fn propose(
 /// point (whatever the ranking criterion), so the EI-based stopping
 /// criterion stays meaningful across acquisitions.
 pub fn propose_with(
-    space: &ConfigSpace,
+    space: &SearchSpace,
     observations: &[(Config, f64)],
     ensemble_size: usize,
     seed: u64,
@@ -85,7 +85,7 @@ pub fn propose_with(
 /// noise-aware modeling). `weights`, when given, must be parallel to
 /// `observations`; `None` means uniform confidence.
 pub fn propose_noise_aware(
-    space: &ConfigSpace,
+    space: &SearchSpace,
     observations: &[(Config, f64)],
     weights: Option<&[f64]>,
     ensemble_size: usize,
@@ -112,8 +112,8 @@ pub fn propose_noise_aware(
         .enumerate()
         .filter(|&(_, &(_, y))| y.is_finite())
         .map(|(i, &(cfg, y))| match weights {
-            Some(w) => Sample::weighted(space.encode(cfg), y, w[i]),
-            None => Sample::new(space.encode(cfg), y),
+            Some(w) => Sample::weighted(features(cfg).to_vec(), y, w[i]),
+            None => Sample::new(features(cfg).to_vec(), y),
         })
         .collect();
     let model = BaggedM5::fit(&samples, ensemble_size, seed);
@@ -121,13 +121,11 @@ pub fn propose_noise_aware(
     let explored: std::collections::HashSet<Config> =
         observations.iter().map(|&(cfg, _)| cfg).collect();
     let mut best: Option<(Proposal, f64)> = None;
-    let mut x = Vec::with_capacity(space.dim());
     for &cfg in space.configs() {
         if explored.contains(&cfg) {
             continue;
         }
-        space.encode_into(cfg, &mut x);
-        let (mu, sigma) = model.predict_dist(&x);
+        let (mu, sigma) = model.predict_dist(&features(cfg));
         let score = acquisition.score(mu, sigma, f_best);
         // A NaN score would win every `>` comparison's negation and lose
         // every comparison — either way the ranking is meaningless, so a
@@ -144,17 +142,17 @@ pub fn propose_noise_aware(
     best.map(|(p, _)| p)
 }
 
+/// The model's feature encoding of a configuration: `[t, c]`.
+fn features(cfg: Config) -> [f64; 2] {
+    [cfg.t as f64, cfg.c as f64]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::{Axis, SearchSpace};
-
-    fn tc_space(n: usize) -> ConfigSpace {
-        SearchSpace::new(n).into()
-    }
 
     fn obs(
-        space: &ConfigSpace,
+        space: &SearchSpace,
         f: impl Fn(Config) -> f64,
         cfgs: &[(usize, usize)],
     ) -> Vec<(Config, f64)> {
@@ -169,7 +167,7 @@ mod tests {
 
     #[test]
     fn proposes_unexplored_config() {
-        let space = tc_space(16);
+        let space = SearchSpace::new(16);
         let f = |cfg: Config| -((cfg.t as f64 - 8.0).powi(2)) - (cfg.c as f64 - 2.0).powi(2);
         let observations = obs(&space, f, &[(1, 1), (16, 1), (1, 16), (4, 2), (8, 1)]);
         let p = propose(&space, &observations, 10, 7).unwrap();
@@ -180,14 +178,14 @@ mod tests {
 
     #[test]
     fn exhausted_space_returns_none() {
-        let space = tc_space(2); // {(1,1),(1,2),(2,1)}
+        let space = SearchSpace::new(2); // {(1,1),(1,2),(2,1)}
         let observations = obs(&space, |_| 1.0, &[(1, 1), (1, 2), (2, 1)]);
         assert!(propose(&space, &observations, 4, 1).is_none());
     }
 
     #[test]
     fn no_observations_returns_none() {
-        let space = tc_space(8);
+        let space = SearchSpace::new(8);
         assert!(propose(&space, &[], 4, 1).is_none());
     }
 
@@ -195,7 +193,7 @@ mod tests {
     fn gravitates_toward_predicted_peak() {
         // With a clean linear trend upward in t, EI should prefer larger t
         // among the unexplored configurations.
-        let space = tc_space(32);
+        let space = SearchSpace::new(32);
         let f = |cfg: Config| 10.0 * cfg.t as f64;
         let observations = obs(&space, f, &[(1, 1), (2, 1), (4, 1), (8, 1), (12, 1)]);
         let p = propose(&space, &observations, 10, 3).unwrap();
@@ -204,7 +202,7 @@ mod tests {
 
     #[test]
     fn nan_and_infinite_observations_do_not_poison_proposals() {
-        let space = tc_space(8);
+        let space = SearchSpace::new(8);
         let f = |cfg: Config| 10.0 * cfg.t as f64;
         let mut observations = obs(&space, f, &[(1, 1), (2, 1), (4, 1)]);
         observations.push((Config::new(1, 2), f64::NAN));
@@ -227,34 +225,16 @@ mod tests {
 
     #[test]
     fn all_non_finite_observations_yield_no_proposal() {
-        let space = tc_space(4);
+        let space = SearchSpace::new(4);
         let observations = vec![(Config::new(1, 1), f64::NAN), (Config::new(2, 1), f64::INFINITY)];
         assert!(propose(&space, &observations, 4, 1).is_none());
     }
 
     #[test]
     fn relative_ei_scales_by_best() {
-        let space = tc_space(8);
+        let space = SearchSpace::new(8);
         let observations = obs(&space, |cfg| 1000.0 + cfg.t as f64, &[(1, 1), (2, 2), (8, 1)]);
         let p = propose(&space, &observations, 10, 5).unwrap();
         assert!((p.relative_ei - p.ei / 1008.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_space_proposal_prefers_better_axis_level() {
-        // A two-level axis whose level 1 adds a large KPI bonus: after
-        // observing both levels at a few (t, c) points, EI must send the
-        // search toward unexplored level-1 configurations.
-        let space = ConfigSpace::new(SearchSpace::new(8), vec![Axis::integer("knob", &[0, 1], 0)]);
-        let f = |cfg: Config| 10.0 * cfg.t as f64 + if cfg.axes.get(0) == 1 { 500.0 } else { 0.0 };
-        let mut observations = Vec::new();
-        for (t, c, lvl) in [(1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (4, 1, 0), (1, 2, 1)] {
-            let cfg = Config::with_axes(t, c, crate::space::AxisLevels::from_slice(&[lvl]));
-            assert!(space.contains(cfg));
-            observations.push((cfg, f(cfg)));
-        }
-        let p = propose(&space, &observations, 10, 3).unwrap();
-        assert!(space.contains(p.config));
-        assert_eq!(p.config.axes.get(0), 1, "proposed {:?}", p.config);
     }
 }

@@ -1,10 +1,11 @@
-//! Differential proptest pinning the N-dimensional generalization to the
-//! frozen 2-D oracle: restricted to an axis-less `ConfigSpace` (the pure
-//! `(t, c)` grid), the generalized [`AutoPn`] must replay [`LegacyAutoPn`]
-//! seed histories **exactly** — identical proposal sequences, identical
-//! phase transitions, identical observations, and an identical session
-//! outcome. Any arithmetic drift in the feature-vector rewrite of the
-//! model/SMBO/hill-climb layers shows up here as a bit-level divergence.
+//! Differential proptest pinning the shipped tuner to a frozen reference
+//! implementation of the 2-D pipeline: [`AutoPn`] must replay
+//! [`LegacyAutoPn`] seed histories **exactly** — identical proposal
+//! sequences, identical phase transitions, identical observations, and an
+//! identical session outcome. The shipped model layer works on `Vec<f64>`
+//! features and the reference on a fixed `(t, c)` sample type, so any
+//! arithmetic drift in the model, SMBO or hill-climb layers shows up here as
+//! a bit-level divergence. (`tests/golden.rs` covers the code both share.)
 
 // The frozen oracle lives in test support, out of the shipped library.
 mod support {
@@ -13,9 +14,7 @@ mod support {
 
 use support::legacy::LegacyAutoPn;
 
-use autopn::{
-    AutoPn, AutoPnConfig, Config, ConfigSpace, InitialSampling, SearchSpace, StopCondition, Tuner,
-};
+use autopn::{AutoPn, AutoPnConfig, Config, InitialSampling, SearchSpace, StopCondition, Tuner};
 use proptest::prelude::*;
 
 /// A deterministic synthetic KPI surface: a quadratic bowl with a seed-mixed
@@ -46,9 +45,9 @@ fn cv_of(cfg: Config, noise: u64) -> Option<f64> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 1000, ..ProptestConfig::default() })]
 
-    /// Full-session lockstep replay on the (t, c)-only projection.
+    /// Full-session lockstep replay.
     #[test]
-    fn generalized_tuner_replays_legacy_histories(
+    fn shipped_tuner_replays_legacy_histories(
         n_cores in 2usize..=14,
         t0 in 1.0f64..14.0,
         c0 in 1.0f64..6.0,
@@ -73,7 +72,7 @@ proptest! {
         };
         let tc = SearchSpace::new(n_cores);
         let mut legacy = LegacyAutoPn::new(tc.clone(), cfg);
-        let mut gen = AutoPn::new(ConfigSpace::from(tc), cfg);
+        let mut gen = AutoPn::new(tc, cfg);
 
         let mut steps = 0usize;
         loop {
@@ -98,7 +97,7 @@ proptest! {
 
         // Identical session outcome: same winner, same KPI, bit-for-bit.
         let (bl, bg) = (legacy.best(), gen.best());
-        prop_assert_eq!(bl.map(|(c, _)| c), bg.map(|(c, _)| c.tc()));
+        prop_assert_eq!(bl.map(|(c, _)| c), bg.map(|(c, _)| c));
         prop_assert_eq!(bl.map(|(_, v)| v.to_bits()), bg.map(|(_, v)| v.to_bits()));
         prop_assert_eq!(legacy.explored(), gen.explored());
     }

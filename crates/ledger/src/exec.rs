@@ -29,8 +29,7 @@ pub struct LedgerConfig {
     /// always the first worker).
     pub workers: usize,
     /// [`BlockExecutor::execute_all`] splits a transaction stream into
-    /// blocks of this size — the per-block tuning surface the `autopn`
-    /// `BlockSize` axis sweeps.
+    /// blocks of this size.
     pub block_size: usize,
     /// Simulated per-execution work (spent once per incarnation). Benchmarks use this the same
     /// way the scaling benches use injected commit holds: it models the

@@ -111,10 +111,7 @@ pub use stats::{
 };
 pub use stripes::{stripe_of, STRIPE_COUNT};
 pub use throttle::{PackedGate, ParallelismDegree, Permit, ReconfigError, Throttle};
-pub use trace::{
-    AxesTrace, AxisValue, JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink,
-    MAX_TRACE_AXES,
-};
+pub use trace::{JsonlSink, RingSink, TestSink, TraceBus, TraceEvent, TraceSink};
 pub use txn::{child, ChildTask, Txn};
 pub use vbox::VBox;
 #[cfg(any(test, feature = "oracle"))]

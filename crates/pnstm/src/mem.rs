@@ -30,7 +30,7 @@
 //!    slowdown instead of an OOM kill, reported as `mem_degraded` trace
 //!    events.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
 /// Memory-robustness configuration ([`crate::StmConfig::mem`]).
@@ -38,8 +38,8 @@ use std::time::Duration;
 pub struct MemConfig {
     /// Boxes pruned per background-GC slice before the collector yields the
     /// CPU (and re-checks shutdown). Smaller slices mean finer-grained
-    /// interleaving with mutators at more per-slice overhead; a
-    /// runtime-adaptable knob for AutoPN ([`crate::Stm::set_gc_slice_boxes`]).
+    /// interleaving with mutators at more per-slice overhead. Read once at
+    /// construction (clamped to ≥ 1).
     pub gc_slice_boxes: usize,
     /// Lease on runtime snapshots: a transaction older than this stops
     /// pinning the GC watermark and is evicted (aborting with
@@ -164,15 +164,15 @@ impl MemLevel {
 /// transition re-runs the urgent side effects).
 const LADDER_HYSTERESIS_DIV: u64 = 4;
 
-/// Runtime-adjustable state of the memory ladder: the current level and the
-/// live ceilings/slice budget (initialised from [`MemConfig`], then owned by
-/// the tuner — ceilings and slice budget are actuation points).
+/// Runtime state of the memory ladder: the current level and the live
+/// ceilings (initialised from [`MemConfig`], then adjustable at run time),
+/// plus the fixed GC slice budget.
 #[derive(Debug)]
 pub(crate) struct MemState {
     level: AtomicU8,
     soft_ceiling: AtomicU64,
     hard_ceiling: AtomicU64,
-    gc_slice_boxes: AtomicUsize,
+    gc_slice_boxes: usize,
 }
 
 impl MemState {
@@ -181,7 +181,7 @@ impl MemState {
             level: AtomicU8::new(MemLevel::Normal.as_u8()),
             soft_ceiling: AtomicU64::new(cfg.soft_ceiling_versions),
             hard_ceiling: AtomicU64::new(cfg.hard_ceiling_versions),
-            gc_slice_boxes: AtomicUsize::new(cfg.gc_slice_boxes.max(1)),
+            gc_slice_boxes: cfg.gc_slice_boxes.max(1),
         }
     }
 
@@ -206,11 +206,7 @@ impl MemState {
     }
 
     pub(crate) fn gc_slice_boxes(&self) -> usize {
-        self.gc_slice_boxes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_gc_slice_boxes(&self, boxes: usize) {
-        self.gc_slice_boxes.store(boxes.max(1), Ordering::Relaxed);
+        self.gc_slice_boxes
     }
 
     /// The level `retained` versions map to, with hysteresis against the
@@ -303,11 +299,15 @@ mod tests {
         let s = MemState::new(&MemConfig::default());
         s.set_soft_ceiling(10);
         s.set_hard_ceiling(20);
-        s.set_gc_slice_boxes(0);
         assert_eq!(s.soft_ceiling(), 10);
         assert_eq!(s.hard_ceiling(), 20);
-        assert_eq!(s.gc_slice_boxes(), 1, "slice budget clamps to 1");
         assert_eq!(s.transition(15), Some((MemLevel::Normal, MemLevel::Soft)));
+    }
+
+    #[test]
+    fn slice_budget_clamps_to_one() {
+        let s = MemState::new(&MemConfig { gc_slice_boxes: 0, ..MemConfig::default() });
+        assert_eq!(s.gc_slice_boxes(), 1);
     }
 
     #[test]

@@ -803,18 +803,6 @@ impl Stm {
         self.shared.stats.gauge()
     }
 
-    /// The background-GC slice budget currently in force.
-    pub fn gc_slice_boxes(&self) -> usize {
-        self.shared.mem_state.gc_slice_boxes()
-    }
-
-    /// Retune the GC slice budget live (clamped to ≥ 1). An actuation point
-    /// for tuners: smaller slices interleave more finely with mutators,
-    /// larger ones amortize per-slice overhead.
-    pub fn set_gc_slice_boxes(&self, boxes: usize) {
-        self.shared.mem_state.set_gc_slice_boxes(boxes);
-    }
-
     /// The ladder's soft ceiling (retained versions) currently in force.
     pub fn mem_soft_ceiling(&self) -> u64 {
         self.shared.mem_state.soft_ceiling()

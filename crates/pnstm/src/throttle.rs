@@ -15,14 +15,13 @@
 //! negative, so the gate "absorbs" outstanding permits until enough releases
 //! bring it back above zero.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::fault::{FaultCtx, FaultKind};
 use crate::park::{ParkGate, ParkOutcome, IDLE_WAIT};
 use crate::stats::Stats;
-use crate::trace::{AxesTrace, TraceBus, TraceEvent};
+use crate::trace::{TraceBus, TraceEvent};
 
 /// A `(t, c)` parallelism-degree configuration as defined in §III-B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -362,13 +361,6 @@ pub struct Throttle {
     /// silently undo the backpressure: both paths apply
     /// `min(t, pressure_cap)`.
     pressure_cap: AtomicUsize,
-    /// The discrete-axis half of the configuration point currently in force
-    /// (`cm`, `gc_boxes`, `block`, ...), stamped by the axis actuation layer
-    /// *before* it applies the degree so the resulting
-    /// [`TraceEvent::Reconfigure`] carries the full point. Empty until a
-    /// multi-axis tuner notes one; legacy `(t, c)`-only traces stay
-    /// byte-identical.
-    axes_note: Mutex<AxesTrace>,
     trace: TraceBus,
     fault: FaultCtx,
 }
@@ -430,23 +422,9 @@ impl Throttle {
             top_gate: Arc::new(gate),
             degree: AtomicU64::new(pack(degree)),
             pressure_cap: AtomicUsize::new(usize::MAX),
-            axes_note: Mutex::new(AxesTrace::empty()),
             trace,
             fault,
         }
-    }
-
-    /// Record the discrete-axis half of the configuration point now in
-    /// force. Subsequent [`TraceEvent::Reconfigure`] emissions carry it, so
-    /// a multi-axis actuation (axes first, then degree) traces as one full
-    /// point.
-    pub fn note_axes(&self, axes: AxesTrace) {
-        *self.axes_note.lock() = axes;
-    }
-
-    /// The last noted discrete-axis assignment (empty if none).
-    pub fn noted_axes(&self) -> AxesTrace {
-        *self.axes_note.lock()
     }
 
     /// Block until a top-level slot is free; the permit is released when the
@@ -510,7 +488,6 @@ impl Throttle {
             self.trace.emit(TraceEvent::Reconfigure {
                 from: (prev.top_level as u32, prev.nested_per_tree as u32),
                 to: (degree.top_level as u32, degree.nested_per_tree as u32),
-                axes: self.noted_axes(),
             });
         }
         prev
@@ -726,7 +703,7 @@ mod tests {
         assert!(!events.is_empty(), "reconfigurations must be traced");
         for ev in &events {
             match ev {
-                TraceEvent::Reconfigure { from, to, .. } => {
+                TraceEvent::Reconfigure { from, to } => {
                     assert!(from.0 * from.1 <= N, "torn 'from' pair {from:?}");
                     assert!(to.0 * to.1 <= N, "torn 'to' pair {to:?}");
                 }

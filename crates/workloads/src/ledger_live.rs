@@ -1,25 +1,16 @@
 //! Ledger-mode live tuning: a continuous stream of transfer blocks on a
 //! real [`ledger::BlockExecutor`], exposed as an [`autopn::TunableSystem`]
-//! (and [`SloTunableSystem`]) so AutoPN co-tunes the **block size** — the
-//! typed `block` axis — together with the parallelism degree mid-stream.
-//!
-//! The block-size knob is wired through an [`AxisRegistry`] attached to the
-//! runtime's [`autopn::PnstmActuator`]: the tuner proposes full
-//! configuration points over [`LedgerLiveSystem::space`], `try_apply`
-//! enacts the `block` level into the driver's shared cell (taking effect at
-//! the next block boundary) before the degree, then maps `t` onto the
-//! executor's live worker width, and the resulting `Reconfigure` trace
-//! events carry the whole point.
+//! (and [`SloTunableSystem`]) so AutoPN tunes the parallelism degree
+//! mid-stream. `try_apply` switches the degree through the runtime's
+//! [`autopn::PnstmActuator`], then maps `t` onto the executor's live worker
+//! width. Blocks keep the fixed size the system was started with.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use autopn::{
-    ApplyError, Axis, AxisRegistry, Config, ConfigSpace, SearchSpace, SloKpi, SloTunableSystem,
-    TunableSystem,
-};
+use autopn::{ApplyError, Config, SloKpi, SloTunableSystem, TunableSystem};
 use ledger::{skewed_block, Amount, BlockExecutor, LedgerConfig};
 use pnstm::{LatencyHistogram, LatencySnapshot, Stm};
 
@@ -29,9 +20,8 @@ use crate::live::{CommitStream, LiveRuntime, Supervised, Supervisor};
 struct Stream {
     executor: BlockExecutor,
     commits: Arc<CommitStream>,
-    /// Transactions per block, enacted by the `block` axis; the driver reads
-    /// it at every block boundary.
-    block_txns: AtomicUsize,
+    /// Transactions per block.
+    block_txns: usize,
     blocks_done: AtomicU64,
     /// Per-transaction latency of every committed block: block assembly →
     /// the block's single commit.
@@ -39,7 +29,7 @@ struct Stream {
 }
 
 /// A live ledger pipeline under tuning: one supervised driver thread
-/// assembles `block`-axis-sized skewed transfer blocks and executes them back
+/// assembles fixed-size skewed transfer blocks and executes them back
 /// to back on the parallel rung. Per-transaction commit timestamps are spread
 /// across each block's execution interval, so the monitor's CV test sees a
 /// steady interarrival stream (the KPI is transactions per second, not
@@ -53,9 +43,9 @@ pub struct LedgerLiveSystem {
 
 impl LedgerLiveSystem {
     /// Start the block stream over `accounts` accounts (each seeded with
-    /// `initial_balance`). `cfg.block_size` is the starting point of the
-    /// `block` axis; `cfg.workers` bounds the executor's live worker width
-    /// (`t` is clamped into it on apply).
+    /// `initial_balance`), in blocks of `cfg.block_size` transactions.
+    /// `cfg.workers` bounds the executor's live worker width (`t` is clamped
+    /// into it on apply).
     pub fn start(
         stm: Stm,
         accounts: usize,
@@ -69,35 +59,18 @@ impl LedgerLiveSystem {
         let stream = Arc::new(Stream {
             executor,
             commits: Arc::clone(rt.commits()),
-            block_txns: AtomicUsize::new(cfg.block_size.max(1)),
+            block_txns: cfg.block_size.max(1),
             blocks_done: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         });
-        let cell = Arc::clone(&stream);
-        rt.attach_axes(AxisRegistry::new().bind(Axis::block_size(), move |value, _| {
-            cell.block_txns.store((value as usize).max(1), Ordering::Release);
-            Ok(())
-        }));
         let driven = Arc::clone(&stream);
         rt.spawn("ledger-live".into(), move |sup| driver(sup, &driven, seed, accounts))?;
         Ok(Self { rt, stream, window: (LatencySnapshot::default(), 0) })
     }
 
-    /// The config space this system actuates over an `n_cores` grid:
-    /// `(t, c)` crossed with the `block` axis. Hand this to the tuner so
-    /// every proposal is enactable.
-    pub fn space(&self, n_cores: usize) -> ConfigSpace {
-        ConfigSpace::new(SearchSpace::new(n_cores), vec![Axis::block_size()])
-    }
-
     /// The executor driving the stream.
     pub fn executor(&self) -> &BlockExecutor {
         &self.stream.executor
-    }
-
-    /// Transactions per block currently in force.
-    pub fn block_txns(&self) -> usize {
-        self.stream.block_txns.load(Ordering::Acquire)
     }
 
     /// Blocks committed since start.
@@ -118,7 +91,7 @@ impl LedgerLiveSystem {
 fn driver(sup: Supervisor, s: &Stream, seed: u64, accounts: usize) {
     let mut round = 0u64;
     while !sup.stopped() {
-        let txns = s.block_txns.load(Ordering::Acquire).max(1);
+        let txns = s.block_txns;
         let block = skewed_block(seed.wrapping_add(round), txns, accounts, 10);
         round += 1;
         let t0 = s.commits.now_ns();
@@ -191,7 +164,7 @@ impl SloTunableSystem for LedgerLiveSystem {
 mod tests {
     use super::*;
     use autopn::monitor::AdaptiveMonitor;
-    use autopn::{AutoPn, AutoPnConfig, AxisLevels, Controller};
+    use autopn::{AutoPn, AutoPnConfig, Controller, SearchSpace};
     use pnstm::{ParallelismDegree, StmConfig};
 
     fn ledger_cfg() -> LedgerConfig {
@@ -204,15 +177,6 @@ mod tests {
             worker_threads: 1,
             ..StmConfig::default()
         })
-    }
-
-    #[test]
-    fn block_axis_defaults_to_the_ledger_block_size() {
-        let axis = Axis::block_size();
-        assert_eq!(
-            axis.value_at(axis.default_level()) as usize,
-            LedgerConfig::default().block_size
-        );
     }
 
     #[test]
@@ -235,33 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn block_axis_is_enacted_mid_stream() {
+    fn try_apply_retargets_the_workers_mid_stream() {
         let stm = stm();
         let sink = Arc::new(pnstm::TestSink::new());
         stm.trace_bus().subscribe(sink.clone());
         let mut sys = LedgerLiveSystem::start(stm.clone(), 64, 1_000, ledger_cfg(), 3).unwrap();
-        let space = sys.space(4);
-        assert_eq!(space.axes().len(), 1);
 
-        let b512 = space.axes()[0].level_of_value(512).unwrap();
-        let cfg = Config::with_axes(2, 1, AxisLevels::from_slice(&[b512]));
-        sys.try_apply(cfg).unwrap();
-        assert_eq!(sys.block_txns(), 512);
+        sys.try_apply(Config::new(2, 1)).unwrap();
         assert_eq!(sys.executor().workers(), 2);
         assert_eq!(stm.degree(), ParallelismDegree::new(2, 1));
+        assert!(
+            sink.events()
+                .iter()
+                .any(|ev| matches!(ev, pnstm::TraceEvent::Reconfigure { to: (2, 1), .. })),
+            "the degree switch is traced"
+        );
 
-        let axes = sink
-            .events()
-            .iter()
-            .find_map(|ev| match ev {
-                pnstm::TraceEvent::Reconfigure { to: (2, 1), axes, .. } => Some(*axes),
-                _ => None,
-            })
-            .expect("reconfigure event");
-        assert_eq!(axes.get("block").unwrap().value, 512);
-
-        // The stream keeps flowing at the new width, and the driver picks up
-        // the new block size at a block boundary.
+        // The stream keeps flowing at the new width.
         let before = sys.blocks_done();
         let deadline = Instant::now() + Duration::from_secs(10);
         while sys.blocks_done() < before + 2 && Instant::now() < deadline {
@@ -315,24 +269,20 @@ mod tests {
         }
     }
 
-    /// The satellite's end-to-end claim: a full AutoPN session over the
-    /// ledger space tunes the block size mid-stream through the standard
-    /// controller path, ending on a full (enactable) configuration point.
+    /// A full AutoPN session tunes the ledger mid-stream through the
+    /// standard controller path and leaves the winner in force.
     #[test]
-    fn controller_tunes_block_size_mid_stream() {
-        let mut sys = LedgerLiveSystem::start(stm(), 64, 10_000, ledger_cfg(), 42).unwrap();
-        let space = sys.space(2);
+    fn controller_tunes_the_ledger_mid_stream() {
+        let stm = stm();
+        let mut sys = LedgerLiveSystem::start(stm.clone(), 64, 10_000, ledger_cfg(), 42).unwrap();
+        let space = SearchSpace::new(2);
         let mut tuner = AutoPn::new(space.clone(), AutoPnConfig::default());
         let mut policy = AdaptiveMonitor::new(0.5, 16);
         let outcome = Controller::tune(&mut sys, &mut tuner, &mut policy);
         assert!(!outcome.explored.is_empty());
-        assert!(space.contains(outcome.best), "winner is a full, enactable point");
-        // The initial design probes alone guarantee at least one non-default
-        // block level was actually enacted during the session.
-        let tried_levels: std::collections::HashSet<usize> =
-            outcome.explored.iter().map(|(c, _)| c.axes.get(0)).collect();
-        assert!(tried_levels.len() > 1, "session explored multiple block sizes");
-        assert_eq!(sys.block_txns() as u32, space.axes()[0].value_at(outcome.best.axes.get(0)));
+        assert!(space.contains(outcome.best));
+        assert_eq!(stm.degree(), ParallelismDegree::from(outcome.best));
+        assert_eq!(sys.executor().workers(), outcome.best.t);
         sys.shutdown();
     }
 }

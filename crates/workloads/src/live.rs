@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use autopn::{ApplyError, AxisRegistry, Config, PnstmActuator, TunableSystem};
+use autopn::{ApplyError, Config, PnstmActuator, TunableSystem};
 use parking_lot::Mutex;
 use pnstm::park::ParkGate;
 use pnstm::trace::{self, TraceEvent};
@@ -216,11 +216,6 @@ impl LiveRuntime {
         self.supervisor.panics.load(Ordering::Acquire)
     }
 
-    /// See [`PnstmActuator::attach_axes`].
-    pub(crate) fn attach_axes(&mut self, registry: AxisRegistry) {
-        self.actuator.attach_axes(registry);
-    }
-
     /// Start a worker thread running `body` with its [`Supervisor`]. A failed
     /// spawn degrades instead of aborting: the threads that did start are
     /// shut down and the error goes to the caller.
@@ -364,12 +359,6 @@ impl LiveStmSystem {
         self.rt.worker_panics()
     }
 
-    /// Attach a live axis registry (e.g. [`autopn::stm_axis_registry`]); see
-    /// [`PnstmActuator::attach_axes`].
-    pub fn attach_axes(&mut self, registry: AxisRegistry) {
-        self.rt.attach_axes(registry);
-    }
-
     /// Stop the application threads and detach the commit hook; see
     /// [`LiveRuntime::shutdown`].
     pub fn shutdown(&mut self) {
@@ -472,42 +461,6 @@ mod tests {
         let mut sys = LiveStmSystem::start(stm.clone(), workload, 1).unwrap();
         sys.apply(Config::new(3, 2));
         assert_eq!(stm.degree(), ParallelismDegree::new(3, 2));
-        sys.shutdown();
-    }
-
-    #[test]
-    fn try_apply_enacts_axes_and_stamps_trace() {
-        use autopn::{stm_axis_registry, AxisLevels};
-        let stm = Stm::new(StmConfig::default());
-        let sink = Arc::new(pnstm::TestSink::new());
-        stm.trace_bus().subscribe(sink.clone());
-        let workload = Arc::new(CounterWorkload::new(&stm));
-        let mut sys = LiveStmSystem::start(stm.clone(), workload, 1).unwrap();
-        let registry = stm_axis_registry(&stm);
-        let space = registry.space(4);
-        sys.attach_axes(registry);
-
-        let gc512 = space.axes()[0].level_of_value(512).unwrap();
-        let cfg = Config::with_axes(2, 2, AxisLevels::from_slice(&[gc512]));
-        sys.try_apply(cfg).unwrap();
-        assert_eq!(stm.gc_slice_boxes(), 512);
-        assert_eq!(stm.degree(), ParallelismDegree::new(2, 2));
-
-        // The Reconfigure event carries the full point.
-        let axes = sink
-            .events()
-            .iter()
-            .find_map(|ev| match ev {
-                pnstm::TraceEvent::Reconfigure { to: (2, 2), axes, .. } => Some(*axes),
-                _ => None,
-            })
-            .expect("reconfigure event");
-        assert_eq!(axes.len(), 1);
-        assert_eq!(axes.get("gc_boxes").unwrap().value, 512);
-
-        // A bare (t, c) fallback point restores the default axis level.
-        sys.try_apply(Config::new(1, 1)).unwrap();
-        assert_eq!(stm.gc_slice_boxes(), pnstm::MemConfig::default().gc_slice_boxes);
         sys.shutdown();
     }
 

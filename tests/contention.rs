@@ -1,6 +1,5 @@
 //! Contention-management integration: the livelock regression the backoff
-//! exists to fix, and the `{axis level} × (t, c)` co-tuning sweep end to
-//! end on a live STM.
+//! exists to fix.
 //!
 //! The regression scenario is the flip side of what `tests/chaos.rs` fences
 //! off with an injection budget: its stripe-hold shutdown test runs seed 51
@@ -22,14 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use autopn::monitor::AdaptiveMonitor;
-use autopn::{
-    sweep_axis, AutoPn, AutoPnConfig, Axis, FaultKind, FaultPlan, FaultRule, SearchSpace,
-    TuneOptions,
-};
-use pnstm::{stripe_of, ParallelismDegree, Stm, StmConfig, TraceEvent};
-use workloads::array::{ArrayParams, ArrayWorkload};
-use workloads::LiveStmSystem;
+use pnstm::{stripe_of, FaultKind, FaultPlan, FaultRule, ParallelismDegree, Stm, StmConfig};
 
 /// Two writers, each read-modify-writing its own box while also reading the
 /// other's, while every commit stalls `hold` on its held stripe locks
@@ -105,54 +97,4 @@ fn unbudgeted_commit_holds_drain_under_exp_backoff() {
         snap.cm_waits > 0 || snap.top_aborts == 0,
         "conflicting writers must have backed off: {snap:?}"
     );
-}
-
-#[test]
-fn gc_budget_sweep_co_tunes_with_parallelism_degree() {
-    // End-to-end `{gc budget} × (t, c)`: a live STM under a real workload,
-    // one full AutoPN session per GC slice budget, winner re-enacted on the
-    // system.
-    let stm = Stm::new(StmConfig {
-        degree: ParallelismDegree::new(1, 1),
-        worker_threads: 2,
-        ..StmConfig::default()
-    });
-    let sink = Arc::new(pnstm::TestSink::default());
-    let trace = stm.trace_bus().clone();
-    trace.subscribe(sink.clone());
-    let wl = Arc::new(ArrayWorkload::new(
-        &stm,
-        "contention-array",
-        ArrayParams { size: 64, write_fraction: 0.8, chunks: 2 },
-    ));
-    let mut system = LiveStmSystem::start(stm.clone(), wl, 3).expect("spawn live workers");
-    let budgets = Axis::gc_budget();
-    let outcome = sweep_axis(
-        &mut system,
-        &budgets,
-        &mut |value, _| stm.set_gc_slice_boxes(value as usize),
-        &mut |_| Box::new(AutoPn::new(SearchSpace::new(4), AutoPnConfig::default())),
-        &mut |_| Box::new(AdaptiveMonitor::new(0.30, 3)),
-        &trace,
-        &TuneOptions { apply_backoff: Duration::from_micros(50), ..TuneOptions::default() },
-    );
-    system.shutdown();
-
-    assert_eq!(outcome.sessions.len(), budgets.len(), "one full session per budget");
-    for (level, session) in outcome.sessions.iter().enumerate() {
-        let b = budgets.value_at(level);
-        assert!(
-            !session.explored.is_empty(),
-            "the {b}-box session must have measured configurations"
-        );
-    }
-    assert!(outcome.best_throughput > 0.0, "the winning triple was actually measured");
-    // The winning budget was left in force on the live STM.
-    assert_eq!(stm.gc_slice_boxes(), budgets.value_at(outcome.best_level) as usize);
-    // The trace carries one bracketed session per budget.
-    let events = sink.events();
-    let starts = events.iter().filter(|e| matches!(e, TraceEvent::SessionStart { .. })).count();
-    let ends = events.iter().filter(|e| matches!(e, TraceEvent::SessionEnd { .. })).count();
-    assert_eq!(starts, budgets.len());
-    assert_eq!(ends, budgets.len());
 }
