@@ -7,6 +7,7 @@
 //! counterpart.
 
 use parking_lot::{Condvar, Mutex};
+use std::time::Instant;
 
 /// One retired rung an [`crate::Stm`] can run in place of its shipped
 /// counterpart.
@@ -65,19 +66,23 @@ impl ResizableSemaphore {
         }
     }
 
-    /// Block until a permit is available and take it. Returns `false`
-    /// (without a permit) if the semaphore is, or becomes, closed — a thread
-    /// parked here is guaranteed to wake and observe the closure.
-    pub fn acquire(&self) -> bool {
+    /// Block until a permit is available and take it, returning the
+    /// nanoseconds the call waited (0, untimed, when one was there at once).
+    /// Returns `None` (without a permit) if the semaphore is, or becomes,
+    /// closed — a thread parked here is guaranteed to wake and observe the
+    /// closure.
+    pub fn acquire(&self) -> Option<u64> {
         let mut st = self.state.lock();
+        let mut start = None;
         loop {
             if st.closed {
-                return false;
+                return None;
             }
             if st.available > 0 {
                 st.available -= 1;
-                return true;
+                return Some(start.map_or(0, |t: Instant| t.elapsed().as_nanos() as u64));
             }
+            start.get_or_insert_with(Instant::now);
             self.cv.wait(&mut st);
         }
     }
@@ -175,12 +180,12 @@ mod tests {
     #[test]
     fn semaphore_grow_unblocks_waiter() {
         let s = Arc::new(ResizableSemaphore::new(1));
-        assert!(s.acquire());
+        assert_eq!(s.acquire(), Some(0));
         let s2 = Arc::clone(&s);
         let woke = Arc::new(AtomicUsize::new(0));
         let woke2 = Arc::clone(&woke);
         let h = thread::spawn(move || {
-            assert!(s2.acquire());
+            assert!(s2.acquire().is_some());
             woke2.store(1, Ordering::SeqCst);
             s2.release();
         });
@@ -194,9 +199,9 @@ mod tests {
     #[test]
     fn semaphore_shrink_absorbs_releases() {
         let s = ResizableSemaphore::new(3);
-        assert!(s.acquire());
-        assert!(s.acquire());
-        assert!(s.acquire());
+        assert_eq!(s.acquire(), Some(0));
+        assert_eq!(s.acquire(), Some(0));
+        assert_eq!(s.acquire(), Some(0));
         s.set_capacity(1); // available = -2
         s.release(); // -1
         s.release(); // 0
@@ -208,17 +213,17 @@ mod tests {
     #[test]
     fn close_wakes_parked_acquirer_and_reopen_restores() {
         let s = Arc::new(ResizableSemaphore::new(1));
-        assert!(s.acquire()); // exhaust the only permit
+        assert_eq!(s.acquire(), Some(0)); // exhaust the only permit
         let s2 = Arc::clone(&s);
         let h = thread::spawn(move || s2.acquire());
         thread::sleep(Duration::from_millis(30)); // let it park
         s.close();
-        assert!(!h.join().unwrap(), "parked acquirer must wake empty-handed");
+        assert_eq!(h.join().unwrap(), None, "parked acquirer must wake empty-handed");
         assert!(!s.try_acquire(), "closed semaphore grants nothing");
         s.release();
         s.reopen();
         assert!(!s.is_closed());
-        assert!(s.acquire(), "reopened semaphore grants again");
+        assert!(s.acquire().is_some(), "reopened semaphore grants again");
     }
 
     #[test]

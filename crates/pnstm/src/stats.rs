@@ -1,8 +1,22 @@
 //! Commit/abort accounting and the commit-event hook consumed by the AutoPN
 //! KPI monitor.
+//!
+//! # Counter shards
+//!
+//! Every counter lives in 16 cache-padded copies (shards). Threads are
+//! numbered process-wide in the order of their first count, and a thread
+//! adds into the shard its number picks modulo 16, so two counting threads
+//! share a counter line only when their numbers agree modulo 16;
+//! [`Stats::snapshot`] sums the shards. The adds are relaxed `fetch_add`s,
+//! since threads that do share a shard must not lose counts, and a snapshot
+//! taken after the counting threads joined is exact. The two exceptions are the [`VersionHeapGauge`],
+//! one pair of atomics because the degradation ladder reads it on every
+//! commit, and [`CommitEvent::seq`], which only a commit that finds a hook
+//! installed takes from one shared counter.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,7 +39,9 @@ pub enum TxKind {
 pub struct CommitEvent {
     /// Wall-clock instant of the commit.
     pub at: Instant,
-    /// Running count of top-level commits including this one.
+    /// Running count of the top-level commits that found a hook installed,
+    /// including this one: unique per commit, and, with the hook installed
+    /// before the first commit, exactly `1..=top_commits`.
     pub seq: u64,
 }
 
@@ -38,40 +54,165 @@ struct RetiredHook(*mut CommitHook);
 // `Stats::drop`, with exclusive access.
 unsafe impl Send for RetiredHook {}
 
+/// Counter shards per [`Stats`] instance (see the module docs).
+const SHARDS: usize = 16;
+
+/// Source of each thread's shard index.
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's shard index; `usize::MAX` until its first count.
+    static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's shard index.
+#[inline]
+fn thread_shard() -> usize {
+    THREAD_SHARD
+        .try_with(|s| {
+            if s.get() == usize::MAX {
+                s.set(NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS);
+            }
+            s.get()
+        })
+        .unwrap_or(0)
+}
+
+/// Declares the counters once: the [`Counter`] index of each, and the
+/// [`StatsSnapshot`] field it sums into, in this order.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Index of a counter in a shard.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Counter { $($name,)* gc_due }
+
+        /// Counters per shard: the snapshot's plus the shard's commits since
+        /// it last asked for a GC cycle.
+        const COUNTERS: usize = Counter::gc_due as usize + 1;
+
+        /// Point-in-time copy of the [`Stats`] counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Point-in-time retained version count (gauge, not a counter —
+            /// the delta of a gauge is a saturating difference, not a rate).
+            pub retained_versions: u64,
+            /// Point-in-time retained bytes (shallow entry sizes; same gauge
+            /// caveat).
+            pub retained_bytes: u64,
+        }
+
+        impl StatsSnapshot {
+            fn from_sums(sums: &[u64; COUNTERS], gauge: &VersionHeapGauge) -> Self {
+                Self {
+                    $($name: sums[Counter::$name as usize],)*
+                    retained_versions: gauge.retained_versions(),
+                    retained_bytes: gauge.retained_bytes(),
+                }
+            }
+
+            /// Counter-wise difference `self - earlier` (saturating).
+            pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.saturating_sub(earlier.$name),)*
+                    retained_versions: self
+                        .retained_versions
+                        .saturating_sub(earlier.retained_versions),
+                    retained_bytes: self.retained_bytes.saturating_sub(earlier.retained_bytes),
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Committed top-level transactions.
+    top_commits,
+    /// Aborted top-level transaction attempts.
+    top_aborts,
+    /// Committed nested transactions (all depths).
+    nested_commits,
+    /// Aborted nested transaction attempts (sibling conflicts).
+    nested_aborts,
+    /// Applied `(t, c)` reconfigurations.
+    reconfigures,
+    /// Top-level admissions, every one counted whether it waited or not.
+    sem_wait_count,
+    /// Total nanoseconds spent waiting for top-level admission (only the
+    /// admissions that had to wait are timed).
+    sem_wait_total_ns,
+    /// Commit stripes locked by striped commit attempts (total).
+    stripe_lock_acquisitions,
+    /// Of those, stripes whose acquisition needed at least one retry —
+    /// commit-time contention the global lock used to hide.
+    stripe_lock_contended,
+    /// Aborts caused purely by stripe granularity: stamp validation failed
+    /// but every read box was individually unchanged.
+    stripe_false_conflicts,
+    /// Ancestor-level read probes the Bloom filter could not rule out.
+    read_filter_hits,
+    /// Ancestor-level read probes skipped entirely by the Bloom filter.
+    read_filter_misses,
+    /// Reads that performed at least one ancestor fallback lookup.
+    read_slow_path,
+    /// Batch tasks executed by helper workers rather than the batch's
+    /// parent (both scheduler rungs).
+    steal_count,
+    /// Batch tasks that overflowed the fixed steal deque into the spill
+    /// vector (fan-out larger than the deque capacity).
+    deque_overflow,
+    /// Child batches with `c > 1` that were published to the worker pool
+    /// (eagerly, or late once they outlasted the prediction).
+    sched_handoffs,
+    /// Child batches with `c > 1` their parent ran alone because the
+    /// predicted parallel saving did not cover one hand-off: short children
+    /// no longer pay a worker wake-up for being allowed helpers.
+    sched_handoffs_elided,
+    /// Top-level admissions that parked on the packed admission gate.
+    park_count,
+    /// Contention-manager backoff waits. Zero-wait decisions are not
+    /// counted.
+    cm_waits,
+    /// Total nanoseconds spent in contention-manager backoff waits.
+    cm_wait_total_ns,
+    /// Reads served from the chain floor by a doomed attempt whose snapshot
+    /// lease expired and was evicted.
+    evicted_reads,
+    /// Reads that found no version ≤ a still-registered snapshot — GC
+    /// watermark invariant violations (always 0 in a correct build).
+    read_below_floor,
+    /// Snapshot registrations evicted because their lease expired.
+    snapshot_evictions,
+    /// Top-level aborts attributed to snapshot eviction.
+    evicted_aborts,
+    /// Completed version-heap GC cycles (background or inline).
+    gc_cycles,
+    /// Bounded GC slices executed across all cycles.
+    gc_slices,
+    /// Versions pruned from box chains by the GC.
+    gc_pruned_versions,
+    /// Panics absorbed by the background GC supervisor loop.
+    gc_thread_panics,
+    /// Degradation-ladder escalations into [`crate::MemLevel::Soft`].
+    mem_soft_events,
+    /// Degradation-ladder escalations into [`crate::MemLevel::Hard`].
+    mem_hard_events,
+    /// Ledger blocks committed in deterministic index order (both rungs).
+    block_commits,
+    /// Block-STM validation aborts: transactions re-run as new incarnations.
+    txn_reexecutions,
+}
+
+/// One thread-group's copy of every counter, alone on its cache lines.
+#[repr(align(128))]
+struct Shard([AtomicU64; COUNTERS]);
+
 /// Atomic counters describing STM activity, plus an optional commit hook.
 pub struct Stats {
-    top_commits: AtomicU64,
-    top_aborts: AtomicU64,
-    nested_commits: AtomicU64,
-    nested_aborts: AtomicU64,
-    reconfigures: AtomicU64,
-    sem_wait_count: AtomicU64,
-    sem_wait_total_ns: AtomicU64,
-    stripe_lock_acquisitions: AtomicU64,
-    stripe_lock_contended: AtomicU64,
-    stripe_false_conflicts: AtomicU64,
-    read_filter_hits: AtomicU64,
-    read_filter_misses: AtomicU64,
-    read_slow_path: AtomicU64,
-    steal_count: AtomicU64,
-    deque_overflow: AtomicU64,
-    sched_handoffs: AtomicU64,
-    sched_handoffs_elided: AtomicU64,
-    park_count: AtomicU64,
-    cm_waits: AtomicU64,
-    cm_wait_total_ns: AtomicU64,
-    evicted_reads: AtomicU64,
-    read_below_floor: AtomicU64,
-    snapshot_evictions: AtomicU64,
-    evicted_aborts: AtomicU64,
-    gc_cycles: AtomicU64,
-    gc_slices: AtomicU64,
-    gc_pruned_versions: AtomicU64,
-    gc_thread_panics: AtomicU64,
-    mem_soft_events: AtomicU64,
-    mem_hard_events: AtomicU64,
-    block_commits: AtomicU64,
-    txn_reexecutions: AtomicU64,
+    shards: Box<[Shard]>,
+    /// Source of [`CommitEvent::seq`]: counts the commits that found a hook.
+    hooked_commits: AtomicU64,
     /// Live retained-version/byte gauge shared with every [`crate::VBox`]
     /// registered on the owning [`crate::Stm`].
     gauge: Arc<VersionHeapGauge>,
@@ -87,38 +228,10 @@ pub struct Stats {
 impl Default for Stats {
     fn default() -> Self {
         Self {
-            top_commits: AtomicU64::new(0),
-            top_aborts: AtomicU64::new(0),
-            nested_commits: AtomicU64::new(0),
-            nested_aborts: AtomicU64::new(0),
-            reconfigures: AtomicU64::new(0),
-            sem_wait_count: AtomicU64::new(0),
-            sem_wait_total_ns: AtomicU64::new(0),
-            stripe_lock_acquisitions: AtomicU64::new(0),
-            stripe_lock_contended: AtomicU64::new(0),
-            stripe_false_conflicts: AtomicU64::new(0),
-            read_filter_hits: AtomicU64::new(0),
-            read_filter_misses: AtomicU64::new(0),
-            read_slow_path: AtomicU64::new(0),
-            steal_count: AtomicU64::new(0),
-            deque_overflow: AtomicU64::new(0),
-            sched_handoffs: AtomicU64::new(0),
-            sched_handoffs_elided: AtomicU64::new(0),
-            park_count: AtomicU64::new(0),
-            cm_waits: AtomicU64::new(0),
-            cm_wait_total_ns: AtomicU64::new(0),
-            evicted_reads: AtomicU64::new(0),
-            read_below_floor: AtomicU64::new(0),
-            snapshot_evictions: AtomicU64::new(0),
-            evicted_aborts: AtomicU64::new(0),
-            gc_cycles: AtomicU64::new(0),
-            gc_slices: AtomicU64::new(0),
-            gc_pruned_versions: AtomicU64::new(0),
-            gc_thread_panics: AtomicU64::new(0),
-            mem_soft_events: AtomicU64::new(0),
-            mem_hard_events: AtomicU64::new(0),
-            block_commits: AtomicU64::new(0),
-            txn_reexecutions: AtomicU64::new(0),
+            shards: (0..SHARDS)
+                .map(|_| Shard(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+            hooked_commits: AtomicU64::new(0),
             gauge: Arc::new(VersionHeapGauge::default()),
             hook: AtomicPtr::new(std::ptr::null_mut()),
             retired: Mutex::new(Vec::new()),
@@ -131,11 +244,31 @@ impl Stats {
         Self::default()
     }
 
+    /// This thread's copy of counter `c`.
+    #[inline]
+    fn counter(&self, c: Counter) -> &AtomicU64 {
+        &self.shards[thread_shard()].0[c as usize]
+    }
+
+    #[inline]
+    fn add(&self, c: Counter, n: u64) {
+        self.counter(c).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Add `n` to `c` unless it is zero (a flush with nothing to say).
+    #[inline]
+    fn add_nonzero(&self, c: Counter, n: u64) {
+        if n > 0 {
+            self.add(c, n);
+        }
+    }
+
     /// Record a top-level commit, firing the hook if installed.
     pub fn record_commit_top(&self) {
-        let seq = self.top_commits.fetch_add(1, Ordering::Relaxed) + 1;
+        self.add(Counter::top_commits, 1);
         let hook = self.hook.load(Ordering::Acquire);
         if !hook.is_null() {
+            let seq = self.hooked_commits.fetch_add(1, Ordering::Relaxed) + 1;
             // SAFETY: non-null pointers come from `Box::into_raw` in
             // `set_commit_hook` and are freed only in `drop`; the caller
             // holds `&self`, so the allocation outlives this call even if
@@ -145,42 +278,62 @@ impl Stats {
         }
     }
 
+    /// Count one more top-level commit towards the GC interval on this
+    /// thread's shard; true (and the shard's count reset) once it reaches
+    /// `interval`. Across threads the cycles come at the configured rate:
+    /// each shard asks after `interval` of its own commits.
+    pub(crate) fn gc_due(&self, interval: u64) -> bool {
+        let since = self.counter(Counter::gc_due);
+        if since.fetch_add(1, Ordering::Relaxed) + 1 >= interval {
+            since.store(0, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+
     pub fn record_abort_top(&self) {
-        self.top_aborts.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::top_aborts, 1);
     }
 
     pub fn record_commit_nested(&self) {
-        self.nested_commits.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::nested_commits, 1);
     }
 
     pub fn record_abort_nested(&self) {
-        self.nested_aborts.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::nested_aborts, 1);
+    }
+
+    /// Flush one top-level attempt's inline-child outcomes: `commits`
+    /// children that succeeded and `aborts` that a doomed snapshot failed.
+    pub(crate) fn record_nested(&self, commits: u64, aborts: u64) {
+        self.add_nonzero(Counter::nested_commits, commits);
+        self.add_nonzero(Counter::nested_aborts, aborts);
     }
 
     /// Record an applied `(t, c)` reconfiguration.
     pub fn record_reconfigure(&self) {
-        self.reconfigures.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::reconfigures, 1);
     }
 
-    /// Record a top-level admission wait of `wait_ns` nanoseconds.
+    /// Record one top-level admission that waited `wait_ns` nanoseconds. Every
+    /// admission is counted; only one that had to wait is timed (the gate's
+    /// fast path reads no clock and reports 0).
     pub fn record_sem_wait(&self, wait_ns: u64) {
-        self.sem_wait_count.fetch_add(1, Ordering::Relaxed);
-        self.sem_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
+        self.add(Counter::sem_wait_count, 1);
+        self.add_nonzero(Counter::sem_wait_total_ns, wait_ns);
     }
 
     /// Record one striped commit attempt's lock acquisition: it locked
     /// `total` stripes, `contended` of which needed at least one retry.
     pub fn record_stripe_locks(&self, total: u32, contended: u32) {
-        self.stripe_lock_acquisitions.fetch_add(total as u64, Ordering::Relaxed);
-        if contended > 0 {
-            self.stripe_lock_contended.fetch_add(contended as u64, Ordering::Relaxed);
-        }
+        self.add(Counter::stripe_lock_acquisitions, total as u64);
+        self.add_nonzero(Counter::stripe_lock_contended, contended as u64);
     }
 
     /// Record a commit abort whose stripe-stamp validation failed even though
     /// every read box was individually unchanged (a striping false conflict).
     pub fn record_stripe_false_conflict(&self) {
-        self.stripe_false_conflicts.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::stripe_false_conflicts, 1);
     }
 
     /// Flush one transaction attempt's read-path counters: ancestor-level
@@ -189,52 +342,44 @@ impl Stats {
     /// ancestor fallback lookup (`slow`). Called once per attempt, not per
     /// read — the hot path keeps plain local counters.
     pub fn record_read_path(&self, hits: u64, misses: u64, slow: u64) {
-        if hits > 0 {
-            self.read_filter_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.read_filter_misses.fetch_add(misses, Ordering::Relaxed);
-        }
-        if slow > 0 {
-            self.read_slow_path.fetch_add(slow, Ordering::Relaxed);
-        }
+        self.add_nonzero(Counter::read_filter_hits, hits);
+        self.add_nonzero(Counter::read_filter_misses, misses);
+        self.add_nonzero(Counter::read_slow_path, slow);
     }
 
     /// Record the hand-off decision of one child batch that was allowed
     /// helpers (`c > 1`): published to the pool, or run by its parent alone
     /// because the predicted saving did not cover a hand-off.
     pub fn record_handoff(&self, handed_off: bool) {
-        let counter = if handed_off { &self.sched_handoffs } else { &self.sched_handoffs_elided };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.add(
+            if handed_off { Counter::sched_handoffs } else { Counter::sched_handoffs_elided },
+            1,
+        );
     }
 
     /// Record `n` batch tasks executed by helper workers (either scheduler
     /// rung; flushed once per batch, not per task).
     pub fn record_steals(&self, n: u64) {
-        if n > 0 {
-            self.steal_count.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add_nonzero(Counter::steal_count, n);
     }
 
     /// Record `n` batch tasks that overflowed the fixed steal deque into the
     /// mutex-held spill vector (batch fan-out exceeded the deque capacity).
     pub fn record_deque_overflow(&self, n: u64) {
-        if n > 0 {
-            self.deque_overflow.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add_nonzero(Counter::deque_overflow, n);
     }
 
     /// Record one admission-gate park (a top-level begin that had to block
     /// on the lock-free gate).
     pub fn record_park(&self) {
-        self.park_count.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::park_count, 1);
     }
 
     /// Record one contention-manager backoff wait of `wait_ns`. Zero-wait
     /// decisions (first aborts) are not recorded.
     pub fn record_cm_wait(&self, wait_ns: u64) {
-        self.cm_waits.fetch_add(1, Ordering::Relaxed);
-        self.cm_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
+        self.add(Counter::cm_waits, 1);
+        self.add(Counter::cm_wait_total_ns, wait_ns);
     }
 
     /// The live version-heap gauge. [`crate::Stm::new_vbox`] attaches every
@@ -248,66 +393,58 @@ impl Stats {
     /// snapshot lease expired and was evicted (the attempt is doomed and
     /// will abort at commit).
     pub fn record_evicted_read(&self) {
-        self.evicted_reads.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::evicted_reads, 1);
     }
 
     /// Record a read that found no version ≤ its snapshot while the snapshot
     /// was still registered — a GC watermark invariant violation.
     pub fn record_read_below_floor(&self) {
-        self.read_below_floor.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::read_below_floor, 1);
     }
 
     /// Record `n` snapshot-lease evictions performed by a watermark sweep.
     pub fn record_snapshot_evictions(&self, n: u64) {
-        if n > 0 {
-            self.snapshot_evictions.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add_nonzero(Counter::snapshot_evictions, n);
     }
 
     /// Record a top-level abort caused by snapshot eviction (counted in
     /// addition to the ordinary top-abort counter).
     pub fn record_evicted_abort(&self) {
-        self.evicted_aborts.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::evicted_aborts, 1);
     }
 
     /// Record one completed GC cycle that ran `slices` bounded slices and
     /// pruned `pruned` versions in total.
     pub fn record_gc_cycle(&self, slices: u64, pruned: u64) {
-        self.gc_cycles.fetch_add(1, Ordering::Relaxed);
-        self.gc_slices.fetch_add(slices, Ordering::Relaxed);
-        if pruned > 0 {
-            self.gc_pruned_versions.fetch_add(pruned, Ordering::Relaxed);
-        }
+        self.add(Counter::gc_cycles, 1);
+        self.add(Counter::gc_slices, slices);
+        self.add_nonzero(Counter::gc_pruned_versions, pruned);
     }
 
     /// Record a panic absorbed by the background GC supervisor (the thread
     /// keeps running; the counter is the watchdog's restart evidence).
     pub fn record_gc_thread_panic(&self) {
-        self.gc_thread_panics.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::gc_thread_panics, 1);
     }
 
     /// Record a degradation-ladder escalation to `level`.
     pub fn record_mem_degraded(&self, level: crate::mem::MemLevel) {
         match level {
-            crate::mem::MemLevel::Soft => {
-                self.mem_soft_events.fetch_add(1, Ordering::Relaxed);
-            }
-            crate::mem::MemLevel::Hard => {
-                self.mem_hard_events.fetch_add(1, Ordering::Relaxed);
-            }
+            crate::mem::MemLevel::Soft => self.add(Counter::mem_soft_events, 1),
+            crate::mem::MemLevel::Hard => self.add(Counter::mem_hard_events, 1),
             crate::mem::MemLevel::Normal => {}
         }
     }
 
     /// Record a ledger block committed in deterministic index order.
     pub fn record_block_commit(&self) {
-        self.block_commits.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::block_commits, 1);
     }
 
     /// Record a Block-STM validation abort: the transaction re-runs as a new
     /// incarnation.
     pub fn record_txn_reexecution(&self) {
-        self.txn_reexecutions.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::txn_reexecutions, 1);
     }
 
     /// Install (or replace) the commit hook. Pass `None` to disable.
@@ -326,44 +463,17 @@ impl Stats {
         }
     }
 
-    /// Consistent-enough snapshot of all counters (individually atomic).
+    /// Every counter summed over the shards. Each sum is exact once the
+    /// threads that counted have been joined; while they run, each counter
+    /// is individually a point in its own history, as before sharding.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            top_commits: self.top_commits.load(Ordering::Relaxed),
-            top_aborts: self.top_aborts.load(Ordering::Relaxed),
-            nested_commits: self.nested_commits.load(Ordering::Relaxed),
-            nested_aborts: self.nested_aborts.load(Ordering::Relaxed),
-            reconfigures: self.reconfigures.load(Ordering::Relaxed),
-            sem_wait_count: self.sem_wait_count.load(Ordering::Relaxed),
-            sem_wait_total_ns: self.sem_wait_total_ns.load(Ordering::Relaxed),
-            stripe_lock_acquisitions: self.stripe_lock_acquisitions.load(Ordering::Relaxed),
-            stripe_lock_contended: self.stripe_lock_contended.load(Ordering::Relaxed),
-            stripe_false_conflicts: self.stripe_false_conflicts.load(Ordering::Relaxed),
-            read_filter_hits: self.read_filter_hits.load(Ordering::Relaxed),
-            read_filter_misses: self.read_filter_misses.load(Ordering::Relaxed),
-            read_slow_path: self.read_slow_path.load(Ordering::Relaxed),
-            steal_count: self.steal_count.load(Ordering::Relaxed),
-            deque_overflow: self.deque_overflow.load(Ordering::Relaxed),
-            sched_handoffs: self.sched_handoffs.load(Ordering::Relaxed),
-            sched_handoffs_elided: self.sched_handoffs_elided.load(Ordering::Relaxed),
-            park_count: self.park_count.load(Ordering::Relaxed),
-            cm_waits: self.cm_waits.load(Ordering::Relaxed),
-            cm_wait_total_ns: self.cm_wait_total_ns.load(Ordering::Relaxed),
-            evicted_reads: self.evicted_reads.load(Ordering::Relaxed),
-            read_below_floor: self.read_below_floor.load(Ordering::Relaxed),
-            snapshot_evictions: self.snapshot_evictions.load(Ordering::Relaxed),
-            evicted_aborts: self.evicted_aborts.load(Ordering::Relaxed),
-            gc_cycles: self.gc_cycles.load(Ordering::Relaxed),
-            gc_slices: self.gc_slices.load(Ordering::Relaxed),
-            gc_pruned_versions: self.gc_pruned_versions.load(Ordering::Relaxed),
-            gc_thread_panics: self.gc_thread_panics.load(Ordering::Relaxed),
-            mem_soft_events: self.mem_soft_events.load(Ordering::Relaxed),
-            mem_hard_events: self.mem_hard_events.load(Ordering::Relaxed),
-            block_commits: self.block_commits.load(Ordering::Relaxed),
-            txn_reexecutions: self.txn_reexecutions.load(Ordering::Relaxed),
-            retained_versions: self.gauge.retained_versions(),
-            retained_bytes: self.gauge.retained_bytes(),
+        let mut sums = [0u64; COUNTERS];
+        for shard in self.shards.iter() {
+            for (sum, counter) in sums.iter_mut().zip(&shard.0) {
+                *sum += counter.load(Ordering::Relaxed);
+            }
         }
+        StatsSnapshot::from_sums(&sums, &self.gauge)
     }
 }
 
@@ -387,90 +497,6 @@ impl std::fmt::Debug for Stats {
     }
 }
 
-/// Point-in-time copy of the [`Stats`] counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Committed top-level transactions.
-    pub top_commits: u64,
-    /// Aborted top-level transaction attempts.
-    pub top_aborts: u64,
-    /// Committed nested transactions (all depths).
-    pub nested_commits: u64,
-    /// Aborted nested transaction attempts (sibling conflicts).
-    pub nested_aborts: u64,
-    /// Applied `(t, c)` reconfigurations.
-    pub reconfigures: u64,
-    /// Top-level admission waits recorded.
-    pub sem_wait_count: u64,
-    /// Total nanoseconds spent waiting for top-level admission.
-    pub sem_wait_total_ns: u64,
-    /// Commit stripes locked by striped commit attempts (total).
-    pub stripe_lock_acquisitions: u64,
-    /// Of those, stripes whose acquisition needed at least one retry —
-    /// commit-time contention the global lock used to hide.
-    pub stripe_lock_contended: u64,
-    /// Aborts caused purely by stripe granularity: stamp validation failed
-    /// but every read box was individually unchanged.
-    pub stripe_false_conflicts: u64,
-    /// Ancestor-level read probes the Bloom filter could not rule out.
-    pub read_filter_hits: u64,
-    /// Ancestor-level read probes skipped entirely by the Bloom filter.
-    pub read_filter_misses: u64,
-    /// Reads that performed at least one ancestor fallback lookup.
-    pub read_slow_path: u64,
-    /// Batch tasks executed by helper workers rather than the batch's
-    /// parent (both scheduler rungs).
-    pub steal_count: u64,
-    /// Batch tasks that overflowed the fixed steal deque into the spill
-    /// vector (fan-out larger than the deque capacity).
-    pub deque_overflow: u64,
-    /// Child batches with `c > 1` that were published to the worker pool
-    /// (eagerly, or late once they outlasted the prediction).
-    pub sched_handoffs: u64,
-    /// Child batches with `c > 1` their parent ran alone because the
-    /// predicted parallel saving did not cover one hand-off: short children
-    /// no longer pay a worker wake-up for being allowed helpers.
-    pub sched_handoffs_elided: u64,
-    /// Top-level admissions that parked on the packed admission gate.
-    pub park_count: u64,
-    /// Contention-manager backoff waits. Zero-wait decisions are not
-    /// counted.
-    pub cm_waits: u64,
-    /// Total nanoseconds spent in contention-manager backoff waits.
-    pub cm_wait_total_ns: u64,
-    /// Reads served from the chain floor by a doomed attempt whose snapshot
-    /// lease expired and was evicted.
-    pub evicted_reads: u64,
-    /// Reads that found no version ≤ a still-registered snapshot — GC
-    /// watermark invariant violations (always 0 in a correct build).
-    pub read_below_floor: u64,
-    /// Snapshot registrations evicted because their lease expired.
-    pub snapshot_evictions: u64,
-    /// Top-level aborts attributed to snapshot eviction.
-    pub evicted_aborts: u64,
-    /// Completed version-heap GC cycles (background or inline).
-    pub gc_cycles: u64,
-    /// Bounded GC slices executed across all cycles.
-    pub gc_slices: u64,
-    /// Versions pruned from box chains by the GC.
-    pub gc_pruned_versions: u64,
-    /// Panics absorbed by the background GC supervisor loop.
-    pub gc_thread_panics: u64,
-    /// Degradation-ladder escalations into [`crate::MemLevel::Soft`].
-    pub mem_soft_events: u64,
-    /// Degradation-ladder escalations into [`crate::MemLevel::Hard`].
-    pub mem_hard_events: u64,
-    /// Ledger blocks committed in deterministic index order (both rungs).
-    pub block_commits: u64,
-    /// Block-STM validation aborts: transactions re-run as new incarnations.
-    pub txn_reexecutions: u64,
-    /// Point-in-time retained version count (gauge, not a counter — the
-    /// delta of a gauge is a saturating difference, not a rate).
-    pub retained_versions: u64,
-    /// Point-in-time retained bytes (shallow entry sizes; same gauge caveat).
-    pub retained_bytes: u64,
-}
-
 impl StatsSnapshot {
     /// Abort rate of top-level attempts: aborts / (commits + aborts).
     pub fn top_abort_rate(&self) -> f64 {
@@ -492,60 +518,13 @@ impl StatsSnapshot {
         }
     }
 
-    /// Mean top-level admission wait in nanoseconds (0 when none recorded).
+    /// Mean top-level admission wait in nanoseconds over every admission,
+    /// the ones that did not wait included (0 when none recorded).
     pub fn mean_sem_wait_ns(&self) -> f64 {
         if self.sem_wait_count == 0 {
             0.0
         } else {
             self.sem_wait_total_ns as f64 / self.sem_wait_count as f64
-        }
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            top_commits: self.top_commits.saturating_sub(earlier.top_commits),
-            top_aborts: self.top_aborts.saturating_sub(earlier.top_aborts),
-            nested_commits: self.nested_commits.saturating_sub(earlier.nested_commits),
-            nested_aborts: self.nested_aborts.saturating_sub(earlier.nested_aborts),
-            reconfigures: self.reconfigures.saturating_sub(earlier.reconfigures),
-            sem_wait_count: self.sem_wait_count.saturating_sub(earlier.sem_wait_count),
-            sem_wait_total_ns: self.sem_wait_total_ns.saturating_sub(earlier.sem_wait_total_ns),
-            stripe_lock_acquisitions: self
-                .stripe_lock_acquisitions
-                .saturating_sub(earlier.stripe_lock_acquisitions),
-            stripe_lock_contended: self
-                .stripe_lock_contended
-                .saturating_sub(earlier.stripe_lock_contended),
-            stripe_false_conflicts: self
-                .stripe_false_conflicts
-                .saturating_sub(earlier.stripe_false_conflicts),
-            read_filter_hits: self.read_filter_hits.saturating_sub(earlier.read_filter_hits),
-            read_filter_misses: self.read_filter_misses.saturating_sub(earlier.read_filter_misses),
-            read_slow_path: self.read_slow_path.saturating_sub(earlier.read_slow_path),
-            steal_count: self.steal_count.saturating_sub(earlier.steal_count),
-            deque_overflow: self.deque_overflow.saturating_sub(earlier.deque_overflow),
-            sched_handoffs: self.sched_handoffs.saturating_sub(earlier.sched_handoffs),
-            sched_handoffs_elided: self
-                .sched_handoffs_elided
-                .saturating_sub(earlier.sched_handoffs_elided),
-            park_count: self.park_count.saturating_sub(earlier.park_count),
-            cm_waits: self.cm_waits.saturating_sub(earlier.cm_waits),
-            cm_wait_total_ns: self.cm_wait_total_ns.saturating_sub(earlier.cm_wait_total_ns),
-            evicted_reads: self.evicted_reads.saturating_sub(earlier.evicted_reads),
-            read_below_floor: self.read_below_floor.saturating_sub(earlier.read_below_floor),
-            snapshot_evictions: self.snapshot_evictions.saturating_sub(earlier.snapshot_evictions),
-            evicted_aborts: self.evicted_aborts.saturating_sub(earlier.evicted_aborts),
-            gc_cycles: self.gc_cycles.saturating_sub(earlier.gc_cycles),
-            gc_slices: self.gc_slices.saturating_sub(earlier.gc_slices),
-            gc_pruned_versions: self.gc_pruned_versions.saturating_sub(earlier.gc_pruned_versions),
-            gc_thread_panics: self.gc_thread_panics.saturating_sub(earlier.gc_thread_panics),
-            mem_soft_events: self.mem_soft_events.saturating_sub(earlier.mem_soft_events),
-            mem_hard_events: self.mem_hard_events.saturating_sub(earlier.mem_hard_events),
-            block_commits: self.block_commits.saturating_sub(earlier.block_commits),
-            txn_reexecutions: self.txn_reexecutions.saturating_sub(earlier.txn_reexecutions),
-            retained_versions: self.retained_versions.saturating_sub(earlier.retained_versions),
-            retained_bytes: self.retained_bytes.saturating_sub(earlier.retained_bytes),
         }
     }
 }

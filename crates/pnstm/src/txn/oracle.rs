@@ -3,15 +3,13 @@
 //! ([`crate::Oracle::GlobalLock`]), kept as differential baselines for the shipped
 //! lock-free read and striped commit.
 
-use std::sync::Arc;
-
 use super::{downcast_clone, Txn};
 use crate::error::{TxError, TxResult};
 use crate::fault::FaultKind;
 use crate::vbox::VBox;
 use crate::TxValue;
 
-impl Txn {
+impl Txn<'_> {
     /// [`Txn::read`] under [`crate::Oracle::LockedReads`]: the same lookups, routed
     /// through the own-write-set stand-in mutex and, per ancestor level, the
     /// nest commit lock plus a write-set lock, with no filters — the locking
@@ -22,12 +20,12 @@ impl Txn {
         let id = vbox.id();
         {
             let _g = self.locked_reads.as_ref().expect("a locked-read instance").lock();
-            if let Some(v) = self.ws.get(id) {
-                return downcast_clone::<T>(&v);
+            if let Some(v) = self.sets.ws.get::<T>(id) {
+                return v;
             }
         }
         if !self.scope.is_empty() {
-            self.reads.slow_path += 1;
+            self.counts.slow_path += 1;
         }
         for entry in &self.scope {
             let store_hit = {
@@ -37,13 +35,13 @@ impl Txn {
                 }
                 entry.nest.index.lookup(id, entry.cap)
             };
-            let hit = store_hit.or_else(|| {
+            let hit = store_hit.map(|v| downcast_clone::<T>(&v)).or_else(|| {
                 let _g = entry.nest.ws_mx.lock();
-                entry.ws.get(id)
+                entry.ws.get::<T>(id)
             });
             if let Some(v) = hit {
-                self.rs.record(vbox);
-                return downcast_clone::<T>(&v);
+                self.sets.rs.record(vbox);
+                return v;
             }
         }
         self.read_snapshot(vbox)
@@ -52,8 +50,7 @@ impl Txn {
     /// [`crate::Oracle::GlobalLock`] commit: the original protocol, one commit at a
     /// time under the instance's global commit lock.
     pub(super) fn commit_top_global(&mut self) -> TxResult<()> {
-        let ws = Arc::clone(&self.ws);
-        if ws.is_empty() {
+        if self.sets.ws.is_empty() {
             return Ok(()); // Read-only: serializable at its snapshot.
         }
 
@@ -69,7 +66,7 @@ impl Txn {
         }
         // Validate the whole tree's reads (children's reads were folded into
         // ours at each join).
-        for (_, vbox) in self.rs.iter() {
+        for (_, vbox) in self.sets.rs.iter() {
             if vbox.latest_version() > self.root_read_version {
                 return Err(TxError::Conflict);
             }
@@ -80,9 +77,8 @@ impl Txn {
         // new version number while some boxes still serve old values — and
         // then pass validation against data it never actually read.
         let version = self.shared.clock().now() + 1;
-        for entry in ws.iter() {
-            entry.vbox.install_erased(&entry.value, version);
-        }
+        let (versions, bytes) = self.sets.ws.install(version);
+        self.shared.stats().gauge().add(versions, bytes);
         let published = self.shared.clock().tick();
         debug_assert_eq!(published, version, "commit lock serializes clock ticks");
         Ok(())

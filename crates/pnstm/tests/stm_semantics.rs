@@ -889,3 +889,163 @@ fn a_thousand_box_transaction_commits_and_conserves_the_sum() {
     let sum: i64 = stm.read_only(|tx| boxes.iter().map(|b| tx.read(b)).sum());
     assert_eq!(sum, total);
 }
+
+/// The counters live in per-thread shards that `snapshot()` sums. Once the
+/// counting threads have joined, the sum is exact: writers running inline
+/// children, a third of whose first attempts a child aborts, beside
+/// `read_only` readers. The heap gauge matches the chains before and after a
+/// sweep, and the commit hook's sequence numbers are exactly `1..=N`. (The
+/// inline-GC rung has no collector thread, whose idle cycles would move the
+/// chains under the comparison; the commit path is the shipped one.)
+#[test]
+fn sharded_counters_are_exact_once_the_threads_join() {
+    const WRITERS: usize = 4;
+    const CALLS: usize = 300;
+    let config = StmConfig {
+        degree: ParallelismDegree::new(WRITERS, 1),
+        worker_threads: 1,
+        gc_interval: 0,
+        ..StmConfig::default()
+    };
+    let stm = Stm::with_oracle(config, Some(pnstm::Oracle::InlineGc));
+    // Two boxes per writer, all on distinct stripes: no commit stamps a
+    // stripe another writer reads, so every abort is one a child forces.
+    let mut stripes = std::collections::HashSet::new();
+    let mut boxes = Vec::new();
+    while boxes.len() < 2 * WRITERS {
+        let b = stm.new_vbox(0i64);
+        if stripes.insert(pnstm::stripe_of(b.id())) {
+            boxes.push(b);
+        }
+    }
+    let seqs = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    stm.stats().set_commit_hook(Some(Arc::new({
+        let seqs = Arc::clone(&seqs);
+        move |ev: pnstm::CommitEvent| seqs.lock().push(ev.seq)
+    })));
+    let attempts = AtomicUsize::new(0);
+    let child_commits = Arc::new(AtomicUsize::new(0));
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    stm.read_only(|tx| boxes.iter().map(|b| tx.read(b)).sum::<i64>());
+                }
+            });
+        }
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (stm, mine, attempts) = (&stm, &boxes[2 * w..2 * w + 2], &attempts);
+                let child_commits = Arc::clone(&child_commits);
+                s.spawn(move || {
+                    for call in 0..CALLS {
+                        let mut first = true;
+                        stm.atomic(|tx| {
+                            attempts.fetch_add(1, Ordering::Relaxed);
+                            let fail = std::mem::take(&mut first) && call % 3 == 0;
+                            let tasks: Vec<ChildTask<()>> = mine
+                                .iter()
+                                .enumerate()
+                                .map(|(k, b)| {
+                                    let (b, commits) = (b.clone(), Arc::clone(&child_commits));
+                                    child(move |ct| {
+                                        if fail && k == 1 {
+                                            return Err(TxError::Conflict);
+                                        }
+                                        let v = ct.read(&b);
+                                        ct.write(&b, v + 1);
+                                        commits.fetch_add(1, Ordering::Relaxed);
+                                        Ok(())
+                                    })
+                                })
+                                .collect();
+                            tx.parallel(tasks)?;
+                            Ok(())
+                        })
+                        .expect("a forced abort retries and commits");
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    let calls = (WRITERS * CALLS) as u64;
+    let snap = stm.stats().snapshot();
+    assert_eq!(snap.top_commits, calls);
+    assert_eq!(snap.top_aborts, attempts.load(Ordering::Relaxed) as u64 - calls);
+    assert_eq!(snap.top_aborts, (WRITERS * CALLS.div_ceil(3)) as u64);
+    assert_eq!(snap.nested_commits, child_commits.load(Ordering::Relaxed) as u64);
+    assert_eq!(snap.nested_aborts, 0, "only a doomed snapshot fails an inline child");
+    assert_eq!(snap.sem_wait_count, calls, "every admission is counted");
+    assert_eq!(snap.stripe_lock_acquisitions, 2 * calls);
+    let mut seqs = std::mem::take(&mut *seqs.lock());
+    seqs.sort_unstable();
+    assert!(seqs.iter().copied().eq(1..=calls), "hook seqs are exactly 1..=N");
+
+    let chains = || boxes.iter().map(|b| b.version_count() as u64).sum::<u64>();
+    assert_eq!(chains(), (2 * WRITERS * (CALLS + 1)) as u64);
+    assert_eq!(stm.heap_gauge().retained_versions(), chains());
+    stm.gc();
+    assert_eq!(chains(), boxes.len() as u64);
+    assert_eq!(stm.heap_gauge().retained_versions(), chains());
+}
+
+/// Attempts borrow their read and write sets from a per-thread spare pool.
+/// An attempt opened inside another (on the same or a second `Stm`, deeper
+/// than the pool has spares) and one after a panicking body must each start
+/// from empty sets.
+#[test]
+fn attempt_sets_start_empty_after_panics_and_reentry() {
+    let config = || StmConfig {
+        degree: ParallelismDegree::new(8, 1),
+        worker_threads: 1,
+        ..Default::default()
+    };
+    let (outer, inner) = (Stm::new(config()), Stm::new(config()));
+    let boxes: Vec<VBox<i64>> = (0..6).map(|_| outer.new_vbox(0)).collect();
+    let other = inner.new_vbox(0i64);
+
+    fn nest(stm: &Stm, boxes: &[VBox<i64>], other: &(Stm, VBox<i64>)) {
+        let Some((first, rest)) = boxes.split_first() else { return };
+        stm.atomic(|tx| {
+            assert_eq!(tx.footprint(), (0, 0), "a fresh attempt starts with empty sets");
+            tx.modify(first, |v| v + 1);
+            other
+                .0
+                .atomic(|t2| {
+                    assert_eq!(t2.footprint(), (0, 0), "an attempt on a second Stm starts empty");
+                    t2.modify(&other.1, |v| v + 1);
+                    Ok(())
+                })
+                .expect("the second Stm's transaction commits");
+            nest(stm, rest, other);
+            assert_eq!(tx.footprint(), (1, 1), "the attempts inside left ours alone");
+            Ok(())
+        })
+        .expect("uncontended nesting commits");
+    }
+    let other = (inner.clone(), other);
+    nest(&outer, &boxes, &other);
+    assert!(boxes.iter().all(|b| outer.read_atomic(b) == 1));
+    assert_eq!(inner.read_atomic(&other.1), 6);
+
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        outer.atomic(|tx| -> TxResult<()> {
+            tx.write(&boxes[0], 99);
+            panic!("body panics with a write in its set");
+        })
+    }));
+    assert!(panicked.is_err());
+    outer
+        .atomic(|tx| {
+            assert_eq!(tx.footprint(), (0, 0), "the panicked attempt's write is gone");
+            assert_eq!(tx.read(&boxes[0]), 1);
+            Ok(())
+        })
+        .unwrap();
+}
