@@ -148,7 +148,7 @@ fn drive_closed_loop(
                         thread::sleep(next - now);
                     }
                     let issue = Instant::now();
-                    let Some(permit) = stm.throttle().admit_top_level() else { break };
+                    let Some((permit, _)) = stm.throttle().admit_top_level() else { break };
                     thread::sleep(work);
                     let req = &requests[idx % requests.len()];
                     idx += clients;
