@@ -48,7 +48,7 @@
 
 use parking_lot::Mutex;
 use pnstm::park::{ParkGate, ParkOutcome};
-use pnstm::stats::ewma;
+use pnstm::stats::CostEwma;
 use pnstm::trace::now_ns;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -80,9 +80,9 @@ pub struct BoundedQueue<T> {
     /// When the latest notify was sent, until a woken consumer samples it
     /// (0 = nothing to sample).
     notified_ns: AtomicU64,
-    /// EWMA of notify → the woken consumer's pop: what one poll that pays off
-    /// saves. 0 until the first wake has been measured.
-    wake_cost_ns: AtomicU64,
+    /// Notify → the woken consumer's pop: what one poll that pays off saves.
+    /// 0 until the first wake has been measured.
+    wake_cost_ns: CostEwma,
     /// Polls that paid off (the poller saw the queue fill) since the last one
     /// that ran its budget out.
     streak: AtomicU64,
@@ -100,7 +100,7 @@ impl<T> BoundedQueue<T> {
             mirror: AtomicUsize::new(0),
             polling: AtomicBool::new(false),
             notified_ns: AtomicU64::new(0),
-            wake_cost_ns: AtomicU64::new(0),
+            wake_cost_ns: CostEwma::new(0),
             streak: AtomicU64::new(0),
             consumer_parks: AtomicU64::new(0),
             wakes_sent: AtomicU64::new(0),
@@ -178,7 +178,7 @@ impl<T> BoundedQueue<T> {
     /// Take the poll token if it is free and watch the mirror until the queue
     /// is non-empty or closed, or the budget (module docs) runs out.
     fn poll(&self, start_ns: u64, timeout: Duration) {
-        let wake_cost_ns = self.wake_cost_ns.load(Ordering::Relaxed);
+        let wake_cost_ns = self.wake_cost_ns.get();
         if wake_cost_ns == 0
             || self
                 .polling
@@ -242,12 +242,7 @@ impl<T> BoundedQueue<T> {
         if woken && n > 0 {
             let sent_ns = self.notified_ns.swap(0, Ordering::Relaxed);
             if sent_ns != 0 {
-                // A racing update may be lost: the budget is a heuristic's input.
-                let cost = ewma(
-                    self.wake_cost_ns.load(Ordering::Relaxed),
-                    now_ns().saturating_sub(sent_ns),
-                );
-                self.wake_cost_ns.store(cost, Ordering::Relaxed);
+                self.wake_cost_ns.observe(now_ns().saturating_sub(sent_ns));
             }
         }
         if wake {
@@ -361,7 +356,7 @@ mod tests {
     /// A queue whose poller has history: a measured wake cost of `ns`.
     fn queue_with_wake_cost<T>(capacity: usize, ns: u64) -> Arc<BoundedQueue<T>> {
         let q = BoundedQueue::new(capacity);
-        q.wake_cost_ns.store(ns, Ordering::Relaxed);
+        q.wake_cost_ns.observe(ns);
         Arc::new(q)
     }
 
@@ -502,8 +497,7 @@ mod tests {
             slowest_drain = slowest_drain.max(pushed.elapsed());
             // Pause 0.5–1.5 budgets, so the poller gives up just before, while
             // or just after the next push.
-            let budget = q.wake_cost_ns.load(Ordering::Relaxed)
-                * (1 + q.streak.load(Ordering::Relaxed)).min(8);
+            let budget = q.wake_cost_ns.get() * (1 + q.streak.load(Ordering::Relaxed)).min(8);
             let pause = Duration::from_nanos(budget / 2 + next() % budget.max(1));
             let until = Instant::now() + pause.min(Duration::from_millis(1));
             while Instant::now() < until {

@@ -14,10 +14,12 @@
 //!   lower-indexed write invalidates (or suspends) higher-indexed readers.
 //! * [`sched::BlockScheduler`] — the collaborative execution/validation
 //!   wave machine; invalidated transactions re-run as new incarnations.
-//! * [`BlockExecutor`] — runs the waves on a `pnstm` work-stealing pool
-//!   wired to the host STM's fault/stats/trace plumbing, then installs the
-//!   chain heads as one `Stm::atomic` commit (emitting `block_committed`
-//!   and bumping the `block_commits` counter).
+//! * [`BlockExecutor`] — keeps that state across blocks, runs the waves on
+//!   the calling thread plus, when the hand-off rule and its measured cost
+//!   say helpers pay, a `pnstm` work-stealing pool wired to the host STM's
+//!   fault/stats/trace plumbing, then installs the chain heads of the
+//!   accounts the block names as one `Stm::atomic` commit (emitting
+//!   `block_committed` and bumping the `block_commits` counter).
 //!
 //! ```
 //! use ledger::{BlockExecutor, LedgerConfig, TransferTxn};
@@ -40,4 +42,4 @@ pub mod txn;
 pub use exec::{BlockExecutor, BlockOutcome, LedgerConfig};
 pub use mv::{MvMemory, ReadOrigin, ReadResult};
 pub use sched::BlockScheduler;
-pub use txn::{execute, skewed_block, AccountId, Amount, TransferTxn, TxnOutput};
+pub use txn::{execute, skewed_block, AccountId, Amount, TransferTxn, TxnOutput, WriteSet};

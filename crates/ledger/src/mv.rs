@@ -11,8 +11,11 @@
 //! exact version observed at each account; validation re-resolves the reads
 //! and fails on any mismatch — this is how a lower-indexed write invalidates
 //! higher-indexed reads.
-
-use std::collections::BTreeMap;
+//!
+//! One `MvMemory` serves a whole stream of blocks. Between blocks,
+//! [`MvMemory::clear`] empties exactly the chains the finished block could
+//! have written (the accounts its transactions name), keeping each chain's
+//! capacity, so a steady stream reuses its chains without allocating.
 
 use parking_lot::Mutex;
 
@@ -26,6 +29,28 @@ enum Entry {
     /// The transaction aborted; its next incarnation will likely rewrite
     /// this account. Readers must wait rather than speculate through it.
     Estimate(u32),
+}
+
+/// One chain element: the latest incarnation's write of `txn_idx`.
+#[derive(Debug, Clone, Copy)]
+struct Version {
+    txn_idx: usize,
+    entry: Entry,
+}
+
+/// An account's versions, sorted by transaction index, at most one per
+/// transaction.
+type Chain = Vec<Version>;
+
+/// Where `txn_idx`'s own entry is, or would be inserted, in `chain`.
+fn position(chain: &Chain, txn_idx: usize) -> Result<usize, usize> {
+    // Transactions mostly finish in index order, so the common insert is a
+    // push and the common lookup sits near the end: check there first.
+    match chain.last() {
+        None => Err(0),
+        Some(last) if last.txn_idx < txn_idx => Err(chain.len()),
+        Some(_) => chain.binary_search_by_key(&txn_idx, |v| v.txn_idx),
+    }
 }
 
 /// Where a read resolved, as recorded in the read set and re-checked by
@@ -48,31 +73,30 @@ pub enum ReadResult {
     Blocked { blocking_txn: usize },
 }
 
-/// One transaction's recorded reads: account → origin observed at execution.
-pub type ReadSet = Vec<(AccountId, ReadOrigin)>;
-
-/// The multi-version scratch for one block execution. Chains are per-account
-/// `BTreeMap<txn_idx, Entry>` under a stripe of mutexes; an account is only
-/// ever contended by transactions that actually touch it, and chains hold at
-/// most one entry per transaction (the latest incarnation's).
+/// The multi-version scratch over a fixed account set. Each account's chain
+/// is a small vector sorted by transaction index under its own mutex; an
+/// account is only ever contended by transactions that actually touch it.
 pub struct MvMemory {
-    chains: Vec<Mutex<BTreeMap<usize, Entry>>>,
+    chains: Vec<Mutex<Chain>>,
 }
 
 impl MvMemory {
     pub fn new(accounts: usize) -> Self {
-        Self { chains: (0..accounts).map(|_| Mutex::new(BTreeMap::new())).collect() }
+        Self { chains: (0..accounts).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
     /// Read `account` on behalf of transaction `txn_idx`: the write of the
     /// highest lower-indexed transaction, or the base fallback.
     pub fn read(&self, account: AccountId, txn_idx: usize) -> ReadResult {
         let chain = self.chains[account].lock();
-        match chain.range(..txn_idx).next_back() {
-            Some((&idx, &Entry::Value(inc, v))) => {
+        let below = position(&chain, txn_idx).unwrap_or_else(|at| at);
+        match below.checked_sub(1).map(|i| chain[i]) {
+            Some(Version { txn_idx: idx, entry: Entry::Value(inc, v) }) => {
                 ReadResult::Ok(v, ReadOrigin::Version { txn_idx: idx, incarnation: inc })
             }
-            Some((&idx, &Entry::Estimate(_))) => ReadResult::Blocked { blocking_txn: idx },
+            Some(Version { txn_idx: idx, entry: Entry::Estimate(_) }) => {
+                ReadResult::Blocked { blocking_txn: idx }
+            }
             None => ReadResult::Ok(0, ReadOrigin::Base), // caller substitutes base state
         }
     }
@@ -94,13 +118,21 @@ impl MvMemory {
             if !previous_footprint.contains(&account) {
                 wrote_new = true;
             }
-            self.chains[account].lock().insert(txn_idx, Entry::Value(incarnation, value));
+            let entry = Entry::Value(incarnation, value);
+            let mut chain = self.chains[account].lock();
+            match position(&chain, txn_idx) {
+                Ok(at) => chain[at].entry = entry,
+                Err(at) => chain.insert(at, Version { txn_idx, entry }),
+            }
         }
         // An account written by the previous incarnation but not this one is
         // removed outright — there is no pending rewrite to wait for.
         for &account in previous_footprint {
             if !writes.iter().any(|&(a, _)| a == account) {
-                self.chains[account].lock().remove(&txn_idx);
+                let mut chain = self.chains[account].lock();
+                if let Ok(at) = position(&chain, txn_idx) {
+                    chain.remove(at);
+                }
             }
         }
         wrote_new
@@ -111,10 +143,9 @@ impl MvMemory {
     pub fn convert_writes_to_estimates(&self, txn_idx: usize, footprint: &[AccountId]) {
         for &account in footprint {
             let mut chain = self.chains[account].lock();
-            if let Some(entry) = chain.get_mut(&txn_idx) {
-                let inc = match *entry {
-                    Entry::Value(inc, _) | Entry::Estimate(inc) => inc,
-                };
+            if let Ok(at) = position(&chain, txn_idx) {
+                let entry = &mut chain[at].entry;
+                let (Entry::Value(inc, _) | Entry::Estimate(inc)) = *entry;
                 *entry = Entry::Estimate(inc);
             }
         }
@@ -122,29 +153,38 @@ impl MvMemory {
 
     /// Re-resolve a read set. True iff every read still observes the same
     /// origin (and no estimate has appeared in its place).
-    pub fn validate(&self, txn_idx: usize, reads: &ReadSet) -> bool {
+    pub fn validate(&self, txn_idx: usize, reads: &[(AccountId, ReadOrigin)]) -> bool {
         reads.iter().all(|&(account, origin)| match self.read(account, txn_idx) {
             ReadResult::Ok(_, now) => now == origin,
             ReadResult::Blocked { .. } => false,
         })
     }
 
-    /// The final value of each written account after the block has fully
-    /// executed: the highest-indexed version in each chain. Panics on a
-    /// leftover estimate — the scheduler guarantees none survive to commit.
-    pub fn final_writes(&self) -> Vec<(AccountId, Amount)> {
-        let mut out = Vec::new();
-        for (account, chain) in self.chains.iter().enumerate() {
-            if let Some((&idx, &entry)) = chain.lock().iter().next_back() {
-                match entry {
-                    Entry::Value(_, v) => out.push((account, v)),
-                    Entry::Estimate(_) => {
-                        panic!("estimate for txn {idx} survived to commit (account {account})")
-                    }
-                }
+    /// The final value of `account` after the block has fully executed: the
+    /// head of its chain, `None` if nothing wrote it. Panics on a leftover
+    /// estimate — the scheduler guarantees none survive to commit.
+    pub fn final_write(&self, account: AccountId) -> Option<Amount> {
+        let head = self.chains[account].lock().last().copied()?;
+        match head.entry {
+            Entry::Value(_, v) => Some(v),
+            Entry::Estimate(_) => {
+                panic!("estimate for txn {} survived to commit (account {account})", head.txn_idx)
             }
         }
-        out
+    }
+
+    /// Empty the chains of `accounts`, keeping their capacity. After a block
+    /// this takes every account its transactions name, so no entry of one
+    /// block is visible to the next.
+    pub fn clear(&mut self, accounts: &[AccountId]) {
+        for &account in accounts {
+            self.chains[account].get_mut().clear();
+        }
+    }
+
+    /// Whether every chain is empty: what [`MvMemory::clear`] leaves.
+    pub fn is_clear(&self) -> bool {
+        self.chains.iter().all(|chain| chain.lock().is_empty())
     }
 }
 
@@ -206,14 +246,14 @@ mod tests {
     fn validation_detects_new_lower_write() {
         let mv = MvMemory::new(1);
         let ReadResult::Ok(_, origin) = mv.read(0, 5) else { panic!("blocked") };
-        let reads: ReadSet = vec![(0, origin)];
+        let reads = [(0, origin)];
         assert!(mv.validate(5, &reads));
         mv.apply_writes(3, 0, &[(0, 33)], &[]);
         assert!(!mv.validate(5, &reads), "a lower write must invalidate the base read");
         // Re-reading after the invalidation observes the new version.
         let ReadResult::Ok(v, origin) = mv.read(0, 5) else { panic!("blocked") };
         assert_eq!(v, 33);
-        assert!(mv.validate(5, &vec![(0, origin)]));
+        assert!(mv.validate(5, &[(0, origin)]));
     }
 
     #[test]
@@ -221,6 +261,32 @@ mod tests {
         let mv = MvMemory::new(3);
         mv.apply_writes(0, 0, &[(0, 5)], &[]);
         mv.apply_writes(2, 1, &[(0, 9), (2, 7)], &[]);
-        assert_eq!(mv.final_writes(), vec![(0, 9), (2, 7)]);
+        assert_eq!([0, 1, 2].map(|a| mv.final_write(a)), [Some(9), None, Some(7)]);
+    }
+
+    #[test]
+    fn out_of_order_writes_keep_the_chain_sorted() {
+        let mv = MvMemory::new(1);
+        for idx in [5, 1, 3, 7, 0] {
+            mv.apply_writes(idx, 0, &[(0, idx as u64 * 10)], &[]);
+        }
+        for (reader, seen) in [(1, 0), (2, 10), (4, 30), (6, 50), (8, 70)] {
+            let ReadResult::Ok(v, ReadOrigin::Version { txn_idx, .. }) = mv.read(0, reader) else {
+                panic!("txn {reader} must see a version");
+            };
+            assert_eq!((v, txn_idx as u64 * 10), (seen, seen));
+        }
+        assert_eq!(mv.final_write(0), Some(70));
+    }
+
+    #[test]
+    fn clear_empties_the_named_chains_for_the_next_block() {
+        let mut mv = MvMemory::new(3);
+        mv.apply_writes(0, 0, &[(0, 5), (2, 6)], &[]);
+        mv.convert_writes_to_estimates(0, &[0, 2]);
+        mv.clear(&[0, 2]);
+        assert!(mv.is_clear());
+        assert_eq!(mv.read(0, 9), ReadResult::Ok(0, ReadOrigin::Base));
+        assert_eq!(mv.final_write(2), None);
     }
 }

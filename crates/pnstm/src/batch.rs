@@ -47,7 +47,7 @@ use std::thread;
 use crate::fault::{FaultCtx, FaultKind};
 use crate::park::{ParkGate, IDLE_WAIT};
 use crate::sched::{Task, WorkStealingPool};
-use crate::stats::{ewma, Stats};
+use crate::stats::{CostEwma, Stats};
 use crate::trace::{self, TraceBus, TraceEvent};
 
 /// Hand-off cost before any hand-off has been measured (a parked worker takes
@@ -215,10 +215,10 @@ pub struct PoolShared<R> {
     shutdown: AtomicBool,
     target_size: AtomicUsize,
     live_workers: AtomicUsize,
-    /// `d̄`: EWMA of the parent-observed per-child time in ns; 0 = no history.
-    child_ns: AtomicU64,
-    /// EWMA of publish → first-helper-claim in ns.
-    handoff_ns: AtomicU64,
+    /// `d̄`: the parent-observed per-child time in ns; 0 = no history.
+    child_ns: CostEwma,
+    /// Publish → first-helper-claim in ns.
+    handoff_ns: CostEwma,
 }
 
 impl<R> PoolShared<R> {
@@ -230,11 +230,9 @@ impl<R> PoolShared<R> {
 
     /// One sample of `d̄`: `spent_ns` of parent-observed time over `ran`
     /// tasks. The EWMA's clamp keeps one preempted batch from flipping the
-    /// hand-off decision for the dozen after it. A racing update may be
-    /// lost: both cells are heuristics' inputs.
+    /// hand-off decision for the dozen after it.
     fn observe(&self, spent_ns: u64, ran: u64) {
-        let sample = spent_ns / ran.max(1);
-        self.child_ns.store(ewma(self.child_ns.load(Ordering::Relaxed), sample), Ordering::Relaxed);
+        self.child_ns.observe(spent_ns / ran.max(1));
     }
 }
 
@@ -285,8 +283,8 @@ impl<R: Registry> Pool<R> {
             shutdown: AtomicBool::new(false),
             target_size: AtomicUsize::new(size),
             live_workers: AtomicUsize::new(0),
-            child_ns: AtomicU64::new(0),
-            handoff_ns: AtomicU64::new(HANDOFF_SEED_NS),
+            child_ns: CostEwma::new(0),
+            handoff_ns: CostEwma::new(HANDOFF_SEED_NS),
         });
         let pool = Self { shared, handles: Mutex::new(Vec::new()) };
         pool.spawn_up_to(size);
@@ -398,23 +396,31 @@ impl<R: Registry> Pool<R> {
     /// of it? Only when `n · d̄ · (1 − 1/c)` exceeds the hand-off cost, or the
     /// pool has no history yet; never for `helper_limit == 0` or `n == 1`.
     pub fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
+        self.hand_off_pays(n, self.shared.child_ns.get(), helper_limit)
+    }
+
+    /// The hand-off rule for `n` units of work of `unit_ns` each (0 = no
+    /// history ⇒ true) shared by the caller and at most `helper_limit`
+    /// helpers: does `n · unit_ns · (1 − 1/c)` exceed the learnt hand-off
+    /// cost? [`Pool::publish_now`] asks it with the pool's `d̄`; a caller that
+    /// learns its own cost per unit (the ledger's cost per transaction) asks
+    /// it directly.
+    pub fn hand_off_pays(&self, n: usize, unit_ns: u64, helper_limit: usize) -> bool {
         if helper_limit == 0 || n < 2 {
             return false;
         }
-        let sh = &*self.shared;
-        let child_ns = sh.child_ns.load(Ordering::Relaxed);
-        if child_ns == 0 {
+        if unit_ns == 0 {
             return true; // no history ⇒ eager
         }
         let c = (helper_limit + 1).min(n) as u64;
-        (n as u64).saturating_mul(child_ns) / c * (c - 1) > sh.handoff_ns.load(Ordering::Relaxed)
+        (n as u64).saturating_mul(unit_ns) / c * (c - 1) > self.shared.handoff_ns.get()
     }
 
     /// Asked after each task of a withheld batch with tasks left: has the
     /// caller, `spent_ns` into the batch, spent more than one hand-off cost?
     /// Then the unstarted rest goes to [`Pool::hand_off`] at once.
     pub fn publish_late(&self, spent_ns: u64) -> bool {
-        spent_ns > self.shared.handoff_ns.load(Ordering::Relaxed)
+        spent_ns > self.shared.handoff_ns.get()
     }
 
     /// The caller ran `ran` tasks of a withheld batch with `helper_limit > 0`
@@ -486,9 +492,7 @@ fn worker_loop<R: Registry>(sh: Arc<PoolShared<R>>) {
         let published_ns = batch.published_ns.swap(0, Ordering::Relaxed);
         if published_ns != 0 {
             let took = trace::now_ns().saturating_sub(published_ns);
-            let sample = took.clamp(HANDOFF_MIN_NS, HANDOFF_MAX_NS);
-            sh.handoff_ns
-                .store(ewma(sh.handoff_ns.load(Ordering::Relaxed), sample), Ordering::Relaxed);
+            sh.handoff_ns.observe(took.clamp(HANDOFF_MIN_NS, HANDOFF_MAX_NS));
         }
         while let Some(task) = batch.queue.pop(true, &sh.fault) {
             batch.stolen.fetch_add(1, Ordering::Relaxed);

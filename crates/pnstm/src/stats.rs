@@ -657,6 +657,30 @@ pub fn ewma(old: u64, sample: u64) -> u64 {
     new.max(1)
 }
 
+/// One learnt cost in ns: an [`ewma`] cell that threads share without a
+/// lock. A racing update may be lost, so a cell only ever feeds a heuristic
+/// (the pool's hand-off rule, the ledger's helper decision, the ingress
+/// poller's budget).
+#[derive(Debug, Default)]
+pub struct CostEwma(AtomicU64);
+
+impl CostEwma {
+    /// A cell seeded with `ns`; 0 means no sample yet.
+    pub const fn new(ns: u64) -> Self {
+        Self(AtomicU64::new(ns))
+    }
+
+    /// The current estimate, 0 before the first sample of an unseeded cell.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Fold one sample into the estimate ([`ewma`]).
+    pub fn observe(&self, sample_ns: u64) {
+        self.0.store(ewma(self.get(), sample_ns), Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
