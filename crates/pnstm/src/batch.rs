@@ -17,11 +17,10 @@
 //! exceeds the hand-off cost, where `d̄` is the pool-wide EWMA of the
 //! parent-observed per-child time (dispatch stalls included) and the cost is
 //! the EWMA of measured publish → first-helper-claim latencies, seeded by
-//! [`HANDOFF_SEED_NS`]. The rule is three questions
-//! ([`Pool::publish_now`], [`Pool::publish_late`],
-//! [`Pool::observe_withheld`]) plus [`Pool::hand_off`], the published
-//! branch; `run_batch` below and `Txn::parallel` ask the same three, and a
-//! withheld batch builds no [`Batch`] at all unless it publishes late.
+//! [`HANDOFF_SEED_NS`]. The rule and the withheld loop are written once, in
+//! [`Pool::run_children`]; `run_batch` below and `Txn::parallel_for` are its
+//! two callers, and [`Pool::hand_off`] is the published branch. A withheld
+//! batch builds no [`Batch`] at all unless it publishes late.
 //! Invariants:
 //!
 //! * **Parent is always an executor** — the calling thread drains its own
@@ -29,10 +28,14 @@
 //! * **No history ⇒ eager** — until a pool has observed one batch it
 //!   publishes immediately, exactly like the pre-policy schedulers.
 //! * **Bounded regret** — a withheld batch with tasks still unstarted hands
-//!   them off the moment the parent has spent more than one hand-off cost in
-//!   it, so a mis-predicted long batch loses at most that much.
+//!   them off once the parent has spent more than one hand-off cost in it.
+//!   The clock is read on a schedule ([`clock_stride`]), so a slow tail is
+//!   caught by the time the children run have at most doubled.
 //! * **`helper_limit` still caps helpers**; `helper_limit == 0` runs inline
 //!   and never touches the pool or the clock.
+//! * **No task outlives [`Pool::hand_off`]** — it returns, or unwinds, only
+//!   after every task it was given has run and been dropped, so a task may
+//!   borrow the caller's stack.
 //!
 //! The items here are `pub` only because the public pool aliases name
 //! them; the module itself is private to the crate.
@@ -68,7 +71,7 @@ pub(crate) fn dispatch_stall(fault: &FaultCtx) {
 /// The one `sched_batch` event of a batch of `tasks`: `handoff` holds the
 /// `(stolen, overflowed)` counts of its published part, `None` when the
 /// caller ran all of it.
-pub(crate) fn trace_batch(trace: &TraceBus, tasks: usize, handoff: Option<(usize, usize)>) {
+fn trace_batch(trace: &TraceBus, tasks: usize, handoff: Option<(usize, usize)>) {
     if trace.is_enabled() {
         let (stolen, overflowed) = handoff.unwrap_or_default();
         trace.emit(TraceEvent::SchedBatch {
@@ -236,6 +239,36 @@ impl<R> PoolShared<R> {
     }
 }
 
+/// Children a withheld batch runs before its next clock read: as many as
+/// would fill half of the `left_ns` of hand-off budget still unspent at
+/// `unit_ns` each, and at least one.
+fn clock_stride(left_ns: u64, unit_ns: u64) -> usize {
+    (left_ns / 2 / unit_ns.max(1)).max(1) as usize
+}
+
+/// A published batch's drain barrier: on drop it runs whatever tasks nobody
+/// has claimed (none, unless the caller's own drain unwound), waits for the
+/// helpers' tasks to finish, and retracts the batch. It drops on every exit
+/// from [`Pool::run_published`], unwinding included, which is what lets
+/// [`Pool::hand_off`] promise that no task outlives the call (the
+/// `std::thread::scope` argument).
+struct Published<'a, R: Registry> {
+    sh: &'a PoolShared<R>,
+    batch: &'a Arc<Batch<R::Queue>>,
+    slot: usize,
+}
+
+impl<R: Registry> Drop for Published<'_, R> {
+    fn drop(&mut self) {
+        let Self { sh, batch, slot } = self;
+        while let Some(task) = batch.queue.pop(false, &sh.fault) {
+            let _ = catch_unwind(AssertUnwindSafe(|| batch.run(task)));
+        }
+        batch.join();
+        sh.registry.retract(*slot, batch);
+    }
+}
+
 /// A resizable pool of worker threads that help execute child batches; see
 /// the module docs. [`crate::sched::WorkStealingPool`] is the shipped
 /// instantiation.
@@ -320,7 +353,7 @@ impl<R: Registry> Pool<R> {
         let n = tasks.len();
         let batch = Batch::<R::Queue>::new(tasks, helper_limit);
         batch.published_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
-        let slot = sh.registry.publish(&batch);
+        let published = Published { sh, slot: sh.registry.publish(&batch), batch: &batch };
         sh.idle.wake_all();
         let start = trace::now_ns(); // the hand-off is not child time
         let (mut now, mut mine) = (start, 0u64);
@@ -331,16 +364,15 @@ impl<R: Registry> Pool<R> {
             mine += 1;
             now = trace::now_ns();
         }
-        batch.join();
-        // Helpers that took every task leave the parent nothing to observe
-        // but the batch itself; skipping the sample would freeze `d̄` at
-        // whatever made the batch eager.
+        // The join. Helpers that took every task leave the parent nothing to
+        // observe but the batch itself; skipping the sample would freeze `d̄`
+        // at whatever made the batch eager.
+        drop(published);
         if mine > 0 {
             sh.observe(now - start, mine);
         } else {
             sh.observe(trace::now_ns() - start, n as u64);
         }
-        sh.registry.retract(slot, &batch);
         let (stolen, overflowed) = (batch.stolen.load(Ordering::Relaxed), batch.queue.overflowed());
         sh.stats.record_handoff(true);
         sh.stats.record_steals(stolen as u64);
@@ -355,41 +387,83 @@ impl<R: Registry> Pool<R> {
         if n == 0 {
             return;
         }
-        let sh = &*self.shared;
+        let fault = &self.shared.fault;
         // The caller is always an executor. A panic in a caller-executed
         // task is held and re-raised only after the batch has drained.
-        let mut caller_panic = None;
-        let handoff = if self.publish_now(n, helper_limit) {
-            Some(self.run_published(tasks, helper_limit, &mut caller_panic))
-        } else {
-            // Withheld: the caller runs the tasks straight from the vector.
-            let timed = helper_limit > 0;
-            let start = if timed { trace::now_ns() } else { 0 };
-            let (mut spent, mut ran, mut handoff) = (0, 0, None);
-            let mut tasks = tasks.into_iter();
-            while let Some(task) = tasks.next() {
-                dispatch_stall(&sh.fault);
+        let mut state = (tasks.into_iter(), None);
+        self.run_children(
+            n,
+            helper_limit,
+            &mut state,
+            |(tasks, caller_panic), _| {
+                let task = tasks.next().expect("one task per index");
+                dispatch_stall(fault);
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                     caller_panic.get_or_insert(payload);
                 }
-                if timed {
-                    ran += 1;
-                    spent = trace::now_ns() - start;
-                    if tasks.len() > 0 && self.publish_late(spent) {
-                        let rest = tasks.by_ref().collect();
-                        handoff = Some(self.run_published(rest, helper_limit, &mut caller_panic));
-                    }
+            },
+            |(tasks, caller_panic), _| {
+                self.run_published(tasks.collect(), helper_limit, caller_panic)
+            },
+        );
+        if let Some(payload) = state.1 {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Run a batch of `n` children under the hand-off rule, and emit its one
+    /// `sched_batch` event. `run(state, i)` runs child `i` on the caller;
+    /// `publish(state, from)` hands children `from..n` off (through
+    /// [`Pool::hand_off`] or its panic-holding twin) and returns its
+    /// `(stolen, overflowed)` counts. Children run in index order on the
+    /// caller, each exactly once, and `publish` is called at most once.
+    ///
+    /// This is the one withheld loop. The clock is read before the first
+    /// child and after child `k + min(k, s)`, where `k` children had run at
+    /// the last read and `s` is [`clock_stride`] of the hand-off budget still
+    /// left; always at the end. Once the parent has spent more than one
+    /// hand-off cost, the unstarted rest is published. The batch's time over
+    /// the children it ran is one `d̄` sample.
+    pub(crate) fn run_children<S>(
+        &self,
+        n: usize,
+        helper_limit: usize,
+        state: &mut S,
+        mut run: impl FnMut(&mut S, usize),
+        publish: impl FnOnce(&mut S, usize) -> (usize, usize),
+    ) {
+        let sh = &*self.shared;
+        let handoff = if self.publish_now(n, helper_limit) {
+            Some(publish(state, 0))
+        } else if helper_limit == 0 {
+            (0..n).for_each(|i| run(state, i));
+            None
+        } else {
+            let (budget, child_ns) = (sh.handoff_ns.get(), sh.child_ns.get());
+            let start = trace::now_ns();
+            let (mut next, mut handoff) = (1, None);
+            for i in 0..n {
+                run(state, i);
+                let ran = i + 1;
+                if ran < next && ran < n {
+                    continue;
                 }
-            }
-            if timed {
-                self.observe_withheld(spent, ran, handoff.is_some());
+                let spent = trace::now_ns() - start;
+                if ran == n {
+                    sh.stats.record_handoff(false);
+                } else if spent > budget {
+                    handoff = Some(publish(state, ran));
+                } else {
+                    let unit = child_ns.max(spent / ran as u64);
+                    next = ran + ran.min(clock_stride(budget - spent, unit));
+                    continue;
+                }
+                sh.observe(spent, ran as u64);
+                break;
             }
             handoff
         };
         trace_batch(&sh.trace, n, handoff);
-        if let Some(payload) = caller_panic {
-            resume_unwind(payload);
-        }
     }
 
     /// Should a batch of `n` tasks be published before its caller runs any
@@ -416,29 +490,14 @@ impl<R: Registry> Pool<R> {
         (n as u64).saturating_mul(unit_ns) / c * (c - 1) > self.shared.handoff_ns.get()
     }
 
-    /// Asked after each task of a withheld batch with tasks left: has the
-    /// caller, `spent_ns` into the batch, spent more than one hand-off cost?
-    /// Then the unstarted rest goes to [`Pool::hand_off`] at once.
-    pub fn publish_late(&self, spent_ns: u64) -> bool {
-        spent_ns > self.shared.handoff_ns.get()
-    }
-
-    /// The caller ran `ran` tasks of a withheld batch with `helper_limit > 0`
-    /// in `spent_ns`: one sample of `d̄`. `published` says whether the rest
-    /// was handed off late; a batch that stayed withheld counts as
-    /// `sched_handoffs_elided`.
-    pub fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
-        self.shared.observe(spent_ns, ran as u64);
-        if !published {
-            self.shared.stats.record_handoff(false);
-        }
-    }
-
     /// Publish `tasks` now (`helper_limit > 0`; the caller has already asked
     /// the rule) and run them to completion with the caller as one executor.
     /// Samples `d̄` from the caller's own drain and counts the hand-off.
     /// Returns `(stolen, overflowed)`: tasks helpers ran, and tasks beyond
     /// the registry's fast structure.
+    ///
+    /// Returns, or unwinds, only after every task has run and been dropped,
+    /// so a task may borrow from the caller's stack.
     pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
         let mut caller_panic = None;
         let counts = self.run_published(tasks, helper_limit, &mut caller_panic);
@@ -531,14 +590,15 @@ impl ChildScheduler {
     pub fn run_batch(&self, tasks: Vec<Task>, helper_limit: usize) {
         on_pool!(self, p => p.run_batch(tasks, helper_limit))
     }
-    pub fn publish_now(&self, n: usize, helper_limit: usize) -> bool {
-        on_pool!(self, p => p.publish_now(n, helper_limit))
-    }
-    pub fn publish_late(&self, spent_ns: u64) -> bool {
-        on_pool!(self, p => p.publish_late(spent_ns))
-    }
-    pub fn observe_withheld(&self, spent_ns: u64, ran: usize, published: bool) {
-        on_pool!(self, p => p.observe_withheld(spent_ns, ran, published))
+    pub(crate) fn run_children<S>(
+        &self,
+        n: usize,
+        helper_limit: usize,
+        state: &mut S,
+        run: impl FnMut(&mut S, usize),
+        publish: impl FnOnce(&mut S, usize) -> (usize, usize),
+    ) {
+        on_pool!(self, p => p.run_children(n, helper_limit, state, run, publish))
     }
     pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
         on_pool!(self, p => p.hand_off(tasks, helper_limit))

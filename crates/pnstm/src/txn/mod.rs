@@ -35,6 +35,7 @@ pub(crate) mod sets;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::mem::ManuallyDrop;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -334,61 +335,62 @@ impl<'s> Txn<'s> {
     }
 
     /// Execute `tasks` as parallel nested (child) transactions and return
-    /// their results in task order.
+    /// their results in task order: [`Txn::parallel_for`] over the boxed
+    /// bodies, with the same semantics.
+    pub fn parallel<R: Send + 'static>(
+        &mut self,
+        mut tasks: Vec<ChildTask<R>>,
+    ) -> TxResult<Vec<R>> {
+        let n = tasks.len();
+        let bodies = Bodies(tasks.as_mut_ptr());
+        // SAFETY: `tasks` outlives the call, and `parallel_for` runs each
+        // index on one executor, one attempt after another, so no two
+        // threads ever hold the same body at once.
+        self.parallel_for(n, &|tx, i| unsafe { bodies.call(i, tx) })
+    }
+
+    /// Execute `n` parallel nested (child) transactions, child `i` running
+    /// `f(tx, i)`, and return their results in index order.
     ///
-    /// At most `c` tasks run concurrently, where `c` is the per-tree nested
-    /// limit currently configured on the [`crate::Throttle`] — the calling
-    /// thread itself executes tasks alongside up to `c - 1` shared-pool
-    /// workers, so `c = 1` degenerates to sequential (flat-nesting-like)
-    /// execution. Each child retries automatically on sibling conflicts.
+    /// At most `c` children run concurrently, where `c` is the per-tree
+    /// nested limit currently configured on the [`crate::Throttle`] — the
+    /// calling thread itself executes children alongside up to `c - 1`
+    /// shared-pool workers, so `c = 1` degenerates to sequential
+    /// (flat-nesting-like) execution. Each child retries automatically on
+    /// sibling conflicts; its attempts run one after another on one thread.
     ///
     /// A batch the hand-off rule withholds — always at `c = 1`, and at
     /// `c > 1` when `n · d̄ · (1 − 1/c)` does not cover one hand-off — runs
     /// its children one after another directly on this transaction: no
-    /// nested `Txn`, no sibling validation, and a failing child's writes are
-    /// undone from a journal. Once the withheld children have taken more
-    /// than one hand-off cost, the unstarted rest is published as a nested
-    /// batch. Either way a child sees its earlier siblings' writes and
-    /// [`Txn::depth`] reads one more than here.
+    /// nested `Txn`, no sibling validation, no allocation, and a failing
+    /// child's writes are undone from a journal. Once the withheld children
+    /// have taken more than one hand-off cost, the unstarted rest is
+    /// published as a nested batch. Either way a child sees its earlier
+    /// siblings' writes and [`Txn::depth`] reads one more than here.
     ///
-    /// Errors: the first task error in task order is returned. A
+    /// Errors: the first child error in index order is returned. A
     /// [`TxError::UserAbort`] or exhausted child retry budget
     /// ([`TxError::Conflict`]) aborts the enclosing attempt; a panicking
     /// child is re-raised on this thread once every child has run.
-    pub fn parallel<R: Send + 'static>(&mut self, tasks: Vec<ChildTask<R>>) -> TxResult<Vec<R>> {
-        let n = tasks.len();
+    pub fn parallel_for<R, F>(&mut self, n: usize, f: &F) -> TxResult<Vec<R>>
+    where
+        R: Send,
+        F: Fn(&mut Txn<'_>, usize) -> TxResult<R> + Sync,
+    {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let helper_limit = self.shared.throttle().nested_limit().saturating_sub(1);
-        let mut outcomes = Outcomes::with_capacity(n);
-        let handoff = if self.shared.pool().publish_now(n, helper_limit) {
-            Some(self.run_published(tasks, helper_limit, &mut outcomes))
-        } else {
-            // Withheld: the same loop as `Pool::run_batch`, with each child
-            // run on this transaction's own sets.
-            let timed = helper_limit > 0;
-            let start = if timed { trace::now_ns() } else { 0 };
-            let (mut spent, mut ran, mut handoff) = (0, 0, None);
-            let mut tasks = tasks.into_iter();
-            while let Some(mut body) = tasks.next() {
-                outcomes.push(self.run_inline(&mut body));
-                if timed {
-                    ran += 1;
-                    spent = trace::now_ns() - start;
-                    if tasks.len() > 0 && self.shared.pool().publish_late(spent) {
-                        let rest = tasks.by_ref().collect();
-                        handoff = Some(self.run_published(rest, helper_limit, &mut outcomes));
-                    }
-                }
-            }
-            if timed {
-                self.shared.pool().observe_withheld(spent, ran, handoff.is_some());
-            }
-            handoff
-        };
-        crate::batch::trace_batch(self.shared.trace(), n, handoff);
-        outcomes.finish()
+        let shared = self.shared;
+        let helper_limit = shared.throttle().nested_limit().saturating_sub(1);
+        let mut state = (self, Outcomes::with_capacity(n));
+        shared.pool().run_children(
+            n,
+            helper_limit,
+            &mut state,
+            |(tx, outcomes), i| outcomes.push(tx.run_inline(|tx| f(tx, i))),
+            |(tx, outcomes), from| tx.run_published(f, from..n, helper_limit, outcomes),
+        );
+        state.1.finish()
     }
 
     /// Run one withheld child directly on this transaction: its reads and
@@ -396,7 +398,7 @@ impl<'s> Txn<'s> {
     /// if it fails — error, panic, or a snapshot evicted under it — exactly
     /// its own writes are rolled back. Siblings never overlap here, so there
     /// is nothing to validate between them.
-    fn run_inline<R>(&mut self, body: &mut ChildTask<R>) -> ChildOutcome<R> {
+    fn run_inline<R>(&mut self, body: impl FnOnce(&mut Self) -> TxResult<R>) -> ChildOutcome<R> {
         crate::batch::dispatch_stall(self.shared.fault());
         let traced = self.shared.trace().is_enabled();
         if traced {
@@ -441,29 +443,35 @@ impl<'s> Txn<'s> {
         outcome
     }
 
-    /// Run `tasks` as a published batch of nested transactions, appending
-    /// their outcomes to `outcomes`, and fold the batch into this
-    /// transaction at the join. Returns the hand-off's `(stolen,
-    /// overflowed)` counts.
-    fn run_published<R: Send + 'static>(
+    /// Run `children` as a published batch of nested transactions, child
+    /// `i` running `f(tx, i)`, appending their outcomes to `outcomes`, and
+    /// fold the batch into this transaction at the join. Returns the
+    /// hand-off's `(stolen, overflowed)` counts.
+    fn run_published<R, F>(
         &mut self,
-        tasks: Vec<ChildTask<R>>,
+        f: &F,
+        children: Range<usize>,
         helper_limit: usize,
         outcomes: &mut Outcomes<R>,
-    ) -> (usize, usize) {
+    ) -> (usize, usize)
+    where
+        R: Send,
+        F: Fn(&mut Txn<'_>, usize) -> TxResult<R> + Sync,
+    {
         // Each batch gets a fresh nest context; at join time the batch's
         // committed writes are folded into this transaction's write set and
         // the children's reads into its read set, so the transaction's own
         // sets always describe its complete tentative state.
         let nest = Arc::new(NestCtx::new());
 
-        // Everything the children share, behind one `Arc`. `parent` is the
+        // What the children share, on this stack frame. `parent` is the
         // suspend-point snapshot publication: the write set moves into an
         // `Arc` the children share with its filter (withheld earlier
         // siblings' writes included) until the join takes it back.
         let snapshot = Arc::new(std::mem::take(&mut self.sets.ws));
-        let family = Arc::new(Family {
-            shared: Arc::clone(self.shared),
+        let from = children.start;
+        let family = Family {
+            shared: self.shared,
             root_rv: self.root_read_version,
             depth: self.depth + 1,
             parent: ScopeEntry {
@@ -474,26 +482,29 @@ impl<'s> Txn<'s> {
             },
             inherited: self.scope.clone(),
             evicted: self.evicted.clone(),
-            outcomes: tasks.iter().map(|_| Mutex::new(None)).collect(),
-        });
-        let wrapped: Vec<crate::sched::Task> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(idx, mut body)| {
-                let family = Arc::clone(&family);
-                Box::new(move || {
-                    let outcome =
-                        panic::catch_unwind(AssertUnwindSafe(|| run_child(&family, &mut body)));
-                    *family.outcomes[idx].lock() = Some(outcome);
-                }) as crate::sched::Task
+            outcomes: children.clone().map(|_| Mutex::new(None)).collect(),
+        };
+        let tasks = children
+            .map(|i| {
+                let family = &family;
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_child(family, |tx: &mut Txn<'_>| f(tx, i))
+                    }));
+                    *family.outcomes[i - from].lock() = Some(outcome);
+                });
+                // SAFETY: the task borrows `family` and `f`, both of which
+                // outlive the `hand_off` call below, and `hand_off` returns
+                // or unwinds only after every task it was given has run and
+                // been dropped (its drain barrier, DESIGN §5e).
+                unsafe { std::mem::transmute::<_, crate::sched::Task>(task) }
             })
             .collect();
 
-        let counts = self.shared.pool().hand_off(wrapped, helper_limit);
+        let counts = self.shared.pool().hand_off(tasks, helper_limit);
 
-        // The batch has drained: every child (and its handle on the family)
-        // is gone. Collect the outcomes and take the write set back out of
-        // its snapshot `Arc`.
+        // The batch has drained: every child is gone. Collect the outcomes
+        // and take the write set back out of its snapshot `Arc`.
         for slot in family.outcomes.iter() {
             outcomes.push(slot.lock().take().expect("every child task reports exactly once"));
         }
@@ -737,12 +748,31 @@ impl<R> Outcomes<R> {
     }
 }
 
-/// What the children of one `parallel()` batch share: the scope they inherit
-/// and the index-addressed slots they report into (child `i` writes slot `i`
+/// The boxed bodies of one [`Txn::parallel`] call, addressed by index.
+struct Bodies<R>(*mut ChildTask<R>);
+
+// SAFETY: `Txn::parallel` hands each body to one executor at a time, and a
+// `ChildTask` is `Send`.
+unsafe impl<R> Sync for Bodies<R> {}
+
+impl<R> Bodies<R> {
+    /// Run body `i` on `tx`.
+    ///
+    /// # Safety
+    ///
+    /// `i` is in bounds of the live vector, and no other thread is running
+    /// body `i`.
+    unsafe fn call(&self, i: usize, tx: &mut Txn<'_>) -> TxResult<R> {
+        (*self.0.add(i))(tx)
+    }
+}
+
+/// What the children of one published batch share: the scope they inherit
+/// and the index-addressed slots they report into (child `i` writes its slot
 /// once; the parent reads them after the batch has drained, so the locks
-/// are never contended).
-struct Family<R> {
-    shared: Arc<StmShared>,
+/// are never contended). It lives on the parent's stack for the hand-off.
+struct Family<'a, R> {
+    shared: &'a Arc<StmShared>,
     root_rv: u64,
     depth: u32,
     /// This transaction as the children's nearest scope level (each attempt
@@ -756,17 +786,17 @@ struct Family<R> {
 /// A child's result, or the payload of its panic.
 type ChildOutcome<R> = Result<TxResult<R>, Box<dyn Any + Send>>;
 
-/// Run one child task to completion: retry on sibling conflicts (with a fresh
+/// Run one child to completion: retry on sibling conflicts (with a fresh
 /// nest-clock cap each attempt) and propagate user aborts; a panic unwinds to
-/// the task wrapper in [`Txn::parallel`], which reports it as the outcome.
+/// the task wrapper in `Txn::run_published`, which reports it as the outcome.
 ///
 /// Between attempts the contention manager is consulted
 /// ([`crate::cm::AbortSite::Nested`]): from its second consecutive abort on,
 /// a losing child backs off instead of hot-spinning its way through
 /// `max_nested_retries` immediate re-executions against the same winner.
 fn run_child<R>(
-    family: &Family<R>,
-    body: &mut (dyn FnMut(&mut Txn<'_>) -> TxResult<R> + Send),
+    family: &Family<'_, R>,
+    mut body: impl FnMut(&mut Txn<'_>) -> TxResult<R>,
 ) -> TxResult<R> {
     let Family { shared, root_rv, depth, parent, inherited, evicted, .. } = family;
     let max_retries = shared.config().max_nested_retries;

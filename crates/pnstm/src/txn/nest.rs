@@ -32,7 +32,7 @@
 //! `commit_mx`. A *withheld* batch — every batch at `c = 1`, and the prefix
 //! of one published late — has one executor, the parent thread, and no
 //! `NestCtx` at all: its children run one after another on the parent's own
-//! `Txn` (see `Txn::parallel`). A late-published remainder gets a fresh
+//! `Txn` (see `Txn::parallel_for`). A late-published remainder gets a fresh
 //! `NestCtx` whose parent write-set snapshot already holds the prefix.
 //!
 //! Visibility contract: a nested commit **installs its nodes first and

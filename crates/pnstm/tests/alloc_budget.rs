@@ -141,3 +141,19 @@ fn a_withheld_batch_allocates_only_its_task_vector() {
     };
     assert_eq!(allocations_per_call(&stm, batch), 1.0);
 }
+
+/// Four empty children addressed by index at `c = 1`: a withheld child is a
+/// call on the parent's own sets, with no box, task vector or `Arc`, and the
+/// returned `Vec<()>` allocates nothing.
+#[test]
+fn a_withheld_parallel_for_allocates_nothing() {
+    let (stm, _) = stm(1);
+    let batch = || {
+        stm.atomic(|tx| {
+            tx.parallel_for(4, &|_, _| Ok(()))?;
+            Ok(())
+        })
+        .unwrap()
+    };
+    assert_eq!(allocations_per_call(&stm, batch), 0.0);
+}

@@ -3,12 +3,14 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use pnstm::{
     child, stripe_of, ChildTask, FaultKind, FaultPlan, FaultRule, Oracle, ParallelismDegree, Stm,
-    StmConfig, TxError, Txn, VBox,
+    StmConfig, TxError, TxResult, Txn, VBox,
 };
 
 /// One randomly generated top-level transaction: a list of per-slot deltas;
@@ -338,6 +340,211 @@ fn replay_trees(stm: &Stm, trees: &[Vec<ChildSpec>]) -> (Vec<Vec<i64>>, Vec<i64>
     (seen, state)
 }
 
+/// How a generated child body ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum End {
+    Commit,
+    Abort,
+    Panic,
+}
+
+/// A child body for the three-way replay: commutative counter bumps, a
+/// write of its own box, the reads it returns, an optional batch of kids,
+/// and how it ends. A `slow` body first sleeps past any hand-off budget,
+/// which publishes the rest of a withheld batch late.
+#[derive(Debug, Clone)]
+struct BodySpec {
+    id: usize,
+    bumps: Vec<(usize, i64)>,
+    own: i64,
+    end: End,
+    slow: bool,
+    kids: Vec<BodySpec>,
+}
+
+fn body_leaf() -> impl Strategy<Value = BodySpec> {
+    (proptest::collection::vec((0..TREE_COUNTERS, -5i64..=5), 0..3), 1i64..1000, 0usize..128)
+        .prop_map(|(bumps, own, draw)| BodySpec {
+            id: 0,
+            bumps,
+            own,
+            // One body in sixteen aborts, one panics; one in eight is slow.
+            end: match draw % 16 {
+                0 => End::Abort,
+                1 => End::Panic,
+                _ => End::Commit,
+            },
+            slow: draw / 16 == 0,
+            kids: vec![],
+        })
+}
+
+/// A root batch of 2–4 bodies, some with a batch of 2–3 kids (every batch
+/// has two children, so an always-published run never withholds one).
+fn body_tree() -> impl Strategy<Value = Vec<BodySpec>> {
+    let node = (body_leaf(), 0usize..2, proptest::collection::vec(body_leaf(), 2..4)).prop_map(
+        |(mut node, has_kids, kids)| {
+            if has_kids == 1 {
+                node.kids = kids;
+            }
+            node
+        },
+    );
+    proptest::collection::vec(node, 2..5).prop_map(|mut batch| {
+        number_bodies(&mut batch, &mut 1);
+        batch
+    })
+}
+
+fn number_bodies(batch: &mut [BodySpec], next: &mut usize) {
+    for node in batch {
+        node.id = *next;
+        *next += 1;
+        number_bodies(&mut node.kids, next);
+    }
+}
+
+/// How a batch of bodies runs: `Txn::parallel_for`, `Txn::parallel` over
+/// boxed children, or one after another in the parent's own body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Api {
+    Indexed,
+    Boxed,
+    Flat,
+}
+
+fn run_body(
+    tx: &mut Txn,
+    node: &BodySpec,
+    parent: usize,
+    world: &Arc<TreeWorld>,
+    api: Api,
+) -> TxResult<Vec<i64>> {
+    if node.slow {
+        thread::sleep(Duration::from_millis(1));
+    }
+    for &(c, d) in &node.bumps {
+        let v = tx.read(&world.counters[c]);
+        tx.write(&world.counters[c], v + d);
+    }
+    tx.write(&world.own[node.id], node.own);
+    let mut seen = vec![tx.read(&world.own[parent]), tx.read(&world.own[node.id])];
+    if !node.kids.is_empty() {
+        seen.extend(run_bodies(tx, &node.kids, node.id, world, api)?);
+    }
+    match node.end {
+        End::Commit => Ok(seen),
+        End::Abort => Err(TxError::UserAbort),
+        // `resume_unwind` skips the panic hook's message.
+        End::Panic => panic::resume_unwind(Box::new("injected child panic")),
+    }
+}
+
+/// Run `batch` as `parent`'s children with `api`; a failing child fails
+/// the batch (a panic outranks the first error), and the batch fails the
+/// whole tree.
+fn run_bodies(
+    tx: &mut Txn,
+    batch: &[BodySpec],
+    parent: usize,
+    world: &Arc<TreeWorld>,
+    api: Api,
+) -> TxResult<Vec<i64>> {
+    let seen = match api {
+        Api::Indexed => {
+            tx.parallel_for(batch.len(), &|ct, i| run_body(ct, &batch[i], parent, world, api))?
+        }
+        Api::Boxed => {
+            let tasks: Vec<ChildTask<Vec<i64>>> = batch
+                .iter()
+                .map(|node| {
+                    let (node, world) = (node.clone(), Arc::clone(world));
+                    child(move |ct| run_body(ct, &node, parent, &world, api))
+                })
+                .collect();
+            tx.parallel(tasks)?
+        }
+        Api::Flat => {
+            let (mut seen, mut first_err, mut first_panic) = (Vec::new(), None, None);
+            for node in batch {
+                match panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_body(tx, node, parent, world, api)
+                })) {
+                    Ok(Ok(v)) => seen.push(v),
+                    Ok(Err(e)) => {
+                        first_err.get_or_insert(e);
+                    }
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = first_panic {
+                panic::resume_unwind(payload);
+            }
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+            seen
+        }
+    };
+    Ok(seen.concat())
+}
+
+/// One top-level transaction per tree on one client thread: each tree's
+/// outcome (what its children returned, or how it failed) and the final
+/// committed state.
+fn replay_bodies(
+    stm: &Stm,
+    trees: &[Vec<BodySpec>],
+    api: Api,
+) -> (Vec<Result<Vec<i64>, String>>, Vec<i64>) {
+    let world = Arc::new(TreeWorld {
+        counters: (0..TREE_COUNTERS).map(|_| stm.new_vbox(0i64)).collect(),
+        own: (0..TREE_OWN).map(|_| stm.new_vbox(0i64)).collect(),
+    });
+    let outcomes = trees
+        .iter()
+        .enumerate()
+        .map(|(k, batch)| {
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                stm.atomic(|tx| {
+                    tx.write(&world.own[0], k as i64 + 1);
+                    let v = tx.read(&world.counters[0]);
+                    tx.write(&world.counters[0], v + 100);
+                    run_bodies(tx, batch, 0, &world, api)
+                })
+            }));
+            match run {
+                Ok(Ok(seen)) => Ok(seen),
+                Ok(Err(e)) => Err(format!("{e:?}")),
+                Err(payload) => Err(format!("panic {:?}", payload.downcast_ref::<&str>())),
+            }
+        })
+        .collect();
+    let state = world.counters.iter().chain(&world.own).map(|b| stm.read_atomic(b)).collect();
+    (outcomes, state)
+}
+
+/// An instance at `(1, c)` with `c - 1` workers and an optional fault plan,
+/// its pool taught that children are tiny (so batches start out withheld)
+/// unless `fault` is given.
+fn replay_stm(c: usize, fault: Option<Arc<FaultPlan>>) -> Stm {
+    let warm = fault.is_none() && c > 1;
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(1, c),
+        worker_threads: c - 1,
+        fault,
+        ..StmConfig::default()
+    });
+    if warm {
+        for _ in 0..200 {
+            stm.atomic(|tx| tx.parallel_for(4, &|_, _| Ok(()))).expect("warm-up commits");
+        }
+    }
+    stm
+}
+
 // Striped-commit-specific properties. This block deliberately uses the
 // default `ProptestConfig` (no explicit `cases`) so CI can scale the case
 // count through the `PROPTEST_CASES` environment variable.
@@ -573,5 +780,41 @@ proptest! {
         prop_assert_eq!(snap.sched_handoffs_elided, 0, "a batch stayed inline: {:?}", snap);
         let batches: u64 = trees.iter().map(|t| tree_batches(t)).sum();
         prop_assert!(snap.sched_handoffs >= batches, "{} of {} batches handed off", snap.sched_handoffs, batches);
+    }
+
+    /// `Txn::parallel_for`, `Txn::parallel` over boxed children and a flat
+    /// body replay the same generated child bodies (reads, writes, user
+    /// aborts, panics, a nested batch) to the same outcomes and the same
+    /// committed state, at `c = 1` (every batch withheld), at `c = 2` and
+    /// `c = 4` on pools taught that children are tiny (withheld batches,
+    /// and late publishes behind the slow bodies) and at `c = 4` under a
+    /// 1 ms `ChildStall` on every dispatch (every batch published).
+    #[test]
+    fn indexed_boxed_and_flat_children_replay_alike(
+        trees in proptest::collection::vec(body_tree(), 1..4),
+    ) {
+        let expected = replay_bodies(&replay_stm(1, None), &trees, Api::Flat);
+        let stall = FaultRule::with_probability(1.0).delay_ns(1_000_000);
+        let stall = || Some(Arc::new(FaultPlan::new(7).with_rule(FaultKind::ChildStall, stall)));
+        for api in [Api::Indexed, Api::Boxed] {
+            for (c, fault) in [(1, None), (2, None), (4, None), (4, stall())] {
+                let published = fault.is_some();
+                let stm = replay_stm(c, fault);
+                let before = stm.stats().snapshot();
+                let got = replay_bodies(&stm, &trees, api);
+                prop_assert_eq!(
+                    &got, &expected, "{:?} at c = {} (published: {})", api, c, published
+                );
+                let delta = stm.stats().snapshot().delta_since(&before);
+                if c == 1 {
+                    prop_assert_eq!((delta.sched_handoffs, delta.sched_handoffs_elided), (0, 0));
+                }
+                if published {
+                    prop_assert_eq!(
+                        delta.sched_handoffs_elided, 0, "a batch stayed inline: {:?}", delta
+                    );
+                }
+            }
+        }
     }
 }

@@ -13,8 +13,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pnstm::{
-    child, ChildPool, ChildScheduler, ChildTask, FaultCtx, Oracle, ParallelismDegree, Stats, Stm,
-    StmConfig, Task, TraceBus, WorkStealingPool,
+    child, ChildPool, ChildScheduler, ChildTask, FaultCtx, FaultKind, FaultPlan, FaultRule, Oracle,
+    ParallelismDegree, Stats, Stm, StmConfig, Task, TraceBus, WorkStealingPool,
 };
 
 /// The [`Oracle::MutexSched`] pool, then the shipped scheduler.
@@ -348,5 +348,103 @@ fn a_fresh_pool_hands_off_its_first_batch_eagerly() {
         assert!(snap.steal_count >= 1, "{mode:?}: helpers must be counted on both rungs");
         // Ideal is one child-duration, serial four.
         assert!(took < 3 * CHILD, "{mode:?}: first batch ran serially: {took:?}");
+    }
+}
+
+/// Bounded regret under the clock schedule: a withheld batch reads the clock
+/// after child `k + min(k, s)`, so a slow tail behind fast children is
+/// published by the time the children the parent ran have at most doubled
+/// since the budget ran out. Helpers take the unstarted rest from its front,
+/// so the first index a helper runs is where the parent stopped (give or
+/// take the task or two the mutex rung's parent pops before a helper
+/// arrives).
+#[test]
+fn a_slow_tail_after_fast_children_is_published_within_the_doubling_bound() {
+    let _alone = alone();
+    const FAST: usize = 8;
+    const SLOW: usize = 40;
+    const CHILD: Duration = Duration::from_millis(1);
+    for mode in RUNGS {
+        let (pool, stats) = pool_of(mode, 2);
+        warm_up_with_tiny_batches(&pool, 2);
+        let before = stats.snapshot();
+
+        let parent = thread::current().id();
+        let first_helper_index = Arc::new(AtomicUsize::new(usize::MAX));
+        let tasks: Vec<Task> = (0..FAST + SLOW)
+            .map(|i| {
+                let first = Arc::clone(&first_helper_index);
+                Box::new(move || {
+                    if thread::current().id() != parent {
+                        first.fetch_min(i, Ordering::SeqCst);
+                    }
+                    if i >= FAST {
+                        thread::sleep(CHILD);
+                    }
+                }) as Task
+            })
+            .collect();
+        pool.run_batch(tasks, 2);
+
+        let delta = stats.snapshot().delta_since(&before);
+        assert_eq!(delta.sched_handoffs, 1, "{mode:?}: the slow tail was never published");
+        // The budget (at most 800 µs) runs out inside the first slow child,
+        // the `FAST + 1`-th child run.
+        let first = first_helper_index.load(Ordering::SeqCst);
+        assert!(
+            first <= 2 * (FAST + 1) + 2,
+            "{mode:?}: the parent ran {first} children before a helper joined"
+        );
+    }
+}
+
+/// A published `parallel_for` whose body borrows a vector on the caller's
+/// stack: a panicking child and 200 µs `ChildStall` dispatch stalls still
+/// leave `parallel_for` to return (here: unwind) only after every child has
+/// run to its end, on both rungs and at every round.
+#[test]
+fn a_published_parallel_for_returns_only_after_every_child_ran() {
+    let _alone = alone();
+    const N: usize = 12;
+    for mode in RUNGS {
+        let stall = FaultRule::with_probability(1.0).delay_ns(200_000);
+        let stm = Stm::with_oracle(
+            StmConfig {
+                degree: ParallelismDegree::new(1, 4),
+                worker_threads: 3,
+                fault: Some(Arc::new(FaultPlan::new(11).with_rule(FaultKind::ChildStall, stall))),
+                ..StmConfig::default()
+            },
+            mode,
+        );
+        let cells: Vec<_> = (0..N).map(|_| stm.new_vbox(0i64)).collect();
+        for round in 0..ROUNDS {
+            let finished: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                stm.atomic(|tx| {
+                    tx.parallel_for(N, &|ct, i| {
+                        let v = ct.read(&cells[i]);
+                        ct.write(&cells[i], v + 1);
+                        // Stragglers: the last children outlast the panic.
+                        thread::sleep(Duration::from_micros(if i + 3 >= N { 2_000 } else { 50 }));
+                        finished[i].fetch_add(1, Ordering::SeqCst);
+                        if i == 1 {
+                            resume_unwind(Box::new("injected child panic"));
+                        }
+                        Ok(())
+                    })
+                })
+            }));
+            let payload = outcome.expect_err("the child panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected child panic"), "{mode:?}");
+            let runs: Vec<usize> = finished.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+            assert!(runs.iter().all(|&r| r == 1), "{mode:?} round {round}: {runs:?}");
+        }
+        let snap = stm.stats().snapshot();
+        assert!(snap.sched_handoffs >= ROUNDS as u64, "{mode:?}: a batch stayed withheld");
+        assert!(snap.steal_count >= 1, "{mode:?}: no helper ran a child");
+        for cell in &cells {
+            assert_eq!(stm.read_atomic(cell), 0, "{mode:?}: a panicking tree committed");
+        }
     }
 }

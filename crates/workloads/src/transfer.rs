@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ledger::txn::{execute, skewed_block, Amount, TransferTxn};
 use pnstm::throttle::Permit;
-use pnstm::{child, ChildTask, Stm, StmError, TxResult, VBox};
+use pnstm::{Stm, StmError, TxResult, Txn, VBox};
 
 /// One ingress request: a batch of transfers committed atomically as a
 /// single top-level transaction (all-or-nothing under retry, children run
@@ -67,11 +67,7 @@ impl TransferWorkload {
     /// admission happens inside [`Stm::atomic`]). Returns the number of
     /// transfers whose balance check passed.
     pub fn run(&self, stm: &Stm, req: &TransferRequest) -> Result<usize, StmError> {
-        stm.atomic(|tx| {
-            let tasks = self.child_tasks(req);
-            let applied = tx.parallel::<bool>(tasks)?;
-            Ok(applied.into_iter().filter(|a| *a).count())
-        })
+        stm.atomic(|tx| self.apply(tx, req))
     }
 
     /// Execute one request under an already-held top-level permit (the
@@ -84,33 +80,23 @@ impl TransferWorkload {
         permit: Permit,
         req: &TransferRequest,
     ) -> Result<usize, StmError> {
-        stm.atomic_admitted(permit, |tx| {
-            let tasks = self.child_tasks(req);
-            let applied = tx.parallel::<bool>(tasks)?;
-            Ok(applied.into_iter().filter(|a| *a).count())
-        })
+        stm.atomic_admitted(permit, |tx| self.apply(tx, req))
     }
 
-    /// One child per transfer. Rebuilt on every (re)execution attempt —
-    /// children move their inputs because they run on pool threads.
-    fn child_tasks(&self, req: &TransferRequest) -> Vec<ChildTask<bool>> {
-        req.transfers
-            .iter()
-            .map(|t| {
-                let accounts = Arc::clone(&self.accounts);
-                let txn = *t;
-                child(move |ct| -> TxResult<bool> {
-                    // VBox reads never fail; the error type is vestigial here
-                    // (the ledger executor uses it for ESTIMATE-blocked reads).
-                    let (writes, out) = execute(&txn, |a| Ok::<_, ()>(ct.read(&accounts[a])))
-                        .expect("VBox reads are infallible");
-                    for (a, v) in writes {
-                        ct.write(&accounts[a], v);
-                    }
-                    Ok(out.applied)
-                })
-            })
-            .collect()
+    /// One child per transfer, addressed by its index in the request.
+    fn apply(&self, tx: &mut Txn<'_>, req: &TransferRequest) -> TxResult<usize> {
+        let applied = tx.parallel_for(req.transfers.len(), &|ct, i| {
+            // VBox reads never fail; the error type is vestigial here (the
+            // ledger executor uses it for ESTIMATE-blocked reads).
+            let (writes, out) =
+                execute(&req.transfers[i], |a| Ok::<_, ()>(ct.read(&self.accounts[a])))
+                    .expect("VBox reads are infallible");
+            for (a, v) in writes {
+                ct.write(&self.accounts[a], v);
+            }
+            Ok(out.applied)
+        })?;
+        Ok(applied.into_iter().filter(|a| *a).count())
     }
 }
 
