@@ -80,7 +80,8 @@ fn run(mode: Option<Oracle>, leases: bool, cfg: &Config) -> RunStats {
     let config = StmConfig {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 1,
-        gc_interval: 64,
+        // 64 commits of the default 4 writes.
+        gc_interval: 256,
         mem: MemConfig { snapshot_lease: lease, ..MemConfig::default() },
         ..StmConfig::default()
     };
@@ -170,7 +171,7 @@ fn main() {
     let cfg = parse_args();
     println!("# mem_ceiling: version-heap bound under sustained writes + one parked reader");
     println!(
-        "# {} boxes, {} ops x {} writes, lease {} ms, gc every 64 commits",
+        "# {} boxes, {} ops x {} writes, lease {} ms, gc every 256 versions",
         cfg.boxes, cfg.ops, cfg.writes, cfg.lease_ms
     );
 

@@ -270,8 +270,6 @@ pub struct BlockExecutor {
     /// Wall time per transaction of the waves of a block run with helpers,
     /// hand-off and join included.
     helped_ns: CostEwma,
-    /// Versions installed since the executor last asked for a GC cycle.
-    unswept: AtomicUsize,
     /// Replay blocks one `Stm::atomic` per transaction instead (the
     /// sequential oracle).
     #[cfg(any(test, feature = "oracle"))]
@@ -303,7 +301,6 @@ impl BlockExecutor {
             engine,
             solo_ns: CostEwma::new(0),
             helped_ns: CostEwma::new(0),
-            unswept: AtomicUsize::new(0),
             #[cfg(any(test, feature = "oracle"))]
             sequential: false,
         }
@@ -436,27 +433,15 @@ impl BlockExecutor {
         // construction, the values the highest-indexed writer of each
         // account produced, so one atomic install realises the whole block.
         // An account the block left at its base value needs no new version.
-        let installed = self.stm.atomic(|tx| {
-            let mut installed = 0;
+        self.stm.atomic(|tx| {
             for &account in &engine.touched {
                 match engine.mv.final_write(account) {
-                    Some(v) if v != engine.base[account] => {
-                        tx.write(&self.accounts[account], v);
-                        installed += 1;
-                    }
+                    Some(v) if v != engine.base[account] => tx.write(&self.accounts[account], v),
                     _ => {}
                 }
             }
-            Ok(installed)
+            Ok(())
         })?;
-        // The collector runs every so many commits, and a block is one commit
-        // of hundreds of versions: left to that pace, the superseded versions
-        // of a fast stream pile up between cycles. Ask for a cycle once the
-        // blocks since the last ask have installed one version per account.
-        if self.unswept.fetch_add(installed, Ordering::Relaxed) + installed >= self.accounts.len() {
-            self.unswept.store(0, Ordering::Relaxed);
-            self.stm.request_gc();
-        }
         let reexecutions = engine.sched.aborts();
         self.note_block_commit(n, reexecutions);
         let outputs = engine.slots[..n]

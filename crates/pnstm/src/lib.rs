@@ -79,7 +79,6 @@
 
 pub mod clock;
 pub mod cm;
-pub mod collections;
 pub mod error;
 pub mod fault;
 pub mod mem;
@@ -100,7 +99,6 @@ mod batch;
 mod runtime;
 
 pub use cm::AbortSite;
-pub use collections::{TArray, TCounter, TMap};
 pub use error::{StmError, TxError, TxResult};
 pub use fault::{FaultAction, FaultCtx, FaultKind, FaultPlan, FaultRule};
 pub use mem::{MemConfig, MemLevel, VersionHeapGauge};

@@ -14,10 +14,10 @@
 //!    [`crate::StatsSnapshot`] and the `mem_pressure` trace event.
 //! 2. **Incremental background GC** — the whole-heap sweep runs off the
 //!    commit path on a dedicated, panic-supervised collector thread that
-//!    prunes in bounded slices ([`MemConfig::gc_slice_boxes`] boxes at a
-//!    time, yielding between slices); a committer that trips the GC interval
-//!    only *nudges* the collector. (The old synchronous sweep on the
-//!    committer is the `oracle` feature's `InlineGc` rung.)
+//!    prunes in bounded slices (128 boxes at a time, yielding between
+//!    slices); a committer that trips the GC interval only *nudges* the
+//!    collector. (The old synchronous sweep on the committer is the
+//!    `oracle` feature's `InlineGc` rung.)
 //! 3. **Snapshot leases** — runtime snapshots expire
 //!    ([`MemConfig::snapshot_lease`]); an expired snapshot stops pinning the
 //!    watermark and its owner aborts with
@@ -36,11 +36,6 @@ use std::time::Duration;
 /// Memory-robustness configuration ([`crate::StmConfig::mem`]).
 #[derive(Debug, Clone)]
 pub struct MemConfig {
-    /// Boxes pruned per background-GC slice before the collector yields the
-    /// CPU (and re-checks shutdown). Smaller slices mean finer-grained
-    /// interleaving with mutators at more per-slice overhead. Read once at
-    /// construction (clamped to ≥ 1).
-    pub gc_slice_boxes: usize,
     /// Lease on runtime snapshots: a transaction older than this stops
     /// pinning the GC watermark and is evicted (aborting with
     /// [`crate::StmError::SnapshotEvicted`] at its next read/commit).
@@ -52,7 +47,6 @@ pub struct MemConfig {
     pub urgent_lease: Duration,
     /// Retained-version count at which the ladder enters [`MemLevel::Soft`]
     /// (urgent GC + shortened leases). `u64::MAX` disables the ladder.
-    /// Runtime-adaptable ([`crate::Stm::set_mem_soft_ceiling`]).
     pub soft_ceiling_versions: u64,
     /// Retained-version count at which the ladder enters [`MemLevel::Hard`]
     /// (admission backpressure: one top-level transaction at a time until
@@ -63,7 +57,6 @@ pub struct MemConfig {
 impl Default for MemConfig {
     fn default() -> Self {
         Self {
-            gc_slice_boxes: 128,
             snapshot_lease: Some(Duration::from_secs(30)),
             urgent_lease: Duration::from_millis(50),
             soft_ceiling_versions: 1 << 20,
@@ -164,24 +157,21 @@ impl MemLevel {
 /// transition re-runs the urgent side effects).
 const LADDER_HYSTERESIS_DIV: u64 = 4;
 
-/// Runtime state of the memory ladder: the current level and the live
-/// ceilings (initialised from [`MemConfig`], then adjustable at run time),
-/// plus the fixed GC slice budget.
+/// Runtime state of the memory ladder: the current level and the
+/// ceilings of [`MemConfig`].
 #[derive(Debug)]
 pub(crate) struct MemState {
     level: AtomicU8,
-    soft_ceiling: AtomicU64,
-    hard_ceiling: AtomicU64,
-    gc_slice_boxes: usize,
+    soft_ceiling: u64,
+    hard_ceiling: u64,
 }
 
 impl MemState {
     pub(crate) fn new(cfg: &MemConfig) -> Self {
         Self {
             level: AtomicU8::new(MemLevel::Normal.as_u8()),
-            soft_ceiling: AtomicU64::new(cfg.soft_ceiling_versions),
-            hard_ceiling: AtomicU64::new(cfg.hard_ceiling_versions),
-            gc_slice_boxes: cfg.gc_slice_boxes.max(1),
+            soft_ceiling: cfg.soft_ceiling_versions,
+            hard_ceiling: cfg.hard_ceiling_versions,
         }
     }
 
@@ -189,32 +179,11 @@ impl MemState {
         MemLevel::from_u8(self.level.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn soft_ceiling(&self) -> u64 {
-        self.soft_ceiling.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn hard_ceiling(&self) -> u64 {
-        self.hard_ceiling.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_soft_ceiling(&self, versions: u64) {
-        self.soft_ceiling.store(versions, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_hard_ceiling(&self, versions: u64) {
-        self.hard_ceiling.store(versions, Ordering::Relaxed);
-    }
-
-    pub(crate) fn gc_slice_boxes(&self) -> usize {
-        self.gc_slice_boxes
-    }
-
     /// The level `retained` versions map to, with hysteresis against the
     /// current level (dropping a rung requires receding a quarter below its
     /// ceiling).
     fn target_level(&self, retained: u64, current: MemLevel) -> MemLevel {
-        let soft = self.soft_ceiling();
-        let hard = self.hard_ceiling();
+        let (soft, hard) = (self.soft_ceiling, self.hard_ceiling);
         let eased = |ceiling: u64| ceiling.saturating_sub(ceiling / LADDER_HYSTERESIS_DIV);
         if retained >= hard || (current >= MemLevel::Hard && retained >= eased(hard)) {
             MemLevel::Hard
@@ -292,22 +261,6 @@ mod tests {
         assert_eq!(s.transition(160), None);
         assert_eq!(s.transition(140), Some((MemLevel::Hard, MemLevel::Soft)));
         assert_eq!(s.transition(10), Some((MemLevel::Soft, MemLevel::Normal)));
-    }
-
-    #[test]
-    fn ladder_knobs_are_runtime_adjustable() {
-        let s = MemState::new(&MemConfig::default());
-        s.set_soft_ceiling(10);
-        s.set_hard_ceiling(20);
-        assert_eq!(s.soft_ceiling(), 10);
-        assert_eq!(s.hard_ceiling(), 20);
-        assert_eq!(s.transition(15), Some((MemLevel::Normal, MemLevel::Soft)));
-    }
-
-    #[test]
-    fn slice_budget_clamps_to_one() {
-        let s = MemState::new(&MemConfig { gc_slice_boxes: 0, ..MemConfig::default() });
-        assert_eq!(s.gc_slice_boxes(), 1);
     }
 
     #[test]

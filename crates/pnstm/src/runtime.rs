@@ -39,15 +39,19 @@ pub struct StmConfig {
     /// Retry budget for a child transaction fighting sibling conflicts
     /// before the conflict is escalated to the whole tree.
     pub max_nested_retries: u64,
-    /// Run version garbage collection every this many top-level commits
-    /// (0 disables automatic GC; [`Stm::gc`] can still be called manually).
+    /// Ask for a version-GC cycle every this many versions installed by
+    /// top-level commits, counted per counter shard: between requested
+    /// cycles a committing shard installs at most `gc_interval` versions
+    /// plus one commit. Read-only commits count nothing. 0 disables
+    /// automatic GC ([`Stm::gc`] can still be called manually); 1 asks after
+    /// every writing commit.
     pub gc_interval: u64,
     /// Deterministic fault-injection plan for chaos testing
     /// ([`crate::fault`]). `None` (the default) disables the layer: every
     /// injection site then costs a single branch.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Memory-robustness configuration: GC slice budget, snapshot leases,
-    /// and the degradation-ladder ceilings (see [`MemConfig`]).
+    /// Memory-robustness configuration: snapshot leases and the
+    /// degradation-ladder ceilings (see [`MemConfig`]).
     pub mem: MemConfig,
 }
 
@@ -59,7 +63,7 @@ impl Default for StmConfig {
             worker_threads: cores,
             max_retries: 10_000,
             max_nested_retries: 10_000,
-            gc_interval: 256,
+            gc_interval: 4096,
             fault: None,
             mem: MemConfig::default(),
         }
@@ -86,6 +90,10 @@ const GC_SHUTDOWN: u8 = 4;
 /// (and evicted snapshots stop pinning the watermark) even when no commits
 /// arrive to nudge it.
 const GC_IDLE_WAKEUP: Duration = Duration::from_millis(50);
+
+/// Boxes pruned per GC slice before the collector yields the CPU. A sweep
+/// of the level found none faster than 128 (DESIGN §5j).
+const GC_SLICE_BOXES: usize = 128;
 
 impl GcCtl {
     fn nudge(&self, urgent: bool) {
@@ -200,11 +208,11 @@ impl StmShared {
     }
 
     /// One full GC pass over the box registry, in bounded slices of at most
-    /// [`MemState::gc_slice_boxes`] boxes. The registry lock is held only
-    /// while a slice's strong references are collected (O(slice)), never
-    /// while chains are pruned, and the collector yields the CPU between
-    /// slices — so neither `register_vbox` nor any commit waits behind a
-    /// whole-heap sweep. Returns the number of boxes whose chains shrank.
+    /// [`GC_SLICE_BOXES`] boxes. The registry lock is held only while a
+    /// slice's strong references are collected (O(slice)), never while
+    /// chains are pruned, and the collector yields the CPU between slices —
+    /// so neither `register_vbox` nor any commit waits behind a whole-heap
+    /// sweep. Returns the number of boxes whose chains shrank.
     ///
     /// The background collector and the [`Oracle::InlineGc`] committer run
     /// this same function: the two can only differ in *when* versions are
@@ -221,11 +229,10 @@ impl StmShared {
             if let Some(action) = self.fault.inject(FaultKind::GcStall) {
                 action.stall();
             }
-            let slice_max = self.mem_state.gc_slice_boxes();
-            let mut slice: Vec<Arc<dyn AnyVBox>> = Vec::with_capacity(slice_max);
+            let mut slice: Vec<Arc<dyn AnyVBox>> = Vec::with_capacity(GC_SLICE_BOXES);
             {
                 let mut boxes = self.boxes.lock();
-                while cursor < boxes.len() && slice.len() < slice_max {
+                while cursor < boxes.len() && slice.len() < GC_SLICE_BOXES {
                     match boxes[cursor].upgrade() {
                         Some(b) => {
                             slice.push(b);
@@ -275,18 +282,14 @@ impl StmShared {
         // (`in_gc_cycle` — an inline escalation here must not recurse into
         // another cycle while this one holds the cycle lock; this sweep
         // already was the urgent GC.)
-        self.check_mem_pressure_at(true);
+        self.check_mem_pressure(true);
         pruned_boxes
     }
 
     /// Evaluate the degradation ladder against the live gauge; the winner of
     /// a level transition enacts its side effects. One relaxed load and a
     /// compare on the no-transition path.
-    pub(crate) fn check_mem_pressure(&self) {
-        self.check_mem_pressure_at(false);
-    }
-
-    fn check_mem_pressure_at(&self, in_gc_cycle: bool) {
+    fn check_mem_pressure(&self, in_gc_cycle: bool) {
         let retained = self.stats.gauge().retained_versions();
         if let Some((from, to)) = self.mem_state.transition(retained) {
             self.enact_mem_transition(from, to, retained, in_gc_cycle);
@@ -332,12 +335,14 @@ impl StmShared {
         }
     }
 
-    fn maybe_auto_gc(&self) {
+    /// Pace the collector after a top-level commit that installed
+    /// `versions`.
+    fn maybe_auto_gc(&self, versions: u64) {
         // Ladder check on every commit: a relaxed load and a compare unless
         // a ceiling was crossed.
-        self.check_mem_pressure();
+        self.check_mem_pressure(false);
         let interval = self.config.gc_interval;
-        if interval != 0 && self.stats.gc_due(interval) {
+        if interval != 0 && versions != 0 && self.stats.gc_due(versions, interval) {
             self.request_cycle(false, false);
         }
     }
@@ -561,7 +566,7 @@ impl Stm {
                 let mut tx = Txn::top(&self.shared, snap.version(), snap.eviction_flag());
                 match body(&mut tx) {
                     Ok(value) => match tx.commit_top() {
-                        Ok(()) => {
+                        Ok(versions) => {
                             self.shared.stats.record_commit_top();
                             if trace.is_enabled() {
                                 trace.emit(TraceEvent::TxCommit {
@@ -570,7 +575,7 @@ impl Stm {
                                     at_ns: trace::now_ns(),
                                 });
                             }
-                            self.shared.maybe_auto_gc();
+                            self.shared.maybe_auto_gc(versions);
                             return Ok(value);
                         }
                         Err(TxError::Conflict) if tx.snapshot_evicted() => AbortSite::Evicted,
@@ -772,12 +777,6 @@ impl Stm {
         self.shared.run_gc_cycle(false)
     }
 
-    /// Wake the background collector. Returns immediately; use [`Stm::gc`]
-    /// for a synchronous sweep.
-    pub fn request_gc(&self) {
-        self.shared.gc_ctl.nudge(false);
-    }
-
     /// The degradation-ladder level currently in force.
     pub fn mem_level(&self) -> MemLevel {
         self.shared.mem_state.level()
@@ -788,36 +787,10 @@ impl Stm {
         self.shared.stats.gauge()
     }
 
-    /// The ladder's soft ceiling (retained versions) currently in force.
-    pub fn mem_soft_ceiling(&self) -> u64 {
-        self.shared.mem_state.soft_ceiling()
-    }
-
-    /// Retune the soft ceiling live (`u64::MAX` disables the rung). An
-    /// actuation point for tuners trading memory headroom against GC work.
-    pub fn set_mem_soft_ceiling(&self, versions: u64) {
-        self.shared.mem_state.set_soft_ceiling(versions);
-        self.shared.check_mem_pressure();
-    }
-
-    /// Retune the hard ceiling live (`u64::MAX` disables the rung).
-    pub fn set_mem_hard_ceiling(&self, versions: u64) {
-        self.shared.mem_state.set_hard_ceiling(versions);
-        self.shared.check_mem_pressure();
-    }
-
     /// The snapshot lease currently in force (`None` = leasing disabled).
     /// While the ladder is degraded this reads the urgent lease.
     pub fn snapshot_lease(&self) -> Option<Duration> {
         self.shared.registry.lease()
-    }
-
-    /// Change the lease applied to snapshots registered from now on
-    /// (`None` disables leasing). In-flight registrations keep their
-    /// deadlines. Note a later ladder recovery restores the *configured*
-    /// lease, not this override.
-    pub fn set_snapshot_lease(&self, lease: Option<Duration>) {
-        self.shared.registry.set_lease(lease);
     }
 
     /// Number of live registered snapshots (running transactions).

@@ -278,13 +278,14 @@ impl Stats {
         }
     }
 
-    /// Count one more top-level commit towards the GC interval on this
-    /// thread's shard; true (and the shard's count reset) once it reaches
-    /// `interval`. Across threads the cycles come at the configured rate:
-    /// each shard asks after `interval` of its own commits.
-    pub(crate) fn gc_due(&self, interval: u64) -> bool {
+    /// Count the `versions` a top-level commit installed towards the GC
+    /// interval on this thread's shard; true (and the shard's count reset)
+    /// once it reaches `interval`. Across threads the cycles come at the
+    /// configured rate: each shard asks after `interval` of its own
+    /// versions, plus at most the one commit that crossed it.
+    pub(crate) fn gc_due(&self, versions: u64, interval: u64) -> bool {
         let since = self.counter(Counter::gc_due);
-        if since.fetch_add(1, Ordering::Relaxed) + 1 >= interval {
+        if since.fetch_add(versions, Ordering::Relaxed) + versions >= interval {
             since.store(0, Ordering::Relaxed);
             return true;
         }

@@ -562,8 +562,9 @@ impl<'s> Txn<'s> {
     }
 
     /// Commit a top-level transaction: validate the tree's reads and install
-    /// the tree's writes at a fresh global version.
-    pub(crate) fn commit_top(&mut self) -> TxResult<()> {
+    /// the tree's writes at a fresh global version. Returns the number of
+    /// versions installed (0 for a read-only commit), the GC pace's unit.
+    pub(crate) fn commit_top(&mut self) -> TxResult<u64> {
         debug_assert_eq!(self.depth, 0, "commit_top on a nested transaction");
         // An evicted snapshot aborts at its commit point: the versions it
         // read may already be pruned, and committing would legitimize reads
@@ -593,9 +594,9 @@ impl<'s> Txn<'s> {
     /// because a committer with a *smaller* version could lock, install and
     /// release a stripe we read in the window between the first pass and our
     /// reservation.
-    fn commit_top_striped(&mut self) -> TxResult<()> {
+    fn commit_top_striped(&mut self) -> TxResult<u64> {
         if self.sets.ws.is_empty() {
-            return Ok(()); // Read-only: serializable at its snapshot.
+            return Ok(0); // Read-only: serializable at its snapshot.
         }
         let shared = self.shared;
         let table = shared.stripes();
@@ -649,7 +650,7 @@ impl<'s> Txn<'s> {
         shared.stats().gauge().add(versions, bytes);
         shared.clock().publish(version);
         table.release_committed(&self.sets.footprint, version);
-        Ok(())
+        Ok(versions)
     }
 
     /// Validate the whole tree's reads (children's reads were folded into

@@ -49,9 +49,9 @@ impl Txn<'_> {
 
     /// [`crate::Oracle::GlobalLock`] commit: the original protocol, one commit at a
     /// time under the instance's global commit lock.
-    pub(super) fn commit_top_global(&mut self) -> TxResult<()> {
+    pub(super) fn commit_top_global(&mut self) -> TxResult<u64> {
         if self.sets.ws.is_empty() {
-            return Ok(()); // Read-only: serializable at its snapshot.
+            return Ok(0); // Read-only: serializable at its snapshot.
         }
 
         let _commit_guard = self.shared.commit_lock().lock();
@@ -81,6 +81,6 @@ impl Txn<'_> {
         self.shared.stats().gauge().add(versions, bytes);
         let published = self.shared.clock().tick();
         debug_assert_eq!(published, version, "commit lock serializes clock ticks");
-        Ok(())
+        Ok(versions)
     }
 }

@@ -14,8 +14,8 @@ use pnstm::{
 
 /// An STM whose GC driver (the background collector, or with
 /// [`Oracle::InlineGc`] the committer) and lease policy are the variables
-/// under test. Auto-GC by commit interval is disabled so the tests drive
-/// sweeps explicitly (or via the background thread's own wakeups).
+/// under test. Automatic GC is disabled so the tests drive sweeps
+/// explicitly (or via the background thread's own wakeups).
 fn stm_with_mem(gc: Option<Oracle>, mem: MemConfig) -> Stm {
     let config = StmConfig {
         degree: ParallelismDegree::new(2, 1),
@@ -285,7 +285,6 @@ fn ladder_escalates_to_hard_and_recovers() {
             urgent_lease: urgent,
             soft_ceiling_versions: 40,
             hard_ceiling_versions: 80,
-            gc_slice_boxes: 4,
         },
     );
     let sink = Arc::new(TestSink::default());
@@ -342,21 +341,60 @@ fn ladder_escalates_to_hard_and_recovers() {
     );
 }
 
-/// Retuning the ceilings live re-evaluates the ladder immediately — the
-/// actuation point AutoPN uses when trading memory headroom for GC work.
+/// The automatic pace counts versions, not commits: a writer of 1 000-box
+/// commits that never calls `gc()` keeps the heap within the live boxes
+/// plus `gc_interval` superseded versions plus the one commit that crossed
+/// it. Counted in commits, 200 such commits never reach the interval and
+/// every superseded version is kept.
 #[test]
-fn live_ceiling_retune_moves_the_ladder() {
-    let stm = stm_with_mem(
-        Some(Oracle::InlineGc),
-        MemConfig { snapshot_lease: None, ..MemConfig::default() },
-    );
-    let boxes: Vec<VBox<i64>> = (0..16).map(|_| stm.new_vbox(0i64)).collect();
-    assert_eq!(stm.mem_level(), MemLevel::Normal);
-    // 16 retained versions; drop the soft ceiling under them.
-    stm.set_mem_soft_ceiling(10);
-    assert_eq!(stm.mem_level(), MemLevel::Soft, "retune re-evaluates the ladder");
-    // Raising it back past the gauge (plus hysteresis) recovers.
-    stm.set_mem_soft_ceiling(1 << 20);
-    assert_eq!(stm.mem_level(), MemLevel::Normal);
-    drop(boxes);
+fn thousand_box_commits_keep_retained_versions_bounded() {
+    const BOXES: u64 = 1_000;
+    for gc in [Some(Oracle::InlineGc), None] {
+        let config = StmConfig {
+            degree: ParallelismDegree::new(2, 1),
+            worker_threads: 1,
+            ..StmConfig::default()
+        };
+        let interval = config.gc_interval;
+        let bound = BOXES + interval + BOXES;
+        let stm = Stm::with_oracle(config, gc);
+        let boxes: Vec<VBox<u64>> = (0..BOXES).map(|_| stm.new_vbox(0)).collect();
+        // Superseded versions this (single) committing shard has installed
+        // since it last asked for a cycle, and those a cycle had to keep.
+        let (mut since, mut kept) = (0, 0);
+        for round in 1..=200 {
+            let cycles = stm.stats().snapshot().gc_cycles;
+            stm.atomic(|tx| {
+                for b in &boxes {
+                    tx.write(b, round);
+                }
+                Ok(())
+            })
+            .unwrap();
+            since += BOXES;
+            let due = since >= interval;
+            if due {
+                // The committer's own snapshot is still registered while it
+                // paces the collector, so the cycle keeps the versions its
+                // commit superseded.
+                (since, kept) = (0, BOXES);
+            }
+            match gc {
+                // The committer swept synchronously: the heap is exactly the
+                // live boxes plus what the pace let pile up.
+                Some(_) => {
+                    let retained = stm.heap_gauge().retained_versions();
+                    assert_eq!(retained, BOXES + kept + since, "round {round}");
+                    assert!(retained <= bound, "round {round}: {retained} > {bound}");
+                }
+                // The background collector answers the request off the
+                // commit path: the bound holds once that cycle has run.
+                None if due => wait_until("the requested cycle", Duration::from_secs(10), || {
+                    stm.stats().snapshot().gc_cycles > cycles
+                        && stm.heap_gauge().retained_versions() <= bound
+                }),
+                None => {}
+            }
+        }
+    }
 }

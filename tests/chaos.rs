@@ -421,7 +421,6 @@ fn stalled_collector_never_blocks_commits_and_eviction_resumes() {
         let start = Instant::now();
         loop {
             commit();
-            stm.request_gc();
             if snap.is_evicted() && snap.try_read(&b) == Err(StmError::SnapshotEvicted) {
                 break;
             }
@@ -463,13 +462,24 @@ impl Drop for GcGrenade {
 fn collector_panic_is_absorbed_and_the_loop_restarts() {
     // Prune a version whose Drop panics on the collector thread: the
     // supervisor must absorb the panic (counted, not fatal) and keep the
-    // collector loop alive — later cycles still sweep and prune.
+    // collector loop alive — later cycles still sweep and prune. Every
+    // writing commit asks for a cycle (`gc_interval: 1`); `nudge` commits
+    // one.
     let stm = Stm::new(StmConfig {
         degree: ParallelismDegree::new(2, 1),
         worker_threads: 1,
-        gc_interval: 0,
+        gc_interval: 1,
         ..StmConfig::default()
     });
+    let tick = stm.new_vbox(0u64);
+    let nudge = || {
+        stm.atomic(|tx| {
+            let v = tx.read(&tick);
+            tx.write(&tick, v + 1);
+            Ok(())
+        })
+        .unwrap()
+    };
     let armed = Arc::new(AtomicBool::new(true));
     let grenade = stm.new_vbox(GcGrenade(Arc::clone(&armed)));
     // Two installs leave two prunable (poisoned) versions behind.
@@ -488,7 +498,7 @@ fn collector_panic_is_absorbed_and_the_loop_restarts() {
             start.elapsed() < Duration::from_secs(10),
             "collector never hit the poisoned version"
         );
-        stm.request_gc();
+        nudge();
         std::thread::sleep(Duration::from_millis(5));
     }
     // The loop survived: commits still work and a later cycle still prunes.
@@ -508,7 +518,7 @@ fn collector_panic_is_absorbed_and_the_loop_restarts() {
             start.elapsed() < Duration::from_secs(10),
             "no cycle pruned after the collector panic — the loop died"
         );
-        stm.request_gc();
+        nudge();
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(stm.read_atomic(&counter), 3);
