@@ -43,11 +43,6 @@ impl<S: TunableSystem> FaultyTunable<S> {
         &self.inner
     }
 
-    /// The wrapped system, mutably.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// The fault context (e.g. to read injection counters via
     /// [`FaultCtx::plan`]).
     pub fn fault_ctx(&self) -> &FaultCtx {

@@ -416,11 +416,9 @@ impl BlockExecutor {
         }
         let trace = self.stm.trace_bus();
         if trace.is_enabled() {
-            let (stolen, overflowed) = handoff.unwrap_or_default();
             trace.emit(TraceEvent::SchedBatch {
                 tasks: if handoff.is_some() { workers as u32 } else { 1 },
-                stolen: stolen as u32,
-                overflowed: overflowed as u32,
+                stolen: handoff.unwrap_or_default() as u32,
                 handed_off: handoff.is_some(),
                 at_ns: now_ns(),
             });

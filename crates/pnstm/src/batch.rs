@@ -68,17 +68,15 @@ pub(crate) fn dispatch_stall(fault: &FaultCtx) {
     }
 }
 
-/// The one `sched_batch` event of a batch of `tasks`: `handoff` holds the
-/// `(stolen, overflowed)` counts of its published part, `None` when the
-/// caller ran all of it.
-fn trace_batch(trace: &TraceBus, tasks: usize, handoff: Option<(usize, usize)>) {
+/// The one `sched_batch` event of a batch of `tasks`: `stolen` holds the
+/// tasks helpers ran of its published part, `None` when the caller ran all
+/// of it.
+fn trace_batch(trace: &TraceBus, tasks: usize, stolen: Option<usize>) {
     if trace.is_enabled() {
-        let (stolen, overflowed) = handoff.unwrap_or_default();
         trace.emit(TraceEvent::SchedBatch {
             tasks: tasks as u32,
-            stolen: stolen as u32,
-            overflowed: overflowed as u32,
-            handed_off: handoff.is_some(),
+            stolen: stolen.unwrap_or_default() as u32,
+            handed_off: stolen.is_some(),
             at_ns: trace::now_ns(),
         });
     }
@@ -96,11 +94,6 @@ pub trait TaskQueue: Send + Sync + 'static {
     /// Unclaimed tasks. May under-report (the parent drains those anyway),
     /// never over-report: a helper must not be woken into a drained batch.
     fn queued(&self) -> usize;
-
-    /// Tasks that did not fit the rung's fast structure at construction.
-    fn overflowed(&self) -> usize {
-        0
-    }
 }
 
 /// How idle workers of one rung discover published batches. `publish` must
@@ -299,8 +292,8 @@ impl<R: Registry> Pool<R> {
     }
 
     /// A pool wired to the runtime's fault context (`ChildStall` dispatch
-    /// site), stats counters (`steal_count`, `sched_handoffs*`,
-    /// `deque_overflow`) and trace bus (`sched_batch` events).
+    /// site), stats counters (`steal_count`, `sched_handoffs*`) and trace
+    /// bus (`sched_batch` events).
     pub fn with_instruments(
         size: usize,
         fault: FaultCtx,
@@ -347,7 +340,7 @@ impl<R: Registry> Pool<R> {
         tasks: Vec<Task>,
         helper_limit: usize,
         caller_panic: &mut Option<Box<dyn Any + Send>>,
-    ) -> (usize, usize) {
+    ) -> usize {
         debug_assert!(helper_limit > 0, "nobody could help a published batch");
         let sh = &*self.shared;
         let n = tasks.len();
@@ -373,11 +366,10 @@ impl<R: Registry> Pool<R> {
         } else {
             sh.observe(trace::now_ns() - start, n as u64);
         }
-        let (stolen, overflowed) = (batch.stolen.load(Ordering::Relaxed), batch.queue.overflowed());
+        let stolen = batch.stolen.load(Ordering::Relaxed);
         sh.stats.record_handoff(true);
         sh.stats.record_steals(stolen as u64);
-        sh.stats.record_deque_overflow(overflowed as u64);
-        (stolen, overflowed)
+        stolen
     }
 
     /// Execute `tasks` to completion with at most `helper_limit` pool
@@ -414,8 +406,8 @@ impl<R: Registry> Pool<R> {
     /// Run a batch of `n` children under the hand-off rule, and emit its one
     /// `sched_batch` event. `run(state, i)` runs child `i` on the caller;
     /// `publish(state, from)` hands children `from..n` off (through
-    /// [`Pool::hand_off`] or its panic-holding twin) and returns its
-    /// `(stolen, overflowed)` counts. Children run in index order on the
+    /// [`Pool::hand_off`] or its panic-holding twin) and returns how many of
+    /// them helpers ran. Children run in index order on the
     /// caller, each exactly once, and `publish` is called at most once.
     ///
     /// This is the one withheld loop. The clock is read before the first
@@ -430,7 +422,7 @@ impl<R: Registry> Pool<R> {
         helper_limit: usize,
         state: &mut S,
         mut run: impl FnMut(&mut S, usize),
-        publish: impl FnOnce(&mut S, usize) -> (usize, usize),
+        publish: impl FnOnce(&mut S, usize) -> usize,
     ) {
         let sh = &*self.shared;
         let handoff = if self.publish_now(n, helper_limit) {
@@ -493,18 +485,17 @@ impl<R: Registry> Pool<R> {
     /// Publish `tasks` now (`helper_limit > 0`; the caller has already asked
     /// the rule) and run them to completion with the caller as one executor.
     /// Samples `d̄` from the caller's own drain and counts the hand-off.
-    /// Returns `(stolen, overflowed)`: tasks helpers ran, and tasks beyond
-    /// the registry's fast structure.
+    /// Returns how many tasks helpers ran.
     ///
     /// Returns, or unwinds, only after every task has run and been dropped,
     /// so a task may borrow from the caller's stack.
-    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
+    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> usize {
         let mut caller_panic = None;
-        let counts = self.run_published(tasks, helper_limit, &mut caller_panic);
+        let stolen = self.run_published(tasks, helper_limit, &mut caller_panic);
         if let Some(payload) = caller_panic {
             resume_unwind(payload);
         }
-        counts
+        stolen
     }
 
     /// Retarget the worker-thread count. Growth spawns immediately; shrink
@@ -596,11 +587,11 @@ impl ChildScheduler {
         helper_limit: usize,
         state: &mut S,
         run: impl FnMut(&mut S, usize),
-        publish: impl FnOnce(&mut S, usize) -> (usize, usize),
+        publish: impl FnOnce(&mut S, usize) -> usize,
     ) {
         on_pool!(self, p => p.run_children(n, helper_limit, state, run, publish))
     }
-    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> (usize, usize) {
+    pub fn hand_off(&self, tasks: Vec<Task>, helper_limit: usize) -> usize {
         on_pool!(self, p => p.hand_off(tasks, helper_limit))
     }
     pub fn resize(&self, size: usize) {
@@ -618,7 +609,7 @@ impl ChildScheduler {
 mod tests {
     use super::*;
     use crate::park::ParkOutcome;
-    use crate::sched::StealQueue;
+    use crate::sched::StealDeque;
     use std::time::Duration;
 
     /// The last finisher wakes the joining parent: a join parked with a long
@@ -630,7 +621,7 @@ mod tests {
             let ran = Arc::clone(&ran);
             move || ran.store(true, Ordering::SeqCst)
         });
-        let batch = Batch::<StealQueue>::new(vec![task], 1);
+        let batch = Batch::<StealDeque>::new(vec![task], 1);
         let task = batch.queue.pop(true, &FaultCtx::disabled()).expect("one task queued");
         let helper = thread::spawn({
             let batch = Arc::clone(&batch);

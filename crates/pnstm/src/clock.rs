@@ -1,11 +1,9 @@
 //! Global version clock and the active-snapshot registry used for garbage
 //! collection of old box versions.
 
-use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Monotonically increasing global version clock.
@@ -86,8 +84,8 @@ const NO_LEASE: u64 = u64::MAX;
 /// Deadline of an unleased registration: it never expires.
 const NO_DEADLINE: u64 = u64::MAX;
 
-/// Registration slots per registry. Registrations beyond this many live at
-/// once go to the overflow map.
+/// Registration slots per segment. The registry's first segment is inline;
+/// a registration that finds every slot taken appends another.
 const SLOT_COUNT: usize = 64;
 
 /// Version word of an unclaimed slot.
@@ -103,16 +101,17 @@ const SLOT_CLAIMED: u64 = u64::MAX - 1;
 static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// The slot this thread tries first: its last claim, seeded so that
-    /// threads start on distinct slots.
+    /// The slot index this thread tries first in each segment: its last
+    /// claim, seeded so that threads start on distinct slots.
     static SLOT_HINT: Cell<usize> = Cell::new(NEXT_HINT.fetch_add(1, Ordering::Relaxed));
 }
 
 /// One registration slot, alone on its cache lines so that registrants on
-/// different threads never write a shared line.
+/// different threads never write a shared line. A registration's handle is
+/// a reference to its slot.
 #[derive(Debug)]
 #[repr(align(128))]
-struct Slot {
+pub(crate) struct Slot {
     /// The registered snapshot version, or [`SLOT_FREE`] / [`SLOT_CLAIMED`].
     version: AtomicU64,
     /// Lease deadline in ns since the registry's epoch; [`NO_DEADLINE`] for
@@ -132,6 +131,17 @@ impl Slot {
         }
     }
 
+    /// Claim the slot if it is free. Acquire pairs with the previous owner's
+    /// releasing store: every read of the old registration's flag is done
+    /// before this claim resets it.
+    fn try_claim(&self) -> bool {
+        self.version.load(Ordering::Relaxed) == SLOT_FREE
+            && self
+                .version
+                .compare_exchange(SLOT_FREE, SLOT_CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+    }
+
     /// The version of this slot's registration if it is below `watermark`,
     /// not marked evicted, and its lease is unexpired at `wall` (`pinning`)
     /// or expired (`!pinning`).
@@ -142,35 +152,27 @@ impl Slot {
             && (self.deadline.load(Ordering::Relaxed) > wall) == pinning;
         hit.then_some(v)
     }
+
+    /// Whether the registration holding this slot has been evicted. Only
+    /// meaningful while its guard is alive.
+    pub(crate) fn is_evicted(&self) -> bool {
+        self.evicted.load(Ordering::Acquire)
+    }
 }
 
-/// A registration that found every slot taken: one entry of the overflow map.
+/// [`SLOT_COUNT`] slots and the link to the next segment. A segment is
+/// appended by the first registration that found every slot before it taken,
+/// and lives until the registry drops.
 #[derive(Debug)]
-struct OverflowEntry {
-    /// Lease deadline in ns since the registry's epoch ([`NO_DEADLINE`] if
-    /// unleased).
-    deadline: u64,
-    /// Eviction flag shared with the owning [`SnapshotGuard`].
-    evicted: Arc<AtomicBool>,
+struct Segment {
+    slots: [Slot; SLOT_COUNT],
+    next: OnceLock<Box<Segment>>,
 }
 
-impl OverflowEntry {
-    fn expired(&self, wall: u64) -> bool {
-        !self.evicted.load(Ordering::Relaxed) && self.deadline <= wall
+impl Default for Segment {
+    fn default() -> Self {
+        Self { slots: std::array::from_fn(|_| Slot::free()), next: OnceLock::new() }
     }
-
-    fn pins(&self, wall: u64) -> bool {
-        !self.evicted.load(Ordering::Relaxed) && self.deadline > wall
-    }
-}
-
-/// Where a registration's eviction flag lives, for transaction state that
-/// polls it without holding the guard: a slot index, or the overflow entry's
-/// own flag. Read through [`SnapshotRegistry::is_evicted`].
-#[derive(Debug, Clone)]
-pub(crate) enum EvictionFlag {
-    Slot(usize),
-    Overflow(Arc<AtomicBool>),
 }
 
 /// Registry of snapshot versions currently in use by live transactions.
@@ -180,12 +182,14 @@ pub(crate) enum EvictionFlag {
 /// minimum is the GC watermark: every box can drop versions strictly older
 /// than the newest version `<=` watermark.
 ///
-/// **Slots.** A registration claims one of `SLOT_COUNT` cache-padded slots
-/// (version word, lease deadline, eviction flag) by one CAS, starting at a
-/// per-thread hint, and releases it with one store: registering touches no
-/// line another thread's registration writes, allocates nothing and takes
-/// no lock. When every slot is taken, registrations fall back to an
-/// overflow `Mutex<BTreeMap>`; the watermark is the minimum over both.
+/// **Slots.** A registration claims a cache-padded slot (version word, lease
+/// deadline, eviction flag) by one CAS, starting at a per-thread hint, and
+/// releases it with one store: registering touches no line another thread's
+/// registration writes and takes no lock. The first segment of 64 slots is
+/// inline, so a registration there allocates nothing; a registration that
+/// finds every slot taken appends a segment and claims there. Every
+/// registration follows the same protocol, and the watermark walks every
+/// segment.
 ///
 /// **Leases.** Each registration taken through
 /// [`SnapshotRegistry::register_current`] carries a lease deadline (from
@@ -197,27 +201,21 @@ pub(crate) enum EvictionFlag {
 /// rather than trust any further reads.
 #[derive(Debug)]
 pub struct SnapshotRegistry {
-    slots: Box<[Slot]>,
-    overflow: Mutex<BTreeMap<u64, Vec<OverflowEntry>>>,
+    first: Segment,
     /// Origin of the registry's deadline clock.
     epoch: Instant,
     /// Current lease duration in nanoseconds for new leased registrations;
     /// [`NO_LEASE`] disables leasing. Runtime-adjustable: the memory ladder
     /// shortens it under pressure.
     lease_ns: AtomicU64,
-    /// Total snapshots ever evicted (monotonic; mirrored into stats by the
-    /// GC driver via the watermark return value).
-    evictions: AtomicU64,
 }
 
 impl Default for SnapshotRegistry {
     fn default() -> Self {
         Self {
-            slots: (0..SLOT_COUNT).map(|_| Slot::free()).collect(),
-            overflow: Mutex::new(BTreeMap::new()),
+            first: Segment::default(),
             epoch: Instant::now(),
             lease_ns: AtomicU64::new(NO_LEASE),
-            evictions: AtomicU64::new(0),
         }
     }
 }
@@ -230,6 +228,15 @@ impl SnapshotRegistry {
     /// Nanoseconds since the registry's epoch: the deadline clock.
     fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(NO_DEADLINE - 1)
+    }
+
+    /// Every segment, following the `next` links as they read now.
+    fn segments(&self) -> impl Iterator<Item = &Segment> {
+        std::iter::successors(Some(&self.first), |s| s.next.get().map(Box::as_ref))
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.segments().flat_map(|s| s.slots.iter())
     }
 
     /// Set the lease duration applied to *subsequent* leased registrations;
@@ -248,25 +255,18 @@ impl SnapshotRegistry {
         }
     }
 
-    /// Clamp every *leased* registration's deadline to at most
-    /// `max_remaining` from now, in the slots and the overflow map alike.
-    /// The urgent rung of the memory ladder uses this so already-running
-    /// stragglers feel a shortened lease too; unleased registrations are
-    /// left alone.
+    /// Clamp every *leased* registration's deadline, in every segment, to at
+    /// most `max_remaining` from now. The urgent rung of the memory ladder
+    /// uses this so already-running stragglers feel a shortened lease too;
+    /// unleased registrations are left alone.
     pub fn clamp_deadlines(&self, max_remaining: Duration) {
         let remaining = u64::try_from(max_remaining.as_nanos()).unwrap_or(NO_DEADLINE);
         let cap = self.now_ns().saturating_add(remaining);
         let clamp = |d: u64| (d != NO_DEADLINE && d > cap).then_some(cap);
-        for slot in self.slots.iter() {
+        for slot in self.slots() {
             // A CAS loop, not `fetch_min`: a slot re-claimed by an unleased
             // registration between a load and the store must stay unleased.
             let _ = slot.deadline.fetch_update(Ordering::Relaxed, Ordering::Relaxed, clamp);
-        }
-        let mut map = self.overflow.lock();
-        for e in map.values_mut().flat_map(|entries| entries.iter_mut()) {
-            if let Some(d) = clamp(e.deadline) {
-                e.deadline = d;
-            }
         }
     }
 
@@ -277,57 +277,35 @@ impl SnapshotRegistry {
         }
     }
 
-    /// Register a transaction reading at `version`; returns a guard that
-    /// deregisters on drop. Raw registrations are unleased (they never
-    /// expire) — runtime snapshots go through
-    /// [`SnapshotRegistry::register_current`], which leases.
-    pub fn register(&self, version: u64) -> SnapshotGuard<'_> {
-        debug_assert!(version < SLOT_CLAIMED, "version {version} collides with a slot sentinel");
-        self.register_at(NO_DEADLINE, || version)
-    }
-
     /// Register a transaction at `clock`'s *current* version, with the
-    /// registry's current lease applied.
+    /// registry's current lease applied; returns a guard that deregisters on
+    /// drop.
     ///
-    /// This closes a race that [`SnapshotRegistry::register`] leaves open
-    /// when the caller reads the clock itself: between the clock read and the
-    /// registration, a GC can compute its watermark — not seeing the
-    /// about-to-register snapshot — and prune the very versions that snapshot
-    /// needs. Here the slot's version is published, a `SeqCst` fence runs and
-    /// the clock is read again; on a mismatch the newer value is published
-    /// and the check repeats. [`SnapshotRegistry::gc_watermark`] reads the
-    /// clock, runs a `SeqCst` fence, then reads the slots. Of two such
-    /// fences one comes first in the single `SeqCst` order: if the
-    /// registrant's comes first the watermark computation sees the published
-    /// slot; otherwise the registrant's re-read returns a clock at least as
-    /// new as the one the watermark was computed from. Hence the invariant:
-    /// *a watermark computed without seeing a slot used a clock no newer than
-    /// that slot's version.* An overflow registration reads the clock under
-    /// the overflow lock, which the watermark computation takes after its own
-    /// clock read, to the same effect.
+    /// A caller that read the clock itself and then registered would leave
+    /// a window: between the clock read and the registration, a GC can
+    /// compute its watermark — not seeing the about-to-register snapshot —
+    /// and prune the very versions that snapshot needs. Here the slot's
+    /// version is published, a `SeqCst` fence runs and the clock is read
+    /// again; on a mismatch the newer value is published and the check
+    /// repeats. [`SnapshotRegistry::gc_watermark_evicting`] reads the clock,
+    /// runs a `SeqCst` fence, then walks the segments. Of two such fences
+    /// one comes first in the single `SeqCst` order: if the registrant's
+    /// comes first the watermark computation sees the published slot (and
+    /// the `next` link to its segment, which the registrant followed or
+    /// stored before its fence); otherwise the registrant's re-read returns a
+    /// clock at least as new as the one the watermark was computed from.
+    /// Hence the invariant, for every registration: *a watermark computed
+    /// without seeing a slot used a clock no newer than that slot's
+    /// version.*
     pub fn register_current(&self, clock: &GlobalClock) -> SnapshotGuard<'_> {
         self.register_at(self.current_deadline(), || clock.now())
     }
 
-    /// Claim a slot (or an overflow entry) with `deadline` and publish the
-    /// version `version_now` returns, republishing until it returns the
-    /// published value again after a `SeqCst` fence.
+    /// Claim a slot with `deadline` and publish the version `version_now`
+    /// returns, republishing until it returns the published value again
+    /// after a `SeqCst` fence.
     fn register_at(&self, deadline: u64, version_now: impl Fn() -> u64) -> SnapshotGuard<'_> {
-        let Some(i) = self.claim_slot() else {
-            let evicted = Arc::new(AtomicBool::new(false));
-            let mut map = self.overflow.lock();
-            let version = version_now();
-            map.entry(version)
-                .or_default()
-                .push(OverflowEntry { deadline, evicted: Arc::clone(&evicted) });
-            drop(map);
-            return SnapshotGuard {
-                registry: self,
-                version,
-                flag: EvictionFlag::Overflow(evicted),
-            };
-        };
-        let slot = &self.slots[i];
+        let slot = self.claim_slot();
         slot.deadline.store(deadline, Ordering::Relaxed);
         slot.evicted.store(false, Ordering::Relaxed);
         let mut version = version_now();
@@ -338,52 +316,38 @@ impl SnapshotRegistry {
             fence(Ordering::SeqCst);
             let again = version_now();
             if again == version {
-                return SnapshotGuard { registry: self, version, flag: EvictionFlag::Slot(i) };
+                return SnapshotGuard { slot, version };
             }
             version = again;
         }
     }
 
-    /// Claim a free slot by CAS, starting at this thread's hint.
-    fn claim_slot(&self) -> Option<usize> {
+    /// Claim a free slot by CAS, scanning each segment from this thread's
+    /// hint; past the last segment, append one.
+    fn claim_slot(&self) -> &Slot {
         SLOT_HINT.with(|hint| {
             let start = hint.get();
-            for k in 0..SLOT_COUNT {
-                let i = (start + k) % SLOT_COUNT;
-                let version = &self.slots[i].version;
-                // Acquire pairs with the previous owner's releasing store:
-                // every read of the old registration's flag is done before
-                // this claim resets it.
-                if version.load(Ordering::Relaxed) == SLOT_FREE
-                    && version
-                        .compare_exchange(
-                            SLOT_FREE,
-                            SLOT_CLAIMED,
-                            Ordering::Acquire,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    hint.set(i);
-                    return Some(i);
+            let mut segment = &self.first;
+            loop {
+                for k in 0..SLOT_COUNT {
+                    let i = (start + k) % SLOT_COUNT;
+                    if segment.slots[i].try_claim() {
+                        hint.set(i);
+                        return &segment.slots[i];
+                    }
                 }
+                segment = segment.next.get_or_init(Box::default);
             }
-            None
         })
     }
 
     /// The GC watermark: the oldest version any live *or future* snapshot can
     /// read — `min(oldest unexpired registered, clock now)`, with the clock
-    /// read before a `SeqCst` fence that precedes the slot reads (see
-    /// [`SnapshotRegistry::register_current`]). Every box may drop versions
-    /// strictly older than the newest entry `<=` this. Registrations whose
-    /// lease has expired are marked evicted here and stop pinning.
-    pub fn gc_watermark(&self, clock: &GlobalClock) -> u64 {
-        self.gc_watermark_evicting(clock).0
-    }
-
-    /// [`SnapshotRegistry::gc_watermark`], also returning how many snapshots
-    /// were newly marked evicted by this computation (for stats/tracing).
+    /// read before a `SeqCst` fence that precedes the walk over the segments
+    /// (see [`SnapshotRegistry::register_current`]). Every box may drop
+    /// versions strictly older than the newest entry `<=` this. Registrations
+    /// whose lease has expired are marked evicted here and stop pinning; the
+    /// second value is how many were newly marked (for stats/tracing).
     ///
     /// Two passes: the minimum over unexpired registrations, then the
     /// eviction marks for expired ones below it. A slot released and
@@ -394,107 +358,29 @@ impl SnapshotRegistry {
     /// nothing it reads is pruned by this pass.
     pub fn gc_watermark_evicting(&self, clock: &GlobalClock) -> (u64, usize) {
         let wall = self.now_ns();
-        let mut watermark = clock.now();
+        let now = clock.now();
         fence(Ordering::SeqCst);
-        for slot in self.slots.iter() {
-            if let Some(v) = slot.below(watermark, wall, true) {
-                watermark = v;
-            }
-        }
+        let watermark =
+            self.slots().filter_map(|slot| slot.below(now, wall, true)).fold(now, u64::min);
         let mut newly_evicted = 0usize;
-        {
-            let map = self.overflow.lock();
-            if let Some((&v, _)) =
-                map.range(..watermark).find(|(_, entries)| entries.iter().any(|e| e.pins(wall)))
-            {
-                watermark = v;
-            }
-            for e in map.range(..watermark).flat_map(|(_, entries)| entries) {
-                if e.expired(wall) {
-                    e.evicted.store(true, Ordering::Release);
-                    newly_evicted += 1;
-                }
-            }
-        }
-        for slot in self.slots.iter() {
+        for slot in self.slots() {
             if slot.below(watermark, wall, false).is_some() {
                 slot.evicted.store(true, Ordering::Release);
                 newly_evicted += 1;
             }
         }
-        if newly_evicted > 0 {
-            self.evictions.fetch_add(newly_evicted as u64, Ordering::Relaxed);
-        }
         (watermark, newly_evicted)
-    }
-
-    /// Total snapshots evicted over the registry's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Oldest snapshot version still registered (evicted-but-undropped
-    /// registrations included), if any transaction is live.
-    pub fn min_active(&self) -> Option<u64> {
-        let slots = self
-            .slots
-            .iter()
-            .map(|s| s.version.load(Ordering::Acquire))
-            .filter(|&v| v < SLOT_CLAIMED)
-            .min();
-        let overflow = self.overflow.lock().keys().next().copied();
-        slots.into_iter().chain(overflow).min()
-    }
-
-    /// Number of live registered snapshots (including evicted ones whose
-    /// owners have not yet noticed and dropped their guards).
-    pub fn live_count(&self) -> usize {
-        let slots =
-            self.slots.iter().filter(|s| s.version.load(Ordering::Acquire) != SLOT_FREE).count();
-        slots + self.overflow.lock().values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Whether the registration `flag` belongs to has been evicted. Only
-    /// meaningful while its guard is alive.
-    pub(crate) fn is_evicted(&self, flag: &EvictionFlag) -> bool {
-        match flag {
-            EvictionFlag::Slot(i) => self.slots[*i].evicted.load(Ordering::Acquire),
-            EvictionFlag::Overflow(evicted) => evicted.load(Ordering::Acquire),
-        }
-    }
-
-    fn deregister(&self, version: u64, flag: &EvictionFlag) {
-        match flag {
-            EvictionFlag::Slot(i) => self.slots[*i].version.store(SLOT_FREE, Ordering::Release),
-            EvictionFlag::Overflow(evicted) => {
-                let mut map = self.overflow.lock();
-                let Some(entries) = map.get_mut(&version) else {
-                    debug_assert!(false, "deregistering unknown snapshot {version}");
-                    return;
-                };
-                match entries.iter().position(|e| Arc::ptr_eq(&e.evicted, evicted)) {
-                    Some(i) => {
-                        entries.swap_remove(i);
-                    }
-                    None => debug_assert!(false, "deregistering unknown snapshot {version}"),
-                }
-                if entries.is_empty() {
-                    map.remove(&version);
-                }
-            }
-        }
     }
 }
 
 /// RAII guard keeping a snapshot version alive in the [`SnapshotRegistry`].
 #[derive(Debug)]
 pub struct SnapshotGuard<'a> {
-    registry: &'a SnapshotRegistry,
+    slot: &'a Slot,
     version: u64,
-    flag: EvictionFlag,
 }
 
-impl SnapshotGuard<'_> {
+impl<'a> SnapshotGuard<'a> {
     /// The snapshot version this guard pins.
     pub fn version(&self) -> u64 {
         self.version
@@ -504,25 +390,60 @@ impl SnapshotGuard<'_> {
     /// Once true, versions this snapshot needs may be pruned at any moment;
     /// the owning transaction must abort with `StmError::SnapshotEvicted`.
     pub fn is_evicted(&self) -> bool {
-        self.registry.is_evicted(&self.flag)
+        self.slot.is_evicted()
     }
 
-    /// Handle to the eviction flag, for embedding in transaction state so
-    /// the hot read path can poll it without holding the guard itself.
-    pub(crate) fn eviction_flag(&self) -> EvictionFlag {
-        self.flag.clone()
+    /// The registration's slot, for embedding in transaction state so the
+    /// hot read path can poll the eviction flag without holding the guard.
+    pub(crate) fn slot(&self) -> &'a Slot {
+        self.slot
     }
 }
 
 impl Drop for SnapshotGuard<'_> {
     fn drop(&mut self) {
-        self.registry.deregister(self.version, &self.flag);
+        self.slot.version.store(SLOT_FREE, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    impl SnapshotRegistry {
+        /// Register a transaction reading at `version`, unleased (it never
+        /// expires).
+        fn register(&self, version: u64) -> SnapshotGuard<'_> {
+            debug_assert!(version < SLOT_CLAIMED, "version {version} collides with a sentinel");
+            self.register_at(NO_DEADLINE, || version)
+        }
+
+        fn gc_watermark(&self, clock: &GlobalClock) -> u64 {
+            self.gc_watermark_evicting(clock).0
+        }
+
+        /// Oldest snapshot version still registered (evicted-but-undropped
+        /// registrations included).
+        fn min_active(&self) -> Option<u64> {
+            self.slots()
+                .map(|s| s.version.load(Ordering::Acquire))
+                .filter(|&v| v < SLOT_CLAIMED)
+                .min()
+        }
+
+        /// Live registrations, evicted ones whose guards are alive included.
+        fn live_count(&self) -> usize {
+            self.slots().filter(|s| s.version.load(Ordering::Acquire) != SLOT_FREE).count()
+        }
+
+        /// Index of the segment holding `guard`'s slot.
+        fn segment_of(&self, guard: &SnapshotGuard<'_>) -> usize {
+            self.segments()
+                .position(|s| s.slots.as_ptr_range().contains(&(guard.slot as *const Slot)))
+                .expect("every slot belongs to a segment")
+        }
+    }
 
     #[test]
     fn clock_starts_at_zero_and_ticks() {
@@ -623,7 +544,6 @@ mod tests {
         assert_eq!(wm, 2, "expired lease no longer pins");
         assert_eq!(newly, 1);
         assert!(g.is_evicted());
-        assert_eq!(r.evictions(), 1);
         assert_eq!(r.gc_watermark_evicting(&c).1, 0, "eviction is marked once");
         // The registration itself lives until the guard drops.
         assert_eq!(r.live_count(), 1);
@@ -674,37 +594,68 @@ mod tests {
         }
     }
 
+    /// Registrations past the first segment's slots land in appended
+    /// segments; counts stay exact and a shuffled drain frees every slot.
     #[test]
-    fn overflow_registrations_count_exactly_and_drain() {
+    fn segment_registrations_count_exactly_and_drain() {
+        for n in [SLOT_COUNT + 8, 200] {
+            let r = SnapshotRegistry::new();
+            let c = GlobalClock::new();
+            for _ in 0..1000 {
+                c.tick();
+            }
+            // Versions descend so the minimum sits in the last segment.
+            let mut guards: Vec<Option<SnapshotGuard<'_>>> =
+                (0..n).map(|i| Some(r.register(500 - i as u64))).collect();
+            assert_eq!(r.segments().count(), n.div_ceil(SLOT_COUNT));
+            for (i, g) in guards.iter().flatten().enumerate() {
+                assert_eq!(r.segment_of(g), i / SLOT_COUNT, "registration {i}");
+            }
+            assert_eq!(r.live_count(), n);
+            let lowest = 500 - (n as u64 - 1);
+            assert_eq!(r.min_active(), Some(lowest));
+            assert_eq!(r.gc_watermark(&c), lowest, "the last segment's minimum pins");
+            for (k, i) in shuffled(n).into_iter().enumerate() {
+                let g = guards[i].take().expect("each guard dropped once");
+                drop(g);
+                assert_eq!(r.live_count(), n - k - 1);
+                let expect = guards.iter().flatten().map(SnapshotGuard::version).min();
+                assert_eq!(r.min_active(), expect);
+                assert_eq!(r.gc_watermark(&c), expect.unwrap_or(1000));
+            }
+            assert_eq!(r.live_count(), 0);
+            assert_eq!(r.min_active(), None);
+            // Segments stay; the next registrations reuse them.
+            let again: Vec<_> = (0..n).map(|i| r.register(i as u64)).collect();
+            assert_eq!(r.segments().count(), n.div_ceil(SLOT_COUNT));
+            assert_eq!(r.live_count(), again.len());
+        }
+    }
+
+    /// While one thread holds every slot of the first segment, registrations
+    /// on other threads land in an appended segment and pin the watermark.
+    #[test]
+    fn registrations_past_a_full_first_segment_append_one() {
         let r = SnapshotRegistry::new();
         let c = GlobalClock::new();
-        for _ in 0..1000 {
-            c.tick();
-        }
-        let n = SLOT_COUNT + 8;
-        // Versions descend so the minimum sits in the overflow map.
-        let mut guards: Vec<Option<SnapshotGuard<'_>>> =
-            (0..n).map(|i| Some(r.register(500 - i as u64))).collect();
-        assert_eq!(
-            guards.iter().flatten().filter(|g| matches!(g.flag, EvictionFlag::Overflow(_))).count(),
-            8,
-            "registrations past the slot count overflow"
-        );
-        assert_eq!(r.live_count(), n);
-        let lowest = 500 - (n as u64 - 1);
-        assert_eq!(r.min_active(), Some(lowest));
-        assert_eq!(r.gc_watermark(&c), lowest, "the overflow minimum pins the watermark");
-        for (k, i) in shuffled(n).into_iter().enumerate() {
-            let g = guards[i].take().expect("each guard dropped once");
-            drop(g);
-            assert_eq!(r.live_count(), n - k - 1);
-            let expect = guards.iter().flatten().map(SnapshotGuard::version).min();
-            assert_eq!(r.min_active(), expect);
-            assert_eq!(r.gc_watermark(&c), expect.unwrap_or(1000));
-        }
+        c.tick();
+        let held: Vec<_> = (0..SLOT_COUNT).map(|_| r.register_current(&c)).collect();
+        assert!(held.iter().all(|g| r.segment_of(g) == 0));
+        c.tick();
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let g = r.register_current(&c);
+                        assert!(r.segment_of(&g) > 0, "the first segment is full");
+                        assert!(r.gc_watermark(&c) <= g.version());
+                    }
+                });
+            }
+        });
+        assert!(r.segments().count() >= 2);
+        drop(held);
         assert_eq!(r.live_count(), 0);
-        assert_eq!(r.min_active(), None);
-        assert!(r.overflow.lock().is_empty());
     }
 
     /// The registration half of the invariant: a clock that moved between
@@ -729,44 +680,70 @@ mod tests {
         let r = SnapshotRegistry::new();
         let c = GlobalClock::new();
         c.tick();
+        reclaimed_slot_is_not_evicted(&r, &c);
+    }
+
+    /// The same in a later segment: the first segment is held full by
+    /// unleased registrations above every version the test reaches (so they
+    /// pin nothing), and the leased one lands in the second.
+    #[test]
+    fn a_reclaimed_slot_in_a_later_segment_is_not_evicted() {
+        let r = SnapshotRegistry::new();
+        let c = GlobalClock::new();
+        c.tick();
+        let held: Vec<_> = (0..SLOT_COUNT).map(|_| r.register(1 << 40)).collect();
+        let slot = reclaimed_slot_is_not_evicted(&r, &c);
+        assert_eq!(r.segment_of(&slot), 1);
+        drop(held);
+    }
+
+    /// Register with a 1 ms lease, let it be evicted, drop it, and register
+    /// again with a long lease on the same thread. Returns that registration.
+    fn reclaimed_slot_is_not_evicted<'r>(
+        r: &'r SnapshotRegistry,
+        c: &GlobalClock,
+    ) -> SnapshotGuard<'r> {
         r.set_lease(Some(Duration::from_millis(1)));
-        let g = r.register_current(&c);
-        let EvictionFlag::Slot(slot) = g.eviction_flag() else { panic!("a free slot exists") };
+        let g = r.register_current(c);
+        let slot = g.slot();
         std::thread::sleep(Duration::from_millis(5));
         c.tick();
-        assert_eq!(r.gc_watermark_evicting(&c), (2, 1));
+        assert_eq!(r.gc_watermark_evicting(c), (c.now(), 1));
         assert!(g.is_evicted());
         drop(g);
         // Same thread, same hint: the next claim takes the same slot.
         r.set_lease(Some(Duration::from_secs(3600)));
-        let g = r.register_current(&c);
-        assert!(matches!(g.eviction_flag(), EvictionFlag::Slot(s) if s == slot));
+        let g = r.register_current(c);
+        assert!(std::ptr::eq(g.slot(), slot));
         assert!(!g.is_evicted(), "the claim resets the flag");
-        let deadline = r.slots[slot].deadline.load(Ordering::Relaxed);
+        let deadline = slot.deadline.load(Ordering::Relaxed);
         assert!(deadline > r.now_ns() + 3_000_000_000_000, "the new lease's deadline");
         c.tick();
-        assert_eq!(r.gc_watermark_evicting(&c), (2, 0), "the new registration pins");
+        assert_eq!(r.gc_watermark_evicting(c), (g.version(), 0), "the new registration pins");
         assert!(!g.is_evicted());
+        g
     }
 
+    /// `clamp_deadlines` reaches leased registrations in every segment and
+    /// leaves unleased ones alone.
     #[test]
-    fn clamp_deadlines_reaches_slots_and_overflow_alike() {
+    fn clamp_deadlines_reaches_every_segment() {
         let r = SnapshotRegistry::new();
         let c = GlobalClock::new();
         c.tick();
         r.set_lease(Some(Duration::from_secs(3600)));
         let leased: Vec<SnapshotGuard<'_>> =
-            (0..SLOT_COUNT + 4).map(|_| r.register_current(&c)).collect();
-        assert!(leased.iter().any(|g| matches!(g.flag, EvictionFlag::Overflow(_))));
-        let unleased = r.register(2); // overflow, never expires
-        assert!(matches!(unleased.flag, EvictionFlag::Overflow(_)));
+            (0..2 * SLOT_COUNT + 4).map(|_| r.register_current(&c)).collect();
+        assert_eq!(r.segment_of(leased.last().unwrap()), 2);
+        let unleased = r.register(2); // never expires
+        assert_eq!(r.segment_of(&unleased), 2);
         c.tick();
         c.tick();
         assert_eq!(r.gc_watermark(&c), 1);
         r.clamp_deadlines(Duration::ZERO);
         assert_eq!(
             r.gc_watermark_evicting(&c),
-            (2, SLOT_COUNT + 4),
+            (2, 2 * SLOT_COUNT + 4),
             "every leased registration expired; the unleased one still pins"
         );
         assert!(leased.iter().all(SnapshotGuard::is_evicted));

@@ -34,11 +34,9 @@ pub struct StmConfig {
     pub worker_threads: usize,
     /// Retry budget for top-level transactions before
     /// [`StmError::RetriesExhausted`]. Finite by default (10 000, the same
-    /// as `max_nested_retries`), so no configuration retries forever.
+    /// as a child's fixed budget against sibling conflicts), so no
+    /// configuration retries forever.
     pub max_retries: u64,
-    /// Retry budget for a child transaction fighting sibling conflicts
-    /// before the conflict is escalated to the whole tree.
-    pub max_nested_retries: u64,
     /// Ask for a version-GC cycle every this many versions installed by
     /// top-level commits, counted per counter shard: between requested
     /// cycles a committing shard installs at most `gc_interval` versions
@@ -62,7 +60,6 @@ impl Default for StmConfig {
             degree: ParallelismDegree::new(cores, 1),
             worker_threads: cores,
             max_retries: 10_000,
-            max_nested_retries: 10_000,
             gc_interval: 4096,
             fault: None,
             mem: MemConfig::default(),
@@ -158,9 +155,6 @@ impl StmShared {
     pub(crate) fn stripes(&self) -> &StripeTable {
         &self.stripes
     }
-    pub(crate) fn registry(&self) -> &SnapshotRegistry {
-        &self.registry
-    }
     pub(crate) fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -169,9 +163,6 @@ impl StmShared {
     }
     pub(crate) fn pool(&self) -> &ChildScheduler {
         &self.pool
-    }
-    pub(crate) fn config(&self) -> &StmConfig {
-        &self.config
     }
     pub(crate) fn trace(&self) -> &TraceBus {
         &self.trace
@@ -563,10 +554,15 @@ impl Stm {
             // a sleeping loser must not pin the GC watermark.
             let site = {
                 let snap = self.shared.registry.register_current(&self.shared.clock);
-                let mut tx = Txn::top(&self.shared, snap.version(), snap.eviction_flag());
+                let mut tx = Txn::top(&self.shared, snap.version(), snap.slot());
                 match body(&mut tx) {
                     Ok(value) => match tx.commit_top() {
                         Ok(versions) => {
+                            // Unregister before pacing the collector: a
+                            // cycle this commit asks for must not keep the
+                            // versions it just superseded.
+                            drop(tx);
+                            drop(snap);
                             self.shared.stats.record_commit_top();
                             if trace.is_enabled() {
                                 trace.emit(TraceEvent::TxCommit {
@@ -791,11 +787,6 @@ impl Stm {
     /// While the ladder is degraded this reads the urgent lease.
     pub fn snapshot_lease(&self) -> Option<Duration> {
         self.shared.registry.lease()
-    }
-
-    /// Number of live registered snapshots (running transactions).
-    pub fn live_snapshots(&self) -> usize {
-        self.shared.registry.live_count()
     }
 }
 

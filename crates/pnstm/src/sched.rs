@@ -21,12 +21,6 @@ use crate::fault::FaultCtx;
 /// One child-transaction task as submitted by `Txn::parallel`.
 pub type Task = Box<dyn FnOnce() + Send>;
 
-/// Tasks per batch held in the fixed lock-free deque; a larger batch spills
-/// the excess into a mutex-held vector (counted as `deque_overflow` in
-/// [`crate::StatsSnapshot`]). 256 covers any plausible `c` — the per-tree
-/// fan-out the tuner explores is bounded by the core count.
-const DEQUE_CAP: usize = 256;
-
 /// Shards of the injector's batch registry. Dispatch of concurrent trees
 /// spreads round-robin over the shards, so publishing a batch no longer
 /// funnels every tree through one lock.
@@ -44,7 +38,8 @@ struct TaskSlot(UnsafeCell<Option<Task>>);
 // serialized by the AcqRel claim CAS in `StealDeque`.
 unsafe impl Sync for TaskSlot {}
 
-/// Fixed-size lock-free deque over the tasks of one batch.
+/// Fixed-size lock-free deque over the tasks of one batch: how a batch's
+/// tasks are queued under the work-stealing scheduler, at any fan-out.
 ///
 /// All tasks of a `parallel()` batch exist up front, so no growable ring is
 /// needed: the slots are filled at construction and a single packed control
@@ -55,7 +50,7 @@ unsafe impl Sync for TaskSlot {}
 /// the cursors meet. A successful claim CAS hands the claimant a slot index
 /// no other thread can observe as claimable again, making the subsequent
 /// slot take race-free.
-struct StealDeque {
+pub struct StealDeque {
     ctrl: AtomicU64,
     slots: Box<[TaskSlot]>,
 }
@@ -69,21 +64,6 @@ fn deque_unpack(v: u64) -> (u32, u32) {
 }
 
 impl StealDeque {
-    fn new(tasks: Vec<Task>) -> Self {
-        let n = tasks.len();
-        debug_assert!(n <= DEQUE_CAP);
-        let slots: Box<[TaskSlot]> =
-            tasks.into_iter().map(|t| TaskSlot(UnsafeCell::new(Some(t)))).collect();
-        Self { ctrl: AtomicU64::new(deque_pack(0, n as u32)), slots }
-    }
-
-    /// Unclaimed tasks right now. Exact (derived from one atomic load of the
-    /// control word), unlike the mutex pool's lagging queue mirror.
-    fn len(&self) -> usize {
-        let (head, tail) = deque_unpack(self.ctrl.load(Ordering::Acquire));
-        tail.saturating_sub(head) as usize
-    }
-
     /// Claim a slot index by CASing the control word with `advance`, which
     /// maps `(head, tail)` to (new pair, claimed index) or `None` if empty.
     fn claim(&self, advance: impl Fn(u32, u32) -> Option<((u32, u32), u32)>) -> Option<Task> {
@@ -107,7 +87,7 @@ impl StealDeque {
     }
 
     /// Owner pop: LIFO from the tail end.
-    fn pop(&self) -> Option<Task> {
+    fn pop_owner(&self) -> Option<Task> {
         self.claim(|head, tail| (head < tail).then(|| ((head, tail - 1), tail - 1)))
     }
 
@@ -117,66 +97,31 @@ impl StealDeque {
     }
 }
 
-/// One batch's tasks under the work-stealing rung: the lock-free deque plus
-/// a mutex-held spill for fan-outs beyond `DEQUE_CAP`.
-pub struct StealQueue {
-    deque: StealDeque,
-    /// Overflow tasks beyond [`DEQUE_CAP`], drained after the deque.
-    spill: Mutex<Vec<Task>>,
-    /// Length mirror of `spill`, decremented *before* the pop so it only
-    /// ever under-reports (the same discipline as the mutex rung's mirror).
-    spilled: AtomicUsize,
-    /// Tasks spilled at construction (immutable; for stats/trace).
-    overflowed: usize,
-}
-
-impl StealQueue {
-    fn spill_pop(&self) -> Option<Task> {
-        if self.spilled.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut s = self.spill.lock();
-        if s.is_empty() {
-            return None;
-        }
-        self.spilled.fetch_sub(1, Ordering::AcqRel);
-        s.pop()
-    }
-}
-
-impl TaskQueue for StealQueue {
-    fn new(mut tasks: Vec<Task>) -> Self {
-        let spill = if tasks.len() > DEQUE_CAP { tasks.split_off(DEQUE_CAP) } else { Vec::new() };
-        Self {
-            deque: StealDeque::new(tasks),
-            spilled: AtomicUsize::new(spill.len()),
-            overflowed: spill.len(),
-            spill: Mutex::new(spill),
-        }
+impl TaskQueue for StealDeque {
+    /// The cursors are `u32`s: one batch holds at most `u32::MAX` tasks.
+    fn new(tasks: Vec<Task>) -> Self {
+        let n = u32::try_from(tasks.len()).expect("a batch holds at most u32::MAX tasks");
+        let slots = tasks.into_iter().map(|t| TaskSlot(UnsafeCell::new(Some(t)))).collect();
+        Self { ctrl: AtomicU64::new(deque_pack(0, n)), slots }
     }
 
-    /// The owning parent pops LIFO, helpers steal FIFO; both fall back to
-    /// the spill. The [`crate::FaultKind::ChildStall`] stall is taken
-    /// *after* the lock-free claim, so stalled dispatches overlap instead of
-    /// serializing.
+    /// The owning parent pops LIFO, helpers steal FIFO. The
+    /// [`crate::FaultKind::ChildStall`] stall is taken *after* the lock-free
+    /// claim, so stalled dispatches overlap instead of serializing.
     fn pop(&self, helper: bool, fault: &FaultCtx) -> Option<Task> {
-        let claimed = if helper { self.deque.steal() } else { self.deque.pop() };
-        let task = claimed.or_else(|| self.spill_pop())?;
+        let task = if helper { self.steal() } else { self.pop_owner() }?;
         dispatch_stall(fault);
         Some(task)
     }
 
-    /// Exact for the deque (one atomic load of the control word).
+    /// Exact: derived from one atomic load of the control word.
     fn queued(&self) -> usize {
-        self.deque.len() + self.spilled.load(Ordering::Acquire)
-    }
-
-    fn overflowed(&self) -> usize {
-        self.overflowed
+        let (head, tail) = deque_unpack(self.ctrl.load(Ordering::Acquire));
+        tail.saturating_sub(head) as usize
     }
 }
 
-type StealBatch = Arc<Batch<StealQueue>>;
+type StealBatch = Arc<Batch<StealDeque>>;
 
 /// Sharded registry of published batches. Dispatch registers round-robin;
 /// idle workers scan the shards. Only batch *discovery* takes these short
@@ -198,7 +143,7 @@ impl Default for StealRegistry {
 }
 
 impl Registry for StealRegistry {
-    type Queue = StealQueue;
+    type Queue = StealDeque;
     const WORKER_NAME: &'static str = "pnstm-ws-worker";
 
     fn publish(&self, batch: &StealBatch) -> usize {
@@ -259,12 +204,12 @@ mod tests {
             })
             .collect();
         let d = StealDeque::new(tasks);
-        assert_eq!(d.len(), 4);
+        assert_eq!(d.queued(), 4);
         d.steal().unwrap()(); // FIFO end: task 0
-        d.pop().unwrap()(); // LIFO end: task 3
+        d.pop_owner().unwrap()(); // LIFO end: task 3
         d.steal().unwrap()(); // task 1
-        d.pop().unwrap()(); // task 2
-        assert!(d.pop().is_none());
+        d.pop_owner().unwrap()(); // task 2
+        assert!(d.pop_owner().is_none());
         assert!(d.steal().is_none());
         assert_eq!(*order.lock(), vec![0, 3, 1, 2]);
     }
@@ -280,7 +225,7 @@ mod tests {
                 joins.push(thread::spawn(move || {
                     let mut taken = 0;
                     loop {
-                        let t = if who % 2 == 0 { d.pop() } else { d.steal() };
+                        let t = if who % 2 == 0 { d.pop_owner() } else { d.steal() };
                         match t {
                             Some(task) => {
                                 task();
@@ -357,20 +302,22 @@ mod tests {
         assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
     }
 
+    /// One deque serves any fan-out: a 1 000-task batch with two helpers
+    /// runs every task exactly once.
     #[test]
-    fn oversized_batch_spills_and_still_runs_every_task() {
-        let stats = Arc::new(Stats::new());
-        let pool = WorkStealingPool::with_instruments(
-            2,
-            FaultCtx::disabled(),
-            Arc::clone(&stats),
-            TraceBus::new(),
-        );
-        let counter = Arc::new(AtomicI64::new(0));
-        let n = DEQUE_CAP + 37;
-        pool.run_batch(make_tasks(n, &counter), 2);
-        assert_eq!(counter.load(Ordering::SeqCst), n as i64);
-        assert_eq!(stats.snapshot().deque_overflow, 37);
+    fn thousand_task_batch_runs_every_task_exactly_once() {
+        let pool = WorkStealingPool::new(2);
+        let runs: Arc<Vec<AtomicI64>> = Arc::new((0..1000).map(|_| AtomicI64::new(0)).collect());
+        let tasks = (0..runs.len())
+            .map(|i| {
+                let runs = Arc::clone(&runs);
+                Box::new(move || {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                }) as Task
+            })
+            .collect();
+        pool.hand_off(tasks, 2);
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "a task lost or repeated");
     }
 
     #[test]
@@ -436,7 +383,7 @@ mod tests {
         // zero. The CAS claim re-checks `queued` after publishing the
         // increment, so a drained batch can never hold a claimed helper.
         let counter = Arc::new(AtomicI64::new(0));
-        let batch = Batch::<StealQueue>::new(make_tasks(4, &counter), 3);
+        let batch = Batch::<StealDeque>::new(make_tasks(4, &counter), 3);
         while let Some(t) = batch.queue.pop(false, &FaultCtx::disabled()) {
             batch.run(t);
         }
@@ -495,17 +442,16 @@ mod tests {
         let batch_events: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::SchedBatch { tasks, stolen, overflowed, handed_off, .. } => {
-                    Some((*tasks, *stolen, *overflowed, *handed_off))
+                TraceEvent::SchedBatch { tasks, stolen, handed_off, .. } => {
+                    Some((*tasks, *stolen, *handed_off))
                 }
                 _ => None,
             })
             .collect();
         assert_eq!(batch_events.len(), 1);
-        let (tasks, stolen, overflowed, handed_off) = batch_events[0];
+        let (tasks, stolen, handed_off) = batch_events[0];
         assert_eq!(tasks, 6);
         assert!(stolen <= 6);
-        assert_eq!(overflowed, 0);
         assert!(handed_off, "a pool without history hands off eagerly");
     }
 }

@@ -159,9 +159,6 @@ counters! {
     /// Batch tasks executed by helper workers rather than the batch's
     /// parent (both scheduler rungs).
     steal_count,
-    /// Batch tasks that overflowed the fixed steal deque into the spill
-    /// vector (fan-out larger than the deque capacity).
-    deque_overflow,
     /// Child batches with `c > 1` that were published to the worker pool
     /// (eagerly, or late once they outlasted the prediction).
     sched_handoffs,
@@ -362,12 +359,6 @@ impl Stats {
     /// rung; flushed once per batch, not per task).
     pub fn record_steals(&self, n: u64) {
         self.add_nonzero(Counter::steal_count, n);
-    }
-
-    /// Record `n` batch tasks that overflowed the fixed steal deque into the
-    /// mutex-held spill vector (batch fan-out exceeded the deque capacity).
-    pub fn record_deque_overflow(&self, n: u64) {
-        self.add_nonzero(Counter::deque_overflow, n);
     }
 
     /// Record one admission-gate park (a top-level begin that had to block
@@ -740,7 +731,6 @@ mod tests {
         let s = Stats::new();
         s.record_steals(3);
         s.record_steals(0); // zero flush is a no-op
-        s.record_deque_overflow(5);
         s.record_park();
         s.record_park();
         s.record_handoff(true);
@@ -748,12 +738,10 @@ mod tests {
         s.record_handoff(false);
         let snap = s.snapshot();
         assert_eq!(snap.steal_count, 3);
-        assert_eq!(snap.deque_overflow, 5);
         assert_eq!(snap.park_count, 2);
         assert_eq!((snap.sched_handoffs, snap.sched_handoffs_elided), (1, 2));
         let d = snap.delta_since(&StatsSnapshot::default());
         assert_eq!(d.steal_count, 3);
-        assert_eq!(d.deque_overflow, 5);
         assert_eq!(d.park_count, 2);
         assert_eq!((d.sched_handoffs, d.sched_handoffs_elided), (1, 2));
     }

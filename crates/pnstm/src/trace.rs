@@ -63,12 +63,11 @@ pub enum TraceEvent {
     /// (`slow_path`). Emitted only when at least one counter is nonzero.
     ReadPath { filter_hits: u64, filter_misses: u64, slow_path: u64, at_ns: u64 },
     /// The child scheduler (either rung) completed a `parallel()` batch of
-    /// `tasks` child tasks, `stolen` of which were executed by helper workers
-    /// and `overflowed` of which spilled past the fixed deque capacity.
-    /// `handed_off` is the hand-off decision: whether the batch was published
+    /// `tasks` child tasks, `stolen` of which were executed by helper
+    /// workers. `handed_off` is the hand-off decision: whether the batch was published
     /// to the worker pool at all, or run by its parent alone (always false at
     /// `c = 1`). Emitted once per batch at completion.
-    SchedBatch { tasks: u32, stolen: u32, overflowed: u32, handed_off: bool, at_ns: u64 },
+    SchedBatch { tasks: u32, stolen: u32, handed_off: bool, at_ns: u64 },
     /// The actuator switched the parallelism degree `from` → `to` `(t, c)`.
     Reconfigure { from: (u32, u32), to: (u32, u32) },
     /// The monitor opened a measurement window.
@@ -256,10 +255,10 @@ impl TraceEvent {
                     ",\"filter_hits\":{filter_hits},\"filter_misses\":{filter_misses},\"slow_path\":{slow_path},\"at_ns\":{at_ns}"
                 );
             }
-            TraceEvent::SchedBatch { tasks, stolen, overflowed, handed_off, at_ns } => {
+            TraceEvent::SchedBatch { tasks, stolen, handed_off, at_ns } => {
                 let _ = write!(
                     out,
-                    ",\"tasks\":{tasks},\"stolen\":{stolen},\"overflowed\":{overflowed},\"handed_off\":{handed_off},\"at_ns\":{at_ns}"
+                    ",\"tasks\":{tasks},\"stolen\":{stolen},\"handed_off\":{handed_off},\"at_ns\":{at_ns}"
                 );
             }
             TraceEvent::Reconfigure { from, to } => {
@@ -680,13 +679,7 @@ mod tests {
             TraceEvent::SemWait { wait_ns: 1500 },
             TraceEvent::CommitStripeContention { stripes: 4, contended: 1, at_ns: 6 },
             TraceEvent::ReadPath { filter_hits: 2, filter_misses: 30, slow_path: 2, at_ns: 8 },
-            TraceEvent::SchedBatch {
-                tasks: 8,
-                stolen: 3,
-                overflowed: 0,
-                handed_off: true,
-                at_ns: 9,
-            },
+            TraceEvent::SchedBatch { tasks: 8, stolen: 3, handed_off: true, at_ns: 9 },
             TraceEvent::Reconfigure { from: (4, 1), to: (2, 2) },
             TraceEvent::WindowOpen { at_ns: 1 },
             TraceEvent::WindowSample { at_ns: 2, cv: Some(0.25) },
@@ -802,15 +795,8 @@ mod tests {
             r#"{"ev":"read_path","filter_hits":2,"filter_misses":30,"slow_path":2,"at_ns":8}"#
         );
         assert_eq!(
-            TraceEvent::SchedBatch {
-                tasks: 8,
-                stolen: 3,
-                overflowed: 0,
-                handed_off: true,
-                at_ns: 9
-            }
-            .to_json(),
-            r#"{"ev":"sched_batch","tasks":8,"stolen":3,"overflowed":0,"handed_off":true,"at_ns":9}"#
+            TraceEvent::SchedBatch { tasks: 8, stolen: 3, handed_off: true, at_ns: 9 }.to_json(),
+            r#"{"ev":"sched_batch","tasks":8,"stolen":3,"handed_off":true,"at_ns":9}"#
         );
         assert_eq!(
             TraceEvent::FaultInjected {

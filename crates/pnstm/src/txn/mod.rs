@@ -39,7 +39,7 @@ use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::clock::EvictionFlag;
+use crate::clock::Slot;
 use crate::error::{TxError, TxResult};
 use crate::runtime::StmShared;
 use crate::stats::TxKind;
@@ -133,10 +133,10 @@ pub struct Txn<'s> {
     #[cfg(any(test, feature = "oracle"))]
     locked_reads: Option<Mutex<()>>,
     counts: AttemptCounters,
-    /// Eviction flag of the root snapshot's registration (shared by the
-    /// whole transaction tree). Set by the GC watermark computation once the
-    /// lease expired — see [`crate::clock::SnapshotRegistry`].
-    evicted: EvictionFlag,
+    /// Slot of the root snapshot's registration (shared by the whole
+    /// transaction tree), whose eviction flag the GC watermark computation
+    /// sets once the lease expired — see [`crate::clock::SnapshotRegistry`].
+    registration: &'s Slot,
     /// Latched true once this attempt observed its snapshot's eviction (a
     /// below-floor read it had to paper over): the attempt must abort at
     /// commit regardless of what the flag reads later.
@@ -147,9 +147,9 @@ impl<'s> Txn<'s> {
     pub(crate) fn top(
         shared: &'s Arc<StmShared>,
         root_read_version: u64,
-        evicted: EvictionFlag,
+        registration: &'s Slot,
     ) -> Self {
-        Self::nested(shared, root_read_version, Vec::new(), 0, evicted)
+        Self::nested(shared, root_read_version, Vec::new(), 0, registration)
     }
 
     fn nested(
@@ -157,7 +157,7 @@ impl<'s> Txn<'s> {
         root_read_version: u64,
         scope: Vec<ScopeEntry>,
         depth: u32,
-        evicted: EvictionFlag,
+        registration: &'s Slot,
     ) -> Self {
         Self {
             #[cfg(any(test, feature = "oracle"))]
@@ -170,7 +170,7 @@ impl<'s> Txn<'s> {
             depth,
             inline: 0,
             counts: AttemptCounters::default(),
-            evicted,
+            registration,
             doomed: false,
         }
     }
@@ -179,12 +179,7 @@ impl<'s> Txn<'s> {
     /// longer honours it). Checked by the commit protocols and the retry
     /// drivers; true also once this attempt hit a below-floor read.
     pub(crate) fn snapshot_evicted(&self) -> bool {
-        self.doomed || self.shared.registry().is_evicted(&self.evicted)
-    }
-
-    /// The global snapshot version this transaction tree reads at.
-    pub fn root_version(&self) -> u64 {
-        self.root_read_version
+        self.doomed || self.registration.is_evicted()
     }
 
     /// Nesting depth: 0 for top-level transactions.
@@ -445,15 +440,15 @@ impl<'s> Txn<'s> {
 
     /// Run `children` as a published batch of nested transactions, child
     /// `i` running `f(tx, i)`, appending their outcomes to `outcomes`, and
-    /// fold the batch into this transaction at the join. Returns the
-    /// hand-off's `(stolen, overflowed)` counts.
+    /// fold the batch into this transaction at the join. Returns how many
+    /// children helpers ran.
     fn run_published<R, F>(
         &mut self,
         f: &F,
         children: Range<usize>,
         helper_limit: usize,
         outcomes: &mut Outcomes<R>,
-    ) -> (usize, usize)
+    ) -> usize
     where
         R: Send,
         F: Fn(&mut Txn<'_>, usize) -> TxResult<R> + Sync,
@@ -481,7 +476,7 @@ impl<'s> Txn<'s> {
                 cap: 0,
             },
             inherited: self.scope.clone(),
-            evicted: self.evicted.clone(),
+            registration: self.registration,
             outcomes: children.clone().map(|_| Mutex::new(None)).collect(),
         };
         let tasks = children
@@ -501,7 +496,7 @@ impl<'s> Txn<'s> {
             })
             .collect();
 
-        let counts = self.shared.pool().hand_off(tasks, helper_limit);
+        let stolen = self.shared.pool().hand_off(tasks, helper_limit);
 
         // The batch has drained: every child is gone. Collect the outcomes
         // and take the write set back out of its snapshot `Arc`.
@@ -523,7 +518,7 @@ impl<'s> Txn<'s> {
         nest.index
             .drain_newest(|entry| entry.vbox.write_erased(&mut self.sets.ws, entry.value, journal));
         self.sets.rs.merge_from(nest.merged_rs.get_mut());
-        counts
+        stolen
     }
 
     /// Commit a nested transaction into its parent. Returns
@@ -780,9 +775,13 @@ struct Family<'a, R> {
     /// takes a fresh `cap`).
     parent: ScopeEntry,
     inherited: Vec<ScopeEntry>,
-    evicted: EvictionFlag,
+    registration: &'a Slot,
     outcomes: Box<[Mutex<Option<ChildOutcome<R>>>]>,
 }
+
+/// Retry budget of a child transaction fighting sibling conflicts before the
+/// conflict is escalated to the whole tree.
+const MAX_NESTED_RETRIES: u64 = 10_000;
 
 /// A child's result, or the payload of its panic.
 type ChildOutcome<R> = Result<TxResult<R>, Box<dyn Any + Send>>;
@@ -794,13 +793,12 @@ type ChildOutcome<R> = Result<TxResult<R>, Box<dyn Any + Send>>;
 /// Between attempts the contention manager is consulted
 /// ([`crate::cm::AbortSite::Nested`]): from its second consecutive abort on,
 /// a losing child backs off instead of hot-spinning its way through
-/// `max_nested_retries` immediate re-executions against the same winner.
+/// [`MAX_NESTED_RETRIES`] immediate re-executions against the same winner.
 fn run_child<R>(
     family: &Family<'_, R>,
     mut body: impl FnMut(&mut Txn<'_>) -> TxResult<R>,
 ) -> TxResult<R> {
-    let Family { shared, root_rv, depth, parent, inherited, evicted, .. } = family;
-    let max_retries = shared.config().max_nested_retries;
+    let Family { shared, root_rv, depth, parent, inherited, registration, .. } = family;
     let trace = shared.trace();
     if trace.is_enabled() {
         trace.emit(TraceEvent::TxBegin { kind: TxKind::Nested, at_ns: trace::now_ns() });
@@ -811,7 +809,7 @@ fn run_child<R>(
         let mut scope = Vec::with_capacity(1 + inherited.len());
         scope.push(ScopeEntry { cap: parent.nest.now(), ..parent.clone() });
         scope.extend_from_slice(inherited);
-        let mut tx = Txn::nested(shared, *root_rv, scope, *depth, evicted.clone());
+        let mut tx = Txn::nested(shared, *root_rv, scope, *depth, registration);
 
         match body(&mut tx) {
             Err(e) => return Err(e),
@@ -837,7 +835,7 @@ fn run_child<R>(
                             at_ns: trace::now_ns(),
                         });
                     }
-                    if attempts >= max_retries {
+                    if attempts >= MAX_NESTED_RETRIES {
                         return Err(TxError::Conflict);
                     }
                     // A sibling retry cannot save an evicted tree: the whole

@@ -343,9 +343,11 @@ fn ladder_escalates_to_hard_and_recovers() {
 
 /// The automatic pace counts versions, not commits: a writer of 1 000-box
 /// commits that never calls `gc()` keeps the heap within the live boxes
-/// plus `gc_interval` superseded versions plus the one commit that crossed
-/// it. Counted in commits, 200 such commits never reach the interval and
-/// every superseded version is kept.
+/// plus `gc_interval` superseded versions. The commit that crosses the
+/// interval unregisters its snapshot before it asks for a cycle, so the
+/// cycle keeps none of the versions that commit superseded. Counted in
+/// commits, 200 such commits never reach the interval and every superseded
+/// version is kept.
 #[test]
 fn thousand_box_commits_keep_retained_versions_bounded() {
     const BOXES: u64 = 1_000;
@@ -356,12 +358,12 @@ fn thousand_box_commits_keep_retained_versions_bounded() {
             ..StmConfig::default()
         };
         let interval = config.gc_interval;
-        let bound = BOXES + interval + BOXES;
+        let bound = BOXES + interval;
         let stm = Stm::with_oracle(config, gc);
         let boxes: Vec<VBox<u64>> = (0..BOXES).map(|_| stm.new_vbox(0)).collect();
         // Superseded versions this (single) committing shard has installed
-        // since it last asked for a cycle, and those a cycle had to keep.
-        let (mut since, mut kept) = (0, 0);
+        // since it last asked for a cycle.
+        let mut since = 0;
         for round in 1..=200 {
             let cycles = stm.stats().snapshot().gc_cycles;
             stm.atomic(|tx| {
@@ -374,17 +376,17 @@ fn thousand_box_commits_keep_retained_versions_bounded() {
             since += BOXES;
             let due = since >= interval;
             if due {
-                // The committer's own snapshot is still registered while it
-                // paces the collector, so the cycle keeps the versions its
-                // commit superseded.
-                (since, kept) = (0, BOXES);
+                // The committer unregistered its snapshot before pacing the
+                // collector, so the cycle keeps nothing its commit
+                // superseded.
+                since = 0;
             }
             match gc {
                 // The committer swept synchronously: the heap is exactly the
                 // live boxes plus what the pace let pile up.
                 Some(_) => {
                     let retained = stm.heap_gauge().retained_versions();
-                    assert_eq!(retained, BOXES + kept + since, "round {round}");
+                    assert_eq!(retained, BOXES + since, "round {round}");
                     assert!(retained <= bound, "round {round}: {retained} > {bound}");
                 }
                 // The background collector answers the request off the

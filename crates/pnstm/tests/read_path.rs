@@ -359,21 +359,53 @@ fn gc_never_prunes_a_snapshot_being_registered() {
 /// snapshot that was *not* evicted must never happen.
 #[test]
 fn gc_never_prunes_a_leased_snapshot_being_registered() {
-    let stm = Stm::new(StmConfig {
+    let stm = leased_stm();
+    registration_race_stress(&stm, read_unless_evicted);
+    assert_eq!(stm.stats().snapshot().read_below_floor, 0);
+}
+
+/// The leased stress with the first registration segment held full. Before
+/// any other thread starts, this thread opens `HELD` read-only snapshots,
+/// nested, and keeps them open for the whole race. The first segment has
+/// 64 slots, so every registration the racing threads take lands in an
+/// appended segment. The held snapshots' 1 ms leases expire, so they stop
+/// pinning the watermark (the collector keeps pruning) but keep their
+/// slots.
+#[test]
+fn gc_never_prunes_a_snapshot_registered_in_an_appended_segment() {
+    const HELD: usize = 72;
+    fn hold(stm: &Stm, left: usize, race: &dyn Fn()) {
+        match left {
+            0 => race(),
+            _ => stm.read_only(|_| hold(stm, left - 1, race)),
+        }
+    }
+    let stm = leased_stm();
+    hold(&stm, HELD, &|| registration_race_stress(&stm, read_unless_evicted));
+    let snap = stm.stats().snapshot();
+    assert_eq!(snap.read_below_floor, 0);
+    assert!(snap.snapshot_evictions >= HELD as u64, "the held snapshots stopped pinning");
+    assert!(snap.gc_pruned_versions > 0, "the collector pruned under the race");
+}
+
+/// `gc_interval: 1` with 1 ms snapshot leases.
+fn leased_stm() -> Stm {
+    Stm::new(StmConfig {
         degree: ParallelismDegree::new(8, 1),
         worker_threads: 0,
         gc_interval: 1,
         mem: MemConfig { snapshot_lease: Some(Duration::from_millis(1)), ..MemConfig::default() },
         ..StmConfig::default()
-    });
-    registration_race_stress(&stm, |stm, b| {
-        stm.read_only(|tx| match tx.try_read(b) {
-            Ok(v) => v,
-            Err(StmError::SnapshotEvicted) => 0,
-            Err(e) => panic!("unexpected read error {e}"),
-        })
-    });
-    assert_eq!(stm.stats().snapshot().read_below_floor, 0);
+    })
+}
+
+/// A reader's view of `b`, 0 when its snapshot was evicted.
+fn read_unless_evicted(stm: &Stm, b: &VBox<u64>) -> u64 {
+    stm.read_only(|tx| match tx.try_read(b) {
+        Ok(v) => v,
+        Err(StmError::SnapshotEvicted) => 0,
+        Err(e) => panic!("unexpected read error {e}"),
+    })
 }
 
 /// Two incrementing writers and two readers on one box for 800 ms;
